@@ -1,17 +1,15 @@
-(* Copied vs sliced vs fused vs overlay decode of a synthetic capture.
+(* Copied vs sliced vs overlay decode of a synthetic capture.
 
-   Four ways through the offline pipeline:
+   Three ways through the offline pipeline:
      copied  Pcapng.read_any materializes every packet (Bytes.sub) and
              the acap list is dissected from the copies — the pre-index
              baseline;
      sliced  Pcap/Pcapng index + Packet.Slice views, parallel dissection
              over index ranges, same acap list, no payload copies;
-     fused   the index ranges stream record dissection straight into
-             per-range flow shards (Digest.pcap_to_flows_record),
-             never materializing acap lists;
      overlay the zero-alloc cursor (Digest.pcap_to_flows): header
-             fields are read in place through Packet.Slice, no header
-             records at all — only the flow key string survives.
+             fields are read in place through Packet.Slice and streamed
+             into per-range flow shards, no header records at all —
+             only the flow key string survives.
 
    Wall clock is hardware-dependent; the Gc allocation counters are not
    (on one domain they are exact and deterministic), so the bench's
@@ -109,8 +107,8 @@ let pr label domains m extra =
 let () =
   let frames = getenv_int "PATCHWORK_BENCH_FRAMES" 100_000 in
   let rng = Netcore.Rng.create 42 in
-  (* A fixed population of flow templates so the fused path sees
-     realistic key repetition rather than one flow per packet. *)
+  (* A fixed population of flow templates so the flows path sees
+     key repetition rather than one flow per packet. *)
   let templates = Array.init 256 (fun _ -> random_frame rng) in
   let w = Packet.Pcap.Writer.create () in
   for i = 0 to frames - 1 do
@@ -119,7 +117,7 @@ let () =
       (Netcore.Rng.choice rng templates)
   done;
   let buf = Packet.Pcap.Writer.contents w in
-  Printf.printf "== decode: copied vs sliced vs fused vs overlay ==\n";
+  Printf.printf "== decode: copied vs sliced vs overlay ==\n";
   Printf.printf "workload: %d packets, %.1f MB capture, %d cores available\n%!"
     frames
     (float_of_int (Bytes.length buf) /. 1e6)
@@ -128,7 +126,8 @@ let () =
   let check b = ok := !ok && b; b in
   (* Sequential (1 domain): Gc counters are exact and deterministic. *)
   let copied_acaps, m_copied =
-    measure (fun () -> Analysis.Digest.pcap_to_acaps_copying buf)
+    measure (fun () ->
+        List.map Dissect.Acap.of_packet (Packet.Pcapng.read_any buf))
   in
   pr "copied" 1 m_copied "";
   record "copied" 1 m_copied true;
@@ -142,46 +141,16 @@ let () =
   Printf.printf "sliced minor-heap savings vs copied: %.1f%% (target >= 30%%)\n%!"
     savings;
   let baseline_flows = Analysis.Flows.aggregate copied_acaps in
-  let fused_flows, m_fused =
-    measure (fun () -> Analysis.Digest.pcap_to_flows_record buf)
-  in
-  let fused_identical = check (fused_flows = baseline_flows) in
-  pr "fused" 1 m_fused
-    (Printf.sprintf "  identical=%b (%d flows)" fused_identical
-       (List.length fused_flows));
-  record "fused" 1 m_fused fused_identical;
   (* Overlay cursor: same flows, no header records — its minor-heap
-     floor per frame is the tentpole's regression signal. *)
+     floor per frame is the regression signal. *)
   let overlay_flows, m_overlay =
     measure (fun () -> Analysis.Digest.pcap_to_flows buf)
   in
   let overlay_identical = check (overlay_flows = baseline_flows) in
   pr "overlay" 1 m_overlay
-    (Printf.sprintf "  identical=%b" overlay_identical);
+    (Printf.sprintf "  identical=%b (%d flows)" overlay_identical
+       (List.length overlay_flows));
   record "overlay" 1 m_overlay overlay_identical;
-  (* Cached overlay pass: bit-identical flows, but frames of already-seen
-     flows skip dissection entirely, so the hit path's per-frame
-     allocation floor is the regression signal. *)
-  let counter name =
-    match Obs.Registry.value Obs.Registry.default name with
-    | Some (Obs.Registry.Counter v) -> v
-    | _ -> 0.0
-  in
-  let cache_lookups () =
-    (counter "flow_cache_hits_total", counter "flow_cache_misses_total")
-  in
-  let h0, mi0 = cache_lookups () in
-  let cached_flows, m_cached =
-    measure (fun () -> Analysis.Digest.pcap_to_flows ~cache_bits:10 buf)
-  in
-  let h1, mi1 = cache_lookups () in
-  let hits = h1 -. h0 and lookups = h1 -. h0 +. (mi1 -. mi0) in
-  let hit_rate = if lookups > 0.0 then hits /. lookups else 0.0 in
-  let cached_identical = check (cached_flows = baseline_flows) in
-  pr "cached" 1 m_cached
-    (Printf.sprintf "  identical=%b (%.1f%% hits)" cached_identical
-       (100.0 *. hit_rate));
-  record "fused+cache" 1 m_cached cached_identical;
   (* Parallel: wall clock only (allocation spreads across domains), but
      the bit-identical guarantee must hold at every pool size. *)
   List.iter
@@ -204,35 +173,11 @@ let () =
             (Printf.sprintf "  %5.2fx  identical=%b"
                (m_overlay.wall /. Float.max 1e-9 m.wall)
                identical);
-          record "overlay" n m identical;
-          let flows, m =
-            measure (fun () ->
-                Analysis.Digest.pcap_to_flows ~pool ~cache_bits:10 buf)
-          in
-          let identical = check (flows = baseline_flows) in
-          pr "cached" n m
-            (Printf.sprintf "  %5.2fx  identical=%b"
-               (m_cached.wall /. Float.max 1e-9 m.wall)
-               identical);
-          record "overlay+cache" n m identical))
+          record "overlay" n m identical))
     (pool_sizes ());
-  (* The hit path should allocate a small constant per frame (shard
-     accounting only); the fused dissection allocates the header stack.
-     One domain keeps both counters exact. *)
-  let fused_wpf = m_fused.minor /. float_of_int frames in
-  let cached_wpf = m_cached.minor /. float_of_int frames in
-  let alloc_ratio = fused_wpf /. Float.max 1e-9 cached_wpf in
-  Printf.printf
-    "cache hit-path minor words/frame: %.1f vs %.1f fused (%.1fx, target >= \
-     3x)\n%!"
-    cached_wpf fused_wpf alloc_ratio;
-  (* Overlay vs record-building fused: the cursor must allocate at most
-     half the words per frame of the reference path. *)
+  (* One domain keeps the allocation counter exact. *)
   let overlay_wpf = m_overlay.minor /. float_of_int frames in
-  let overlay_ratio = overlay_wpf /. Float.max 1e-9 fused_wpf in
-  Printf.printf
-    "overlay minor words/frame: %.1f vs %.1f fused (%.2fx, target <= 0.5x)\n%!"
-    overlay_wpf fused_wpf overlay_ratio;
+  Printf.printf "overlay minor words/frame: %.1f\n%!" overlay_wpf;
   (* Instrumentation overhead: counters are batched per range and spans
      per stage, so disabling the registry must recover <5% wall clock on
      the sliced decode.  min-of-3 runs on each side; the absolute floor
@@ -263,21 +208,9 @@ let () =
       ("capture_bytes", Obs.Export.Json.Num (float_of_int (Bytes.length buf)));
       ("runs", Obs.Export.Json.Arr (List.rev !json_runs));
       ("sliced_minor_savings_pct", Obs.Export.Json.Num savings);
-      ( "cache",
-        Obs.Export.Json.Obj
-          [
-            ("hit_rate", Obs.Export.Json.Num hit_rate);
-            ("minor_words_per_frame", Obs.Export.Json.Num cached_wpf);
-            ("fused_minor_words_per_frame", Obs.Export.Json.Num fused_wpf);
-            ("alloc_ratio", Obs.Export.Json.Num alloc_ratio);
-          ] );
       ( "overlay",
         Obs.Export.Json.Obj
-          [
-            ("minor_words_per_frame", Obs.Export.Json.Num overlay_wpf);
-            ("fused_minor_words_per_frame", Obs.Export.Json.Num fused_wpf);
-            ("ratio", Obs.Export.Json.Num overlay_ratio);
-          ] );
+          [ ("minor_words_per_frame", Obs.Export.Json.Num overlay_wpf) ] );
       ( "metrics_overhead",
         Obs.Export.Json.Obj
           [
@@ -287,7 +220,7 @@ let () =
           ] );
     ];
   if not !ok then begin
-    Printf.printf "FAIL: sliced/fused output diverged from the copying path\n";
+    Printf.printf "FAIL: sliced/overlay output diverged from the copying path\n";
     exit 1
   end;
   if overhead_failed then begin
@@ -297,12 +230,4 @@ let () =
   end;
   if savings < 30.0 then
     Printf.printf
-      "WARN: sliced minor-heap savings %.1f%% below the 30%% target\n" savings;
-  if alloc_ratio < 3.0 then
-    Printf.printf
-      "WARN: cache hit-path allocation ratio %.1fx below the 3x target\n"
-      alloc_ratio;
-  if overlay_ratio > 0.5 then
-    Printf.printf
-      "WARN: overlay allocation ratio %.2fx above the 0.5x ceiling\n"
-      overlay_ratio
+      "WARN: sliced minor-heap savings %.1f%% below the 30%% target\n" savings

@@ -1,8 +1,8 @@
 (* `patchwork_cli doctor`: the platform auditing its own measurement
    quality.  A battery of health checks — loss-ledger conservation,
-   federation staleness, active alerts, segment-store validation sweeps,
-   cache sanity — rendered as PASS/WARN/FAIL lines, against either a
-   live service (`--live PORT`, over the HTTP endpoints) or an on-disk
+   federation staleness, active alerts, segment-store validation
+   sweeps — rendered as PASS/WARN/FAIL lines, against either a live
+   service (`--live PORT`, over the HTTP endpoints) or an on-disk
    history (`--history DIR`, over the tsdb segments directly).
 
    The conservation checks recompute `offered = stored + Σ attributed`
@@ -149,21 +149,19 @@ let check_alerts ~port =
              (String.concat ", " names))
       | Some _ -> check name Fail "malformed active member"))
 
-(* Series-backed checks share one scrape of /series.json. *)
-let check_series ~port =
+(* Federation staleness from the served /series.json. *)
+let check_up ~port =
+  let name = "federation up{site}" in
   match fetch ~port "/series.json" with
-  | Error msg -> [ check "series endpoint" Fail msg ]
+  | Error msg -> check "series endpoint" Fail msg
   | Ok (status, _) when status <> 200 ->
-    [
-      check "series endpoint" Fail
-        (Printf.sprintf "/series.json answers %d" status);
-    ]
+    check "series endpoint" Fail
+      (Printf.sprintf "/series.json answers %d" status)
   | Ok (_, body) -> (
     match J.parse body with
     | Error msg ->
-      [ check "series endpoint" Fail ("/series.json unparseable: " ^ msg) ]
+      check "series endpoint" Fail ("/series.json unparseable: " ^ msg)
     | Ok doc ->
-      let all = Live.series_of_json doc in
       let up =
         List.filter_map
           (fun (n, ls, pts) ->
@@ -172,55 +170,30 @@ let check_series ~port =
                 (fun site -> (site, List.rev pts))
                 (List.assoc_opt "site" ls)
             else None)
-          all
+          (Live.series_of_json doc)
       in
-      let up_check =
-        let name = "federation up{site}" in
-        if up = [] then check name Pass "no federated sites"
-        else
-          let down =
-            List.filter_map
-              (fun (site, pts) ->
-                match pts with
-                | (_, v) :: _ when v < 1.0 -> Some site
-                | _ -> None)
-              up
-          in
-          if down = [] then
-            check name Pass
-              (Printf.sprintf "%d site%s up" (List.length up)
-                 (if List.length up = 1 then "" else "s"))
-          else
-            check name Fail ("down: " ^ String.concat ", " down)
-      in
-      let cache_check =
-        let name = "cache hit-rate sanity" in
-        let pts =
-          List.concat_map
-            (fun (n, _, pts) ->
-              if n = "flow_cache_hit_rate" then pts else [])
-            all
+      if up = [] then check name Pass "no federated sites"
+      else
+        let down =
+          List.filter_map
+            (fun (site, pts) ->
+              match pts with
+              | (_, v) :: _ when v < 1.0 -> Some site
+              | _ -> None)
+            up
         in
-        if pts = [] then check name Pass "no cached lookups recorded"
-        else
-          let bad = List.filter (fun (_, v) -> v < 0.0 || v > 1.0) pts in
-          if bad = [] then
-            check name Pass
-              (Printf.sprintf "%d point%s within [0, 1]" (List.length pts)
-                 (if List.length pts = 1 then "" else "s"))
-          else
-            check name Fail
-              (Printf.sprintf "%d point%s outside [0, 1]" (List.length bad)
-                 (if List.length bad = 1 then "" else "s"))
-      in
-      [ up_check; cache_check ])
+        if down = [] then
+          check name Pass
+            (Printf.sprintf "%d site%s up" (List.length up)
+               (if List.length up = 1 then "" else "s"))
+        else check name Fail ("down: " ^ String.concat ", " down))
 
 let live_checks ~port =
   [ check_endpoint ~port ~name:"service liveness" "/healthz" ]
   @ [ check_endpoint ~port ~name:"service readiness" "/readyz" ]
   @ [ check_lossmap ~port ]
   @ [ check_alerts ~port ]
-  @ check_series ~port
+  @ [ check_up ~port ]
 
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
@@ -372,43 +345,13 @@ let check_history_up segments =
            (if List.length groups = 1 then "" else "s"))
     else check name Fail ("down at last scrape: " ^ String.concat ", " down)
 
-let check_history_cache segments =
-  let name = "cache hit-rate sanity" in
-  match
-    Obs.Tsdb.query
-      ~pred:(Obs.Tsdb.predicate ~name:"flow_cache_hit_rate" ())
-      segments
-  with
-  | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
-  | [] -> check name Pass "no cached lookups recorded"
-  | groups ->
-    let records = List.concat_map (fun (_, _, rs) -> rs) groups in
-    let bad =
-      List.filter
-        (fun (r : Obs.Tsdb.record) ->
-          r.Obs.Tsdb.t_min < 0.0 || r.Obs.Tsdb.t_max > 1.0)
-        records
-    in
-    if bad = [] then
-      check name Pass
-        (Printf.sprintf "%d record%s within [0, 1]" (List.length records)
-           (if List.length records = 1 then "" else "s"))
-    else
-      check name Fail
-        (Printf.sprintf "%d record%s outside [0, 1]" (List.length bad)
-           (if List.length bad = 1 then "" else "s"))
-
 let history_checks ~dir =
   let segments = Obs.Tsdb.segments_in_dir dir in
   check_tsdb_segments dir
   @
   if segments = [] then []
   else
-    [
-      check_history_conservation segments;
-      check_history_up segments;
-      check_history_cache segments;
-    ]
+[ check_history_conservation segments; check_history_up segments ]
 
 (* --- optional flow-store sweep -------------------------------------- *)
 

@@ -77,38 +77,13 @@ let write_metrics out format =
         output_char oc '\n');
     Printf.printf "wrote metrics snapshot to %s\n" path
 
-(* --- flow cache (shared by analyze/weekly) --- *)
-
-let flow_cache_bits_arg =
-  let doc =
-    "Route the digest through a per-worker flow cache with 2^$(docv) \
-     slots: frames of already-seen flows skip full dissection and replay \
-     the memoized classification.  Results are bit-identical at any \
-     value; only speed changes.  0 (the default) disables the cache."
-  in
-  Arg.(value & opt int 0 & info [ "flow-cache-bits" ] ~docv:"N" ~doc)
-
 let counter_value name =
   match Obs.Registry.value Obs.Registry.default name with
   | Some (Obs.Registry.Counter v) -> v
   | _ -> 0.0
 
-(* One greppable summary line when the cache saw any traffic. *)
-let print_flow_cache_summary () =
-  let hits = counter_value "flow_cache_hits_total" in
-  let misses = counter_value "flow_cache_misses_total" in
-  let lookups = hits +. misses in
-  if lookups > 0.0 then
-    Printf.printf
-      "flow cache: hits=%.0f misses=%.0f collisions=%.0f evictions=%.0f \
-       hit-rate=%.1f%%\n"
-      hits misses
-      (counter_value "flow_cache_collisions_total")
-      (counter_value "flow_cache_evictions_total")
-      (100.0 *. hits /. lookups)
-
-(* Companion line for the overlay cursor (the digest's default path):
-   how many frames stayed on the zero-alloc fast path. *)
+(* How many frames the flows digest's overlay cursor classified, and
+   how many stayed off its zero-alloc fast path. *)
 let print_overlay_summary () =
   let classified = counter_value "overlay_classified_total" in
   let fallbacks = counter_value "overlay_fallbacks_total" in
@@ -287,8 +262,8 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "fused" ] ~doc)
   in
-  let run_fused file csv_dir cache_bits pool =
-    let flows = Analysis.Digest.pcap_file_to_flows ~pool ~cache_bits file in
+  let run_fused file csv_dir pool =
+    let flows = Analysis.Digest.pcap_file_to_flows ~pool file in
     let total_frames =
       List.fold_left (fun acc (f : Analysis.Flows.summary) -> acc +. f.Analysis.Flows.frames) 0.0 flows
     in
@@ -314,11 +289,11 @@ let analyze_cmd =
            (Analysis.Report.flow_rows flows));
       Printf.printf "wrote flows.csv under %s\n" dir
   in
-  let run file csv_dir fused cache_bits domains metrics_out metrics_format =
+  let run file csv_dir fused domains metrics_out metrics_format =
     (with_domains domains @@ fun pool ->
-    if fused then run_fused file csv_dir cache_bits pool
+    if fused then run_fused file csv_dir pool
     else begin
-    let acaps = Analysis.Digest.pcap_file_to_acaps ~pool ~cache_bits file in
+    let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
     let occ = Analysis.Analyze.occurrence acaps in
     let h = Analysis.Analyze.frame_size_histogram acaps in
     Printf.printf "%d frames, %d distinct flows, %.2f%% IPv6, %.1f%% jumbo\n"
@@ -345,14 +320,13 @@ let analyze_cmd =
            (Analysis.Report.histogram_rows h));
       Printf.printf "wrote CSVs under %s\n" dir
     end);
-    print_flow_cache_summary ();
     print_overlay_summary ();
     write_metrics metrics_out metrics_format
   in
   let info = Cmd.info "analyze" ~doc:"Run the offline analysis over a pcap" in
   Cmd.v info
     Term.(
-      const run $ file $ csv_dir $ fused $ flow_cache_bits_arg $ domains_arg
+      const run $ file $ csv_dir $ fused $ domains_arg
       $ metrics_out_arg $ metrics_format_arg)
 
 (* --- weekly --- *)
@@ -478,15 +452,10 @@ let weekly_cmd =
   in
   let run seed weeks start_day hours out domains metrics_out metrics_format
       serve_metrics hold alert_rules fail_on_alert pipeline pipeline_depth
-      flow_store spill_threshold flow_cache_bits tsdb retention downsample
-      scrape =
+      flow_store spill_threshold tsdb retention downsample scrape =
     (* The paper's operational mode: Patchwork runs weekly and keeps a
        cumulative testbed-wide profile (the public dashboard's data).
        One pool serves every occasion. *)
-    (* The per-sample digests sit behind the coordinator, so the cache
-       setting travels as the process-wide default. *)
-    if flow_cache_bits > 0 then
-      Analysis.Digest.set_default_cache_bits flow_cache_bits;
     let rules =
       match alert_rules with
       | [] -> Live.default_rules
@@ -576,9 +545,6 @@ let weekly_cmd =
           Patchwork.Config.samples_per_run = 4;
           max_frames_per_sample = 3000;
           pool_size = Parallel.Pool.size pool;
-          (* The flow cache lives on the digest path, which only runs
-             when samples carry real pcap bytes. *)
-          emit_pcap = flow_cache_bits > 0;
         }
       in
       let report =
@@ -644,7 +610,6 @@ let weekly_cmd =
         (Analysis.Flow_store.Writer.spilled_bytes w)
         dir
     | _ -> ());
-    print_flow_cache_summary ();
     print_overlay_summary ();
     write_metrics metrics_out metrics_format;
     let actives =
@@ -692,8 +657,7 @@ let weekly_cmd =
       const run $ seed_arg $ weeks $ start_day $ hours $ out $ domains_arg
       $ metrics_out_arg $ metrics_format_arg $ serve_metrics $ hold
       $ alert_rules $ fail_on_alert $ pipeline $ pipeline_depth $ flow_store
-      $ spill_threshold $ flow_cache_bits_arg $ tsdb $ retention $ downsample
-      $ scrape)
+      $ spill_threshold $ tsdb $ retention $ downsample $ scrape)
 
 (* --- query --- *)
 
@@ -1056,20 +1020,6 @@ let metrics_value metrics name =
       | _ -> acc)
     0.0 metrics
 
-(* Flow-cache hit rate from the snapshot's digest counters; silent when
-   the run never enabled the cache. *)
-let print_cache_line metrics =
-  let value = metrics_value metrics in
-  let hits = value "flow_cache_hits_total" in
-  let misses = value "flow_cache_misses_total" in
-  let lookups = hits +. misses in
-  if lookups > 0.0 then
-    Printf.printf
-      "flow cache: %.0f/%.0f lookups hit (%.1f%% hit rate, %.0f collisions)\n"
-      hits lookups
-      (100.0 *. hits /. lookups)
-      (value "flow_cache_collisions_total")
-
 (* Zero-alloc fast-path counters: overlay cursor classifications (with
    how many frames fell back to the record dissector) and arrival
    events the driver handed to the engine as pre-sorted batches.
@@ -1100,7 +1050,6 @@ let render_report doc =
   | Some (J.Arr metrics) ->
     print_attribution metrics;
     print_loss_waterfall metrics;
-    print_cache_line metrics;
     print_fastpath_lines metrics
   | _ -> print_endline "no metrics in snapshot"
 
@@ -1198,8 +1147,8 @@ let doctor_cmd =
     let doc =
       "Audit a running $(b,weekly --serve-metrics) service on \
        127.0.0.1:$(docv): liveness/readiness, loss-ledger conservation \
-       recomputed from $(b,/lossmap.json), active alerts, federation \
-       staleness and cache sanity."
+       recomputed from $(b,/lossmap.json), active alerts and federation \
+       staleness."
     in
     Arg.(value & opt (some int) None & info [ "live" ] ~docv:"PORT" ~doc)
   in
@@ -1207,8 +1156,8 @@ let doctor_cmd =
     let doc =
       "Audit an on-disk $(b,weekly --tsdb) store under $(docv): validate \
        every segment byte-for-byte, recompute ledger conservation from \
-       the persisted series, and check federation staleness and cache \
-       sanity from the stored history."
+       the persisted series, and check federation staleness from the \
+       stored history."
     in
     Arg.(value & opt (some string) None & info [ "history" ] ~docv:"DIR" ~doc)
   in
@@ -1226,7 +1175,7 @@ let doctor_cmd =
     Cmd.info "doctor"
       ~doc:
         "Run the platform's health checks — ledger conservation, segment \
-         validation, federation staleness, alerts, cache sanity — against \
+         validation, federation staleness, alerts — against \
          a live service ($(b,--live)) and/or stored history \
          ($(b,--history)); PASS/WARN/FAIL per check, nonzero exit on any \
          FAIL"

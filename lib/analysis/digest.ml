@@ -29,103 +29,20 @@ let record_decode buf idx =
     Obs.Registry.inc obs_capture_bytes (float_of_int (Bytes.length buf))
   end
 
-(* --- flow cache wiring --- *)
-
-(* Callers that cannot thread an argument through (the weekly service's
-   sample digests) set a process-wide default; an explicit [?cache_bits]
-   always wins.  0 disables the cache. *)
-let default_cache_bits = ref 0
-
-let set_default_cache_bits bits =
-  if bits < 0 then invalid_arg "Digest.set_default_cache_bits: negative bits";
-  default_cache_bits := bits
-
-let effective_cache_bits = function
-  | Some bits -> bits
-  | None -> !default_cache_bits
-
-let obs_cache_hits =
-  Obs.Registry.counter Obs.Registry.default "flow_cache_hits_total"
-    ~help:"Frames served from the flow cache (prefix-verified hits)"
-
-let obs_cache_misses =
-  Obs.Registry.counter Obs.Registry.default "flow_cache_misses_total"
-    ~help:"Frames that took the full dissection path"
-
-let obs_cache_collisions =
-  Obs.Registry.counter Obs.Registry.default "flow_cache_collisions_total"
-    ~help:"Flow-cache misses whose slot held a different flow"
-
-let obs_cache_installs =
-  Obs.Registry.counter Obs.Registry.default "flow_cache_installs_total"
-    ~help:"Flow-cache entries installed from clean parses"
-
-let obs_cache_evictions =
-  Obs.Registry.counter Obs.Registry.default "flow_cache_evictions_total"
-    ~help:"Flow-cache installs that overwrote an occupied slot"
-
-(* One batch of counter bumps per capture, summed over the per-range
-   caches — never per frame. *)
-let record_cache_stats (stats : Dissect.Flow_cache.stats list) =
-  if Obs.Registry.enabled () then begin
-    let sum f = float_of_int (List.fold_left (fun acc s -> acc + f s) 0 stats) in
-    Obs.Registry.inc obs_cache_hits (sum (fun s -> s.Dissect.Flow_cache.hits));
-    Obs.Registry.inc obs_cache_misses (sum (fun s -> s.Dissect.Flow_cache.misses));
-    Obs.Registry.inc obs_cache_collisions
-      (sum (fun s -> s.Dissect.Flow_cache.collisions));
-    Obs.Registry.inc obs_cache_installs
-      (sum (fun s -> s.Dissect.Flow_cache.installs));
-    Obs.Registry.inc obs_cache_evictions
-      (sum (fun s -> s.Dissect.Flow_cache.evictions))
-  end
-
-let pcap_to_acaps ?(pool = Parallel.Pool.sequential) ?cache_bits buf =
+let pcap_to_acaps ?(pool = Parallel.Pool.sequential) buf =
   (* Accepts both classic pcap and pcapng.  Dissection is pure and range
      results concatenate in range order, so the output is identical at
      any pool size or range partition. *)
-  let cache_bits = effective_cache_bits cache_bits in
   let idx =
     Obs.Span.timed ~stage:"digest.index" (fun () -> Packet.Pcapng.index_any buf)
   in
   record_decode buf idx;
-  if cache_bits <= 0 then
-    Obs.Span.timed ~stage:"digest.dissect" (fun () ->
-        List.concat
-          (Parallel.Pool.map_ranges pool ~n:(Array.length idx)
-             (range_to_acaps buf idx)))
-  else begin
-    (* Cached variant: one cache per range worker, so each frame's
-       record is the provably-identical hit/miss reconstruction and the
-       concatenation matches the uncached run at any pool size. *)
-    let results =
-      Obs.Span.timed ~stage:"digest.cache" (fun () ->
-          Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
-              let cache = Dissect.Flow_cache.create ~bits:cache_bits in
-              let rec go i acc =
-                if i < lo then acc
-                else
-                  let e = idx.(i) in
-                  let slice = Packet.Pcap.Reader.slice buf e in
-                  go (i - 1)
-                    (Dissect.Flow_cache.record cache ~ts:e.Packet.Pcap.ts
-                       ~orig_len:e.Packet.Pcap.orig_len slice
-                    :: acc)
-              in
-              let records = go (hi - 1) [] in
-              (records, Dissect.Flow_cache.stats cache)))
-    in
-    record_cache_stats (List.map snd results);
-    List.concat_map fst results
-  end
+  Obs.Span.timed ~stage:"digest.dissect" (fun () ->
+      List.concat
+        (Parallel.Pool.map_ranges pool ~n:(Array.length idx)
+           (range_to_acaps buf idx)))
 
-let pcap_to_acaps_copying ?(pool = Parallel.Pool.sequential) buf =
-  (* The pre-index materializing path: every packet is copied out of the
-     capture buffer before dissection.  Kept as the correctness baseline
-     for the sliced/fused paths (bench/decode_bench.exe and the qcheck
-     equivalence property compare against it). *)
-  Parallel.Pool.map pool Dissect.Acap.of_packet (Packet.Pcapng.read_any buf)
-
-(* Overlay counters, batched once per capture like the cache stats. *)
+(* Overlay counters, batched once per capture like the decode counters. *)
 let obs_overlay_classified =
   Obs.Registry.counter Obs.Registry.default "overlay_classified_total"
     ~help:"Frames classified by the zero-alloc overlay cursor"
@@ -141,144 +58,39 @@ let record_overlay_stats per_range =
     Obs.Registry.inc obs_overlay_fallbacks (sum snd)
   end
 
-let pcap_to_flows_record ?(pool = Parallel.Pool.sequential) ?cache_bits buf =
-  (* The record-building fused pass, kept as the reference
-     implementation for the overlay path below (bench baseline and
-     equivalence property target). *)
-  let cache_bits = effective_cache_bits cache_bits in
-  let idx =
-    Obs.Span.timed ~stage:"digest.index" (fun () -> Packet.Pcapng.index_any buf)
-  in
-  record_decode buf idx;
-  if cache_bits <= 0 then begin
-    let shards =
-      Obs.Span.timed ~stage:"digest.fuse" (fun () ->
-          Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
-              let shard = Flows.Shard.create () in
-              for i = lo to hi - 1 do
-                Flows.Shard.add shard (Dissect.Acap.of_entry buf idx.(i))
-              done;
-              shard))
-    in
-    Flows.merge (List.map (fun s -> (s, 1.0)) shards)
-  end
-  else begin
-    (* Cached fused pass: a hit skips dissection and the record build
-       entirely — the interned key, the index entry's ts/orig_len and
-       the flags byte at its memoized offset go straight into the
-       shard.  Per-frame accounting values are identical either way, so
-       the merge result matches the uncached run bit for bit. *)
-    let results =
-      Obs.Span.timed ~stage:"digest.cache" (fun () ->
-          Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
-              let cache = Dissect.Flow_cache.create ~bits:cache_bits in
-              let shard = Flows.Shard.create () in
-              for i = lo to hi - 1 do
-                let e = idx.(i) in
-                let slice = Packet.Pcap.Reader.slice buf e in
-                match Dissect.Flow_cache.lookup cache slice with
-                | Some ent -> (
-                  match Dissect.Flow_cache.hit_flow_key ent with
-                  | Some key ->
-                    Flows.Shard.add_keyed shard ~key ~ts:e.Packet.Pcap.ts
-                      ~bytes:e.Packet.Pcap.orig_len
-                      ~rst:(Dissect.Flow_cache.hit_rst ent slice)
-                  | None -> ())
-                | None ->
-                  Flows.Shard.add shard
-                    (Dissect.Flow_cache.classify cache ~ts:e.Packet.Pcap.ts
-                       ~orig_len:e.Packet.Pcap.orig_len slice)
-              done;
-              (shard, Dissect.Flow_cache.stats cache)))
-    in
-    record_cache_stats (List.map snd results);
-    Flows.merge (List.map (fun (s, _) -> (s, 1.0)) results)
-  end
-
-let pcap_to_flows ?(pool = Parallel.Pool.sequential) ?cache_bits buf =
+let pcap_to_flows ?(pool = Parallel.Pool.sequential) buf =
   (* Fused single pass over the zero-alloc overlay cursor: each index
      range classifies frames in place through Packet.Slice reads and
      streams key/ts/bytes/RST straight into a per-range flow shard —
      no header records, no intermediate acaps, live memory O(flows).
      The overlay agrees with the record dissector on key and RST for
      every frame (deep encapsulations fall back to it), so the merge is
-     bit-identical to {!pcap_to_flows_record} at any pool size. *)
-  let cache_bits = effective_cache_bits cache_bits in
+     bit-identical to [Flows.aggregate (pcap_to_acaps buf)] at any pool
+     size. *)
   let idx =
     Obs.Span.timed ~stage:"digest.index" (fun () -> Packet.Pcapng.index_any buf)
   in
   record_decode buf idx;
-  if cache_bits <= 0 then begin
-    let results =
-      Obs.Span.timed ~stage:"digest.overlay" (fun () ->
-          Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
-              let ov = Dissect.Overlay.create () in
-              let shard = Flows.Shard.create () in
-              for i = lo to hi - 1 do
-                let e = idx.(i) in
-                let slice = Packet.Pcap.Reader.slice buf e in
-                Dissect.Overlay.classify ov ~orig_len:e.Packet.Pcap.orig_len
-                  slice;
-                match Dissect.Overlay.key ov with
-                | Some key ->
-                  Flows.Shard.add_keyed shard ~key ~ts:e.Packet.Pcap.ts
-                    ~bytes:e.Packet.Pcap.orig_len
-                    ~rst:(Dissect.Overlay.rst ov)
-                | None -> ()
-              done;
-              (shard, (Dissect.Overlay.classified ov, Dissect.Overlay.fallbacks ov))))
-    in
-    record_overlay_stats (List.map snd results);
-    Flows.merge (List.map (fun (s, _) -> (s, 1.0)) results)
-  end
-  else begin
-    (* Cached overlay pass: hits replay the memoized key as before; the
-       miss path runs the overlay cursor instead of record dissection
-       and installs a key-only entry. *)
-    let results =
-      Obs.Span.timed ~stage:"digest.cache" (fun () ->
-          Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
-              let cache = Dissect.Flow_cache.create ~bits:cache_bits in
-              let ov = Dissect.Overlay.create () in
-              let shard = Flows.Shard.create () in
-              for i = lo to hi - 1 do
-                let e = idx.(i) in
-                let slice = Packet.Pcap.Reader.slice buf e in
-                match Dissect.Flow_cache.lookup cache slice with
-                | Some ent -> (
-                  match Dissect.Flow_cache.hit_flow_key ent with
-                  | Some key ->
-                    Flows.Shard.add_keyed shard ~key ~ts:e.Packet.Pcap.ts
-                      ~bytes:e.Packet.Pcap.orig_len
-                      ~rst:(Dissect.Flow_cache.hit_rst ent slice)
-                  | None -> ())
-                | None ->
-                  Dissect.Overlay.classify ov ~orig_len:e.Packet.Pcap.orig_len
-                    slice;
-                  let key = Dissect.Overlay.key ov in
-                  Dissect.Flow_cache.install_key cache slice
-                    ~truncated:(Dissect.Overlay.truncated ov)
-                    ~cacheable:(Dissect.Overlay.cacheable ov)
-                    ~examined:(Dissect.Overlay.examined ov)
-                    ~flags_off:(Dissect.Overlay.flags_off ov)
-                    ~l3_off:(Dissect.Overlay.l3_off ov)
-                    ~wire_min:(Dissect.Overlay.wire_min ov) ~key;
-                  (match key with
-                  | Some key ->
-                    Flows.Shard.add_keyed shard ~key ~ts:e.Packet.Pcap.ts
-                      ~bytes:e.Packet.Pcap.orig_len
-                      ~rst:(Dissect.Overlay.rst ov)
-                  | None -> ())
-              done;
-              ( shard,
-                ( Dissect.Flow_cache.stats cache,
-                  (Dissect.Overlay.classified ov, Dissect.Overlay.fallbacks ov)
-                ) )))
-    in
-    record_cache_stats (List.map (fun (_, (st, _)) -> st) results);
-    record_overlay_stats (List.map (fun (_, (_, ov)) -> ov) results);
-    Flows.merge (List.map (fun (s, _) -> (s, 1.0)) results)
-  end
+  let results =
+    Obs.Span.timed ~stage:"digest.overlay" (fun () ->
+        Parallel.Pool.map_ranges pool ~n:(Array.length idx) (fun ~lo ~hi ->
+            let ov = Dissect.Overlay.create () in
+            let shard = Flows.Shard.create () in
+            for i = lo to hi - 1 do
+              let e = idx.(i) in
+              let slice = Packet.Pcap.Reader.slice buf e in
+              Dissect.Overlay.classify ov ~orig_len:e.Packet.Pcap.orig_len
+                slice;
+              match Dissect.Overlay.key ov with
+              | Some key ->
+                Flows.Shard.add_keyed shard ~key ~ts:e.Packet.Pcap.ts
+                  ~bytes:e.Packet.Pcap.orig_len ~rst:(Dissect.Overlay.rst ov)
+              | None -> ()
+            done;
+            (shard, (Dissect.Overlay.classified ov, Dissect.Overlay.fallbacks ov))))
+  in
+  record_overlay_stats (List.map snd results);
+  Flows.merge (List.map (fun (s, _) -> (s, 1.0)) results)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -290,11 +102,8 @@ let read_file path =
       really_input ic buf 0 len;
       buf)
 
-let pcap_file_to_acaps ?pool ?cache_bits path =
-  pcap_to_acaps ?pool ?cache_bits (read_file path)
-
-let pcap_file_to_flows ?pool ?cache_bits path =
-  pcap_to_flows ?pool ?cache_bits (read_file path)
+let pcap_file_to_acaps ?pool path = pcap_to_acaps ?pool (read_file path)
+let pcap_file_to_flows ?pool path = pcap_to_flows ?pool (read_file path)
 
 let sample_acaps ?pool (sample : Patchwork.Capture.sample) =
   match sample.Patchwork.Capture.pcap with

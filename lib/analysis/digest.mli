@@ -5,68 +5,40 @@
     expensive step of the paper's offline pipeline ("most of this time
     is taken up by Wireshark's protocol dissectors"). *)
 
-val pcap_to_acaps :
-  ?pool:Parallel.Pool.t -> ?cache_bits:int -> bytes -> Dissect.Acap.record list
+val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
 (** Dissect every packet of an in-memory capture (classic pcap or
     pcapng, detected from the magic number) through the indexed,
     zero-copy decode: record headers are walked once to build an
     offset/length index, then index ranges are dissected in parallel as
     {!Packet.Slice} views of the shared buffer — packet payloads are
     never copied.  Record order (and content) is identical to the
-    sequential, copying run at any pool size.
+    sequential, copying run at any pool size. *)
 
-    [cache_bits > 0] routes each range worker through its own
-    {!Dissect.Flow_cache} with [2^cache_bits] slots: frames of
-    already-seen flows skip dissection and replay the memoized
-    classification.  Records are bit-identical to the uncached run at
-    any pool size; only speed changes.  Defaults to the process-wide
-    {!set_default_cache_bits} value (initially 0 = off). *)
-
-val pcap_to_acaps_copying :
-  ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
-(** The pre-index materializing path ([Bytes.sub] per packet), kept as
-    the correctness and allocation baseline for benchmarks and tests. *)
-
-val pcap_to_flows :
-  ?pool:Parallel.Pool.t -> ?cache_bits:int -> bytes -> Flows.summary list
+val pcap_to_flows : ?pool:Parallel.Pool.t -> bytes -> Flows.summary list
 (** Single-pass digest→flows fast path over the zero-alloc overlay
     cursor ({!Dissect.Overlay}): each index range classifies frames by
     reading header fields in place through {!Packet.Slice} and streams
     key/ts/bytes/RST straight into a per-range {!Flows.Shard} — no
     header records, no intermediate acaps, live memory O(flows).
-    Bit-identical to {!pcap_to_flows_record} (and hence to
-    [Flows.aggregate (pcap_to_acaps buf)]) at any pool size.
-
-    With [cache_bits > 0] a flow-cache hit jumps straight to shard
-    accounting — interned key, ts/orig_len from the index, RST from the
-    memoized flags offset — and the miss path runs the overlay cursor
-    and installs a key-only entry.  Output is bit-identical to the
-    uncached pass at any pool size. *)
-
-val pcap_to_flows_record :
-  ?pool:Parallel.Pool.t -> ?cache_bits:int -> bytes -> Flows.summary list
-(** The record-building fused pass (dissect to header records, abstract,
-    then shard) — the reference implementation the overlay path is
-    verified against, and the benchmark baseline. *)
-
-val set_default_cache_bits : int -> unit
-(** Process-wide default for [?cache_bits] (initially 0 = off), so
-    paths that cannot thread the argument — the weekly service's
-    per-sample digests — pick the cache up too.  An explicit
-    [?cache_bits] always wins.  Raises [Invalid_argument] on negative
-    bits. *)
+    Bit-identical to [Flows.aggregate (pcap_to_acaps buf)] at any pool
+    size. *)
 
 val pcap_file_to_acaps :
-  ?pool:Parallel.Pool.t -> ?cache_bits:int -> string -> Dissect.Acap.record list
+  ?pool:Parallel.Pool.t -> string -> Dissect.Acap.record list
 
-val pcap_file_to_flows :
-  ?pool:Parallel.Pool.t -> ?cache_bits:int -> string -> Flows.summary list
+val pcap_file_to_flows : ?pool:Parallel.Pool.t -> string -> Flows.summary list
 
 val sample_acaps :
   ?pool:Parallel.Pool.t -> Patchwork.Capture.sample -> Dissect.Acap.record list
 (** The abstract records of a sample: digested from its pcap bytes when
-    it carries them (validating the full pipeline), else the records the
-    capture already abstracted in-line. *)
+    it carries them, else the records the capture already abstracted
+    in-line.  The two are different measurements, not a fast and a slow
+    route to one answer: the pcap bytes hold each frame as storage kept
+    it — snapped to the capture's truncation length, its timestamp
+    rounded to the microsecond, its application layer re-derived from
+    the snapped bytes — so a profile built from them differs from the
+    in-line one (flow first/last times, and the shares of services such
+    as dns and dns-tcp). *)
 
 val write_acap_file : string -> Dissect.Acap.record list -> unit
 (** One record per line ({!Dissect.Acap.to_line}). *)

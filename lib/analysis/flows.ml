@@ -41,9 +41,9 @@ module Shard = struct
 
   let create () : t = Hashtbl.create 1024
 
-  (* The accounting primitive shared by the record path and the flow
-     cache's hit path (which brings the interned key and the fields
-     read at memoized offsets, no record in between). *)
+  (* The accounting primitive shared by the record path and the overlay
+     digest (which brings the rendered key and the index entry's fields,
+     no record in between). *)
   let add_keyed (table : t) ~key ~ts ~bytes ~rst =
     let entry =
       match Hashtbl.find_opt table key with

@@ -31,9 +31,9 @@ val compare_by_bytes : summary -> summary -> int
 module Shard : sig
   type t
   (** A mutable per-chunk accumulator of exact integer per-flow sums.
-      The fused digest→flows fast path streams dissected records
-      straight into one shard per index range — never materializing the
-      record list — and merges the shards with {!merge}. *)
+      The digest→flows fast path streams each frame straight into one
+      shard per index range — never materializing the record list —
+      and merges the shards with {!merge}. *)
 
   val create : unit -> t
 
@@ -41,9 +41,9 @@ module Shard : sig
   (** Fold one record in (records without a flow key are ignored). *)
 
   val add_keyed : t -> key:string -> ts:float -> bytes:int -> rst:bool -> unit
-  (** Fold one frame in by its precomputed flow key — the flow cache's
-      hit path, which skips building the record entirely.  [add r] is
-      exactly [add_keyed ~key:(flow_key r) ~ts:r.ts ~bytes:r.orig_len
+  (** Fold one frame in by its precomputed flow key — the overlay
+      digest's path, which never builds the record.  [add r] is exactly
+      [add_keyed ~key:(flow_key r) ~ts:r.ts ~bytes:r.orig_len
       ~rst:r.tcp_rst]. *)
 
   val fold :

@@ -31,7 +31,10 @@ type sample = {
       (** materialized records, possibly a uniform thinning *)
   materialized_fraction : float;
       (** fraction of captured frames materialized into [acaps] *)
-  pcap : bytes option;  (** real pcap bytes when [emit_pcap] *)
+  pcap : bytes option;
+      (** real pcap bytes when [emit_pcap]: the same frames as [acaps]
+          but snapped to [truncation] bytes with microsecond timestamps,
+          so digesting them yields a different profile from [acaps] *)
   stats : stats;
 }
 

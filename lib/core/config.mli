@@ -37,7 +37,11 @@ type t = {
   port_selection : port_selection;
   filter : Packet.Filter.t;
   anonymize : bool;  (** prefix-preserving address anonymization *)
-  emit_pcap : bool;  (** build real pcap bytes (off for long profiles) *)
+  emit_pcap : bool;
+      (** build real pcap bytes (off for long profiles).  Profiles then
+          digest those bytes instead of the in-line acaps, which is a
+          different measurement, not a speed variant: see
+          [Analysis.Digest.sample_acaps]. *)
   max_frames_per_sample : int;
       (** materialization budget; heavier samples are thinned uniformly
           (recorded, so analyses can re-weight) *)

@@ -214,9 +214,9 @@ let of_line line =
     with Failure msg -> Error ("Acap.of_line: " ^ msg))
   | _ -> Error "Acap.of_line: wrong field count"
 
-(* Runs once per frame in every shard add and on every cache miss, so
-   the key is written directly into one buffer — no Printf, no
-   intermediate list-of-strings. *)
+(* Runs once per frame in every shard add, so the key is written
+   directly into one buffer — no Printf, no intermediate
+   list-of-strings. *)
 let flow_key r =
   match (r.src, r.dst) with
   | Some src, Some dst ->

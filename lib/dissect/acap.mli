@@ -20,17 +20,6 @@ type record = {
   truncated : bool;
 }
 
-val abstract :
-  ts:float ->
-  orig_len:int ->
-  cap_len:int ->
-  truncated:bool ->
-  Packet.Headers.header list ->
-  record
-(** Abstract an already-dissected header stack (one left-to-right walk;
-    innermost L3/L4 win).  The building block behind every [of_*]
-    entry point and the flow cache's miss path. *)
-
 val of_packet : Packet.Pcap.packet -> record
 (** Dissect a pcap record and abstract it. *)
 

@@ -28,52 +28,21 @@ let tcp_flags_of_byte b : H.tcp_flags =
     cwr = b land 0x80 <> 0;
   }
 
-(* Dissection-extent bookkeeping for the flow cache: which frame bytes
-   the classification actually examined (reads and peeks, not skips),
-   where the per-frame variable fields live, and whether the outcome
-   depended on anything other than those bytes.  Tracked only when the
-   caller passes a [meta]; the plain paths pay nothing. *)
-type meta = {
-  mutable m_examined : int;
-      (* frame-relative upper bound of every byte read or peeked *)
-  mutable m_flags_off : int;  (* TCP flags byte offset, -1 when no TCP *)
-  mutable m_l3_off : int;  (* innermost IP header offset, -1 when no IP *)
-  mutable m_wire_min : int;
-      (* end of the outermost IP datagram: captures shorter than this
-         would fail the extent narrowing, 0 when no IP narrowed *)
-  mutable m_cacheable : bool;
-      (* false when classification consulted the capture length outside
-         any IP narrowing (e.g. an IPv4 total_len below the header
-         size), so the result cannot be replayed from prefix bytes *)
-}
-
-let fresh_meta () =
-  { m_examined = 0; m_flags_off = -1; m_l3_off = -1; m_wire_min = 0;
-    m_cacheable = true }
-
 (* Application-layer classification by well-known port, verified against
-   wire syntax, mirroring how tshark assigns a payload dissector.  Each
-   classifier receives [touch] to mark the bytes it is about to read or
-   peek as examined. *)
+   wire syntax, mirroring how tshark assigns a payload dissector. *)
 
-let looks_like_tls touch r =
+let looks_like_tls r =
   Wire.Reader.remaining r >= 3
-  && begin
-       touch r 1;
-       let ct = Wire.Reader.peek_u8 r in
-       ct >= 20 && ct <= 23
-     end
+  &&
+  let ct = Wire.Reader.peek_u8 r in
+  ct >= 20 && ct <= 23
 
-let starts_with touch r prefix =
+let starts_with r prefix =
   let n = String.length prefix in
   Wire.Reader.remaining r >= n
-  && begin
-       touch r n;
-       Bytes.equal (Wire.Reader.peek_bytes r n) (Bytes.of_string prefix)
-     end
+  && Bytes.equal (Wire.Reader.peek_bytes r n) (Bytes.of_string prefix)
 
-let dissect_tls touch r =
-  touch r 5;
+let dissect_tls r =
   let content_type = Wire.Reader.u8 r in
   let _version = Wire.Reader.u16 r in
   let _len = Wire.Reader.u16 r in
@@ -92,8 +61,7 @@ let dissect_http r kind =
   Wire.Reader.skip r (String.length line);
   H.Http kind
 
-let dissect_dns touch r =
-  touch r 4;
+let dissect_dns r =
   let id = Wire.Reader.u16 r in
   let flags = Wire.Reader.u16 r in
   Wire.Reader.skip r 8;
@@ -127,36 +95,22 @@ let after_ethertype = function
   | 0x0806 -> Next_ethertype 0x0806
   | _ -> Next_payload
 
-let dissect_reader ?meta ~orig_len ~cap_len r0 =
+let dissect_reader ~orig_len ~cap_len r0 =
   let snapped = orig_len > cap_len in
   let headers = ref [] in
   let push h = headers := h :: !headers in
   let truncated = ref snapped in
-  let base = Wire.Reader.pos r0 in
-  (* Mark the next [n] bytes at [r]'s cursor as examined.  Called before
-     reads and guarded peeks, never for skips: a skipped byte's value
-     cannot influence the outcome, so it need not be part of a cached
-     prefix. *)
-  let touch r n =
-    match meta with
-    | None -> ()
-    | Some m ->
-      let e = Wire.Reader.pos r - base + n in
-      if e > m.m_examined then m.m_examined <- e
-  in
   (* [extent] is narrowed at each IP header so that Ethernet padding is
      excluded from the payload count. *)
   let rec go r state =
     match state with
     | Next_eth ->
-      touch r 14;
       let dst = read_mac r in
       let src = read_mac r in
       let ethertype = Wire.Reader.u16 r in
       push (H.Ethernet { src; dst });
       go r (after_ethertype ethertype)
     | Next_vlan ->
-      touch r 4;
       let tci = Wire.Reader.u16 r in
       let ethertype = Wire.Reader.u16 r in
       push
@@ -168,7 +122,6 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
            });
       go r (after_ethertype ethertype)
     | Next_mpls ->
-      touch r 4;
       let word = Wire.Reader.u32 r in
       let wi = Int32.to_int (Int32.logand word 0xFFFl) in
       let label = Int32.to_int (Int32.shift_right_logical word 12) in
@@ -181,25 +134,19 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
         (* Bottom of stack: sniff the first nibble to tell IPv4/IPv6
            from a PseudoWire control word (first nibble 0). *)
         if Wire.Reader.remaining r = 0 then raise Wire.Reader.Truncated;
-        touch r 1;
         match Wire.Reader.peek_u8 r lsr 4 with
         | 4 -> go r (Next_ethertype 0x0800)
         | 6 -> go r (Next_ethertype 0x86DD)
         | 0 ->
-          touch r 4;
           let _control_word = Wire.Reader.u32 r in
           push H.Pseudowire;
           go r Next_eth
         | _ -> go r Next_payload
       end
     | Next_ethertype 0x0800 ->
-      let hdr_pos = Wire.Reader.pos r - base in
-      touch r 1;
       let vihl = Wire.Reader.u8 r in
       if vihl <> 0x45 then go r Next_payload
       else begin
-        (match meta with Some m -> m.m_l3_off <- hdr_pos | None -> ());
-        touch r 19;
         let dscp_ecn = Wire.Reader.u8 r in
         let total_len = Wire.Reader.u16 r in
         let ident = Wire.Reader.u16 r in
@@ -222,28 +169,18 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
         (* Narrow to the IP datagram extent to drop Ethernet padding. *)
         let body_len = total_len - 20 in
         let r =
-          if body_len >= 0 && body_len <= Wire.Reader.remaining r then begin
-            (match meta with
-            | Some m when m.m_wire_min = 0 ->
-              m.m_wire_min <- Wire.Reader.pos r - base + body_len
-            | _ -> ());
+          if body_len >= 0 && body_len <= Wire.Reader.remaining r then
             Wire.Reader.sub r body_len
-          end
           else begin
-            if body_len > Wire.Reader.remaining r then truncated := true
-            else
-              (* total_len below the header size: dissection continues
-                 against the unnarrowed capture extent, so the outcome
-                 depends on cap_len and must not be cached. *)
-              (match meta with Some m -> m.m_cacheable <- false | None -> ());
+            (* A total_len below the header size leaves the reader
+               against the unnarrowed capture extent. *)
+            if body_len > Wire.Reader.remaining r then truncated := true;
             r
           end
         in
         go r (Next_ip_proto (protocol, `V4))
       end
     | Next_ethertype 0x86DD ->
-      (match meta with Some m -> m.m_l3_off <- Wire.Reader.pos r - base | None -> ());
-      touch r 40;
       let word = Wire.Reader.u32 r in
       let traffic_class =
         Int32.to_int (Int32.logand (Int32.shift_right_logical word 20) 0xFFl)
@@ -256,13 +193,8 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
       let dst = read_ipv6 r in
       push (H.Ipv6 { src; dst; traffic_class; flow_label; hop_limit });
       let r =
-        if payload_len <= Wire.Reader.remaining r then begin
-          (match meta with
-          | Some m when m.m_wire_min = 0 ->
-            m.m_wire_min <- Wire.Reader.pos r - base + payload_len
-          | _ -> ());
+        if payload_len <= Wire.Reader.remaining r then
           Wire.Reader.sub r payload_len
-        end
         else begin
           truncated := true;
           r
@@ -270,7 +202,6 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
       in
       go r (Next_ip_proto (next_header, `V6))
     | Next_ethertype 0x0806 ->
-      touch r 28;
       let _htype = Wire.Reader.u16 r in
       let _ptype = Wire.Reader.u16 r in
       let _hlen = Wire.Reader.u8 r in
@@ -293,15 +224,6 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
       0
     | Next_ethertype _ -> go r Next_payload
     | Next_ip_proto (6, _) ->
-      (* The flags byte is the one per-frame-variable field the abstract
-         record reads below L3; its offset is memoized so a cache hit
-         can fetch RST directly.  Encapsulations carry at most one TCP
-         header per frame (VXLAN nests only under UDP), so a single
-         offset suffices. *)
-      (match meta with
-      | Some m -> m.m_flags_off <- Wire.Reader.pos r - base + 13
-      | None -> ());
-      touch r 20;
       let src_port = Wire.Reader.u16 r in
       let dst_port = Wire.Reader.u16 r in
       let seq = Wire.Reader.u32 r in
@@ -316,7 +238,6 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
       push (H.Tcp { src_port; dst_port; seq; ack_seq; flags; window });
       go r (Next_tcp_payload (src_port, dst_port))
     | Next_ip_proto (17, _) ->
-      touch r 8;
       let src_port = Wire.Reader.u16 r in
       let dst_port = Wire.Reader.u16 r in
       let _len = Wire.Reader.u16 r in
@@ -324,14 +245,12 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
       push (H.Udp { src_port; dst_port });
       go r (Next_udp_payload (src_port, dst_port))
     | Next_ip_proto (1, `V4) ->
-      touch r 2;
       let icmp_type = Wire.Reader.u8 r in
       let icmp_code = Wire.Reader.u8 r in
       Wire.Reader.skip r 6;
       push (H.Icmpv4 { icmp_type; icmp_code });
       Wire.Reader.remaining r
     | Next_ip_proto (58, `V6) ->
-      touch r 2;
       let icmp_type = Wire.Reader.u8 r in
       let icmp_code = Wire.Reader.u8 r in
       Wire.Reader.skip r 6;
@@ -344,11 +263,11 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
         let port = if dst_port < src_port then dst_port else src_port in
         let classify () =
           match port with
-          | 443 when looks_like_tls touch r -> Some (dissect_tls touch r)
-          | 22 when starts_with touch r "SSH-" -> Some (dissect_ssh r)
-          | 80 when starts_with touch r "GET " -> Some (dissect_http r `Request)
-          | 80 when starts_with touch r "HTTP/" -> Some (dissect_http r `Response)
-          | 53 when Wire.Reader.remaining r >= 12 -> Some (dissect_dns touch r)
+          | 443 when looks_like_tls r -> Some (dissect_tls r)
+          | 22 when starts_with r "SSH-" -> Some (dissect_ssh r)
+          | 80 when starts_with r "GET " -> Some (dissect_http r `Request)
+          | 80 when starts_with r "HTTP/" -> Some (dissect_http r `Response)
+          | 53 when Wire.Reader.remaining r >= 12 -> Some (dissect_dns r)
           | _ -> None
         in
         match classify () with
@@ -365,7 +284,6 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
           match (port, dst_port) with
           | _, 4789 | 4789, _ ->
             if Wire.Reader.remaining r >= 8 then begin
-              touch r 8;
               let flags = Wire.Reader.u8 r in
               Wire.Reader.skip r 3;
               let vni_word = Wire.Reader.u32 r in
@@ -373,10 +291,10 @@ let dissect_reader ?meta ~orig_len ~cap_len r0 =
               if flags land 0x08 <> 0 then Some (`Vxlan vni) else None
             end
             else None
-          | 53, _ when Wire.Reader.remaining r >= 12 -> Some (`Plain (dissect_dns touch r))
+          | 53, _ when Wire.Reader.remaining r >= 12 -> Some (`Plain (dissect_dns r))
           | 123, _ when Wire.Reader.remaining r >= 48 -> Some (`Plain (dissect_ntp r))
           | 443, _ when Wire.Reader.remaining r >= H.quic_header_len
-                        && (touch r 1; Wire.Reader.peek_u8 r land 0x80 <> 0) ->
+                        && Wire.Reader.peek_u8 r land 0x80 <> 0 ->
             Some (`Plain (dissect_quic r))
           | _ -> None
         in
@@ -411,10 +329,5 @@ let dissect_slice ?orig_len slice =
   let cap_len = Packet.Slice.length slice in
   let orig_len = match orig_len with Some l -> l | None -> cap_len in
   dissect_reader ~orig_len ~cap_len (Packet.Slice.reader slice)
-
-let dissect_slice_meta ?orig_len ~meta slice =
-  let cap_len = Packet.Slice.length slice in
-  let orig_len = match orig_len with Some l -> l | None -> cap_len in
-  dissect_reader ~meta ~orig_len ~cap_len (Packet.Slice.reader slice)
 
 let dissect_packet (p : Packet.Pcap.packet) = dissect ~orig_len:p.orig_len p.data

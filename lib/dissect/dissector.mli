@@ -34,38 +34,5 @@ val dissect_slice : ?orig_len:int -> Packet.Slice.t -> result
     capture buffer.  Produces results identical to dissecting
     [Slice.to_bytes slice]. *)
 
-type meta = {
-  mutable m_examined : int;
-      (** frame-relative upper bound of every byte the dissection read
-          or peeked (skipped bytes excluded: their values cannot change
-          the outcome).  Two untruncated frames that agree on their
-          first [m_examined] bytes classify identically. *)
-  mutable m_flags_off : int;
-      (** frame-relative offset of the TCP flags byte, [-1] without TCP;
-          the only per-frame-variable field below L3 that the abstract
-          record depends on *)
-  mutable m_l3_off : int;
-      (** frame-relative offset of the innermost IP header, [-1]
-          without one *)
-  mutable m_wire_min : int;
-      (** frame-relative end of the outermost IP datagram ([0] when no
-          IP extent was narrowed): captures at least this long narrow
-          identically, shorter ones would have been marked truncated *)
-  mutable m_cacheable : bool;
-      (** [false] when the classification consulted the capture length
-          outside any IP narrowing, so it cannot be replayed from the
-          examined prefix alone *)
-}
-(** What {!dissect_slice_meta} additionally reports so the flow cache
-    can decide whether (and on which byte range) a classification may
-    be reused for later frames. *)
-
-val fresh_meta : unit -> meta
-
-val dissect_slice_meta : ?orig_len:int -> meta:meta -> Packet.Slice.t -> result
-(** Same result as {!dissect_slice}, additionally filling [meta].  The
-    extra bookkeeping touches no bytes beyond what {!dissect_slice}
-    reads. *)
-
 val dissect_packet : Packet.Pcap.packet -> result
 (** Convenience wrapper over a pcap record. *)

@@ -6,18 +6,14 @@ module S = Packet.Slice
    Packet.Slice accessors, with no Packet.Headers.header list and no
    intermediate records on the hot path.  The cursor mirrors
    Dissector.dissect_reader exactly for every layer that can influence
-   the flow key or the cache meta — Ethernet, VLAN, MPLS (incl. the
+   the flow key or the RST bit — Ethernet, VLAN, MPLS (incl. the
    bottom-of-stack nibble sniff and PseudoWire), IPv4/IPv6 with their
    extent narrowing, TCP/UDP/ICMP, and VXLAN re-entry — and skips the
    application-layer classifiers (TLS/SSH/HTTP/DNS/NTP/QUIC), which
-   only ever add stack tokens the flow key ignores.  The one observable
-   difference is that the overlay examines a shorter prefix (no app
-   probes), which can only widen cache hits, and that a frame whose
-   *only* truncation was inside an app probe reads as untruncated here;
-   neither affects the key or the RST bit, which is all the flows path
-   consumes.  Frames nested deeper than the overlay's encapsulation
-   budget fall back to the record-building reference dissector, so the
-   result is bit-identical to the record path for every frame. *)
+   only ever add stack tokens the flow key ignores.  Frames nested
+   deeper than the overlay's encapsulation budget fall back to the
+   record-building reference dissector, so the key and RST are
+   bit-identical to the record path for every frame. *)
 
 exception Trunc
 exception Deep
@@ -55,12 +51,6 @@ type t = {
   (* per-frame classification results *)
   mutable r_key : string option;
   mutable r_rst : bool;
-  mutable r_truncated : bool;
-  mutable r_cacheable : bool;
-  mutable r_examined : int;
-  mutable r_flags_off : int;
-  mutable r_l3_off : int;
-  mutable r_wire_min : int;
   (* stats *)
   mutable n_classified : int;
   mutable n_fallbacks : int;
@@ -90,12 +80,6 @@ let create () =
     has_icmpv6 = false;
     r_key = None;
     r_rst = false;
-    r_truncated = false;
-    r_cacheable = true;
-    r_examined = 0;
-    r_flags_off = -1;
-    r_l3_off = -1;
-    r_wire_min = 0;
     n_classified = 0;
     n_fallbacks = 0;
   }
@@ -112,13 +96,7 @@ let reset t =
   t.has_icmp <- false;
   t.has_icmpv6 <- false;
   t.r_key <- None;
-  t.r_rst <- false;
-  t.r_truncated <- false;
-  t.r_cacheable <- true;
-  t.r_examined <- 0;
-  t.r_flags_off <- -1;
-  t.r_l3_off <- -1;
-  t.r_wire_min <- 0
+  t.r_rst <- false
 
 let push_vlan t v =
   if t.n_vlans = Array.length t.vlans then begin
@@ -138,13 +116,6 @@ let push_mpls t v =
   t.mpls.(t.n_mpls) <- v;
   t.n_mpls <- t.n_mpls + 1
 
-(* Mirror of the reference dissector's [touch]: mark the next [n] bytes
-   as examined *before* reading them, so a read that then fails the
-   extent check leaves the same examined bound behind. *)
-let touch t n =
-  let e = t.p_pos + n in
-  if e > t.r_examined then t.r_examined <- e
-
 let need t n = if t.p_pos + n > t.p_limit then raise Trunc
 
 let u64_of_u32s hi lo =
@@ -158,7 +129,6 @@ let u64_of_u32s hi lo =
 
 let rec parse_eth t s depth =
   if depth > max_depth then raise Deep;
-  touch t 14;
   need t 14;
   let ethertype = S.get_u16_be_fast s (t.p_pos + 12) in
   t.p_pos <- t.p_pos + 14;
@@ -166,7 +136,6 @@ let rec parse_eth t s depth =
 
 and after_ethertype t s depth = function
   | 0x8100 ->
-    touch t 4;
     need t 4;
     let tci = S.get_u16_be_fast s t.p_pos in
     let ethertype = S.get_u16_be_fast s (t.p_pos + 2) in
@@ -178,15 +147,13 @@ and after_ethertype t s depth = function
   | 0x86DD -> parse_ipv6 t s depth
   | 0x0806 ->
     (* ARP is terminal and contributes nothing to the key; the
-       reference reads all 28 bytes, so bounds and examined extent are
-       mirrored without reading any of them. *)
-    touch t 28;
+       reference reads all 28 bytes, so its bounds check is mirrored
+       without reading any of them. *)
     need t 28;
     t.p_pos <- t.p_pos + 28
   | _ -> ()
 
 and parse_mpls t s depth =
-  touch t 4;
   need t 4;
   let word = S.get_u32_be_fast s t.p_pos in
   push_mpls t (word lsr 12);
@@ -196,12 +163,10 @@ and parse_mpls t s depth =
     (* Bottom of stack: sniff the first nibble to tell IPv4/IPv6 from a
        PseudoWire control word (first nibble 0). *)
     if t.p_pos >= t.p_limit then raise Trunc;
-    touch t 1;
     match S.get_u8_fast s t.p_pos lsr 4 with
     | 4 -> parse_ipv4 t s depth
     | 6 -> parse_ipv6 t s depth
     | 0 ->
-      touch t 4;
       need t 4;
       t.p_pos <- t.p_pos + 4;
       parse_eth t s (depth + 1)
@@ -209,14 +174,10 @@ and parse_mpls t s depth =
   end
 
 and parse_ipv4 t s depth =
-  let hdr_pos = t.p_pos in
-  touch t 1;
   need t 1;
   let vihl = S.get_u8_fast s t.p_pos in
   if vihl <> 0x45 then ()
   else begin
-    t.r_l3_off <- hdr_pos;
-    touch t 20;
     need t 20;
     let total_len = S.get_u16_be_fast s (t.p_pos + 2) in
     let protocol = S.get_u8_fast s (t.p_pos + 9) in
@@ -226,22 +187,12 @@ and parse_ipv4 t s depth =
     t.p_pos <- t.p_pos + 20;
     (* Narrow to the IP datagram extent to drop Ethernet padding. *)
     let body_len = total_len - 20 in
-    let remaining = t.p_limit - t.p_pos in
-    if body_len >= 0 && body_len <= remaining then begin
-      if t.r_wire_min = 0 then t.r_wire_min <- t.p_pos + body_len;
-      t.p_limit <- t.p_pos + body_len
-    end
-    else if body_len > remaining then t.r_truncated <- true
-    else
-      (* total_len below the header size: the outcome now depends on
-         the capture length, so it must not be cached. *)
-      t.r_cacheable <- false;
+    if body_len >= 0 && body_len <= t.p_limit - t.p_pos then
+      t.p_limit <- t.p_pos + body_len;
     parse_ip_proto t s depth protocol 4
   end
 
 and parse_ipv6 t s depth =
-  t.r_l3_off <- t.p_pos;
-  touch t 40;
   need t 40;
   let payload_len = S.get_u16_be_fast s (t.p_pos + 4) in
   let next_header = S.get_u8_fast s (t.p_pos + 6) in
@@ -263,22 +214,13 @@ and parse_ipv6 t s depth =
          (S.get_u32_be_fast s (t.p_pos + 36)));
   t.l3_kind <- 6;
   t.p_pos <- t.p_pos + 40;
-  let remaining = t.p_limit - t.p_pos in
-  if payload_len <= remaining then begin
-    if t.r_wire_min = 0 then t.r_wire_min <- t.p_pos + payload_len;
-    t.p_limit <- t.p_pos + payload_len
-  end
-  else t.r_truncated <- true;
+  if payload_len <= t.p_limit - t.p_pos then
+    t.p_limit <- t.p_pos + payload_len;
   parse_ip_proto t s depth next_header 6
 
 and parse_ip_proto t s depth protocol v =
   match protocol with
   | 6 ->
-    (* The flags byte is memoized before the reads, like the reference,
-       so a truncated TCP header still reports the offset (it is only
-       consumed on installs, which a truncated parse never reaches). *)
-    t.r_flags_off <- t.p_pos + 13;
-    touch t 20;
     need t 20;
     let src_port = S.get_u16_be_fast s t.p_pos in
     let dst_port = S.get_u16_be_fast s (t.p_pos + 2) in
@@ -296,7 +238,6 @@ and parse_ip_proto t s depth protocol v =
     t.l4_dst <- dst_port;
     if flags land 0x04 <> 0 then t.r_rst <- true
   | 17 ->
-    touch t 8;
     need t 8;
     let src_port = S.get_u16_be_fast s t.p_pos in
     let dst_port = S.get_u16_be_fast s (t.p_pos + 2) in
@@ -311,7 +252,6 @@ and parse_ip_proto t s depth protocol v =
       (dst_port = 4789 || min_port = 4789)
       && t.p_limit - t.p_pos >= 8
     then begin
-      touch t 8;
       let vx_flags = S.get_u8_fast s t.p_pos in
       if vx_flags land 0x08 <> 0 then begin
         t.p_pos <- t.p_pos + 8;
@@ -322,12 +262,10 @@ and parse_ip_proto t s depth protocol v =
     (* Type and code are read, the next six bytes only skipped — but
        the reference pushes the header only when the skip succeeds, so
        the protocol counts for the key only past the full 8 bytes. *)
-    touch t 2;
     need t 8;
     t.p_pos <- t.p_pos + 8;
     t.has_icmp <- true
   | 58 when v = 6 ->
-    touch t 2;
     need t 8;
     t.p_pos <- t.p_pos + 8;
     t.has_icmpv6 <- true
@@ -409,43 +347,20 @@ let render_key t =
    same output fields.  Bit-identical by construction. *)
 let fallback t ~orig_len slice =
   t.n_fallbacks <- t.n_fallbacks + 1;
-  let meta = Dissector.fresh_meta () in
-  let d = Dissector.dissect_slice_meta ~orig_len ~meta slice in
-  let r =
-    Acap.abstract ~ts:0.0 ~orig_len ~cap_len:(Packet.Slice.length slice)
-      ~truncated:d.Dissector.truncated d.Dissector.headers
-  in
+  let r = Acap.of_slice ~ts:0.0 ~orig_len slice in
   t.r_key <- Acap.flow_key r;
-  t.r_rst <- r.Acap.tcp_rst;
-  t.r_truncated <- r.Acap.truncated;
-  t.r_cacheable <- meta.Dissector.m_cacheable;
-  t.r_examined <- meta.Dissector.m_examined;
-  t.r_flags_off <- meta.Dissector.m_flags_off;
-  t.r_l3_off <- meta.Dissector.m_l3_off;
-  t.r_wire_min <- meta.Dissector.m_wire_min
+  t.r_rst <- r.Acap.tcp_rst
 
 let classify t ~orig_len slice =
   reset t;
-  let cap_len = Packet.Slice.length slice in
-  t.p_limit <- cap_len;
-  t.r_truncated <- orig_len > cap_len;
+  t.p_limit <- Packet.Slice.length slice;
   match parse_eth t slice 1 with
-  | () ->
-    render_key t;
-    t.n_classified <- t.n_classified + 1
-  | exception Trunc ->
-    t.r_truncated <- true;
+  | () | (exception Trunc) ->
     render_key t;
     t.n_classified <- t.n_classified + 1
   | exception Deep -> fallback t ~orig_len slice
 
 let key t = t.r_key
 let rst t = t.r_rst
-let truncated t = t.r_truncated
-let cacheable t = t.r_cacheable
-let examined t = t.r_examined
-let flags_off t = t.r_flags_off
-let l3_off t = t.r_l3_off
-let wire_min t = t.r_wire_min
 let classified t = t.n_classified
 let fallbacks t = t.n_fallbacks

@@ -3,8 +3,7 @@
     A cursor-style classifier (after Snabb's [header:new_from_mem]
     overlay idiom) that reads header fields in place through
     {!Packet.Slice} accessors and produces exactly what flow accounting
-    needs — the flow key, the RST bit, and the cache-install meta
-    (examined extent, memoized offsets, cacheability) — with no
+    needs — the flow key and the RST bit — with no
     [Packet.Headers.header list] and no intermediate records per frame.
     The only per-frame allocation is the rendered key string itself.
 
@@ -32,29 +31,6 @@ val key : t -> string option
 
 val rst : t -> bool
 (** TCP RST seen (always [false] when no complete TCP header). *)
-
-val truncated : t -> bool
-(** The capture stopped inside a key-relevant header (or was snapped,
-    [orig_len > cap_len]).  May be [false] where the record path says
-    [true] when only an app-layer probe hit the capture end — such
-    frames have identical key/RST either way. *)
-
-val cacheable : t -> bool
-(** [false] when classification consulted the capture length outside
-    any IP narrowing (same contract as [Dissector.meta.m_cacheable]). *)
-
-val examined : t -> int
-(** Upper bound of every byte examined; never larger than the record
-    path's examined extent for the same frame. *)
-
-val flags_off : t -> int
-(** TCP flags byte offset, -1 when no TCP. *)
-
-val l3_off : t -> int
-(** Innermost IP header offset, -1 when no IP. *)
-
-val wire_min : t -> int
-(** End of the outermost IP datagram, 0 when no IP narrowed. *)
 
 val classified : t -> int
 (** Lifetime count of frames classified by the overlay cursor. *)

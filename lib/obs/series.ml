@@ -261,12 +261,6 @@ module Collector = struct
           let l = [ ("outcome", outcome) ] in
           record "occasion_outcome_count" l (delta "occasion_sites_total" l))
         [ "success"; "degraded"; "failed"; "incomplete" ];
-      (* Flow-cache hit rate over this round's digest lookups. *)
-      let cache_hits = delta "flow_cache_hits_total" [] in
-      let cache_misses = delta "flow_cache_misses_total" [] in
-      if cache_hits +. cache_misses > 0.0 then
-        record "flow_cache_hit_rate" []
-          (cache_hits /. (cache_hits +. cache_misses));
       (* Queue-wait p99 from the delta histogram. *)
       let qw_key = ("pool_queue_wait_seconds", []) in
       let cur_bins =

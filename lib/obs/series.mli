@@ -64,9 +64,6 @@ val sparkline : ?width:int -> t -> string
       collects times the domain count (busy seconds are wall time, so
       the fraction must not be scaled by the simulated axis);
     - [occasion_outcome_count{outcome}] — [Δoccasion_sites_total];
-    - [flow_cache_hit_rate] — [Δflow_cache_hits_total / (Δhits +
-      Δflow_cache_misses_total)] (no point when the digest did no
-      cached lookups between collects);
     - [pool_queue_wait_p99] — the 0.99 quantile upper bound of the
       {e delta} [pool_queue_wait_seconds] histogram (0 when no task was
       queued between collects). *)

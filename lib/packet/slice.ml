@@ -62,34 +62,4 @@ let equal_bytes t b =
   let rec go i = i >= t.len || (Bytes.get t.buf (t.off + i) = Bytes.get b i && go (i + 1)) in
   go 0
 
-(* FNV-1a over the first [min 32 len] bytes.  The flow cache uses this
-   only to pick a slot; equality of the stored prefix bytes is the
-   authority, so the hash just has to mix VLAN tags, addresses and
-   ports (all within the first 32 bytes of an Ethernet frame) well
-   enough to spread flows across slots. *)
-let hash_span = 32
-
-let prefix_hash t =
-  let n = if t.len < hash_span then t.len else hash_span in
-  let h = ref 0x1000193 in
-  for i = 0 to n - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get t.buf (t.off + i))) * 0x100000001b3
-  done;
-  !h land max_int
-
-let prefix_string t n =
-  check t 0 n;
-  Bytes.sub_string t.buf t.off n
-
-let equal_string_prefix t s ~skip =
-  let n = String.length s in
-  n <= t.len
-  &&
-  let rec go i =
-    i >= n
-    || ((i = skip || Bytes.unsafe_get t.buf (t.off + i) = String.unsafe_get s i)
-       && go (i + 1))
-  in
-  go 0
-
 let reader t = Wire.Reader.of_bytes ~pos:t.off ~len:t.len t.buf

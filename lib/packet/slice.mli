@@ -54,20 +54,6 @@ val to_bytes : t -> bytes
 val equal_bytes : t -> bytes -> bool
 (** Content equality against a materialized buffer, without copying. *)
 
-val prefix_hash : t -> int
-(** FNV-1a hash of the first [min 32 (length t)] bytes.  Non-negative
-    and deterministic; the flow cache uses it to pick a slot but never
-    to decide a hit — {!equal_string_prefix} is the authority. *)
-
-val prefix_string : t -> int -> string
-(** Copy of the first [n] bytes.  Raises [Invalid_argument] when the
-    slice is shorter than [n]. *)
-
-val equal_string_prefix : t -> string -> skip:int -> bool
-(** The first [String.length s] slice bytes equal [s], ignoring the
-    byte at index [skip] (pass -1 to compare every byte).  [false]
-    when the slice is shorter than [s], never an exception. *)
-
 val reader : t -> Netcore.Wire.Reader.t
 (** A bounds-checked cursor over exactly the viewed bytes; this is how
     the dissectors consume a slice. *)

@@ -16,7 +16,7 @@ let key r =
   Printf.sprintf "%s|%s|%d|%d|%d" r.nf_src r.nf_dst r.nf_proto r.nf_src_port
     r.nf_dst_port
 
-(* The innermost L3/L4 of a template, as the flow cache would hash it.
+(* The innermost L3/L4 of a template, as the exporter would key it.
    Outer tunnel headers are what a v5 exporter on the physical port sees
    first, but FABRIC's tags (VLAN/MPLS/PW) are below NetFlow's keys
    either way; we expose the experiment's 5-tuple. *)

@@ -36,8 +36,8 @@ val export :
   record list
 (** Export one record per active 5-tuple on the port during the window,
     merging flows that NetFlow cannot distinguish.  Aggregate (subflow)
-    specs export on their base tuple only — a flow-cache would see the
-    distinct subflow tuples, but with this module's v5 semantics they
-    still merge whenever slices share addressing. *)
+    specs export on their base tuple only — an exporter's flow table
+    would see the distinct subflow tuples, but with this module's v5
+    semantics they still merge whenever slices share addressing. *)
 
 val distinct_flows : record list -> int

@@ -619,7 +619,7 @@ let test_pcapng_snaplen_slice_path () =
   (* The slice path must agree with the copying path on capped records. *)
   Alcotest.(check int) "sliced equals copied on capped capture" 0
     (compare (Analysis.Digest.pcap_to_acaps buf)
-       (Analysis.Digest.pcap_to_acaps_copying buf))
+       (Oracle.acaps_copying buf))
 
 let test_pcapng_rejects_truncated_epb () =
   let frames = sample_frames 1 in

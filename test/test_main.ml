@@ -15,7 +15,6 @@ let () =
          Test_patchwork.suites;
          Test_analysis.suites;
          Test_flowstore.suites;
-         Test_flowcache.suites;
          Test_overlay.suites;
          Test_extra.suites;
          Test_p4.suites;

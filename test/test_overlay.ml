@@ -1,14 +1,17 @@
 (* The zero-alloc overlay dissection path: slice fast accessors agree
    with the checked reads, the overlay cursor agrees with the
-   record-building reference dissector on everything the flows path and
-   the cache consume, the overlay digest is bit-identical to the record
-   digest at any pool size, and batched driver replay is bit-identical
-   to per-event replay. *)
+   record-building reference dissector on the flow key and the RST bit
+   (also on seeded mutations of well-formed frames, where neither may
+   raise), the overlay digest is bit-identical to aggregating the
+   copying decode and the sliced digest to the copying decode itself at
+   any pool size, and batched driver replay is bit-identical to
+   per-event replay. *)
 
 module OV = Dissect.Overlay
 module S = Packet.Slice
 module H = Packet.Headers
 module Pool = Parallel.Pool
+module Rng = Netcore.Rng
 
 (* --- Slice fast accessors ≡ checked reads --- *)
 
@@ -18,8 +21,8 @@ let prop_fast_accessors_equal =
     QCheck.(triple small_int (int_range 0 24) (int_range (-4) 40))
     (fun (seed, off, i) ->
       let rng = Frame_gen.rng_of_seed seed in
-      let buf = Bytes.init 48 (fun _ -> Char.chr (Netcore.Rng.int rng 256)) in
-      let len = min (Netcore.Rng.int rng 24) (48 - off) in
+      let buf = Bytes.init 48 (fun _ -> Char.chr (Rng.int rng 256)) in
+      let len = min (Rng.int rng 24) (48 - off) in
       let s = S.make buf ~off ~len in
       let agree checked fast =
         match checked () with
@@ -40,9 +43,12 @@ let prop_fast_accessors_equal =
 (* --- adversarial captures --- *)
 
 (* Frames with VLAN/MPLS stacks, pseudowire, truncation sweeps, snapped
-   records and malformed IPv4 total_len fields.  The total_len
+   records and malformed IPv4 total_len fields.  Half the frames reuse
+   one of 1-4 template stacks, some with their VLAN vids flipped, each
+   with a fresh payload length, so one flow's frames differ only in
+   per-frame bytes; the other half are fresh stacks.  The total_len
    corruption targets the first IPv4 header byte pair at its computed
-   offset, producing both sub-header (< 20, the uncacheable path) and
+   offset, producing both sub-header (< 20, the unnarrowed path) and
    oversized (> capture, the truncated narrowing path) values. *)
 let ipv4_offset stack =
   let rec go off = function
@@ -56,86 +62,199 @@ let ipv4_offset stack =
   in
   go 0 stack
 
-let adversarial_frame rng =
-  let stack = Frame_gen.random_stack rng in
-  let b = Packet.Codec.encode
-      (Packet.Frame.make stack ~payload_len:(Netcore.Rng.int rng 200))
+let flip_vids rng stack =
+  List.map
+    (function
+      | H.Vlan v -> H.Vlan { v with H.vid = 1 + Rng.int rng 4094 }
+      | h -> h)
+    stack
+
+let adversarial_frame rng stack =
+  let b =
+    Packet.Codec.encode (Packet.Frame.make stack ~payload_len:(Rng.int rng 200))
   in
   let orig = Bytes.length b in
   (* malformed total_len on a fifth of IPv4 frames *)
   (match ipv4_offset stack with
-  | Some off when Netcore.Rng.bernoulli rng 0.2 && off + 4 <= Bytes.length b ->
+  | Some off when Rng.bernoulli rng 0.2 && off + 4 <= Bytes.length b ->
     let bad =
-      if Netcore.Rng.bool rng then Netcore.Rng.int rng 20 (* below header *)
-      else 2000 + Netcore.Rng.int rng 60000 (* beyond capture *)
+      if Rng.bool rng then Rng.int rng 20 (* below header *)
+      else 2000 + Rng.int rng 60000 (* beyond capture *)
     in
     Bytes.set_uint16_be b (off + 2) bad
   | _ -> ());
   (* snapped records: cut anywhere, including mid-header *)
-  if Netcore.Rng.bernoulli rng 0.3 then
-    let keep = 1 + Netcore.Rng.int rng (Bytes.length b) in
+  if Rng.bernoulli rng 0.3 then
+    let keep = 1 + Rng.int rng (Bytes.length b) in
     (Bytes.sub b 0 keep, orig)
   else (b, orig)
 
 let adversarial_pcap seed =
   let rng = Frame_gen.rng_of_seed seed in
+  let templates =
+    Array.init (1 + Rng.int rng 4) (fun _ -> Frame_gen.random_stack rng)
+  in
   let w = Packet.Pcap.Writer.create () in
-  let events = 40 + Netcore.Rng.int rng 40 in
+  let events = 40 + Rng.int rng 40 in
   for i = 0 to events - 1 do
-    let data, orig = adversarial_frame rng in
+    let stack =
+      if Rng.bool rng then Frame_gen.random_stack rng
+      else
+        let t = Rng.choice rng templates in
+        if Rng.bernoulli rng 0.2 then flip_vids rng t else t
+    in
+    let data, orig = adversarial_frame rng stack in
     Packet.Pcap.Writer.add w ~ts:(float_of_int i *. 1e-3) ~orig_len:orig data
   done;
   Packet.Pcap.Writer.contents w
 
 (* --- per-frame: overlay ≡ record dissection --- *)
 
+(* Classify one frame both ways; true when key and RST agree. *)
+let agrees ov ~orig_len slice =
+  OV.classify ov ~orig_len slice;
+  let r = Dissect.Acap.of_slice ~ts:0.0 ~orig_len slice in
+  OV.key ov = Dissect.Acap.flow_key r && OV.rst ov = r.Dissect.Acap.tcp_rst
+
 let prop_overlay_matches_record_per_frame =
   QCheck.Test.make ~count:40
-    ~name:"overlay ≡ record per frame (key, RST, meta) over adversarial frames"
+    ~name:"overlay ≡ record per frame (key, RST) over adversarial frames"
     QCheck.small_int
     (fun seed ->
       let buf = adversarial_pcap seed in
-      let idx = Packet.Pcapng.index_any buf in
       let ov = OV.create () in
       Array.for_all
         (fun (e : Packet.Pcap.index_entry) ->
-          let slice = Packet.Pcap.Reader.slice buf e in
-          let orig_len = e.Packet.Pcap.orig_len in
-          OV.classify ov ~orig_len slice;
-          let meta = Dissect.Dissector.fresh_meta () in
-          let d = Dissect.Dissector.dissect_slice_meta ~orig_len ~meta slice in
-          let r =
-            Dissect.Acap.abstract ~ts:e.Packet.Pcap.ts ~orig_len
-              ~cap_len:(S.length slice) ~truncated:d.Dissect.Dissector.truncated
-              d.Dissect.Dissector.headers
-          in
-          OV.key ov = Dissect.Acap.flow_key r
-          && OV.rst ov = r.Dissect.Acap.tcp_rst
-          && OV.flags_off ov = meta.Dissect.Dissector.m_flags_off
-          && OV.l3_off ov = meta.Dissect.Dissector.m_l3_off
-          && OV.wire_min ov = meta.Dissect.Dissector.m_wire_min
-          && OV.cacheable ov = meta.Dissect.Dissector.m_cacheable
-          && OV.examined ov <= meta.Dissect.Dissector.m_examined)
-        idx)
+          agrees ov ~orig_len:e.Packet.Pcap.orig_len
+            (Packet.Pcap.Reader.slice buf e))
+        (Packet.Pcapng.index_any buf))
 
-(* --- whole-digest: overlay flows ≡ record flows at pools 1/2/4 --- *)
+(* --- whole-digest: overlay flows ≡ flows of the copying decode --- *)
 
 let prop_overlay_digest_identical =
   QCheck.Test.make ~count:15
-    ~name:"overlay digest ≡ record digest (pools 1/2/4, uncached + bits 1/6)"
+    ~name:"overlay digest ≡ record flows of the copying decode (pools 1/2/4)"
     QCheck.small_int
     (fun seed ->
       let buf = adversarial_pcap seed in
-      let reference = Analysis.Digest.pcap_to_flows_record buf in
+      let reference = Analysis.Flows.aggregate (Oracle.acaps_copying buf) in
+      List.for_all
+        (fun size ->
+          Pool.with_pool ~size (fun pool ->
+              Analysis.Digest.pcap_to_flows ~pool buf = reference))
+        [ 1; 2; 4 ])
+
+(* --- whole-digest: sliced acaps ≡ the copying decode --- *)
+
+let prop_sliced_acaps_identical =
+  QCheck.Test.make ~count:20
+    ~name:"sliced acaps ≡ copying decode over adversarial captures (pools 1/2/4)"
+    QCheck.small_int
+    (fun seed ->
+      let buf = adversarial_pcap seed in
+      let reference = Oracle.acaps_copying buf in
+      List.for_all
+        (fun size ->
+          Pool.with_pool ~size (fun pool ->
+              Analysis.Digest.pcap_to_acaps ~pool buf = reference))
+        [ 1; 2; 4 ])
+
+(* --- fuzz: seeded mutations of encoded frames --- *)
+
+let encoded rng =
+  Packet.Codec.encode (Frame_gen.random_frame ~max_payload:200 rng)
+
+(* One seeded mutation: bit flips, byte overwrites, a random 16-bit
+   value written at any offset (so length fields, ethertypes and ports
+   take arbitrary values), truncation at any offset, or a splice of a
+   prefix of this frame onto a suffix of a fresh one.  Operators that
+   need more bytes than the frame has leave it unchanged. *)
+let mutate rng b =
+  let n = Bytes.length b in
+  match Rng.int rng 5 with
+  | 0 when n > 0 ->
+    let b = Bytes.copy b in
+    for _ = 1 to 1 + Rng.int rng 8 do
+      let i = Rng.int rng n in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Rng.int rng 8))
+    done;
+    b
+  | 1 when n > 0 ->
+    let b = Bytes.copy b in
+    for _ = 1 to 1 + Rng.int rng 4 do
+      Bytes.set_uint8 b (Rng.int rng n) (Rng.int rng 256)
+    done;
+    b
+  | 2 when n >= 2 ->
+    let b = Bytes.copy b in
+    Bytes.set_uint16_be b (Rng.int rng (n - 1)) (Rng.int rng 65536);
+    b
+  | 3 -> Bytes.sub b 0 (Rng.int rng (n + 1))
+  | 4 ->
+    let other = encoded rng in
+    let cut = Rng.int rng (Bytes.length other + 1) in
+    Bytes.cat
+      (Bytes.sub b 0 (Rng.int rng (n + 1)))
+      (Bytes.sub other cut (Bytes.length other - cut))
+  | _ -> b
+
+(* A Frame_gen frame after one to three mutations, with the wire length
+   its record claims: half the records claim the unmutated length, as
+   a snapped capture would. *)
+let mutated_frame rng =
+  let b = encoded rng in
+  let data = ref b in
+  for _ = 1 to 1 + Rng.int rng 3 do
+    data := mutate rng !data
+  done;
+  let data = !data in
+  let orig_len =
+    if Rng.bool rng then max (Bytes.length data) (Bytes.length b)
+    else Bytes.length data
+  in
+  (data, orig_len)
+
+(* Either side raising fails the property (QCheck reports the
+   exception), so this also pins that neither classifier raises. *)
+let prop_fuzz_per_frame =
+  QCheck.Test.make ~count:500
+    ~name:"mutated frames: overlay and record never raise, agree on key/RST"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Frame_gen.rng_of_seed seed in
+      let ov = OV.create () in
+      List.for_all
+        (fun _ ->
+          let data, orig_len = mutated_frame rng in
+          agrees ov ~orig_len (S.make data ~off:0 ~len:(Bytes.length data)))
+        (List.init 100 Fun.id))
+
+let mutated_pcap seed =
+  let rng = Frame_gen.rng_of_seed seed in
+  let w = Packet.Pcap.Writer.create () in
+  let events = 40 + Rng.int rng 40 in
+  for i = 0 to events - 1 do
+    let data, orig_len = mutated_frame rng in
+    Packet.Pcap.Writer.add w ~ts:(float_of_int i *. 1e-3) ~orig_len data
+  done;
+  Packet.Pcap.Writer.contents w
+
+let prop_fuzz_digest =
+  QCheck.Test.make ~count:15
+    ~name:"mutated captures: overlay flows ≡ aggregated acaps (pools 1/2/4)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let buf = mutated_pcap seed in
+      let reference =
+        Analysis.Flows.aggregate (Analysis.Digest.pcap_to_acaps buf)
+      in
       List.for_all
         (fun size ->
           Pool.with_pool ~size (fun pool ->
               Analysis.Digest.pcap_to_flows ~pool buf = reference
-              && List.for_all
-                   (fun bits ->
-                     Analysis.Digest.pcap_to_flows ~pool ~cache_bits:bits buf
-                     = reference)
-                   [ 1; 6 ]))
+              && Analysis.Flows.aggregate
+                   (Analysis.Digest.pcap_to_acaps ~pool buf)
+                 = reference))
         [ 1; 2; 4 ])
 
 let test_overlay_no_fallback_on_generated_traffic () =
@@ -234,7 +353,11 @@ let suites =
           prop_fast_accessors_equal;
           prop_overlay_matches_record_per_frame;
           prop_overlay_digest_identical;
+          prop_sliced_acaps_identical;
         ] );
+    ( "overlay.fuzz",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_fuzz_per_frame; prop_fuzz_digest ] );
     ( "overlay.batched-driver",
       [ QCheck_alcotest.to_alcotest prop_batched_replay_identical ] );
   ]

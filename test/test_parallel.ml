@@ -114,7 +114,7 @@ let qcheck_sliced_fused_equal_copying =
           (Frame_gen.random_frame rng)
       done;
       let buf = Packet.Pcap.Writer.contents w in
-      let copied = Analysis.Digest.pcap_to_acaps_copying buf in
+      let copied = Oracle.acaps_copying buf in
       let base_flows = Analysis.Flows.aggregate copied in
       let idx = Packet.Pcapng.index_any buf in
       List.for_all
