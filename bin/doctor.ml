@@ -197,17 +197,20 @@ let live_checks ~port =
 
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
-let check_tsdb_segments dir =
-  let name = "tsdb segment sweep" in
-  match Obs.Tsdb.segments_in_dir dir with
-  | [] -> [ check name Warn (Printf.sprintf "no segments under %s" dir) ]
+(* One validator for both stores: every segment under [dir] through
+   the schema's strict reader.  Corruption fails [sweep]; an unsealed
+   segment whose tail record was torn off (a killed writer; readable,
+   and repaired at the store's next open) warns under [tails]. *)
+let check_segments ~sweep ~tails schema dir =
+  match Obs.Segment.in_dir schema dir with
+  | [] -> [ check sweep Warn (Printf.sprintf "no segments under %s" dir) ]
   | segments ->
     let corrupt = ref [] in
     let partial = ref [] in
     let records = ref 0 in
     List.iter
       (fun path ->
-        match Obs.Tsdb.Segment.read_all path with
+        match Obs.Segment.read_all schema path with
         | Error msg -> corrupt := (path, msg) :: !corrupt
         | Ok (rs, dropped) ->
           records := !records + List.length rs;
@@ -216,13 +219,13 @@ let check_tsdb_segments dir =
     let sweep =
       match List.rev !corrupt with
       | [] ->
-        check name Pass
+        check sweep Pass
           (Printf.sprintf "%d segment%s, %d records valid"
              (List.length segments)
              (if List.length segments = 1 then "" else "s")
              !records)
       | (path, msg) :: _ as all ->
-        check name Fail
+        check sweep Fail
           (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
              (List.length all)
              (if List.length all = 1 then "" else "s")
@@ -233,7 +236,7 @@ let check_tsdb_segments dir =
       | [] -> []
       | ps ->
         [
-          check "tsdb unsealed tails" Warn
+          check tails Warn
             (Printf.sprintf
                "%d segment%s with a torn tail record (killed writer): %s"
                (List.length ps)
@@ -347,7 +350,8 @@ let check_history_up segments =
 
 let history_checks ~dir =
   let segments = Obs.Tsdb.segments_in_dir dir in
-  check_tsdb_segments dir
+  check_segments ~sweep:"tsdb segment sweep" ~tails:"tsdb unsealed tails"
+    Obs.Tsdb.schema dir
   @
   if segments = [] then []
   else
@@ -356,40 +360,8 @@ let history_checks ~dir =
 (* --- optional flow-store sweep -------------------------------------- *)
 
 let flow_store_checks ~dir =
-  let name = "flow-store sweep" in
-  match Analysis.Flow_store.segments_in_dir dir with
-  | [] -> [ check name Warn (Printf.sprintf "no segments under %s" dir) ]
-  | segments ->
-    let corrupt = ref [] in
-    let records = ref 0 in
-    List.iter
-      (fun path ->
-        match Analysis.Flow_store.query [ path ] with
-        | result ->
-          records :=
-            !records
-            + result.Analysis.Flow_store.stats
-                .Analysis.Flow_store.records_scanned
-        | exception Analysis.Flow_store.Corrupt msg ->
-          corrupt := (path, msg) :: !corrupt)
-      segments;
-    (match List.rev !corrupt with
-    | [] ->
-      [
-        check name Pass
-          (Printf.sprintf "%d segment%s, %d records valid"
-             (List.length segments)
-             (if List.length segments = 1 then "" else "s")
-             !records);
-      ]
-    | (path, msg) :: _ as all ->
-      [
-        check name Fail
-          (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
-             (List.length all)
-             (if List.length all = 1 then "" else "s")
-             (Filename.basename path) msg);
-      ])
+  check_segments ~sweep:"flow-store sweep" ~tails:"flow-store unsealed tails"
+    Analysis.Flow_store.schema dir
 
 (* --- entry point ----------------------------------------------------- *)
 

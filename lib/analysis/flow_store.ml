@@ -18,10 +18,7 @@ type record = {
   r_rst : bool;
 }
 
-exception Corrupt of string
-
-let corrupt path fmt =
-  Printf.ksprintf (fun msg -> raise (Corrupt (path ^ ": " ^ msg))) fmt
+exception Corrupt = Obs.Segment.Corrupt
 
 (* Records sort by (key, seq); seqs are unique per group, so the order
    is total and strictly increasing within a segment. *)
@@ -47,10 +44,6 @@ let obs_records_written =
   Obs.Registry.counter Obs.Registry.default "flowstore_records_written_total"
     ~help:"Flow records written to segment files"
 
-let obs_segments_merged =
-  Obs.Registry.counter Obs.Registry.default "flowstore_segments_merged_total"
-    ~help:"Segment files consumed by compactions"
-
 let obs_queries =
   Obs.Registry.counter Obs.Registry.default "flowstore_queries_total"
     ~help:"Queries answered over stored segments"
@@ -70,170 +63,55 @@ let obs_unweighted =
        aggregated at weight 1.0"
     ~labels:[ ("stage", "flow_store") ]
 
-(* --- segment format ------------------------------------------------ *)
+(* --- segment schema ------------------------------------------------ *)
 
-(* Header: "PWFS" magic, u16 version, u32 record count.  Record:
-   u16 key_len, key, u16 site_len, site, u32 seq, 4 x f64
+(* Record: u16 key_len, key, u16 site_len, site, u32 seq, 4 x f64
    (frames/bytes/first/last), u8 flags (bit 0 = RST).  Everything
-   little-endian. *)
+   little-endian; the header and its checks are [Obs.Segment]'s.  An
+   unsealed segment is refused: a killed spill must never yield part of
+   a group. *)
 
-let magic = "PWFS"
-let version = 1
-let header_len = 10
+let encode buf (r : record) =
+  Obs.Segment.add_str buf r.r_key;
+  Obs.Segment.add_str buf r.r_site;
+  Buffer.add_int32_le buf (Int32.of_int r.r_seq);
+  Buffer.add_int64_le buf (Int64.bits_of_float r.r_frames);
+  Buffer.add_int64_le buf (Int64.bits_of_float r.r_bytes);
+  Buffer.add_int64_le buf (Int64.bits_of_float r.r_first);
+  Buffer.add_int64_le buf (Int64.bits_of_float r.r_last);
+  Buffer.add_uint8 buf (if r.r_rst then 1 else 0)
 
-module Segment = struct
-  let add_record buf (r : record) =
-    let add_str s =
-      if String.length s > 0xFFFF then
-        invalid_arg "Flow_store: key/site longer than 65535 bytes";
-      Buffer.add_uint16_le buf (String.length s);
-      Buffer.add_string buf s
-    in
-    add_str r.r_key;
-    add_str r.r_site;
-    Buffer.add_int32_le buf (Int32.of_int r.r_seq);
-    Buffer.add_int64_le buf (Int64.bits_of_float r.r_frames);
-    Buffer.add_int64_le buf (Int64.bits_of_float r.r_bytes);
-    Buffer.add_int64_le buf (Int64.bits_of_float r.r_first);
-    Buffer.add_int64_le buf (Int64.bits_of_float r.r_last);
-    Buffer.add_uint8 buf (if r.r_rst then 1 else 0)
-
-  let write path records =
-    let records = List.sort compare_record records in
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf magic;
-    Buffer.add_uint16_le buf version;
-    Buffer.add_int32_le buf (Int32.of_int (List.length records));
-    List.iter (add_record buf) records;
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Buffer.output_buffer oc buf);
-    Buffer.length buf
-
-  type reader = {
-    path : string;
-    ic : in_channel;
-    count : int;
-    mutable read : int;
-    mutable prev : (string * int) option;  (* sortedness check *)
-    mutable closed : bool;
+let decode c =
+  let r_key = Obs.Segment.str c "flow key" in
+  let r_site = Obs.Segment.str c "site" in
+  let fixed = Obs.Segment.field c 37 "record body" in
+  let f64 off = Int64.float_of_bits (Bytes.get_int64_le fixed off) in
+  let flags = Bytes.get_uint8 fixed 36 in
+  if flags land lnot 1 <> 0 then
+    Obs.Segment.invalid c "invalid flags byte 0x%02x" flags;
+  {
+    r_key;
+    r_site;
+    r_seq = Int32.to_int (Bytes.get_int32_le fixed 0);
+    r_frames = f64 4;
+    r_bytes = f64 12;
+    r_first = f64 20;
+    r_last = f64 28;
+    r_rst = flags land 1 <> 0;
   }
 
-  let read_exact r n what =
-    let b = Bytes.create n in
-    (try really_input r.ic b 0 n
-     with End_of_file ->
-       corrupt r.path "truncated segment: %s cut short at record %d/%d" what
-         (r.read + 1) r.count);
-    b
-
-  let open_reader path =
-    let ic =
-      try open_in_bin path
-      with Sys_error msg -> raise (Corrupt (path ^ ": " ^ msg))
-    in
-    let header = Bytes.create header_len in
-    (try really_input ic header 0 header_len
-     with End_of_file ->
-       let len = in_channel_length ic in
-       close_in_noerr ic;
-       corrupt path "truncated segment: %d-byte file is shorter than the header"
-         len);
-    let ok =
-      try
-        if Bytes.sub_string header 0 4 <> magic then
-          corrupt path "bad magic (not a Patchwork flow segment)";
-        let v = Bytes.get_uint16_le header 4 in
-        if v <> version then corrupt path "unsupported segment version %d" v;
-        Int32.to_int (Bytes.get_int32_le header 6)
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    if ok < 0 then begin
-      close_in_noerr ic;
-      corrupt path "negative record count"
-    end;
-    { path; ic; count = ok; read = 0; prev = None; closed = false }
-
-  let record_count r = r.count
-  let close r =
-    if not r.closed then begin
-      r.closed <- true;
-      close_in_noerr r.ic
-    end
-
-  let next r =
-    if r.closed then None
-    else if r.read >= r.count then begin
-      (match input_char r.ic with
-      | _ -> corrupt r.path "trailing garbage after %d records" r.count
-      | exception End_of_file -> ());
-      close r;
-      None
-    end
-    else begin
-      let str what =
-        let len = Bytes.get_uint16_le (read_exact r 2 (what ^ " length")) 0 in
-        Bytes.to_string (read_exact r len what)
-      in
-      let key = str "flow key" in
-      let site = str "site" in
-      let fixed = read_exact r 37 "record body" in
-      let f64 off = Int64.float_of_bits (Bytes.get_int64_le fixed off) in
-      let seq = Int32.to_int (Bytes.get_int32_le fixed 0) in
-      let flags = Bytes.get_uint8 fixed 36 in
-      if flags land lnot 1 <> 0 then
-        corrupt r.path "invalid flags byte 0x%02x at record %d" flags (r.read + 1);
-      let rec_ =
-        {
-          r_key = key;
-          r_site = site;
-          r_seq = seq;
-          r_frames = f64 4;
-          r_bytes = f64 12;
-          r_first = f64 20;
-          r_last = f64 28;
-          r_rst = flags land 1 <> 0;
-        }
-      in
-      (match r.prev with
-      | Some (pk, ps)
-        when compare_record
-               { rec_ with r_key = pk; r_seq = ps }
-               rec_
-             >= 0 ->
-        corrupt r.path "segment not sorted at record %d (%s/%d after %s/%d)"
-          (r.read + 1) key seq pk ps
-      | _ -> ());
-      r.prev <- Some (key, seq);
-      r.read <- r.read + 1;
-      Some rec_
-    end
-
-  let read_all path =
-    match
-      let r = open_reader path in
-      Fun.protect
-        ~finally:(fun () -> close r)
-        (fun () ->
-          let rec go acc =
-            match next r with None -> List.rev acc | Some x -> go (x :: acc)
-          in
-          go [])
-    with
-    | records -> Ok records
-    | exception Corrupt msg -> Error msg
-end
+let schema =
+  {
+    Obs.Segment.magic = "PWFS";
+    suffix = ".pwfs";
+    compare = compare_record;
+    encode;
+    decode;
+    ties = false;
+    recover_unsealed = false;
+  }
 
 (* --- spill writer -------------------------------------------------- *)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
 
 module Writer = struct
   type t = {
@@ -252,7 +130,7 @@ module Writer = struct
   let create ?(spill_records = 200_000) ~dir ?(prefix = "flows") () =
     if spill_records < 1 then
       invalid_arg "Flow_store.Writer.create: spill_records < 1";
-    mkdir_p dir;
+    Obs.Segment.mkdir_p dir;
     {
       dir;
       prefix;
@@ -275,7 +153,7 @@ module Writer = struct
       let path =
         Filename.concat t.dir (Printf.sprintf "%s-%06d.pwfs" t.prefix t.seg_index)
       in
-      let size = Segment.write path t.buf in
+      let size = Obs.Segment.write schema path t.buf in
       if Obs.Registry.enabled () then begin
         Obs.Registry.incr obs_segments_written;
         Obs.Registry.inc obs_spill_bytes (float_of_int size);
@@ -330,16 +208,6 @@ module Writer = struct
     t.buffered <- t.buffered + !n;
     maybe_spill t
 
-  let add_records t records =
-    check_live t "add_records";
-    List.iter
-      (fun r ->
-        if r.r_seq >= t.next_seq then t.next_seq <- r.r_seq + 1;
-        t.buf <- r :: t.buf;
-        t.buffered <- t.buffered + 1)
-      records;
-    maybe_spill t
-
   let finish t =
     check_live t "finish";
     spill t;
@@ -350,161 +218,7 @@ module Writer = struct
   let spilled_bytes t = t.bytes
 end
 
-let segments_in_dir dir =
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".pwfs")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-
-(* --- k-way merge --------------------------------------------------- *)
-
-(* A tiny binary min-heap over open readers, ordered by each reader's
-   current head record.  One record of look-ahead per segment is the
-   whole in-flight state of a scan. *)
-module Heap = struct
-  type entry = { mutable head : record; reader : Segment.reader }
-  type t = { a : entry array; mutable n : int }
-
-  let lt x y = compare_record x.head y.head < 0
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < h.n && lt h.a.(l) h.a.(!m) then m := l;
-    if r < h.n && lt h.a.(r) h.a.(!m) then m := r;
-    if !m <> i then begin
-      let tmp = h.a.(i) in
-      h.a.(i) <- h.a.(!m);
-      h.a.(!m) <- tmp;
-      sift_down h !m
-    end
-
-  let of_list entries =
-    let a = Array.of_list entries in
-    let h = { a; n = Array.length a } in
-    for i = (h.n / 2) - 1 downto 0 do
-      sift_down h i
-    done;
-    h
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  (* Advance the minimum entry to its reader's next record (dropping the
-     entry when the segment is exhausted) and restore the heap. *)
-  let advance_min h =
-    match Segment.next h.a.(0).reader with
-    | Some r ->
-      h.a.(0).head <- r;
-      sift_down h 0
-    | None ->
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        sift_down h 0
-      end
-end
-
-(* Stream every record of [paths] in global (key, seq) order. *)
-let scan paths f =
-  let readers = List.map Segment.open_reader paths in
-  Fun.protect
-    ~finally:(fun () -> List.iter Segment.close readers)
-    (fun () ->
-      let heap =
-        Heap.of_list
-          (List.filter_map
-             (fun r ->
-               match Segment.next r with
-               | Some head -> Some { Heap.head; reader = r }
-               | None -> None)
-             readers)
-      in
-      let scanned = ref 0 in
-      let rec go () =
-        match Heap.peek heap with
-        | None -> !scanned
-        | Some e ->
-          incr scanned;
-          f e.Heap.head;
-          Heap.advance_min heap;
-          go ()
-      in
-      go ())
-
-(* --- compaction ---------------------------------------------------- *)
-
-(* Streaming segment writer used by compaction: the record count is
-   back-patched into the header once the merge is done, so compacting
-   never holds more than one key's records. *)
-let merge_segments ~out paths =
-  Obs.Span.timed ~stage:"flowstore.compact" @@ fun () ->
-  let oc = open_out_bin out in
-  let count = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let b = Buffer.create 64 in
-      Buffer.add_uint16_le b version;
-      Buffer.add_int32_le b 0l;
-      Buffer.output_buffer oc b;
-      (* Collapse equal (key, site) runs.  Records arrive in (key, seq)
-         order, so per key we fold contributions site by site in seq
-         order, emit the collapsed records (still sorted: each keeps its
-         site's first seq) and move on. *)
-      let current_key = ref None in
-      let sites : (string, record) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      let emit () =
-        let collapsed =
-          List.rev_map (fun site -> Hashtbl.find sites site) !order
-          |> List.sort compare_record
-        in
-        List.iter
-          (fun r ->
-            let buf = Buffer.create 128 in
-            Segment.add_record buf r;
-            Buffer.output_buffer oc buf;
-            incr count)
-          collapsed;
-        Hashtbl.reset sites;
-        order := []
-      in
-      let absorb (r : record) =
-        (match !current_key with
-        | Some k when k <> r.r_key ->
-          emit ();
-          current_key := Some r.r_key
-        | None -> current_key := Some r.r_key
-        | Some _ -> ());
-        match Hashtbl.find_opt sites r.r_site with
-        | None ->
-          Hashtbl.add sites r.r_site r;
-          order := r.r_site :: !order
-        | Some prev ->
-          Hashtbl.replace sites r.r_site
-            {
-              prev with
-              r_frames = prev.r_frames +. r.r_frames;
-              r_bytes = prev.r_bytes +. r.r_bytes;
-              r_first = Float.min prev.r_first r.r_first;
-              r_last = Float.max prev.r_last r.r_last;
-              r_rst = prev.r_rst || r.r_rst;
-            }
-      in
-      let _scanned = scan paths absorb in
-      if !current_key <> None then emit ();
-      if Obs.Registry.enabled () then
-        Obs.Registry.inc obs_segments_merged
-          (float_of_int (List.length paths));
-      (* Back-patch the record count. *)
-      seek_out oc 6;
-      let b = Buffer.create 4 in
-      Buffer.add_int32_le b (Int32.of_int !count);
-      Buffer.output_buffer oc b);
-  out
+let segments_in_dir dir = Obs.Segment.in_dir schema dir
 
 (* --- query engine -------------------------------------------------- *)
 
@@ -635,7 +349,7 @@ let query ?(pred = no_predicate) ?top paths =
       a.a_rst <- a.a_rst || r.r_rst
     end
   in
-  let scanned = scan paths on_record in
+  let scanned = Obs.Segment.scan schema paths on_record in
   finalize ();
   let wall = Unix.gettimeofday () -. t0 in
   if Obs.Registry.enabled () then begin
@@ -698,7 +412,7 @@ let lookup ~keys paths =
       a.a_rst <- a.a_rst || r.r_rst
     end
   in
-  let scanned = scan paths absorb in
+  let scanned = Obs.Segment.scan schema paths absorb in
   if Obs.Registry.enabled () then begin
     Obs.Registry.incr obs_queries;
     Obs.Registry.inc obs_records_scanned (float_of_int scanned)

@@ -33,37 +33,17 @@ type record = {
 }
 
 exception Corrupt of string
-(** Raised when a segment file fails validation (bad magic, unsupported
-    version, truncation, trailing garbage, unsorted records); the
-    message names the file and the failing offset/record. *)
+(** Raised when a segment file fails validation; the message names the
+    file and the failing record.  Equal to {!Obs.Segment.Corrupt}. *)
 
 val proto_of_key : string -> string
 (** The transport token ([tcp]/[udp]/[icmp]/…) embedded in a flow key. *)
 
-module Segment : sig
-  (** One segment file: a fixed header (magic, version, record count)
-      followed by length-prefixed records sorted by [(r_key, r_seq)]. *)
-
-  val write : string -> record list -> int
-  (** [write path records] sorts the records and writes one segment;
-      returns the file size in bytes. *)
-
-  type reader
-  (** A streaming cursor over one segment; holds one record of state. *)
-
-  val open_reader : string -> reader
-  (** Validates the header.  @raise Corrupt on a malformed file. *)
-
-  val next : reader -> record option
-  (** The next record in [(r_key, r_seq)] order, [None] at the end.
-      @raise Corrupt on truncation, trailing bytes or unsorted data. *)
-
-  val close : reader -> unit
-  val record_count : reader -> int
-
-  val read_all : string -> (record list, string) result
-  (** Whole-segment convenience read (tests, small segments). *)
-end
+val schema : record Obs.Segment.schema
+(** The [.pwfs] segment schema: records sorted strictly by
+    [(r_key, r_seq)], a flags byte with only bit 0 (RST) valid, and no
+    recovery of unsealed segments — a killed spill must never yield part
+    of a group. *)
 
 module Writer : sig
   (** Accumulates weighted per-group records in memory and spills a
@@ -85,10 +65,6 @@ module Writer : sig
       non-empty shard with [fraction <= 0.0] is stored at weight 1.0 and
       counted via [analysis_unweighted_samples_total{stage="flow_store"}]. *)
 
-  val add_records : t -> record list -> unit
-  (** Append pre-weighted records (they keep their own [r_seq]); used by
-      segment compaction. *)
-
   val finish : t -> string list
   (** Flush the remaining buffer and return every segment path written,
       in write order.  The writer must not be used afterwards. *)
@@ -100,15 +76,6 @@ end
 val segments_in_dir : string -> string list
 (** The [*.pwfs] files under a directory, sorted by name (write order,
     since segment names are zero-padded). *)
-
-val merge_segments : out:string -> string list -> string
-(** Compact several segments into one: records with equal
-    [(r_key, r_site)] collapse into a single record (sums in [r_seq]
-    order, min/max timestamps, or-ed RST, smallest [r_seq] kept).
-    Exact on the integer-weight path; for fractional weights compaction
-    may reassociate float additions, so compact either everything or
-    nothing when bit-stable totals across compactions matter.  Returns
-    [out]. *)
 
 type predicate = {
   q_since : float option;  (** keep flows with [r_last >= since] *)

@@ -1,0 +1,291 @@
+(* Sorted, sealed binary segment files under both durable stores.
+
+   Header: 4-byte magic, u16 version, u32 record count — 0xFFFFFFFF
+   while the writer is still streaming records, back-patched on seal.
+   Everything little-endian.  A schema supplies the magic, the record
+   codec and the record order; this module owns the header, the seal,
+   every structural check and the k-way merge. *)
+
+exception Corrupt of string
+
+let version = 1
+let header_len = 10
+let unsealed_marker = 0xFFFFFFFF
+
+let corrupt path fmt =
+  Printf.ksprintf (fun msg -> raise (Corrupt (path ^ ": " ^ msg))) fmt
+
+(* --- the decoder's cursor ------------------------------------------- *)
+
+type cursor = {
+  path : string;
+  ic : in_channel;
+  len : int;  (* file length at open *)
+  count : int option;  (* None while unsealed: the file's end ends it *)
+  mutable read : int;
+  mutable buf : Bytes.t;  (* reused by every fixed-size read *)
+}
+
+(* The end of an unsealed segment fell inside a record. *)
+exception Torn
+
+let cut_short c what =
+  match c.count with
+  | Some n ->
+    corrupt c.path "truncated segment: %s cut short at record %d/%d" what
+      (c.read + 1) n
+  | None -> raise Torn
+
+let field c n what =
+  if n > Bytes.length c.buf then c.buf <- Bytes.create n;
+  (try really_input c.ic c.buf 0 n with End_of_file -> cut_short c what);
+  c.buf
+
+let str c what =
+  let len =
+    match really_input c.ic c.buf 0 2 with
+    | () -> Bytes.get_uint16_le c.buf 0
+    | exception End_of_file -> cut_short c (what ^ " length")
+  in
+  try really_input_string c.ic len with End_of_file -> cut_short c what
+
+let invalid c fmt =
+  Printf.ksprintf
+    (fun msg -> corrupt c.path "%s at record %d" msg (c.read + 1))
+    fmt
+
+let add_str buf s =
+  if String.length s > 0xFFFF then
+    invalid_arg "Obs.Segment.add_str: string longer than 65535 bytes";
+  Buffer.add_uint16_le buf (String.length s);
+  Buffer.add_string buf s
+
+type 'a schema = {
+  magic : string;
+  suffix : string;
+  compare : 'a -> 'a -> int;
+  encode : Buffer.t -> 'a -> unit;
+  decode : cursor -> 'a;
+  ties : bool;
+  recover_unsealed : bool;
+}
+
+(* --- writing -------------------------------------------------------- *)
+
+(* Records stream out behind the unsealed marker and the count is
+   back-patched last, so a kill mid-write leaves a segment readers can
+   tell from a sealed one. *)
+let write schema path records =
+  let records = List.sort schema.compare records in
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  let b = Buffer.create 65536 in
+  Buffer.add_string b schema.magic;
+  Buffer.add_uint16_le b version;
+  Buffer.add_int32_le b (Int32.of_int unsealed_marker);
+  List.iter
+    (fun x ->
+      schema.encode b x;
+      if Buffer.length b >= 65536 then begin
+        Buffer.output_buffer oc b;
+        Buffer.clear b
+      end)
+    records;
+  Buffer.output_buffer oc b;
+  let size = pos_out oc in
+  flush oc;
+  seek_out oc 6;
+  Buffer.clear b;
+  Buffer.add_int32_le b (Int32.of_int (List.length records));
+  Buffer.output_buffer oc b;
+  size
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+(* --- reading -------------------------------------------------------- *)
+
+type 'a reader = {
+  schema : 'a schema;
+  cur : cursor;
+  mutable prev : 'a option;  (* sortedness check *)
+  mutable torn : bool;
+  mutable closed : bool;
+}
+
+let read_header schema path ic =
+  let len = in_channel_length ic in
+  let header = Bytes.create header_len in
+  (try really_input ic header 0 header_len
+   with End_of_file ->
+     corrupt path "truncated segment: %d-byte file is shorter than the header"
+       len);
+  if Bytes.sub_string header 0 4 <> schema.magic then
+    corrupt path "bad magic (not a %s segment)" schema.magic;
+  let v = Bytes.get_uint16_le header 4 in
+  if v <> version then corrupt path "unsupported segment version %d" v;
+  let n = Int32.to_int (Bytes.get_int32_le header 6) land 0xFFFFFFFF in
+  let count =
+    if n = unsealed_marker then
+      if schema.recover_unsealed then None
+      else corrupt path "unsealed segment (its writer never sealed it)"
+    else if n > len - header_len then
+      (* Every record takes at least one byte. *)
+      corrupt path "implausible record count %d for a %d-byte file" n len
+    else Some n
+  in
+  (len, count)
+
+let open_reader schema path =
+  let ic =
+    try open_in_bin path with Sys_error msg -> raise (Corrupt (path ^ ": " ^ msg))
+  in
+  match read_header schema path ic with
+  | len, count ->
+    {
+      schema;
+      cur = { path; ic; len; count; read = 0; buf = Bytes.create 64 };
+      prev = None;
+      torn = false;
+      closed = false;
+    }
+  | exception e ->
+    close_in_noerr ic;
+    raise (match e with Sys_error msg -> Corrupt (path ^ ": " ^ msg) | e -> e)
+
+let sealed r = r.cur.count <> None
+let torn r = r.torn
+
+let close r =
+  if not r.closed then begin
+    r.closed <- true;
+    close_in_noerr r.cur.ic
+  end
+
+let next r =
+  let c = r.cur in
+  if r.closed then None
+  else
+    match c.count with
+    | Some n when c.read >= n ->
+      if pos_in c.ic < c.len then
+        corrupt c.path "trailing garbage after %d records" n;
+      close r;
+      None
+    | None when pos_in c.ic >= c.len ->
+      close r;
+      None
+    | _ -> (
+      match r.schema.decode c with
+      | exception Torn ->
+        (* A kill mid-append left a partial final record; it never made
+           it to the store, so drop it rather than refuse the segment. *)
+        r.torn <- true;
+        close r;
+        None
+      | x ->
+        (match r.prev with
+        | Some p ->
+          let o = r.schema.compare p x in
+          if o > 0 || (o = 0 && not r.schema.ties) then
+            corrupt c.path "segment not sorted at record %d" (c.read + 1)
+        | None -> ());
+        r.prev <- Some x;
+        c.read <- c.read + 1;
+        Some x)
+
+let read_all schema path =
+  match
+    let r = open_reader schema path in
+    Fun.protect
+      ~finally:(fun () -> close r)
+      (fun () ->
+        let rec go acc =
+          match next r with None -> List.rev acc | Some x -> go (x :: acc)
+        in
+        let records = go [] in
+        (records, r.torn))
+  with
+  | result -> Ok result
+  | exception Corrupt msg -> Error msg
+
+(* --- k-way merge ---------------------------------------------------- *)
+
+(* Min-heap over open readers ordered by each reader's head record;
+   equal records tie-break on reader index so the merge is a stable,
+   deterministic interleave whatever the heap's internal layout.  One
+   record of look-ahead per segment is the whole in-flight state. *)
+module Heap = struct
+  type 'a entry = { mutable head : 'a; reader : 'a reader; index : int }
+  type 'a t = { compare : 'a -> 'a -> int; a : 'a entry array; mutable n : int }
+
+  let lt h x y =
+    match h.compare x.head y.head with 0 -> x.index < y.index | c -> c < 0
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = ref i in
+    if l < h.n && lt h h.a.(l) h.a.(!m) then m := l;
+    if r < h.n && lt h h.a.(r) h.a.(!m) then m := r;
+    if !m <> i then begin
+      let tmp = h.a.(i) in
+      h.a.(i) <- h.a.(!m);
+      h.a.(!m) <- tmp;
+      sift_down h !m
+    end
+
+  let of_list compare entries =
+    let a = Array.of_list entries in
+    let h = { compare; a; n = Array.length a } in
+    for i = (h.n / 2) - 1 downto 0 do
+      sift_down h i
+    done;
+    h
+
+  (* Advance the minimum entry to its reader's next record (dropping the
+     entry when the segment is exhausted) and restore the heap. *)
+  let advance_min h =
+    match next h.a.(0).reader with
+    | Some x ->
+      h.a.(0).head <- x;
+      sift_down h 0
+    | None ->
+      h.n <- h.n - 1;
+      if h.n > 0 then begin
+        h.a.(0) <- h.a.(h.n);
+        sift_down h 0
+      end
+end
+
+let scan schema paths f =
+  (* Readers open inside the protected region, so a segment that fails
+     to open still closes the ones opened before it. *)
+  let opened = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter close !opened) @@ fun () ->
+  let heads =
+    List.mapi
+      (fun index path ->
+        let reader = open_reader schema path in
+        opened := reader :: !opened;
+        Option.map (fun head -> { Heap.head; reader; index }) (next reader))
+      paths
+  in
+  let heap = Heap.of_list schema.compare (List.filter_map Fun.id heads) in
+  let scanned = ref 0 in
+  while heap.Heap.n > 0 do
+    incr scanned;
+    f heap.Heap.a.(0).Heap.head;
+    Heap.advance_min heap
+  done;
+  !scanned
+
+let in_dir schema dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f schema.suffix)
+    |> List.sort compare
+    |> List.map (Filename.concat dir)

@@ -2,10 +2,10 @@
 
    The rolling [Series] windows are capacity-bounded RAM: a service
    restart erases all history and a long run evicts its own past.  The
-   Tsdb makes telemetry durable with the segment idiom the flow store
-   established: append-only sorted segment files, magic/version header,
-   [Corrupt] on any validation failure, and bounded-memory reads by a
-   k-way merge holding one record per segment in flight.
+   Tsdb makes telemetry durable as append-only sorted [Segment] files,
+   the layer it shares with the flow store: sealed headers, [Corrupt]
+   on any validation failure, and bounded-memory reads by a k-way merge
+   holding one record per segment in flight.
 
    One record is either a raw point (the very float pushed into a
    series) or a downsampled bucket carrying count/sum/min/max/last for
@@ -30,10 +30,7 @@ type record = {
   t_last_at : float;
 }
 
-exception Corrupt of string
-
-let corrupt path fmt =
-  Printf.ksprintf (fun msg -> raise (Corrupt (path ^ ": " ^ msg))) fmt
+exception Corrupt = Segment.Corrupt
 
 let raw_point ~name ?(labels = []) ~at value =
   {
@@ -99,341 +96,109 @@ let obs_recovered_segments =
   Registry.counter Registry.default "tsdb_recovered_segments_total"
     ~help:"Unsealed segments recovered (partial tail records dropped) at open"
 
-(* --- segment format ------------------------------------------------ *)
+(* --- segment schema ------------------------------------------------ *)
 
-(* Header: "PWTS" magic, u16 version, u32 record count (0xFFFFFFFF
-   while the segment is still being streamed; back-patched on seal).
-   Record: u16 name_len, name, u8 n_labels, per label u16 klen, key,
+(* Record: u16 name_len, name, u8 n_labels, per label u16 klen, key,
    u16 vlen, value; u8 kind; then for kind 0 (raw) f64 at, f64 value
    and for kind 1 (bucket) f64 bucket_start, f64 res, u32 count,
    f64 sum, f64 min, f64 max, f64 last, f64 last_at.  Everything
-   little-endian. *)
+   little-endian; the header and its checks are [Segment]'s.
 
-let magic = "PWTS"
-let version = 1
-let header_len = 10
-let unsealed_marker = 0xFFFFFFFF
+   Ties are legal: two sources may report the same series at the same
+   instant (e.g. a local and a federated aggregate), and the writer's
+   stable sort keeps such duplicates adjacent.  An unsealed segment is
+   a killed writer's tail; its complete prefix is readable. *)
 
-module Segment = struct
-  let add_record buf (r : record) =
-    let add_str s =
-      if String.length s > 0xFFFF then
-        invalid_arg "Obs.Tsdb: name/label longer than 65535 bytes";
-      Buffer.add_uint16_le buf (String.length s);
-      Buffer.add_string buf s
-    in
-    add_str r.t_name;
-    if List.length r.t_labels > 0xFF then
-      invalid_arg "Obs.Tsdb: more than 255 labels";
-    Buffer.add_uint8 buf (List.length r.t_labels);
-    List.iter
-      (fun (k, v) ->
-        add_str k;
-        add_str v)
-      r.t_labels;
-    if is_raw r then begin
-      Buffer.add_uint8 buf 0;
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_at);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_sum)
-    end
-    else begin
-      Buffer.add_uint8 buf 1;
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_at);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_res);
-      Buffer.add_int32_le buf (Int32.of_int r.t_count);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_sum);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_min);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_max);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_last);
-      Buffer.add_int64_le buf (Int64.bits_of_float r.t_last_at)
-    end
+let encode buf (r : record) =
+  Segment.add_str buf r.t_name;
+  if List.length r.t_labels > 0xFF then
+    invalid_arg "Obs.Tsdb: more than 255 labels";
+  Buffer.add_uint8 buf (List.length r.t_labels);
+  List.iter
+    (fun (k, v) ->
+      Segment.add_str buf k;
+      Segment.add_str buf v)
+    r.t_labels;
+  if is_raw r then begin
+    Buffer.add_uint8 buf 0;
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_at);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_sum)
+  end
+  else begin
+    Buffer.add_uint8 buf 1;
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_at);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_res);
+    Buffer.add_int32_le buf (Int32.of_int r.t_count);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_sum);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_min);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_max);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_last);
+    Buffer.add_int64_le buf (Int64.bits_of_float r.t_last_at)
+  end
 
-  (* Stream [records] (sorted first) into [path]: header carries the
-     unsealed marker while records are written, then the real count is
-     back-patched.  A crash mid-write therefore leaves an unsealed
-     segment whose complete prefix of records is still recoverable. *)
-  let write path records =
-    let records = List.sort compare_record records in
-    let oc = open_out_bin path in
-    let count = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let b = Buffer.create 65536 in
-        Buffer.add_string b magic;
-        Buffer.add_uint16_le b version;
-        Buffer.add_int32_le b (Int32.of_int unsealed_marker);
-        List.iter
-          (fun r ->
-            add_record b r;
-            incr count)
-          records;
-        Buffer.output_buffer oc b;
-        flush oc;
-        (* Seal: back-patch the record count. *)
-        seek_out oc 6;
-        let b = Buffer.create 4 in
-        Buffer.add_int32_le b (Int32.of_int !count);
-        Buffer.output_buffer oc b);
-    !count
+let decode c =
+  let name = Segment.str c "series name" in
+  let n_labels = Bytes.get_uint8 (Segment.field c 1 "label count") 0 in
+  let labels =
+    List.init n_labels (fun _ ->
+        let k = Segment.str c "label key" in
+        let v = Segment.str c "label value" in
+        (k, v))
+  in
+  let r =
+    match Bytes.get_uint8 (Segment.field c 1 "record kind") 0 with
+    | 0 ->
+      let fixed = Segment.field c 16 "raw point" in
+      let at = Int64.float_of_bits (Bytes.get_int64_le fixed 0) in
+      let value = Int64.float_of_bits (Bytes.get_int64_le fixed 8) in
+      {
+        t_name = name;
+        t_labels = labels;
+        t_at = at;
+        t_res = 0.0;
+        t_count = 1;
+        t_sum = value;
+        t_min = value;
+        t_max = value;
+        t_last = value;
+        t_last_at = at;
+      }
+    | 1 ->
+      let fixed = Segment.field c 60 "bucket body" in
+      let f64 off = Int64.float_of_bits (Bytes.get_int64_le fixed off) in
+      {
+        t_name = name;
+        t_labels = labels;
+        t_at = f64 0;
+        t_res = f64 8;
+        t_count = Int32.to_int (Bytes.get_int32_le fixed 16);
+        t_sum = f64 20;
+        t_min = f64 28;
+        t_max = f64 36;
+        t_last = f64 44;
+        t_last_at = f64 52;
+      }
+    | k -> Segment.invalid c "invalid record kind 0x%02x" k
+  in
+  if List.sort compare labels <> labels then
+    Segment.invalid c "labels not sorted";
+  if r.t_res > 0.0 then begin
+    if r.t_count < 1 then Segment.invalid c "bucket with count %d" r.t_count;
+    if r.t_min > r.t_max then Segment.invalid c "bucket with min > max"
+  end
+  else if r.t_res < 0.0 then Segment.invalid c "negative resolution";
+  r
 
-  type reader = {
-    path : string;
-    ic : in_channel;
-    sealed_count : int option; (* None while unsealed: read to EOF *)
-    mutable read : int;
-    mutable prev : record option; (* sortedness check *)
-    mutable dropped_partial : bool;
-    mutable closed : bool;
+let schema =
+  {
+    Segment.magic = "PWTS";
+    suffix = ".pwts";
+    compare = compare_record;
+    encode;
+    decode;
+    ties = true;
+    recover_unsealed = true;
   }
-
-  exception Partial_tail
-
-  let read_exact r n what =
-    let b = Bytes.create n in
-    (try really_input r.ic b 0 n
-     with End_of_file -> (
-       match r.sealed_count with
-       | Some count ->
-         corrupt r.path "truncated segment: %s cut short at record %d/%d" what
-           (r.read + 1) count
-       | None ->
-         (* A kill mid-append leaves a partial final record on the
-            unsealed tail segment; it never made it to the store, so
-            drop it rather than refuse the whole segment. *)
-         raise Partial_tail));
-    b
-
-  let open_reader path =
-    let ic =
-      try open_in_bin path
-      with Sys_error msg -> raise (Corrupt (path ^ ": " ^ msg))
-    in
-    let header = Bytes.create header_len in
-    (try really_input ic header 0 header_len
-     with End_of_file ->
-       let len = in_channel_length ic in
-       close_in_noerr ic;
-       corrupt path "truncated segment: %d-byte file is shorter than the header"
-         len);
-    let sealed_count =
-      try
-        if Bytes.sub_string header 0 4 <> magic then
-          corrupt path "bad magic (not a Patchwork time-series segment)";
-        let v = Bytes.get_uint16_le header 4 in
-        if v <> version then corrupt path "unsupported segment version %d" v;
-        let c = Int32.to_int (Bytes.get_int32_le header 6) land 0xFFFFFFFF in
-        if c = unsealed_marker then None
-        else if c > Sys.max_string_length then
-          corrupt path "implausible record count %d" c
-        else Some c
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    {
-      path;
-      ic;
-      sealed_count;
-      read = 0;
-      prev = None;
-      dropped_partial = false;
-      closed = false;
-    }
-
-  let sealed r = r.sealed_count <> None
-  let recovered_partial r = r.dropped_partial
-
-  let close r =
-    if not r.closed then begin
-      r.closed <- true;
-      close_in_noerr r.ic
-    end
-
-  let at_end r =
-    match r.sealed_count with
-    | Some count -> r.read >= count
-    | None -> false (* unsealed: the EOF decides *)
-
-  let next r =
-    if r.closed then None
-    else if at_end r then begin
-      (match input_char r.ic with
-      | _ ->
-        corrupt r.path "trailing garbage after %d records" r.read
-      | exception End_of_file -> ());
-      close r;
-      None
-    end
-    else begin
-      match
-        let str what =
-          let len = Bytes.get_uint16_le (read_exact r 2 (what ^ " length")) 0 in
-          Bytes.to_string (read_exact r len what)
-        in
-        let name = str "series name" in
-        let n_labels = Bytes.get_uint8 (read_exact r 1 "label count") 0 in
-        let labels =
-          List.init n_labels (fun _ ->
-              let k = str "label key" in
-              let v = str "label value" in
-              (k, v))
-        in
-        let kind = Bytes.get_uint8 (read_exact r 1 "record kind") 0 in
-        match kind with
-        | 0 ->
-          let fixed = read_exact r 16 "raw point" in
-          let at = Int64.float_of_bits (Bytes.get_int64_le fixed 0) in
-          let value = Int64.float_of_bits (Bytes.get_int64_le fixed 8) in
-          {
-            t_name = name;
-            t_labels = labels;
-            t_at = at;
-            t_res = 0.0;
-            t_count = 1;
-            t_sum = value;
-            t_min = value;
-            t_max = value;
-            t_last = value;
-            t_last_at = at;
-          }
-        | 1 ->
-          let fixed = read_exact r 60 "bucket body" in
-          let f64 off = Int64.float_of_bits (Bytes.get_int64_le fixed off) in
-          {
-            t_name = name;
-            t_labels = labels;
-            t_at = f64 0;
-            t_res = f64 8;
-            t_count = Int32.to_int (Bytes.get_int32_le fixed 16);
-            t_sum = f64 20;
-            t_min = f64 28;
-            t_max = f64 36;
-            t_last = f64 44;
-            t_last_at = f64 52;
-          }
-        | k -> corrupt r.path "invalid record kind 0x%02x at record %d" k (r.read + 1)
-      with
-      | exception Partial_tail ->
-        r.dropped_partial <- true;
-        close r;
-        None
-      | rec_ ->
-        if List.sort compare rec_.t_labels <> rec_.t_labels then
-          corrupt r.path "labels not sorted at record %d" (r.read + 1);
-        if rec_.t_res > 0.0 then begin
-          if rec_.t_count < 1 then
-            corrupt r.path "bucket with count %d at record %d" rec_.t_count
-              (r.read + 1);
-          if rec_.t_min > rec_.t_max then
-            corrupt r.path "bucket with min > max at record %d" (r.read + 1)
-        end
-        else if rec_.t_res < 0.0 then
-          corrupt r.path "negative resolution at record %d" (r.read + 1);
-        (* Ties are legal: two sources may report the same series at the
-           same instant (e.g. a local and a federated aggregate), and
-           the writer's sort keeps such duplicates adjacent.  Only an
-           actual inversion is corruption. *)
-        (match r.prev with
-        | Some prev when compare_record prev rec_ > 0 ->
-          corrupt r.path "segment not sorted at record %d (%s before %s)"
-            (r.read + 1) prev.t_name rec_.t_name
-        | _ -> ());
-        r.prev <- Some rec_;
-        r.read <- r.read + 1;
-        Some rec_
-    end
-
-  let read_all path =
-    match
-      let r = open_reader path in
-      Fun.protect
-        ~finally:(fun () -> close r)
-        (fun () ->
-          let rec go acc =
-            match next r with None -> List.rev acc | Some x -> go (x :: acc)
-          in
-          let records = go [] in
-          (records, r.dropped_partial))
-    with
-    | result -> Ok result
-    | exception Corrupt msg -> Error msg
-end
-
-(* --- k-way merge --------------------------------------------------- *)
-
-(* Min-heap over open readers ordered by each reader's head record;
-   equal records tie-break on reader index so the merge is a stable,
-   deterministic interleave whatever the heap's internal layout. *)
-module Heap = struct
-  type entry = { mutable head : record; reader : Segment.reader; index : int }
-  type t = { a : entry array; mutable n : int }
-
-  let lt x y =
-    match compare_record x.head y.head with
-    | 0 -> x.index < y.index
-    | c -> c < 0
-
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < h.n && lt h.a.(l) h.a.(!m) then m := l;
-    if r < h.n && lt h.a.(r) h.a.(!m) then m := r;
-    if !m <> i then begin
-      let tmp = h.a.(i) in
-      h.a.(i) <- h.a.(!m);
-      h.a.(!m) <- tmp;
-      sift_down h !m
-    end
-
-  let of_list entries =
-    let a = Array.of_list entries in
-    let h = { a; n = Array.length a } in
-    for i = (h.n / 2) - 1 downto 0 do
-      sift_down h i
-    done;
-    h
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  let advance_min h =
-    match Segment.next h.a.(0).reader with
-    | Some r ->
-      h.a.(0).head <- r;
-      sift_down h 0
-    | None ->
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        sift_down h 0
-      end
-end
-
-(* Stream every record of [paths] in global (series, time) order. *)
-let scan paths f =
-  let readers = List.map Segment.open_reader paths in
-  Fun.protect
-    ~finally:(fun () -> List.iter Segment.close readers)
-    (fun () ->
-      let heap =
-        Heap.of_list
-          (List.mapi (fun index r -> (index, r)) readers
-          |> List.filter_map (fun (index, r) ->
-                 match Segment.next r with
-                 | Some head -> Some { Heap.head; reader = r; index }
-                 | None -> None))
-      in
-      let scanned = ref 0 in
-      let rec go () =
-        match Heap.peek heap with
-        | None -> !scanned
-        | Some e ->
-          incr scanned;
-          f e.Heap.head;
-          Heap.advance_min heap;
-          go ()
-      in
-      go ())
 
 (* --- predicates ---------------------------------------------------- *)
 
@@ -462,19 +227,7 @@ let matches p (r : record) =
 
 (* --- store handle -------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-let segments_in_dir dir =
-  if not (Sys.file_exists dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".pwts")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
+let segments_in_dir dir = Segment.in_dir schema dir
 
 type t = {
   dir : string;
@@ -513,11 +266,11 @@ let open_store ?retention ?resolution ?(compact_every = 2) ?log ~dir () =
   | _ -> ());
   if compact_every < 2 then
     invalid_arg "Obs.Tsdb.open_store: compact_every must be >= 2";
-  mkdir_p dir;
+  Segment.mkdir_p dir;
   let recovered = ref 0 in
   List.iter
     (fun path ->
-      let reader = Segment.open_reader path in
+      let reader = Segment.open_reader schema path in
       let was_sealed = Segment.sealed reader in
       let records, dropped =
         Fun.protect
@@ -529,10 +282,10 @@ let open_store ?retention ?resolution ?(compact_every = 2) ?log ~dir () =
               | Some r -> go (r :: acc)
             in
             let records = go [] in
-            (records, Segment.recovered_partial reader))
+            (records, Segment.torn reader))
       in
       if not was_sealed then begin
-        ignore (Segment.write path records);
+        ignore (Segment.write schema path records);
         incr recovered;
         if Registry.enabled () then Registry.incr obs_recovered_segments;
         match log with
@@ -618,9 +371,9 @@ let compact t =
   if paths <> [] then begin
     (* Pass 1: the newest timestamp (bounded memory: running max). *)
     let newest = ref neg_infinity in
-    let _ =
-      scan paths (fun r -> if record_end r > !newest then newest := record_end r)
-    in
+    ignore
+      (Segment.scan schema paths (fun r ->
+           if record_end r > !newest then newest := record_end r));
     let keep r =
       match t.retention with
       | None -> true
@@ -675,19 +428,19 @@ let compact t =
           end
       end
     in
-    let _scanned = scan paths on_record in
+    ignore (Segment.scan schema paths on_record);
     emit ();
     let records = List.rev !out in
     let path =
       Filename.concat t.dir (Printf.sprintf "tsdb-%06d.pwts" t.seg_index)
     in
     t.seg_index <- t.seg_index + 1;
-    let count = Segment.write path records in
+    ignore (Segment.write schema path records);
     List.iter Sys.remove paths;
     if Registry.enabled () then begin
       Registry.incr obs_compactions;
       Registry.incr obs_segments_written;
-      Registry.inc obs_points_written (float_of_int count)
+      Registry.inc obs_points_written (float_of_int (List.length records))
     end
   end
 
@@ -704,7 +457,8 @@ let flush t =
         Filename.concat t.dir (Printf.sprintf "tsdb-%06d.pwts" t.seg_index)
       in
       t.seg_index <- t.seg_index + 1;
-      let count = Segment.write path t.buf in
+      let count = t.buffered in
+      ignore (Segment.write schema path t.buf);
       if Registry.enabled () then begin
         Registry.incr obs_segments_written;
         Registry.inc obs_points_written (float_of_int count)
@@ -727,7 +481,9 @@ let flush t =
 let fold ?(pred = no_predicate) ~init ~f paths =
   Span.timed ~stage:"tsdb.query" @@ fun () ->
   let acc = ref init in
-  let scanned = scan paths (fun r -> if matches pred r then acc := f !acc r) in
+  let scanned =
+    Segment.scan schema paths (fun r -> if matches pred r then acc := f !acc r)
+  in
   if Registry.enabled () then begin
     Registry.incr obs_queries;
     Registry.inc obs_records_scanned (float_of_int scanned)

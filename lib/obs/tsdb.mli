@@ -2,20 +2,18 @@
     records with downsampling compaction.
 
     The weekly service survives restarts, so its operational series must
-    too.  A store is a directory of sorted, sealed [.pwts] segments
-    ("PWTS" magic, little-endian, record count back-patched on seal);
-    appends buffer in memory until {!flush} writes one new segment, and
-    every [compact_every] flushes {!compact} merges segments, applying
-    retention and (when a [resolution] is set) folding raw points older
-    than the newest bucket boundary into per-bucket aggregates whose
-    count/sum/min/max/last equal a recomputation over the raw points
-    they replace.
+    too.  A store is a directory of sorted, sealed [.pwts] segments in
+    the {!Segment} format; appends buffer in memory until {!flush}
+    writes one new segment, and every [compact_every] flushes {!compact}
+    merges segments, applying retention and (when a [resolution] is set)
+    folding raw points older than the newest bucket boundary into
+    per-bucket aggregates whose count/sum/min/max/last equal a
+    recomputation over the raw points they replace.
 
-    Readers validate as they go and raise {!Corrupt} on a damaged
-    sealed segment; an {e unsealed} segment left by a killed writer is
-    not corrupt — its complete record prefix is readable and any torn
-    tail record is dropped ({!Segment.recovered_partial}), which
-    {!open_store} uses to repair such segments in place. *)
+    An {e unsealed} segment left by a killed writer is not corrupt: its
+    complete record prefix is readable and a torn tail record is
+    dropped, which {!open_store} uses to repair such segments in
+    place. *)
 
 type record = {
   t_name : string;
@@ -31,6 +29,7 @@ type record = {
 }
 
 exception Corrupt of string
+(** Equal to {!Segment.Corrupt}. *)
 
 val raw_point : name:string -> ?labels:Registry.labels -> at:float -> float -> record
 
@@ -46,38 +45,11 @@ val record_end : record -> float
 val compare_record : record -> record -> int
 (** Segment sort order: name, labels, time, resolution. *)
 
-(** One on-disk segment file. *)
-module Segment : sig
-  val write : string -> record list -> int
-  (** Write (and seal) a segment of the records in canonical order;
-      returns the record count. *)
-
-  type reader
-
-  val open_reader : string -> reader
-  (** @raise Corrupt on bad magic, version or truncated header. *)
-
-  val sealed : reader -> bool
-
-  val recovered_partial : reader -> bool
-  (** An unsealed segment's torn tail record was dropped. *)
-
-  val next : reader -> record option
-  (** Stream records in stored order.
-      @raise Corrupt on a malformed record, a sort-order violation, or
-      truncation in a {e sealed} segment (an unsealed segment's torn
-      tail returns [None] and sets {!recovered_partial}). *)
-
-  val close : reader -> unit
-
-  val read_all : string -> (record list * bool, string) result
-  (** Every record plus the recovered-partial flag, or the [Corrupt]
-      message. *)
-end
-
-val scan : string list -> (record -> unit) -> int
-(** Stream every record of the given segments merged in canonical
-    order; returns the record count.  @raise Corrupt as {!Segment.next}. *)
+val schema : record Segment.schema
+(** The [.pwts] segment schema: records in {!compare_record} order with
+    ties allowed, a kind byte (0 raw, 1 bucket), sorted labels, buckets
+    with count >= 1 and min <= max, and unsealed segments readable up to
+    their last complete record. *)
 
 (** {1 Query predicates} *)
 

@@ -1,8 +1,8 @@
-(* The on-disk flow store: segment format, spill writer, compaction and
-   the query engine's byte-identity contract against the in-memory
-   merge. *)
+(* The on-disk flow store: segment schema, spill writer and the query
+   engine's byte-identity contract against the in-memory merge. *)
 
 module FS = Analysis.Flow_store
+module Segment = Obs.Segment
 module Flows = Analysis.Flows
 module Profile = Analysis.Profile
 
@@ -78,15 +78,13 @@ let test_segment_roundtrip () =
       fsrec ~seq:1 ~frames:2.5 ~bytes:0.5 ~first:(-1.0) ~last:9.25 "a|key";
     ]
   in
-  let size = FS.Segment.write path records in
+  let size = Segment.write FS.schema path records in
   Alcotest.(check bool) "size matches file" true
     (size = String.length (read_file path));
-  let r = FS.Segment.open_reader path in
-  Alcotest.(check int) "record count" 3 (FS.Segment.record_count r);
-  FS.Segment.close r;
-  match FS.Segment.read_all path with
+  match Segment.read_all FS.schema path with
   | Error e -> Alcotest.fail e
-  | Ok back ->
+  | Ok (_, true) -> Alcotest.fail "sealed segment flagged torn"
+  | Ok (back, false) ->
     Alcotest.(check int) "three back" 3 (List.length back);
     Alcotest.(check bool) "sorted by (key, seq), fields exact" true
       (back
@@ -97,7 +95,7 @@ let test_segment_roundtrip () =
         ])
 
 let check_error path sub =
-  match FS.Segment.read_all path with
+  match Segment.read_all FS.schema path with
   | Ok _ -> Alcotest.fail ("expected Error mentioning " ^ sub)
   | Error e ->
     let present =
@@ -133,7 +131,7 @@ let test_segment_short_header () =
 let test_segment_truncated () =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "trunc.pwfs" in
-  let _ = FS.Segment.write path [ fsrec ~seq:0 "a"; fsrec ~seq:1 "b" ] in
+  let _ = Segment.write FS.schema path [ fsrec ~seq:0 "a"; fsrec ~seq:1 "b" ] in
   let whole = read_file path in
   write_file path (String.sub whole 0 (String.length whole - 5));
   check_error path "cut short at record 2/2"
@@ -141,17 +139,18 @@ let test_segment_truncated () =
 let test_segment_trailing_garbage () =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "trail.pwfs" in
-  let _ = FS.Segment.write path [ fsrec "a" ] in
+  let _ = Segment.write FS.schema path [ fsrec "a" ] in
   write_file path (read_file path ^ "junk");
   check_error path "trailing garbage"
 
 (* Hand-rolled little-endian encoder, independent of the library's, so
    these tests pin the format itself, not just the implementation. *)
-let encode_segment records =
+let encode_segment ?count records =
   let b = Buffer.create 256 in
   Buffer.add_string b "PWFS";
   Buffer.add_uint16_le b 1;
-  Buffer.add_int32_le b (Int32.of_int (List.length records));
+  Buffer.add_int32_le b
+    (Int32.of_int (Option.value count ~default:(List.length records)));
   List.iter
     (fun (key, site, seq, frames, bytes, first, last, flags) ->
       Buffer.add_uint16_le b (String.length key);
@@ -177,6 +176,25 @@ let test_segment_unsorted_rejected () =
        ]);
   check_error path "not sorted at record 2"
 
+(* Seqs are unique per group, so an equal (key, seq) pair is a duplicate
+   record, not a tie. *)
+let test_segment_equal_records_rejected () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "dup.pwfs" in
+  let r = ("a", "STAR", 3, 1.0, 10.0, 0.0, 1.0, 0) in
+  write_file path (encode_segment [ r; r ]);
+  check_error path "not sorted at record 2"
+
+(* A flow spill killed before its seal must not yield part of a group:
+   the unsealed marker is refused, not read up to the file's end. *)
+let test_segment_unsealed_rejected () =
+  with_temp_dir @@ fun dir ->
+  (* The file name must not itself contain the word checked for. *)
+  let path = Filename.concat dir "killed.pwfs" in
+  write_file path
+    (encode_segment ~count:(-1) [ ("a", "STAR", 0, 1.0, 10.0, 0.0, 1.0, 0) ]);
+  check_error path "unsealed"
+
 let test_segment_invalid_flags_rejected () =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "flags.pwfs" in
@@ -184,25 +202,44 @@ let test_segment_invalid_flags_rejected () =
   check_error path "invalid flags byte 0xf2"
 
 let test_segment_format_pinned () =
-  (* The library reads what the independent encoder writes, proving the
-     wire format is the documented one. *)
   with_temp_dir @@ fun dir ->
+  (* Direction 1: the library reads what the independent encoder wrote. *)
   let path = Filename.concat dir "pinned.pwfs" in
   write_file path
     (encode_segment
        [
          ("1|-|10.0.0.1|10.0.0.2|tcp|80-443", "STAR", 7, 2.0, 128.0, 1.5, 2.5, 1);
        ]);
-  match FS.Segment.read_all path with
+  (match Segment.read_all FS.schema path with
   | Error e -> Alcotest.fail e
-  | Ok [ r ] ->
+  | Ok ([ r ], false) ->
     Alcotest.(check string) "key" "1|-|10.0.0.1|10.0.0.2|tcp|80-443" r.FS.r_key;
     Alcotest.(check string) "site" "STAR" r.FS.r_site;
     Alcotest.(check int) "seq" 7 r.FS.r_seq;
     Alcotest.(check (float 0.0)) "frames" 2.0 r.FS.r_frames;
     Alcotest.(check (float 0.0)) "bytes" 128.0 r.FS.r_bytes;
     Alcotest.(check bool) "rst" true r.FS.r_rst
-  | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length l))
+  | Ok (l, _) ->
+    Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length l)));
+  (* Direction 2: the library writes byte-for-byte what the independent
+     encoder predicts (count back-patched over the unsealed marker). *)
+  let path2 = Filename.concat dir "written.pwfs" in
+  let _ =
+    Segment.write FS.schema path2
+      [
+        fsrec ~seq:4 ~site:"WASH" ~rst:true "b|key";
+        fsrec ~seq:1 ~frames:0.5 ~bytes:64.0 ~first:(-2.0) ~last:3.25 "a|key";
+      ]
+  in
+  let expected =
+    encode_segment
+      [
+        ("a|key", "STAR", 1, 0.5, 64.0, -2.0, 3.25, 0);
+        ("b|key", "WASH", 4, 1.0, 100.0, 0.0, 1.0, 1);
+      ]
+  in
+  Alcotest.(check bool) "writer output byte-identical to spec" true
+    (read_file path2 = expected)
 
 (* --- writer + query: the byte-identity contract -------------------- *)
 
@@ -399,49 +436,6 @@ let test_query_topk () =
         full.FS.stats.FS.total_bytes res.FS.stats.FS.total_bytes)
     [ 1; 5; 1000 ]
 
-(* --- compaction ---------------------------------------------------- *)
-
-let test_merge_segments () =
-  with_temp_dir @@ fun dir ->
-  (* Unit weights: compaction's reassociation is exact-integer, so the
-     compacted store must answer queries identically. *)
-  let shards =
-    List.map (fun (s, _) -> (s, 1.0)) (make_groups ~seed:11 ~flows:25 ~groups:5)
-  in
-  let w = FS.Writer.create ~spill_records:13 ~dir () in
-  List.iter
-    (fun (shard, _) -> FS.Writer.add_shard w ~site:"STAR" ~fraction:1.0 shard)
-    shards;
-  let segments = FS.Writer.finish w in
-  Alcotest.(check bool) "several segments to compact" true
-    (List.length segments > 1);
-  let out = Filename.concat dir "compacted.pwfs" in
-  let out' = FS.merge_segments ~out segments in
-  Alcotest.(check string) "returns out" out out';
-  let merged = FS.query [ out ] in
-  let original = FS.query segments in
-  Alcotest.(check bool) "compacted store answers identically" true
-    (merged.FS.flows = original.FS.flows);
-  Alcotest.(check bool) "identical to in-memory merge too" true
-    (merged.FS.flows = Flows.merge shards);
-  (* Compaction collapsed per-(key, site) contributions. *)
-  Alcotest.(check int) "one record per flow after compaction"
-    original.FS.stats.FS.distinct_flows merged.FS.stats.FS.records_scanned;
-  List.iter Sys.remove segments
-
-let test_merge_segments_keeps_sites () =
-  with_temp_dir @@ fun dir ->
-  let segments, star, wash = two_site_segments dir in
-  let out = Filename.concat dir "merged.pwfs" in
-  let _ = FS.merge_segments ~out segments in
-  let res = FS.query ~pred:(FS.predicate ~site:"STAR" ()) [ out ] in
-  Alcotest.(check bool) "site queries survive compaction" true
-    (res.FS.flows = Flows.merge [ (star, 0.5) ]);
-  let wash_res = FS.query ~pred:(FS.predicate ~site:"WASH" ()) [ out ] in
-  Alcotest.(check bool) "other site too" true
-    (wash_res.FS.flows = Flows.merge [ (wash, 1.0) ]);
-  List.iter Sys.remove segments
-
 (* --- profile ordering (satellite: deterministic ties) -------------- *)
 
 let sample_of ?(site = "STAR") ?(fraction = 1.0) ?(start = 0.0) records =
@@ -574,6 +568,9 @@ let suites =
         Alcotest.test_case "truncated" `Quick test_segment_truncated;
         Alcotest.test_case "trailing garbage" `Quick test_segment_trailing_garbage;
         Alcotest.test_case "unsorted rejected" `Quick test_segment_unsorted_rejected;
+        Alcotest.test_case "equal records rejected" `Quick
+          test_segment_equal_records_rejected;
+        Alcotest.test_case "unsealed rejected" `Quick test_segment_unsealed_rejected;
         Alcotest.test_case "invalid flags rejected" `Quick
           test_segment_invalid_flags_rejected;
         Alcotest.test_case "wire format pinned" `Quick test_segment_format_pinned;
@@ -589,9 +586,6 @@ let suites =
         Alcotest.test_case "proto predicate" `Quick test_query_proto_predicate;
         Alcotest.test_case "time predicate" `Quick test_query_time_predicate;
         Alcotest.test_case "top-k" `Quick test_query_topk;
-        Alcotest.test_case "compaction" `Quick test_merge_segments;
-        Alcotest.test_case "compaction keeps sites" `Quick
-          test_merge_segments_keeps_sites;
         QCheck_alcotest.to_alcotest qcheck_spill_identity;
       ] );
     ( "analysis.flow_store.profile",

@@ -25,6 +25,7 @@ let () =
          Test_obs.suites;
          Test_live.suites;
          Test_tsdb.suites;
+         Test_segment.suites;
          Test_pipeline.suites;
          Test_ledger.suites;
        ])

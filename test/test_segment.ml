@@ -1,0 +1,203 @@
+(* The segment layer under both stores: readers are closed whatever
+   fails, and a seeded mutation fuzz of writer-produced segments under
+   each schema raises nothing but Corrupt. *)
+
+module Segment = Obs.Segment
+module FS = Analysis.Flow_store
+module T = Obs.Tsdb
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "patchwork_segment" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* Open descriptors of this process, or None where /proc is absent. *)
+let fd_count () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let fsrec ?(site = "STAR") ?(rst = false) ~seq key =
+  {
+    FS.r_key = key;
+    r_site = site;
+    r_seq = seq;
+    r_frames = float_of_int (seq + 1);
+    r_bytes = 100.0 *. float_of_int (seq + 1);
+    r_first = float_of_int seq;
+    r_last = float_of_int (seq + 2);
+    r_rst = rst;
+  }
+
+let bucket ~name ~at =
+  {
+    (T.raw_point ~name ~labels:[ ("site", "STAR") ] ~at 1.5) with
+    T.t_res = 60.0;
+    t_count = 3;
+    t_sum = 4.5;
+    t_min = 0.5;
+    t_max = 2.5;
+    t_last_at = at +. 30.0;
+  }
+
+(* --- readers are closed when a later segment fails ----------------- *)
+
+let test_failed_scan_closes_readers () =
+  match fd_count () with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+    with_temp_dir @@ fun dir ->
+    let path name = Filename.concat dir name in
+    let bad = path "bad" in
+    write_file bad "NOPE\x01\x00\x00\x00\x00\x00";
+    let fails what query =
+      let before = fd_count () in
+      for _ = 1 to 100 do
+        match query () with
+        | () -> Alcotest.failf "%s: corrupt segment accepted" what
+        | exception Segment.Corrupt _ -> ()
+      done;
+      Alcotest.(check (option int)) (what ^ ": no reader left open") before
+        (fd_count ())
+    in
+    ignore (Segment.write FS.schema (path "a.pwfs") [ fsrec ~seq:0 "a" ]);
+    ignore (Segment.write FS.schema (path "b.pwfs") [ fsrec ~seq:1 "b" ]);
+    fails "flow store" (fun () ->
+        ignore (FS.query [ path "a.pwfs"; path "b.pwfs"; bad ]));
+    ignore (Segment.write T.schema (path "a.pwts") [ T.raw_point ~name:"x" ~at:1.0 2.0 ]);
+    fails "tsdb" (fun () -> ignore (T.query [ path "a.pwts"; bad ]))
+
+(* --- seeded mutation fuzz ------------------------------------------ *)
+
+(* One mutation of a valid segment [s], with [other] (a second valid
+   segment of the same schema) as splice material. *)
+let mutate rng ~other s =
+  let n = String.length s in
+  let b = Bytes.of_string s in
+  let pick () = Netcore.Rng.int rng n in
+  (* Offsets 4..9 are the header's version and record count. *)
+  let field_offset width =
+    if Netcore.Rng.bool rng then Netcore.Rng.int_in rng 4 (10 - width)
+    else Netcore.Rng.int rng (n - width + 1)
+  in
+  let word bits =
+    match Netcore.Rng.int rng 4 with
+    | 0 -> 0
+    | 1 -> (1 lsl bits) - 1
+    | 2 -> 1 lsl (bits - 1)
+    | _ -> Netcore.Rng.int rng (1 lsl bits)
+  in
+  match Netcore.Rng.int rng 5 with
+  | 0 ->
+    for _ = 0 to Netcore.Rng.int rng 4 do
+      let i = pick () in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Netcore.Rng.int rng 8))
+    done;
+    ("bit flips", Bytes.to_string b)
+  | 1 -> ("truncation", String.sub s 0 (pick ()))
+  | 2 ->
+    Bytes.set_uint16_le b (field_offset 2) (word 16);
+    ("u16 overwrite", Bytes.to_string b)
+  | 3 ->
+    Bytes.set_int32_le b (field_offset 4) (Int32.of_int (word 32));
+    ("u32 overwrite", Bytes.to_string b)
+  | _ ->
+    let j = Netcore.Rng.int rng (String.length other) in
+    ( "splice",
+      String.sub s 0 (pick ()) ^ String.sub other j (String.length other - j) )
+
+let fuzz (type a) (schema : a Segment.schema) ~(bases : a list list) ~seed () =
+  with_temp_dir @@ fun dir ->
+  let path name = Filename.concat dir (name ^ schema.Segment.suffix) in
+  let files =
+    List.mapi
+      (fun i records ->
+        let p = path (Printf.sprintf "base%d" i) in
+        ignore (Segment.write schema p records);
+        read_file p)
+      bases
+    |> Array.of_list
+  in
+  let good = path "base0" and target = path "mutated" in
+  let rng = Netcore.Rng.create seed in
+  let fds = fd_count () in
+  for i = 1 to 2000 do
+    let base = Netcore.Rng.int rng (Array.length files) in
+    let other = files.((base + 1) mod Array.length files) in
+    let what, bytes = mutate rng ~other files.(base) in
+    write_file target bytes;
+    let escaped e =
+      Alcotest.failf "mutation %d (%s): %s escaped" i what (Printexc.to_string e)
+    in
+    let whole =
+      match Segment.read_all schema target with
+      | r -> Result.is_ok r
+      | exception e -> escaped e
+    in
+    let merged =
+      match Segment.scan schema [ good; target ] ignore with
+      | _ -> true
+      | exception Segment.Corrupt _ -> false
+      | exception e -> escaped e
+    in
+    if whole <> merged then
+      Alcotest.failf "mutation %d (%s): read_all and scan disagree" i what;
+    if fd_count () <> fds then
+      Alcotest.failf "mutation %d (%s): a reader was left open" i what
+  done
+
+let test_fuzz_flow_store () =
+  fuzz FS.schema ~seed:15
+    ~bases:
+      [
+        [
+          fsrec ~seq:0 "1|-|10.0.0.1|10.0.0.2|tcp|80-443";
+          fsrec ~seq:1 ~site:"WASH" ~rst:true "1|-|10.0.0.1|10.0.0.2|tcp|80-443";
+          fsrec ~seq:2 "2|-|10.0.0.3|10.0.0.4|udp|53-5353";
+          fsrec ~seq:0 "";
+        ];
+        [ fsrec ~seq:7 ~site:"" "k"; fsrec ~seq:9 ~rst:true "z" ];
+      ]
+    ()
+
+let test_fuzz_tsdb () =
+  fuzz T.schema ~seed:16
+    ~bases:
+      [
+        [
+          T.raw_point ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:60.0 0.125;
+          T.raw_point ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:60.0 0.125;
+          bucket ~name:"captured_bytes_per_s" ~at:0.0;
+          T.raw_point ~name:"up" ~labels:[ ("a", "1"); ("b", "2") ] ~at:5.0 1.0;
+        ];
+        [ bucket ~name:"x" ~at:3600.0; T.raw_point ~name:"y" ~at:1.0 (-1.0) ];
+      ]
+    ()
+
+let suites =
+  [
+    ( "obs.segment",
+      [
+        Alcotest.test_case "failed scan closes readers" `Quick
+          test_failed_scan_closes_readers;
+        Alcotest.test_case "fuzzed .pwfs raises only Corrupt" `Quick
+          test_fuzz_flow_store;
+        Alcotest.test_case "fuzzed .pwts raises only Corrupt" `Quick
+          test_fuzz_tsdb;
+      ] );
+  ]

@@ -5,6 +5,7 @@
    and the filterable /series.json endpoint. *)
 
 module T = Obs.Tsdb
+module Segment = Obs.Segment
 module Registry = Obs.Registry
 module Series = Obs.Series
 module Alerts = Obs.Alerts
@@ -98,9 +99,9 @@ let test_segment_roundtrip () =
       raw ~name:"a" ~labels:[ ("site", "STAR") ] ~at:1.0 (-3.5);
     ]
   in
-  let n = T.Segment.write path records in
-  Alcotest.(check int) "three written" 3 n;
-  match T.Segment.read_all path with
+  let size = Segment.write T.schema path records in
+  Alcotest.(check int) "size matches file" (String.length (read_file path)) size;
+  match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail e
   | Ok (back, dropped) ->
     Alcotest.(check bool) "sealed segment drops nothing" false dropped;
@@ -124,7 +125,7 @@ let test_segment_format_pinned () =
          enc_raw b ~name:"site_drop_rate"
            ~labels:[ ("site", "STAR") ]
            ~at:7200.0 ~value:0.125));
-  (match T.Segment.read_all path with
+  (match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail e
   | Ok ([ bucket; point ], false) ->
     Alcotest.(check string) "bucket name" "captured_bytes_per_s" bucket.T.t_name;
@@ -144,7 +145,7 @@ let test_segment_format_pinned () =
      encoder predicts (count back-patched over the unsealed marker). *)
   let path2 = Filename.concat dir "written.pwts" in
   let _ =
-    T.Segment.write path2
+    Segment.write T.schema path2
       [
         raw ~name:"up" ~labels:[ ("site", "WASH") ] ~at:10.0 1.0;
         raw ~name:"up" ~labels:[ ("site", "WASH") ] ~at:20.0 0.0;
@@ -166,15 +167,15 @@ let test_segment_duplicate_keys_roundtrip () =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "dup.pwts" in
   let twice = [ raw ~name:"x" ~at:5.0 1.0; raw ~name:"x" ~at:5.0 1.0 ] in
-  Alcotest.(check int) "both written" 2 (T.Segment.write path twice);
-  match T.Segment.read_all path with
+  let _ = Segment.write T.schema path twice in
+  match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail ("duplicate keys rejected: " ^ e)
   | Ok (back, false) ->
     Alcotest.(check bool) "both read back" true (back = twice)
   | Ok (_, true) -> Alcotest.fail "unexpected partial tail"
 
 let check_error path sub =
-  match T.Segment.read_all path with
+  match Segment.read_all T.schema path with
   | Ok _ -> Alcotest.fail ("expected Error mentioning " ^ sub)
   | Error e ->
     let present =
@@ -255,7 +256,7 @@ let test_truncated_tail_recovered () =
   in
   write_file path (String.sub complete 0 (String.length complete - 11));
   (* Reading tolerates the torn tail: partial record dropped, not Corrupt. *)
-  (match T.Segment.read_all path with
+  (match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail ("recovery read failed: " ^ e)
   | Ok (records, dropped) ->
     Alcotest.(check int) "complete prefix survives" 2 (List.length records);
@@ -263,9 +264,9 @@ let test_truncated_tail_recovered () =
   (* Opening the store repairs it in place into a sealed segment. *)
   let store = T.open_store ~dir () in
   Alcotest.(check int) "one segment recovered" 1 (T.recovered_segments store);
-  let r = T.Segment.open_reader path in
-  Alcotest.(check bool) "rewritten sealed" true (T.Segment.sealed r);
-  T.Segment.close r;
+  let r = Segment.open_reader T.schema path in
+  Alcotest.(check bool) "rewritten sealed" true (Segment.sealed r);
+  Segment.close r;
   (match T.query_store store with
   | [ ("a", [], records) ] ->
     Alcotest.(check (list (pair (float 0.0) (float 0.0))))
@@ -276,6 +277,27 @@ let test_truncated_tail_recovered () =
   (* A fresh open finds nothing left to repair. *)
   Alcotest.(check int) "idempotent" 0
     (T.recovered_segments (T.open_store ~dir ()))
+
+(* An unsealed segment that ends on a record boundary lost nothing, so
+   it must not be reported (or logged at repair) as a torn tail. *)
+let test_clean_unsealed_end_not_torn () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "tsdb-000000.pwts" in
+  write_file path
+    (encode_segment (fun b ->
+         enc_raw b ~name:"a" ~labels:[] ~at:1.0 ~value:1.0;
+         enc_raw b ~name:"a" ~labels:[] ~at:2.0 ~value:2.0));
+  (match Segment.read_all T.schema path with
+  | Error e -> Alcotest.fail ("unsealed read failed: " ^ e)
+  | Ok (records, torn) ->
+    Alcotest.(check int) "both records" 2 (List.length records);
+    Alcotest.(check bool) "no tail dropped" false torn);
+  let logged = ref [] in
+  let store = T.open_store ~log:(fun m -> logged := m :: !logged) ~dir () in
+  Alcotest.(check int) "resealed" 1 (T.recovered_segments store);
+  Alcotest.(check (list string)) "repair logs no dropped record"
+    [ "recovered unsealed segment " ^ path ^ " (2 records)" ]
+    !logged
 
 (* --- downsampling identity ----------------------------------------- *)
 
@@ -761,6 +783,8 @@ let suites =
           test_segment_corruption_rejected;
         Alcotest.test_case "truncated tail recovered" `Quick
           test_truncated_tail_recovered;
+        Alcotest.test_case "clean unsealed end not torn" `Quick
+          test_clean_unsealed_end_not_torn;
       ] );
     ( "tsdb.downsample",
       List.map QCheck_alcotest.to_alcotest
