@@ -31,19 +31,13 @@ let fractions = [| 1.0; 0.5; 0.3; 0.25; 1.0; 0.125; 0.6; 1.0 |]
 (* One synthetic dissected record; keys vary with the flow id, sizes
    repeat so many flows tie exactly on weighted bytes. *)
 let acap_record ~flow ~ts ~len ~rst =
-  {
-    Dissect.Acap.ts;
-    orig_len = len;
-    cap_len = min len 200;
-    stack = [ "eth"; "vlan"; "ipv4"; (if flow mod 5 = 0 then "udp" else "tcp") ];
-    vlan_ids = [ 100 + (flow mod 7) ];
-    mpls_labels = [];
-    src = Some (Printf.sprintf "10.%d.%d.%d" (flow / 65536) (flow / 256 mod 256) (flow mod 256));
-    dst = Some "10.200.0.1";
-    l4 = Some (40000 + (flow mod 1000), 5201);
-    tcp_rst = rst;
-    truncated = false;
-  }
+  Dissect.Acap.make ~ts ~orig_len:len ~cap_len:(min len 200)
+    ~stack:[ "eth"; "vlan"; "ipv4"; (if flow mod 5 = 0 then "udp" else "tcp") ]
+    ~vlan_ids:[ 100 + (flow mod 7) ] ~mpls_labels:[]
+    ~src:(Some (Printf.sprintf "10.%d.%d.%d" (flow / 65536) (flow / 256 mod 256) (flow mod 256)))
+    ~dst:(Some "10.200.0.1")
+    ~l4:(Some (40000 + (flow mod 1000), 5201))
+    ~tcp_rst:rst ~truncated:false
 
 let build_groups () =
   let rng = Netcore.Rng.create 42 in

@@ -82,6 +82,21 @@ let counter_value name =
   | Some (Obs.Registry.Counter v) -> v
   | _ -> 0.0
 
+(* How the capture abstracted its records: one flow class per (spec,
+   subflow) drawn, and frames built per draw only where bytes were
+   consumed (pcap writing, FPGA offload).  Silent when nothing was
+   captured. *)
+let print_capture_classes ~classes ~records ~built =
+  if classes > 0.0 || built > 0.0 then
+    Printf.printf "capture classes: %.0f for %.0f records, %.0f frames built\n"
+      classes records built
+
+let print_capture_summary () =
+  print_capture_classes
+    ~classes:(counter_value "capture_classes_total")
+    ~records:(counter_value "capture_records_total")
+    ~built:(counter_value "capture_frames_built_total")
+
 (* How many frames the flows digest's overlay cursor classified, and
    how many stayed off its zero-alloc fast path. *)
 let print_overlay_summary () =
@@ -610,6 +625,7 @@ let weekly_cmd =
         (Analysis.Flow_store.Writer.spilled_bytes w)
         dir
     | _ -> ());
+    print_capture_summary ();
     print_overlay_summary ();
     write_metrics metrics_out metrics_format;
     let actives =
@@ -704,14 +720,23 @@ let query_cmd =
   in
   let run store_dir since until site proto top dist keys metrics_out
       metrics_format =
-    (let segs = Analysis.Flow_store.segments_in_dir store_dir in
+    (* A missing or corrupt store is the user's input, not a bug: one
+       line on stderr and exit 1, like weekly --fail-on-alert. *)
+    let fail msg =
+      prerr_endline ("query: " ^ msg);
+      exit 1
+    in
+    (let segs =
+       try Analysis.Flow_store.segments_in_dir store_dir
+       with Sys_error msg -> fail msg
+     in
      if segs = [] then
-       failwith
+       fail
          (store_dir
         ^ ": no .pwfs segments (write some with weekly --flow-store DIR)");
      if keys <> [] then
        match Analysis.Flow_store.lookup ~keys segs with
-       | exception Analysis.Flow_store.Corrupt msg -> failwith msg
+       | exception Analysis.Flow_store.Corrupt msg -> fail msg
        | found ->
          List.iter
            (fun (key, summary) ->
@@ -730,7 +755,7 @@ let query_cmd =
        if top > 0 then Analysis.Flow_store.query ~pred ~top segs
        else Analysis.Flow_store.query ~pred segs
      with
-     | exception Analysis.Flow_store.Corrupt msg -> failwith msg
+     | exception Analysis.Flow_store.Corrupt msg -> fail msg
      | res ->
        let st = res.Analysis.Flow_store.stats in
        Printf.printf
@@ -1037,7 +1062,11 @@ let print_fastpath_lines metrics =
       (100.0 *. fallbacks /. total);
   let batched = value "engine_events_batched_total" in
   if batched > 0.0 then
-    Printf.printf "engine events batched: %.0f\n" batched
+    Printf.printf "engine events batched: %.0f\n" batched;
+  print_capture_classes
+    ~classes:(value "capture_classes_total")
+    ~records:(value "capture_records_total")
+    ~built:(value "capture_frames_built_total")
 
 let render_report doc =
   (match J.member "spans" doc with

@@ -20,6 +20,10 @@ module Builder = struct
     size_hist : Netcore.Histogram.t;
   }
 
+  (* A token's weighted count, updated in place: an all-float record
+     holds its float unboxed, so a hit allocates nothing. *)
+  type cell = { mutable w : float }
+
   type flow_acc = {
     mutable a_frames : float;  (* weighted, like bytes *)
     mutable a_bytes : float;
@@ -33,7 +37,7 @@ module Builder = struct
     mutable samples : int;
     mutable frames : int;
     sites : (string, site_acc) Hashtbl.t;
-    occurrence : (string, float) Hashtbl.t;
+    occurrence : (string, cell) Hashtbl.t;
     mutable occurrence_total : float;  (* weighted frame count *)
     total_size_hist : Netcore.Histogram.t;
     mutable flows_per_sample : float list;
@@ -94,8 +98,15 @@ module Builder = struct
     b.occurrence_total <- b.occurrence_total +. weight;
     List.iter
       (fun tok ->
-        Hashtbl.replace b.occurrence tok
-          (weight +. Option.value ~default:0.0 (Hashtbl.find_opt b.occurrence tok)))
+        let c =
+          match Hashtbl.find b.occurrence tok with
+          | c -> c
+          | exception Not_found ->
+            let c = { w = 0.0 } in
+            Hashtbl.add b.occurrence tok c;
+            c
+        in
+        c.w <- weight +. c.w)
       r.Dissect.Acap.stack;
     (* Weighted sizes.  Histograms take the exact float weight — the
        same 1/fraction the flow accounting applies — so a thinned
@@ -204,7 +215,7 @@ module Builder = struct
     let occurrence =
       let total = Float.max 1e-9 b.occurrence_total in
       Hashtbl.fold
-        (fun tok w acc -> (tok, 100.0 *. w /. total) :: acc)
+        (fun tok c acc -> (tok, 100.0 *. c.w /. total) :: acc)
         b.occurrence []
       (* Percent-tied tokens break on the token itself, so the order
          never depends on hash iteration. *)

@@ -23,6 +23,101 @@ type sample = {
   stats : stats;
 }
 
+type materialized = {
+  records : Dissect.Acap.record list;
+  pcap : bytes option;
+  classes : int;
+  frames_built : int;
+}
+
+(* One flow class: every draw of one (spec, subflow).  [instantiate]
+   varies only the IPv4 ident and TCP seq between its frames, which no
+   filter primitive and no acap field reads, so one instantiated frame
+   decides the filter (with each draw's own wire length) and one
+   abstract record, stamped per draw, stands for every frame. *)
+type flow_class = {
+  frame : Packet.Frame.t;  (** before anonymization, for filter checks *)
+  record : Dissect.Acap.record;  (** after anonymization *)
+}
+
+let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
+  let filter = config.Config.filter in
+  let fpga_process =
+    match config.Config.capture_method with
+    | Config.Fpga_dpdk { fpga; _ } ->
+      Some (fst (Hostmodel.Fpga_path.create fpga ()))
+    | Config.Tcpdump | Config.Dpdk _ -> None
+  in
+  let anonymize =
+    if config.Config.anonymize then
+      Hostmodel.Anonymize.frame (Hostmodel.Anonymize.create ~key:97)
+    else Fun.id
+  in
+  let pcap_writer =
+    if config.Config.emit_pcap then
+      Some (Packet.Pcap.Writer.create ~snaplen:config.Config.truncation ())
+    else None
+  in
+  let acaps = ref [] and classes = ref 0 and built = ref 0 in
+  List.iter
+    (fun spec ->
+      (* Scale the spec's rate by the materialized fraction so the
+         Poisson draw produces the thinned stream directly. *)
+      let spec =
+        { spec with Flow_model.byte_rate = spec.Flow_model.byte_rate *. fraction }
+      in
+      let table = Hashtbl.create 8 in
+      let class_of ~index ~wire_len ~subflow =
+        match Hashtbl.find table subflow with
+        | c -> c
+        | exception Not_found ->
+          let frame = Flow_model.draw_frame spec ~index ~wire_len ~subflow in
+          let c =
+            { frame; record = Dissect.Acap.of_frame ~ts:0.0 (anonymize frame) }
+          in
+          Hashtbl.add table subflow c;
+          incr classes;
+          c
+      in
+      let build ~index ~wire_len ~subflow =
+        incr built;
+        Flow_model.draw_frame spec ~index ~wire_len ~subflow
+      in
+      let write ~ts frame =
+        match pcap_writer with
+        | Some w -> Packet.Pcap.Writer.add_frame w ~ts frame
+        | None -> ()
+      in
+      Flow_model.iter_draws spec rng ~start_time ~end_time
+        (fun ~index ~ts ~wire_len ~subflow ->
+          let c = class_of ~index ~wire_len ~subflow in
+          if Packet.Filter.matches ~wire_len filter c.frame then
+            match fpga_process with
+            | Some process -> (
+              (* The P4 sampler keeps per-frame state: abstract the frame
+                 the pipeline returns. *)
+              match process (build ~index ~wire_len ~subflow) with
+              | None -> ()
+              | Some frame ->
+                let frame = anonymize frame in
+                write ~ts frame;
+                acaps := Dissect.Acap.of_frame ~ts frame :: !acaps)
+            | None ->
+              if pcap_writer <> None then
+                write ~ts (anonymize (build ~index ~wire_len ~subflow));
+              acaps :=
+                Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len
+                  ~cap_len:wire_len
+                :: !acaps))
+    specs;
+  {
+    records =
+      List.sort (fun a b -> compare a.Dissect.Acap.ts b.Dissect.Acap.ts) !acaps;
+    pcap = Option.map Packet.Pcap.Writer.contents pcap_writer;
+    classes = !classes;
+    frames_built = !built;
+  }
+
 (* Aggregate capture counters, registered at module init so the
    families exist (at zero) in every snapshot — the offline analyze
    path never runs a capture but its metrics dump still shows the
@@ -52,12 +147,27 @@ let obs_congestion =
   Obs.Registry.counter Obs.Registry.default "capture_congestion_samples_total"
     ~help:"Samples taken while the mirror channel was congested"
 
+let obs_records =
+  Obs.Registry.counter Obs.Registry.default "capture_records_total"
+    ~help:"Abstract records the capture materialized"
+
+let obs_classes =
+  Obs.Registry.counter Obs.Registry.default "capture_classes_total"
+    ~help:"Flow classes the capture abstracted, one per (spec, subflow) drawn"
+
+let obs_frames_built =
+  Obs.Registry.counter Obs.Registry.default "capture_frames_built_total"
+    ~help:"Frames the capture built per draw (pcap writing and FPGA offload)"
+
 let site_counter name site =
   Obs.Registry.counter Obs.Registry.default name ~labels:[ ("site", site) ]
 
 let record_sample_metrics ~site ~offered ~switch_dropped ~host_dropped ~captured
-    ~stored ~congested =
+    ~stored ~congested ~materialized:m =
   if Obs.Registry.enabled () then begin
+    Obs.Registry.inc obs_records (float_of_int (List.length m.records));
+    Obs.Registry.inc obs_classes (float_of_int m.classes);
+    Obs.Registry.inc obs_frames_built (float_of_int m.frames_built);
     Obs.Registry.inc obs_offered offered;
     Obs.Registry.inc obs_switch_dropped switch_dropped;
     Obs.Registry.inc obs_host_dropped host_dropped;
@@ -177,7 +287,7 @@ let exemplar_keys ?(limit = 256) acaps =
    n * (1 - (1 - 1/n)^f) ~ n * (1 - exp (-f/n)). *)
 let flow_estimate specs ~start_time ~end_time =
   List.fold_left
-    (fun acc (spec, _dir) ->
+    (fun acc spec ->
       let f = Flow_model.expected_frames spec ~start_time ~end_time in
       if f <= 0.0 then acc
       else begin
@@ -196,16 +306,13 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   (* Traffic state on the mirrored channels. *)
   let attachments = Switch.mirrored_attachments sw mirror in
   let specs =
-    List.filter_map
-      (fun (a : Switch.attachment) ->
-        Option.map (fun spec -> (spec, a.Switch.dir)) (resolver a.Switch.flow))
-      attachments
+    List.filter_map (fun (a : Switch.attachment) -> resolver a.Switch.flow) attachments
   in
   let offered_pps =
-    List.fold_left (fun acc (s, _) -> acc +. Flow_model.frame_rate s) 0.0 specs
+    List.fold_left (fun acc s -> acc +. Flow_model.frame_rate s) 0.0 specs
   in
   let offered_byte_rate =
-    List.fold_left (fun acc (s, _) -> acc +. s.Flow_model.byte_rate) 0.0 specs
+    List.fold_left (fun acc s -> acc +. s.Flow_model.byte_rate) 0.0 specs
   in
   let avg_frame_size =
     if offered_pps > 0.0 then offered_byte_rate /. offered_pps else 800.0
@@ -261,60 +368,14 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
     if captured_frames <= budget then host_keep *. (1.0 -. switch_drop_frac)
     else budget /. offered_frames
   in
-  let fpga_config =
-    match config.Config.capture_method with
-    | Config.Fpga_dpdk { fpga; _ } -> Some fpga
-    | Config.Tcpdump | Config.Dpdk _ -> None
+  let m =
+    materialize ~config ~rng ~fraction:materialized_fraction ~start_time:now
+      ~end_time:window_end specs
   in
-  let fpga_process =
-    Option.map (fun c -> fst (Hostmodel.Fpga_path.create c ())) fpga_config
-  in
-  let anonymizer =
-    if config.Config.anonymize then Some (Hostmodel.Anonymize.create ~key:97) else None
-  in
-  let pcap_writer =
-    if config.Config.emit_pcap then
-      Some (Packet.Pcap.Writer.create ~snaplen:config.Config.truncation ())
-    else None
-  in
-  let acaps = ref [] in
-  List.iter
-    (fun (spec, _dir) ->
-      (* Scale the spec's rate by the materialized fraction so the
-         Poisson draw produces the thinned stream directly. *)
-      let scaled =
-        { spec with Flow_model.byte_rate = spec.Flow_model.byte_rate *. materialized_fraction }
-      in
-      let frames =
-        Flow_model.frames_in_window scaled rng ~start_time:now ~end_time:window_end
-      in
-      List.iter
-        (fun (ts, frame) ->
-          if Packet.Filter.matches config.Config.filter frame then begin
-            let frame =
-              match fpga_process with
-              | Some process -> process frame
-              | None -> Some frame
-            in
-            match frame with
-            | None -> ()
-            | Some frame ->
-              let frame =
-                match anonymizer with
-                | Some anon -> Hostmodel.Anonymize.frame anon frame
-                | None -> frame
-              in
-              (match pcap_writer with
-              | Some w -> Packet.Pcap.Writer.add_frame w ~ts frame
-              | None -> ());
-              acaps := Dissect.Acap.of_frame ~ts frame :: !acaps
-          end)
-        frames)
-    specs;
-  let acaps = List.sort (fun a b -> compare a.Dissect.Acap.ts b.Dissect.Acap.ts) !acaps in
+  let acaps = m.records in
   record_sample_metrics ~site ~offered:offered_frames ~switch_dropped
     ~host_dropped ~captured:captured_frames ~stored:stored_bytes
-    ~congested:congestion_detected;
+    ~congested:congestion_detected ~materialized:m;
   if Obs.Ledger.enabled () then
     Obs.Ledger.record_sample Obs.Ledger.default ~site
       ~offered_frames:b.b_offered_frames ~offered_bytes:b.b_offered_bytes
@@ -327,7 +388,7 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
     sample_duration = duration;
     acaps;
     materialized_fraction;
-    pcap = Option.map Packet.Pcap.Writer.contents pcap_writer;
+    pcap = m.pcap;
     stats =
       {
         offered_frames;

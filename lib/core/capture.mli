@@ -28,7 +28,10 @@ type sample = {
   sample_start : float;
   sample_duration : float;
   acaps : Dissect.Acap.record list;
-      (** materialized records, possibly a uniform thinning *)
+      (** materialized records in timestamp order, possibly a uniform
+          thinning.  Outside FPGA offload, the records of one flow class
+          (spec, subflow) are stamps of one abstracted frame and share
+          its lists, strings and flow key ({!materialize}). *)
   materialized_fraction : float;
       (** fraction of captured frames materialized into [acaps] *)
   pcap : bytes option;
@@ -72,6 +75,37 @@ val loss_breakdown :
     beyond the unthrottled capacity split goes to
     [Page_cache_throttle]. *)
 
+type materialized = {
+  records : Dissect.Acap.record list;  (** sorted by timestamp *)
+  pcap : bytes option;  (** with [emit_pcap] *)
+  classes : int;  (** flow classes abstracted *)
+  frames_built : int;  (** frames built per draw *)
+}
+
+val materialize :
+  config:Config.t ->
+  rng:Netcore.Rng.t ->
+  fraction:float ->
+  start_time:float ->
+  end_time:float ->
+  Traffic.Flow_model.spec list ->
+  materialized
+(** The frames a sample keeps from [specs] over the window, each spec's
+    rate scaled by [fraction], after the configured filter, FPGA
+    pre-processing and anonymization — as records and, with
+    [emit_pcap], pcap bytes.  The draws come from
+    {!Traffic.Flow_model.iter_draws}, spec by spec.
+
+    A record is a pure function of its draw's (spec, subflow) plus
+    timestamp and wire length, so each class is abstracted once, from
+    the first frame drawn for it, and every draw is a stamp of that
+    record.  Frames are built per draw only where bytes are consumed:
+    the pcap writer, and FPGA offload, whose P4 sampler keeps per-frame
+    state and whose returned frame is abstracted instead.  Records are
+    bit-identical to abstracting every frame of
+    {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
+    same state. *)
+
 val run :
   ?page_cache:Hostmodel.Page_cache.t ->
   fabric:Testbed.Fablib.t ->
@@ -90,4 +124,6 @@ val run :
     cache's current {!Hostmodel.Page_cache.throttle_factor} and the
     sample's stored bytes are written into (and drained from) the
     cache.  The sample's loss split is folded into
-    [Obs.Ledger.default] while the ledger is enabled. *)
+    [Obs.Ledger.default] while the ledger is enabled, and
+    [capture_records_total], [capture_classes_total] and
+    [capture_frames_built_total] count its {!materialize} work. *)

@@ -12,7 +12,65 @@ type record = {
   l4 : (int * int) option;
   tcp_rst : bool;
   truncated : bool;
+  key : string option;
 }
+
+let buf_add_ints b sep = function
+  | [] -> Buffer.add_char b '-'
+  | v :: rest ->
+    Buffer.add_string b (string_of_int v);
+    List.iter
+      (fun v ->
+        Buffer.add_char b sep;
+        Buffer.add_string b (string_of_int v))
+      rest
+
+(* The flow key is a function of the tags, endpoints, stack and ports
+   alone, so it is rendered once, when a record is built, straight into
+   one buffer — no Printf, no intermediate list-of-strings.  Every
+   consumer (profile, flow shards, exemplars) then reads the field. *)
+let render_key ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4 =
+  match (src, dst) with
+  | Some src, Some dst ->
+    let proto =
+      if List.mem "tcp" stack then "tcp"
+      else if List.mem "udp" stack then "udp"
+      else if List.mem "icmp" stack then "icmp"
+      else if List.mem "icmpv6" stack then "icmpv6"
+      else "other"
+    in
+    let b = Buffer.create 64 in
+    buf_add_ints b ',' vlan_ids;
+    Buffer.add_char b '|';
+    buf_add_ints b ',' mpls_labels;
+    Buffer.add_char b '|';
+    Buffer.add_string b src;
+    Buffer.add_char b '|';
+    Buffer.add_string b dst;
+    Buffer.add_char b '|';
+    Buffer.add_string b proto;
+    Buffer.add_char b '|';
+    (match l4 with
+    | None -> Buffer.add_char b '-'
+    | Some (s, d) ->
+      Buffer.add_string b (string_of_int s);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int d));
+    Some (Buffer.contents b)
+  | _ -> None
+
+let make ~ts ~orig_len ~cap_len ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4
+    ~tcp_rst ~truncated =
+  {
+    ts; orig_len; cap_len; stack; vlan_ids; mpls_labels; src; dst; l4; tcp_rst;
+    truncated;
+    key = render_key ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4;
+  }
+
+(* The key reads none of the stamped fields, so the copy keeps it. *)
+let stamp r ~ts ~orig_len ~cap_len = { r with ts; orig_len; cap_len }
+
+let flow_key r = r.key
 
 (* When dissection stopped at a bare TCP/UDP header, classify the
    payload above it by well-known port, as tshark does; the service
@@ -53,12 +111,8 @@ let abstract ~ts ~orig_len ~cap_len ~truncated (headers : H.header list) =
            Some (Netcore.Ipv6_addr.to_string dst))
         | _ -> (None, None)
       in
-      {
-        ts; orig_len; cap_len; stack;
-        vlan_ids = List.rev vlans_rev;
-        mpls_labels = List.rev mpls_rev;
-        src; dst; l4; tcp_rst = rst; truncated;
-      }
+      make ~ts ~orig_len ~cap_len ~stack ~vlan_ids:(List.rev vlans_rev)
+        ~mpls_labels:(List.rev mpls_rev) ~src ~dst ~l4 ~tcp_rst:rst ~truncated
     | h :: rest ->
       let stack_rev = H.name h :: stack_rev in
       let vlans_rev =
@@ -107,16 +161,6 @@ let of_frame ~ts (frame : Packet.Frame.t) =
    as with Ipv4_addr.to_string). *)
 
 let opt_str = function None -> "-" | Some s -> s
-
-let buf_add_ints b sep = function
-  | [] -> Buffer.add_char b '-'
-  | v :: rest ->
-    Buffer.add_string b (string_of_int v);
-    List.iter
-      (fun v ->
-        Buffer.add_char b sep;
-        Buffer.add_string b (string_of_int v))
-      rest
 
 (* Fixed-point rendering equivalent to ["%.6f"] for the timestamps this
    code meets (non-negative, well under 2^52 us, so [v *. 1e6] is off
@@ -192,57 +236,18 @@ let of_line line =
   | [ ts; orig_len; cap_len; stack; vlans; mplss; src; dst; l4; rst; trunc ] -> (
     try
       Ok
-        {
-          ts = float_of_string ts;
-          orig_len = int_of_string orig_len;
-          cap_len = int_of_string cap_len;
-          stack = (if stack = "" then [] else String.split_on_char ',' stack);
-          vlan_ids = parse_ints vlans;
-          mpls_labels = parse_ints mplss;
-          src = parse_opt src;
-          dst = parse_opt dst;
-          l4 =
-            (match l4 with
-            | "-" -> None
-            | s -> (
-              match String.split_on_char ',' s with
-              | [ a; b ] -> Some (int_of_string a, int_of_string b)
-              | _ -> failwith "bad l4"));
-          tcp_rst = rst = "R";
-          truncated = trunc = "T";
-        }
+        (make ~ts:(float_of_string ts) ~orig_len:(int_of_string orig_len)
+           ~cap_len:(int_of_string cap_len)
+           ~stack:(if stack = "" then [] else String.split_on_char ',' stack)
+           ~vlan_ids:(parse_ints vlans) ~mpls_labels:(parse_ints mplss)
+           ~src:(parse_opt src) ~dst:(parse_opt dst)
+           ~l4:
+             (match l4 with
+             | "-" -> None
+             | s -> (
+               match String.split_on_char ',' s with
+               | [ a; b ] -> Some (int_of_string a, int_of_string b)
+               | _ -> failwith "bad l4"))
+           ~tcp_rst:(rst = "R") ~truncated:(trunc = "T"))
     with Failure msg -> Error ("Acap.of_line: " ^ msg))
   | _ -> Error "Acap.of_line: wrong field count"
-
-(* Runs once per frame in every shard add, so the key is written
-   directly into one buffer — no Printf, no intermediate
-   list-of-strings. *)
-let flow_key r =
-  match (r.src, r.dst) with
-  | Some src, Some dst ->
-    let proto =
-      if List.mem "tcp" r.stack then "tcp"
-      else if List.mem "udp" r.stack then "udp"
-      else if List.mem "icmp" r.stack then "icmp"
-      else if List.mem "icmpv6" r.stack then "icmpv6"
-      else "other"
-    in
-    let b = Buffer.create 64 in
-    buf_add_ints b ',' r.vlan_ids;
-    Buffer.add_char b '|';
-    buf_add_ints b ',' r.mpls_labels;
-    Buffer.add_char b '|';
-    Buffer.add_string b src;
-    Buffer.add_char b '|';
-    Buffer.add_string b dst;
-    Buffer.add_char b '|';
-    Buffer.add_string b proto;
-    Buffer.add_char b '|';
-    (match r.l4 with
-    | None -> Buffer.add_char b '-'
-    | Some (s, d) ->
-      Buffer.add_string b (string_of_int s);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int d));
-    Some (Buffer.contents b)
-  | _ -> None

@@ -6,7 +6,7 @@
     stream is much smaller than the pcap it came from and is what all
     subsequent analyses consume. *)
 
-type record = {
+type record = private {
   ts : float;
   orig_len : int;  (** wire length of the original frame *)
   cap_len : int;  (** bytes that were captured *)
@@ -18,7 +18,35 @@ type record = {
   l4 : (int * int) option;  (** (src port, dst port) *)
   tcp_rst : bool;  (** RST-flagged TCP segment *)
   truncated : bool;
+  key : string option;
+      (** the {!flow_key} of the fields above, rendered once when the
+          record is built *)
 }
+(** Private so that [key] always agrees with the fields it is rendered
+    from: {!make}, {!stamp} and the dissecting constructors below are
+    the only ways to build one.  The key reads neither the timestamp nor
+    the lengths, which is what lets {!stamp} share it. *)
+
+val make :
+  ts:float ->
+  orig_len:int ->
+  cap_len:int ->
+  stack:string list ->
+  vlan_ids:int list ->
+  mpls_labels:int list ->
+  src:string option ->
+  dst:string option ->
+  l4:(int * int) option ->
+  tcp_rst:bool ->
+  truncated:bool ->
+  record
+(** Build a record from its fields, rendering its key. *)
+
+val stamp : record -> ts:float -> orig_len:int -> cap_len:int -> record
+(** The same record with a new timestamp and lengths.  The copy shares
+    the original's lists, strings and key: the capture path abstracts
+    one frame per flow class and stamps every frame of the class from
+    it. *)
 
 val of_packet : Packet.Pcap.packet -> record
 (** Dissect a pcap record and abstract it. *)
@@ -46,4 +74,4 @@ val flow_key : record -> string option
 (** Flow identity as used by the paper's analysis: virtualization tags
     (VLAN + MPLS) plus network- and transport-layer fields, so the same
     10/8 addresses in different slices yield different flows.  [None]
-    for frames with no L3 header. *)
+    for frames with no L3 header.  A field read of [key]. *)

@@ -10,6 +10,25 @@ type t =
   | Shifted of float * t
   | Clamped of float * float * t
 
+(* [Rng.weighted rng (Array.to_list pairs)] without the copy: every
+   frame size is an empirical draw.  The same left-to-right total, the
+   same [target < acc] walk and the last bin taken unconditionally keep
+   each draw bit-identical; loops over refs keep the floats unboxed. *)
+let empirical rng pairs =
+  let n = Array.length pairs in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. fst pairs.(i)
+  done;
+  if !total <= 0.0 then invalid_arg "Rng.weighted: weights must sum to > 0";
+  let target = Rng.float rng *. !total in
+  let i = ref 0 and acc = ref (0.0 +. fst pairs.(0)) in
+  while !i < n - 1 && not (target < !acc) do
+    incr i;
+    acc := !acc +. fst pairs.(!i)
+  done;
+  snd pairs.(!i)
+
 let rec sample d rng =
   match d with
   | Constant v -> v
@@ -18,9 +37,7 @@ let rec sample d rng =
   | Gaussian (mu, sigma) -> Rng.gaussian rng ~mu ~sigma
   | Lognormal (mu, sigma) -> Rng.lognormal rng ~mu ~sigma
   | Pareto (shape, scale) -> Rng.pareto rng ~shape ~scale
-  | Empirical pairs ->
-    let items = Array.to_list (Array.map (fun (w, v) -> (w, v)) pairs) in
-    Rng.weighted rng items
+  | Empirical pairs -> empirical rng pairs
   | Mixture parts ->
     let inner = Rng.weighted rng parts in
     sample inner rng

@@ -66,7 +66,7 @@ let tolerance = 1e-6
 (* --- deterministic exemplar priorities ----------------------------- *)
 
 (* SplitMix64 finalizer: a bijective avalanche mix. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z =
     Int64.mul
       (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -79,12 +79,13 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let fnv64 s =
+(* A loop, not [String.iter]: a ref captured by a closure is boxed and
+   so is every Int64 stored into it, three words per byte hashed. *)
+let[@inline] fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
   !h
 
 let seed_for ~site ~at = mix64 (Int64.add (fnv64 site) (Int64.bits_of_float at))
@@ -215,36 +216,32 @@ let cell_for a cause =
    per ledger call and shared across cause cells; a full reservoir whose
    worst element already beats the candidate rejects it on a single
    comparison, which is the steady state on the capture hot path. *)
-let insert_exemplar ~k cell (p, key) =
-  if k > 0 then begin
-    let exs = cell.c_exemplars in
-    let full = List.length exs >= k in
-    let beats_worst =
-      (not full)
-      ||
-      match List.nth_opt exs (k - 1) with
-      | None -> true
-      | Some (q, kk) ->
-        let c = Int64.unsigned_compare p q in
-        c < 0 || (c = 0 && String.compare key kk < 0)
+let precedes (p, key) (q, kk) =
+  let c = Int64.unsigned_compare p q in
+  c < 0 || (c = 0 && String.compare key kk < 0)
+
+(* The list never holds more than [k], so its k-th element is the worst
+   of a full reservoir: one walk, without allocating, rejects. *)
+let rec kth_exemplar i = function
+  | [] -> raise_notrace Exit
+  | e :: rest -> if i = 0 then e else kth_exemplar (i - 1) rest
+
+let admit_exemplar ~k ~full cell ((_, key) as cand) =
+  let exs = cell.c_exemplars in
+  if not (List.exists (fun (_, kk) -> String.equal kk key) exs) then begin
+    let rec ins = function
+      | [] -> [ cand ]
+      | e :: rest -> if precedes cand e then cand :: e :: rest else e :: ins rest
     in
-    if
-      beats_worst
-      && not (List.exists (fun (_, kk) -> String.equal kk key) exs)
-    then begin
-      let before (q, kk) =
-        let c = Int64.unsigned_compare p q in
-        c < 0 || (c = 0 && String.compare key kk < 0)
-      in
-      let rec ins = function
-        | [] -> [ (p, key) ]
-        | e :: rest -> if before e then (p, key) :: e :: rest else e :: ins rest
-      in
-      let l = ins exs in
-      cell.c_exemplars <-
-        (if full then List.filteri (fun i _ -> i < k) l else l)
-    end
+    let l = ins exs in
+    cell.c_exemplars <- (if full then List.filteri (fun i _ -> i < k) l else l)
   end
+
+let insert_exemplar ~k cell cand =
+  if k > 0 then
+    match kth_exemplar (k - 1) cell.c_exemplars with
+    | worst -> if precedes cand worst then admit_exemplar ~k ~full:true cell cand
+    | exception Exit -> admit_exemplar ~k ~full:false cell cand
 
 let add_to_cell t a cause ~frames ~bytes ~pkeys =
   if frames > 0.0 || bytes > 0.0 then begin

@@ -32,8 +32,12 @@ type t =
   | Less of int  (** wire length <= n *)
   | Greater of int  (** wire length >= n *)
 
-val matches : t -> Frame.t -> bool
-(** Evaluate a filter against a decoded frame. *)
+val matches : ?wire_len:int -> t -> Frame.t -> bool
+(** Evaluate a filter against a decoded frame.  [less] and [greater]
+    compare [wire_len] (default: the frame's own wire length), which
+    lets the capture decide one frame of a flow class for each draw of
+    the class: no other primitive reads a field that varies within a
+    class. *)
 
 val parse : string -> (t, string) result
 (** Parse filter syntax.  The empty string parses to {!True}. *)

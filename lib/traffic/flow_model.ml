@@ -105,21 +105,66 @@ let expected_frames spec ~start_time ~end_time =
   | None -> 0.0
   | Some (t0, t1) -> frame_rate spec *. (t1 -. t0)
 
-let frames_in_window spec rng ~start_time ~end_time =
+(* In-place heap sort of unboxed floats.  [Array.sort compare] boxes
+   every element it reads from a float array: about 66 minor words and
+   three times the time per frame drawn.  Equal floats are
+   indistinguishable, so any correct sort yields the same array. *)
+let sort_floats (a : float array) =
+  let rec sift i size =
+    let l = (2 * i) + 1 in
+    if l < size then begin
+      let c = if l + 1 < size && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let t = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- t;
+        sift c size
+      end
+    end
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for k = n - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(k);
+    a.(k) <- t;
+    sift 0 k
+  done
+
+(* A window's random draws, in the one order every consumer shares:
+   the Poisson count, every timestamp, then per frame in time order its
+   wire size and (for aggregates) its subflow.  [wire_len] is the wire
+   length of the frame [draw_frame] builds for the draw: header sizes do
+   not depend on the fields [instantiate] varies, and [size] is at least
+   [min_wire] unless the stack alone exceeds the MTU, so the frame never
+   needs padding. *)
+let iter_draws spec rng ~start_time ~end_time f =
   match overlap spec ~start_time ~end_time with
-  | None -> []
+  | None -> ()
   | Some (t0, t1) ->
     let mean = frame_rate spec *. (t1 -. t0) in
     let count = Rng.poisson rng ~mean in
-    let min_wire = max Packet.Frame.min_wire_size (header_total spec) in
+    let headers = header_total spec in
+    let min_wire = max Packet.Frame.min_wire_size headers in
     let times = Array.init count (fun _ -> t0 +. (Rng.float rng *. (t1 -. t0))) in
-    Array.sort compare times;
-    Array.to_list
-      (Array.mapi
-         (fun i ts ->
-           let size = Dist.sample_int spec.frame_size rng in
-           let size = min jumbo_mtu_wire (max min_wire size) in
-           let payload_len = max 0 (size - header_total spec) in
-           let subflow = if spec.subflows = 1 then 0 else Rng.int rng spec.subflows in
-           (ts, instantiate spec ~payload_len ~frame_index:i ~subflow))
-         times)
+    sort_floats times;
+    Array.iteri
+      (fun index ts ->
+        let size = Dist.sample_int spec.frame_size rng in
+        let size = min jumbo_mtu_wire (max min_wire size) in
+        let wire_len = headers + max 0 (size - headers) in
+        let subflow = if spec.subflows = 1 then 0 else Rng.int rng spec.subflows in
+        f ~index ~ts ~wire_len ~subflow)
+      times
+
+let draw_frame spec ~index ~wire_len ~subflow =
+  instantiate spec ~payload_len:(wire_len - header_total spec) ~frame_index:index
+    ~subflow
+
+let frames_in_window spec rng ~start_time ~end_time =
+  let frames = ref [] in
+  iter_draws spec rng ~start_time ~end_time (fun ~index ~ts ~wire_len ~subflow ->
+      frames := (ts, draw_frame spec ~index ~wire_len ~subflow) :: !frames);
+  List.rev !frames

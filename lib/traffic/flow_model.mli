@@ -4,7 +4,9 @@
     distribution and an average byte rate over a lifetime.  The switch
     model only needs the rates; actual frames are materialized lazily,
     and only for the time windows in which a capture is running — this
-    is what makes year-scale simulations affordable. *)
+    is what makes year-scale simulations affordable.  The capture goes
+    one step further and builds frames only where it consumes bytes
+    ({!iter_draws}). *)
 
 type spec = {
   flow_id : int;
@@ -46,16 +48,34 @@ val end_time : spec -> float
 val active_at : spec -> float -> bool
 val total_bytes : spec -> float
 
+val iter_draws :
+  spec ->
+  Netcore.Rng.t ->
+  start_time:float ->
+  end_time:float ->
+  (index:int -> ts:float -> wire_len:int -> subflow:int -> unit) ->
+  unit
+(** The random draws behind the frames the flow emits during the
+    overlap of its lifetime with the window, without building a frame:
+    a Poisson count at the flow's frame rate, then per frame in
+    timestamp order its wire length (drawn from [frame_size], clamped to
+    what the header stack permits and to the 9000-byte jumbo MTU) and
+    its subflow (0 when [subflows] = 1).  [index] is the frame's
+    position in the window.  Everything but [index], [ts] and
+    [wire_len] of a frame is a function of (spec, subflow): the frames
+    of one subflow differ only in IPv4 ident and TCP seq. *)
+
+val draw_frame : spec -> index:int -> wire_len:int -> subflow:int -> Packet.Frame.t
+(** The frame of one draw; its wire length is [wire_len]. *)
+
 val frames_in_window :
   spec ->
   Netcore.Rng.t ->
   start_time:float ->
   end_time:float ->
   (float * Packet.Frame.t) list
-(** Materialize the frames the flow emits during the overlap of its
-    lifetime with the window: a Poisson count at the flow's frame rate,
-    timestamps in order, sizes drawn from [frame_size] (clamped to what
-    the header stack permits and to the 9000-byte jumbo MTU). *)
+(** Materialize every draw of {!iter_draws} with {!draw_frame}, in
+    order, consuming the same random numbers. *)
 
 val expected_frames : spec -> start_time:float -> end_time:float -> float
 (** Mean of the count {!frames_in_window} would draw. *)

@@ -10,19 +10,8 @@ module H = Packet.Headers
 let record ?(ts = 0.0) ?(len = 100) ?(stack = [ "eth"; "ipv4"; "tcp" ])
     ?(vlans = [ 1 ]) ?(mpls = []) ?(src = Some "10.0.0.1") ?(dst = Some "10.0.0.2")
     ?(l4 = Some (1000, 2000)) ?(rst = false) () =
-  {
-    Acap.ts;
-    orig_len = len;
-    cap_len = min len 200;
-    stack;
-    vlan_ids = vlans;
-    mpls_labels = mpls;
-    src;
-    dst;
-    l4;
-    tcp_rst = rst;
-    truncated = len > 200;
-  }
+  Acap.make ~ts ~orig_len:len ~cap_len:(min len 200) ~stack ~vlan_ids:vlans
+    ~mpls_labels:mpls ~src ~dst ~l4 ~tcp_rst:rst ~truncated:(len > 200)
 
 (* --- Analyze --- *)
 

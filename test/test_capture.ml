@@ -1,0 +1,559 @@
+(* The capture path: the weekly output pinned across commits, the flow
+   class route against the per-frame oracle, and its fast-path
+   counters. *)
+
+module Config = Patchwork.Config
+module Capture = Patchwork.Capture
+module Flow_model = Traffic.Flow_model
+
+let parse_filter s =
+  match Packet.Filter.parse s with Ok f -> f | Error m -> failwith (s ^ ": " ^ m)
+
+(* --- Weekly output pinned across commits --- *)
+
+(* One 1-week x 0.25 h occasion per capture configuration, digested per
+   sample (every record's acap line and flow key, then its pcap bytes)
+   and through the profile's CSVs.  The expected digests were recorded
+   by running this same body on the commit before flow classes, so a
+   refactor of the capture path that moves one byte of the weekly
+   output fails here.  They assume glibc's libm: synthesis calls [exp],
+   [log] and [cos], and another libm may round differently. *)
+
+let golden_configs =
+  let base =
+    {
+      Config.default with
+      Config.samples_per_run = 4;
+      max_frames_per_sample = 500;
+      pool_size = 1;
+    }
+  in
+  [
+    ("default", base);
+    ("anonymize", { base with Config.anonymize = true });
+    ("filter", { base with Config.filter = parse_filter "less 1000 or udp" });
+    ("emit_pcap", { base with Config.emit_pcap = true });
+    ( "fpga",
+      {
+        base with
+        Config.capture_method =
+          Config.Fpga_dpdk
+            {
+              cores = 2;
+              fpga =
+                { Hostmodel.Fpga_path.default_config with
+                  Hostmodel.Fpga_path.sample_1_in = 2 };
+            };
+      } );
+  ]
+
+let md5_hex s = Digest.to_hex (Digest.string s)
+
+let sample_digest (s : Capture.sample) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun r ->
+      Buffer.add_string b (Dissect.Acap.to_line r);
+      Buffer.add_char b '\t';
+      Buffer.add_string b (Option.value ~default:"-" (Dissect.Acap.flow_key r));
+      Buffer.add_char b '\n')
+    s.Capture.acaps;
+  Option.iter (Buffer.add_bytes b) s.Capture.pcap;
+  md5_hex (Buffer.contents b)
+
+type digests = { samples : string list; csvs : (string * string) list }
+
+let weekly_digests config =
+  let start_time = 30.0 *. Netcore.Timebase.day in
+  let engine = Simcore.Engine.create ~start_time () in
+  let fabric = Testbed.Fablib.create ~seed:2024 engine in
+  let driver = Traffic.Driver.create fabric ~seed:7 in
+  let report =
+    Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
+      ~duration:(0.25 *. Netcore.Timebase.hour) ()
+  in
+  let samples = List.map sample_digest (Patchwork.Coordinator.all_samples report) in
+  let b = Analysis.Profile.Builder.create () in
+  Analysis.Profile.Builder.add_report b report;
+  let profile = Analysis.Profile.Builder.finish b in
+  let dir = Filename.temp_dir "patchwork_golden" "" in
+  let csvs =
+    List.map
+      (fun name ->
+        let path = Filename.concat dir name in
+        let d = md5_hex (In_channel.with_open_bin path In_channel.input_all) in
+        Sys.remove path;
+        (name, d))
+      (Analysis.Profile.write_csv_files profile ~dir)
+  in
+  Sys.rmdir dir;
+  { samples; csvs }
+
+let expected =
+  [
+    ( "default",
+      {
+        samples =
+          [
+            "62635ea52eec8e514461f8ddadbb3c99"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "c49757685812eddc084f8d3da0fc7c2b";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "3d49893e9da7f5e2a7dc8bae38462651";
+            "28bb43a80c147e178c2bac69ef494ba4"; "c732c07c1580a801e1a60b767478ee8d";
+            "a5a22b402b5feeccce17348b3e208c5e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "2dfafde9be979e347ac9d2b476486cc6";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "120312b163401bbd91c0ca3ab1f1b063";
+            "d41d8cd98f00b204e9800998ecf8427e"; "cd58f9275d22d7a87992c03cbcea49fa";
+            "7092951fd0037e1f7ead43b379528f75"; "00c9d073398c7c70fded79d7ae93f195";
+            "d41d8cd98f00b204e9800998ecf8427e"; "9cadf7f1e4a05448d889d35497bd6e85";
+            "d41d8cd98f00b204e9800998ecf8427e"; "8f658e19f0c004f55f4376f5fad647a0";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "e3fc940d8e1f82f980bed2ec24c3f0db";
+            "2afff198184aef31c0a4a0319e02dd65"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "6c1b225439a0025b4f274c0858619ed3";
+            "968e39a8ea25f461d1f9995d6325f9f6"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "23e80361c1747a2027846ad143560025"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+          ];
+        csvs =
+          [
+            ("header_occurrence.csv", "fedd9657b5f51da9a151e57fcb26fe3d");
+            ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
+            ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
+            ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
+            ("flows.csv", "b7cdc9cdab839d731f1c11347b5159a4");
+          ];
+      } );
+    ( "anonymize",
+      {
+        samples =
+          [
+            "3b8e53a24ff12e5eb898d54b9549f289"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "ae5369ee829971f294bb35254c322caa";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "f94cc8438e1f94eaa86964da805625d1";
+            "58b59ea22832d49511b5bcdc84838fe2"; "522d998c82efe90822128aaa8b45ae75";
+            "882e849f62ab5f9bae445ac8756e0e94"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "dae667b230e9bf7a4e1afb36faf82573";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "8f989ff9d9add43f1cc763f659a89ffa";
+            "d41d8cd98f00b204e9800998ecf8427e"; "9a1a2f286ccfbe1fa8ab4869c9c1e83a";
+            "a41c7d02869c6d3400670b8f35e3e4fc"; "dc5bc7ee51625721a1c1b6d1a0c43e3d";
+            "d41d8cd98f00b204e9800998ecf8427e"; "1a13484cd5dd3eeab471014616732c0a";
+            "d41d8cd98f00b204e9800998ecf8427e"; "953a01f712644dc2be91644ffcd43300";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "6ea0c8143fbc623b06871deb7040d19d";
+            "0fb3a6d46fddf6c3e8bbe75ff8218e44"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "e9a00338e4e27efea02213d43ffb5db8";
+            "8f314ceda5672223802a89b2f4f034cc"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "2f12f4d6d16e6afc1c7c4902be9402ae"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+          ];
+        csvs =
+          [
+            ("header_occurrence.csv", "fedd9657b5f51da9a151e57fcb26fe3d");
+            ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
+            ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
+            ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
+            ("flows.csv", "8607a47d42693f08d8091ac52d3d5a85");
+          ];
+      } );
+    ( "filter",
+      {
+        samples =
+          [
+            "036cd89a937951d3b3876c1530fc802c"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "c49757685812eddc084f8d3da0fc7c2b";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "3d49893e9da7f5e2a7dc8bae38462651";
+            "cc9bf34184ef90c1b0e57dee329206aa"; "3ae9f6b6d31c29ed0ed714535b5f78ba";
+            "a5a22b402b5feeccce17348b3e208c5e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "ec771e30c0d4fba5e50c5a4c8dd0af68";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "bf5f26abc06d663038dd0a20c3e937fc";
+            "d41d8cd98f00b204e9800998ecf8427e"; "ccd871c377038b7cb33d2cb105d15e2f";
+            "25ac0f7fd278e0efb2fe9e3276b12b6c"; "6c012e6b46c17c81d185616c753d24d2";
+            "d41d8cd98f00b204e9800998ecf8427e"; "097f89af16f384cd7fc76152cd510720";
+            "d41d8cd98f00b204e9800998ecf8427e"; "8f658e19f0c004f55f4376f5fad647a0";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "ffbc4609a2e6ed433b440366e022d5e4";
+            "6b8e24300e6a09b5c64494e779c8be12"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "faf0675042269d34348f9bb103a35a1a";
+            "fb67678e53e7f2d1051fd1b20126a29a"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "6e913b60ec49a68cfd34729e75646483"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+          ];
+        csvs =
+          [
+            ("header_occurrence.csv", "1146a59d331946570e659b2c644ad175");
+            ("site_headers.csv", "8652e15ec80556129dc48b7e35f69db7");
+            ("frame_sizes.csv", "b86ca070f7c8464e13eceaddf84df04b");
+            ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
+            ("flows.csv", "bb3a1dc90e77839dd5295435b423f927");
+          ];
+      } );
+    ( "emit_pcap",
+      {
+        samples =
+          [
+            "fd5c2fdd479a1ca022f394c3dd66eb69"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "2788f56114e787be1fb597ba7eb1d2c5";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "f5014704635c17d77275d0cf12cb0264";
+            "ec5a76f8a05a4f2fa5e92b501026a997"; "0271b95544146f2259f7c34d5f269c84";
+            "e1a90991141597f3e5081a0360c8395a"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "4ada663d0d3ba1074e8c8de05c3acbd4";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "dd18b2f457f84d1ae1a16488b87e3d2e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "a4792c1e141c847b695f08772151c0b1";
+            "ad0bd82ae12186cbb203effdf0e97c6c"; "2fef0eb698a7b18ee7723f03bdaafb4f";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "2cbddb02c7ada93aeedf6c9bf740b452";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "5248d3c27a70e687068c597ff435a8e1";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "ea5628ad66405bbdfdd8250e95d4d302";
+            "bdc28409f5d9ea3d2eebbf9c9167f2fd"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "ca357f4f1e87aeb8d0f8c90b9727afa1";
+            "928dbf57a91896beb49434c51f77a8dd"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "91c7f6cf0c14c60d0844dfbaadd31308"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
+          ];
+        csvs =
+          [
+            ("header_occurrence.csv", "fedd9657b5f51da9a151e57fcb26fe3d");
+            ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
+            ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
+            ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
+            ("flows.csv", "b7cdc9cdab839d731f1c11347b5159a4");
+          ];
+      } );
+    ( "fpga",
+      {
+        samples =
+          [
+            "af1305381cdea7fcbf186e96cb5fe126"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "ab07b382addd756c50c85fdad1727cfd";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "271e15194ea96426c09bf7367479e0a0";
+            "6bb40c0b57c5d745eb4c9798d94092ff"; "db021d43dd77633c257d208622ea64ec";
+            "21811001ccbe50a0f9786ff803efe516"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "9a773790304246317b5f1c88d0fae975";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "70839bc209360117200fa3f1797efae5";
+            "d41d8cd98f00b204e9800998ecf8427e"; "6d1fc2e8faba2e5f1588d67a3a3d2cd5";
+            "fa7cd62c5edc266ad34605d7b2b9ee4d"; "3ae5acc6cbfb9871f8af09273a289c42";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d1578c612af25c71996e31b5287a7fb4";
+            "d41d8cd98f00b204e9800998ecf8427e"; "fdba4b3464fa2c4846b049cf12ca670d";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "c26abc2ee4f0aff731676a98bab1c521";
+            "7d582dcc7df5e3e7757a5daa0f6f7c8e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "411176a984195da1968f986779ea7913";
+            "c058b066600b552b2451f06fdcf76657"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "e1c48889631d9c629ed20b0a163e1ef2"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+            "d41d8cd98f00b204e9800998ecf8427e"; "d41d8cd98f00b204e9800998ecf8427e";
+          ];
+        csvs =
+          [
+            ("header_occurrence.csv", "dfdab619e17f2b2583d738d5d943f62c");
+            ("site_headers.csv", "dde6c00ec678fa0387edd2549fdcc0cd");
+            ("frame_sizes.csv", "6576685ec43237d465527c1e718c9902");
+            ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
+            ("flows.csv", "7910f173fd6aff9b94d5daacef404dad");
+          ];
+      } );
+  ]
+
+let test_weekly_golden () =
+  List.iter
+    (fun (name, config) ->
+      let want = List.assoc name expected in
+      let got = weekly_digests config in
+      Alcotest.(check (list string)) (name ^ ": per-sample digests") want.samples
+        got.samples;
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": profile CSV digests") want.csvs got.csvs)
+    golden_configs
+
+(* --- Flow classes against the per-frame oracle --- *)
+
+module H = Packet.Headers
+
+(* A random template of the kinds the driver builds: IPv4 or IPv6,
+   PseudoWire, VXLAN overlays, reversed ACK streams and RST segments,
+   each an aggregate of 1 or of 50 and more subflows. *)
+let random_spec rng ~flow_id =
+  let module R = Netcore.Rng in
+  let service = R.choice rng Dissect.Services.catalog in
+  let params =
+    {
+      Traffic.Stack_builder.vlan_id = 100 + R.int rng 3900;
+      mpls_labels = List.init (R.int rng 3) (fun _ -> 16 + R.int rng 1_000_000);
+      use_pseudowire = R.bernoulli rng 0.3;
+      use_vxlan = R.bernoulli rng 0.3;
+      use_ipv6 = R.bernoulli rng 0.3;
+      service;
+    }
+  in
+  let template = Traffic.Stack_builder.forward rng params in
+  let template =
+    if service.Dissect.Services.l4 = Dissect.Services.Tcp && R.bool rng then
+      Traffic.Stack_builder.reverse template
+    else template
+  in
+  let template =
+    if R.bernoulli rng 0.2 then
+      List.map
+        (function
+          | H.Tcp tcp -> H.Tcp { tcp with H.flags = H.flags_rst }
+          | h -> h)
+        template
+    else template
+  in
+  let frame_size =
+    if R.bool rng then Netcore.Dist.Constant (float_of_int (40 + R.int rng 9600))
+    else
+      (* Bins below the smallest stack and above the jumbo MTU exercise
+         both clamps; zero weights are legal as long as one is not. *)
+      Netcore.Dist.Empirical
+        [|
+          (float_of_int (R.int rng 3), 40.0);
+          (float_of_int (R.int rng 3), 600.0);
+          (1.0, 1500.0);
+          (float_of_int (R.int rng 2), 9500.0);
+        |]
+  in
+  let subflows = if R.bool rng then 1 else 50 + R.int rng 200 in
+  Flow_model.make ~flow_id ~template ~frame_size ~avg_frame_size:800.0
+    ~byte_rate:(float_of_int (R.int rng 120_000))
+    ~start_time:(R.float rng) ~duration:(1.0 +. (4.0 *. R.float rng)) ~subflows ()
+
+let inner_ipv4 (spec : Flow_model.spec) =
+  List.fold_left
+    (fun acc h -> match h with H.Ipv4 ip -> Some ip | _ -> acc)
+    None spec.Flow_model.template
+
+let inner_ports (spec : Flow_model.spec) =
+  List.fold_left
+    (fun acc h ->
+      match h with
+      | H.Tcp { src_port; dst_port; _ } | H.Udp { src_port; dst_port } ->
+        Some (src_port, dst_port)
+      | _ -> acc)
+    None spec.Flow_model.template
+
+let static_filters =
+  [
+    ""; "tcp"; "udp"; "ip"; "ip6"; "vlan"; "mpls"; "pw"; "vxlan"; "tls"; "dns";
+    "less 1000"; "greater 1500"; "less 64"; "greater 9000"; "not tcp";
+    "tcp and less 900"; "udp or greater 4000"; "not (vlan and less 300)";
+    "vlan and not mpls"; "(tcp or ip6) and greater 700";
+  ]
+
+(* Filters that name the first spec's own tags, hosts and ports, so host
+   and port clauses match some classes and not others. *)
+let spec_filters spec =
+  let ip =
+    match inner_ipv4 spec with
+    | None -> []
+    | Some ip ->
+      let a = Netcore.Ipv4_addr.to_string in
+      [
+        "host " ^ a ip.H.dst; "src host " ^ a ip.H.src;
+        "dst host " ^ a ip.H.dst ^ " and less 1200";
+      ]
+  in
+  let ports =
+    match inner_ports spec with
+    | None -> []
+    | Some (src, dst) ->
+      [
+        Printf.sprintf "port %d" dst; Printf.sprintf "src port %d" src;
+        Printf.sprintf "not dst port %d or greater 2000" dst;
+      ]
+  in
+  let vlan =
+    List.filter_map
+      (function H.Vlan { vid; _ } -> Some (Printf.sprintf "vlan %d" vid) | _ -> None)
+      spec.Flow_model.template
+  in
+  ip @ ports @ vlan
+
+(* One case: specs, window and capture configuration, all from one
+   seed, crossed with the configuration flags QCheck picks. *)
+let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
+  let rng = Netcore.Rng.create seed in
+  let specs =
+    List.init (1 + Netcore.Rng.int rng 4) (fun i -> random_spec rng ~flow_id:(seed + i))
+  in
+  let filters = static_filters @ spec_filters (List.hd specs) in
+  let filter = parse_filter (List.nth filters (filter_pick mod List.length filters)) in
+  let truncation = Netcore.Rng.choice rng [| 96; 200; 1500 |] in
+  let capture_method =
+    if not fpga then Config.Tcpdump
+    else
+      Config.Fpga_dpdk
+        {
+          cores = 2;
+          fpga =
+            {
+              Hostmodel.Fpga_path.filter =
+                (if Netcore.Rng.bool rng then filter else Packet.Filter.True);
+              sample_1_in = 1 + Netcore.Rng.int rng 3;
+              truncation;
+              anonymizer =
+                (if Netcore.Rng.bernoulli rng 0.3 then
+                   Some (Hostmodel.Anonymize.create ~key:5)
+                 else None);
+            };
+        }
+  in
+  let config =
+    { Config.default with Config.filter; anonymize; emit_pcap; truncation; capture_method }
+  in
+  let fraction = if Netcore.Rng.bool rng then 1.0 else 0.1 +. Netcore.Rng.float rng in
+  let start_time = Netcore.Rng.float rng in
+  let end_time = 1.0 +. (2.0 *. Netcore.Rng.float rng) in
+  let draws = Netcore.Rng.create (seed * 7) in
+  let class_rng = Netcore.Rng.copy draws and frame_rng = Netcore.Rng.copy draws in
+  let m =
+    Capture.materialize ~config ~rng:class_rng ~fraction ~start_time ~end_time specs
+  in
+  let records, pcap =
+    Oracle.materialize_per_frame ~config ~rng:frame_rng ~fraction ~start_time ~end_time
+      specs
+  in
+  let built_ok =
+    match (fpga, emit_pcap) with
+    | false, false -> m.Capture.frames_built = 0
+    | false, true -> m.Capture.frames_built = List.length records
+    | true, _ -> m.Capture.frames_built >= List.length records
+  in
+  m.Capture.records = records
+  && m.Capture.pcap = pcap
+  && Netcore.Rng.bits64 class_rng = Netcore.Rng.bits64 frame_rng
+  && built_ok
+
+let prop_classes_match_oracle =
+  QCheck.Test.make ~name:"class route matches the per-frame oracle" ~count:300
+    QCheck.(
+      triple (int_range 1 1_000_000) (int_range 0 1000) (triple bool bool bool))
+    run_case
+
+(* The generator must reach every template kind the property claims to
+   cross, with single flows and swarms. *)
+let test_oracle_cases_cover () =
+  let specs =
+    List.concat_map
+      (fun seed ->
+        let rng = Netcore.Rng.create seed in
+        List.init (1 + Netcore.Rng.int rng 4) (fun i ->
+            random_spec rng ~flow_id:(seed + i)))
+      (List.init 300 (fun i -> i + 1))
+  in
+  let has tok (s : Flow_model.spec) =
+    List.mem tok (List.map H.name s.Flow_model.template)
+  in
+  List.iter
+    (fun (what, pred) ->
+      Alcotest.(check bool) what true (List.exists pred specs))
+    [
+      ("ipv4", has "ipv4"); ("ipv6", has "ipv6"); ("pseudowire", has "pw");
+      ("vxlan", has "vxlan");
+      ( "reverse ack stream",
+        fun s ->
+          List.exists
+            (function H.Tcp { flags; _ } -> flags = H.flags_ack | _ -> false)
+            s.Flow_model.template );
+      ("one subflow", fun s -> s.Flow_model.subflows = 1);
+      ("50+ subflows", fun s -> s.Flow_model.subflows >= 50);
+    ]
+
+(* --- Fast-path counters --- *)
+
+let counter name =
+  match Obs.Registry.value Obs.Registry.default name with
+  | Some (Obs.Registry.Counter v) -> v
+  | _ -> 0.0
+
+(* A default-config sample builds no frame; under [emit_pcap] the
+   capture builds exactly one frame per record it keeps. *)
+let test_frames_built_counter () =
+  let names =
+    [ "capture_records_total"; "capture_classes_total"; "capture_frames_built_total" ]
+  in
+  let run config =
+    let start_time = 30.0 *. Netcore.Timebase.day in
+    let engine = Simcore.Engine.create ~start_time () in
+    let fabric = Testbed.Fablib.create ~seed:2024 engine in
+    let driver = Traffic.Driver.create fabric ~seed:7 in
+    let before = List.map counter names in
+    let report =
+      Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
+        ~duration:(0.25 *. Netcore.Timebase.hour) ()
+    in
+    let records =
+      List.fold_left
+        (fun acc (s : Capture.sample) -> acc + List.length s.Capture.acaps)
+        0 (Patchwork.Coordinator.all_samples report)
+    in
+    match List.map2 (fun n b -> int_of_float (counter n -. b)) names before with
+    | [ r; c; f ] -> (records, r, c, f)
+    | _ -> assert false
+  in
+  let base =
+    { Config.default with Config.samples_per_run = 2; max_frames_per_sample = 300 }
+  in
+  let records, r, c, f = run base in
+  Alcotest.(check bool) "default sample has records" true (records > 0);
+  Alcotest.(check int) "records counted" records r;
+  Alcotest.(check bool) "fewer classes than records" true (c > 0 && c < records);
+  Alcotest.(check int) "default builds no frame" 0 f;
+  let records, r, _, f = run { base with Config.emit_pcap = true } in
+  Alcotest.(check int) "records counted (pcap)" records r;
+  Alcotest.(check int) "emit_pcap builds one frame per record" records f
+
+let suites =
+  [
+    ( "capture.classes",
+      [
+        Alcotest.test_case "weekly output pinned" `Quick test_weekly_golden;
+        QCheck_alcotest.to_alcotest prop_classes_match_oracle;
+        Alcotest.test_case "oracle cases cover the crossing" `Quick test_oracle_cases_cover;
+        Alcotest.test_case "frames built counter" `Quick test_frames_built_counter;
+      ] );
+  ]

@@ -9,19 +9,8 @@ module Profile = Analysis.Profile
 let record ?(ts = 0.0) ?(len = 100) ?(stack = [ "eth"; "ipv4"; "tcp" ])
     ?(vlans = [ 1 ]) ?(src = Some "10.0.0.1") ?(dst = Some "10.0.0.2")
     ?(l4 = Some (1000, 2000)) ?(rst = false) () =
-  {
-    Dissect.Acap.ts;
-    orig_len = len;
-    cap_len = min len 200;
-    stack;
-    vlan_ids = vlans;
-    mpls_labels = [];
-    src;
-    dst;
-    l4;
-    tcp_rst = rst;
-    truncated = false;
-  }
+  Dissect.Acap.make ~ts ~orig_len:len ~cap_len:(min len 200) ~stack
+    ~vlan_ids:vlans ~mpls_labels:[] ~src ~dst ~l4 ~tcp_rst:rst ~truncated:false
 
 let shard_of records =
   let s = Flows.Shard.create () in

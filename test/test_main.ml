@@ -28,4 +28,5 @@ let () =
          Test_segment.suites;
          Test_pipeline.suites;
          Test_ledger.suites;
+         Test_capture.suites;
        ])

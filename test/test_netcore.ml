@@ -54,6 +54,39 @@ let test_zipf_rank1_most_common () =
   Alcotest.(check bool) "rank 1 beats rank 2" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "rank 2 beats rank 10" true (counts.(2) > counts.(10))
 
+(* Empirical draws walk the bins in place; they must pick exactly what
+   [Rng.weighted] picks from the same bins as a list, leave the RNG in
+   the same state and fail the same way. *)
+let prop_empirical_matches_weighted =
+  let open QCheck in
+  let weight = oneof [ always 0.0; float_range 0.0 5.0; float_range 0.0 1e-3 ] in
+  Test.make ~name:"empirical matches Rng.weighted" ~count:500
+    (pair (int_range 0 1_000_000)
+       (list_of_size Gen.(0 -- 12) (pair weight (float_range 0.0 9000.0))))
+    (fun (seed, bins) ->
+      let pairs = Array.of_list bins in
+      let outcome f rng =
+        let v = try Ok (f rng) with Invalid_argument m -> Error m in
+        (v, Rng.bits64 rng)
+      in
+      let rng = Rng.create seed in
+      outcome (fun r -> Dist.sample (Dist.Empirical pairs) r) (Rng.copy rng)
+      = outcome (fun r -> Rng.weighted r (Array.to_list pairs)) (Rng.copy rng))
+
+let test_empirical_failures () =
+  let fails pairs =
+    let rng = Rng.create 3 in
+    let untouched = Rng.bits64 (Rng.copy rng) in
+    (match Dist.sample (Dist.Empirical pairs) rng with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument m ->
+      Alcotest.(check string) "message" "Rng.weighted: weights must sum to > 0" m);
+    Alcotest.(check int64) "no draw before the check" untouched (Rng.bits64 rng)
+  in
+  fails [||];
+  fails [| (0.0, 64.0); (0.0, 1500.0) |];
+  fails [| (-1.0, 64.0); (0.5, 1500.0) |]
+
 let test_summary_percentiles () =
   let values = Array.init 101 float_of_int in
   let s = Dist.Summary.of_array values in
@@ -235,6 +268,8 @@ let suites =
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "zipf ordering" `Quick test_zipf_rank1_most_common;
         Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;
+        Alcotest.test_case "empirical failures" `Quick test_empirical_failures;
+        QCheck_alcotest.to_alcotest prop_empirical_matches_weighted;
       ] );
     ( "netcore.histogram",
       [
