@@ -29,7 +29,6 @@ let experiments =
     ("figures", Fig_svg.run);
     ("netflow", Netflow_cmp.run);
     ("lessons", Lessons.run);
-    ("parallel", Parallel_bench.run);
     ("bechamel", Micro.run);
   ]
 

@@ -1,0 +1,299 @@
+(* Cost gates on the instrumented layers, counted in words instead of
+   wall time.  Each gate runs on one domain, after one warm-up call, at
+   a fixed seed, and reads a count the GC keeps exactly: minor words
+   allocated ([Gc.minor_words] reads the allocation pointer, so it is
+   exact between collections), or words promoted out of a minor heap
+   emptied just before.  So a gate reads the same on every run and on
+   any host, where a wall-clock ratio on a shared one- or two-core
+   machine does not.
+
+   - decode: the metrics registry costs at most 0.25 minor words per
+     decoded frame (counters are batched per capture, never per frame);
+   - collect: one series collect allocates at most 150 minor words per
+     registry cell;
+   - tsdb: persisting one occasion's collected points (append, then one
+     flush) allocates at most 150 minor words per point;
+   - ledger: the loss ledger adds under 1% to an occasion's minor words;
+   - flow store: a top-k query promotes under a twentieth of the words
+     the in-memory merge of the same groups promotes, because it never
+     holds the whole flow table. *)
+
+module Rng = Netcore.Rng
+module T = Obs.Tsdb
+
+(* Both counters start from an empty default tracer.  Once it holds its
+   maximum of finished root spans, every further root copies the root
+   list (about 3,000 words), which would charge the spans of earlier
+   tests in this process to the measured call. *)
+
+(* Minor words [f] allocates on this domain. *)
+let minor_words f =
+  Obs.Span.reset Obs.Span.default;
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
+
+(* Words promoted out of the minor heap while [f] runs, counting its
+   result, which is still live at the final minor collection; the minor
+   heap starts empty. *)
+let promoted_words f =
+  Obs.Span.reset Obs.Span.default;
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let r = f () in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  ignore (Sys.opaque_identity r);
+  words
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "patchwork_gates" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let check_at_most what ~bound v =
+  Printf.printf "%s: %.4g (bound %g)\n%!" what v bound;
+  if not (v <= bound) then Alcotest.failf "%s: %.4g exceeds %g" what v bound
+
+(* --- decode: registry overhead per frame --------------------------- *)
+
+(* MTU-sized data frames over 256 flow templates, as the offline
+   pipeline sees bulk transfers. *)
+let decode_capture ~frames =
+  let rng = Rng.create 42 in
+  let services = [| "tls"; "iperf3"; "dns"; "ssh"; "mysql"; "nfs" |] in
+  let template _ =
+    let service = Option.get (Dissect.Services.by_name (Rng.choice rng services)) in
+    let stack =
+      Traffic.Stack_builder.forward rng
+        {
+          Traffic.Stack_builder.vlan_id = 100 + Rng.int rng 3900;
+          mpls_labels = [ 16 + Rng.int rng 100_000 ];
+          use_pseudowire = Rng.bernoulli rng 0.3;
+          use_vxlan = Rng.bernoulli rng 0.05;
+          use_ipv6 = Rng.bernoulli rng 0.02;
+          service;
+        }
+    in
+    Packet.Frame.make stack ~payload_len:(1400 + Rng.int rng 401)
+  in
+  let templates = Array.init 256 template in
+  let w = Packet.Pcap.Writer.create () in
+  for i = 0 to frames - 1 do
+    Packet.Pcap.Writer.add_frame w ~ts:(float_of_int i *. 1e-5)
+      (Rng.choice rng templates)
+  done;
+  Packet.Pcap.Writer.contents w
+
+let test_decode_registry_overhead () =
+  let frames = 4000 in
+  let buf = decode_capture ~frames in
+  let words enabled =
+    Obs.Registry.set_enabled enabled;
+    Fun.protect
+      ~finally:(fun () -> Obs.Registry.set_enabled true)
+      (fun () -> minor_words (fun () -> Analysis.Digest.pcap_to_acaps buf))
+  in
+  ignore (words true);
+  let off = words false in
+  let on = words true in
+  Printf.printf "decode: %.0f minor words on, %.0f off, %d frames\n" on off frames;
+  check_at_most "decode: registry minor words per frame" ~bound:0.25
+    ((on -. off) /. float_of_int frames)
+
+(* --- series collect: words per registry cell ----------------------- *)
+
+(* A registry shaped like a federation-wide run: five capture counters
+   per site, per-domain pool counters, the queue-wait histogram and the
+   occasion counter. *)
+let collect_registry ~sites =
+  let reg = Obs.Registry.create () in
+  for i = 0 to sites - 1 do
+    let labels = [ ("site", Printf.sprintf "SITE%02d" i) ] in
+    List.iter
+      (fun name -> Obs.Registry.inc (Obs.Registry.counter reg name ~labels) 1e6)
+      [
+        "capture_offered_frames_total";
+        "capture_switch_dropped_frames_total";
+        "capture_host_dropped_frames_total";
+        "capture_frames_total";
+        "capture_stored_bytes_total";
+      ]
+  done;
+  for d = 0 to 3 do
+    Obs.Registry.inc
+      (Obs.Registry.counter reg "pool_domain_busy_seconds_total"
+         ~labels:[ ("domain", string_of_int d) ])
+      10.0
+  done;
+  let qw = Obs.Registry.histogram reg "pool_queue_wait_seconds" in
+  for i = 1 to 1000 do
+    Obs.Registry.observe qw (float_of_int i *. 1e-4)
+  done;
+  ignore (Obs.Registry.counter reg "occasions_total");
+  reg
+
+let test_collect_words_per_cell () =
+  let reg = collect_registry ~sites:30 in
+  let cells = List.length (Obs.Registry.snapshot reg) in
+  let col = Obs.Series.Collector.create () in
+  let occasions = Obs.Registry.counter reg "occasions_total" in
+  (* A fake wall clock that advances one second per read, so the pool
+     busy fraction is derived on every collect. *)
+  let wall = ref 0.0 in
+  Obs.Clock.set_source (fun () -> wall := !wall +. 1.0; !wall);
+  Fun.protect ~finally:Obs.Clock.reset_source @@ fun () ->
+  let collect i =
+    Obs.Registry.incr occasions;
+    minor_words (fun () ->
+        Obs.Series.Collector.collect col ~at:(float_of_int i *. 600.0) reg)
+  in
+  (* The first collect records the baseline; the second is the warm-up. *)
+  ignore (collect 0);
+  ignore (collect 1);
+  check_at_most
+    (Printf.sprintf "collect: minor words per cell (%d cells)" cells)
+    ~bound:150.0
+    (collect 2 /. float_of_int cells)
+
+(* --- the occasion the tsdb and ledger gates run -------------------- *)
+
+let occasion () =
+  Parallel.Pool.with_pool ~size:1 @@ fun pool ->
+  let start_time = 30.0 *. Netcore.Timebase.day in
+  let engine = Simcore.Engine.create ~start_time () in
+  let fabric = Testbed.Fablib.create ~seed:2024 engine in
+  let driver = Traffic.Driver.create ~pool fabric ~seed:2024 in
+  let config =
+    {
+      Patchwork.Config.default with
+      Patchwork.Config.samples_per_run = 4;
+      max_frames_per_sample = 2000;
+      pool_size = 1;
+    }
+  in
+  Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~pool ~start_time
+    ~duration:(0.25 *. Netcore.Timebase.hour) ()
+
+(* --- tsdb: words per persisted point ------------------------------- *)
+
+let test_tsdb_words_per_point () =
+  let col = Obs.Series.Collector.create () in
+  ignore (Obs.Series.Collector.collect_points col ~at:0.0 Obs.Registry.default);
+  let report = occasion () in
+  let at =
+    report.Patchwork.Coordinator.occasion_start
+    +. report.Patchwork.Coordinator.occasion_duration
+  in
+  let points = Obs.Series.Collector.collect_points col ~at Obs.Registry.default in
+  let persist () =
+    with_temp_dir @@ fun dir ->
+    let store = T.open_store ~dir () in
+    minor_words (fun () ->
+        List.iter
+          (fun (name, labels, p) ->
+            T.append_point store ~name ~labels ~at:p.Obs.Series.at
+              p.Obs.Series.value)
+          points;
+        T.flush store)
+  in
+  ignore (persist ());
+  check_at_most
+    (Printf.sprintf "tsdb: minor words per point (%d points)" (List.length points))
+    ~bound:150.0
+    (persist () /. float_of_int (List.length points))
+
+(* --- ledger: share of an occasion's words -------------------------- *)
+
+let test_ledger_share () =
+  let words enabled =
+    Obs.Ledger.set_enabled enabled;
+    Obs.Ledger.reset Obs.Ledger.default;
+    Fun.protect
+      ~finally:(fun () -> Obs.Ledger.set_enabled true)
+      (fun () -> minor_words occasion)
+  in
+  ignore (words true);
+  let off = words false in
+  let on = words true in
+  Printf.printf "ledger: %.0f minor words on, %.0f off\n" on off;
+  check_at_most "ledger: % of the ledger-off occasion's minor words" ~bound:1.0
+    (100.0 *. (on -. off) /. off)
+
+(* --- flow store: top-k scan vs in-memory merge --------------------- *)
+
+(* [flows] synthetic flows over [groups] sample groups with mixed
+   sampling fractions; sizes repeat, so many flows tie on bytes.  Also
+   returns the number of records added. *)
+let flow_groups ~flows ~groups =
+  let fractions = [| 1.0; 0.5; 0.3; 0.25; 1.0; 0.125 |] in
+  let rng = Rng.create 42 in
+  let records = ref 0 in
+  let shards =
+    List.init groups (fun g ->
+        let shard = Analysis.Flows.Shard.create () in
+        for flow = 0 to flows - 1 do
+          if flow mod 2 = g mod 2 || Rng.bernoulli rng 0.3 then
+            for i = 0 to Rng.int rng 3 do
+              let len = 64 + (64 * (flow mod 4)) in
+              incr records;
+              Analysis.Flows.Shard.add shard
+                (Dissect.Acap.make
+                   ~ts:(float_of_int ((g * 1000) + i))
+                   ~orig_len:len ~cap_len:(min len 200)
+                   ~stack:
+                     [ "eth"; "vlan"; "ipv4"; (if flow mod 5 = 0 then "udp" else "tcp") ]
+                   ~vlan_ids:[ 100 + (flow mod 7) ]
+                   ~mpls_labels:[]
+                   ~src:
+                     (Some
+                        (Printf.sprintf "10.%d.%d.%d" (flow / 65536)
+                           (flow / 256 mod 256) (flow mod 256)))
+                   ~dst:(Some "10.200.0.1")
+                   ~l4:(Some (40000 + (flow mod 1000), 5201))
+                   ~tcp_rst:(flow mod 97 = 0) ~truncated:false)
+            done
+        done;
+        (shard, fractions.(g mod Array.length fractions)))
+  in
+  (shards, !records)
+
+let test_flowstore_topk_promoted () =
+  let shards, records = flow_groups ~flows:5000 ~groups:6 in
+  with_temp_dir @@ fun dir ->
+  let w =
+    Analysis.Flow_store.Writer.create ~spill_records:((records / 4) + 1) ~dir ()
+  in
+  List.iter
+    (fun (shard, fraction) ->
+      Analysis.Flow_store.Writer.add_shard w ~site:"GATE" ~fraction shard)
+    shards;
+  let segments = Analysis.Flow_store.Writer.finish w in
+  let merge () = Analysis.Flows.merge shards in
+  let top () = Analysis.Flow_store.query ~top:10 segments in
+  ignore (merge ());
+  ignore (top ());
+  let merged = promoted_words merge in
+  let scanned = promoted_words top in
+  Printf.printf "flow store: %d segments; promoted words: top-10 query %.0f, merge %.0f\n"
+    (List.length segments) scanned merged;
+  check_at_most "flow store: top-10 query's share of the merge's promoted words"
+    ~bound:0.05 (scanned /. merged)
+
+let suites =
+  [
+    ( "gates",
+      [
+        Alcotest.test_case "decode registry overhead" `Quick
+          test_decode_registry_overhead;
+        Alcotest.test_case "collect words per cell" `Quick
+          test_collect_words_per_cell;
+        Alcotest.test_case "tsdb words per point" `Quick test_tsdb_words_per_point;
+        Alcotest.test_case "ledger share of occasion" `Quick test_ledger_share;
+        Alcotest.test_case "flow-store top-k promoted" `Quick
+          test_flowstore_topk_promoted;
+      ] );
+  ]

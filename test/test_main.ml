@@ -29,4 +29,6 @@ let () =
          Test_pipeline.suites;
          Test_ledger.suites;
          Test_capture.suites;
+         Test_fuzz.suites;
+         Test_gates.suites;
        ])

@@ -5,7 +5,7 @@
    raise), the overlay digest is bit-identical to aggregating the
    copying decode and the sliced digest to the copying decode itself at
    any pool size, and batched driver replay is bit-identical to
-   per-event replay. *)
+   per-event replay and executes as many engine events. *)
 
 module OV = Dissect.Overlay
 module S = Packet.Slice
@@ -293,41 +293,6 @@ let test_overlay_fallback_on_deep_nesting () =
 
 (* --- driver: batched replay ≡ per-event replay --- *)
 
-let batch_fingerprint ~seed ~pool_size ~slab ~batch_events =
-  Pool.with_pool ~size:pool_size @@ fun pool ->
-  let engine = Simcore.Engine.create () in
-  let fabric = Testbed.Fablib.create ~seed engine in
-  let driver = Traffic.Driver.create ~pool ~slab ~batch_events fabric ~seed in
-  Traffic.Driver.start driver ~until:3600.0;
-  Simcore.Engine.run ~until:3600.0 engine;
-  let specs = ref [] in
-  let tx = ref 0.0 in
-  let m = Testbed.Fablib.model fabric in
-  Array.iter
-    (fun (site : Testbed.Info_model.site) ->
-      let name = site.Testbed.Info_model.name in
-      let sw = Testbed.Fablib.switch fabric ~site:name in
-      List.iter
-        (fun port ->
-          tx :=
-            !tx
-            +. (Testbed.Switch.read_counters sw ~port).Testbed.Switch.tx_bytes;
-          List.iter
-            (fun (a : Testbed.Switch.attachment) ->
-              match Traffic.Driver.resolver driver a.Testbed.Switch.flow with
-              | Some spec -> specs := spec :: !specs
-              | None -> ())
-            (Testbed.Switch.attachments sw ~port))
-        (Testbed.Fablib.all_ports fabric ~site:name))
-    m.Testbed.Info_model.sites;
-  let specs =
-    List.sort_uniq
-      (fun (a : Traffic.Flow_model.spec) b ->
-        compare a.Traffic.Flow_model.flow_id b.Traffic.Flow_model.flow_id)
-      !specs
-  in
-  (Traffic.Driver.spawned_flows driver, specs, !tx)
-
 let prop_batched_replay_identical =
   QCheck.Test.make ~count:5
     ~name:"batched slab replay ≡ per-event (pools 1/2/4 × slab lengths)"
@@ -335,8 +300,8 @@ let prop_batched_replay_identical =
       triple (int_range 0 3) (QCheck.oneofl [ 1; 2; 4 ])
         (QCheck.oneofl [ 300.0; 900.0; 7200.0 ]))
     (fun (seed, pool_size, slab) ->
-      batch_fingerprint ~seed ~pool_size ~slab ~batch_events:true
-      = batch_fingerprint ~seed ~pool_size ~slab ~batch_events:false)
+      Synthesis.run ~seed ~pool_size ~slab ~batch_events:true ()
+      = Synthesis.run ~seed ~pool_size ~slab ~batch_events:false ())
 
 let suites =
   [

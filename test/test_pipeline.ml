@@ -135,44 +135,6 @@ let test_sequential_pool_size_independent () =
 
 (* --- traffic synthesis is pool-size- and slab-independent --- *)
 
-(* Fingerprint of a finished synthesis run: spawn count, live spec table
-   (full structural content, sorted by flow id) and total switch Tx
-   bytes (covers flows that already detached). *)
-let synthesis_fingerprint ~seed ~pool_size ~slab =
-  Pool.with_pool ~size:pool_size @@ fun pool ->
-  let engine = Simcore.Engine.create () in
-  let fabric = Testbed.Fablib.create ~seed engine in
-  let driver = Traffic.Driver.create ~pool ~slab fabric ~seed in
-  Traffic.Driver.start driver ~until:3600.0;
-  Simcore.Engine.run ~until:3600.0 engine;
-  let specs = ref [] in
-  let tx = ref 0.0 in
-  let m = Testbed.Fablib.model fabric in
-  Array.iter
-    (fun (site : Testbed.Info_model.site) ->
-      let name = site.Testbed.Info_model.name in
-      let sw = Testbed.Fablib.switch fabric ~site:name in
-      List.iter
-        (fun port ->
-          tx :=
-            !tx
-            +. (Testbed.Switch.read_counters sw ~port).Testbed.Switch.tx_bytes;
-          List.iter
-            (fun (a : Testbed.Switch.attachment) ->
-              match Traffic.Driver.resolver driver a.Testbed.Switch.flow with
-              | Some spec -> specs := spec :: !specs
-              | None -> ())
-            (Testbed.Switch.attachments sw ~port))
-        (Testbed.Fablib.all_ports fabric ~site:name))
-    m.Testbed.Info_model.sites;
-  let specs =
-    List.sort_uniq
-      (fun (a : Traffic.Flow_model.spec) b ->
-        compare a.Traffic.Flow_model.flow_id b.Traffic.Flow_model.flow_id)
-      !specs
-  in
-  (Traffic.Driver.spawned_flows driver, specs, !tx)
-
 let qcheck_synthesis_deterministic =
   QCheck.Test.make ~name:"parallel synthesis deterministic (pool, slab)"
     ~count:6
@@ -180,8 +142,12 @@ let qcheck_synthesis_deterministic =
       triple (int_range 0 3) (QCheck.oneofl [ 1; 2; 4 ])
         (QCheck.oneofl [ 150.0; 900.0; 3600.0; 7200.0 ]))
     (fun (seed, pool_size, slab) ->
-      let reference = synthesis_fingerprint ~seed ~pool_size:1 ~slab:900.0 in
-      synthesis_fingerprint ~seed ~pool_size ~slab = reference)
+      (* The driver schedules one refill event per slab, so event
+         counts differ with the slab length: compare the traffic only. *)
+      let fingerprint ~pool_size ~slab =
+        fst (Synthesis.run ~seed ~pool_size ~slab ())
+      in
+      fingerprint ~pool_size ~slab = fingerprint ~pool_size:1 ~slab:900.0)
 
 let test_striped_flow_ids_unique () =
   (* Flow ids are striped per site; every live id must be distinct and

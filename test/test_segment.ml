@@ -84,43 +84,6 @@ let test_failed_scan_closes_readers () =
 
 (* --- seeded mutation fuzz ------------------------------------------ *)
 
-(* One mutation of a valid segment [s], with [other] (a second valid
-   segment of the same schema) as splice material. *)
-let mutate rng ~other s =
-  let n = String.length s in
-  let b = Bytes.of_string s in
-  let pick () = Netcore.Rng.int rng n in
-  (* Offsets 4..9 are the header's version and record count. *)
-  let field_offset width =
-    if Netcore.Rng.bool rng then Netcore.Rng.int_in rng 4 (10 - width)
-    else Netcore.Rng.int rng (n - width + 1)
-  in
-  let word bits =
-    match Netcore.Rng.int rng 4 with
-    | 0 -> 0
-    | 1 -> (1 lsl bits) - 1
-    | 2 -> 1 lsl (bits - 1)
-    | _ -> Netcore.Rng.int rng (1 lsl bits)
-  in
-  match Netcore.Rng.int rng 5 with
-  | 0 ->
-    for _ = 0 to Netcore.Rng.int rng 4 do
-      let i = pick () in
-      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Netcore.Rng.int rng 8))
-    done;
-    ("bit flips", Bytes.to_string b)
-  | 1 -> ("truncation", String.sub s 0 (pick ()))
-  | 2 ->
-    Bytes.set_uint16_le b (field_offset 2) (word 16);
-    ("u16 overwrite", Bytes.to_string b)
-  | 3 ->
-    Bytes.set_int32_le b (field_offset 4) (Int32.of_int (word 32));
-    ("u32 overwrite", Bytes.to_string b)
-  | _ ->
-    let j = Netcore.Rng.int rng (String.length other) in
-    ( "splice",
-      String.sub s 0 (pick ()) ^ String.sub other j (String.length other - j) )
-
 let fuzz (type a) (schema : a Segment.schema) ~(bases : a list list) ~seed () =
   with_temp_dir @@ fun dir ->
   let path name = Filename.concat dir (name ^ schema.Segment.suffix) in
@@ -131,35 +94,30 @@ let fuzz (type a) (schema : a Segment.schema) ~(bases : a list list) ~seed () =
         ignore (Segment.write schema p records);
         read_file p)
       bases
-    |> Array.of_list
   in
   let good = path "base0" and target = path "mutated" in
-  let rng = Netcore.Rng.create seed in
   let fds = fd_count () in
-  for i = 1 to 2000 do
-    let base = Netcore.Rng.int rng (Array.length files) in
-    let other = files.((base + 1) mod Array.length files) in
-    let what, bytes = mutate rng ~other files.(base) in
-    write_file target bytes;
-    let escaped e =
-      Alcotest.failf "mutation %d (%s): %s escaped" i what (Printexc.to_string e)
-    in
-    let whole =
-      match Segment.read_all schema target with
-      | r -> Result.is_ok r
-      | exception e -> escaped e
-    in
-    let merged =
-      match Segment.scan schema [ good; target ] ignore with
-      | _ -> true
-      | exception Segment.Corrupt _ -> false
-      | exception e -> escaped e
-    in
-    if whole <> merged then
-      Alcotest.failf "mutation %d (%s): read_all and scan disagree" i what;
-    if fd_count () <> fds then
-      Alcotest.failf "mutation %d (%s): a reader was left open" i what
-  done
+  (* Offsets 4..9 are the header's version and record count. *)
+  Mutate.iter ~fields:(4, 10) ~seed files @@ fun i what bytes ->
+  write_file target bytes;
+  let escaped e =
+    Alcotest.failf "mutation %d (%s): %s escaped" i what (Printexc.to_string e)
+  in
+  let whole =
+    match Segment.read_all schema target with
+    | r -> Result.is_ok r
+    | exception e -> escaped e
+  in
+  let merged =
+    match Segment.scan schema [ good; target ] ignore with
+    | _ -> true
+    | exception Segment.Corrupt _ -> false
+    | exception e -> escaped e
+  in
+  if whole <> merged then
+    Alcotest.failf "mutation %d (%s): read_all and scan disagree" i what;
+  if fd_count () <> fds then
+    Alcotest.failf "mutation %d (%s): a reader was left open" i what
 
 let test_fuzz_flow_store () =
   fuzz FS.schema ~seed:15
