@@ -97,16 +97,6 @@ let print_capture_summary () =
     ~records:(counter_value "capture_records_total")
     ~built:(counter_value "capture_frames_built_total")
 
-(* How many frames the flows digest's overlay cursor classified, and
-   how many stayed off its zero-alloc fast path. *)
-let print_overlay_summary () =
-  let classified = counter_value "overlay_classified_total" in
-  let fallbacks = counter_value "overlay_fallbacks_total" in
-  let total = classified +. fallbacks in
-  if total > 0.0 then
-    Printf.printf "overlay dissection: %.0f frames, %.0f fallbacks\n" classified
-      fallbacks
-
 (* --- profile --- *)
 
 let run_profile_occasion ~seed ~hours ~site ~max_frames pool =
@@ -267,82 +257,56 @@ let analyze_cmd =
   let csv_dir =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR")
   in
-  let fused =
-    let doc =
-      "Use the fused streaming digest$(i,\u{2192})flows fast path: dissected \
-       packets stream straight into per-chunk flow shards without \
-       materializing the abstract-capture list, so memory stays \
-       proportional to the number of flows rather than packets.  Reports \
-       flow-level statistics (and writes flows.csv with --csv)."
-    in
-    Arg.(value & flag & info [ "fused" ] ~doc)
-  in
-  let run_fused file csv_dir pool =
-    let flows = Analysis.Digest.pcap_file_to_flows ~pool file in
-    let total_frames =
-      List.fold_left (fun acc (f : Analysis.Flows.summary) -> acc +. f.Analysis.Flows.frames) 0.0 flows
-    in
-    let total_bytes =
-      List.fold_left (fun acc (f : Analysis.Flows.summary) -> acc +. f.Analysis.Flows.bytes) 0.0 flows
-    in
-    Printf.printf "%d flows, %.0f keyed frames, %.0f bytes (fused streaming path)\n"
-      (List.length flows) total_frames total_bytes;
-    List.iter
-      (fun (f : Analysis.Flows.summary) ->
-        Printf.printf "  %-48s %10.0f B %8.0f frames%s\n" f.Analysis.Flows.flow_key
-          f.Analysis.Flows.bytes f.Analysis.Flows.frames
-          (if f.Analysis.Flows.rst_seen then "  RST" else ""))
-      (Analysis.Flows.top_n flows 10);
-    match csv_dir with
-    | None -> ()
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Analysis.Report.write_file
-        (Filename.concat dir "flows.csv")
-        (Analysis.Report.csv_of_rows
-           ~header:[ "flow"; "frames"; "bytes"; "first"; "last"; "rst" ]
-           (Analysis.Report.flow_rows flows));
-      Printf.printf "wrote flows.csv under %s\n" dir
-  in
-  let run file csv_dir fused domains metrics_out metrics_format =
+  let run file csv_dir domains metrics_out metrics_format =
     (with_domains domains @@ fun pool ->
-    if fused then run_fused file csv_dir pool
-    else begin
-    let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
-    let occ = Analysis.Analyze.occurrence acaps in
-    let h = Analysis.Analyze.frame_size_histogram acaps in
-    Printf.printf "%d frames, %d distinct flows, %.2f%% IPv6, %.1f%% jumbo\n"
-      (List.length acaps)
-      (Analysis.Analyze.observed_flows acaps)
-      (Analysis.Analyze.ipv6_percent acaps)
-      (100.0 *. Analysis.Analyze.jumbo_fraction acaps);
-    List.iter (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct) occ;
-    Array.iteri
-      (fun i c ->
-        if c > 0 then Printf.printf "  %-16s %d\n" (Netcore.Histogram.bin_label h i) c)
-      (Netcore.Histogram.counts h);
-    match csv_dir with
-    | None -> ()
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Analysis.Report.write_file
-        (Filename.concat dir "occurrence.csv")
-        (Analysis.Report.csv_of_rows ~header:[ "protocol"; "percent" ]
-           (Analysis.Report.occurrence_rows occ));
-      Analysis.Report.write_file
-        (Filename.concat dir "frame_sizes.csv")
-        (Analysis.Report.csv_of_rows ~header:[ "bin"; "count"; "fraction" ]
-           (Analysis.Report.histogram_rows h));
-      Printf.printf "wrote CSVs under %s\n" dir
-    end);
-    print_overlay_summary ();
+     let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
+     let occ = Analysis.Analyze.occurrence acaps in
+     let h = Analysis.Analyze.frame_size_histogram acaps in
+     Printf.printf "%d frames, %d distinct flows, %.2f%% IPv6, %.1f%% jumbo\n"
+       (List.length acaps)
+       (Analysis.Analyze.observed_flows acaps)
+       (Analysis.Analyze.ipv6_percent acaps)
+       (100.0 *. Analysis.Analyze.jumbo_fraction acaps);
+     List.iter (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct) occ;
+     Array.iteri
+       (fun i c ->
+         if c > 0 then Printf.printf "  %-16s %d\n" (Netcore.Histogram.bin_label h i) c)
+       (Netcore.Histogram.counts h);
+     let flows = Analysis.Flows.aggregate ~pool acaps in
+     let total f =
+       List.fold_left (fun acc (s : Analysis.Flows.summary) -> acc +. f s) 0.0 flows
+     in
+     Printf.printf "%d flows, %.0f keyed frames, %.0f bytes\n" (List.length flows)
+       (total (fun s -> s.Analysis.Flows.frames))
+       (total (fun s -> s.Analysis.Flows.bytes));
+     List.iter
+       (fun (f : Analysis.Flows.summary) ->
+         Printf.printf "  %-48s %10.0f B %8.0f frames%s\n" f.Analysis.Flows.flow_key
+           f.Analysis.Flows.bytes f.Analysis.Flows.frames
+           (if f.Analysis.Flows.rst_seen then "  RST" else ""))
+       (Analysis.Flows.top_n flows 10);
+     match csv_dir with
+     | None -> ()
+     | Some dir ->
+       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+       let write name header rows =
+         Analysis.Report.write_file (Filename.concat dir name)
+           (Analysis.Report.csv_of_rows ~header rows)
+       in
+       write "occurrence.csv" [ "protocol"; "percent" ]
+         (Analysis.Report.occurrence_rows occ);
+       write "frame_sizes.csv" [ "bin"; "count"; "fraction" ]
+         (Analysis.Report.histogram_rows h);
+       write "flows.csv" [ "flow"; "frames"; "bytes"; "first"; "last"; "rst" ]
+         (Analysis.Report.flow_rows flows);
+       Printf.printf "wrote CSVs under %s\n" dir);
     write_metrics metrics_out metrics_format
   in
   let info = Cmd.info "analyze" ~doc:"Run the offline analysis over a pcap" in
   Cmd.v info
     Term.(
-      const run $ file $ csv_dir $ fused $ domains_arg
-      $ metrics_out_arg $ metrics_format_arg)
+      const run $ file $ csv_dir $ domains_arg $ metrics_out_arg
+      $ metrics_format_arg)
 
 (* --- weekly --- *)
 
@@ -626,7 +590,6 @@ let weekly_cmd =
         dir
     | _ -> ());
     print_capture_summary ();
-    print_overlay_summary ();
     write_metrics metrics_out metrics_format;
     let actives =
       match live with
@@ -1045,21 +1008,11 @@ let metrics_value metrics name =
       | _ -> acc)
     0.0 metrics
 
-(* Zero-alloc fast-path counters: overlay cursor classifications (with
-   how many frames fell back to the record dissector) and arrival
-   events the driver handed to the engine as pre-sorted batches.
+(* Fast-path counters: arrival events the driver handed to the engine
+   as pre-sorted batches, and how the capture abstracted its records.
    Silent when the run never exercised them. *)
 let print_fastpath_lines metrics =
   let value = metrics_value metrics in
-  let classified = value "overlay_classified_total" in
-  let fallbacks = value "overlay_fallbacks_total" in
-  let total = classified +. fallbacks in
-  if total > 0.0 then
-    Printf.printf
-      "overlay dissection: %.0f/%.0f frames on the cursor fast path (%.0f \
-       fallbacks, %.2f%%)\n"
-      classified total fallbacks
-      (100.0 *. fallbacks /. total);
   let batched = value "engine_events_batched_total" in
   if batched > 0.0 then
     Printf.printf "engine events batched: %.0f\n" batched;

@@ -5,40 +5,6 @@ type site_headers = {
   frames : int;
 }
 
-let header_stats pairs =
-  let table : (string, (string, unit) Hashtbl.t * int ref * int ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun (site, records) ->
-      let tokens, deepest, frames =
-        match Hashtbl.find_opt table site with
-        | Some entry -> entry
-        | None ->
-          let entry = (Hashtbl.create 64, ref 0, ref 0) in
-          Hashtbl.add table site entry;
-          entry
-      in
-      List.iter
-        (fun (r : Dissect.Acap.record) ->
-          incr frames;
-          let depth = List.length r.Dissect.Acap.stack in
-          if depth > !deepest then deepest := depth;
-          List.iter (fun tok -> Hashtbl.replace tokens tok ()) r.Dissect.Acap.stack)
-        records)
-    pairs;
-  Hashtbl.fold
-    (fun site (tokens, deepest, frames) acc ->
-      {
-        hs_site = site;
-        distinct_headers = Hashtbl.length tokens;
-        deepest_stack = !deepest;
-        frames = !frames;
-      }
-      :: acc)
-    table []
-  |> List.sort (fun a b -> compare a.hs_site b.hs_site)
-
 let occurrence records =
   let counts = Hashtbl.create 64 in
   let total = ref 0 in
@@ -80,13 +46,6 @@ let jumbo_fraction records =
     in
     float_of_int jumbo /. float_of_int (List.length records)
 
-let flows_per_sample samples =
-  Array.of_list
-    (List.map
-       (fun (s : Patchwork.Capture.sample) ->
-         s.Patchwork.Capture.stats.Patchwork.Capture.flow_estimate)
-       samples)
-
 let observed_flows records =
   let keys = Hashtbl.create 256 in
   List.iter
@@ -97,53 +56,13 @@ let observed_flows records =
     records;
   Hashtbl.length keys
 
-let percent_matching pred records =
+let ipv6_percent records =
   match records with
   | [] -> 0.0
   | _ ->
-    100.0
-    *. float_of_int (List.length (List.filter pred records))
-    /. float_of_int (List.length records)
-
-let occurrence_weighted weighted_records =
-  let counts = Hashtbl.create 64 in
-  let total = ref 0.0 in
-  List.iter
-    (fun ((r : Dissect.Acap.record), w) ->
-      total := !total +. w;
-      List.iter
-        (fun tok ->
-          Hashtbl.replace counts tok
-            (w +. Option.value ~default:0.0 (Hashtbl.find_opt counts tok)))
-        r.Dissect.Acap.stack)
-    weighted_records;
-  let total = Float.max 1e-9 !total in
-  Hashtbl.fold (fun tok c acc -> (tok, 100.0 *. c /. total) :: acc) counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let frame_size_histogram_weighted ?(edges = standard_size_edges) weighted_records =
-  let h = Netcore.Histogram.create edges in
-  List.iter
-    (fun ((r : Dissect.Acap.record), w) ->
-      Netcore.Histogram.add h
-        ~count:(max 1 (int_of_float (Float.round w)))
-        (float_of_int r.Dissect.Acap.orig_len))
-    weighted_records;
-  h
-
-let fraction_weighted pred weighted_records =
-  let total = ref 0.0 and matched = ref 0.0 in
-  List.iter
-    (fun (r, w) ->
-      total := !total +. w;
-      if pred r then matched := !matched +. w)
-    weighted_records;
-  if !total <= 0.0 then 0.0 else !matched /. !total
-
-let ipv6_percent records =
-  percent_matching
-    (fun (r : Dissect.Acap.record) -> List.mem "ipv6" r.Dissect.Acap.stack)
-    records
-
-let rst_percent records =
-  percent_matching (fun (r : Dissect.Acap.record) -> r.Dissect.Acap.tcp_rst) records
+    let ipv6 =
+      List.filter
+        (fun (r : Dissect.Acap.record) -> List.mem "ipv6" r.Dissect.Acap.stack)
+        records
+    in
+    100.0 *. float_of_int (List.length ipv6) /. float_of_int (List.length records)

@@ -1,9 +1,12 @@
-(** The Analyze step: statistics over abstract captures.
+(** The Analyze step: unweighted statistics over one list of abstract
+    captures — protocol occurrence (Fig. 12), frame-size distributions
+    (Fig. 15 and §8.2), the jumbo and IPv6 shares and the distinct
+    flows, as [analyze] and [dissect] print them for one capture.
 
-    These are the analyses behind the paper's traffic-profile figures:
-    per-site header diversity and deepest stacks (Fig. 11), protocol
-    occurrence (Fig. 12), frame-size distributions (Fig. 15 and §8.2),
-    and flows per sample (Fig. 13). *)
+    {!Profile.Builder} is the weighted implementation over an
+    occasion's samples; it also derives per-site header diversity and
+    deepest stacks (Fig. 11, {!site_headers}) and flows per sample
+    (Fig. 13). *)
 
 type site_headers = {
   hs_site : string;
@@ -11,10 +14,6 @@ type site_headers = {
   deepest_stack : int;  (** maximum header-stack depth observed *)
   frames : int;
 }
-
-val header_stats : (string * Dissect.Acap.record list) list -> site_headers list
-(** Per-site header diversity; input is (site, records) pairs (multiple
-    pairs per site are merged). *)
 
 val occurrence : Dissect.Acap.record list -> (string * float) list
 (** For each token, the percentage of frames whose stack contains it —
@@ -35,29 +34,7 @@ val frame_size_histogram :
 val jumbo_fraction : Dissect.Acap.record list -> float
 (** Fraction of frames longer than 1518 bytes. *)
 
-val flows_per_sample : Patchwork.Capture.sample list -> float array
-(** The model-derived expected distinct-flow count of each sample
-    (Fig. 13's x-values). *)
-
 val observed_flows : Dissect.Acap.record list -> int
 (** Distinct flow keys actually present in a record set. *)
 
 val ipv6_percent : Dissect.Acap.record list -> float
-val rst_percent : Dissect.Acap.record list -> float
-
-(** {2 Weighted variants}
-
-    Heavy samples are materialized as a uniform thinning (bounded by the
-    capture's frame budget); aggregate statistics must therefore weight
-    each record by the inverse of its sample's materialized fraction, or
-    line-rate samples would count no more than idle ones. *)
-
-val occurrence_weighted : (Dissect.Acap.record * float) list -> (string * float) list
-(** Like {!occurrence} with a per-record weight. *)
-
-val frame_size_histogram_weighted :
-  ?edges:float array -> (Dissect.Acap.record * float) list -> Netcore.Histogram.t
-
-val fraction_weighted :
-  (Dissect.Acap.record -> bool) -> (Dissect.Acap.record * float) list -> float
-(** Weighted fraction of records satisfying a predicate. *)

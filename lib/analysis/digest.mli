@@ -14,19 +14,8 @@ val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
     never copied.  Record order (and content) is identical to the
     sequential, copying run at any pool size. *)
 
-val pcap_to_flows : ?pool:Parallel.Pool.t -> bytes -> Flows.summary list
-(** Single-pass digest→flows fast path over the zero-alloc overlay
-    cursor ({!Dissect.Overlay}): each index range classifies frames by
-    reading header fields in place through {!Packet.Slice} and streams
-    key/ts/bytes/RST straight into a per-range {!Flows.Shard} — no
-    header records, no intermediate acaps, live memory O(flows).
-    Bit-identical to [Flows.aggregate (pcap_to_acaps buf)] at any pool
-    size. *)
-
 val pcap_file_to_acaps :
   ?pool:Parallel.Pool.t -> string -> Dissect.Acap.record list
-
-val pcap_file_to_flows : ?pool:Parallel.Pool.t -> string -> Flows.summary list
 
 val sample_acaps :
   ?pool:Parallel.Pool.t -> Patchwork.Capture.sample -> Dissect.Acap.record list

@@ -41,32 +41,26 @@ module Shard = struct
 
   let create () : t = Hashtbl.create 1024
 
-  (* The accounting primitive shared by the record path and the overlay
-     digest (which brings the rendered key and the index entry's fields,
-     no record in between). *)
-  let add_keyed (table : t) ~key ~ts ~bytes ~rst =
-    let entry =
-      match Hashtbl.find_opt table key with
-      | Some e -> e
-      | None ->
-        let e =
-          { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
-        in
-        Hashtbl.add table key e;
-        e
-    in
-    entry.s_frames <- entry.s_frames + 1;
-    entry.s_bytes <- entry.s_bytes + bytes;
-    entry.s_first <- Float.min entry.s_first ts;
-    entry.s_last <- Float.max entry.s_last ts;
-    entry.s_rst <- entry.s_rst || rst
-
   let add (table : t) (r : Dissect.Acap.record) =
     match Dissect.Acap.flow_key r with
     | None -> ()
     | Some key ->
-      add_keyed table ~key ~ts:r.Dissect.Acap.ts ~bytes:r.Dissect.Acap.orig_len
-        ~rst:r.Dissect.Acap.tcp_rst
+      let ts = r.Dissect.Acap.ts in
+      let entry =
+        match Hashtbl.find_opt table key with
+        | Some e -> e
+        | None ->
+          let e =
+            { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
+          in
+          Hashtbl.add table key e;
+          e
+      in
+      entry.s_frames <- entry.s_frames + 1;
+      entry.s_bytes <- entry.s_bytes + r.Dissect.Acap.orig_len;
+      entry.s_first <- Float.min entry.s_first ts;
+      entry.s_last <- Float.max entry.s_last ts;
+      entry.s_rst <- entry.s_rst || r.Dissect.Acap.tcp_rst
 
   let fold (table : t) ~init ~f =
     Hashtbl.fold

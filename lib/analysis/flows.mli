@@ -30,21 +30,16 @@ val compare_by_bytes : summary -> summary -> int
 
 module Shard : sig
   type t
-  (** A mutable per-chunk accumulator of exact integer per-flow sums.
-      The digest→flows fast path streams each frame straight into one
-      shard per index range — never materializing the record list —
-      and merges the shards with {!merge}. *)
+  (** A mutable accumulator of exact integer per-flow sums over one
+      group of records (one capture sample).  {!aggregate} folds each
+      group into its own shard and merges the shards with {!merge}; the
+      profile builder hands one shard per sample to the flow-store
+      writer. *)
 
   val create : unit -> t
 
   val add : t -> Dissect.Acap.record -> unit
   (** Fold one record in (records without a flow key are ignored). *)
-
-  val add_keyed : t -> key:string -> ts:float -> bytes:int -> rst:bool -> unit
-  (** Fold one frame in by its precomputed flow key — the overlay
-      digest's path, which never builds the record.  [add r] is exactly
-      [add_keyed ~key:(flow_key r) ~ts:r.ts ~bytes:r.orig_len
-      ~rst:r.tcp_rst]. *)
 
   val fold :
     t ->

@@ -31,8 +31,8 @@ val dissect : ?orig_len:int -> bytes -> result
 val dissect_slice : ?orig_len:int -> Packet.Slice.t -> result
 (** Zero-copy flavour of {!dissect}: headers are read in place through
     the slice's bounds-checked cursor, never copying the underlying
-    capture buffer.  Produces results identical to dissecting
-    [Slice.to_bytes slice]. *)
+    capture buffer.  Produces the same result as {!dissect} on a copy
+    of the viewed bytes. *)
 
 val dissect_packet : Packet.Pcap.packet -> result
 (** Convenience wrapper over a pcap record. *)

@@ -11,8 +11,8 @@
     A process-wide {!default} registry serves the instrumented layers
     (pool, coordinator, capture, digest); isolated registries from
     {!create} serve tests.  The global {!set_enabled} switch turns every
-    update into a no-op, which is how the decode bench measures the
-    instrumentation overhead. *)
+    update into a no-op, which is how the [gates] case "decode registry
+    overhead" measures the instrumentation overhead. *)
 
 type t
 

@@ -25,8 +25,7 @@ type t = {
   mutable max_children : int;
   mutable rng : int; (* xorshift state for reservoir sampling *)
   mutable stack : span list; (* innermost open span first *)
-  mutable roots : span list; (* finished roots, newest first *)
-  mutable root_count : int;
+  roots : span Queue.t; (* finished roots, oldest first, <= max_roots *)
   mutable dropped : int;
 }
 
@@ -40,8 +39,7 @@ let create ?(max_roots = 1024) ?(max_children = max_int) ?(seed = 0x9E3779B9) ()
     max_children;
     rng = (if seed = 0 then 0x9E3779B9 else seed);
     stack = [];
-    roots = [];
-    root_count = 0;
+    roots = Queue.create ();
     dropped = 0;
   }
 
@@ -168,13 +166,11 @@ let finish t sp =
     if was_open then t.stack <- pop t.stack;
     (* A span is a root if nothing remains open under it. *)
     if was_open && t.stack = [] then begin
-      t.roots <- sp :: t.roots;
-      t.root_count <- t.root_count + 1;
-      if t.root_count > t.max_roots then begin
-        (* Drop the oldest root.  Rare (bounded history), so the O(n)
-           list surgery is fine. *)
-        t.roots <- List.filteri (fun i _ -> i < t.max_roots) t.roots;
-        t.root_count <- t.max_roots;
+      (* A full history drops its oldest root in O(1), so a long-lived
+         tracer pays the same per root as a fresh one. *)
+      Queue.push sp t.roots;
+      if Queue.length t.roots > t.max_roots then begin
+        ignore (Queue.take t.roots);
         t.dropped <- t.dropped + 1
       end
     end;
@@ -233,7 +229,7 @@ let rollup sp =
 
 let roots t =
   Mutex.lock t.lock;
-  let r = List.rev t.roots in
+  let r = List.of_seq (Queue.to_seq t.roots) in
   Mutex.unlock t.lock;
   r
 
@@ -242,7 +238,6 @@ let dropped_roots t = t.dropped
 let reset t =
   Mutex.lock t.lock;
   t.stack <- [];
-  t.roots <- [];
-  t.root_count <- 0;
+  Queue.clear t.roots;
   t.dropped <- 0;
   Mutex.unlock t.lock

@@ -5,7 +5,8 @@
     (coordinator phase -> digest stage -> flow merge) nests without
     threading span handles through every call.  Each finished span
     records wall time, the domain's minor-allocation delta
-    ([Gc.minor_words], as in [bench/decode_bench]) and its children.
+    ([Gc.minor_words], the count the [gates] case "decode registry
+    overhead" bounds) and its children.
 
     Spans must be started and finished on the tracer's owning domain
     (pool workers report through the registry instead); the tracer's
@@ -19,7 +20,7 @@ type span
 
 val create : ?max_roots:int -> ?max_children:int -> ?seed:int -> unit -> t
 (** [max_roots] bounds the finished-root history (default 1024); the
-    oldest roots are dropped beyond it.
+    oldest roots are dropped beyond it, each in constant time.
 
     [max_children] bounds how many children each span {e retains}
     (default unbounded): the first [max_children - max_children/2]

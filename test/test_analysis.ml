@@ -15,33 +15,6 @@ let record ?(ts = 0.0) ?(len = 100) ?(stack = [ "eth"; "ipv4"; "tcp" ])
 
 (* --- Analyze --- *)
 
-let test_header_stats () =
-  let site_a =
-    [ record ~stack:[ "eth"; "ipv4"; "tcp" ] ();
-      record ~stack:[ "eth"; "vlan"; "ipv4"; "udp"; "dns" ] () ]
-  in
-  let site_b = [ record ~stack:[ "eth"; "ipv6"; "tcp"; "tls" ] () ] in
-  let stats = Analyze.header_stats [ ("A", site_a); ("B", site_b) ] in
-  match stats with
-  | [ a; b ] ->
-    Alcotest.(check string) "sorted" "A" a.Analyze.hs_site;
-    Alcotest.(check int) "A distinct" 6 a.Analyze.distinct_headers;
-    Alcotest.(check int) "A deepest" 5 a.Analyze.deepest_stack;
-    Alcotest.(check int) "B distinct" 4 b.Analyze.distinct_headers;
-    Alcotest.(check int) "B frames" 1 b.Analyze.frames
-  | _ -> Alcotest.fail "expected two sites"
-
-let test_header_stats_merges_same_site () =
-  let stats =
-    Analyze.header_stats
-      [ ("A", [ record () ]); ("A", [ record ~stack:[ "eth"; "arp" ] () ]) ]
-  in
-  match stats with
-  | [ a ] ->
-    Alcotest.(check int) "frames merged" 2 a.Analyze.frames;
-    Alcotest.(check int) "tokens merged" 4 a.Analyze.distinct_headers
-  | _ -> Alcotest.fail "expected one site"
-
 let test_occurrence_with_multiplicity () =
   (* Nested Ethernet counts twice per frame, pushing eth above 100%. *)
   let records =
@@ -85,26 +58,11 @@ let test_observed_flows () =
   in
   Alcotest.(check int) "two flows" 2 (Analyze.observed_flows records)
 
-let test_weighted_occurrence () =
-  let weighted =
-    [ (record ~stack:[ "eth"; "ipv4"; "tcp" ] (), 9.0);
-      (record ~stack:[ "eth"; "ipv6"; "udp" ] (), 1.0) ]
-  in
-  let occ = Analyze.occurrence_weighted weighted in
-  Alcotest.(check (float 1e-6)) "ipv4 90%" 90.0 (Analyze.occurrence_of occ "ipv4");
-  Alcotest.(check (float 1e-6)) "ipv6 10%" 10.0 (Analyze.occurrence_of occ "ipv6")
-
-let test_weighted_fraction () =
-  let weighted = [ (record ~len:2000 (), 3.0); (record ~len:100 (), 1.0) ] in
-  Alcotest.(check (float 1e-9)) "weighted jumbo" 0.75
-    (Analyze.fraction_weighted (fun r -> r.Acap.orig_len > 1518) weighted)
-
 let test_ipv6_rst_percent () =
   let records =
     [ record ~stack:[ "eth"; "ipv6"; "tcp" ] (); record (); record ~rst:true () ]
   in
-  Alcotest.(check (float 1e-6)) "ipv6 1/3" (100.0 /. 3.0) (Analyze.ipv6_percent records);
-  Alcotest.(check (float 1e-6)) "rst 1/3" (100.0 /. 3.0) (Analyze.rst_percent records)
+  Alcotest.(check (float 1e-6)) "ipv6 1/3" (100.0 /. 3.0) (Analyze.ipv6_percent records)
 
 (* --- Flows --- *)
 
@@ -341,15 +299,11 @@ let suites =
   [
     ( "analysis.analyze",
       [
-        Alcotest.test_case "header stats" `Quick test_header_stats;
-        Alcotest.test_case "header stats merge" `Quick test_header_stats_merges_same_site;
         Alcotest.test_case "occurrence multiplicity" `Quick test_occurrence_with_multiplicity;
         Alcotest.test_case "occurrence sorted" `Quick test_occurrence_sorted_descending;
         Alcotest.test_case "size histogram bins" `Quick test_frame_size_histogram_bins;
         Alcotest.test_case "jumbo fraction" `Quick test_jumbo_fraction;
         Alcotest.test_case "observed flows" `Quick test_observed_flows;
-        Alcotest.test_case "weighted occurrence" `Quick test_weighted_occurrence;
-        Alcotest.test_case "weighted fraction" `Quick test_weighted_fraction;
         Alcotest.test_case "ipv6/rst percent" `Quick test_ipv6_rst_percent;
       ] );
     ( "analysis.flows",

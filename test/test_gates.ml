@@ -16,19 +16,16 @@
    - ledger: the loss ledger adds under 1% to an occasion's minor words;
    - flow store: a top-k query promotes under a twentieth of the words
      the in-memory merge of the same groups promotes, because it never
-     holds the whole flow table. *)
+     holds the whole flow table;
+   - span roots: once a tracer's root history is full, a finished root
+     allocates at most twice the words it did below the cap, because
+     the oldest root is dropped in constant time. *)
 
 module Rng = Netcore.Rng
 module T = Obs.Tsdb
 
-(* Both counters start from an empty default tracer.  Once it holds its
-   maximum of finished root spans, every further root copies the root
-   list (about 3,000 words), which would charge the spans of earlier
-   tests in this process to the measured call. *)
-
 (* Minor words [f] allocates on this domain. *)
 let minor_words f =
-  Obs.Span.reset Obs.Span.default;
   let before = Gc.minor_words () in
   ignore (f ());
   Gc.minor_words () -. before
@@ -37,7 +34,6 @@ let minor_words f =
    result, which is still live at the final minor collection; the minor
    heap starts empty. *)
 let promoted_words f =
-  Obs.Span.reset Obs.Span.default;
   Gc.full_major ();
   let before = (Gc.quick_stat ()).Gc.promoted_words in
   let r = f () in
@@ -283,6 +279,33 @@ let test_flowstore_topk_promoted () =
   check_at_most "flow store: top-10 query's share of the merge's promoted words"
     ~bound:0.05 (scanned /. merged)
 
+(* --- span roots: words per finished root ---------------------------- *)
+
+(* A fresh default tracer (a history of 1,024 roots) finishes 3,072
+   roots.  The first 1,000 fill the history; each of the last 1,024
+   also drops the oldest root. *)
+let test_span_root_history () =
+  let t = Obs.Span.create () in
+  let names = Array.init 3072 string_of_int in
+  let finish_roots ~lo ~hi =
+    let before = Gc.minor_words () in
+    for i = lo to hi - 1 do
+      Obs.Span.finish t (Obs.Span.start t names.(i))
+    done;
+    Gc.minor_words () -. before
+  in
+  let below = finish_roots ~lo:0 ~hi:1000 /. 1000.0 in
+  ignore (finish_roots ~lo:1000 ~hi:2048);
+  let past = finish_roots ~lo:2048 ~hi:3072 /. 1024.0 in
+  Printf.printf "span roots: %.1f minor words per root below the cap, %.1f past it\n"
+    below past;
+  Alcotest.(check int) "dropped roots" 2048 (Obs.Span.dropped_roots t);
+  Alcotest.(check (list string)) "the newest 1,024 roots, oldest first"
+    (Array.to_list (Array.sub names 2048 1024))
+    (List.map Obs.Span.name (Obs.Span.roots t));
+  check_at_most "span roots: words per root past the cap / below it" ~bound:2.0
+    (past /. below)
+
 let suites =
   [
     ( "gates",
@@ -295,5 +318,7 @@ let suites =
         Alcotest.test_case "ledger share of occasion" `Quick test_ledger_share;
         Alcotest.test_case "flow-store top-k promoted" `Quick
           test_flowstore_topk_promoted;
+        Alcotest.test_case "span root history words" `Quick
+          test_span_root_history;
       ] );
   ]

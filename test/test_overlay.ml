@@ -1,44 +1,15 @@
-(* The zero-alloc overlay dissection path: slice fast accessors agree
-   with the checked reads, the overlay cursor agrees with the
-   record-building reference dissector on the flow key and the RST bit
-   (also on seeded mutations of well-formed frames, where neither may
-   raise), the overlay digest is bit-identical to aggregating the
-   copying decode and the sliced digest to the copying decode itself at
-   any pool size, and batched driver replay is bit-identical to
-   per-event replay and executes as many engine events. *)
+(* Whole-capture decode identities and driver replay: the sliced digest
+   reproduces the copying decode record for record at any pool size,
+   over adversarial captures and over seeded mutations of well-formed
+   frames (where the record decode must never raise), and batched
+   driver replay is bit-identical to per-event replay and executes as
+   many engine events.  The suites keep the [overlay.*] names they had
+   when the overlay cursor, since removed, was checked here too. *)
 
-module OV = Dissect.Overlay
 module S = Packet.Slice
 module H = Packet.Headers
 module Pool = Parallel.Pool
 module Rng = Netcore.Rng
-
-(* --- Slice fast accessors ≡ checked reads --- *)
-
-let prop_fast_accessors_equal =
-  QCheck.Test.make ~count:200
-    ~name:"Slice fast accessors ≡ checked reads (incl. out-of-window)"
-    QCheck.(triple small_int (int_range 0 24) (int_range (-4) 40))
-    (fun (seed, off, i) ->
-      let rng = Frame_gen.rng_of_seed seed in
-      let buf = Bytes.init 48 (fun _ -> Char.chr (Rng.int rng 256)) in
-      let len = min (Rng.int rng 24) (48 - off) in
-      let s = S.make buf ~off ~len in
-      let agree checked fast =
-        match checked () with
-        | v -> ( try fast () = v with Invalid_argument _ -> false)
-        | exception Invalid_argument _ -> (
-          match fast () with
-          | _ -> false
-          | exception Invalid_argument _ -> true)
-      in
-      agree (fun () -> S.get_u8 s i) (fun () -> S.get_u8_fast s i)
-      && agree (fun () -> S.get_u16_be s i) (fun () -> S.get_u16_be_fast s i)
-      && agree
-           (fun () ->
-             Int64.to_int
-               (Int64.logand (Int64.of_int32 (S.get_u32_be s i)) 0xFFFFFFFFL))
-           (fun () -> S.get_u32_be_fast s i))
 
 (* --- adversarial captures --- *)
 
@@ -107,42 +78,6 @@ let adversarial_pcap seed =
     Packet.Pcap.Writer.add w ~ts:(float_of_int i *. 1e-3) ~orig_len:orig data
   done;
   Packet.Pcap.Writer.contents w
-
-(* --- per-frame: overlay ≡ record dissection --- *)
-
-(* Classify one frame both ways; true when key and RST agree. *)
-let agrees ov ~orig_len slice =
-  OV.classify ov ~orig_len slice;
-  let r = Dissect.Acap.of_slice ~ts:0.0 ~orig_len slice in
-  OV.key ov = Dissect.Acap.flow_key r && OV.rst ov = r.Dissect.Acap.tcp_rst
-
-let prop_overlay_matches_record_per_frame =
-  QCheck.Test.make ~count:40
-    ~name:"overlay ≡ record per frame (key, RST) over adversarial frames"
-    QCheck.small_int
-    (fun seed ->
-      let buf = adversarial_pcap seed in
-      let ov = OV.create () in
-      Array.for_all
-        (fun (e : Packet.Pcap.index_entry) ->
-          agrees ov ~orig_len:e.Packet.Pcap.orig_len
-            (Packet.Pcap.Reader.slice buf e))
-        (Packet.Pcapng.index_any buf))
-
-(* --- whole-digest: overlay flows ≡ flows of the copying decode --- *)
-
-let prop_overlay_digest_identical =
-  QCheck.Test.make ~count:15
-    ~name:"overlay digest ≡ record flows of the copying decode (pools 1/2/4)"
-    QCheck.small_int
-    (fun seed ->
-      let buf = adversarial_pcap seed in
-      let reference = Analysis.Flows.aggregate (Oracle.acaps_copying buf) in
-      List.for_all
-        (fun size ->
-          Pool.with_pool ~size (fun pool ->
-              Analysis.Digest.pcap_to_flows ~pool buf = reference))
-        [ 1; 2; 4 ])
 
 (* --- whole-digest: sliced acaps ≡ the copying decode --- *)
 
@@ -214,20 +149,20 @@ let mutated_frame rng =
   in
   (data, orig_len)
 
-(* Either side raising fails the property (QCheck reports the
-   exception), so this also pins that neither classifier raises. *)
+(* A raise fails the property (QCheck reports the exception). *)
 let prop_fuzz_per_frame =
   QCheck.Test.make ~count:500
-    ~name:"mutated frames: overlay and record never raise, agree on key/RST"
+    ~name:"mutated frames: record decode never raises"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Frame_gen.rng_of_seed seed in
-      let ov = OV.create () in
-      List.for_all
-        (fun _ ->
-          let data, orig_len = mutated_frame rng in
-          agrees ov ~orig_len (S.make data ~off:0 ~len:(Bytes.length data)))
-        (List.init 100 Fun.id))
+      for _ = 1 to 100 do
+        let data, orig_len = mutated_frame rng in
+        ignore
+          (Dissect.Acap.of_slice ~ts:0.0 ~orig_len
+             (S.make data ~off:0 ~len:(Bytes.length data)))
+      done;
+      true)
 
 let mutated_pcap seed =
   let rng = Frame_gen.rng_of_seed seed in
@@ -241,55 +176,16 @@ let mutated_pcap seed =
 
 let prop_fuzz_digest =
   QCheck.Test.make ~count:15
-    ~name:"mutated captures: overlay flows ≡ aggregated acaps (pools 1/2/4)"
+    ~name:"mutated captures: sliced acaps ≡ copying decode (pools 1/2/4)"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let buf = mutated_pcap seed in
-      let reference =
-        Analysis.Flows.aggregate (Analysis.Digest.pcap_to_acaps buf)
-      in
+      let reference = Oracle.acaps_copying buf in
       List.for_all
         (fun size ->
           Pool.with_pool ~size (fun pool ->
-              Analysis.Digest.pcap_to_flows ~pool buf = reference
-              && Analysis.Flows.aggregate
-                   (Analysis.Digest.pcap_to_acaps ~pool buf)
-                 = reference))
+              Analysis.Digest.pcap_to_acaps ~pool buf = reference))
         [ 1; 2; 4 ])
-
-let test_overlay_no_fallback_on_generated_traffic () =
-  (* Generated stacks nest at most one pseudowire re-entry, well inside
-     the overlay's depth budget: everything should take the fast path. *)
-  let buf = adversarial_pcap 42 in
-  let idx = Packet.Pcapng.index_any buf in
-  let ov = OV.create () in
-  Array.iter
-    (fun (e : Packet.Pcap.index_entry) ->
-      OV.classify ov ~orig_len:e.Packet.Pcap.orig_len
-        (Packet.Pcap.Reader.slice buf e))
-    idx;
-  Alcotest.(check int) "all frames classified by the cursor"
-    (Array.length idx) (OV.classified ov);
-  Alcotest.(check int) "no fallbacks" 0 (OV.fallbacks ov)
-
-let test_overlay_fallback_on_deep_nesting () =
-  (* A pathological pw-in-pw-in-pw nest exceeds the depth budget and
-     must defer to the reference dissector — with identical results. *)
-  let rng = Frame_gen.rng_of_seed 7 in
-  let rec nest depth =
-    if depth = 0 then
-      [ Frame_gen.ethernet rng; Frame_gen.ipv4 rng; Frame_gen.udp_for rng None ]
-    else Frame_gen.ethernet rng :: Frame_gen.mpls rng :: H.Pseudowire :: nest (depth - 1)
-  in
-  let stack = nest 5 in
-  let b = Packet.Codec.encode (Packet.Frame.make stack ~payload_len:40) in
-  let slice = S.make b ~off:0 ~len:(Bytes.length b) in
-  let ov = OV.create () in
-  OV.classify ov ~orig_len:(Bytes.length b) slice;
-  Alcotest.(check int) "deep nest falls back" 1 (OV.fallbacks ov);
-  let r = Dissect.Acap.of_slice ~ts:0.0 ~orig_len:(Bytes.length b) slice in
-  Alcotest.(check (option string)) "fallback key identical"
-    (Dissect.Acap.flow_key r) (OV.key ov)
 
 (* --- driver: batched replay ≡ per-event replay --- *)
 
@@ -305,21 +201,8 @@ let prop_batched_replay_identical =
 
 let suites =
   [
-    ( "overlay",
-      [
-        Alcotest.test_case "no fallback on generated traffic" `Quick
-          test_overlay_no_fallback_on_generated_traffic;
-        Alcotest.test_case "deep nesting falls back, identically" `Quick
-          test_overlay_fallback_on_deep_nesting;
-      ] );
     ( "overlay.properties",
-      List.map QCheck_alcotest.to_alcotest
-        [
-          prop_fast_accessors_equal;
-          prop_overlay_matches_record_per_frame;
-          prop_overlay_digest_identical;
-          prop_sliced_acaps_identical;
-        ] );
+      [ QCheck_alcotest.to_alcotest prop_sliced_acaps_identical ] );
     ( "overlay.fuzz",
       List.map QCheck_alcotest.to_alcotest
         [ prop_fuzz_per_frame; prop_fuzz_digest ] );
