@@ -197,54 +197,33 @@ let live_checks ~port =
 
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
-(* One validator for both stores: every segment under [dir] through
-   the schema's strict reader.  Corruption fails [sweep]; an unsealed
-   segment whose tail record was torn off (a killed writer; readable,
-   and repaired at the store's next open) warns under [tails]. *)
-let check_segments ~sweep ~tails schema dir =
-  match Obs.Segment.in_dir schema dir with
-  | [] -> [ check sweep Warn (Printf.sprintf "no segments under %s" dir) ]
-  | segments ->
+(* One validator for both stores: every segment the store lists under
+   [dir], through the schema's strict reader.  Corruption fails. *)
+let check_segments ~sweep schema ~dir segments =
+  match segments with
+  | [] -> check sweep Warn (Printf.sprintf "no segments under %s" dir)
+  | segments -> (
     let corrupt = ref [] in
-    let partial = ref [] in
     let records = ref 0 in
     List.iter
       (fun path ->
         match Obs.Segment.read_all schema path with
         | Error msg -> corrupt := (path, msg) :: !corrupt
-        | Ok (rs, dropped) ->
-          records := !records + List.length rs;
-          if dropped then partial := path :: !partial)
+        | Ok rs -> records := !records + List.length rs)
       segments;
-    let sweep =
-      match List.rev !corrupt with
-      | [] ->
-        check sweep Pass
-          (Printf.sprintf "%d segment%s, %d records valid"
-             (List.length segments)
-             (if List.length segments = 1 then "" else "s")
-             !records)
-      | (path, msg) :: _ as all ->
-        check sweep Fail
-          (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
-             (List.length all)
-             (if List.length all = 1 then "" else "s")
-             (Filename.basename path) msg)
-    in
-    let tails =
-      match List.rev !partial with
-      | [] -> []
-      | ps ->
-        [
-          check tails Warn
-            (Printf.sprintf
-               "%d segment%s with a torn tail record (killed writer): %s"
-               (List.length ps)
-               (if List.length ps = 1 then "" else "s")
-               (String.concat ", " (List.map Filename.basename ps)));
-        ]
-    in
-    sweep :: tails
+    match List.rev !corrupt with
+    | [] ->
+      check sweep Pass
+        (Printf.sprintf "%d segment%s, %d records valid"
+           (List.length segments)
+           (if List.length segments = 1 then "" else "s")
+           !records)
+    | (path, msg) :: _ as all ->
+      check sweep Fail
+        (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
+           (List.length all)
+           (if List.length all = 1 then "" else "s")
+           (Filename.basename path) msg))
 
 (* Conservation from persisted series alone: per (site, at, res) bucket,
    Σ ledger_offered_frames = Σ ledger_stored_frames +
@@ -350,18 +329,18 @@ let check_history_up segments =
 
 let history_checks ~dir =
   let segments = Obs.Tsdb.segments_in_dir dir in
-  check_segments ~sweep:"tsdb segment sweep" ~tails:"tsdb unsealed tails"
-    Obs.Tsdb.schema dir
-  @
-  if segments = [] then []
-  else
-[ check_history_conservation segments; check_history_up segments ]
+  check_segments ~sweep:"tsdb segment sweep" Obs.Tsdb.schema ~dir segments
+  ::
+  (if segments = [] then []
+   else [ check_history_conservation segments; check_history_up segments ])
 
 (* --- optional flow-store sweep -------------------------------------- *)
 
 let flow_store_checks ~dir =
-  check_segments ~sweep:"flow-store sweep" ~tails:"flow-store unsealed tails"
-    Analysis.Flow_store.schema dir
+  [
+    check_segments ~sweep:"flow-store sweep" Analysis.Flow_store.schema ~dir
+      (Analysis.Flow_store.segments_in_dir dir);
+  ]
 
 (* --- entry point ----------------------------------------------------- *)
 

@@ -176,8 +176,9 @@ let stop t =
   (* Unhook first: occasions run after stop must not feed the dead
      collector, and repeated start/stop must not accumulate hooks. *)
   Patchwork.Coordinator.remove_hook t.hook;
-  (* A graceful stop seals any buffered history; a kill relies on the
-     unsealed-segment recovery path instead. *)
+  (* A graceful stop commits any buffered history.  A kill loses what
+     was buffered since the last flush; a write it cut short left only a
+     temporary, which the next open deletes. *)
   (match t.tsdb with Some store -> ignore (Obs.Tsdb.flush store) | None -> ());
   Obs.Http.stop t.server;
   match Parallel.Background.join t.bg with
@@ -333,9 +334,9 @@ let render_live ~port =
 (* --- the history side: `report --history DIR` --- *)
 
 (* Render trends straight from a store directory, no service needed.
-   Reads the segment files as they are (an unsealed tail left by a
-   killed service is readable; its partial final record is skipped), so
-   this never mutates the store a live service may still own. *)
+   Reads the live segments as they are (a killed write's temporary and
+   the inputs a committed merge replaced are not listed), so this never
+   mutates the store a live service may still own. *)
 let render_history ?since ?until ?name ~dir () =
   let segments = Obs.Tsdb.segments_in_dir dir in
   if segments = [] then

@@ -435,6 +435,14 @@ let weekly_cmd =
     (* The paper's operational mode: Patchwork runs weekly and keeps a
        cumulative testbed-wide profile (the public dashboard's data).
        One pool serves every occasion. *)
+    (match flow_store with
+    | Some dir when Analysis.Flow_store.segments_in_dir dir <> [] ->
+      Printf.eprintf
+        "weekly: %s already holds flow-store segments; give --flow-store an \
+         empty or new directory\n"
+        dir;
+      exit 1
+    | _ -> ());
     let rules =
       match alert_rules with
       | [] -> Live.default_rules
@@ -466,7 +474,7 @@ let weekly_cmd =
           Obs.Tsdb.open_store
             ?retention:(duration_of "--retention" retention)
             ?resolution:(duration_of "--downsample" downsample)
-            ~log:(service_event ~component:"tsdb") ~dir ())
+            ~dir ())
         tsdb
     in
     let federation =

@@ -67,9 +67,8 @@ let obs_unweighted =
 
 (* Record: u16 key_len, key, u16 site_len, site, u32 seq, 4 x f64
    (frames/bytes/first/last), u8 flags (bit 0 = RST).  Everything
-   little-endian; the header and its checks are [Obs.Segment]'s.  An
-   unsealed segment is refused: a killed spill must never yield part of
-   a group. *)
+   little-endian; the header, its checks and the commit are
+   [Obs.Segment]'s, so a killed spill never yields part of a group. *)
 
 let encode buf (r : record) =
   Obs.Segment.add_str buf r.r_key;
@@ -108,7 +107,6 @@ let schema =
     encode;
     decode;
     ties = false;
-    recover_unsealed = false;
   }
 
 (* --- spill writer -------------------------------------------------- *)
@@ -116,7 +114,6 @@ let schema =
 module Writer = struct
   type t = {
     dir : string;
-    prefix : string;
     spill_records : int;
     mutable buf : record list;  (* reversed arrival order; spill sorts *)
     mutable buffered : int;
@@ -127,13 +124,20 @@ module Writer = struct
     mutable finished : bool;
   }
 
-  let create ?(spill_records = 200_000) ~dir ?(prefix = "flows") () =
+  (* One run per directory: a second run would restart at segment 0 and
+     group seq 0, overwriting some of the first run's segments and
+     replaying the rest under colliding seqs. *)
+  let create ?(spill_records = 200_000) ~dir () =
     if spill_records < 1 then
       invalid_arg "Flow_store.Writer.create: spill_records < 1";
+    if Obs.Segment.in_dir schema dir <> [] then
+      invalid_arg
+        ("Flow_store.Writer.create: " ^ dir
+       ^ " already holds flow-store segments");
     Obs.Segment.mkdir_p dir;
+    ignore (Obs.Segment.remove_uncommitted schema dir);
     {
       dir;
-      prefix;
       spill_records;
       buf = [];
       buffered = 0;
@@ -151,7 +155,7 @@ module Writer = struct
     if t.buffered > 0 then begin
       Obs.Span.timed ~stage:"flowstore.spill" @@ fun () ->
       let path =
-        Filename.concat t.dir (Printf.sprintf "%s-%06d.pwfs" t.prefix t.seg_index)
+        Filename.concat t.dir (Printf.sprintf "flows-%06d.pwfs" t.seg_index)
       in
       let size = Obs.Segment.write schema path t.buf in
       if Obs.Registry.enabled () then begin
@@ -176,7 +180,7 @@ module Writer = struct
     t.next_seq <- seq + 1;
     (* Weighting must match Flows.merge_shards operation for operation:
        the stored contribution is the very float the in-memory merge
-       would add, including the exact-integer path for weight 1.0. *)
+       would add. *)
     if fraction <= 0.0 then begin
       let non_empty =
         Flows.Shard.fold shard ~init:false
@@ -185,7 +189,6 @@ module Writer = struct
       if non_empty then Obs.Registry.incr obs_unweighted
     end;
     let weight = if fraction > 0.0 then 1.0 /. fraction else 1.0 in
-    let exact = weight = 1.0 in
     let n = ref 0 in
     t.buf <-
       Flows.Shard.fold shard ~init:t.buf
@@ -195,11 +198,8 @@ module Writer = struct
             r_key = key;
             r_site = site;
             r_seq = seq;
-            r_frames =
-              (if exact then float_of_int frames
-               else float_of_int frames *. weight);
-            r_bytes =
-              (if exact then float_of_int bytes else float_of_int bytes *. weight);
+            r_frames = float_of_int frames *. weight;
+            r_bytes = float_of_int bytes *. weight;
             r_first = first;
             r_last = last;
             r_rst = rst;
@@ -270,6 +270,33 @@ type acc = {
   mutable a_rst : bool;
 }
 
+let acc_of (r : record) =
+  {
+    a_key = r.r_key;
+    a_frames = 0.0;
+    a_bytes = 0.0;
+    a_first = r.r_first;
+    a_last = r.r_last;
+    a_rst = false;
+  }
+
+let absorb a (r : record) =
+  a.a_frames <- a.a_frames +. r.r_frames;
+  a.a_bytes <- a.a_bytes +. r.r_bytes;
+  a.a_first <- Float.min a.a_first r.r_first;
+  a.a_last <- Float.max a.a_last r.r_last;
+  a.a_rst <- a.a_rst || r.r_rst
+
+let summary a =
+  {
+    Flows.flow_key = a.a_key;
+    frames = a.a_frames;
+    bytes = a.a_bytes;
+    first_seen = a.a_first;
+    last_seen = a.a_last;
+    rst_seen = a.a_rst;
+  }
+
 (* Bounded top-k selection: an insertion-sorted list of at most [k]
    summaries under the canonical comparator. *)
 let insert_topk k s l =
@@ -301,16 +328,7 @@ let query ?(pred = no_predicate) ?top paths =
     | None -> ()
     | Some a ->
       cur := None;
-      let s =
-        {
-          Flows.flow_key = a.a_key;
-          frames = a.a_frames;
-          bytes = a.a_bytes;
-          first_seen = a.a_first;
-          last_seen = a.a_last;
-          rst_seen = a.a_rst;
-        }
-      in
+      let s = summary a in
       incr distinct;
       total_frames := !total_frames +. s.Flows.frames;
       total_bytes := !total_bytes +. s.Flows.bytes;
@@ -325,28 +343,12 @@ let query ?(pred = no_predicate) ?top paths =
     | _ -> ());
     if matches pred r then begin
       incr matched;
-      let a =
-        match !cur with
-        | Some a -> a
-        | None ->
-          let a =
-            {
-              a_key = r.r_key;
-              a_frames = 0.0;
-              a_bytes = 0.0;
-              a_first = r.r_first;
-              a_last = r.r_last;
-              a_rst = false;
-            }
-          in
-          cur := Some a;
-          a
-      in
-      a.a_frames <- a.a_frames +. r.r_frames;
-      a.a_bytes <- a.a_bytes +. r.r_bytes;
-      a.a_first <- Float.min a.a_first r.r_first;
-      a.a_last <- Float.max a.a_last r.r_last;
-      a.a_rst <- a.a_rst || r.r_rst
+      match !cur with
+      | Some a -> absorb a r
+      | None ->
+        let a = acc_of r in
+        cur := Some a;
+        absorb a r
     end
   in
   let scanned = Obs.Segment.scan schema paths on_record in
@@ -386,50 +388,23 @@ let lookup ~keys paths =
   Obs.Span.timed ~stage:"flowstore.lookup" @@ fun () ->
   let wanted = Hashtbl.create (List.length keys) in
   List.iter (fun k -> if not (Hashtbl.mem wanted k) then Hashtbl.add wanted k None) keys;
-  let absorb (r : record) =
-    if Hashtbl.mem wanted r.r_key then begin
-      let a =
-        match Hashtbl.find wanted r.r_key with
-        | Some a -> a
-        | None ->
-          let a =
-            {
-              a_key = r.r_key;
-              a_frames = 0.0;
-              a_bytes = 0.0;
-              a_first = r.r_first;
-              a_last = r.r_last;
-              a_rst = false;
-            }
-          in
-          Hashtbl.replace wanted r.r_key (Some a);
-          a
-      in
-      a.a_frames <- a.a_frames +. r.r_frames;
-      a.a_bytes <- a.a_bytes +. r.r_bytes;
-      a.a_first <- Float.min a.a_first r.r_first;
-      a.a_last <- Float.max a.a_last r.r_last;
-      a.a_rst <- a.a_rst || r.r_rst
-    end
+  let on_record (r : record) =
+    if Hashtbl.mem wanted r.r_key then
+      match Hashtbl.find wanted r.r_key with
+      | Some a -> absorb a r
+      | None ->
+        let a = acc_of r in
+        Hashtbl.replace wanted r.r_key (Some a);
+        absorb a r
   in
-  let scanned = Obs.Segment.scan schema paths absorb in
+  let scanned = Obs.Segment.scan schema paths on_record in
   if Obs.Registry.enabled () then begin
     Obs.Registry.incr obs_queries;
     Obs.Registry.inc obs_records_scanned (float_of_int scanned)
   end;
   List.map
     (fun k ->
-      ( k,
-        match Hashtbl.find_opt wanted k with
-        | Some (Some a) ->
-          Some
-            {
-              Flows.flow_key = a.a_key;
-              frames = a.a_frames;
-              bytes = a.a_bytes;
-              first_seen = a.a_first;
-              last_seen = a.a_last;
-              rst_seen = a.a_rst;
-            }
-        | _ -> None ))
+      match Hashtbl.find_opt wanted k with
+      | Some (Some a) -> (k, Some (summary a))
+      | _ -> (k, None))
     keys

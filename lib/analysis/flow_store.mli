@@ -11,15 +11,18 @@
     {2 Determinism contract}
 
     A record stores the {e exact} weighted contribution its sample group
-    would feed [Flows.merge] (the same float products, including the
-    exact-integer fast path for unit fractions), tagged with a global
-    group sequence number.  Segments keep records sorted by
+    would feed [Flows.merge] (the same float products), tagged with a
+    global group sequence number.  Segments keep records sorted by
     [(flow key, seq)] and the query engine replays contributions per key
     in ascending [seq] order — the same additions, in the same order, as
     the in-memory merge.  A query over spilled segments therefore
     returns {e byte-identical} summaries (same order, same weighted
     totals) to [Flows.aggregate] over the same groups, for any spill
-    threshold and any fractions. *)
+    threshold and any fractions.
+
+    Every segment is committed whole by {!Obs.Segment.write}, so a
+    killed spill never yields part of a group, and a directory holds
+    one run's segments. *)
 
 type record = {
   r_key : string;  (** flow key, as [Dissect.Acap.flow_key] renders it *)
@@ -41,9 +44,7 @@ val proto_of_key : string -> string
 
 val schema : record Obs.Segment.schema
 (** The [.pwfs] segment schema: records sorted strictly by
-    [(r_key, r_seq)], a flags byte with only bit 0 (RST) valid, and no
-    recovery of unsealed segments — a killed spill must never yield part
-    of a group. *)
+    [(r_key, r_seq)] and a flags byte with only bit 0 (RST) valid. *)
 
 module Writer : sig
   (** Accumulates weighted per-group records in memory and spills a
@@ -52,11 +53,15 @@ module Writer : sig
 
   type t
 
-  val create : ?spill_records:int -> dir:string -> ?prefix:string -> unit -> t
+  val create : ?spill_records:int -> dir:string -> unit -> t
   (** Segments are written to [dir] (created if missing) as
-      [<prefix>-NNNNNN.pwfs], default prefix ["flows"].  [spill_records]
-      (default [200_000]) bounds the number of buffered records; the
-      buffer is flushed at group boundaries, never mid-group. *)
+      [flows-NNNNNN.pwfs], and leftover temporaries of a killed spill
+      are deleted.  [spill_records] (default [200_000]) bounds the
+      number of buffered records; the buffer is flushed at group
+      boundaries, never mid-group.
+      @raise Invalid_argument when [dir] already holds [.pwfs]
+      segments: a second run would restart at segment 0 and group
+      seq 0 over the first run's. *)
 
   val add_shard : t -> site:string -> fraction:float -> Flows.Shard.t -> unit
   (** Append one capture sample's shard as the next group: each flow in

@@ -123,7 +123,6 @@ let merge_shards ?log shards =
       if fraction <= 0.0 && Hashtbl.length shard > 0 then
         warn_unweighted ?log fraction;
       let weight = if fraction > 0.0 then 1.0 /. fraction else 1.0 in
-      let exact = weight = 1.0 in
       Hashtbl.iter
         (fun key (s : shard) ->
           let entry =
@@ -144,14 +143,8 @@ let merge_shards ?log shards =
           in
           (* A thinned capture under-counts both bytes and frames: scale
              both by the inverse materialized fraction. *)
-          if exact then begin
-            entry.a_frames <- entry.a_frames +. float_of_int s.s_frames;
-            entry.a_bytes <- entry.a_bytes +. float_of_int s.s_bytes
-          end
-          else begin
-            entry.a_frames <- entry.a_frames +. (float_of_int s.s_frames *. weight);
-            entry.a_bytes <- entry.a_bytes +. (float_of_int s.s_bytes *. weight)
-          end;
+          entry.a_frames <- entry.a_frames +. (float_of_int s.s_frames *. weight);
+          entry.a_bytes <- entry.a_bytes +. (float_of_int s.s_bytes *. weight);
           entry.a_first <- Float.min entry.a_first s.s_first;
           entry.a_last <- Float.max entry.a_last s.s_last;
           entry.a_rst <- entry.a_rst || s.s_rst)

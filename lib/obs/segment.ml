@@ -1,15 +1,18 @@
-(* Sorted, sealed binary segment files under both durable stores.
+(* Sorted binary segment files under both durable stores.
 
-   Header: 4-byte magic, u16 version, u32 record count — 0xFFFFFFFF
-   while the writer is still streaming records, back-patched on seal.
-   Everything little-endian.  A schema supplies the magic, the record
-   codec and the record order; this module owns the header, the seal,
-   every structural check and the k-way merge. *)
+   Header: 4-byte magic, u16 version, u32 record count, little-endian.
+   A schema supplies the magic, the record codec and the record order;
+   this module owns the header, the commit, every structural check and
+   the k-way merge. *)
 
 exception Corrupt of string
 
 let version = 1
 let header_len = 10
+
+(* The count an older writer streamed records behind until it
+   back-patched the real one: a header still holding it is a segment
+   that writer never finished. *)
 let unsealed_marker = 0xFFFFFFFF
 
 let corrupt path fmt =
@@ -21,20 +24,14 @@ type cursor = {
   path : string;
   ic : in_channel;
   len : int;  (* file length at open *)
-  count : int option;  (* None while unsealed: the file's end ends it *)
+  count : int;
   mutable read : int;
   mutable buf : Bytes.t;  (* reused by every fixed-size read *)
 }
 
-(* The end of an unsealed segment fell inside a record. *)
-exception Torn
-
 let cut_short c what =
-  match c.count with
-  | Some n ->
-    corrupt c.path "truncated segment: %s cut short at record %d/%d" what
-      (c.read + 1) n
-  | None -> raise Torn
+  corrupt c.path "truncated segment: %s cut short at record %d/%d" what
+    (c.read + 1) c.count
 
 let field c n what =
   if n > Bytes.length c.buf then c.buf <- Bytes.create n;
@@ -67,38 +64,44 @@ type 'a schema = {
   encode : Buffer.t -> 'a -> unit;
   decode : cursor -> 'a;
   ties : bool;
-  recover_unsealed : bool;
 }
 
 (* --- writing -------------------------------------------------------- *)
 
-(* Records stream out behind the unsealed marker and the count is
-   back-patched last, so a kill mid-write leaves a segment readers can
-   tell from a sealed one. *)
+let tmp_suffix = ".tmp"
+
+(* One commit: the whole segment goes to [path ^ ".tmp"], which is then
+   renamed to [path].  A final name therefore only ever holds a
+   complete segment; a write cut short leaves at most a temporary. *)
 let write schema path records =
   let records = List.sort schema.compare records in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let b = Buffer.create 65536 in
-  Buffer.add_string b schema.magic;
-  Buffer.add_uint16_le b version;
-  Buffer.add_int32_le b (Int32.of_int unsealed_marker);
-  List.iter
-    (fun x ->
-      schema.encode b x;
-      if Buffer.length b >= 65536 then begin
-        Buffer.output_buffer oc b;
-        Buffer.clear b
-      end)
-    records;
-  Buffer.output_buffer oc b;
-  let size = pos_out oc in
-  flush oc;
-  seek_out oc 6;
-  Buffer.clear b;
-  Buffer.add_int32_le b (Int32.of_int (List.length records));
-  Buffer.output_buffer oc b;
-  size
+  let tmp = path ^ tmp_suffix in
+  let oc = open_out_bin tmp in
+  match
+    let b = Buffer.create 65536 in
+    Buffer.add_string b schema.magic;
+    Buffer.add_uint16_le b version;
+    Buffer.add_int32_le b (Int32.of_int (List.length records));
+    List.iter
+      (fun x ->
+        schema.encode b x;
+        if Buffer.length b >= 65536 then begin
+          Buffer.output_buffer oc b;
+          Buffer.clear b
+        end)
+      records;
+    Buffer.output_buffer oc b;
+    let size = pos_out oc in
+    close_out oc;
+    size
+  with
+  | size ->
+    Sys.rename tmp path;
+    size
+  | exception e ->
+    close_out_noerr oc;
+    Sys.remove tmp;
+    raise e
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -112,7 +115,6 @@ type 'a reader = {
   schema : 'a schema;
   cur : cursor;
   mutable prev : 'a option;  (* sortedness check *)
-  mutable torn : bool;
   mutable closed : bool;
 }
 
@@ -128,16 +130,12 @@ let read_header schema path ic =
   let v = Bytes.get_uint16_le header 4 in
   if v <> version then corrupt path "unsupported segment version %d" v;
   let n = Int32.to_int (Bytes.get_int32_le header 6) land 0xFFFFFFFF in
-  let count =
-    if n = unsealed_marker then
-      if schema.recover_unsealed then None
-      else corrupt path "unsealed segment (its writer never sealed it)"
-    else if n > len - header_len then
-      (* Every record takes at least one byte. *)
-      corrupt path "implausible record count %d for a %d-byte file" n len
-    else Some n
-  in
-  (len, count)
+  if n = unsealed_marker then
+    corrupt path "unsealed segment (an older writer never sealed it)";
+  (* Every record takes at least one byte. *)
+  if n > len - header_len then
+    corrupt path "implausible record count %d for a %d-byte file" n len;
+  (len, n)
 
 let open_reader schema path =
   let ic =
@@ -149,15 +147,11 @@ let open_reader schema path =
       schema;
       cur = { path; ic; len; count; read = 0; buf = Bytes.create 64 };
       prev = None;
-      torn = false;
       closed = false;
     }
   | exception e ->
     close_in_noerr ic;
     raise (match e with Sys_error msg -> Corrupt (path ^ ": " ^ msg) | e -> e)
-
-let sealed r = r.cur.count <> None
-let torn r = r.torn
 
 let close r =
   if not r.closed then begin
@@ -168,34 +162,24 @@ let close r =
 let next r =
   let c = r.cur in
   if r.closed then None
-  else
-    match c.count with
-    | Some n when c.read >= n ->
-      if pos_in c.ic < c.len then
-        corrupt c.path "trailing garbage after %d records" n;
-      close r;
-      None
-    | None when pos_in c.ic >= c.len ->
-      close r;
-      None
-    | _ -> (
-      match r.schema.decode c with
-      | exception Torn ->
-        (* A kill mid-append left a partial final record; it never made
-           it to the store, so drop it rather than refuse the segment. *)
-        r.torn <- true;
-        close r;
-        None
-      | x ->
-        (match r.prev with
-        | Some p ->
-          let o = r.schema.compare p x in
-          if o > 0 || (o = 0 && not r.schema.ties) then
-            corrupt c.path "segment not sorted at record %d" (c.read + 1)
-        | None -> ());
-        r.prev <- Some x;
-        c.read <- c.read + 1;
-        Some x)
+  else if c.read >= c.count then begin
+    if pos_in c.ic < c.len then
+      corrupt c.path "trailing garbage after %d records" c.count;
+    close r;
+    None
+  end
+  else begin
+    let x = r.schema.decode c in
+    (match r.prev with
+    | Some p ->
+      let o = r.schema.compare p x in
+      if o > 0 || (o = 0 && not r.schema.ties) then
+        corrupt c.path "segment not sorted at record %d" (c.read + 1)
+    | None -> ());
+    r.prev <- Some x;
+    c.read <- c.read + 1;
+    Some x
+  end
 
 let read_all schema path =
   match
@@ -206,10 +190,9 @@ let read_all schema path =
         let rec go acc =
           match next r with None -> List.rev acc | Some x -> go (x :: acc)
         in
-        let records = go [] in
-        (records, r.torn))
+        go [])
   with
-  | result -> Ok result
+  | records -> Ok records
   | exception Corrupt msg -> Error msg
 
 (* --- k-way merge ---------------------------------------------------- *)
@@ -282,10 +265,17 @@ let scan schema paths f =
   done;
   !scanned
 
-let in_dir schema dir =
+let files_ending dir suffix =
   if not (Sys.file_exists dir) then []
   else
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f schema.suffix)
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
     |> List.sort compare
     |> List.map (Filename.concat dir)
+
+let in_dir schema dir = files_ending dir schema.suffix
+
+let remove_uncommitted schema dir =
+  let tmps = files_ending dir (schema.suffix ^ tmp_suffix) in
+  List.iter Sys.remove tmps;
+  List.length tmps

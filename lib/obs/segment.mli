@@ -1,20 +1,20 @@
-(** Sorted, sealed binary segment files: the one storage layer under the
-    flow store ([.pwfs]) and the telemetry store ([.pwts]).
+(** Sorted binary segment files: the one storage layer under the flow
+    store ([.pwfs]) and the telemetry store ([.pwts]).
 
     A segment is a 10-byte header — 4-byte magic, u16 version (1), u32
     record count, little-endian — followed by the records in the
-    schema's sort order.  {!write} streams the records behind the
-    [0xFFFFFFFF] {e unsealed} marker and seals the segment by
-    back-patching the real count, so a writer killed mid-write leaves a
-    segment a reader can tell from a sealed one.
+    schema's sort order.  {!write} commits a segment in one step: it
+    writes the whole file to [<path>.tmp] and renames it to [<path>],
+    so a final name only ever holds a complete segment, and a writer
+    killed mid-write leaves at most a temporary, which {!in_dir} never
+    lists and {!remove_uncommitted} deletes.
 
     Readers validate everything they touch and raise {!Corrupt} with
     the file name in the message: short header, bad magic, version,
     implausible count, truncation (naming record [i/n]), trailing
-    garbage, sortedness, and each record's own checks.  A schema that
-    sets [recover_unsealed] reads an unsealed segment's complete record
-    prefix and drops a torn final record; any other schema rejects an
-    unsealed segment. *)
+    garbage, sortedness, and each record's own checks.  A header that
+    holds the [0xFFFFFFFF] count an older writer streamed behind is an
+    ["unsealed segment"]. *)
 
 exception Corrupt of string
 (** A segment failed validation; the message starts with the file path. *)
@@ -49,49 +49,35 @@ type 'a schema = {
       (** Reads one record and makes its own checks, failing through
           {!invalid}. *)
   ties : bool;  (** adjacent records may compare equal *)
-  recover_unsealed : bool;
-      (** read an unsealed segment's complete prefix instead of
-          rejecting it *)
 }
 
 (** {1 Writing} *)
 
 val write : 'a schema -> string -> 'a list -> int
-(** [write schema path records] sorts the records (stably), streams
-    them into [path] and seals it; returns the file size in bytes. *)
+(** [write schema path records] sorts the records (stably), writes them
+    to [path ^ ".tmp"] and renames that to [path]; returns the file size
+    in bytes.  When the encoder raises, the temporary is removed and the
+    exception re-raised. *)
 
 val mkdir_p : string -> unit
 
 (** {1 Reading} *)
 
-type 'a reader
-(** A streaming cursor over one segment; holds one record of state. *)
-
-val open_reader : 'a schema -> string -> 'a reader
-(** Validates the header.  @raise Corrupt on a malformed header. *)
-
-val sealed : 'a reader -> bool
-
-val next : 'a reader -> 'a option
-(** The next record, [None] at the end (the reader is then closed).
-    @raise Corrupt on a malformed record, an order violation,
-    truncation of a sealed segment or trailing bytes. *)
-
-val torn : 'a reader -> bool
-(** An unsealed segment ended inside a record, which was dropped. *)
-
-val close : 'a reader -> unit
-
-val read_all : 'a schema -> string -> ('a list * bool, string) result
-(** Every record plus the {!torn} flag, or the {!Corrupt} message. *)
+val read_all : 'a schema -> string -> ('a list, string) result
+(** Every record, or the {!Corrupt} message. *)
 
 val scan : 'a schema -> string list -> ('a -> unit) -> int
 (** Stream every record of the segments merged in schema order; equal
     records come out in the order of their segments in the list.
     Returns the record count.  Every reader is closed on return,
     including when a segment fails to open.
-    @raise Corrupt as {!open_reader} and {!next}. *)
+    @raise Corrupt on a malformed segment. *)
 
 val in_dir : 'a schema -> string -> string list
-(** The segment paths under a directory, sorted by name; [[]] when the
-    directory does not exist. *)
+(** The committed segment paths under a directory (names ending in the
+    schema's suffix), sorted by name; [[]] when the directory does not
+    exist. *)
+
+val remove_uncommitted : 'a schema -> string -> int
+(** Delete the temporaries a killed {!write} left under a directory;
+    returns how many. *)

@@ -3,9 +3,9 @@
    The rolling [Series] windows are capacity-bounded RAM: a service
    restart erases all history and a long run evicts its own past.  The
    Tsdb makes telemetry durable as append-only sorted [Segment] files,
-   the layer it shares with the flow store: sealed headers, [Corrupt]
-   on any validation failure, and bounded-memory reads by a k-way merge
-   holding one record per segment in flight.
+   the layer it shares with the flow store: one commit per segment,
+   [Corrupt] on any validation failure, and bounded-memory reads by a
+   k-way merge holding one record per segment in flight.
 
    One record is either a raw point (the very float pushed into a
    series) or a downsampled bucket carrying count/sum/min/max/last for
@@ -92,9 +92,15 @@ let obs_points_downsampled =
   Registry.counter Registry.default "tsdb_records_downsampled_total"
     ~help:"Raw points folded into downsampled buckets by compactions"
 
-let obs_recovered_segments =
-  Registry.counter Registry.default "tsdb_recovered_segments_total"
-    ~help:"Unsealed segments recovered (partial tail records dropped) at open"
+let obs_removed_uncommitted, obs_removed_superseded =
+  let removed reason =
+    Registry.counter Registry.default "tsdb_segments_removed_total"
+      ~help:
+        "Files deleted at open: temporaries of a killed write \
+         (uncommitted) and inputs a committed merge replaced (superseded)"
+      ~labels:[ ("reason", reason) ]
+  in
+  (removed "uncommitted", removed "superseded")
 
 (* --- segment schema ------------------------------------------------ *)
 
@@ -106,8 +112,7 @@ let obs_recovered_segments =
 
    Ties are legal: two sources may report the same series at the same
    instant (e.g. a local and a federated aggregate), and the writer's
-   stable sort keeps such duplicates adjacent.  An unsealed segment is
-   a killed writer's tail; its complete prefix is readable. *)
+   stable sort keeps such duplicates adjacent. *)
 
 let encode buf (r : record) =
   Segment.add_str buf r.t_name;
@@ -197,7 +202,6 @@ let schema =
     encode;
     decode;
     ties = true;
-    recover_unsealed = true;
   }
 
 (* --- predicates ---------------------------------------------------- *)
@@ -227,91 +231,70 @@ let matches p (r : record) =
 
 (* --- store handle -------------------------------------------------- *)
 
-let segments_in_dir dir = Segment.in_dir schema dir
+(* Flushes write tsdb-NNNNNN.pwts; a compaction writes its merge as
+   tsdb-NNNNNN-merged.pwts, at an index past every input's. *)
+let segment_path dir index ~merged =
+  Filename.concat dir
+    (Printf.sprintf "tsdb-%06d%s.pwts" index (if merged then "-merged" else ""))
+
+let is_merge path = Filename.check_suffix path "-merged.pwts"
+
+let index_of_path path =
+  (* Foreign names count as index -1. *)
+  Option.value ~default:(-1)
+    (Scanf.sscanf_opt (Filename.basename path) "tsdb-%d" Fun.id)
+
+(* The live segments: the last merge and every segment after it.  A
+   compaction renames its merge into place before it removes its
+   inputs, so an input still beside a later merge is superseded. *)
+let segments_in_dir dir =
+  let rec live acc = function
+    | [] -> acc
+    | p :: _ when is_merge p -> p :: acc
+    | p :: older -> live (p :: acc) older
+  in
+  live [] (List.rev (Segment.in_dir schema dir))
 
 type t = {
   dir : string;
   retention : float option;
   resolution : float option;
-  compact_every : int;
   lock : Mutex.t;
   mutable buf : record list; (* reversed arrival order; flush sorts *)
   mutable buffered : int;
   mutable seg_index : int;
-  mutable recovered : int; (* unsealed segments repaired at open *)
 }
 
-let index_of_path path =
-  (* tsdb-NNNNNN.pwts; foreign names count as index -1. *)
-  let base = Filename.remove_extension (Filename.basename path) in
-  match String.rindex_opt base '-' with
-  | None -> -1
-  | Some i -> (
-    match
-      int_of_string_opt (String.sub base (i + 1) (String.length base - i - 1))
-    with
-    | Some n -> n
-    | None -> -1)
-
-(* Open (or create) a store directory.  Unsealed segments left behind by
-   a killed writer are recovered in place: their complete record prefix
-   is rewritten as a sealed segment and any partial tail record is
-   dropped. *)
-let open_store ?retention ?resolution ?(compact_every = 2) ?log ~dir () =
+(* Open (or create) a store directory, deleting what a killed writer
+   left: temporaries of an uncommitted write, and the inputs of a
+   compaction killed after its merge was committed. *)
+let open_store ?retention ?resolution ~dir () =
   (match retention with
   | Some r when r <= 0.0 -> invalid_arg "Obs.Tsdb.open_store: retention <= 0"
   | _ -> ());
   (match resolution with
   | Some r when r <= 0.0 -> invalid_arg "Obs.Tsdb.open_store: resolution <= 0"
   | _ -> ());
-  if compact_every < 2 then
-    invalid_arg "Obs.Tsdb.open_store: compact_every must be >= 2";
   Segment.mkdir_p dir;
-  let recovered = ref 0 in
-  List.iter
-    (fun path ->
-      let reader = Segment.open_reader schema path in
-      let was_sealed = Segment.sealed reader in
-      let records, dropped =
-        Fun.protect
-          ~finally:(fun () -> Segment.close reader)
-          (fun () ->
-            let rec go acc =
-              match Segment.next reader with
-              | None -> List.rev acc
-              | Some r -> go (r :: acc)
-            in
-            let records = go [] in
-            (records, Segment.torn reader))
-      in
-      if not was_sealed then begin
-        ignore (Segment.write schema path records);
-        incr recovered;
-        if Registry.enabled () then Registry.incr obs_recovered_segments;
-        match log with
-        | Some f ->
-          f
-            (Printf.sprintf "recovered unsealed segment %s (%d records%s)" path
-               (List.length records)
-               (if dropped then ", partial tail record dropped" else ""))
-        | None -> ()
-      end)
-    (segments_in_dir dir);
+  let uncommitted = Segment.remove_uncommitted schema dir in
+  let live = segments_in_dir dir in
+  let superseded =
+    List.filter (fun p -> not (List.mem p live)) (Segment.in_dir schema dir)
+  in
+  List.iter Sys.remove superseded;
+  Registry.inc obs_removed_uncommitted (float_of_int uncommitted);
+  Registry.inc obs_removed_superseded (float_of_int (List.length superseded));
   let seg_index =
-    List.fold_left
-      (fun acc p -> max acc (index_of_path p + 1))
-      0 (segments_in_dir dir)
+    List.fold_left (fun acc p -> max acc (index_of_path p + 1)) 0 live
   in
   {
     dir;
     retention;
     resolution;
-    compact_every;
     lock = Mutex.create ();
     buf = [];
     buffered = 0;
     seg_index;
-    recovered = !recovered;
   }
 
 let locked t f =
@@ -319,7 +302,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let dir t = t.dir
-let recovered_segments t = t.recovered
 let segments t = segments_in_dir t.dir
 let buffered t = locked t (fun () -> t.buffered)
 
@@ -431,10 +413,10 @@ let compact t =
     ignore (Segment.scan schema paths on_record);
     emit ();
     let records = List.rev !out in
-    let path =
-      Filename.concat t.dir (Printf.sprintf "tsdb-%06d.pwts" t.seg_index)
-    in
+    let path = segment_path t.dir t.seg_index ~merged:true in
     t.seg_index <- t.seg_index + 1;
+    (* The merge is committed before any input goes: a kill in between
+       leaves inputs that [segments_in_dir] no longer lists. *)
     ignore (Segment.write schema path records);
     List.iter Sys.remove paths;
     if Registry.enabled () then begin
@@ -444,18 +426,16 @@ let compact t =
     end
   end
 
-(* Write the buffered records as one new sealed segment, then compact
-   when the store has accumulated enough segments (or needs retention /
-   downsampling applied).  Returns the number of records flushed. *)
+(* Write the buffered records as one new segment, then, when the store
+   applies retention or downsampling, compact once it holds two live
+   segments.  Returns the number of records flushed. *)
 let flush t =
   let n, needs_compact =
     locked t @@ fun () ->
     if t.buffered = 0 then (0, false)
     else begin
       Span.timed ~stage:"tsdb.flush" @@ fun () ->
-      let path =
-        Filename.concat t.dir (Printf.sprintf "tsdb-%06d.pwts" t.seg_index)
-      in
+      let path = segment_path t.dir t.seg_index ~merged:false in
       t.seg_index <- t.seg_index + 1;
       let count = t.buffered in
       ignore (Segment.write schema path t.buf);
@@ -468,7 +448,7 @@ let flush t =
       let wants_rewrite = t.retention <> None || t.resolution <> None in
       ( count,
         wants_rewrite
-        && List.length (segments_in_dir t.dir) >= t.compact_every )
+        && List.length (segments_in_dir t.dir) >= 2 )
     end
   in
   if needs_compact then compact t;

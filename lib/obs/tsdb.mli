@@ -2,18 +2,20 @@
     records with downsampling compaction.
 
     The weekly service survives restarts, so its operational series must
-    too.  A store is a directory of sorted, sealed [.pwts] segments in
-    the {!Segment} format; appends buffer in memory until {!flush}
-    writes one new segment, and every [compact_every] flushes {!compact}
-    merges segments, applying retention and (when a [resolution] is set)
-    folding raw points older than the newest bucket boundary into
-    per-bucket aggregates whose count/sum/min/max/last equal a
-    recomputation over the raw points they replace.
+    too.  A store is a directory of sorted [.pwts] segments in the
+    {!Segment} format, each committed whole by a rename; appends buffer
+    in memory until {!flush} writes one new [tsdb-NNNNNN.pwts], and
+    every second flush {!compact} merges the segments into one
+    [tsdb-NNNNNN-merged.pwts], applying retention and (when a
+    [resolution] is set) folding raw points older than the newest
+    bucket boundary into per-bucket aggregates whose
+    count/sum/min/max/last equal a recomputation over the raw points
+    they replace.
 
-    An {e unsealed} segment left by a killed writer is not corrupt: its
-    complete record prefix is readable and a torn tail record is
-    dropped, which {!open_store} uses to repair such segments in
-    place. *)
+    A compaction commits its merge before it removes its inputs, so a
+    kill between the two leaves inputs beside the merge that replaced
+    them; {!segments_in_dir} never lists them, and {!open_store}
+    deletes them along with any temporary a killed write left. *)
 
 type record = {
   t_name : string;
@@ -48,8 +50,7 @@ val compare_record : record -> record -> int
 val schema : record Segment.schema
 (** The [.pwts] segment schema: records in {!compare_record} order with
     ties allowed, a kind byte (0 raw, 1 bucket), sorted labels, buckets
-    with count >= 1 and min <= max, and unsealed segments readable up to
-    their last complete record. *)
+    with count >= 1 and min <= max. *)
 
 (** {1 Query predicates} *)
 
@@ -60,31 +61,23 @@ val predicate : ?since:float -> ?until:float -> ?name:string -> ?labels:Registry
 val matches : predicate -> record -> bool
 
 val segments_in_dir : string -> string list
-(** The [.pwts] segment paths in a directory, sorted; [] when the
-    directory does not exist. *)
+(** The live [.pwts] segments in a directory, sorted: the last merge and
+    every segment after it; [] when the directory does not exist.  The
+    store, its queries and every offline reader list through this. *)
 
 (** {1 Store handle} *)
 
 type t
 
-val open_store :
-  ?retention:float ->
-  ?resolution:float ->
-  ?compact_every:int ->
-  ?log:(string -> unit) ->
-  dir:string ->
-  unit ->
-  t
-(** Open (or create) a store directory, repairing any unsealed segments
-    a killed writer left behind.  [retention] drops records whose end
-    falls more than that many seconds behind the newest timestamp at
-    compaction; [resolution] enables downsampling; [compact_every]
-    (default 2, min 2) triggers compaction every that many flushes. *)
+val open_store : ?retention:float -> ?resolution:float -> dir:string -> unit -> t
+(** Open (or create) a store directory, deleting the temporaries of
+    uncommitted writes and the segments a committed merge superseded
+    (counted in [tsdb_segments_removed_total{reason}]).  [retention]
+    drops records whose end falls more than that many seconds behind
+    the newest timestamp at compaction; [resolution] enables
+    downsampling. *)
 
 val dir : t -> string
-
-val recovered_segments : t -> int
-(** Unsealed segments repaired at open. *)
 
 val segments : t -> string list
 val buffered : t -> int
@@ -96,8 +89,8 @@ val bucket_start : resolution:float -> float -> float
 
 val compact : t -> unit
 val flush : t -> int
-(** Write buffered records as one sealed segment (compacting on
-    cadence); returns the records flushed. *)
+(** Write buffered records as one segment (compacting on cadence);
+    returns the records flushed. *)
 
 (** {1 Reading} *)
 

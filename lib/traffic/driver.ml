@@ -62,7 +62,6 @@ type t = {
   seed : int;
   pool : Parallel.Pool.t;
   slab : float;  (* presample horizon, simulated seconds *)
-  batch_events : bool;  (* slab arrivals enter the engine as one block *)
   gens : site_gen array;
   by_name : (string, site_gen) Hashtbl.t;
   specs : (int, Flow_model.spec) Hashtbl.t;
@@ -89,8 +88,7 @@ let obs_events_batched =
 let site_seed seed index =
   (seed * 2654435761) lxor ((index + 1) * 0x9E3779B97F4A7C1)
 
-let create ?(pool = Parallel.Pool.sequential) ?(slab = 900.0)
-    ?(batch_events = true) fabric ~seed =
+let create ?(pool = Parallel.Pool.sequential) ?(slab = 900.0) fabric ~seed =
   if slab <= 0.0 then invalid_arg "Driver.create: slab must be positive";
   let sites = (Fablib.model fabric).Info_model.sites in
   let n = Array.length sites in
@@ -166,7 +164,6 @@ let create ?(pool = Parallel.Pool.sequential) ?(slab = 900.0)
     seed;
     pool;
     slab;
-    batch_events;
     gens;
     by_name;
     specs = Hashtbl.create 1024;
@@ -444,34 +441,23 @@ let rec refill t ~from =
   let nowc = Simcore.Engine.now engine in
   Array.iter
     (fun preps ->
-      if t.batch_events then begin
-        (* One pre-sorted block per site-slab: one array of times and
-           one shared callback indexing into the prepared array, instead
-           of a heap push, an event record and a closure per arrival.
-           Times go through the same [clock +. (time -. clock)]
-           round-trip [schedule_at] applies, so batched and per-event
-           replay fire at bit-identical instants. *)
-        match preps with
-        | [] -> ()
-        | preps ->
-          let arr = Array.of_list preps in
-          let n = Array.length arr in
-          let times =
-            Array.map (fun p -> nowc +. (p.pr_time -. nowc)) arr
-          in
-          Obs.Registry.inc obs_prepared (float_of_int n);
-          Obs.Registry.inc obs_events_batched (float_of_int n);
-          ignore
-            (Simcore.Engine.schedule_batch engine ~times (fun _ i ->
-                 execute t arr.(i)))
-      end
-      else
-        List.iter
-          (fun prep ->
-            Obs.Registry.incr obs_prepared;
-            Simcore.Engine.schedule_at engine ~time:prep.pr_time (fun _ ->
-                execute t prep))
-          preps)
+      (* One pre-sorted block per site-slab: one array of times and one
+         shared callback indexing into the prepared array, instead of a
+         heap push, an event record and a closure per arrival.  Times go
+         through the same [clock +. (time -. clock)] round-trip
+         [schedule_at] applies, so each arrival fires at the instant a
+         per-event [schedule_at] would give it, to the bit. *)
+      match preps with
+      | [] -> ()
+      | preps ->
+        let arr = Array.of_list preps in
+        let n = Array.length arr in
+        let times = Array.map (fun p -> nowc +. (p.pr_time -. nowc)) arr in
+        Obs.Registry.inc obs_prepared (float_of_int n);
+        Obs.Registry.inc obs_events_batched (float_of_int n);
+        ignore
+          (Simcore.Engine.schedule_batch engine ~times (fun _ i ->
+               execute t arr.(i))))
     batches;
   if limit < t.until then
     Simcore.Engine.schedule_at engine ~time:limit (fun _ -> refill t ~from:limit)

@@ -12,8 +12,9 @@
     cross-site flows) comes from that site's own SplitMix64 stream, and
     flow ids are striped ([site_index + k * n_sites]) instead of drawn
     from a shared counter.  Arrivals are presampled one slab of
-    simulated time at a time, one pool task per site, then replayed as
-    engine events; because no site's stream depends on any other's, the
+    simulated time at a time, one pool task per site, then handed to the
+    engine as one pre-sorted {!Simcore.Engine.schedule_batch} block per
+    site-slab; because no site's stream depends on any other's, the
     spawned flows and specs are bit-identical at any pool size and any
     slab length.
 
@@ -25,24 +26,14 @@
 type t
 
 val create :
-  ?pool:Parallel.Pool.t ->
-  ?slab:float ->
-  ?batch_events:bool ->
-  Testbed.Fablib.t ->
-  seed:int ->
-  t
+  ?pool:Parallel.Pool.t -> ?slab:float -> Testbed.Fablib.t -> seed:int -> t
 (** [create fabric ~seed] builds the per-site generators (profiles,
     port tables, cross-site weight tables) for every site of the
     fabric's model.  [pool] (default {!Parallel.Pool.sequential}) runs
     the per-site presampling; [slab] (default 900 simulated seconds)
-    bounds how far ahead arrivals are materialized; [batch_events]
-    (default [true]) replays each site-slab of presampled arrivals as
-    one pre-sorted {!Simcore.Engine.schedule_batch} block — one shared
-    callback over an index into the slab array — instead of one heap
-    push and one closure per arrival.  None of the three affects the
-    generated traffic (batched and per-event replay are bit-identical
-    by the engine's sequence-number contract), only wall-clock and
-    memory.  Raises [Invalid_argument] if [slab <= 0]. *)
+    bounds how far ahead arrivals are materialized.  Neither affects
+    the generated traffic, only wall-clock and memory.  Raises
+    [Invalid_argument] if [slab <= 0]. *)
 
 val profiles : t -> Workload.profile list
 val profile : t -> site:string -> Workload.profile

@@ -72,8 +72,7 @@ let test_segment_roundtrip () =
     (size = String.length (read_file path));
   match Segment.read_all FS.schema path with
   | Error e -> Alcotest.fail e
-  | Ok (_, true) -> Alcotest.fail "sealed segment flagged torn"
-  | Ok (back, false) ->
+  | Ok back ->
     Alcotest.(check int) "three back" 3 (List.length back);
     Alcotest.(check bool) "sorted by (key, seq), fields exact" true
       (back
@@ -174,8 +173,9 @@ let test_segment_equal_records_rejected () =
   write_file path (encode_segment [ r; r ]);
   check_error path "not sorted at record 2"
 
-(* A flow spill killed before its seal must not yield part of a group:
-   the unsealed marker is refused, not read up to the file's end. *)
+(* A header still holding the marker an older writer streamed behind
+   is refused, not read up to the file's end: a spill it never sealed
+   must not yield part of a group. *)
 let test_segment_unsealed_rejected () =
   with_temp_dir @@ fun dir ->
   (* The file name must not itself contain the word checked for. *)
@@ -201,17 +201,17 @@ let test_segment_format_pinned () =
        ]);
   (match Segment.read_all FS.schema path with
   | Error e -> Alcotest.fail e
-  | Ok ([ r ], false) ->
+  | Ok [ r ] ->
     Alcotest.(check string) "key" "1|-|10.0.0.1|10.0.0.2|tcp|80-443" r.FS.r_key;
     Alcotest.(check string) "site" "STAR" r.FS.r_site;
     Alcotest.(check int) "seq" 7 r.FS.r_seq;
     Alcotest.(check (float 0.0)) "frames" 2.0 r.FS.r_frames;
     Alcotest.(check (float 0.0)) "bytes" 128.0 r.FS.r_bytes;
     Alcotest.(check bool) "rst" true r.FS.r_rst
-  | Ok (l, _) ->
+  | Ok l ->
     Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length l)));
   (* Direction 2: the library writes byte-for-byte what the independent
-     encoder predicts (count back-patched over the unsealed marker). *)
+     encoder predicts. *)
   let path2 = Filename.concat dir "written.pwfs" in
   let _ =
     Segment.write FS.schema path2
@@ -310,6 +310,39 @@ let test_writer_counters () =
     | _ -> false);
   Alcotest.(check (list string)) "segments_in_dir finds them" segs
     (FS.segments_in_dir dir)
+
+(* One run per directory: a second writer would restart at segment 0
+   and group seq 0, overwriting part of the first run and replaying the
+   rest under colliding seqs.  It is refused and the store stays as it
+   was; a directory holding only a killed spill's temporary is unused,
+   and the temporary goes. *)
+let test_writer_refuses_used_dir () =
+  with_temp_dir @@ fun dir ->
+  let w = FS.Writer.create ~spill_records:7 ~dir () in
+  List.iter
+    (fun (shard, fraction) -> FS.Writer.add_shard w ~site:"STAR" ~fraction shard)
+    (make_groups ~seed:11 ~flows:20 ~groups:4);
+  let segments = FS.Writer.finish w in
+  let bytes = List.map read_file segments in
+  let answer = FS.query segments in
+  (match FS.Writer.create ~dir () with
+  | _ -> Alcotest.fail "a second run into a used directory was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the directory"
+      ("Flow_store.Writer.create: " ^ dir ^ " already holds flow-store segments")
+      msg);
+  Alcotest.(check (list string)) "segments untouched" segments
+    (FS.segments_in_dir dir);
+  Alcotest.(check bool) "bytes untouched" true
+    (List.map read_file segments = bytes);
+  Alcotest.(check bool) "query unchanged" true
+    ((FS.query (FS.segments_in_dir dir)).FS.flows = answer.FS.flows);
+  with_temp_dir @@ fun fresh ->
+  write_file (Filename.concat fresh "flows-000000.pwfs.tmp") "PWFS\x01\x00";
+  let w = FS.Writer.create ~dir:fresh () in
+  Alcotest.(check (list string)) "temporary deleted" []
+    (Array.to_list (Sys.readdir fresh));
+  Alcotest.(check (list string)) "nothing written" [] (FS.Writer.finish w)
 
 let counter_value name =
   match
@@ -569,6 +602,8 @@ let suites =
         Alcotest.test_case "byte-identical to memory" `Quick
           test_query_identical_to_memory;
         Alcotest.test_case "writer counters" `Quick test_writer_counters;
+        Alcotest.test_case "second run into a used directory refused" `Quick
+          test_writer_refuses_used_dir;
         Alcotest.test_case "unweighted counter" `Quick
           test_writer_unweighted_counter;
         Alcotest.test_case "site predicate" `Quick test_query_site_predicate;

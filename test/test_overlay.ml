@@ -1,10 +1,9 @@
-(* Whole-capture decode identities and driver replay: the sliced digest
-   reproduces the copying decode record for record at any pool size,
-   over adversarial captures and over seeded mutations of well-formed
-   frames (where the record decode must never raise), and batched
-   driver replay is bit-identical to per-event replay and executes as
-   many engine events.  The suites keep the [overlay.*] names they had
-   when the overlay cursor, since removed, was checked here too. *)
+(* Whole-capture decode identities: the sliced digest reproduces the
+   copying decode record for record at any pool size, over adversarial
+   captures and over seeded mutations of well-formed frames (where the
+   record decode must never raise).  The suites keep the [overlay.*]
+   names they had when the overlay cursor, since removed, was checked
+   here too. *)
 
 module S = Packet.Slice
 module H = Packet.Headers
@@ -187,18 +186,6 @@ let prop_fuzz_digest =
               Analysis.Digest.pcap_to_acaps ~pool buf = reference))
         [ 1; 2; 4 ])
 
-(* --- driver: batched replay ≡ per-event replay --- *)
-
-let prop_batched_replay_identical =
-  QCheck.Test.make ~count:5
-    ~name:"batched slab replay ≡ per-event (pools 1/2/4 × slab lengths)"
-    QCheck.(
-      triple (int_range 0 3) (QCheck.oneofl [ 1; 2; 4 ])
-        (QCheck.oneofl [ 300.0; 900.0; 7200.0 ]))
-    (fun (seed, pool_size, slab) ->
-      Synthesis.run ~seed ~pool_size ~slab ~batch_events:true ()
-      = Synthesis.run ~seed ~pool_size ~slab ~batch_events:false ())
-
 let suites =
   [
     ( "overlay.properties",
@@ -206,6 +193,4 @@ let suites =
     ( "overlay.fuzz",
       List.map QCheck_alcotest.to_alcotest
         [ prop_fuzz_per_frame; prop_fuzz_digest ] );
-    ( "overlay.batched-driver",
-      [ QCheck_alcotest.to_alcotest prop_batched_replay_identical ] );
   ]

@@ -1,4 +1,5 @@
-(* The segment layer under both stores: readers are closed whatever
+(* The segment layer under both stores: a write killed part-way leaves
+   the committed segments as they were, readers are closed whatever
    fails, and a seeded mutation fuzz of writer-produced segments under
    each schema raises nothing but Corrupt. *)
 
@@ -82,6 +83,94 @@ let test_failed_scan_closes_readers () =
     ignore (Segment.write T.schema (path "a.pwts") [ T.raw_point ~name:"x" ~at:1.0 2.0 ]);
     fails "tsdb" (fun () -> ignore (T.query [ path "a.pwts"; bad ]))
 
+(* --- a write killed part-way ----------------------------------------- *)
+
+exception Killed
+
+(* A copy of [schema] whose encoder raises at record [k] (in write
+   order), as a kill stops a writer part-way through a segment. *)
+let killed_at (type a) (schema : a Segment.schema) k =
+  let seen = ref 0 in
+  {
+    schema with
+    Segment.encode =
+      (fun b x ->
+        if !seen = k then raise Killed;
+        incr seen;
+        schema.Segment.encode b x);
+  }
+
+(* Kill a write into a directory of committed segments at the first
+   record, the second, the first record past the writer's first 64 KiB
+   chunk, and the last: afterwards the directory lists and scans exactly
+   as before, and holds no temporary. *)
+let killed_write (type a) (schema : a Segment.schema) ~(committed : a list list)
+    (records : a list) =
+  with_temp_dir @@ fun dir ->
+  let path i =
+    Filename.concat dir (Printf.sprintf "seg-%06d%s" i schema.Segment.suffix)
+  in
+  List.iteri (fun i rs -> ignore (Segment.write schema (path i) rs)) committed;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let files = listing () and listed = Segment.in_dir schema dir in
+  let scan () =
+    let acc = ref [] in
+    ignore
+      (Segment.scan schema (Segment.in_dir schema dir) (fun x ->
+           acc := x :: !acc));
+    List.rev !acc
+  in
+  let before = scan () in
+  let past_chunk =
+    let b = Buffer.create 65536 in
+    Buffer.add_string b "0123456789" (* the header *);
+    let rec go k = function
+      | [] -> Alcotest.fail "the records never fill a 64 KiB chunk"
+      | x :: rest ->
+        if Buffer.length b >= 65536 then k
+        else begin
+          schema.Segment.encode b x;
+          go (k + 1) rest
+        end
+    in
+    go 0 (List.stable_sort schema.Segment.compare records)
+  in
+  List.iter
+    (fun k ->
+      (match
+         Segment.write (killed_at schema k) (path (List.length committed)) records
+       with
+      | _ -> Alcotest.failf "k=%d: the write was not killed" k
+      | exception Killed -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d: scan returns what it returned before" k)
+        true
+        (scan () = before);
+      Alcotest.(check (list string))
+        (Printf.sprintf "k=%d: only committed segments listed" k)
+        listed (Segment.in_dir schema dir);
+      Alcotest.(check (list string))
+        (Printf.sprintf "k=%d: no temporary left" k)
+        files (listing ()))
+    [ 0; 1; past_chunk; List.length records - 1 ]
+
+let test_killed_write_flow_store () =
+  killed_write FS.schema
+    ~committed:[ [ fsrec ~seq:0 "a"; fsrec ~seq:1 "b" ]; [ fsrec ~seq:2 "a" ] ]
+    (List.init 2000 (fun i ->
+         fsrec ~seq:(3 + i)
+           (Printf.sprintf "1|-|10.0.%d.%d|10.1.0.1|tcp|%d-443" (i / 250)
+              (i mod 250) (1024 + i))))
+
+let test_killed_write_tsdb () =
+  killed_write T.schema
+    ~committed:
+      [ [ bucket ~name:"x" ~at:0.0 ]; [ T.raw_point ~name:"y" ~at:1.0 2.0 ] ]
+    (List.init 2000 (fun i ->
+         T.raw_point ~name:"captured_bytes_per_s"
+           ~labels:[ ("site", "STAR") ]
+           ~at:(float_of_int i) (float_of_int (i * i))))
+
 (* --- seeded mutation fuzz ------------------------------------------ *)
 
 let fuzz (type a) (schema : a Segment.schema) ~(bases : a list list) ~seed () =
@@ -151,6 +240,10 @@ let suites =
   [
     ( "obs.segment",
       [
+        Alcotest.test_case "killed .pwfs write leaves committed segments"
+          `Quick test_killed_write_flow_store;
+        Alcotest.test_case "killed .pwts write leaves committed segments"
+          `Quick test_killed_write_tsdb;
         Alcotest.test_case "failed scan closes readers" `Quick
           test_failed_scan_closes_readers;
         Alcotest.test_case "fuzzed .pwfs raises only Corrupt" `Quick

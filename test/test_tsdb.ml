@@ -1,8 +1,8 @@
 (* The persistent telemetry store and the federated scrape plane:
    segment wire format (pinned by an independent encoder), corruption
-   rejection, truncated-tail recovery, downsampling identity against
-   raw recomputation, kill-and-resume determinism, alert re-arming,
-   and the filterable /series.json endpoint. *)
+   rejection, downsampling identity against raw recomputation,
+   kill-and-resume determinism, the states a killed compaction leaves,
+   alert re-arming, and the filterable /series.json endpoint. *)
 
 module T = Obs.Tsdb
 module Segment = Obs.Segment
@@ -103,8 +103,7 @@ let test_segment_roundtrip () =
   Alcotest.(check int) "size matches file" (String.length (read_file path)) size;
   match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail e
-  | Ok (back, dropped) ->
-    Alcotest.(check bool) "sealed segment drops nothing" false dropped;
+  | Ok back ->
     Alcotest.(check bool) "sorted by (name, labels, at), fields exact" true
       (back
       = [
@@ -127,7 +126,7 @@ let test_segment_format_pinned () =
            ~at:7200.0 ~value:0.125));
   (match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail e
-  | Ok ([ bucket; point ], false) ->
+  | Ok [ bucket; point ] ->
     Alcotest.(check string) "bucket name" "captured_bytes_per_s" bucket.T.t_name;
     Alcotest.(check bool) "bucket is not raw" false (T.is_raw bucket);
     Alcotest.(check (float 0.0)) "bucket start" 3600.0 bucket.T.t_at;
@@ -140,9 +139,9 @@ let test_segment_format_pinned () =
     Alcotest.(check (float 0.0)) "bucket last_at" 5400.0 bucket.T.t_last_at;
     Alcotest.(check bool) "raw record exact" true
       (point = raw ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:7200.0 0.125)
-  | Ok (l, _) -> Alcotest.failf "expected 2 records, got %d" (List.length l));
+  | Ok l -> Alcotest.failf "expected 2 records, got %d" (List.length l));
   (* Direction 2: the library writes byte-for-byte what the independent
-     encoder predicts (count back-patched over the unsealed marker). *)
+     encoder predicts. *)
   let path2 = Filename.concat dir "written.pwts" in
   let _ =
     Segment.write T.schema path2
@@ -170,9 +169,7 @@ let test_segment_duplicate_keys_roundtrip () =
   let _ = Segment.write T.schema path twice in
   match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail ("duplicate keys rejected: " ^ e)
-  | Ok (back, false) ->
-    Alcotest.(check bool) "both read back" true (back = twice)
-  | Ok (_, true) -> Alcotest.fail "unexpected partial tail"
+  | Ok back -> Alcotest.(check bool) "both read back" true (back = twice)
 
 let check_error path sub =
   match Segment.read_all T.schema path with
@@ -198,8 +195,11 @@ let test_segment_corruption_rejected () =
   check_error (path "vers.pwts") "version 99";
   write_file (path "short.pwts") "PWT";
   check_error (path "short.pwts") "shorter than the header";
-  (* A sealed segment (real count) cut short is corruption — only the
-     unsealed tail segment gets the drop-partial recovery. *)
+  (* A header still holding the marker an older writer streamed behind
+     is refused, like any segment cut short. *)
+  write_file (path "marker.pwts")
+    (encode_segment (fun b -> enc_raw b ~name:"a" ~labels:[] ~at:1.0 ~value:1.0));
+  check_error (path "marker.pwts") "unsealed segment";
   let whole =
     encode_segment ~count:2 (fun b ->
         enc_raw b ~name:"a" ~labels:[] ~at:1.0 ~value:1.0;
@@ -240,64 +240,6 @@ let test_segment_corruption_rejected () =
          enc_bucket b ~name:"a" ~labels:[] ~start:0.0 ~res:60.0 ~count:0
            ~sum:0.0 ~min:0.0 ~max:0.0 ~last:0.0 ~last_at:0.0));
   check_error (path "count.pwts") "bucket with count 0"
-
-(* --- unsealed tail recovery ---------------------------------------- *)
-
-let test_truncated_tail_recovered () =
-  with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "tsdb-000000.pwts" in
-  (* An unsealed segment (marker count), as a killed writer leaves it:
-     two complete records, then a record cut mid-float. *)
-  let complete =
-    encode_segment (fun b ->
-        enc_raw b ~name:"a" ~labels:[] ~at:1.0 ~value:1.0;
-        enc_raw b ~name:"a" ~labels:[] ~at:2.0 ~value:2.0;
-        enc_raw b ~name:"a" ~labels:[] ~at:3.0 ~value:3.0)
-  in
-  write_file path (String.sub complete 0 (String.length complete - 11));
-  (* Reading tolerates the torn tail: partial record dropped, not Corrupt. *)
-  (match Segment.read_all T.schema path with
-  | Error e -> Alcotest.fail ("recovery read failed: " ^ e)
-  | Ok (records, dropped) ->
-    Alcotest.(check int) "complete prefix survives" 2 (List.length records);
-    Alcotest.(check bool) "partial tail flagged" true dropped);
-  (* Opening the store repairs it in place into a sealed segment. *)
-  let store = T.open_store ~dir () in
-  Alcotest.(check int) "one segment recovered" 1 (T.recovered_segments store);
-  let r = Segment.open_reader T.schema path in
-  Alcotest.(check bool) "rewritten sealed" true (Segment.sealed r);
-  Segment.close r;
-  (match T.query_store store with
-  | [ ("a", [], records) ] ->
-    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-      "points intact after repair"
-      [ (1.0, 1.0); (2.0, 2.0) ]
-      (List.map T.point_of_record records)
-  | _ -> Alcotest.fail "unexpected query result after recovery");
-  (* A fresh open finds nothing left to repair. *)
-  Alcotest.(check int) "idempotent" 0
-    (T.recovered_segments (T.open_store ~dir ()))
-
-(* An unsealed segment that ends on a record boundary lost nothing, so
-   it must not be reported (or logged at repair) as a torn tail. *)
-let test_clean_unsealed_end_not_torn () =
-  with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "tsdb-000000.pwts" in
-  write_file path
-    (encode_segment (fun b ->
-         enc_raw b ~name:"a" ~labels:[] ~at:1.0 ~value:1.0;
-         enc_raw b ~name:"a" ~labels:[] ~at:2.0 ~value:2.0));
-  (match Segment.read_all T.schema path with
-  | Error e -> Alcotest.fail ("unsealed read failed: " ^ e)
-  | Ok (records, torn) ->
-    Alcotest.(check int) "both records" 2 (List.length records);
-    Alcotest.(check bool) "no tail dropped" false torn);
-  let logged = ref [] in
-  let store = T.open_store ~log:(fun m -> logged := m :: !logged) ~dir () in
-  Alcotest.(check int) "resealed" 1 (T.recovered_segments store);
-  Alcotest.(check (list string)) "repair logs no dropped record"
-    [ "recovered unsealed segment " ^ path ^ " (2 records)" ]
-    !logged
 
 (* --- downsampling identity ----------------------------------------- *)
 
@@ -411,8 +353,21 @@ let test_restart_byte_identical () =
   (* A: uninterrupted service. *)
   let a = T.open_store ~dir:dir_a () in
   List.iter (feed a) rounds;
-  (* B: killed and reopened after every round. *)
-  List.iter (fun round -> feed (T.open_store ~dir:dir_b ()) round) rounds;
+  (* B: killed during its next flush after every round, which leaves
+     that segment's temporary cut short, and reopened. *)
+  let kill dir =
+    let segments = T.segments_in_dir dir in
+    let last = read_file (List.nth segments (List.length segments - 1)) in
+    write_file
+      (Filename.concat dir
+         (Printf.sprintf "tsdb-%06d.pwts.tmp" (List.length segments)))
+      (String.sub last 0 (String.length last / 2))
+  in
+  List.iter
+    (fun round ->
+      feed (T.open_store ~dir:dir_b ()) round;
+      kill dir_b)
+    rounds;
   (* Same segment files, byte for byte. *)
   let names d = List.map Filename.basename (T.segments_in_dir d) in
   Alcotest.(check (list string)) "same segment names" (names dir_a) (names dir_b);
@@ -428,7 +383,9 @@ let test_restart_byte_identical () =
   and a2 = T.open_store ~dir:dir_a ()
   and b2 = T.open_store ~dir:dir_b () in
   Alcotest.(check bool) "range query identical" true
-    (T.query_store ~pred a2 = T.query_store ~pred b2)
+    (T.query_store ~pred a2 = T.query_store ~pred b2);
+  Alcotest.(check (list string)) "temporary deleted at open" (names dir_a)
+    (List.sort compare (Array.to_list (Sys.readdir dir_b)))
 
 let test_alert_rearm_matches_uninterrupted () =
   let rule =
@@ -564,7 +521,7 @@ let test_series_endpoint_history_and_filters () =
   Alcotest.(check int) "well-formed still 200" 200 (status [ ("since", "-1e3") ])
 
 (* The endpoint's answer for a pre-kill window is identical before a
-   kill and after recovery+restart — served bytes included. *)
+   kill and after a restart — served bytes included. *)
 let test_series_endpoint_restart_identity () =
   with_temp_dir @@ fun dir ->
   let store = T.open_store ~dir () in
@@ -579,24 +536,147 @@ let test_series_endpoint_restart_identity () =
          (req ~query:[ ("until", "20") ] "/series.json"))
   in
   let before = serve store in
-  (* Kill: leave an unsealed segment with a torn tail behind. *)
-  let tail_path = Filename.concat dir "tsdb-999999.pwts" in
-  let torn =
-    encode_segment (fun b ->
+  (* Kill during the next flush: its temporary is left cut short. *)
+  let whole =
+    encode_segment ~count:2 (fun b ->
         enc_raw b ~name:"x" ~labels:[] ~at:30.0 ~value:3.0;
         enc_raw b ~name:"x" ~labels:[] ~at:40.0 ~value:4.0)
   in
-  write_file tail_path (String.sub torn 0 (String.length torn - 7));
+  write_file
+    (Filename.concat dir "tsdb-000001.pwts.tmp")
+    (String.sub whole 0 (String.length whole - 7));
   let reopened = T.open_store ~dir () in
-  Alcotest.(check int) "torn tail recovered" 1 (T.recovered_segments reopened);
+  Alcotest.(check (list string)) "temporary deleted" [ "tsdb-000000.pwts" ]
+    (Array.to_list (Sys.readdir dir));
   Alcotest.(check string) "pre-kill window byte-identical" before
     (serve reopened);
-  (* The complete record of the torn segment survived recovery. *)
-  match T.query_store ~pred:(T.predicate ~since:25.0 ()) reopened with
-  | [ ("x", [], [ r ]) ] ->
-    Alcotest.(check (pair (float 0.0) (float 0.0)))
-      "recovered tail point" (30.0, 3.0) (T.point_of_record r)
-  | _ -> Alcotest.fail "recovered tail segment not served"
+  (* Nothing of the uncommitted write is served. *)
+  Alcotest.(check int) "uncommitted points not served" 0
+    (List.length (T.query_store ~pred:(T.predicate ~since:25.0 ()) reopened))
+
+(* --- killed compaction --------------------------------------------- *)
+
+let points_of groups =
+  List.concat_map
+    (fun (_, _, records) -> List.map T.point_of_record records)
+    groups
+
+let dir_listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* A compaction commits its merge and then removes its inputs in order.
+   A kill between the two leaves the merge beside all of its inputs, or
+   beside the suffix in-order removal has not reached.  Here the inputs
+   are an earlier merge and a flush.  Every such state must answer as
+   the uncrashed store does before any reopen, and reopening must leave
+   the merge alone. *)
+let test_killed_compaction () =
+  with_temp_dir @@ fun dir ->
+  let store = T.open_store ~dir () in
+  let feed round =
+    List.iter
+      (fun i ->
+        let at = float_of_int ((100 * round) + (7 * i)) in
+        T.append_point store ~name:"x" ~at (float_of_int i))
+      (List.init 10 Fun.id);
+    ignore (T.flush store)
+  in
+  feed 0;
+  feed 1;
+  T.compact store;
+  feed 2;
+  let inputs = List.map (fun p -> (p, read_file p)) (T.segments_in_dir dir) in
+  let uncrashed = T.query (T.segments_in_dir dir) in
+  Alcotest.(check int) "30 points appended" 30 (List.length (points_of uncrashed));
+  T.compact store;
+  let merge = dir_listing dir in
+  let rec suffixes = function [] -> [] | _ :: rest as l -> l :: suffixes rest in
+  List.iter
+    (fun left ->
+      List.iter (fun (p, bytes) -> write_file p bytes) left;
+      let what =
+        String.concat "+" (List.map (fun (p, _) -> Filename.basename p) left)
+      in
+      Alcotest.(check int)
+        (what ^ " beside the merge: points served")
+        30
+        (List.length (points_of (T.query (T.segments_in_dir dir))));
+      Alcotest.(check bool)
+        (what ^ " beside the merge: uncrashed answer")
+        true
+        (T.query (T.segments_in_dir dir) = uncrashed);
+      ignore (T.open_store ~dir ());
+      Alcotest.(check (list string)) (what ^ ": only the merge after open")
+        merge (dir_listing dir))
+    (suffixes inputs)
+
+let counter_value name ~labels =
+  match Registry.value Registry.default ~labels name with
+  | Some (Registry.Counter v) -> v
+  | _ -> 0.0
+
+(* Opening a store deletes what a killed writer left, counting each
+   cleanup, and the store then writes the bytes an uncrashed one does:
+   a kill after a compaction committed its merge (the inputs remain),
+   and later a kill during a flush (its temporary remains). *)
+let test_open_removes_uncommitted_and_superseded () =
+  with_temp_dir @@ fun dir_a ->
+  with_temp_dir @@ fun dir_b ->
+  let res = 60.0 in
+  let round k =
+    List.init 10 (fun i ->
+        (float_of_int ((100 * k) + (7 * i)), float_of_int (k + i)))
+  in
+  let feed store k =
+    List.iter (fun (at, v) -> T.append_point store ~name:"x" ~at v) (round k);
+    ignore (T.flush store)
+  in
+  let removed reason =
+    counter_value "tsdb_segments_removed_total" ~labels:[ ("reason", reason) ]
+  in
+  (* A: uninterrupted, compacting on every second flush. *)
+  let a = T.open_store ~resolution:res ~dir:dir_a () in
+  List.iter (feed a) [ 0; 1; 2; 3 ];
+  (* B: the first compaction's inputs are put back beside its merge. *)
+  let b = T.open_store ~resolution:res ~dir:dir_b () in
+  feed b 0;
+  let first = Filename.concat dir_b "tsdb-000000.pwts" in
+  let first_bytes = read_file first in
+  feed b 1;
+  let merge = dir_listing dir_b in
+  Alcotest.(check int) "compacted into one segment" 1 (List.length merge);
+  write_file first first_bytes;
+  ignore
+    (Segment.write T.schema
+       (Filename.concat dir_b "tsdb-000001.pwts")
+       (List.map (fun (at, v) -> raw ~at v) (round 1)));
+  let superseded = removed "superseded" in
+  let b = T.open_store ~resolution:res ~dir:dir_b () in
+  Alcotest.(check (list string)) "superseded inputs deleted" merge
+    (dir_listing dir_b);
+  Alcotest.(check (float 0.0)) "superseded counted" (superseded +. 2.0)
+    (removed "superseded");
+  feed b 2;
+  (* Killed during the next flush: its temporary, cut short. *)
+  let next = Filename.concat dir_b "tsdb-000005.pwts" in
+  ignore
+    (Segment.write T.schema next
+       (List.map (fun (at, v) -> raw ~at v) (round 3)));
+  let bytes = read_file next in
+  Sys.remove next;
+  write_file (next ^ ".tmp") (String.sub bytes 0 (String.length bytes / 2));
+  let uncommitted = removed "uncommitted" in
+  let b = T.open_store ~resolution:res ~dir:dir_b () in
+  Alcotest.(check (float 0.0)) "temporary counted" (uncommitted +. 1.0)
+    (removed "uncommitted");
+  feed b 3;
+  Alcotest.(check (list string)) "same files as uncrashed" (dir_listing dir_a)
+    (dir_listing dir_b);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " byte-identical") true
+        (read_file (Filename.concat dir_a f)
+        = read_file (Filename.concat dir_b f)))
+    (dir_listing dir_a)
 
 (* --- federation ---------------------------------------------------- *)
 
@@ -781,10 +861,6 @@ let suites =
           test_segment_format_pinned;
         Alcotest.test_case "corruption rejected" `Quick
           test_segment_corruption_rejected;
-        Alcotest.test_case "truncated tail recovered" `Quick
-          test_truncated_tail_recovered;
-        Alcotest.test_case "clean unsealed end not torn" `Quick
-          test_clean_unsealed_end_not_torn;
       ] );
     ( "tsdb.downsample",
       List.map QCheck_alcotest.to_alcotest
@@ -801,6 +877,10 @@ let suites =
           test_alert_rearm_matches_uninterrupted;
         Alcotest.test_case "endpoint restart identity" `Quick
           test_series_endpoint_restart_identity;
+        Alcotest.test_case "killed compaction serves the uncrashed answer"
+          `Quick test_killed_compaction;
+        Alcotest.test_case "open deletes uncommitted and superseded files"
+          `Quick test_open_removes_uncommitted_and_superseded;
       ] );
     ( "tsdb.endpoint",
       [
