@@ -815,8 +815,8 @@ let release_cmd =
         let d = Dissect.Dissector.dissect ~orig_len:p.Packet.Pcap.orig_len p.Packet.Pcap.data in
         match Packet.Frame.validate d.Dissect.Dissector.headers with
         | Ok () when d.Dissect.Dissector.headers <> [] ->
-          (* Re-encode the anonymized headers; payload bytes are dropped
-             beyond the snaplen anyway. *)
+          (* Re-encode the anonymized headers, only as far as the
+             snap length keeps. *)
           let frame =
             Packet.Frame.make d.Dissect.Dissector.headers
               ~payload_len:d.Dissect.Dissector.payload_len
@@ -825,7 +825,7 @@ let release_cmd =
           incr rewritten;
           Packet.Pcap.Writer.add w ~ts:p.Packet.Pcap.ts
             ~orig_len:p.Packet.Pcap.orig_len
-            (Packet.Codec.encode frame)
+            (Packet.Codec.encode ~limit:snaplen frame)
         | Ok () | Error _ ->
           (* Frames we cannot re-encode are blanked rather than leaked. *)
           incr passed;

@@ -191,13 +191,6 @@ let aggregate ?pool ?log ?weights records =
   | Some groups -> aggregate_weighted ?pool ?log groups
   | None -> aggregate_weighted ?pool ?log [ (records, 1.0) ]
 
-let of_samples ?pool ?log samples =
-  aggregate_weighted ?pool ?log
-    (List.map
-       (fun (s : Patchwork.Capture.sample) ->
-         (s.Patchwork.Capture.acaps, s.Patchwork.Capture.materialized_fraction))
-       samples)
-
 let size_log_histogram summaries =
   let h = Netcore.Histogram.Log2.create () in
   List.iter (fun s -> Netcore.Histogram.Log2.add h (Float.max 1.0 s.bytes)) summaries;

@@ -83,13 +83,6 @@ val aggregate :
     observed bytes and observed frames are scaled by its inverse (a
     thinned capture under-counts both). *)
 
-val of_samples :
-  ?pool:Parallel.Pool.t ->
-  ?log:Patchwork.Logging.t ->
-  Patchwork.Capture.sample list ->
-  summary list
-(** Aggregate across samples with per-sample re-weighting. *)
-
 val size_log_histogram : summary list -> Netcore.Histogram.Log2.t
 (** Flow sizes in bytes, log2-binned. *)
 

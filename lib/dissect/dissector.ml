@@ -7,9 +7,14 @@ type result = {
   truncated : bool;
 }
 
+(* A MAC is 48 bits: the top 16, then the low 32. *)
 let read_mac r =
-  let octets = Array.init 6 (fun _ -> Wire.Reader.u8 r) in
-  Mac.of_octets octets
+  let hi = Wire.Reader.u16 r in
+  let lo = Wire.Reader.u32 r in
+  Mac.of_int64
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int hi) 32)
+       (Int64.logand (Int64.of_int32 lo) 0xFFFF_FFFFL))
 
 let read_ipv6 r =
   let hi = Wire.Reader.u64 r in
@@ -36,11 +41,6 @@ let looks_like_tls r =
   &&
   let ct = Wire.Reader.peek_u8 r in
   ct >= 20 && ct <= 23
-
-let starts_with r prefix =
-  let n = String.length prefix in
-  Wire.Reader.remaining r >= n
-  && Bytes.equal (Wire.Reader.peek_bytes r n) (Bytes.of_string prefix)
 
 let dissect_tls r =
   let content_type = Wire.Reader.u8 r in
@@ -264,9 +264,9 @@ let dissect_reader ~orig_len ~cap_len r0 =
         let classify () =
           match port with
           | 443 when looks_like_tls r -> Some (dissect_tls r)
-          | 22 when starts_with r "SSH-" -> Some (dissect_ssh r)
-          | 80 when starts_with r "GET " -> Some (dissect_http r `Request)
-          | 80 when starts_with r "HTTP/" -> Some (dissect_http r `Response)
+          | 22 when Wire.Reader.starts_with r "SSH-" -> Some (dissect_ssh r)
+          | 80 when Wire.Reader.starts_with r "GET " -> Some (dissect_http r `Request)
+          | 80 when Wire.Reader.starts_with r "HTTP/" -> Some (dissect_http r `Response)
           | 53 when Wire.Reader.remaining r >= 12 -> Some (dissect_dns r)
           | _ -> None
         in

@@ -26,30 +26,31 @@ let of_string s =
   | _ -> invalid_arg ("Ipv4_addr.of_string: " ^ s)
 
 (* Rendered once per decoded packet on the analysis fast path, so this
-   writes digits directly instead of Printf (roughly 9x fewer words
-   allocated per call). *)
+   writes digits straight into the result, which is the one allocation. *)
+let digits n = if n >= 100 then 3 else if n >= 10 then 2 else 1
+
+(* Write octet [n] at [pos] and return the position after it. *)
+let put_octet buf pos n =
+  let d = digits n in
+  if d = 3 then Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + (n / 100)));
+  if d >= 2 then
+    Bytes.unsafe_set buf (pos + d - 2) (Char.unsafe_chr (48 + (n / 10 mod 10)));
+  Bytes.unsafe_set buf (pos + d - 1) (Char.unsafe_chr (48 + (n mod 10)));
+  pos + d
+
 let to_string t =
-  let a, b, c, d = to_octets t in
-  let buf = Bytes.create 15 in
-  let pos = ref 0 in
-  let put n =
-    if n >= 100 then begin
-      Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 + (n / 100)));
-      incr pos
-    end;
-    if n >= 10 then begin
-      Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 + (n / 10 mod 10)));
-      incr pos
-    end;
-    Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 + (n mod 10)));
-    incr pos
-  in
-  let dot () =
-    Bytes.unsafe_set buf !pos '.';
-    incr pos
-  in
-  put a; dot (); put b; dot (); put c; dot (); put d;
-  Bytes.sub_string buf 0 !pos
+  let v = Int32.to_int t land 0xFFFF_FFFF in
+  let a = v lsr 24 and b = (v lsr 16) land 0xFF in
+  let c = (v lsr 8) land 0xFF and d = v land 0xFF in
+  let buf = Bytes.create (digits a + digits b + digits c + digits d + 3) in
+  let pos = put_octet buf 0 a in
+  Bytes.unsafe_set buf pos '.';
+  let pos = put_octet buf (pos + 1) b in
+  Bytes.unsafe_set buf pos '.';
+  let pos = put_octet buf (pos + 1) c in
+  Bytes.unsafe_set buf pos '.';
+  ignore (put_octet buf (pos + 1) d);
+  Bytes.unsafe_to_string buf
 
 let mask_of_len len =
   if len < 0 || len > 32 then invalid_arg "Ipv4_addr: bad prefix length";

@@ -37,11 +37,6 @@ module Writer = struct
     Bytes.set_int64_be t.buf t.len v;
     t.len <- t.len + 8
 
-  let bytes t b =
-    ensure t (Bytes.length b);
-    Bytes.blit b 0 t.buf t.len (Bytes.length b);
-    t.len <- t.len + Bytes.length b
-
   let string t s =
     ensure t (String.length s);
     Bytes.blit_string s 0 t.buf t.len (String.length s);
@@ -52,7 +47,12 @@ module Writer = struct
     Bytes.fill t.buf t.len n '\000';
     t.len <- t.len + n
 
+  let truncate t n =
+    if n < 0 || n > t.len then invalid_arg "Writer.truncate: out of range";
+    t.len <- n
+
   let contents t = Bytes.sub t.buf 0 t.len
+  let buffer t = t.buf
 
   let patch_u16 t ~pos v =
     if pos < 0 || pos + 2 > t.len then invalid_arg "Writer.patch_u16: out of range";
@@ -117,9 +117,15 @@ module Reader = struct
     need t 2;
     Bytes.get_uint16_be t.buf t.cursor
 
-  let peek_bytes t n =
-    need t n;
-    Bytes.sub t.buf t.cursor n
+  let starts_with t prefix =
+    let n = String.length prefix in
+    t.cursor + n <= t.limit
+    &&
+    let i = ref 0 in
+    while !i < n && Bytes.unsafe_get t.buf (t.cursor + !i) = String.unsafe_get prefix !i do
+      incr i
+    done;
+    !i = n
 
   let sub t n =
     need t n;

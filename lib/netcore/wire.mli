@@ -14,10 +14,18 @@ module Writer : sig
   val u32 : t -> int32 -> unit
   val u32_of_int : t -> int -> unit
   val u64 : t -> int64 -> unit
-  val bytes : t -> bytes -> unit
   val string : t -> string -> unit
   val zeros : t -> int -> unit
+
+  val truncate : t -> int -> unit
+  (** [truncate t n] keeps the first [n] bytes written, and keeps the
+      storage for the next writes. *)
+
   val contents : t -> bytes
+
+  val buffer : t -> bytes
+  (** The storage itself, not a copy: its first [length t] bytes are the
+      contents.  A later write may move them to new storage. *)
 
   val patch_u16 : t -> pos:int -> int -> unit
   (** Overwrite a previously written 16-bit field (e.g. a length that is
@@ -44,8 +52,9 @@ module Reader : sig
   val peek_u8 : t -> int
   val peek_u16 : t -> int
 
-  val peek_bytes : t -> int -> bytes
-  (** Copy of the next [n] bytes without consuming them. *)
+  val starts_with : t -> string -> bool
+  (** Whether the next bytes are the string's, compared in place without
+      consuming them. *)
 
   val sub : t -> int -> t
   (** [sub t n] is a reader over the next [n] bytes, consuming them from

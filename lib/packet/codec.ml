@@ -1,13 +1,5 @@
 open Netcore
 
-type fixup =
-  | Fix_ipv4 of int  (* header start: patch total length, then checksum *)
-  | Fix_ipv6 of int  (* header start: patch payload length *)
-  | Fix_udp of int * ip_ctx  (* header start + enclosing IP *)
-  | Fix_tcp of int * ip_ctx
-
-and ip_ctx = Ctx_v4 of int | Ctx_v6 of int  (* position of enclosing IP header *)
-
 let tcp_flags_byte (f : Headers.tcp_flags) =
   (if f.fin then 0x01 else 0)
   lor (if f.syn then 0x02 else 0)
@@ -18,29 +10,39 @@ let tcp_flags_byte (f : Headers.tcp_flags) =
   lor (if f.ece then 0x40 else 0)
   lor (if f.cwr then 0x80 else 0)
 
-(* EtherType of the layer following an Ethernet/VLAN header; payload-only
-   frames after Ethernet get an experimental EtherType. *)
+(* EtherType of the layer following an Ethernet/VLAN header, given the
+   headers after it; payload-only frames after Ethernet get an
+   experimental EtherType. *)
 let ethertype_of_next = function
-  | Some h -> Headers.ethertype_for h
-  | None -> 0x88B5
+  | h :: _ -> Headers.ethertype_for h
+  | [] -> 0x88B5
 
 let ip_protocol_of_next = function
-  | Some h -> Headers.ip_protocol_for h
-  | None -> 0xFD (* experimental *)
+  | h :: _ -> Headers.ip_protocol_for h
+  | [] -> 0xFD (* experimental *)
 
-let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx fixups =
+(* A MAC is 48 bits: the top 16, then the low 32. *)
+let put_mac w m =
+  let m = Mac.to_int64 m in
+  Wire.Writer.u16 w (Int64.to_int (Int64.shift_right_logical m 32));
+  Wire.Writer.u32 w (Int64.to_int32 m)
+
+(* Write one header at the writer's end.  [rest] are the headers after
+   it, and [total] is the offset at which the frame's headers and
+   payload end, so length fields are written final; checksum fields are
+   written as zero and filled in by [put_stack]. *)
+let put_header w ~total (h : Headers.header) rest =
   let pos = Wire.Writer.length w in
-  (match h with
+  match h with
   | Ethernet { src; dst } ->
-    let put_mac m = Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets m) in
-    put_mac dst;
-    put_mac src;
-    Wire.Writer.u16 w (ethertype_of_next next)
+    put_mac w dst;
+    put_mac w src;
+    Wire.Writer.u16 w (ethertype_of_next rest)
   | Vlan { pcp; dei; vid } ->
     Wire.Writer.u16 w ((pcp lsl 13) lor ((if dei then 1 else 0) lsl 12) lor (vid land 0xFFF));
-    Wire.Writer.u16 w (ethertype_of_next next)
+    Wire.Writer.u16 w (ethertype_of_next rest)
   | Mpls { label; tc; ttl } ->
-    let bos = match next with Some (Headers.Mpls _) -> 0 | _ -> 1 in
+    let bos = match rest with Headers.Mpls _ :: _ -> 0 | _ -> 1 in
     let word =
       Int32.logor
         (Int32.shift_left (Int32.of_int (label land 0xFFFFF)) 12)
@@ -53,15 +55,14 @@ let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx f
   | Ipv4 { dscp; ttl; ident; dont_fragment; src; dst } ->
     Wire.Writer.u8 w 0x45;
     Wire.Writer.u8 w (dscp lsl 2);
-    Wire.Writer.u16 w 0 (* total length: fixed up *);
+    Wire.Writer.u16 w (total - pos) (* total length *);
     Wire.Writer.u16 w ident;
     Wire.Writer.u16 w (if dont_fragment then 0x4000 else 0);
     Wire.Writer.u8 w ttl;
-    Wire.Writer.u8 w (ip_protocol_of_next next);
-    Wire.Writer.u16 w 0 (* header checksum: fixed up *);
+    Wire.Writer.u8 w (ip_protocol_of_next rest);
+    Wire.Writer.u16 w 0 (* header checksum *);
     Wire.Writer.u32 w (Ipv4_addr.to_int32 src);
-    Wire.Writer.u32 w (Ipv4_addr.to_int32 dst);
-    fixups := Fix_ipv4 pos :: !fixups
+    Wire.Writer.u32 w (Ipv4_addr.to_int32 dst)
   | Ipv6 { traffic_class; flow_label; hop_limit; src; dst } ->
     let word =
       Int32.logor
@@ -71,15 +72,14 @@ let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx f
            (Int32.of_int (flow_label land 0xFFFFF)))
     in
     Wire.Writer.u32 w word;
-    Wire.Writer.u16 w 0 (* payload length: fixed up *);
-    Wire.Writer.u8 w (ip_protocol_of_next next);
+    Wire.Writer.u16 w (total - pos - 40) (* payload length *);
+    Wire.Writer.u8 w (ip_protocol_of_next rest);
     Wire.Writer.u8 w hop_limit;
     let shi, slo = Ipv6_addr.halves src and dhi, dlo = Ipv6_addr.halves dst in
     Wire.Writer.u64 w shi;
     Wire.Writer.u64 w slo;
     Wire.Writer.u64 w dhi;
-    Wire.Writer.u64 w dlo;
-    fixups := Fix_ipv6 pos :: !fixups
+    Wire.Writer.u64 w dlo
   | Tcp { src_port; dst_port; seq; ack_seq; flags; window } ->
     Wire.Writer.u16 w src_port;
     Wire.Writer.u16 w dst_port;
@@ -88,19 +88,13 @@ let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx f
     Wire.Writer.u8 w 0x50 (* data offset 5, no options *);
     Wire.Writer.u8 w (tcp_flags_byte flags);
     Wire.Writer.u16 w window;
-    Wire.Writer.u16 w 0 (* checksum: fixed up *);
-    Wire.Writer.u16 w 0 (* urgent pointer *);
-    (match ip_ctx with
-    | Some ctx -> fixups := Fix_tcp (pos, ctx) :: !fixups
-    | None -> ())
+    Wire.Writer.u16 w 0 (* checksum *);
+    Wire.Writer.u16 w 0 (* urgent pointer *)
   | Udp { src_port; dst_port } ->
     Wire.Writer.u16 w src_port;
     Wire.Writer.u16 w dst_port;
-    Wire.Writer.u16 w 0 (* length: fixed up *);
-    Wire.Writer.u16 w 0 (* checksum: fixed up *);
-    (match ip_ctx with
-    | Some ctx -> fixups := Fix_udp (pos, ctx) :: !fixups
-    | None -> ())
+    Wire.Writer.u16 w (total - pos) (* length *);
+    Wire.Writer.u16 w 0 (* checksum *)
   | Icmpv4 { icmp_type; icmp_code } | Icmpv6 { icmp_type; icmp_code } ->
     Wire.Writer.u8 w icmp_type;
     Wire.Writer.u8 w icmp_code;
@@ -112,9 +106,9 @@ let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx f
     Wire.Writer.u8 w 6;
     Wire.Writer.u8 w 4;
     Wire.Writer.u16 w (match operation with `Request -> 1 | `Reply -> 2);
-    Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets sender_mac);
+    put_mac w sender_mac;
     Wire.Writer.u32 w (Ipv4_addr.to_int32 sender_ip);
-    Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets target_mac);
+    put_mac w target_mac;
     Wire.Writer.u32 w (Ipv4_addr.to_int32 target_ip)
   | Vxlan { vni } ->
     Wire.Writer.u8 w 0x08 (* flags: VNI valid *);
@@ -147,85 +141,68 @@ let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx f
     Wire.Writer.u8 w 8 (* dcid length *);
     Wire.Writer.u64 w 0L;
     Wire.Writer.u8 w 0 (* scid length *);
-    Wire.Writer.u8 w 0);
-  pos
+    Wire.Writer.u8 w 0
 
-let apply_fixups buf total_len fixups =
-  let patch_u16 pos v = Bytes.set_uint16_be buf pos (v land 0xFFFF) in
-  (* Pass 1: lengths. *)
-  List.iter
-    (function
-      | Fix_ipv4 pos -> patch_u16 (pos + 2) (total_len - pos)
-      | Fix_ipv6 pos -> patch_u16 (pos + 4) (total_len - pos - 40)
-      | Fix_udp (pos, _) -> patch_u16 (pos + 4) (total_len - pos)
-      | Fix_tcp _ -> ())
-    fixups;
-  (* Pass 2: checksums (lengths are final now). *)
-  let pseudo_sum ctx l4_len protocol =
-    match ctx with
-    | Ctx_v4 ip_pos ->
-      let s = Checksum.ones_complement_sum buf ~pos:(ip_pos + 12) ~len:8 in
-      let s = s + protocol + l4_len in
-      s
-    | Ctx_v6 ip_pos ->
-      let s = Checksum.ones_complement_sum buf ~pos:(ip_pos + 8) ~len:32 in
-      let s = s + protocol + l4_len in
-      s
+(* The TCP or UDP checksum of the segment at [pos], which runs to
+   [total] over the IP header at [ip].  It is summed over the header
+   bytes up to [headers_end] alone: the payload and the padding after
+   them are all zero bytes, which add nothing to a ones'-complement sum,
+   so the sum equals the one over the whole segment. *)
+let l4_checksum buf ~ip ~v6 ~protocol ~pos ~headers_end ~total =
+  let len = total - pos in
+  let pseudo =
+    (if v6 then Checksum.ones_complement_sum buf ~pos:(ip + 8) ~len:32
+     else Checksum.ones_complement_sum buf ~pos:(ip + 12) ~len:8)
+    + protocol + len
   in
-  List.iter
-    (function
-      | Fix_ipv4 pos ->
-        patch_u16 (pos + 10) 0;
-        let sum = Checksum.ones_complement_sum buf ~pos ~len:20 in
-        patch_u16 (pos + 10) (Checksum.finish sum)
-      | Fix_ipv6 _ -> ()
-      | Fix_udp (pos, ctx) ->
-        let l4_len = total_len - pos in
-        patch_u16 (pos + 6) 0;
-        let sum =
-          Checksum.ones_complement_sum buf ~pos ~len:l4_len
-            ~initial:(pseudo_sum ctx l4_len 17)
-        in
-        let cksum = Checksum.finish sum in
-        (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
-        patch_u16 (pos + 6) (if cksum = 0 then 0xFFFF else cksum)
-      | Fix_tcp (pos, ctx) ->
-        let l4_len = total_len - pos in
-        patch_u16 (pos + 16) 0;
-        let sum =
-          Checksum.ones_complement_sum buf ~pos ~len:l4_len
-            ~initial:(pseudo_sum ctx l4_len 6)
-        in
-        patch_u16 (pos + 16) (Checksum.finish sum))
-    fixups
+  Checksum.finish
+    (Checksum.ones_complement_sum buf ~pos ~len:(headers_end - pos) ~initial:pseudo)
 
-let encode ?(payload_byte = '\x00') (frame : Frame.t) =
-  let w = Wire.Writer.create ~capacity:(Frame.wire_length frame) () in
-  let fixups = ref [] in
-  let rec walk ip_ctx = function
-    | [] -> ()
-    | h :: rest ->
-      let next = match rest with [] -> None | n :: _ -> Some n in
-      let pos = encode_header w h next ip_ctx fixups in
-      let ip_ctx' =
-        match h with
-        | Headers.Ipv4 _ -> Some (Ctx_v4 pos)
-        | Headers.Ipv6 _ -> Some (Ctx_v6 pos)
-        | Headers.Ethernet _ -> None (* inner Ethernet resets the IP context *)
-        | _ -> ip_ctx
-      in
-      walk ip_ctx' rest
-  in
-  walk None frame.headers;
-  if frame.payload_len > 0 then begin
-    let filler = Bytes.make frame.payload_len payload_byte in
-    Wire.Writer.bytes w filler
-  end;
-  let unpadded = Wire.Writer.length w in
-  if unpadded < Frame.min_wire_size then
-    Wire.Writer.zeros w (Frame.min_wire_size - unpadded);
-  let buf = Wire.Writer.contents w in
-  apply_fixups buf unpadded !fixups;
-  buf
+(* Write [headers] outermost first, then fill in their checksums
+   innermost first, so an outer checksum covers the final bytes of the
+   headers inside it.  [ip] is the offset of the enclosing IP header, or
+   -1 when there is none, and [v6] tells its version. *)
+let rec put_stack w ~total ~ip ~v6 = function
+  | [] -> ()
+  | h :: rest -> (
+    let pos = Wire.Writer.length w in
+    put_header w ~total h rest;
+    (match h with
+    | Headers.Ipv4 _ -> put_stack w ~total ~ip:pos ~v6:false rest
+    | Headers.Ipv6 _ -> put_stack w ~total ~ip:pos ~v6:true rest
+    | Headers.Ethernet _ ->
+      (* An inner Ethernet resets the IP context. *)
+      put_stack w ~total ~ip:(-1) ~v6:false rest
+    | _ -> put_stack w ~total ~ip ~v6 rest);
+    (* Read the storage only now: writing the inner headers may have
+       moved it. *)
+    let buf = Wire.Writer.buffer w and headers_end = Wire.Writer.length w in
+    match h with
+    | Headers.Ipv4 _ ->
+      Wire.Writer.patch_u16 w ~pos:(pos + 10)
+        (Checksum.finish (Checksum.ones_complement_sum buf ~pos ~len:20))
+    | Headers.Udp _ when ip >= 0 ->
+      let cksum = l4_checksum buf ~ip ~v6 ~protocol:17 ~pos ~headers_end ~total in
+      (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
+      Wire.Writer.patch_u16 w ~pos:(pos + 6) (if cksum = 0 then 0xFFFF else cksum)
+    | Headers.Tcp _ when ip >= 0 ->
+      Wire.Writer.patch_u16 w ~pos:(pos + 16)
+        (l4_checksum buf ~ip ~v6 ~protocol:6 ~pos ~headers_end ~total)
+    | _ -> ())
 
-let encoded_length frame = Frame.wire_length frame
+let encode_into w ~limit (frame : Frame.t) =
+  if limit < 0 then invalid_arg "Codec.encode_into: negative limit";
+  let start = Wire.Writer.length w in
+  let total = start + Frame.header_size_total frame + frame.payload_len in
+  put_stack w ~total ~ip:(-1) ~v6:false frame.headers;
+  let stop = start + min limit (Frame.wire_length frame) in
+  let len = Wire.Writer.length w in
+  if stop < len then Wire.Writer.truncate w stop
+  else Wire.Writer.zeros w (stop - len)
+
+let encode ?limit frame =
+  let wire_len = Frame.wire_length frame in
+  let limit = Option.value limit ~default:wire_len in
+  let w = Wire.Writer.create ~capacity:(min limit wire_len) () in
+  encode_into w ~limit frame;
+  Wire.Writer.contents w

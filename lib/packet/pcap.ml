@@ -1,3 +1,5 @@
+open Netcore
+
 type packet = { ts : float; orig_len : int; data : bytes }
 
 type index_entry = { ts : float; orig_len : int; data_off : int; cap_len : int }
@@ -6,39 +8,46 @@ let magic_be = 0xA1B2C3D4l
 let magic_le = 0xD4C3B2A1l
 let linktype_ethernet = 1l
 
+let default_snaplen = 65535
+
+(* The record a capture with snap length [snaplen] stores for [frame]:
+   its first [min snaplen wire_length] bytes, appended to the emptied
+   [w], and its wire length, returned. *)
+let encode_record w ~snaplen frame =
+  Wire.Writer.truncate w 0;
+  Codec.encode_into w ~limit:snaplen frame;
+  Frame.wire_length frame
+
+let packet_of_frame ?(snaplen = default_snaplen) ~ts frame =
+  let w = Wire.Writer.create () in
+  let orig_len = encode_record w ~snaplen frame in
+  { ts; orig_len; data = Wire.Writer.contents w }
+
 module Writer = struct
-  type t = { snaplen : int; buf : Buffer.t; mutable count : int }
+  type t = {
+    snaplen : int;
+    buf : Buffer.t;
+    scratch : Wire.Writer.t;  (* the frame [add_frame] is encoding *)
+    mutable count : int;
+  }
 
-  let write_u32_be buf v =
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int v land 0xFF))
-
-  let write_u16_be buf v =
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (v land 0xFF))
-
-  let create ?(snaplen = 65535) () =
+  let create ?(snaplen = default_snaplen) () =
     if snaplen <= 0 then invalid_arg "Pcap.Writer.create: snaplen must be positive";
     let buf = Buffer.create 4096 in
-    write_u32_be buf magic_be;
-    write_u16_be buf 2 (* version major *);
-    write_u16_be buf 4 (* version minor *);
-    write_u32_be buf 0l (* thiszone *);
-    write_u32_be buf 0l (* sigfigs *);
-    write_u32_be buf (Int32.of_int snaplen);
-    write_u32_be buf linktype_ethernet;
-    { snaplen; buf; count = 0 }
+    Buffer.add_int32_be buf magic_be;
+    Buffer.add_uint16_be buf 2 (* version major *);
+    Buffer.add_uint16_be buf 4 (* version minor *);
+    Buffer.add_int32_be buf 0l (* thiszone *);
+    Buffer.add_int32_be buf 0l (* sigfigs *);
+    Buffer.add_int32_be buf (Int32.of_int snaplen);
+    Buffer.add_int32_be buf linktype_ethernet;
+    { snaplen; buf; scratch = Wire.Writer.create (); count = 0 }
 
   let snaplen t = t.snaplen
 
-  let add t ~ts ?orig_len data =
-    let orig_len = match orig_len with Some l -> l | None -> Bytes.length data in
-    if orig_len < 0 then invalid_arg "Pcap.Writer.add: negative orig_len";
-    (* The spec requires incl_len <= orig_len: a caller claiming fewer
-       original bytes than it hands us gets the excess dropped. *)
-    let incl_len = min (min (Bytes.length data) t.snaplen) orig_len in
+  (* Append a record of [orig_len] wire bytes whose first [incl_len] are
+     the first [incl_len] of [data]. *)
+  let add_record t ~ts ~orig_len ~incl_len data =
     let sec = int_of_float ts in
     (* Round (not truncate) to the nearest microsecond: truncation biases
        every timestamp down by up to 1us.  Rounding near a whole second can
@@ -49,16 +58,26 @@ module Writer = struct
       if usec >= 1_000_000 then (sec + 1, usec - 1_000_000)
       else (sec, max 0 usec)
     in
-    write_u32_be t.buf (Int32.of_int sec);
-    write_u32_be t.buf (Int32.of_int usec);
-    write_u32_be t.buf (Int32.of_int incl_len);
-    write_u32_be t.buf (Int32.of_int orig_len);
+    Buffer.add_int32_be t.buf (Int32.of_int sec);
+    Buffer.add_int32_be t.buf (Int32.of_int usec);
+    Buffer.add_int32_be t.buf (Int32.of_int incl_len);
+    Buffer.add_int32_be t.buf (Int32.of_int orig_len);
     Buffer.add_subbytes t.buf data 0 incl_len;
     t.count <- t.count + 1
 
+  let add t ~ts ?orig_len data =
+    let orig_len = match orig_len with Some l -> l | None -> Bytes.length data in
+    if orig_len < 0 then invalid_arg "Pcap.Writer.add: negative orig_len";
+    (* The spec requires incl_len <= orig_len: a caller claiming fewer
+       original bytes than it hands us gets the excess dropped. *)
+    add_record t ~ts ~orig_len
+      ~incl_len:(min (min (Bytes.length data) t.snaplen) orig_len)
+      data
+
   let add_frame t ~ts frame =
-    let data = Codec.encode frame in
-    add t ~ts ~orig_len:(Bytes.length data) data
+    let orig_len = encode_record t.scratch ~snaplen:t.snaplen frame in
+    add_record t ~ts ~orig_len ~incl_len:(Wire.Writer.length t.scratch)
+      (Wire.Writer.buffer t.scratch)
 
   let packet_count t = t.count
   let byte_length t = Buffer.length t.buf

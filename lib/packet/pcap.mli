@@ -22,12 +22,18 @@ type index_entry = {
     the shared capture buffer.  Produced by {!Reader.index} (and
     {!Pcapng.index}); resolves to a {!Slice.t} without copying. *)
 
+val packet_of_frame : ?snaplen:int -> ts:float -> Frame.t -> packet
+(** The record a capture with snap length [snaplen] (default 65535)
+    stores for a frame: its wire length, and the bytes
+    [Codec.encode ~limit:snaplen frame] returns, encoded only that far. *)
+
 module Writer : sig
   type t
 
   val create : ?snaplen:int -> unit -> t
   (** In-memory pcap writer.  [snaplen] (default 65535) truncates stored
-      packet bytes, as a capture snap length does. *)
+      packet bytes, as a capture snap length does.  Records are written
+      big-endian; each costs its 16-byte header and its stored bytes. *)
 
   val snaplen : t -> int
 
@@ -35,7 +41,10 @@ module Writer : sig
   (** Append a raw packet.  [orig_len] defaults to the byte length. *)
 
   val add_frame : t -> ts:float -> Frame.t -> unit
-  (** Encode a {!Frame.t} and append it. *)
+  (** Append the record {!packet_of_frame} gives for the writer's snap
+      length.  The frame is encoded only up to the snap length, into a
+      buffer the writer reuses, so a record costs its stored bytes
+      whatever the frame's wire length. *)
 
   val packet_count : t -> int
 

@@ -12,17 +12,9 @@ let pad32 n = (4 - (n land 3)) land 3
 
 let write ?(snaplen = 65535) packets =
   let buf = Buffer.create 4096 in
-  let u32 v =
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (Int32.to_int v land 0xFF))
-  in
+  let u32 = Buffer.add_int32_be buf in
   let u32i v = u32 (Int32.of_int v) in
-  let u16 v =
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (v land 0xFF))
-  in
+  let u16 = Buffer.add_uint16_be buf in
   let block btype body_len emit_body =
     let total = 12 + body_len + pad32 body_len in
     u32 btype;
@@ -63,11 +55,7 @@ let write ?(snaplen = 65535) packets =
 
 let writer_of_frames ?snaplen frames =
   write ?snaplen
-    (List.map
-       (fun (ts, frame) ->
-         let data = Codec.encode frame in
-         { Pcap.ts; orig_len = Bytes.length data; data })
-       frames)
+    (List.map (fun (ts, frame) -> Pcap.packet_of_frame ?snaplen ~ts frame) frames)
 
 (* --- Reader --- *)
 

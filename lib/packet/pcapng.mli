@@ -12,7 +12,8 @@ val write : ?snaplen:int -> Pcap.packet list -> bytes
 (** Encode packets into a single-section pcapng stream. *)
 
 val writer_of_frames : ?snaplen:int -> (float * Frame.t) list -> bytes
-(** Convenience: encode frames and wrap them. *)
+(** Convenience: {!write} the records {!Pcap.packet_of_frame} gives for
+    the frames, each encoded only up to the snap length. *)
 
 exception Malformed of string
 

@@ -1,6 +1,245 @@
 (* Reference implementations the library's fast paths are checked
    against, shared across test modules. *)
 
+(* The full-payload encoder: every frame is built at its whole wire
+   length, the zero payload materialized, and each checksum summed over
+   the whole segment; a snap length truncates the bytes afterwards.
+   [Codec.encode ~limit] writes only the first [limit] bytes and sums
+   checksums over header bytes alone, and must reproduce this prefix. *)
+module Full_encoder = struct
+  open Netcore
+  open Packet
+
+  type fixup =
+    | Fix_ipv4 of int  (* header start: patch total length, then checksum *)
+    | Fix_ipv6 of int  (* header start: patch payload length *)
+    | Fix_udp of int * ip_ctx  (* header start + enclosing IP *)
+    | Fix_tcp of int * ip_ctx
+
+  and ip_ctx = Ctx_v4 of int | Ctx_v6 of int  (* position of enclosing IP header *)
+
+  let tcp_flags_byte (f : Headers.tcp_flags) =
+    (if f.fin then 0x01 else 0)
+    lor (if f.syn then 0x02 else 0)
+    lor (if f.rst then 0x04 else 0)
+    lor (if f.psh then 0x08 else 0)
+    lor (if f.ack then 0x10 else 0)
+    lor (if f.urg then 0x20 else 0)
+    lor (if f.ece then 0x40 else 0)
+    lor (if f.cwr then 0x80 else 0)
+
+  (* EtherType of the layer following an Ethernet/VLAN header; payload-only
+     frames after Ethernet get an experimental EtherType. *)
+  let ethertype_of_next = function
+    | Some h -> Headers.ethertype_for h
+    | None -> 0x88B5
+
+  let ip_protocol_of_next = function
+    | Some h -> Headers.ip_protocol_for h
+    | None -> 0xFD (* experimental *)
+
+  let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx fixups =
+    let pos = Wire.Writer.length w in
+    (match h with
+    | Ethernet { src; dst } ->
+      let put_mac m = Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets m) in
+      put_mac dst;
+      put_mac src;
+      Wire.Writer.u16 w (ethertype_of_next next)
+    | Vlan { pcp; dei; vid } ->
+      Wire.Writer.u16 w ((pcp lsl 13) lor ((if dei then 1 else 0) lsl 12) lor (vid land 0xFFF));
+      Wire.Writer.u16 w (ethertype_of_next next)
+    | Mpls { label; tc; ttl } ->
+      let bos = match next with Some (Headers.Mpls _) -> 0 | _ -> 1 in
+      let word =
+        Int32.logor
+          (Int32.shift_left (Int32.of_int (label land 0xFFFFF)) 12)
+          (Int32.of_int (((tc land 0x7) lsl 9) lor (bos lsl 8) lor (ttl land 0xFF)))
+      in
+      Wire.Writer.u32 w word
+    | Pseudowire ->
+      (* All-zero control word: first nibble 0 distinguishes it from IPv4/IPv6. *)
+      Wire.Writer.u32 w 0l
+    | Ipv4 { dscp; ttl; ident; dont_fragment; src; dst } ->
+      Wire.Writer.u8 w 0x45;
+      Wire.Writer.u8 w (dscp lsl 2);
+      Wire.Writer.u16 w 0 (* total length: fixed up *);
+      Wire.Writer.u16 w ident;
+      Wire.Writer.u16 w (if dont_fragment then 0x4000 else 0);
+      Wire.Writer.u8 w ttl;
+      Wire.Writer.u8 w (ip_protocol_of_next next);
+      Wire.Writer.u16 w 0 (* header checksum: fixed up *);
+      Wire.Writer.u32 w (Ipv4_addr.to_int32 src);
+      Wire.Writer.u32 w (Ipv4_addr.to_int32 dst);
+      fixups := Fix_ipv4 pos :: !fixups
+    | Ipv6 { traffic_class; flow_label; hop_limit; src; dst } ->
+      let word =
+        Int32.logor
+          (Int32.shift_left 6l 28)
+          (Int32.logor
+             (Int32.shift_left (Int32.of_int (traffic_class land 0xFF)) 20)
+             (Int32.of_int (flow_label land 0xFFFFF)))
+      in
+      Wire.Writer.u32 w word;
+      Wire.Writer.u16 w 0 (* payload length: fixed up *);
+      Wire.Writer.u8 w (ip_protocol_of_next next);
+      Wire.Writer.u8 w hop_limit;
+      let shi, slo = Ipv6_addr.halves src and dhi, dlo = Ipv6_addr.halves dst in
+      Wire.Writer.u64 w shi;
+      Wire.Writer.u64 w slo;
+      Wire.Writer.u64 w dhi;
+      Wire.Writer.u64 w dlo;
+      fixups := Fix_ipv6 pos :: !fixups
+    | Tcp { src_port; dst_port; seq; ack_seq; flags; window } ->
+      Wire.Writer.u16 w src_port;
+      Wire.Writer.u16 w dst_port;
+      Wire.Writer.u32 w seq;
+      Wire.Writer.u32 w ack_seq;
+      Wire.Writer.u8 w 0x50 (* data offset 5, no options *);
+      Wire.Writer.u8 w (tcp_flags_byte flags);
+      Wire.Writer.u16 w window;
+      Wire.Writer.u16 w 0 (* checksum: fixed up *);
+      Wire.Writer.u16 w 0 (* urgent pointer *);
+      (match ip_ctx with
+      | Some ctx -> fixups := Fix_tcp (pos, ctx) :: !fixups
+      | None -> ())
+    | Udp { src_port; dst_port } ->
+      Wire.Writer.u16 w src_port;
+      Wire.Writer.u16 w dst_port;
+      Wire.Writer.u16 w 0 (* length: fixed up *);
+      Wire.Writer.u16 w 0 (* checksum: fixed up *);
+      (match ip_ctx with
+      | Some ctx -> fixups := Fix_udp (pos, ctx) :: !fixups
+      | None -> ())
+    | Icmpv4 { icmp_type; icmp_code } | Icmpv6 { icmp_type; icmp_code } ->
+      Wire.Writer.u8 w icmp_type;
+      Wire.Writer.u8 w icmp_code;
+      Wire.Writer.u16 w 0 (* checksum left zero in the model *);
+      Wire.Writer.u32 w 0l (* rest of header *)
+    | Arp { operation; sender_mac; sender_ip; target_mac; target_ip } ->
+      Wire.Writer.u16 w 1 (* htype ethernet *);
+      Wire.Writer.u16 w 0x0800;
+      Wire.Writer.u8 w 6;
+      Wire.Writer.u8 w 4;
+      Wire.Writer.u16 w (match operation with `Request -> 1 | `Reply -> 2);
+      Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets sender_mac);
+      Wire.Writer.u32 w (Ipv4_addr.to_int32 sender_ip);
+      Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets target_mac);
+      Wire.Writer.u32 w (Ipv4_addr.to_int32 target_ip)
+    | Vxlan { vni } ->
+      Wire.Writer.u8 w 0x08 (* flags: VNI valid *);
+      Wire.Writer.u8 w 0;
+      Wire.Writer.u16 w 0;
+      Wire.Writer.u32 w (Int32.shift_left (Int32.of_int (vni land 0xFFFFFF)) 8)
+    | Tls { content_type } ->
+      Wire.Writer.u8 w content_type;
+      Wire.Writer.u16 w 0x0303 (* TLS 1.2 record version *);
+      Wire.Writer.u16 w 0 (* record length: left zero *)
+    | Ssh -> Wire.Writer.string w Headers.ssh_banner
+    | Http `Request -> Wire.Writer.string w Headers.http_request_line
+    | Http `Response -> Wire.Writer.string w Headers.http_response_line
+    | Dns { query; id } ->
+      Wire.Writer.u16 w id;
+      Wire.Writer.u16 w (if query then 0x0100 else 0x8180);
+      Wire.Writer.u16 w 1 (* qdcount *);
+      Wire.Writer.u16 w (if query then 0 else 1);
+      Wire.Writer.u16 w 0;
+      Wire.Writer.u16 w 0
+    | Ntp ->
+      Wire.Writer.u8 w 0x23 (* LI=0 VN=4 Mode=3 client *);
+      Wire.Writer.u8 w 2 (* stratum *);
+      Wire.Writer.u8 w 6;
+      Wire.Writer.u8 w 0xEC;
+      Wire.Writer.zeros w 44
+    | Quic ->
+      Wire.Writer.u8 w 0xC3 (* long header, initial *);
+      Wire.Writer.u32 w 1l (* version *);
+      Wire.Writer.u8 w 8 (* dcid length *);
+      Wire.Writer.u64 w 0L;
+      Wire.Writer.u8 w 0 (* scid length *);
+      Wire.Writer.u8 w 0);
+    pos
+
+  let apply_fixups buf total_len fixups =
+    let patch_u16 pos v = Bytes.set_uint16_be buf pos (v land 0xFFFF) in
+    (* Pass 1: lengths. *)
+    List.iter
+      (function
+        | Fix_ipv4 pos -> patch_u16 (pos + 2) (total_len - pos)
+        | Fix_ipv6 pos -> patch_u16 (pos + 4) (total_len - pos - 40)
+        | Fix_udp (pos, _) -> patch_u16 (pos + 4) (total_len - pos)
+        | Fix_tcp _ -> ())
+      fixups;
+    (* Pass 2: checksums (lengths are final now). *)
+    let pseudo_sum ctx l4_len protocol =
+      match ctx with
+      | Ctx_v4 ip_pos ->
+        let s = Checksum.ones_complement_sum buf ~pos:(ip_pos + 12) ~len:8 in
+        let s = s + protocol + l4_len in
+        s
+      | Ctx_v6 ip_pos ->
+        let s = Checksum.ones_complement_sum buf ~pos:(ip_pos + 8) ~len:32 in
+        let s = s + protocol + l4_len in
+        s
+    in
+    List.iter
+      (function
+        | Fix_ipv4 pos ->
+          patch_u16 (pos + 10) 0;
+          let sum = Checksum.ones_complement_sum buf ~pos ~len:20 in
+          patch_u16 (pos + 10) (Checksum.finish sum)
+        | Fix_ipv6 _ -> ()
+        | Fix_udp (pos, ctx) ->
+          let l4_len = total_len - pos in
+          patch_u16 (pos + 6) 0;
+          let sum =
+            Checksum.ones_complement_sum buf ~pos ~len:l4_len
+              ~initial:(pseudo_sum ctx l4_len 17)
+          in
+          let cksum = Checksum.finish sum in
+          (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
+          patch_u16 (pos + 6) (if cksum = 0 then 0xFFFF else cksum)
+        | Fix_tcp (pos, ctx) ->
+          let l4_len = total_len - pos in
+          patch_u16 (pos + 16) 0;
+          let sum =
+            Checksum.ones_complement_sum buf ~pos ~len:l4_len
+              ~initial:(pseudo_sum ctx l4_len 6)
+          in
+          patch_u16 (pos + 16) (Checksum.finish sum))
+      fixups
+
+  let encode (frame : Frame.t) =
+    let w = Wire.Writer.create ~capacity:(Frame.wire_length frame) () in
+    let fixups = ref [] in
+    let rec walk ip_ctx = function
+      | [] -> ()
+      | h :: rest ->
+        let next = match rest with [] -> None | n :: _ -> Some n in
+        let pos = encode_header w h next ip_ctx fixups in
+        let ip_ctx' =
+          match h with
+          | Headers.Ipv4 _ -> Some (Ctx_v4 pos)
+          | Headers.Ipv6 _ -> Some (Ctx_v6 pos)
+          | Headers.Ethernet _ -> None (* inner Ethernet resets the IP context *)
+          | _ -> ip_ctx
+        in
+        walk ip_ctx' rest
+    in
+    walk None frame.headers;
+    Wire.Writer.zeros w frame.payload_len;
+    let unpadded = Wire.Writer.length w in
+    if unpadded < Frame.min_wire_size then
+      Wire.Writer.zeros w (Frame.min_wire_size - unpadded);
+    let buf = Wire.Writer.contents w in
+    apply_fixups buf unpadded !fixups;
+    buf
+end
+
+let encode ?(snaplen = max_int) frame =
+  let b = Full_encoder.encode frame in
+  if Bytes.length b <= snaplen then b else Bytes.sub b 0 snaplen
+
 (* The copying decode: every packet is copied out of the capture buffer
    and dissected from the copy.  The sliced digest must reproduce it
    record for record. *)
@@ -9,7 +248,8 @@ let acaps_copying buf =
 
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized, written and
-   abstracted on its own.  [Capture.materialize] abstracts one frame per
+   abstracted on its own, and its pcap record comes from the
+   full-payload encoder.  [Capture.materialize] abstracts one frame per
    flow class instead and must reproduce its records, pcap bytes and RNG
    state. *)
 let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
@@ -55,7 +295,7 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
                 | None -> frame
               in
               (match pcap_writer with
-              | Some w -> Packet.Pcap.Writer.add_frame w ~ts frame
+              | Some w -> Packet.Pcap.Writer.add w ~ts (encode frame)
               | None -> ());
               acaps := Dissect.Acap.of_frame ~ts frame :: !acaps
           end)

@@ -19,7 +19,11 @@
      holds the whole flow table;
    - span roots: once a tracer's root history is full, a finished root
      allocates at most twice the words it did below the cap, because
-     the oldest root is dropped in constant time. *)
+     the oldest root is dropped in constant time;
+   - pcap record: at snap length 200, writing the record of a frame
+     with a 1,900 B or an 8,900 B payload allocates at most 16 words
+     more than writing one with a 46 B payload, because a frame is
+     encoded only up to the snap length. *)
 
 module Rng = Netcore.Rng
 module T = Obs.Tsdb
@@ -306,6 +310,65 @@ let test_span_root_history () =
   check_at_most "span roots: words per root past the cap / below it" ~bound:2.0
     (past /. below)
 
+(* --- pcap record: words per written record ----------------------- *)
+
+(* Words [f] allocates on this domain: minor words plus words allocated
+   straight in the major heap, where objects over 256 words go (a 2 KB
+   frame's bytes do).  [Gc.counters]' major words also count what minor
+   collections promote, so promoted words are taken out; its minor count
+   is not used, [Gc.minor_words] is the exact one. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The median words of one [add_frame] of a frame with [payload_len]
+   payload bytes, over 64 records written to one writer after a
+   warm-up record, so the median excludes the few records at which the
+   writer's buffer grows. *)
+let record_words ~snaplen payload_len =
+  let mac = Netcore.Mac.of_string "02:00:00:00:00:01" in
+  let ip = Netcore.Ipv4_addr.of_string "10.0.0.1" in
+  let frame =
+    Packet.Frame.make
+      [
+        Packet.Headers.Ethernet { src = mac; dst = mac };
+        Packet.Headers.Vlan { pcp = 0; dei = false; vid = 100 };
+        Packet.Headers.Ipv4
+          { src = ip; dst = ip; dscp = 0; ttl = 64; ident = 1; dont_fragment = true };
+        Packet.Headers.Tcp
+          {
+            src_port = 40000; dst_port = 5201; seq = 7l; ack_seq = 9l;
+            flags = Packet.Headers.flags_psh_ack; window = 1024;
+          };
+      ]
+      ~payload_len
+  in
+  let w = Packet.Pcap.Writer.create ~snaplen () in
+  Packet.Pcap.Writer.add_frame w ~ts:0.0 frame;
+  let words =
+    Array.init 64 (fun i ->
+        let ts = float_of_int (i + 1) in
+        allocated_words (fun () -> Packet.Pcap.Writer.add_frame w ~ts frame))
+  in
+  Array.sort compare words;
+  words.(32)
+
+let test_pcap_record_words () =
+  let small = record_words ~snaplen:200 46 in
+  let mtu = record_words ~snaplen:200 1900 in
+  let jumbo = record_words ~snaplen:200 8900 in
+  Printf.printf
+    "pcap record at snaplen 200: %.0f words for a 46 B payload, %.0f for 1,900 B, %.0f for 8,900 B\n"
+    small mtu jumbo;
+  check_at_most "pcap record: words for a 1,900 B payload over a 46 B one"
+    ~bound:16.0 (mtu -. small);
+  check_at_most "pcap record: words for an 8,900 B payload over a 46 B one"
+    ~bound:16.0 (jumbo -. small)
+
 let suites =
   [
     ( "gates",
@@ -320,5 +383,6 @@ let suites =
           test_flowstore_topk_promoted;
         Alcotest.test_case "span root history words" `Quick
           test_span_root_history;
+        Alcotest.test_case "pcap record words" `Quick test_pcap_record_words;
       ] );
   ]

@@ -292,6 +292,51 @@ let test_filter_to_string_roundtrip () =
             (Filter.matches f sample_tls_frame = Filter.matches f' sample_tls_frame)))
     exprs
 
+(* --- Records against the full-payload oracle --- *)
+
+let snaplens = [ 14; 60; 96; 200; 1514; 65535 ]
+
+(* One to six random frames up to jumbo size.  A quarter ride a VXLAN
+   overlay, whose outer UDP checksum covers the inner frame's headers
+   and their checksums. *)
+let oracle_frames seed =
+  let rng = Netcore.Rng.create seed in
+  List.init (1 + Netcore.Rng.int rng 6) (fun _ ->
+      let f = Frame_gen.random_frame ~max_payload:9000 rng in
+      if Netcore.Rng.bernoulli rng 0.25 then
+        let vxlan = H.Vxlan { vni = Netcore.Rng.int rng 0x1000000 } in
+        let underlay =
+          if Netcore.Rng.bool rng then Frame_gen.ipv4 rng else Frame_gen.ipv6 rng
+        in
+        Frame.make
+          (Frame_gen.ethernet rng :: underlay :: Frame_gen.udp_for rng (Some vxlan)
+          :: vxlan :: f.Frame.headers)
+          ~payload_len:f.Frame.payload_len
+      else f)
+
+(* Every snap length's records of the frames, written in turn through
+   one reused [Pcap.Writer] and through [Pcapng.writer_of_frames], are
+   the full-payload oracle's prefixes with the whole wire length. *)
+let records_match_oracle seed =
+  let frames = oracle_frames seed in
+  let expected snaplen =
+    List.map
+      (fun f -> (Bytes.length (Oracle.encode f), Oracle.encode ~snaplen f))
+      frames
+  in
+  let records packets =
+    List.map (fun (p : Pcap.packet) -> (p.Pcap.orig_len, p.Pcap.data)) packets
+  in
+  List.for_all
+    (fun snaplen ->
+      let w = Pcap.Writer.create ~snaplen () in
+      List.iter (fun f -> Pcap.Writer.add_frame w ~ts:1.0 f) frames;
+      let timed = List.map (fun f -> (1.0, f)) frames in
+      records (Pcap.Reader.packets (Pcap.Writer.contents w)) = expected snaplen
+      && records (Pcapng.packets (Pcapng.writer_of_frames ~snaplen timed))
+         = expected snaplen)
+    snaplens
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -311,6 +356,8 @@ let qcheck_tests =
         match Pcap.Reader.packets (Pcap.Writer.contents w) with
         | [ p ] -> Bytes.equal p.Pcap.data (Codec.encode f)
         | _ -> false);
+    Test.make ~name:"records are the full-payload oracle's prefix (snaplen 14..65535)"
+      ~count:300 (int_range 1 1_000_000) records_match_oracle;
     Test.make ~name:"ipv4 checksum always valid" ~count:300
       (Frame_gen.frame_arb ())
       (fun f ->
