@@ -178,28 +178,21 @@ module Writer = struct
     check_live t "add_shard";
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    (* Weighting must match Flows.merge_shards operation for operation:
-       the stored contribution is the very float the in-memory merge
-       would add. *)
-    if fraction <= 0.0 then begin
-      let non_empty =
-        Flows.Shard.fold shard ~init:false
-          ~f:(fun _ ~key:_ ~frames:_ ~bytes:_ ~first:_ ~last:_ ~rst:_ -> true)
-      in
-      if non_empty then Obs.Registry.incr obs_unweighted
-    end;
-    let weight = if fraction > 0.0 then 1.0 /. fraction else 1.0 in
+    if fraction <= 0.0 && not (Flows.Shard.is_empty shard) then
+      Obs.Registry.incr obs_unweighted;
+    (* Each record holds the very product Flows.Totals adds for this
+       group, so the query's replay in seq order repeats its sums. *)
     let n = ref 0 in
     t.buf <-
-      Flows.Shard.fold shard ~init:t.buf
-        ~f:(fun acc ~key ~frames ~bytes ~first ~last ~rst ->
+      Flows.Shard.fold_weighted shard ~weight:(Flows.weight_of_fraction fraction)
+        ~init:t.buf ~f:(fun acc ~key ~frames ~bytes ~first ~last ~rst ->
           incr n;
           {
             r_key = key;
             r_site = site;
             r_seq = seq;
-            r_frames = float_of_int frames *. weight;
-            r_bytes = float_of_int bytes *. weight;
+            r_frames = frames;
+            r_bytes = bytes;
             r_first = first;
             r_last = last;
             r_rst = rst;
@@ -259,7 +252,7 @@ type query_result = {
 }
 
 (* Per-key accumulator replaying exactly the operations of
-   Flows.merge_shards (init from the first contribution, then
+   Flows.Totals.add (init from the first contribution, then
    add/min/max/or per contribution in seq order). *)
 type acc = {
   a_key : string;

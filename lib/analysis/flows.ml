@@ -39,7 +39,7 @@ let compare_by_bytes a b =
 module Shard = struct
   type t = (string, shard) Hashtbl.t
 
-  let create () : t = Hashtbl.create 1024
+  let create () : t = Hashtbl.create 64
 
   let add (table : t) (r : Dissect.Acap.record) =
     match Dissect.Acap.flow_key r with
@@ -47,9 +47,9 @@ module Shard = struct
     | Some key ->
       let ts = r.Dissect.Acap.ts in
       let entry =
-        match Hashtbl.find_opt table key with
-        | Some e -> e
-        | None ->
+        match Hashtbl.find table key with
+        | e -> e
+        | exception Not_found ->
           let e =
             { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
           in
@@ -62,12 +62,70 @@ module Shard = struct
       entry.s_last <- Float.max entry.s_last ts;
       entry.s_rst <- entry.s_rst || r.Dissect.Acap.tcp_rst
 
-  let fold (table : t) ~init ~f =
+  let is_empty (table : t) = Hashtbl.length table = 0
+
+  (* The one place a sample's weight meets its flow counts.  A thinned
+     capture under-counts frames and bytes alike, so both integer sums
+     are scaled, once each. *)
+  let fold_weighted (table : t) ~weight ~init ~f =
     Hashtbl.fold
       (fun key (s : shard) acc ->
-        f acc ~key ~frames:s.s_frames ~bytes:s.s_bytes ~first:s.s_first
-          ~last:s.s_last ~rst:s.s_rst)
+        f acc ~key
+          ~frames:(float_of_int s.s_frames *. weight)
+          ~bytes:(float_of_int s.s_bytes *. weight)
+          ~first:s.s_first ~last:s.s_last ~rst:s.s_rst)
       table init
+end
+
+let weight_of_fraction fraction = if fraction > 0.0 then 1.0 /. fraction else 1.0
+
+module Totals = struct
+  type t = (string, acc) Hashtbl.t
+
+  let create () : t = Hashtbl.create 1024
+
+  (* Each flow of the shard is added once: its first sample sets the
+     times, and the sums start from 0.0, as the flow-store query
+     replays them. *)
+  let add (table : t) shard ~weight =
+    Shard.fold_weighted shard ~weight ~init:()
+      ~f:(fun () ~key ~frames ~bytes ~first ~last ~rst ->
+        let entry =
+          match Hashtbl.find table key with
+          | e -> e
+          | exception Not_found ->
+            let e =
+              {
+                a_frames = 0.0;
+                a_bytes = 0.0;
+                a_first = first;
+                a_last = last;
+                a_rst = false;
+              }
+            in
+            Hashtbl.add table key e;
+            e
+        in
+        entry.a_frames <- entry.a_frames +. frames;
+        entry.a_bytes <- entry.a_bytes +. bytes;
+        entry.a_first <- Float.min entry.a_first first;
+        entry.a_last <- Float.max entry.a_last last;
+        entry.a_rst <- entry.a_rst || rst)
+
+  let summaries (table : t) =
+    Hashtbl.fold
+      (fun key e acc ->
+        {
+          flow_key = key;
+          frames = e.a_frames;
+          bytes = e.a_bytes;
+          first_seen = e.a_first;
+          last_seen = e.a_last;
+          rst_seen = e.a_rst;
+        }
+        :: acc)
+      table []
+    |> List.sort compare_by_bytes
 end
 
 let shard_group (records, fraction) =
@@ -117,54 +175,14 @@ let warn_unweighted ?log fraction =
    multiset of records per weight — never on how they were sharded. *)
 let merge_shards ?log shards =
   Obs.Span.timed ~stage:"flows.merge" @@ fun () ->
-  let table : (string, acc) Hashtbl.t = Hashtbl.create 1024 in
+  let totals = Totals.create () in
   List.iter
-    (fun ((shard : Shard.t), fraction) ->
-      if fraction <= 0.0 && Hashtbl.length shard > 0 then
+    (fun (shard, fraction) ->
+      if fraction <= 0.0 && not (Shard.is_empty shard) then
         warn_unweighted ?log fraction;
-      let weight = if fraction > 0.0 then 1.0 /. fraction else 1.0 in
-      Hashtbl.iter
-        (fun key (s : shard) ->
-          let entry =
-            match Hashtbl.find_opt table key with
-            | Some e -> e
-            | None ->
-              let e =
-                {
-                  a_frames = 0.0;
-                  a_bytes = 0.0;
-                  a_first = s.s_first;
-                  a_last = s.s_last;
-                  a_rst = false;
-                }
-              in
-              Hashtbl.add table key e;
-              e
-          in
-          (* A thinned capture under-counts both bytes and frames: scale
-             both by the inverse materialized fraction. *)
-          entry.a_frames <- entry.a_frames +. (float_of_int s.s_frames *. weight);
-          entry.a_bytes <- entry.a_bytes +. (float_of_int s.s_bytes *. weight);
-          entry.a_first <- Float.min entry.a_first s.s_first;
-          entry.a_last <- Float.max entry.a_last s.s_last;
-          entry.a_rst <- entry.a_rst || s.s_rst)
-        shard)
+      Totals.add totals shard ~weight:(weight_of_fraction fraction))
     shards;
-  let summaries =
-    Hashtbl.fold
-      (fun key e acc ->
-        {
-          flow_key = key;
-          frames = e.a_frames;
-          bytes = e.a_bytes;
-          first_seen = e.a_first;
-          last_seen = e.a_last;
-          rst_seen = e.a_rst;
-        }
-        :: acc)
-      table []
-    |> List.sort compare_by_bytes
-  in
+  let summaries = Totals.summaries totals in
   (* One batch of counter bumps per merge, never per record. *)
   if Obs.Registry.enabled () then begin
     Obs.Registry.inc obs_flows (float_of_int (List.length summaries));

@@ -33,30 +33,58 @@ module Shard : sig
   (** A mutable accumulator of exact integer per-flow sums over one
       group of records (one capture sample).  {!aggregate} folds each
       group into its own shard and merges the shards with {!merge}; the
-      profile builder hands one shard per sample to the flow-store
-      writer. *)
+      profile builder folds each sample into one shard, adds it to its
+      {!Totals} and hands the same shard to the flow-store writer. *)
 
   val create : unit -> t
 
   val add : t -> Dissect.Acap.record -> unit
   (** Fold one record in (records without a flow key are ignored). *)
 
-  val fold :
+  val is_empty : t -> bool
+
+  val fold_weighted :
     t ->
+    weight:float ->
     init:'a ->
     f:
       ('a ->
       key:string ->
-      frames:int ->
-      bytes:int ->
+      frames:float ->
+      bytes:float ->
       first:float ->
       last:float ->
       rst:bool ->
       'a) ->
     'a
-  (** Fold over the per-flow integer sums in unspecified (hash) order;
-      callers that need a canonical order sort afterwards, as the
-      flow-store segment writer does. *)
+  (** Fold over the shard's flows in unspecified (hash) order, each
+      integer sum scaled once: [frames = float n *. weight], and bytes
+      alike.  This is where a sample's weight meets its flow counts:
+      {!Totals}, and through it {!merge} and the profile, add these
+      products, and the flow-store writer stores them, so all three
+      agree bit for bit.  Callers that need a canonical order sort
+      afterwards, as the segment writer does. *)
+end
+
+val weight_of_fraction : float -> float
+(** A sample's weight: [1 /. fraction], or 1.0 for a fraction [<= 0.0],
+    which cannot be re-weighted. *)
+
+module Totals : sig
+  type t
+  (** Running weighted per-flow sums over a sequence of shards: what
+      {!merge} folds its shards into, and what the profile builder
+      keeps across a run. *)
+
+  val create : unit -> t
+
+  val add : t -> Shard.t -> weight:float -> unit
+  (** Add each flow of the shard once, as {!Shard.fold_weighted} scales
+      it.  Floats are added in call order, so two tables fed the same
+      shards in the same order hold the same bits. *)
+
+  val summaries : t -> summary list
+  (** Sorted by {!compare_by_bytes}. *)
 end
 
 val merge : ?log:Patchwork.Logging.t -> (Shard.t * float) list -> summary list

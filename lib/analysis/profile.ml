@@ -21,15 +21,22 @@ module Builder = struct
   }
 
   (* A token's weighted count, updated in place: an all-float record
-     holds its float unboxed, so a hit allocates nothing. *)
+     holds its float unboxed, so an add allocates nothing. *)
   type cell = { mutable w : float }
 
-  type flow_acc = {
-    mutable a_frames : float;  (* weighted, like bytes *)
-    mutable a_bytes : float;
-    mutable a_first : float;
-    mutable a_last : float;
-    mutable a_rst : bool;
+  type count = { mutable n : int }
+
+  (* One sample's records as exact integer counts: per flow (the shard
+     the flow store is handed), per distinct stack list, per size bin
+     and over the jumbo line.  The sample's weight meets each count
+     once, when the shard is absorbed, so the sums do not depend on
+     record order. *)
+  type shard = {
+    flows : Flows.Shard.t;
+    stacks : (string list, count) Hashtbl.t;
+    bins : int array;
+    mutable records : int;
+    mutable jumbo : int;
   }
 
   type b = {
@@ -41,7 +48,7 @@ module Builder = struct
     mutable occurrence_total : float;  (* weighted frame count *)
     total_size_hist : Netcore.Histogram.t;
     mutable flows_per_sample : float list;
-    flow_table : (string, flow_acc) Hashtbl.t;
+    flows : Flows.Totals.t;
     mutable ipv6_weight : float;
     mutable jumbo_weight : float;
     log : Patchwork.Logging.t option;
@@ -56,6 +63,11 @@ module Builder = struct
          aggregated at weight 1.0"
       ~labels:[ ("stage", "profile") ]
 
+  let size_hist () = Netcore.Histogram.create Analyze.standard_size_edges
+
+  (* Only its bins are read: it maps a frame length to its bin. *)
+  let size_bins = size_hist ()
+
   let create ?log () =
     {
       occasions = 0;
@@ -64,9 +76,9 @@ module Builder = struct
       sites = Hashtbl.create 32;
       occurrence = Hashtbl.create 128;
       occurrence_total = 0.0;
-      total_size_hist = Netcore.Histogram.create Analyze.standard_size_edges;
+      total_size_hist = size_hist ();
       flows_per_sample = [];
-      flow_table = Hashtbl.create 4096;
+      flows = Flows.Totals.create ();
       ipv6_weight = 0.0;
       jumbo_weight = 0.0;
       log;
@@ -81,76 +93,42 @@ module Builder = struct
           tokens = Hashtbl.create 64;
           deepest = 0;
           site_frames = 0;
-          size_hist = Netcore.Histogram.create Analyze.standard_size_edges;
+          size_hist = size_hist ();
         }
       in
       Hashtbl.add b.sites site acc;
       acc
 
-  let absorb_record b site_acc weight (r : Dissect.Acap.record) =
-    b.frames <- b.frames + 1;
-    (* Per-site header diversity. *)
-    site_acc.site_frames <- site_acc.site_frames + 1;
-    let depth = List.length r.Dissect.Acap.stack in
-    if depth > site_acc.deepest then site_acc.deepest <- depth;
-    List.iter (fun tok -> Hashtbl.replace site_acc.tokens tok ()) r.Dissect.Acap.stack;
-    (* Weighted occurrence. *)
-    b.occurrence_total <- b.occurrence_total +. weight;
+  let shard_of records =
+    let sh =
+      {
+        flows = Flows.Shard.create ();
+        stacks = Hashtbl.create 16;
+        bins = Array.make (Array.length Analyze.standard_size_edges + 1) 0;
+        records = 0;
+        jumbo = 0;
+      }
+    in
     List.iter
-      (fun tok ->
-        let c =
-          match Hashtbl.find b.occurrence tok with
-          | c -> c
-          | exception Not_found ->
-            let c = { w = 0.0 } in
-            Hashtbl.add b.occurrence tok c;
-            c
-        in
-        c.w <- weight +. c.w)
-      r.Dissect.Acap.stack;
-    (* Weighted sizes.  Histograms take the exact float weight — the
-       same 1/fraction the flow accounting applies — so a thinned
-       sample's size distribution stays consistent with its flows
-       instead of rounding each record's weight to an int. *)
-    let len = float_of_int r.Dissect.Acap.orig_len in
-    Netcore.Histogram.addf b.total_size_hist ~count:weight len;
-    Netcore.Histogram.addf site_acc.size_hist ~count:weight len;
-    if List.mem "ipv6" r.Dissect.Acap.stack then
-      b.ipv6_weight <- b.ipv6_weight +. weight;
-    if r.Dissect.Acap.orig_len > 1518 then b.jumbo_weight <- b.jumbo_weight +. weight;
-    (* Flow aggregation. *)
-    match Dissect.Acap.flow_key r with
-    | None -> ()
-    | Some key ->
-      let acc =
-        match Hashtbl.find_opt b.flow_table key with
-        | Some acc -> acc
-        | None ->
-          let acc =
-            {
-              a_frames = 0.0;
-              a_bytes = 0.0;
-              a_first = r.Dissect.Acap.ts;
-              a_last = r.Dissect.Acap.ts;
-              a_rst = false;
-            }
-          in
-          Hashtbl.add b.flow_table key acc;
-          acc
-      in
-      (* A thinned sample under-counts frames exactly like bytes. *)
-      acc.a_frames <- acc.a_frames +. weight;
-      acc.a_bytes <- acc.a_bytes +. (len *. weight);
-      acc.a_first <- Float.min acc.a_first r.Dissect.Acap.ts;
-      acc.a_last <- Float.max acc.a_last r.Dissect.Acap.ts;
-      acc.a_rst <- acc.a_rst || r.Dissect.Acap.tcp_rst
+      (fun (r : Dissect.Acap.record) ->
+        sh.records <- sh.records + 1;
+        (match Hashtbl.find sh.stacks r.Dissect.Acap.stack with
+        | c -> c.n <- c.n + 1
+        | exception Not_found -> Hashtbl.add sh.stacks r.Dissect.Acap.stack { n = 1 });
+        let len = r.Dissect.Acap.orig_len in
+        let bin = Netcore.Histogram.bin size_bins (float_of_int len) in
+        sh.bins.(bin) <- sh.bins.(bin) + 1;
+        if len > 1518 then sh.jumbo <- sh.jumbo + 1;
+        Flows.Shard.add sh.flows r)
+      records;
+    sh
 
-  let absorb_sample b (s : Patchwork.Capture.sample) records =
+  let absorb b (s : Patchwork.Capture.sample) sh =
     b.samples <- b.samples + 1;
     b.flows_per_sample <-
       s.Patchwork.Capture.stats.Patchwork.Capture.flow_estimate :: b.flows_per_sample;
     let frac = s.Patchwork.Capture.materialized_fraction in
-    if frac <= 0.0 && records <> [] then begin
+    if frac <= 0.0 && sh.records > 0 then begin
       (* A thinned-to-nothing sample cannot be re-weighted; make the
          weight-1.0 fallback visible instead of silent. *)
       Obs.Registry.incr obs_unweighted;
@@ -165,38 +143,72 @@ module Builder = struct
               unweighted (weight 1.0)"
              s.Patchwork.Capture.sample_start frac)
     end;
-    let weight = if frac > 0.0 then 1.0 /. frac else 1.0 in
-    let acc = site_acc b s.Patchwork.Capture.sample_site in
-    List.iter (absorb_record b acc weight) records
-
-  let add_sample ?pool b (s : Patchwork.Capture.sample) =
-    absorb_sample b s (Digest.sample_acaps ?pool s)
+    let weight = Flows.weight_of_fraction frac in
+    let weigh n = float_of_int n *. weight in
+    let site = site_acc b s.Patchwork.Capture.sample_site in
+    b.frames <- b.frames + sh.records;
+    site.site_frames <- site.site_frames + sh.records;
+    (* Per-site header diversity, and each token's count in the sample:
+       a token twice in one stack counts twice per frame. *)
+    let tokens = Hashtbl.create 32 and ipv6 = ref 0 in
+    Hashtbl.iter
+      (fun stack c ->
+        site.deepest <- max site.deepest (List.length stack);
+        if List.mem "ipv6" stack then ipv6 := !ipv6 + c.n;
+        List.iter
+          (fun tok ->
+            Hashtbl.replace site.tokens tok ();
+            match Hashtbl.find tokens tok with
+            | t -> t.n <- t.n + c.n
+            | exception Not_found -> Hashtbl.add tokens tok { n = c.n })
+          stack)
+      sh.stacks;
+    (* Weighted occurrence, sizes and shares: one add per cell. *)
+    Hashtbl.iter
+      (fun tok t ->
+        let c =
+          match Hashtbl.find b.occurrence tok with
+          | c -> c
+          | exception Not_found ->
+            let c = { w = 0.0 } in
+            Hashtbl.add b.occurrence tok c;
+            c
+        in
+        c.w <- c.w +. weigh t.n)
+      tokens;
+    b.occurrence_total <- b.occurrence_total +. weigh sh.records;
+    Array.iteri
+      (fun i n ->
+        if n > 0 then begin
+          Netcore.Histogram.add_bin b.total_size_hist i ~count:(weigh n);
+          Netcore.Histogram.add_bin site.size_hist i ~count:(weigh n)
+        end)
+      sh.bins;
+    b.ipv6_weight <- b.ipv6_weight +. weigh !ipv6;
+    b.jumbo_weight <- b.jumbo_weight +. weigh sh.jumbo;
+    Flows.Totals.add b.flows sh.flows ~weight
 
   let add_report ?(pool = Parallel.Pool.sequential) ?flow_store b report =
     b.occasions <- b.occasions + 1;
-    (* Digestion — the expensive step — fans out across the pool, one
-       task per sample; absorption into the shared builder then runs
-       sequentially in sample order, so the profile is identical to a
-       sequential build. *)
+    (* Digesting and counting each sample fans out across the pool, one
+       task per sample; the shards are then absorbed in sample order,
+       so the profile is identical to a sequential build.  The flow
+       store gets each sample's flow shard as its next group, at the
+       occasion boundary, so long runs keep only aggregates (and the
+       spill buffer) in memory. *)
     let samples = Patchwork.Coordinator.all_samples report in
-    let digested =
-      Parallel.Pool.map pool (fun s -> Digest.sample_acaps s) samples
+    let shards =
+      Parallel.Pool.map pool (fun s -> shard_of (Digest.sample_acaps s)) samples
     in
-    List.iter2 (absorb_sample b) samples digested;
-    (* Stream the occasion's flows to disk at the occasion boundary:
-       each sample becomes one weighted shard group, reusing the records
-       digested above, so long runs keep only aggregates (and the spill
-       buffer) in memory. *)
-    match flow_store with
-    | None -> ()
-    | Some w ->
-      List.iter2
-        (fun (s : Patchwork.Capture.sample) records ->
-          let shard = Flows.Shard.create () in
-          List.iter (Flows.Shard.add shard) records;
-          Flow_store.Writer.add_shard w ~site:s.Patchwork.Capture.sample_site
-            ~fraction:s.Patchwork.Capture.materialized_fraction shard)
-        samples digested
+    List.iter2
+      (fun (s : Patchwork.Capture.sample) sh ->
+        absorb b s sh;
+        Option.iter
+          (fun w ->
+            Flow_store.Writer.add_shard w ~site:s.Patchwork.Capture.sample_site
+              ~fraction:s.Patchwork.Capture.materialized_fraction sh.flows)
+          flow_store)
+      samples shards
 
   let finish b =
     let header_stats =
@@ -226,23 +238,7 @@ module Builder = struct
       Hashtbl.fold (fun site acc l -> (site, acc.size_hist) :: l) b.sites []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
-    let flow_summaries =
-      Hashtbl.fold
-        (fun key acc l ->
-          {
-            Flows.flow_key = key;
-            frames = acc.a_frames;
-            bytes = acc.a_bytes;
-            first_seen = acc.a_first;
-            last_seen = acc.a_last;
-            rst_seen = acc.a_rst;
-          }
-          :: l)
-        b.flow_table []
-      (* Same comparator as Flows.merge: byte ties break on the flow
-         key, honouring the shard-order-independence contract. *)
-      |> List.sort Flows.compare_by_bytes
-    in
+    let flow_summaries = Flows.Totals.summaries b.flows in
     let total_weight = Float.max 1e-9 b.occurrence_total in
     {
       occasions = b.occasions;

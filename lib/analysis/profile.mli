@@ -40,15 +40,18 @@ module Builder : sig
     Patchwork.Coordinator.occasion_report ->
     unit
   (** Digest and absorb one occasion; safe to drop the report (and its
-      samples) afterwards.  With a pool, per-sample digestion runs
-      across domains (absorption stays in sample order, so the finished
-      profile is identical to a sequential build).  With [flow_store],
-      each sample's flows are also appended to the store as one weighted
-      shard group — this is how the weekly service streams flows to disk
-      at occasion boundaries. *)
-
-  val add_sample : ?pool:Parallel.Pool.t -> t -> Patchwork.Capture.sample -> unit
-  (** Digest and absorb one sample. *)
+      samples) afterwards.  Each sample is counted into one exact shard
+      (integer counts per flow, per stack list, per size bin and over
+      the jumbo line), and each count is added to the profile's floats
+      once, scaled by the sample's weight, in sample order — the
+      arithmetic of [Flows.merge].  Exact counts do not depend on record
+      order, and with a pool the per-sample digestion and counting run
+      across domains, so the finished profile is identical to a
+      sequential build.  With [flow_store], each sample's flow shard is
+      also appended to the store as one weighted group, which is how the
+      weekly service streams flows to disk at occasion boundaries; the
+      store's [query] then returns the profile's [flow_summaries] bit
+      for bit. *)
 
   val finish : t -> profile
 end

@@ -40,6 +40,48 @@ type flow_class = {
   record : Dissect.Acap.record;  (** after anonymization *)
 }
 
+(* Split the records at time [ts] off the head of a run: they come back
+   reversed, onto [group], with the rest of the run. *)
+let rec split_group ts group = function
+  | (r : Dissect.Acap.record) :: rest when r.Dissect.Acap.ts = ts ->
+    split_group ts (r :: group) rest
+  | rest -> (group, rest)
+
+(* Merge the specs' runs of records, each newest first, into one list
+   in time order.  The result is the stable sort of every record consed
+   in generation order: equal times come latest-generated first, so the
+   higher spec first and, within a spec, the higher draw first.  The
+   list is built from its end: each step takes the latest time left at
+   the head of a run (on a tie, the lowest spec, which lands last) and
+   prepends that run's whole group at this time, in the run's own
+   order.  One cons per record, and [k] compares for [k] specs. *)
+let merge_runs runs =
+  let runs = Array.of_list runs in
+  let k = Array.length runs in
+  let rec go acc =
+    let best = ref (-1) and best_ts = ref 0.0 in
+    for i = 0 to k - 1 do
+      match runs.(i) with
+      | (r : Dissect.Acap.record) :: _
+        when !best < 0 || r.Dissect.Acap.ts > !best_ts ->
+        best := i;
+        best_ts := r.Dissect.Acap.ts
+      | _ -> ()
+    done;
+    if !best < 0 then acc
+    else
+      match runs.(!best) with
+      | [] -> assert false
+      | r :: (r' :: _ as rest) when r'.Dissect.Acap.ts = !best_ts ->
+        let group, rest = split_group !best_ts [ r ] rest in
+        runs.(!best) <- rest;
+        go (List.rev_append group acc)
+      | r :: rest ->
+        runs.(!best) <- rest;
+        go (r :: acc)
+  in
+  go []
+
 let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
   let filter = config.Config.filter in
   let fpga_process =
@@ -58,9 +100,11 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
       Some (Packet.Pcap.Writer.create ~snaplen:config.Config.truncation ())
     else None
   in
-  let acaps = ref [] and classes = ref 0 and built = ref 0 in
+  (* One run per spec, newest first, in reverse spec order. *)
+  let runs = ref [] and classes = ref 0 and built = ref 0 in
   List.iter
     (fun spec ->
+      let acaps = ref [] in
       (* Scale the spec's rate by the materialized fraction so the
          Poisson draw produces the thinned stream directly. *)
       let spec =
@@ -108,11 +152,11 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
               acaps :=
                 Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len
                   ~cap_len:wire_len
-                :: !acaps))
+                :: !acaps);
+      runs := !acaps :: !runs)
     specs;
   {
-    records =
-      List.sort (fun a b -> compare a.Dissect.Acap.ts b.Dissect.Acap.ts) !acaps;
+    records = merge_runs (List.rev !runs);
     pcap = Option.map Packet.Pcap.Writer.contents pcap_writer;
     classes = !classes;
     frames_built = !built;

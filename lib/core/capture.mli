@@ -76,7 +76,8 @@ val loss_breakdown :
     [Page_cache_throttle]. *)
 
 type materialized = {
-  records : Dissect.Acap.record list;  (** sorted by timestamp *)
+  records : Dissect.Acap.record list;
+      (** sorted by timestamp; equal times come latest-generated first *)
   pcap : bytes option;  (** with [emit_pcap] *)
   classes : int;  (** flow classes abstracted *)
   frames_built : int;  (** frames built per draw *)

@@ -17,7 +17,7 @@ let create edges =
 
 (* Index of the bin containing [v]: 0 for v < e0, i for e(i-1) <= v < e(i),
    n for v >= e(n-1). *)
-let bin_index t v =
+let bin t v =
   let n = Array.length t.edges in
   if v < t.edges.(0) then 0
   else if v >= t.edges.(n - 1) then n
@@ -31,12 +31,11 @@ let bin_index t v =
     !lo + 1
   end
 
-let addf t ~count v =
-  if count < 0.0 then invalid_arg "Histogram.addf: negative count";
-  let i = bin_index t v in
+let add_bin t i ~count =
+  if count < 0.0 then invalid_arg "Histogram.add_bin: negative count";
   t.counts.(i) <- t.counts.(i) +. count
 
-let add t ?(count = 1) v = addf t ~count:(float_of_int count) v
+let add t ?(count = 1) v = add_bin t (bin t v) ~count:(float_of_int count)
 
 let fcounts t = Array.copy t.counts
 let ftotal t = Array.fold_left ( +. ) 0.0 t.counts

@@ -16,13 +16,16 @@ val create : float array -> t
 val add : t -> ?count:int -> float -> unit
 (** Add [count] (default 1) observations of a value. *)
 
-val addf : t -> count:float -> float -> unit
-(** Add a fractionally weighted observation.  Sampling weights
-    (1/materialized-fraction per record of a thinned capture) are floats;
-    accumulating them exactly — rather than rounding each record's weight
-    to an int — keeps size histograms consistent with the flow accounting,
-    which has always used exact float weights.  Raises [Invalid_argument]
-    on a negative count. *)
+val bin : t -> float -> int
+(** Index of the bin holding a value, in the order of {!counts}. *)
+
+val add_bin : t -> int -> count:float -> unit
+(** [add_bin t i ~count] adds a weighted count to bin [i].  A thinned
+    capture sample weighs each record by 1/fraction; the profile tallies
+    a sample's records per bin as integers and adds [float n *. weight]
+    once per bin, the same product the flow accounting adds per flow.
+    Raises [Invalid_argument] on a negative count or an index out of
+    range. *)
 
 val counts : t -> int array
 (** Per-bin counts rounded to the nearest integer, including the two
@@ -31,7 +34,7 @@ val counts : t -> int array
 
 val fcounts : t -> float array
 (** Per-bin counts without rounding (the authoritative values when
-    {!addf} was used). *)
+    {!add_bin} was used). *)
 
 val total : t -> int
 val ftotal : t -> float

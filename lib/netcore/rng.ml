@@ -1,26 +1,34 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes read and written as a raw int64, and
+   [mix], [bits64] and [float] are inlined within this module: a draw
+   then keeps every int64 in a register instead of boxing the new state
+   and the mixed word. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finalizer: mixes the incremented state into an output word. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let split t = of_state (bits64 t)
 
-let float t =
+let[@inline] float t =
   (* 53 random bits scaled into [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
@@ -62,12 +70,14 @@ let poisson t ~mean =
     (* Normal approximation with continuity correction. *)
     max 0 (int_of_float (Float.round (gaussian t ~mu:mean ~sigma:(sqrt mean))))
   else begin
+    (* Knuth's product of uniforms, in refs so the floats stay unboxed. *)
     let limit = exp (-.mean) in
-    let rec go k p =
-      let p = p *. float t in
-      if p <= limit then k else go (k + 1) p
-    in
-    go 0 1.0
+    let k = ref 0 and p = ref (float t) in
+    while not (!p <= limit) do
+      incr k;
+      p := !p *. float t
+    done;
+    !k
   end
 
 let choice t arr =

@@ -16,8 +16,12 @@ let parse_filter s =
    and through the profile's CSVs.  The expected digests were recorded
    by running this same body on the commit before flow classes, so a
    refactor of the capture path that moves one byte of the weekly
-   output fails here.  They assume glibc's libm: synthesis calls [exp],
-   [log] and [cos], and another libm may round differently. *)
+   output fails here.  Four [flows.csv] digests were re-recorded once,
+   when the profile began weighting each sample's exact counts once:
+   each file holds the same rows, and byte-tied flows now order by key,
+   as the flow-store query orders them.  The digests assume glibc's
+   libm: synthesis calls [exp], [log] and [cos], and another libm may
+   round differently. *)
 
 let golden_configs =
   let base =
@@ -63,15 +67,16 @@ let sample_digest (s : Capture.sample) =
 
 type digests = { samples : string list; csvs : (string * string) list }
 
-let weekly_digests config =
+let golden_occasion config =
   let start_time = 30.0 *. Netcore.Timebase.day in
   let engine = Simcore.Engine.create ~start_time () in
   let fabric = Testbed.Fablib.create ~seed:2024 engine in
   let driver = Traffic.Driver.create fabric ~seed:7 in
-  let report =
-    Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
-      ~duration:(0.25 *. Netcore.Timebase.hour) ()
-  in
+  Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
+    ~duration:(0.25 *. Netcore.Timebase.hour) ()
+
+let weekly_digests config =
+  let report = golden_occasion config in
   let samples = List.map sample_digest (Patchwork.Coordinator.all_samples report) in
   let b = Analysis.Profile.Builder.create () in
   Analysis.Profile.Builder.add_report b report;
@@ -129,7 +134,7 @@ let expected =
             ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
             ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
             ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
-            ("flows.csv", "b7cdc9cdab839d731f1c11347b5159a4");
+            ("flows.csv", "62634533a1a24b78e868dc97d6391b35");
           ];
       } );
     ( "anonymize",
@@ -170,7 +175,7 @@ let expected =
             ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
             ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
             ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
-            ("flows.csv", "8607a47d42693f08d8091ac52d3d5a85");
+            ("flows.csv", "c0f4debc3b1b30874902e1a4b32fcae4");
           ];
       } );
     ( "filter",
@@ -211,7 +216,7 @@ let expected =
             ("site_headers.csv", "8652e15ec80556129dc48b7e35f69db7");
             ("frame_sizes.csv", "b86ca070f7c8464e13eceaddf84df04b");
             ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
-            ("flows.csv", "bb3a1dc90e77839dd5295435b423f927");
+            ("flows.csv", "ea3104034f0b400c4fe61b64e8fc67a6");
           ];
       } );
     ( "emit_pcap",
@@ -252,7 +257,7 @@ let expected =
             ("site_headers.csv", "f647def0de9159a420681bfbc03585e8");
             ("frame_sizes.csv", "0da2667c6cf4eea1ac6f49423ebaaa35");
             ("flows_per_sample.csv", "64335b8d4ae2018b210c9fbbd4cd7e4d");
-            ("flows.csv", "b7cdc9cdab839d731f1c11347b5159a4");
+            ("flows.csv", "62634533a1a24b78e868dc97d6391b35");
           ];
       } );
     ( "fpga",
@@ -474,6 +479,44 @@ let prop_classes_match_oracle =
       triple (int_range 1 1_000_000) (int_range 0 1000) (triple bool bool bool))
     run_case
 
+(* Forced ties: 1-4 specs at 1e17 frames/s over a 1e-15 s window at
+   t = 1.0, so each spec's ~100 draws fall on a handful of representable
+   times, and equal times abound within a spec and across specs.  The
+   records must come in the oracle's order, which is [List.sort]'s:
+   equal times latest-generated first.  Returns whether they do, and
+   the number of adjacent equal-time pairs. *)
+let tie_case seed =
+  let rng = Netcore.Rng.create seed in
+  let specs =
+    List.init (1 + Netcore.Rng.int rng 4) (fun i ->
+        let spec = random_spec rng ~flow_id:(seed + i) in
+        { spec with Flow_model.byte_rate = 1e17 *. spec.Flow_model.avg_frame_size })
+  in
+  let start_time = 1.0 and end_time = 1.0 +. 1e-15 in
+  let draws = Netcore.Rng.create (seed * 7) in
+  let m =
+    Capture.materialize ~config:Config.default ~rng:(Netcore.Rng.copy draws)
+      ~fraction:1.0 ~start_time ~end_time specs
+  in
+  let records, _ =
+    Oracle.materialize_per_frame ~config:Config.default ~rng:(Netcore.Rng.copy draws)
+      ~fraction:1.0 ~start_time ~end_time specs
+  in
+  let rec ties n = function
+    | (a : Dissect.Acap.record) :: (b :: _ as rest) ->
+      ties (if a.Dissect.Acap.ts = b.Dissect.Acap.ts then n + 1 else n) rest
+    | _ -> n
+  in
+  (m.Capture.records = records, ties 0 records)
+
+let test_ties_match_oracle () =
+  let results = List.init 300 (fun i -> tie_case (i + 1)) in
+  let failed = List.length (List.filter (fun (ok, _) -> not ok) results) in
+  let pairs = List.fold_left (fun acc (_, n) -> acc + n) 0 results in
+  Printf.printf "forced ties: %d adjacent equal-time pairs over 300 seeds\n" pairs;
+  Alcotest.(check bool) "the seeds force ties" true (pairs >= 10_000);
+  Alcotest.(check int) "seeds whose records differ from the oracle's" 0 failed
+
 (* The generator must reach every template kind the property claims to
    cross, with single flows and swarms. *)
 let test_oracle_cases_cover () =
@@ -553,6 +596,8 @@ let suites =
       [
         Alcotest.test_case "weekly output pinned" `Quick test_weekly_golden;
         QCheck_alcotest.to_alcotest prop_classes_match_oracle;
+        Alcotest.test_case "class route matches the oracle under ties" `Quick
+          test_ties_match_oracle;
         Alcotest.test_case "oracle cases cover the crossing" `Quick test_oracle_cases_cover;
         Alcotest.test_case "frames built counter" `Quick test_frames_built_counter;
       ] );

@@ -502,10 +502,30 @@ let tied_records ~seed ~flows =
   done;
   Array.to_list a
 
-let build_profile ~pool_size records =
+(* An occasion of one site that took the given samples. *)
+let report_of samples =
+  {
+    Patchwork.Coordinator.occasion_start = 0.0;
+    occasion_duration = 20.0;
+    sites =
+      [
+        {
+          Patchwork.Coordinator.report_site = "STAR";
+          outcome = Patchwork.Coordinator.Site_success;
+          instances_requested = 1;
+          instances_acquired = 1;
+          site_samples = samples;
+          cycles = 1;
+          storage_used = 0.0;
+        };
+      ];
+    log = Patchwork.Logging.create ();
+  }
+
+let build_profile ?fraction ~pool_size records =
   Parallel.Pool.with_pool ~size:pool_size @@ fun pool ->
   let b = Profile.Builder.create () in
-  Profile.Builder.add_sample ~pool b (sample_of records);
+  Profile.Builder.add_report ~pool b (report_of [ sample_of ?fraction records ]);
   Profile.Builder.finish b
 
 let test_profile_tie_order_deterministic () =
@@ -571,13 +591,89 @@ let test_profile_flow_store_stream () =
   in
   Alcotest.(check bool) "stored flows == Flows.merge of the occasion" true
     (res.FS.flows = Flows.merge shards);
-  (* The profile accumulates per record rather than per group, so its
-     floats can differ in the last ulp — but it must see exactly the
-     same flows. *)
-  let keys l = List.sort compare (List.map (fun s -> s.Flows.flow_key) l) in
-  Alcotest.(check (list string)) "same flow keys as the profile"
-    (keys profile.Profile.flow_summaries)
-    (keys res.FS.flows)
+  Alcotest.(check bool) "stored flows == the profile's flows" true
+    (res.FS.flows = profile.Profile.flow_summaries)
+
+(* A weekly run as the service runs it: [weeks] occasions of half an
+   hour each, streamed into a store that spills every 500 records.  The
+   profile's flows and the store's query are one answer, bit for bit,
+   however many spills cut the run. *)
+let weekly_store_identity ~seed ~weeks ~emit_pcap =
+  with_temp_dir @@ fun dir ->
+  let b = Profile.Builder.create () in
+  let w = FS.Writer.create ~spill_records:500 ~dir () in
+  for week = 0 to weeks - 1 do
+    let start_time = float_of_int (30 + (7 * week)) *. Netcore.Timebase.day in
+    let engine = Simcore.Engine.create ~start_time () in
+    let fabric = Testbed.Fablib.create ~seed engine in
+    let driver = Traffic.Driver.create fabric ~seed:(seed + (31 * week)) in
+    let config =
+      {
+        Patchwork.Config.default with
+        Patchwork.Config.samples_per_run = 4;
+        max_frames_per_sample = 500;
+        emit_pcap;
+      }
+    in
+    let report =
+      Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
+        ~duration:(0.5 *. Netcore.Timebase.hour) ()
+    in
+    Profile.Builder.add_report ~flow_store:w b report
+  done;
+  let profile = Profile.Builder.finish b in
+  let segments = FS.Writer.finish w in
+  let stored = (FS.query segments).FS.flows in
+  let flows = profile.Profile.flow_summaries in
+  let equal =
+    if List.length stored <> List.length flows then 0
+    else List.length (List.filter Fun.id (List.map2 ( = ) stored flows))
+  in
+  Printf.printf "seed %d, %d weeks%s: %d segments, %d of %d summaries equal\n"
+    seed weeks
+    (if emit_pcap then " (emit_pcap)" else "")
+    (List.length segments) equal (List.length flows);
+  Alcotest.(check bool) "several spills" true (List.length segments > 10);
+  Alcotest.(check bool) "stored flows == the profile's flows" true (stored = flows)
+
+let test_weekly_store_identity () =
+  weekly_store_identity ~seed:1 ~weeks:4 ~emit_pcap:false;
+  weekly_store_identity ~seed:2 ~weeks:4 ~emit_pcap:false;
+  (* Pcap-carrying samples reach the profile through the digest. *)
+  weekly_store_identity ~seed:1 ~weeks:2 ~emit_pcap:true
+
+(* A thinned sample weighs each record by 1/fraction.  Exact per-sample
+   counts, each weighted once, cannot see the order the records came
+   in; per-record float adds of varied lengths would. *)
+let qcheck_profile_order_independent =
+  QCheck.Test.make ~name:"thinned sample profiles equal to its shuffled records"
+    ~count:100
+    QCheck.(pair small_nat (float_range 0.01 0.99))
+    (fun (seed, fraction) ->
+      let rng = Netcore.Rng.create seed in
+      let stacks =
+        [|
+          [ "eth"; "vlan"; "ipv4"; "tcp" ];
+          [ "eth"; "vlan"; "mpls"; "ipv6"; "udp"; "dns" ];
+          [ "eth"; "vlan"; "ipv4"; "udp"; "vxlan"; "eth"; "ipv4"; "tcp"; "tls" ];
+        |]
+      in
+      let records =
+        List.init (50 + Netcore.Rng.int rng 400) (fun _ ->
+            let flow = Netcore.Rng.int rng 12 in
+            record
+              ~ts:(Netcore.Rng.float rng *. 20.0)
+              ~len:(60 + Netcore.Rng.int rng 9000)
+              ~stack:stacks.(flow mod 3)
+              ~l4:(Some (7000 + flow, 443))
+              ~rst:(Netcore.Rng.bernoulli rng 0.05)
+              ())
+      in
+      let shuffled = Array.of_list records in
+      Netcore.Rng.shuffle rng shuffled;
+      Profile.equal
+        (build_profile ~fraction ~pool_size:1 records)
+        (build_profile ~fraction ~pool_size:1 (Array.to_list shuffled)))
 
 let suites =
   [
@@ -618,6 +714,9 @@ let suites =
           test_profile_tie_order_deterministic;
         Alcotest.test_case "flow store streaming" `Quick
           test_profile_flow_store_stream;
+        Alcotest.test_case "flow store identity over many spills" `Quick
+          test_weekly_store_identity;
+        QCheck_alcotest.to_alcotest qcheck_profile_order_independent;
         QCheck_alcotest.to_alcotest qcheck_profile_pool_independent;
       ] );
   ]

@@ -23,7 +23,15 @@
    - pcap record: at snap length 200, writing the record of a frame
      with a 1,900 B or an 8,900 B payload allocates at most 16 words
      more than writing one with a 46 B payload, because a frame is
-     encoded only up to the snap length. *)
+     encoded only up to the snap length;
+   - profile absorb: [add_report] allocates at most 8 minor words per
+     record, because a sample is counted into exact integer cells and
+     each cell is weighted once, not each record;
+   - capture: [Capture.materialize] allocates at most 45 minor words
+     per record, because the specs' time-ordered runs are merged, not
+     sorted;
+   - rng: a [Rng.int] draw allocates nothing and a [Dist.sample_int]
+     draw on an [Empirical] at most 2 words (its boxed uniform). *)
 
 module Rng = Netcore.Rng
 module T = Obs.Tsdb
@@ -369,6 +377,89 @@ let test_pcap_record_words () =
   check_at_most "pcap record: words for an 8,900 B payload over a 46 B one"
     ~bound:16.0 (jumbo -. small)
 
+(* --- profile absorb: words per record ------------------------------ *)
+
+(* The default occasion of the capture golden. *)
+let test_profile_absorb_words () =
+  let report =
+    Test_capture.golden_occasion (List.assoc "default" Test_capture.golden_configs)
+  in
+  let records =
+    List.fold_left
+      (fun n (s : Patchwork.Capture.sample) -> n + List.length s.Patchwork.Capture.acaps)
+      0
+      (Patchwork.Coordinator.all_samples report)
+  in
+  let b = Analysis.Profile.Builder.create () in
+  Analysis.Profile.Builder.add_report b report;
+  let words = minor_words (fun () -> Analysis.Profile.Builder.add_report b report) in
+  check_at_most
+    (Printf.sprintf "profile: add_report minor words per record (%d records)" records)
+    ~bound:8.0
+    (words /. float_of_int records)
+
+(* --- capture: words per materialized record ------------------------ *)
+
+(* Eight specs over one second, about 2,000 draws each: single flows and
+   64-subflow aggregates, over IPv4 and IPv6, PseudoWire and VXLAN. *)
+let capture_specs () =
+  let rng = Rng.create 42 in
+  List.mapi
+    (fun i name ->
+      let service = Option.get (Dissect.Services.by_name name) in
+      let template =
+        Traffic.Stack_builder.forward rng
+          {
+            Traffic.Stack_builder.vlan_id = 100 + i;
+            mpls_labels = [ 16 + i ];
+            use_pseudowire = i mod 3 = 0;
+            use_vxlan = i mod 4 = 1;
+            use_ipv6 = i mod 5 = 2;
+            service;
+          }
+      in
+      Traffic.Flow_model.make ~flow_id:i ~template
+        ~frame_size:
+          (Netcore.Dist.Empirical
+             [| (1.0, 64.0); (1.0, 600.0); (4.0, 1500.0); (1.0, 9000.0) |])
+        ~avg_frame_size:800.0 ~byte_rate:(800.0 *. 2000.0) ~start_time:0.0
+        ~duration:10.0
+        ~subflows:(if i mod 2 = 0 then 1 else 64)
+        ())
+    [ "tls"; "iperf3"; "dns"; "ssh"; "mysql"; "nfs"; "http"; "quic" ]
+
+let test_capture_words () =
+  let specs = capture_specs () in
+  let materialize () =
+    Patchwork.Capture.materialize ~config:Patchwork.Config.default ~rng:(Rng.create 7)
+      ~fraction:1.0 ~start_time:0.0 ~end_time:1.0 specs
+  in
+  let records = List.length (materialize ()).Patchwork.Capture.records in
+  let words = minor_words materialize in
+  check_at_most
+    (Printf.sprintf "capture: materialize minor words per record (%d records)" records)
+    ~bound:45.0
+    (words /. float_of_int records)
+
+(* --- rng: words per draw ------------------------------------------- *)
+
+let test_rng_draw_words () =
+  let rng = Rng.create 42 in
+  let sizes = Netcore.Dist.Empirical [| (1.0, 64.0); (2.0, 1500.0); (1.0, 9000.0) |] in
+  let per_draw f =
+    let n = 1000 in
+    minor_words (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+    /. float_of_int n
+  in
+  let int () = Rng.int rng 1000 and sample () = Netcore.Dist.sample_int sizes rng in
+  ignore (per_draw int);
+  check_at_most "rng: Rng.int minor words per draw" ~bound:0.0 (per_draw int);
+  check_at_most "rng: Dist.sample_int (Empirical) minor words per draw" ~bound:2.0
+    (per_draw sample)
+
 let suites =
   [
     ( "gates",
@@ -384,5 +475,8 @@ let suites =
         Alcotest.test_case "span root history words" `Quick
           test_span_root_history;
         Alcotest.test_case "pcap record words" `Quick test_pcap_record_words;
+        Alcotest.test_case "profile absorb words" `Quick test_profile_absorb_words;
+        Alcotest.test_case "capture words" `Quick test_capture_words;
+        Alcotest.test_case "rng draw words" `Quick test_rng_draw_words;
       ] );
   ]

@@ -12,6 +12,18 @@ let test_rng_split_independent () =
   let a = Rng.bits64 parent and b = Rng.bits64 child in
   Alcotest.(check bool) "streams differ" true (not (Int64.equal a b))
 
+(* Values the generator gave for seed 42 before its state was unboxed;
+   the representation may change, the stream may not. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create 42 in
+  Alcotest.(check int64) "first bits64" (-4767286540954276203L) (Rng.bits64 r);
+  Alcotest.(check int64) "second bits64" 2949826092126892291L (Rng.bits64 r);
+  let child = Rng.split r in
+  Alcotest.(check int64) "split child's bits64" 6938366530895179L (Rng.bits64 child);
+  Alcotest.(check int) "int 1000" 941 (Rng.int r 1000);
+  Alcotest.(check (float 0.0)) "float" 0x1.378b0b448904p-5 (Rng.float r);
+  Alcotest.(check int) "poisson mean 10" 11 (Rng.poisson r ~mean:10.0)
+
 let test_rng_float_range () =
   let rng = Rng.create 1 in
   for _ = 1 to 10_000 do
@@ -115,24 +127,30 @@ let test_histogram_merge () =
 
 let test_histogram_float_counts () =
   let h = Histogram.create [| 100.0 |] in
-  (* Sampling weights land fractionally; fcounts/ftotal keep them
-     exact while the int accessors round for display. *)
-  Histogram.addf h ~count:2.5 10.0;
-  Histogram.addf h ~count:0.25 10.0;
-  Histogram.addf h ~count:1.75 200.0;
+  (* Sampling weights land fractionally, one weighted add per bin;
+     fcounts/ftotal keep them exact while the int accessors round for
+     display. *)
+  Alcotest.(check (list int)) "bins" [ 0; 1; 1 ]
+    (List.map (Histogram.bin h) [ 10.0; 100.0; 200.0 ]);
+  Histogram.add_bin h (Histogram.bin h 10.0) ~count:2.5;
+  Histogram.add_bin h 0 ~count:0.25;
+  Histogram.add_bin h (Histogram.bin h 200.0) ~count:1.75;
   Alcotest.(check (array (float 1e-12))) "fcounts" [| 2.75; 1.75 |]
     (Histogram.fcounts h);
   Alcotest.(check (float 1e-12)) "ftotal" 4.5 (Histogram.ftotal h);
   Alcotest.(check (array int)) "counts round" [| 3; 2 |] (Histogram.counts h);
   Alcotest.(check (float 1e-12)) "fractions from floats" (2.75 /. 4.5)
     (Histogram.fractions h).(0);
+  let rejected f =
+    match f () with exception Invalid_argument _ -> true | () -> false
+  in
   Alcotest.(check bool) "negative count rejected" true
-    (match Histogram.addf h ~count:(-1.0) 10.0 with
-    | exception Invalid_argument _ -> true
-    | () -> false);
+    (rejected (fun () -> Histogram.add_bin h 0 ~count:(-1.0)));
+  Alcotest.(check bool) "bin out of range rejected" true
+    (rejected (fun () -> Histogram.add_bin h 2 ~count:1.0));
   (* Merging preserves the fractional counts. *)
   let other = Histogram.create [| 100.0 |] in
-  Histogram.addf other ~count:0.5 10.0;
+  Histogram.add_bin other 0 ~count:0.5;
   Alcotest.(check (float 1e-12)) "merge keeps fractions" 3.25
     (Histogram.fcounts (Histogram.merge h other)).(0)
 
@@ -259,6 +277,7 @@ let suites =
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+        Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
         Alcotest.test_case "float range" `Quick test_rng_float_range;
         Alcotest.test_case "int range" `Quick test_rng_int_range;
         Alcotest.test_case "weighted frequencies" `Quick test_rng_weighted;
