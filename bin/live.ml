@@ -164,7 +164,7 @@ let start ?(rules = default_rules) ?baseline_at ?tsdb ?federation ~port ~log ()
     Obs.Http.create ~port (routes ?tsdb ~log ~collector ~alerts ())
   in
   let bg =
-    Parallel.Background.spawn ~name:"metrics-http" (fun () ->
+    Parallel.Background.spawn (fun () ->
         Obs.Http.run server)
   in
   { server; bg; collector; alerts; log; hook; tsdb }

@@ -2,8 +2,10 @@
 
    Runs one weekly-style profiling occasion across every profilable
    site of the federation, then pushes the captures through the full
-   offline pipeline (Digest -> Index -> Analyze -> Process) and emits
-   the CSV files that the paper's graphs are drawn from.
+   offline pipeline (Digest -> Index -> Analyze -> Process, a flow store
+   serving as the index) and emits the CSV files that the paper's graphs
+   are drawn from.  The flow store lives in a temporary directory and is
+   removed before exit; the CSVs stay.
 
    Run with: dune exec examples/testbed_profile.exe *)
 
@@ -37,19 +39,31 @@ let () =
         (List.length s.Patchwork.Coordinator.site_samples)
         s.Patchwork.Coordinator.cycles)
     report.Patchwork.Coordinator.sites;
-  (* Index the samples as an artifact store, as the gathering phase
-     does before the coordinator pulls everything home. *)
-  let dir = Filename.temp_file "patchwork_store" "" in
+  (* Digest and absorb the occasion, streaming each sample's flows into
+     a flow store: the index later analyses query instead of rescanning
+     every capture. *)
+  let dir = Filename.temp_file "patchwork_profile" "" in
   Sys.remove dir;
-  let index = Analysis.Index.create ~dir in
+  Sys.mkdir dir 0o755;
+  let store_dir = Filename.concat dir "flows" in
+  let store = Analysis.Flow_store.Writer.create ~dir:store_dir () in
+  let builder = Analysis.Profile.Builder.create () in
+  Analysis.Profile.Builder.add_report ~flow_store:store builder report;
+  let segs = Analysis.Flow_store.Writer.finish store in
+  let top = Analysis.Flow_store.query ~top:3 segs in
+  Printf.printf "flow store: %d segments, %d bytes, %d distinct flows\n"
+    (List.length segs)
+    (Analysis.Flow_store.Writer.spilled_bytes store)
+    top.Analysis.Flow_store.stats.Analysis.Flow_store.distinct_flows;
   List.iter
-    (fun s -> ignore (Analysis.Index.add_sample index ~occasion:0 s))
-    (Patchwork.Coordinator.all_samples report);
-  Analysis.Index.save index;
-  Printf.printf "acap store: %s (%d files)\n" dir
-    (List.length (Analysis.Index.entries index));
+    (fun (f : Analysis.Flows.summary) ->
+      Printf.printf "  %-60s %12.0f bytes\n" f.Analysis.Flows.flow_key
+        f.Analysis.Flows.bytes)
+    top.Analysis.Flow_store.flows;
+  List.iter Sys.remove segs;
+  Sys.rmdir store_dir;
   (* Analyze. *)
-  let profile = Analysis.Profile.of_reports [ report ] in
+  let profile = Analysis.Profile.Builder.finish builder in
   Format.printf "%a" Analysis.Profile.pp_summary profile;
   let csv_dir = Filename.concat dir "csv" in
   let files = Analysis.Profile.write_csv_files profile ~dir:csv_dir in

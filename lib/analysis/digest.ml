@@ -58,32 +58,3 @@ let sample_acaps ?pool (sample : Patchwork.Capture.sample) =
   match sample.Patchwork.Capture.pcap with
   | Some buf -> pcap_to_acaps ?pool buf
   | None -> sample.Patchwork.Capture.acaps
-
-let write_acap_file path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun r ->
-          output_string oc (Dissect.Acap.to_line r);
-          output_char oc '\n')
-        records)
-
-let read_acap_file path =
-  (* Binary mode: acap lines are written byte-for-byte, and text-mode
-     CRLF translation on some platforms would corrupt the round-trip. *)
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-          match Dissect.Acap.of_line line with
-          | Ok r -> go (lineno + 1) (r :: acc)
-          | Error msg ->
-            failwith (Printf.sprintf "%s: line %d: %s" path lineno msg))
-      in
-      go 1 [])

@@ -28,10 +28,3 @@ val sample_acaps :
     the snapped bytes — so a profile built from them differs from the
     in-line one (flow first/last times, and the shares of services such
     as dns and dns-tcp). *)
-
-val write_acap_file : string -> Dissect.Acap.record list -> unit
-(** One record per line ({!Dissect.Acap.to_line}). *)
-
-val read_acap_file : string -> Dissect.Acap.record list
-(** Reads in binary mode.  Raises [Failure] on malformed lines; the
-    message names the file and the 1-based line number. *)

@@ -207,7 +207,6 @@ module Writer = struct
     t.finished <- true;
     List.rev t.paths
 
-  let segments_written t = t.seg_index
   let spilled_bytes t = t.bytes
 end
 

@@ -74,7 +74,6 @@ module Writer : sig
   (** Flush the remaining buffer and return every segment path written,
       in write order.  The writer must not be used afterwards. *)
 
-  val segments_written : t -> int
   val spilled_bytes : t -> int
 end
 

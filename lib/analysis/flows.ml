@@ -173,7 +173,7 @@ let warn_unweighted ?log fraction =
    until weighting, min/max/or are order-independent, and the final sort
    breaks byte ties on the flow key, so the result depends only on the
    multiset of records per weight — never on how they were sharded. *)
-let merge_shards ?log shards =
+let merge ?log shards =
   Obs.Span.timed ~stage:"flows.merge" @@ fun () ->
   let totals = Totals.create () in
   List.iter
@@ -196,13 +196,11 @@ let merge_shards ?log shards =
   end;
   summaries
 
-let merge = merge_shards
-
 (* Sharding is per group (one capture sample = one shard task) and the
    merge is shard-order-insensitive, so the result is identical whatever
    the pool size — including the sequential fallback. *)
 let aggregate_weighted ?(pool = Parallel.Pool.sequential) ?log groups =
-  merge_shards ?log (Parallel.Pool.map pool shard_group groups)
+  merge ?log (Parallel.Pool.map pool shard_group groups)
 
 let aggregate ?pool ?log ?weights records =
   match weights with

@@ -48,10 +48,6 @@ val create :
 val start : t -> until:float -> unit
 (** Acquire the floor, start sampling, and begin the control loop. *)
 
-val instances : t -> Instance.t list
-(** All instances ever started (including released ones, whose samples
-    are still part of the profile). *)
-
 val live_instances : t -> int
 val events : t -> event list
 (** Scaling decisions, oldest first. *)

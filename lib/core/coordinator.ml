@@ -58,7 +58,6 @@ let remove_hook id =
   hooks := List.filter (fun (i, _) -> i <> id) !hooks;
   Mutex.unlock hooks_lock
 
-let occasions_completed () = Atomic.get completed
 let ready () = Atomic.get completed > 0
 
 let run_hooks report =
@@ -84,10 +83,6 @@ let obs_site_outcome outcome =
   Obs.Registry.counter Obs.Registry.default "occasion_sites_total"
     ~help:"Per-site occasion outcomes (Fig. 10)"
     ~labels:[ ("outcome", outcome_label outcome) ]
-
-let desired_instances_for fabric ~site ~max_instances =
-  let a = Allocator.available (Fablib.allocator fabric) ~site in
-  max 1 (min max_instances a.Allocator.avail_dedicated_nics)
 
 (* Patchwork's own NIC occupies switch ports; it mirrors other ports
    onto them.  We reserve the highest-numbered downlinks for Patchwork's
@@ -327,17 +322,3 @@ let run_occasion ~fabric ~driver ~config ?pool ?log ?(max_instances = 2)
   report
 
 let all_samples report = List.concat_map (fun r -> r.site_samples) report.sites
-
-let success_rate reports =
-  let total = ref 0 and ok = ref 0 in
-  List.iter
-    (fun report ->
-      List.iter
-        (fun site ->
-          incr total;
-          match site.outcome with
-          | Site_success | Site_degraded -> incr ok
-          | Site_failed _ | Site_incomplete _ -> ())
-        report.sites)
-    reports;
-  if !total = 0 then 0.0 else float_of_int !ok /. float_of_int !total

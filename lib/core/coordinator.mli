@@ -29,14 +29,6 @@ type occasion_report = {
   log : Logging.t;
 }
 
-val desired_instances_for :
-  Testbed.Fablib.t -> site:string -> max_instances:int -> int
-(** Availability-aware sizing helper: the largest request the site can
-    currently satisfy, bounded by [max_instances].  The coordinator
-    itself always asks for the full [max_instances] and lets back-off
-    trim (so degraded runs are visible); this helper serves users who
-    want to size a request up-front. *)
-
 val run_occasion :
   fabric:Testbed.Fablib.t ->
   driver:Traffic.Driver.t ->
@@ -75,12 +67,7 @@ val on_occasion_complete : (occasion_report -> unit) -> hook_handle
 val remove_hook : hook_handle -> unit
 (** Unregister a hook; idempotent. *)
 
-val occasions_completed : unit -> int
-(** Occasions completed in this process (across all entry points). *)
-
 val ready : unit -> bool
 (** At least one occasion has completed — the [/readyz] signal. *)
 
 val all_samples : occasion_report -> Capture.sample list
-val success_rate : occasion_report list -> float
-(** Fraction of (occasion, site) runs that fully succeeded. *)

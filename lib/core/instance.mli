@@ -39,4 +39,3 @@ val samples : t -> Capture.sample list
 
 val storage_used : t -> float
 val cycles_completed : t -> int
-val name : t -> string

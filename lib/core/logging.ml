@@ -35,8 +35,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let capacity t = t.capacity
-
 let log t ~time ~level ~component event =
   let e = { time; level; component; event } in
   let s = severity level in
@@ -58,8 +56,6 @@ let entries_unlocked t =
         | Some e -> e
         | None -> assert false (* slots [0, ring_len) are filled *))
 
-let entries t = locked t (fun () -> entries_unlocked t)
-
 let count_unlocked ~min_level t =
   let s = severity min_level in
   let total = ref 0 in
@@ -72,11 +68,6 @@ let count ?(min_level = Debug) t = locked t (fun () -> count_unlocked ~min_level
 
 let retained_unlocked t =
   if t.capacity = 0 then List.length t.entries else t.ring_len
-
-let retained t = locked t (fun () -> retained_unlocked t)
-
-let dropped t =
-  locked t (fun () -> count_unlocked ~min_level:Debug t - retained_unlocked t)
 
 let next_seq t = locked t (fun () -> count_unlocked ~min_level:Debug t)
 
@@ -92,14 +83,8 @@ let drain_since t ~seq =
       in
       tag oldest [] all)
 
-let errors t = List.filter (fun e -> e.level = Error) (entries t)
-
 let level_name = function
   | Debug -> "DEBUG"
   | Info -> "INFO"
   | Warning -> "WARN"
   | Error -> "ERROR"
-
-let pp_entry ppf e =
-  Format.fprintf ppf "[%10.1f] %-5s %s: %s" e.time (level_name e.level) e.component
-    e.event

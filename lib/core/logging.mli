@@ -23,21 +23,11 @@ val create : ?capacity:int -> unit -> t
     bound memory.  Per-level counters (hence {!count}) always reflect
     every logged event, evicted or not. *)
 
-val capacity : t -> int
 val log : t -> time:float -> level:level -> component:string -> string -> unit
-
-val entries : t -> entry list
-(** Retained entries, oldest first. *)
 
 val count : ?min_level:level -> t -> int
 (** Events logged at [min_level] or above, O(1) (includes entries a ring
     buffer has since evicted). *)
-
-val retained : t -> int
-(** Entries currently held. *)
-
-val dropped : t -> int
-(** Events evicted by the ring buffer ([count] minus [retained]). *)
 
 val next_seq : t -> int
 (** The sequence number the next logged entry will get.  Entries are
@@ -51,8 +41,4 @@ val drain_since : t -> seq:int -> (int * entry) list
     oldest returned seq is greater than [seq], the ring evicted entries
     in between.  Safe to call from any domain. *)
 
-val errors : t -> entry list
-(** Retained [Error] entries, oldest first. *)
-
 val level_name : level -> string
-val pp_entry : Format.formatter -> entry -> unit

@@ -143,7 +143,7 @@ let run ?(depth = 1) ~n ~produce ~consume () =
     let t0 = Obs.Clock.now () in
     let produce_busy = ref 0.0 in
     let producer =
-      Parallel.Background.spawn ~name:"pipeline-producer" (fun () ->
+      Parallel.Background.spawn (fun () ->
           let k = ref 0 in
           let continue = ref true in
           while !continue && !k < n do

@@ -74,5 +74,3 @@ let next t ~telemetry ~window ~at =
   (match chosen with Some p -> remember t p | None -> ());
   t.cycle <- t.cycle + 1;
   chosen
-
-let history t = t.recent

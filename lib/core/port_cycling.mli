@@ -29,6 +29,3 @@ val next :
 (** Choose the next port to mirror; [None] when the heuristic has no
     eligible port (e.g. empty candidate set).  Consults telemetry for
     activity ranking. *)
-
-val history : t -> int list
-(** Most recent selections, newest first. *)

@@ -135,11 +135,6 @@ let abstract ~ts ~orig_len ~cap_len ~truncated (headers : H.header list) =
   in
   walk [] [] [] None None false None headers
 
-let of_packet (p : Packet.Pcap.packet) =
-  let d = Dissector.dissect_packet p in
-  abstract ~ts:p.ts ~orig_len:p.orig_len ~cap_len:(Bytes.length p.data)
-    ~truncated:d.truncated d.headers
-
 let of_slice ~ts ~orig_len slice =
   let d = Dissector.dissect_slice ~orig_len slice in
   abstract ~ts ~orig_len ~cap_len:(Packet.Slice.length slice)
@@ -224,30 +219,3 @@ let to_line r =
   Buffer.add_char b '\t';
   Buffer.add_char b (if r.truncated then 'T' else '-');
   Buffer.contents b
-
-let parse_opt = function "-" -> None | s -> Some s
-
-let parse_ints = function
-  | "-" -> []
-  | s -> List.map int_of_string (String.split_on_char ',' s)
-
-let of_line line =
-  match String.split_on_char '\t' line with
-  | [ ts; orig_len; cap_len; stack; vlans; mplss; src; dst; l4; rst; trunc ] -> (
-    try
-      Ok
-        (make ~ts:(float_of_string ts) ~orig_len:(int_of_string orig_len)
-           ~cap_len:(int_of_string cap_len)
-           ~stack:(if stack = "" then [] else String.split_on_char ',' stack)
-           ~vlan_ids:(parse_ints vlans) ~mpls_labels:(parse_ints mplss)
-           ~src:(parse_opt src) ~dst:(parse_opt dst)
-           ~l4:
-             (match l4 with
-             | "-" -> None
-             | s -> (
-               match String.split_on_char ',' s with
-               | [ a; b ] -> Some (int_of_string a, int_of_string b)
-               | _ -> failwith "bad l4"))
-           ~tcp_rst:(rst = "R") ~truncated:(trunc = "T"))
-    with Failure msg -> Error ("Acap.of_line: " ^ msg))
-  | _ -> Error "Acap.of_line: wrong field count"

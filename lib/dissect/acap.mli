@@ -48,13 +48,9 @@ val stamp : record -> ts:float -> orig_len:int -> cap_len:int -> record
     one frame per flow class and stamps every frame of the class from
     it. *)
 
-val of_packet : Packet.Pcap.packet -> record
-(** Dissect a pcap record and abstract it. *)
-
 val of_slice : ts:float -> orig_len:int -> Packet.Slice.t -> record
-(** Zero-copy flavour of {!of_packet}: dissect a view into the shared
-    capture buffer in place.  Bit-identical to materializing the slice
-    and calling {!of_packet}. *)
+(** Dissect a view into the shared capture buffer in place, without
+    copying the packet out of it. *)
 
 val of_entry : bytes -> Packet.Pcap.index_entry -> record
 (** Resolve an index entry against its capture buffer and abstract it
@@ -66,9 +62,6 @@ val of_frame : ts:float -> Packet.Frame.t -> record
 
 val to_line : record -> string
 (** Serialize as one tab-separated line. *)
-
-val of_line : string -> (record, string) result
-(** Inverse of {!to_line}. *)
 
 val flow_key : record -> string option
 (** Flow identity as used by the paper's analysis: virtualization tags

@@ -329,5 +329,3 @@ let dissect_slice ?orig_len slice =
   let cap_len = Packet.Slice.length slice in
   let orig_len = match orig_len with Some l -> l | None -> cap_len in
   dissect_reader ~orig_len ~cap_len (Packet.Slice.reader slice)
-
-let dissect_packet (p : Packet.Pcap.packet) = dissect ~orig_len:p.orig_len p.data

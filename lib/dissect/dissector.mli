@@ -33,6 +33,3 @@ val dissect_slice : ?orig_len:int -> Packet.Slice.t -> result
     the slice's bounds-checked cursor, never copying the underlying
     capture buffer.  Produces the same result as {!dissect} on a copy
     of the viewed bytes. *)
-
-val dissect_packet : Packet.Pcap.packet -> result
-(** Convenience wrapper over a pcap record. *)

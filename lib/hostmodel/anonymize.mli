@@ -13,7 +13,6 @@ type t
 val create : key:int -> t
 
 val ipv4 : t -> Netcore.Ipv4_addr.t -> Netcore.Ipv4_addr.t
-val ipv6 : t -> Netcore.Ipv6_addr.t -> Netcore.Ipv6_addr.t
 
 val frame : t -> Packet.Frame.t -> Packet.Frame.t
 (** Rewrite every IP address in the frame's headers (including ARP

@@ -33,9 +33,6 @@ val default : t
 val effective_cores : t -> int -> float
 (** [effective_cores p n] applies the contention model. *)
 
-val dpdk_packet_cost : t -> truncation:int -> float
-(** CPU seconds to receive one frame and stage [truncation] bytes. *)
-
 val dpdk_capacity_pps : t -> cores:int -> truncation:int -> float
 (** Sustainable packets/s of the DPDK path before queue growth. *)
 

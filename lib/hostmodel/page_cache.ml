@@ -5,7 +5,6 @@ type t = {
   dirty_hard : float;
   mutable dirty : float;
   mutable written : float;
-  mutable drained : float;
 }
 
 let create ~free_cache_bytes ~drain_rate ~dirty_background_ratio ~dirty_ratio =
@@ -23,7 +22,6 @@ let create ~free_cache_bytes ~drain_rate ~dirty_background_ratio ~dirty_ratio =
     dirty_hard = dirty_ratio /. 100.0;
     dirty = 0.0;
     written = 0.0;
-    drained = 0.0;
   }
 
 (* The paper's tuned capture host: vm.dirty ratios raised to 60/80 (the
@@ -48,11 +46,8 @@ let write t bytes =
   t.written <- t.written +. bytes;
   if Obs.Registry.enabled () then Obs.Registry.inc obs_written bytes
 
-let background_threshold t = t.dirty_background
-let hard_threshold t = t.dirty_hard
 let throttle_threshold t = (t.dirty_background +. t.dirty_hard) /. 2.0
 
-let dirty_bytes t = t.dirty
 let dirty_fraction t = t.dirty /. t.free_cache_bytes
 let used_percent t = 100.0 *. dirty_fraction t
 
@@ -63,7 +58,6 @@ let advance t ~dt =
   if dirty_fraction t > t.dirty_background then begin
     let drained = Float.min t.dirty (t.drain_rate *. dt) in
     t.dirty <- t.dirty -. drained;
-    t.drained <- t.drained +. drained;
     if Obs.Registry.enabled () then Obs.Registry.inc obs_drained drained
   end
 
@@ -96,4 +90,3 @@ let writer_latency_multiplier t =
   end
 
 let total_written t = t.written
-let total_drained t = t.drained

@@ -35,22 +35,14 @@ val write : t -> float -> unit
 val advance : t -> dt:float -> unit
 (** Let the disk drain for [dt] seconds. *)
 
-val dirty_bytes : t -> float
-
 val dirty_fraction : t -> float
 (** Dirty bytes as a fraction of the free cache, in [0, 1]. *)
 
 val used_percent : t -> float
 (** [100 * dirty_fraction] — the x-axis of Fig. 14. *)
 
-val background_threshold : t -> float
-(** Dirty fraction at which async flushing starts. *)
-
 val throttle_threshold : t -> float
 (** Midpoint of the two ratios: where writer throttling begins. *)
-
-val hard_threshold : t -> float
-(** [dirty_ratio]: beyond this, writers block outright. *)
 
 val throttle_factor : t -> float
 (** Multiplier in (0, 1] on the writer's progress: 1 below the midpoint,
@@ -62,4 +54,3 @@ val writer_latency_multiplier : t -> float
     writer is throttled. *)
 
 val total_written : t -> float
-val total_drained : t -> float

@@ -21,9 +21,3 @@ let finish sum =
     folded := (!folded land 0xFFFF) + (!folded lsr 16)
   done;
   lnot !folded land 0xFFFF
-
-let of_bytes b = finish (ones_complement_sum b ~pos:0 ~len:(Bytes.length b))
-
-let verify b =
-  let sum = ones_complement_sum b ~pos:0 ~len:(Bytes.length b) in
-  sum land 0xFFFF = 0xFFFF

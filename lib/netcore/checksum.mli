@@ -7,10 +7,3 @@ val ones_complement_sum : ?initial:int -> bytes -> pos:int -> len:int -> int
 
 val finish : int -> int
 (** One's-complement of a running sum, folded to 16 bits. *)
-
-val of_bytes : bytes -> int
-(** Checksum of a whole buffer. *)
-
-val verify : bytes -> bool
-(** [verify b] is [true] when the buffer (with its embedded checksum
-    field) sums to [0xFFFF], i.e. the checksum is valid. *)

@@ -73,14 +73,6 @@ let rec mean = function
   | Shifted (offset, inner) -> Option.map (fun m -> m +. offset) (mean inner)
   | Clamped _ -> None
 
-let mean_estimate d n rng =
-  if n <= 0 then invalid_arg "Dist.mean_estimate: n must be positive";
-  let total = ref 0.0 in
-  for _ = 1 to n do
-    total := !total +. sample d rng
-  done;
-  !total /. float_of_int n
-
 module Zipf = struct
   type sampler = { cdf : float array }
 
@@ -150,8 +142,4 @@ module Summary = struct
       p99 = percentile sorted 99.0;
     }
 
-  let pp ppf s =
-    Format.fprintf ppf
-      "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-      s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
 end

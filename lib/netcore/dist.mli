@@ -28,9 +28,6 @@ val mean : t -> float option
 (** Exact mean when it exists analytically ([None] for [Clamped] and for
     Pareto with shape <= 1). *)
 
-val mean_estimate : t -> int -> Rng.t -> float
-(** [mean_estimate d n rng] is the empirical mean of [n] samples. *)
-
 module Zipf : sig
   type sampler
 
@@ -57,9 +54,4 @@ module Summary : sig
   (** Summary statistics of a non-empty array (the array is sorted as a
       side effect of percentile computation on a copy). *)
 
-  val percentile : float array -> float -> float
-  (** [percentile sorted p] with [p] in [0,100]; the array must already
-      be sorted ascending. *)
-
-  val pp : Format.formatter -> stats -> unit
 end

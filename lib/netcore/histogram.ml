@@ -37,11 +37,9 @@ let add_bin t i ~count =
 
 let add t ?(count = 1) v = add_bin t (bin t v) ~count:(float_of_int count)
 
-let fcounts t = Array.copy t.counts
 let ftotal t = Array.fold_left ( +. ) 0.0 t.counts
 let counts t = Array.map (fun c -> int_of_float (Float.round c)) t.counts
 let total t = int_of_float (Float.round (ftotal t))
-let edges t = Array.copy t.edges
 
 let bin_label t i =
   let n = Array.length t.edges in
@@ -53,13 +51,6 @@ let fractions t =
   let tot = ftotal t in
   if tot = 0.0 then Array.make (Array.length t.counts) 0.0
   else Array.map (fun c -> c /. tot) t.counts
-
-let merge a b =
-  if a.edges <> b.edges then invalid_arg "Histogram.merge: different edges";
-  {
-    edges = a.edges;
-    counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) +. b.counts.(i));
-  }
 
 module Log2 = struct
   type t = { mutable buckets : int array }
@@ -86,8 +77,6 @@ module Log2 = struct
     Array.iteri (fun k c -> if c > 0 then acc := (k, c) :: !acc) t.buckets;
     List.rev !acc
 
-  let total t = Array.fold_left ( + ) 0 t.buckets
-
   let upper_bound_sum t ~min_exponent =
     let sum = ref 0.0 in
     Array.iteri
@@ -97,9 +86,4 @@ module Log2 = struct
       t.buckets;
     !sum
 
-  let pp ppf t =
-    List.iter
-      (fun (k, c) ->
-        Format.fprintf ppf "[2^%d, 2^%d): %d@." k (k + 1) c)
-      (buckets t)
 end

@@ -32,23 +32,14 @@ val counts : t -> int array
     open-ended outer bins; length is [Array.length edges + 1].  Exact
     whenever only integer counts were added. *)
 
-val fcounts : t -> float array
-(** Per-bin counts without rounding (the authoritative values when
-    {!add_bin} was used). *)
-
 val total : t -> int
 val ftotal : t -> float
-val edges : t -> float array
 
 val bin_label : t -> int -> string
 (** Human-readable label for bin [i], e.g. ["[64, 128)"]. *)
 
 val fractions : t -> float array
 (** Per-bin fraction of the total (all zeros if the total is zero). *)
-
-val merge : t -> t -> t
-(** Sum of two histograms over identical edges.  Raises
-    [Invalid_argument] if the edges differ. *)
 
 module Log2 : sig
   type t
@@ -62,13 +53,10 @@ module Log2 : sig
       in bucket [k] satisfy [2^k <= v < 2^(k+1)].  Values below 1 land
       in bucket 0. *)
 
-  val total : t -> int
-
   val upper_bound_sum : t -> min_exponent:int -> float
   (** Sum of [count * 2^(k+1)] over buckets with [k >= min_exponent].
       This mirrors the paper's Fig. 14 methodology: each latency is
       accounted at its bucket's upper bound, and the common (fast) cases
       below a cut-off are excluded so that tail stalls dominate. *)
 
-  val pp : Format.formatter -> t -> unit
 end

@@ -10,11 +10,6 @@ let of_octets a b c d =
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
 
-let to_octets t =
-  let v = Int32.to_int (Int32.logand t 0xFFFFFFl) in
-  let a = Int32.to_int (Int32.shift_right_logical t 24) in
-  (a, (v lsr 16) land 0xFF, (v lsr 8) land 0xFF, v land 0xFF)
-
 let of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] -> (
@@ -62,16 +57,4 @@ let random_in rng ~prefix ~prefix_len =
   let raw = Int64.to_int32 (Rng.bits64 rng) in
   Int32.logor (Int32.logand prefix mask) (Int32.logand raw host_bits)
 
-let in_prefix t ~prefix ~prefix_len =
-  let mask = mask_of_len prefix_len in
-  Int32.equal (Int32.logand t mask) (Int32.logand prefix mask)
-
-let is_private t =
-  in_prefix t ~prefix:(of_octets 10 0 0 0) ~prefix_len:8
-  || in_prefix t ~prefix:(of_octets 172 16 0 0) ~prefix_len:12
-  || in_prefix t ~prefix:(of_octets 192 168 0 0) ~prefix_len:16
-
 let equal = Int32.equal
-let compare = Int32.compare
-let hash t = Int32.to_int t land max_int
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -7,7 +7,6 @@ val of_int32 : int32 -> t
 val to_int32 : t -> int32
 
 val of_octets : int -> int -> int -> int -> t
-val to_octets : t -> int * int * int * int
 
 val of_string : string -> t
 (** Parses dotted-quad notation; raises [Invalid_argument] otherwise. *)
@@ -17,10 +16,4 @@ val to_string : t -> string
 val random_in : Rng.t -> prefix:t -> prefix_len:int -> t
 (** A random host address inside the given prefix. *)
 
-val in_prefix : t -> prefix:t -> prefix_len:int -> bool
-val is_private : t -> bool
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-val pp : Format.formatter -> t -> unit

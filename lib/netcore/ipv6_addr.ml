@@ -94,13 +94,3 @@ let random_in rng ~prefix ~prefix_len =
     hi = Int64.logor (Int64.logand prefix.hi hi_mask) (Int64.logand rand_hi (Int64.lognot hi_mask));
     lo = Int64.logor (Int64.logand prefix.lo lo_mask) (Int64.logand rand_lo (Int64.lognot lo_mask));
   }
-
-let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
-
-let compare a b =
-  (* Unsigned comparison of halves. *)
-  let cmp_u x y = Int64.unsigned_compare x y in
-  match cmp_u a.hi b.hi with 0 -> cmp_u a.lo b.lo | c -> c
-
-let hash t = (Int64.to_int t.hi lxor Int64.to_int t.lo) land max_int
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -16,8 +16,3 @@ val to_string : t -> string
 val random_in : Rng.t -> prefix:t -> prefix_len:int -> t
 (** A random address inside the given prefix (prefix length <= 64 keeps
     the low half fully random). *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -5,44 +5,9 @@ let mask48 = 0xFFFF_FFFF_FFFFL
 let of_int64 v = Int64.logand v mask48
 let to_int64 t = t
 
-let of_octets octs =
-  if Array.length octs <> 6 then invalid_arg "Mac.of_octets: need 6 octets";
-  Array.fold_left
-    (fun acc o ->
-      if o < 0 || o > 255 then invalid_arg "Mac.of_octets: octet out of range";
-      Int64.logor (Int64.shift_left acc 8) (Int64.of_int o))
-    0L octs
-
-let to_octets t =
-  Array.init 6 (fun i ->
-      Int64.to_int (Int64.logand (Int64.shift_right_logical t ((5 - i) * 8)) 0xFFL))
-
-let of_string s =
-  match String.split_on_char ':' s with
-  | [ a; b; c; d; e; f ] ->
-    let parse x =
-      match int_of_string_opt ("0x" ^ x) with
-      | Some v when v >= 0 && v <= 255 -> v
-      | _ -> invalid_arg ("Mac.of_string: bad octet " ^ x)
-    in
-    of_octets (Array.of_list (List.map parse [ a; b; c; d; e; f ]))
-  | _ -> invalid_arg ("Mac.of_string: " ^ s)
-
-let to_string t =
-  let o = to_octets t in
-  Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" o.(0) o.(1) o.(2) o.(3) o.(4) o.(5)
-
-let broadcast = mask48
-let zero = 0L
-
 let random rng =
   let raw = Int64.logand (Rng.bits64 rng) mask48 in
   (* Set locally-administered, clear multicast. *)
   let first = Int64.logand (Int64.shift_right_logical raw 40) 0xFFL in
   let first = Int64.logor (Int64.logand first 0xFCL) 2L in
   Int64.logor (Int64.shift_left first 40) (Int64.logand raw 0xFF_FFFF_FFFFL)
-
-let is_multicast t = Int64.logand (Int64.shift_right_logical t 40) 1L = 1L
-let equal = Int64.equal
-let compare = Int64.compare
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -8,23 +8,5 @@ val of_int64 : int64 -> t
 
 val to_int64 : t -> int64
 
-val of_octets : int array -> t
-(** [of_octets [|a;b;c;d;e;f|]]; each octet must be in [0, 255]. *)
-
-val to_octets : t -> int array
-
-val of_string : string -> t
-(** Parses ["aa:bb:cc:dd:ee:ff"].  Raises [Invalid_argument] on bad
-    syntax. *)
-
-val to_string : t -> string
-val broadcast : t
-val zero : t
-
 val random : Rng.t -> t
 (** A random, locally-administered unicast address. *)
-
-val is_multicast : t -> bool
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -13,8 +13,6 @@ let of_state s =
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 (* SplitMix64 finalizer: mixes the incremented state into an output word. *)
 let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in

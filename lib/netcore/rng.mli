@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] derives a new, statistically independent generator and
     advances [t].  Used to give sub-components their own streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

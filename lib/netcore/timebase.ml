@@ -1,40 +1,8 @@
 type t = float
 
-let second = 1.0
-let minute = 60.0
 let hour = 3600.0
 let day = 86400.0
 let week = 604800.0
 
-let of_days d = d *. day
-let of_hours h = h *. hour
-let of_minutes m = m *. minute
-
 let day_of t = int_of_float (t /. day)
 let week_of t = int_of_float (t /. week)
-let hour_of_day t = Float.rem t day /. hour
-
-let month_lengths = [| 31; 28; 31; 30; 31; 30; 31; 31; 30; 31; 30; 31 |]
-
-let month_of_day doy =
-  let doy = ((doy mod 365) + 365) mod 365 in
-  let rec find m acc =
-    if doy < acc + month_lengths.(m) then m else find (m + 1) (acc + month_lengths.(m))
-  in
-  find 0 0
-
-let month_names =
-  [| "Jan"; "Feb"; "Mar"; "Apr"; "May"; "Jun"; "Jul"; "Aug"; "Sep"; "Oct"; "Nov"; "Dec" |]
-
-let month_name m =
-  if m < 0 || m > 11 then invalid_arg "Timebase.month_name";
-  month_names.(m)
-
-let pp_duration ppf s =
-  let abs = Float.abs s in
-  if abs >= day then Format.fprintf ppf "%.1f d" (s /. day)
-  else if abs >= hour then Format.fprintf ppf "%.1f h" (s /. hour)
-  else if abs >= minute then Format.fprintf ppf "%.1f min" (s /. minute)
-  else if abs >= 1.0 then Format.fprintf ppf "%.1f s" s
-  else if abs >= 1e-3 then Format.fprintf ppf "%.2f ms" (s *. 1e3)
-  else Format.fprintf ppf "%.1f us" (s *. 1e6)

@@ -8,30 +8,12 @@
 type t = float
 (** Seconds since the simulated epoch. *)
 
-val second : float
-val minute : float
 val hour : float
 val day : float
 val week : float
-
-val of_days : float -> t
-val of_hours : float -> t
-val of_minutes : float -> t
 
 val day_of : t -> int
 (** Zero-based day index. *)
 
 val week_of : t -> int
 (** Zero-based week index. *)
-
-val hour_of_day : t -> float
-(** Hours elapsed within the current day, in [0, 24). *)
-
-val month_of_day : int -> int
-(** Maps a zero-based day-of-year (0..364) to a month index 0..11 using
-    standard month lengths of a non-leap year. *)
-
-val month_name : int -> string
-
-val pp_duration : Format.formatter -> float -> unit
-(** Prints a duration with adaptive units, e.g. ["2.5 h"]. *)

@@ -1,12 +1,3 @@
-let gbps x = x *. 1e9
-let mbps x = x *. 1e6
-let tbps x = x *. 1e12
-let bps_to_gbps x = x /. 1e9
-let bps_to_tbps x = x /. 1e12
-let bytes_per_sec_of_bps x = x /. 8.0
-let gib x = x *. 1073741824.0
-let mib x = x *. 1048576.0
-let kib x = x *. 1024.0
 
 let ethernet_overhead_bytes = 24
 
@@ -41,19 +32,3 @@ let parse_duration s =
       | Some v when v > 0.0 && Float.is_finite v -> Ok (v *. scale)
       | _ -> Error (Printf.sprintf "bad duration %S (expected e.g. 90s, 15m, 2h, 7d)" s))
   end
-
-let pp_rate ppf bps =
-  let abs = Float.abs bps in
-  if abs >= 1e12 then Format.fprintf ppf "%.2f Tbps" (bps /. 1e12)
-  else if abs >= 1e9 then Format.fprintf ppf "%.2f Gbps" (bps /. 1e9)
-  else if abs >= 1e6 then Format.fprintf ppf "%.2f Mbps" (bps /. 1e6)
-  else if abs >= 1e3 then Format.fprintf ppf "%.2f Kbps" (bps /. 1e3)
-  else Format.fprintf ppf "%.0f bps" bps
-
-let pp_bytes ppf b =
-  let abs = Float.abs b in
-  if abs >= 1099511627776.0 then Format.fprintf ppf "%.2f TiB" (b /. 1099511627776.0)
-  else if abs >= 1073741824.0 then Format.fprintf ppf "%.2f GiB" (b /. 1073741824.0)
-  else if abs >= 1048576.0 then Format.fprintf ppf "%.2f MiB" (b /. 1048576.0)
-  else if abs >= 1024.0 then Format.fprintf ppf "%.2f KiB" (b /. 1024.0)
-  else Format.fprintf ppf "%.0f B" b

@@ -4,24 +4,6 @@
     sizes are bytes ([int] or [float]); this module keeps the
     conversions in one place. *)
 
-val gbps : float -> float
-(** [gbps 100.0] is [100e9] bits per second. *)
-
-val mbps : float -> float
-val tbps : float -> float
-
-val bps_to_gbps : float -> float
-val bps_to_tbps : float -> float
-
-val bytes_per_sec_of_bps : float -> float
-(** Bits-per-second to bytes-per-second. *)
-
-val gib : float -> float
-(** Gibibytes to bytes. *)
-
-val mib : float -> float
-val kib : float -> float
-
 val pps_of_bps : float -> frame_bytes:int -> float
 (** Packets per second carried by a bit rate, accounting for Ethernet
     per-frame overhead (preamble + IFG + FCS = 24 bytes) on the wire. *)
@@ -29,17 +11,8 @@ val pps_of_bps : float -> frame_bytes:int -> float
 val bps_of_pps : float -> frame_bytes:int -> float
 (** Inverse of {!pps_of_bps}. *)
 
-val ethernet_overhead_bytes : int
-(** Preamble (8) + inter-frame gap (12) + FCS (4). *)
-
 val parse_duration : string -> (float, string) result
 (** Parse a duration to seconds: a positive number with an optional
     [s]/[m]/[h]/[d]/[w] suffix (["90s"], ["15m"], ["2h"], ["7d"],
     ["1w"]; no suffix means seconds).  The CLI syntax for telemetry
     retention and downsample resolution. *)
-
-val pp_rate : Format.formatter -> float -> unit
-(** Prints a bit rate with an adaptive unit, e.g. ["3.97 Tbps"]. *)
-
-val pp_bytes : Format.formatter -> float -> unit
-(** Prints a byte count with an adaptive unit, e.g. ["1.5 GiB"]. *)

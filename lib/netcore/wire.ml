@@ -30,8 +30,6 @@ module Writer = struct
     Bytes.set_int32_be t.buf t.len v;
     t.len <- t.len + 4
 
-  let u32_of_int t v = u32 t (Int32.of_int v)
-
   let u64 t v =
     ensure t 8;
     Bytes.set_int64_be t.buf t.len v;
@@ -70,7 +68,6 @@ module Reader = struct
       invalid_arg "Reader.of_bytes: bad bounds";
     { buf; limit = pos + len; cursor = pos }
 
-  let pos t = t.cursor
   let remaining t = t.limit - t.cursor
 
   let need t n = if t.cursor + n > t.limit then raise Truncated
@@ -99,12 +96,6 @@ module Reader = struct
     t.cursor <- t.cursor + 8;
     v
 
-  let take t n =
-    need t n;
-    let b = Bytes.sub t.buf t.cursor n in
-    t.cursor <- t.cursor + n;
-    b
-
   let skip t n =
     need t n;
     t.cursor <- t.cursor + n
@@ -112,10 +103,6 @@ module Reader = struct
   let peek_u8 t =
     need t 1;
     Char.code (Bytes.unsafe_get t.buf t.cursor)
-
-  let peek_u16 t =
-    need t 2;
-    Bytes.get_uint16_be t.buf t.cursor
 
   let starts_with t prefix =
     let n = String.length prefix in

@@ -12,7 +12,6 @@ module Writer : sig
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int32 -> unit
-  val u32_of_int : t -> int -> unit
   val u64 : t -> int64 -> unit
   val string : t -> string -> unit
   val zeros : t -> int -> unit
@@ -41,16 +40,13 @@ module Reader : sig
       captures. *)
 
   val of_bytes : ?pos:int -> ?len:int -> bytes -> t
-  val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int32
   val u64 : t -> int64
-  val take : t -> int -> bytes
   val skip : t -> int -> unit
   val peek_u8 : t -> int
-  val peek_u16 : t -> int
 
   val starts_with : t -> string -> bool
   (** Whether the next bytes are the string's, compared in place without

@@ -21,8 +21,6 @@ let rule ?name ~series ~op ~threshold ?(for_count = 1) () =
   in
   { r with rule_name = (match name with Some n -> n | None -> base_to_string r) }
 
-let rule_to_string = base_to_string
-
 let rule_of_string s =
   let tokens =
     List.filter (fun t -> t <> "") (String.split_on_char ' ' (String.trim s))
@@ -87,7 +85,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let add_rule t r = locked t (fun () -> t.rule_list <- r :: t.rule_list)
 let rules t = locked t (fun () -> List.rev t.rule_list)
 
 let violates op threshold v =

@@ -38,8 +38,6 @@ val rule :
 (** Raises [Invalid_argument] if [for_count < 1]. *)
 
 val rule_of_string : string -> (rule, string) result
-val rule_to_string : rule -> string
-(** [rule_to_string] of a parsed rule re-parses to the same rule. *)
 
 type transition = Fired | Cleared
 
@@ -56,9 +54,6 @@ type t
 val create : ?registry:Registry.t -> rule list -> t
 (** [registry] (default {!Registry.default}) receives the
     [patchwork_alert_active] gauge. *)
-
-val add_rule : t -> rule -> unit
-val rules : t -> rule list
 
 val evaluate : t -> at:float -> Series.Collector.t -> event list
 (** Check every rule against the newest point of every matching series;

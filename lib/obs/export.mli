@@ -46,11 +46,4 @@ val json_of_snapshot : ?spans:Span.span list -> Registry.sample list -> Json.t
 
 val to_json_string : ?spans:Span.span list -> Registry.sample list -> string
 
-val to_trace_events : ?process_name:string -> Span.span list -> Json.t
-(** The span trees in Chrome [trace_event] JSON-object format (one
-    balanced ["B"]/["E"] duration pair per span, timestamps in
-    microseconds, notes and sampling aggregates under ["args"]) plus a
-    process-name metadata event — loadable directly in Perfetto or
-    [chrome://tracing]. *)
-
 val trace_events_string : ?process_name:string -> Span.span list -> string

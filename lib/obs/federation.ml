@@ -32,9 +32,6 @@ type target = {
   path : string;
 }
 
-let target ?(host = "127.0.0.1") ?(path = "/metrics") ~site ~port () =
-  { site; host; port; path }
-
 (* "SITE=HOST:PORT[/path]" or "SITE=PORT" (host defaults to loopback,
    path to /metrics).  The host must be a literal IP address — the
    scrape client does no name resolution. *)
@@ -65,8 +62,6 @@ let target_of_string s =
         Ok { site; host; port; path }
       | _ -> Error (Printf.sprintf "bad scrape target %S (bad port %S)" s port_s))
 
-let target_to_string t = Printf.sprintf "%s=%s:%d%s" t.site t.host t.port t.path
-
 type t = {
   targets : target list;
   timeout_s : float;
@@ -75,7 +70,6 @@ type t = {
   collector : Series.Collector.t;
   lock : Mutex.t;
   last_ok : (string, float) Hashtbl.t; (* site -> at of last good scrape *)
-  mutable rounds : int;
 }
 
 let create ?(capacity = 512) ?(timeout_s = 2.0) ?(log = fun _ -> ()) targets =
@@ -87,18 +81,13 @@ let create ?(capacity = 512) ?(timeout_s = 2.0) ?(log = fun _ -> ()) targets =
     collector = Series.Collector.create ~capacity ();
     lock = Mutex.create ();
     last_ok = Hashtbl.create 8;
-    rounds = 0;
   }
 
-let targets t = t.targets
 let registry t = t.registry
-let collector t = t.collector
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let rounds t = locked t (fun () -> t.rounds)
 
 let site_label tgt labels =
   if List.mem_assoc "site" labels then labels
@@ -158,7 +147,6 @@ let scrape t ~at =
   Span.timed ~stage:"federation.scrape" @@ fun () ->
   let oks = List.map (fun tgt -> (tgt, scrape_one t tgt)) t.targets in
   locked t (fun () ->
-      t.rounds <- t.rounds + 1;
       List.iter
         (fun (tgt, ok) -> if ok then Hashtbl.replace t.last_ok tgt.site at)
         oks);

@@ -22,15 +22,10 @@ type target = {
   path : string;
 }
 
-val target : ?host:string -> ?path:string -> site:string -> port:int -> unit -> target
-(** Defaults: host [127.0.0.1], path [/metrics]. *)
-
 val target_of_string : string -> (target, string) result
 (** Parse ["SITE=HOST:PORT[/path]"] or ["SITE=PORT"] (host defaults to
     loopback, path to [/metrics]).  The host must be a literal IP
     address — the scrape client does no name resolution. *)
-
-val target_to_string : target -> string
 
 type t
 
@@ -39,14 +34,8 @@ val create :
 (** [capacity] is the per-series window of the federation's collector
     (default 512); [timeout_s] bounds each scrape (default 2s). *)
 
-val targets : t -> target list
-
 val registry : t -> Registry.t
 (** The federation's own registry of site-labelled scraped gauges. *)
-
-val collector : t -> Series.Collector.t
-
-val rounds : t -> int
 
 val scrape :
   t -> at:float -> (string * Registry.labels * Series.point) list

@@ -25,8 +25,6 @@ type response = { status : int; content_type : string; body : string }
 val response : ?status:int -> ?content_type:string -> string -> response
 (** Defaults: 200, [text/plain; charset=utf-8]. *)
 
-val reason_phrase : int -> string
-
 val parse_request : string -> (request, int) result
 (** Parse a request head (through the blank line; any body is ignored).
     [Error status] is the HTTP status to answer with (400). Pure — unit

@@ -8,10 +8,7 @@
      offered = stored + Σ attributed          (frames AND bytes)
 
    with every non-stored frame/byte attributed to exactly one cause.
-   The capture path reports each sample's split ({!record_sample});
-   losses that never entered a sample's offered count (a revoked mirror
-   flushing its egress queue) go through {!attribute_lost}, which adds
-   to both sides so the invariant is conservation-safe by construction.
+   The capture path reports each sample's split ({!record_sample}).
    {!close_occasion} checks the residual against {!tolerance}; a
    violation bumps [ledger_conservation_violations_total], is logged as
    an error, and raises under {!set_strict} — the whole test suite runs
@@ -30,7 +27,6 @@ type host_path = Kernel | Dpdk | Fpga
 
 type cause =
   | Mirror_congestion
-  | Mirror_revoked
   | Switch_drop
   | Host_drop of host_path
   | Page_cache_throttle
@@ -39,7 +35,6 @@ type cause =
 let all_causes =
   [
     Mirror_congestion;
-    Mirror_revoked;
     Switch_drop;
     Host_drop Kernel;
     Host_drop Dpdk;
@@ -50,16 +45,12 @@ let all_causes =
 
 let cause_label = function
   | Mirror_congestion -> "mirror_congestion"
-  | Mirror_revoked -> "mirror_revoked"
   | Switch_drop -> "switch_drop"
   | Host_drop Kernel -> "host_drop_kernel"
   | Host_drop Dpdk -> "host_drop_dpdk"
   | Host_drop Fpga -> "host_drop_fpga"
   | Page_cache_throttle -> "page_cache_throttle"
   | Truncated -> "truncated"
-
-let cause_of_label s =
-  List.find_opt (fun c -> String.equal (cause_label c) s) all_causes
 
 let tolerance = 1e-6
 
@@ -166,8 +157,6 @@ let locked t f =
   Mutex.lock t.l_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.l_lock) f
 
-let exemplar_count t = t.l_exemplars
-
 (* --- registry surface ---------------------------------------------- *)
 
 (* Fetched per use, not cached: a test's [Registry.reset] would strand
@@ -272,15 +261,6 @@ let record_sample t ~site ~offered_frames ~offered_bytes ~stored_frames
     (fun (cause, frames, bytes) -> add_to_cell t a cause ~frames ~bytes ~pkeys)
     causes
 
-(* Loss that bypassed the sampled capture path entirely (a revoked
-   mirror's egress flush): count it on both sides of the invariant. *)
-let attribute_lost t ~site ~cause ?(keys = []) ~frames ~bytes () =
-  locked t @@ fun () ->
-  let a = acc_for t site in
-  a.a_offered_frames <- a.a_offered_frames +. frames;
-  a.a_offered_bytes <- a.a_offered_bytes +. bytes;
-  add_to_cell t a cause ~frames ~bytes ~pkeys:(priorities ~seed:a.a_seed keys)
-
 (* --- occasion close: conservation + counters ----------------------- *)
 
 let close_site site (a : acc) =
@@ -384,7 +364,6 @@ let close_occasion ?(log = fun _ -> ()) t =
   entry
 
 let history t = locked t (fun () -> List.rev t.l_history)
-let last t = locked t (fun () -> match t.l_history with e :: _ -> Some e | [] -> None)
 
 let reset t =
   locked t @@ fun () ->

@@ -24,7 +24,6 @@ type host_path = Kernel | Dpdk | Fpga
 
 type cause =
   | Mirror_congestion  (** switch mirror egress over line rate *)
-  | Mirror_revoked  (** scheduler revoked the grant mid-flush *)
   | Switch_drop  (** uncongested mirror-port loss *)
   | Host_drop of host_path  (** capture host could not keep up *)
   | Page_cache_throttle  (** writeback throttling cut the keep rate *)
@@ -36,8 +35,6 @@ val all_causes : cause list
 val cause_label : cause -> string
 (** Stable label ([mirror_congestion], [host_drop_kernel], ...) used in
     registry label values, series and JSON. *)
-
-val cause_of_label : string -> cause option
 
 val tolerance : float
 (** Relative conservation tolerance ([1e-6], against
@@ -72,8 +69,6 @@ val create : ?exemplars:int -> ?history:int -> unit -> t
 val default : t
 (** The process-wide ledger the capture path writes into. *)
 
-val exemplar_count : t -> int
-
 val begin_occasion : t -> at:float -> unit
 (** Reset the in-flight accumulation and seed exemplar priorities from
     [at] (the occasion's start on the simulated axis). *)
@@ -92,19 +87,6 @@ val record_sample :
     totals plus per-cause [(cause, frames, bytes)] losses.  Zero-amount
     causes are skipped; [keys] are exemplar candidates offered to every
     cell the sample touches. *)
-
-val attribute_lost :
-  t ->
-  site:string ->
-  cause:cause ->
-  ?keys:string list ->
-  frames:float ->
-  bytes:float ->
-  unit ->
-  unit
-(** Loss that bypassed the sampled capture path (e.g. a revoked mirror's
-    egress flush): adds to {e both} the site's offered totals and the
-    cause cell, so the invariant stays balanced by construction. *)
 
 (** {1 Closing and reading} *)
 
@@ -139,8 +121,6 @@ val close_occasion : ?log:(string -> unit) -> t -> occasion_entry
 val history : t -> occasion_entry list
 (** Retained closed occasions, oldest first. *)
 
-val last : t -> occasion_entry option
-
 val reset : t -> unit
 (** Drop history, in-flight state and the sequence counter (tests). *)
 
@@ -150,12 +130,6 @@ val to_json : ?site:string -> ?occasion:int -> t -> Export.Json.t
     filtered to one site and/or one occasion sequence number. *)
 
 (** {1 Deterministic exemplar primitives} (exposed for property tests) *)
-
-val mix64 : int64 -> int64
-(** SplitMix64 finalizer. *)
-
-val fnv64 : string -> int64
-(** FNV-1a 64-bit string hash. *)
 
 val seed_for : site:string -> at:float -> int64
 val priority : seed:int64 -> string -> int64

@@ -132,13 +132,6 @@ let set g v =
     Mutex.unlock g.g_lock
   end
 
-let add g v =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock g.g_lock;
-    g.g_cell := !(g.g_cell) +. v;
-    Mutex.unlock g.g_lock
-  end
-
 let observe h v =
   if Atomic.get enabled_flag then begin
     Mutex.lock h.h_lock;
@@ -227,45 +220,3 @@ let value t ?(labels = []) name =
   in
   Mutex.unlock t.lock;
   v
-
-let reset t =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.families;
-  Mutex.unlock t.lock
-
-let merge_into ~dst src =
-  (* Snapshot the source first so the two locks are never held
-     together. *)
-  let samples = snapshot src in
-  List.iter
-    (fun s ->
-      match s.s_value with
-      | Counter v ->
-        let c = counter dst ~help:s.s_help ~labels:s.s_labels s.s_name in
-        Mutex.lock c.c_lock;
-        c.c_cell := !(c.c_cell) +. v;
-        Mutex.unlock c.c_lock
-      | Gauge v ->
-        let g = gauge dst ~help:s.s_help ~labels:s.s_labels s.s_name in
-        Mutex.lock g.g_lock;
-        g.g_cell := v;
-        Mutex.unlock g.g_lock
-      | Histogram hv ->
-        let h = histogram dst ~help:s.s_help ~labels:s.s_labels s.s_name in
-        Mutex.lock h.h_lock;
-        let st = h.h_cell in
-        st.hs_count <- st.hs_count + hv.h_count;
-        st.hs_sum <- st.hs_sum +. hv.h_sum;
-        let prev = ref 0 in
-        List.iter
-          (fun (bound, cum) ->
-            let bin = cum - !prev in
-            prev := cum;
-            let i =
-              if bound = infinity then bucket_count - 1
-              else bucket_index bound
-            in
-            st.hs_bins.(i) <- st.hs_bins.(i) + bin)
-          hv.h_buckets;
-        Mutex.unlock h.h_lock)
-    samples

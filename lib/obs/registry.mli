@@ -48,7 +48,6 @@ val incr : counter -> unit
 (** [inc c 1.0]. *)
 
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
 (** Record a value into the log{_2}-bucketed histogram (plus running
@@ -83,10 +82,3 @@ val snapshot : t -> sample list
 
 val value : t -> ?labels:labels -> string -> value option
 (** Read one cell's current value. *)
-
-val reset : t -> unit
-(** Drop every family and cell (for tests). *)
-
-val merge_into : dst:t -> t -> unit
-(** Fold a registry into [dst]: counters and histograms add, gauges take
-    the source value.  Deterministic given deterministic inputs. *)

@@ -22,7 +22,6 @@ let create ?(capacity = 512) ~name ?(labels = []) () =
 
 let name t = t.s_name
 let labels t = t.s_labels
-let capacity t = Array.length t.ring
 
 let locked t f =
   Mutex.lock t.lock;
@@ -35,8 +34,6 @@ let push t ~at value =
   t.ring.(slot) <- Some { at; value };
   if t.len < cap then t.len <- t.len + 1 else t.start <- (t.start + 1) mod cap
 
-let length t = locked t (fun () -> t.len)
-
 let points t =
   locked t @@ fun () ->
   List.init t.len (fun i ->
@@ -48,35 +45,6 @@ let last t =
   locked t @@ fun () ->
   if t.len = 0 then None
   else t.ring.((t.start + t.len - 1) mod Array.length t.ring)
-
-let rate t =
-  locked t @@ fun () ->
-  if t.len < 2 then None
-  else begin
-    let cap = Array.length t.ring in
-    match
-      ( t.ring.((t.start + t.len - 2) mod cap),
-        t.ring.((t.start + t.len - 1) mod cap) )
-    with
-    | Some a, Some b when b.at > a.at -> Some ((b.value -. a.value) /. (b.at -. a.at))
-    | _ -> None
-  end
-
-let avg_over t ~window =
-  match points t with
-  | [] -> None
-  | ps ->
-    let newest = (List.nth ps (List.length ps - 1)).at in
-    let lo = newest -. window in
-    let n = ref 0 and sum = ref 0.0 in
-    List.iter
-      (fun p ->
-        if p.at >= lo then begin
-          incr n;
-          sum := !sum +. p.value
-        end)
-      ps;
-    Some (!sum /. float_of_int !n)
 
 let spark_levels = [| "\u{2581}"; "\u{2582}"; "\u{2583}"; "\u{2584}";
                       "\u{2585}"; "\u{2586}"; "\u{2587}"; "\u{2588}" |]
@@ -350,7 +318,6 @@ module Collector = struct
     List.rev !pushed
 
   let collect t ~at reg = ignore (collect_points t ~at reg)
-  let collections t = locked t (fun () -> t.rounds)
 
   let series t =
     let l = locked t (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.tbl []) in
@@ -361,40 +328,4 @@ module Collector = struct
         | c -> c)
       l
 
-  let find t ?(labels = []) name =
-    let labels = List.sort compare labels in
-    locked t (fun () -> Hashtbl.find_opt t.tbl (name, labels))
-
-  let to_json t =
-    Export.Json.Obj
-      [
-        ( "series",
-          Export.Json.Arr
-            (List.map
-               (fun s ->
-                 Export.Json.Obj
-                   ([ ("name", Export.Json.Str s.s_name) ]
-                   @ (match s.s_labels with
-                     | [] -> []
-                     | ls ->
-                       [
-                         ( "labels",
-                           Export.Json.Obj
-                             (List.map (fun (k, v) -> (k, Export.Json.Str v)) ls)
-                         );
-                       ])
-                   @ [
-                       ( "points",
-                         Export.Json.Arr
-                           (List.map
-                              (fun p ->
-                                Export.Json.Obj
-                                  [
-                                    ("at", Export.Json.Num p.at);
-                                    ("value", Export.Json.Num p.value);
-                                  ])
-                              (points s)) );
-                     ]))
-               (series t)) );
-      ]
 end

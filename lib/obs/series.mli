@@ -26,22 +26,11 @@ val name : t -> string
 val labels : t -> Registry.labels
 
 val push : t -> at:float -> float -> unit
-val length : t -> int
-val capacity : t -> int
 
 val points : t -> point list
 (** Retained points, oldest first. *)
 
 val last : t -> point option
-
-val rate : t -> float option
-(** Per-second change between the two newest points:
-    [(v_n - v_{n-1}) / (t_n - t_{n-1})].  [None] with fewer than two
-    points or non-increasing timestamps. *)
-
-val avg_over : t -> window:float -> float option
-(** Mean of the values whose [at] lies within [window] seconds of the
-    newest point (inclusive).  [None] when empty. *)
 
 val sparkline : ?width:int -> t -> string
 (** The newest [width] (default 32) points as Unicode block characters
@@ -88,14 +77,7 @@ module Collector : sig
       it on first use) — e.g. federation staleness series, or history
       replayed from the on-disk store after a restart. *)
 
-  val collections : t -> int
-  (** Number of [collect] calls so far (including the baseline). *)
-
   val series : t -> series list
   (** Every derived series, sorted by name then labels. *)
 
-  val find : t -> ?labels:Registry.labels -> string -> series option
-
-  val to_json : t -> Export.Json.t
-  (** [{ "series": [ { "name", "labels"?, "points": [{"at","value"}…] } … ] }] *)
 end

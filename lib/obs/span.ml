@@ -15,14 +15,13 @@ type span = {
   mutable sp_res_len : int;
   mutable sp_child_seen : int; (* children started, exact *)
   mutable sp_child_wall : float; (* total wall of finished children, exact *)
-  mutable sp_child_minor : float;
   sp_dummy : bool;
 }
 
 type t = {
   lock : Mutex.t;
   max_roots : int;
-  mutable max_children : int;
+  max_children : int;
   mutable rng : int; (* xorshift state for reservoir sampling *)
   mutable stack : span list; (* innermost open span first *)
   roots : span Queue.t; (* finished roots, oldest first, <= max_roots *)
@@ -45,14 +44,6 @@ let create ?(max_roots = 1024) ?(max_children = max_int) ?(seed = 0x9E3779B9) ()
 
 let default = create ()
 
-let set_max_children t n =
-  if n < 1 then invalid_arg "Obs.Span.set_max_children: must be >= 1";
-  Mutex.lock t.lock;
-  t.max_children <- n;
-  Mutex.unlock t.lock
-
-let max_children t = t.max_children
-
 let dummy =
   {
     sp_name = "";
@@ -68,7 +59,6 @@ let dummy =
     sp_res_len = 0;
     sp_child_seen = 0;
     sp_child_wall = 0.0;
-    sp_child_minor = 0.0;
     sp_dummy = true;
   }
 
@@ -129,7 +119,6 @@ let start t ?parent name =
         sp_res_len = 0;
         sp_child_seen = 0;
         sp_child_wall = 0.0;
-        sp_child_minor = 0.0;
         sp_dummy = false;
       }
     in
@@ -153,8 +142,7 @@ let finish t sp =
        sampled out of the retained tree. *)
     (match sp.sp_parent with
     | Some p ->
-      p.sp_child_wall <- p.sp_child_wall +. sp.sp_wall;
-      p.sp_child_minor <- p.sp_child_minor +. sp.sp_minor
+      p.sp_child_wall <- p.sp_child_wall +. sp.sp_wall
     | None -> ());
     let was_open = List.memq sp t.stack in
     (* Pop this span (and, defensively, anything opened after it that
@@ -211,21 +199,9 @@ let children sp =
 
 let child_count sp = sp.sp_child_seen
 let child_wall_total sp = sp.sp_child_wall
-let child_minor_total sp = sp.sp_child_minor
 
 let sampled_out sp =
   sp.sp_child_seen - (List.length sp.sp_first + sp.sp_res_len)
-
-let rollup sp =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      let count, total =
-        Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl c.sp_name)
-      in
-      Hashtbl.replace tbl c.sp_name (count + 1, total +. c.sp_wall))
-    (children sp);
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let roots t =
   Mutex.lock t.lock;

@@ -28,14 +28,8 @@ val create : ?max_roots:int -> ?max_children:int -> ?seed:int -> unit -> t
     uniform reservoir over every later sibling, so week-long occasions
     cannot grow unbounded span trees.  Children sampled out of the tree
     still update their parent's exact aggregates ({!child_count},
-    {!child_wall_total}, {!child_minor_total}).  [seed] drives the
-    reservoir's deterministic PRNG. *)
-
-val set_max_children : t -> int -> unit
-(** Change the per-span retention budget for spans attached from now on
-    (how the CLI configures the process-wide {!default} tracer). *)
-
-val max_children : t -> int
+    {!child_wall_total}).  [seed] drives the reservoir's deterministic
+    PRNG. *)
 
 val default : t
 (** The process-wide tracer the instrumented layers write into. *)
@@ -76,14 +70,8 @@ val child_wall_total : span -> float
 (** Total wall seconds of every finished child — exact, including any
     sampled out. *)
 
-val child_minor_total : span -> float
-
 val sampled_out : span -> int
 (** [child_count] minus the retained children. *)
-
-val rollup : span -> (string * (int * float)) list
-(** Direct children grouped by name: (count, total wall), sorted by
-    name. *)
 
 val roots : t -> span list
 (** Finished root spans, oldest first. *)

@@ -303,7 +303,6 @@ let locked t f =
 
 let dir t = t.dir
 let segments t = segments_in_dir t.dir
-let buffered t = locked t (fun () -> t.buffered)
 
 let append t records =
   locked t @@ fun () ->

@@ -56,9 +56,7 @@ val schema : record Segment.schema
 
 type predicate
 
-val no_predicate : predicate
 val predicate : ?since:float -> ?until:float -> ?name:string -> ?labels:Registry.labels -> unit -> predicate
-val matches : predicate -> record -> bool
 
 val segments_in_dir : string -> string list
 (** The live [.pwts] segments in a directory, sorted: the last merge and
@@ -80,12 +78,8 @@ val open_store : ?retention:float -> ?resolution:float -> dir:string -> unit -> 
 val dir : t -> string
 
 val segments : t -> string list
-val buffered : t -> int
 
-val append : t -> record list -> unit
 val append_point : t -> name:string -> ?labels:Registry.labels -> at:float -> float -> unit
-
-val bucket_start : resolution:float -> float -> float
 
 val compact : t -> unit
 val flush : t -> int
@@ -93,8 +87,6 @@ val flush : t -> int
     returns the records flushed. *)
 
 (** {1 Reading} *)
-
-val fold : ?pred:predicate -> init:'a -> f:('a -> record -> 'a) -> string list -> 'a
 
 val query : ?pred:predicate -> string list -> (string * Registry.labels * record list) list
 (** Matching records grouped per series, series in canonical order. *)

@@ -64,8 +64,6 @@ let wire_length t = max min_wire_size (header_size_total t + t.payload_len)
 
 let depth t = List.length t.headers
 
-let is_jumbo t = wire_length t > 1518
-
 let rec last_matching pred acc = function
   | [] -> acc
   | h :: rest -> last_matching pred (if pred h then Some h else acc) rest
@@ -95,10 +93,3 @@ let mpls_labels t =
     t.headers
 
 let tokens t = List.map Headers.name t.headers
-
-let pp ppf t =
-  Format.fprintf ppf "[%a] +%dB (%dB wire)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " / ")
-       Headers.pp)
-    t.headers t.payload_len (wire_length t)

@@ -28,9 +28,6 @@ val header_size_total : t -> int
 val depth : t -> int
 (** Number of headers in the stack. *)
 
-val is_jumbo : t -> bool
-(** Wire length exceeds the standard 1518-byte maximum. *)
-
 val l3 : t -> Headers.header option
 (** The innermost network-layer header (IPv4/IPv6/ARP), if any. *)
 
@@ -45,5 +42,3 @@ val mpls_labels : t -> int list
 
 val tokens : t -> string list
 (** Protocol token of every header, outermost first. *)
-
-val pp : Format.formatter -> t -> unit

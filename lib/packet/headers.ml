@@ -13,12 +13,8 @@ let flags_none =
   { syn = false; ack = false; fin = false; rst = false; psh = false;
     urg = false; ece = false; cwr = false }
 
-let flags_syn = { flags_none with syn = true }
-let flags_synack = { flags_none with syn = true; ack = true }
 let flags_ack = { flags_none with ack = true }
 let flags_psh_ack = { flags_none with psh = true; ack = true }
-let flags_fin_ack = { flags_none with fin = true; ack = true }
-let flags_rst = { flags_none with rst = true }
 
 type ethernet = { src : Netcore.Mac.t; dst : Netcore.Mac.t }
 type vlan = { pcp : int; dei : bool; vid : int }
@@ -140,52 +136,3 @@ let ip_protocol_for = function
   | Icmpv4 _ -> 1
   | Icmpv6 _ -> 58
   | h -> invalid_arg ("Headers.ip_protocol_for: " ^ name h ^ " cannot follow IP")
-
-let well_known_port = function
-  | Tls _ -> Some 443
-  | Ssh -> Some 22
-  | Http _ -> Some 80
-  | Dns _ -> Some 53
-  | Ntp -> Some 123
-  | Quic -> Some 443
-  | Vxlan _ -> Some 4789
-  | Ethernet _ | Vlan _ | Mpls _ | Pseudowire | Ipv4 _ | Ipv6 _ | Tcp _
-  | Udp _ | Icmpv4 _ | Icmpv6 _ | Arp _ ->
-    None
-
-let pp ppf h =
-  match h with
-  | Ethernet { src; dst } ->
-    Format.fprintf ppf "eth %a > %a" Netcore.Mac.pp src Netcore.Mac.pp dst
-  | Vlan { vid; _ } -> Format.fprintf ppf "vlan %d" vid
-  | Mpls { label; _ } -> Format.fprintf ppf "mpls %d" label
-  | Pseudowire -> Format.pp_print_string ppf "pw"
-  | Ipv4 { src; dst; _ } ->
-    Format.fprintf ppf "ipv4 %a > %a" Netcore.Ipv4_addr.pp src Netcore.Ipv4_addr.pp dst
-  | Ipv6 { src; dst; _ } ->
-    Format.fprintf ppf "ipv6 %a > %a" Netcore.Ipv6_addr.pp src Netcore.Ipv6_addr.pp dst
-  | Tcp { src_port; dst_port; flags; _ } ->
-    let flag_str =
-      String.concat ""
-        [
-          (if flags.syn then "S" else "");
-          (if flags.fin then "F" else "");
-          (if flags.rst then "R" else "");
-          (if flags.psh then "P" else "");
-          (if flags.ack then "." else "");
-        ]
-    in
-    Format.fprintf ppf "tcp %d > %d [%s]" src_port dst_port flag_str
-  | Udp { src_port; dst_port } -> Format.fprintf ppf "udp %d > %d" src_port dst_port
-  | Icmpv4 { icmp_type; icmp_code } -> Format.fprintf ppf "icmp %d/%d" icmp_type icmp_code
-  | Icmpv6 { icmp_type; icmp_code } -> Format.fprintf ppf "icmpv6 %d/%d" icmp_type icmp_code
-  | Arp { operation; _ } ->
-    Format.fprintf ppf "arp %s" (match operation with `Request -> "who-has" | `Reply -> "is-at")
-  | Vxlan { vni } -> Format.fprintf ppf "vxlan %d" vni
-  | Tls { content_type } -> Format.fprintf ppf "tls ct=%d" content_type
-  | Ssh -> Format.pp_print_string ppf "ssh"
-  | Http `Request -> Format.pp_print_string ppf "http req"
-  | Http `Response -> Format.pp_print_string ppf "http resp"
-  | Dns { query; id } -> Format.fprintf ppf "dns %s id=%d" (if query then "query" else "response") id
-  | Ntp -> Format.pp_print_string ppf "ntp"
-  | Quic -> Format.pp_print_string ppf "quic"

@@ -19,12 +19,8 @@ type tcp_flags = {
 }
 
 val flags_none : tcp_flags
-val flags_syn : tcp_flags
-val flags_synack : tcp_flags
 val flags_ack : tcp_flags
 val flags_psh_ack : tcp_flags
-val flags_fin_ack : tcp_flags
-val flags_rst : tcp_flags
 
 type ethernet = { src : Netcore.Mac.t; dst : Netcore.Mac.t }
 type vlan = { pcp : int; dei : bool; vid : int }
@@ -102,13 +98,6 @@ val ethertype_for : header -> int
 
 val ip_protocol_for : header -> int
 (** IP protocol number announcing [header] after IPv4/IPv6. *)
-
-val well_known_port : header -> int option
-(** The port by which dissection classifies an application header
-    ([Some 443] for TLS, [Some 22] for SSH, ...); [None] for
-    non-application layers. *)
-
-val pp : Format.formatter -> header -> unit
 
 (** {2 Wire constants shared with the codec and dissector} *)
 

@@ -18,11 +18,6 @@ let encode_record w ~snaplen frame =
   Codec.encode_into w ~limit:snaplen frame;
   Frame.wire_length frame
 
-let packet_of_frame ?(snaplen = default_snaplen) ~ts frame =
-  let w = Wire.Writer.create () in
-  let orig_len = encode_record w ~snaplen frame in
-  { ts; orig_len; data = Wire.Writer.contents w }
-
 module Writer = struct
   type t = {
     snaplen : int;
@@ -42,8 +37,6 @@ module Writer = struct
     Buffer.add_int32_be buf (Int32.of_int snaplen);
     Buffer.add_int32_be buf linktype_ethernet;
     { snaplen; buf; scratch = Wire.Writer.create (); count = 0 }
-
-  let snaplen t = t.snaplen
 
   (* Append a record of [orig_len] wire bytes whose first [incl_len] are
      the first [incl_len] of [data]. *)
@@ -80,7 +73,6 @@ module Writer = struct
       (Wire.Writer.buffer t.scratch)
 
   let packet_count t = t.count
-  let byte_length t = Buffer.length t.buf
   let contents t = Buffer.to_bytes t.buf
 
   let to_file t path =
@@ -123,10 +115,6 @@ module Reader = struct
     else if Int32.equal raw_magic magic_le then Little
     else raise (Malformed (Printf.sprintf "bad magic 0x%08lx" raw_magic))
 
-  let snaplen buf =
-    let endian = header buf in
-    u32_int endian buf 16
-
   (* First pass of the indexed decode: walk record headers only (never
      payload bytes) and emit one offset/length/timestamp entry per
      record.  Everything downstream — slicing, parallel dissection, the
@@ -165,13 +153,4 @@ module Reader = struct
 
   let packets buf = List.rev (fold buf ~init:[] ~f:(fun acc p -> p :: acc))
 
-  let of_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        let buf = Bytes.create len in
-        really_input ic buf 0 len;
-        packets buf)
 end

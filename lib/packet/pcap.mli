@@ -22,11 +22,6 @@ type index_entry = {
     the shared capture buffer.  Produced by {!Reader.index} (and
     {!Pcapng.index}); resolves to a {!Slice.t} without copying. *)
 
-val packet_of_frame : ?snaplen:int -> ts:float -> Frame.t -> packet
-(** The record a capture with snap length [snaplen] (default 65535)
-    stores for a frame: its wire length, and the bytes
-    [Codec.encode ~limit:snaplen frame] returns, encoded only that far. *)
-
 module Writer : sig
   type t
 
@@ -35,21 +30,17 @@ module Writer : sig
       packet bytes, as a capture snap length does.  Records are written
       big-endian; each costs its 16-byte header and its stored bytes. *)
 
-  val snaplen : t -> int
-
   val add : t -> ts:float -> ?orig_len:int -> bytes -> unit
   (** Append a raw packet.  [orig_len] defaults to the byte length. *)
 
   val add_frame : t -> ts:float -> Frame.t -> unit
-  (** Append the record {!packet_of_frame} gives for the writer's snap
-      length.  The frame is encoded only up to the snap length, into a
-      buffer the writer reuses, so a record costs its stored bytes
-      whatever the frame's wire length. *)
+  (** Append the record a capture with the writer's snap length stores
+      for a frame: its wire length, and the bytes
+      [Codec.encode ~limit:snaplen frame] returns.  The frame is encoded
+      only up to the snap length, into a buffer the writer reuses, so a
+      record costs its stored bytes whatever the frame's wire length. *)
 
   val packet_count : t -> int
-
-  val byte_length : t -> int
-  (** Total encoded size so far, including the global header. *)
 
   val contents : t -> bytes
   val to_file : t -> string -> unit
@@ -77,7 +68,4 @@ module Reader : sig
   (** Decode a whole capture.  Raises {!Malformed} on a bad magic number
       or a truncated record. *)
 
-  val fold : bytes -> init:'a -> f:('a -> packet -> 'a) -> 'a
-  val snaplen : bytes -> int
-  val of_file : string -> packet list
 end

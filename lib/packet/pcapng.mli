@@ -2,18 +2,9 @@
     Enhanced Packet blocks).
 
     Modern Wireshark writes pcapng by default, so the offline pipeline
-    accepts it alongside classic pcap.  The writer emits one section
-    with a single Ethernet interface at microsecond resolution; the
-    reader handles both byte orders, skips unknown block types, and
-    tolerates multiple interfaces (all packets are returned in file
-    order). *)
-
-val write : ?snaplen:int -> Pcap.packet list -> bytes
-(** Encode packets into a single-section pcapng stream. *)
-
-val writer_of_frames : ?snaplen:int -> (float * Frame.t) list -> bytes
-(** Convenience: {!write} the records {!Pcap.packet_of_frame} gives for
-    the frames, each encoded only up to the snap length. *)
+    accepts it alongside classic pcap.  The reader handles both byte
+    orders, skips unknown block types, and tolerates multiple interfaces
+    (all packets are returned in file order). *)
 
 exception Malformed of string
 

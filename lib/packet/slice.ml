@@ -9,10 +9,4 @@ let make buf ~off ~len =
 
 let length t = t.len
 
-let equal_bytes t b =
-  Bytes.length b = t.len
-  &&
-  let rec go i = i >= t.len || (Bytes.get t.buf (t.off + i) = Bytes.get b i && go (i + 1)) in
-  go 0
-
 let reader t = Wire.Reader.of_bytes ~pos:t.off ~len:t.len t.buf

@@ -18,9 +18,6 @@ val make : bytes -> off:int -> len:int -> t
 
 val length : t -> int
 
-val equal_bytes : t -> bytes -> bool
-(** Content equality against a materialized buffer, without copying. *)
-
 val reader : t -> Netcore.Wire.Reader.t
 (** A bounds-checked cursor over exactly the viewed bytes; this is how
     the dissectors consume a slice. *)

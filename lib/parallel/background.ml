@@ -1,31 +1,16 @@
 type outcome = (unit, exn) result
 
 type t = {
-  bg_name : string;
   mutable domain : outcome Domain.t option; (* None: spawn failed or joined *)
   mutable result : outcome option;
-  running_flag : bool Atomic.t;
   spawn_ok : bool;
 }
 
-let spawn ?(name = "background") f =
-  let running_flag = Atomic.make false in
-  match
-    Domain.spawn (fun () ->
-        Atomic.set running_flag true;
-        let r = try Ok (f ()) with e -> Error e in
-        Atomic.set running_flag false;
-        r)
-  with
-  | d ->
-    { bg_name = name; domain = Some d; result = None; running_flag;
-      spawn_ok = true }
-  | exception e ->
-    { bg_name = name; domain = None; result = Some (Error e); running_flag;
-      spawn_ok = false }
+let spawn f =
+  match Domain.spawn (fun () -> try Ok (f ()) with e -> Error e) with
+  | d -> { domain = Some d; result = None; spawn_ok = true }
+  | exception e -> { domain = None; result = Some (Error e); spawn_ok = false }
 
-let name t = t.bg_name
-let running t = Atomic.get t.running_flag
 let spawned t = t.spawn_ok
 
 let join t =

@@ -9,16 +9,11 @@
 
 type t
 
-val spawn : ?name:string -> (unit -> unit) -> t
+val spawn : (unit -> unit) -> t
 (** Run [f] on a fresh domain.  If [Domain.spawn] itself fails (domain
     limit reached), [f] is NOT run and {!join} returns the spawn
     error — callers decide whether a missing background service is
     fatal. *)
-
-val name : t -> string
-
-val running : t -> bool
-(** The task has started and not yet finished (best-effort flag). *)
 
 val spawned : t -> bool
 (** Whether the domain was actually created.  [false] means [f] never

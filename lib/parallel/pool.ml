@@ -260,20 +260,3 @@ let map_ranges t ?range_count ~n f =
     Array.to_list
       (Array.map (function Some (Ok v) -> v | _ -> assert false) results)
   end
-
-let chunk ~chunk_size l =
-  if chunk_size < 1 then invalid_arg "Pool.chunk: chunk_size must be >= 1";
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = chunk_size then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 l
-
-let fold_chunked t ?(chunk_size = 1024) ~map:fmap ~merge ~init l =
-  (* The chunk boundaries depend only on [chunk_size], never on the pool
-     size, and chunk results merge in chunk order: the fold is
-     deterministic for pure [fmap] whatever the parallelism. *)
-  let chunks = chunk ~chunk_size l in
-  List.fold_left merge init (map t fmap chunks)

@@ -1,11 +1,10 @@
 (** A small fixed-size domain work pool for the offline pipeline.
 
-    The paper's Digest/Index/Analyze stages are embarrassingly parallel
+    The paper's Digest/Analyze stages are embarrassingly parallel
     over samples and packets; this pool runs them across OCaml 5 domains
     while keeping every result deterministic: [map] preserves input
-    order, and [fold_chunked] always splits the input at the same
-    (pool-size-independent) boundaries and merges chunk results in chunk
-    order.  Running with a pool of size 1 therefore produces bit-identical
+    order, and [map_ranges] returns its range results in range order.
+    Running with a pool of size 1 therefore produces bit-identical
     output to running with any larger pool.
 
     The pool is built on stdlib [Domain]/[Mutex]/[Condition] (plus the
@@ -25,13 +24,6 @@ type t
 
 val default_size : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1. *)
-
-val create : ?size:int -> unit -> t
-(** A pool with [size] total degrees of parallelism (the calling domain
-    participates, so [size - 1] worker domains are spawned; default
-    {!default_size}).  [size <= 1] or a [Domain.spawn] failure falls
-    back toward sequential execution with however many workers exist.
-    Raises [Invalid_argument] if [size < 1]. *)
 
 val sequential : t
 (** A shared always-sequential pool (no worker domains); useful as the
@@ -63,28 +55,10 @@ val map_ranges : t -> ?range_count:int -> n:int -> (lo:int -> hi:int -> 'a) -> '
     way — concatenation in range order, or an exact merge.  [f] must be
     pure; exceptions are re-raised in the caller, earliest range first. *)
 
-val fold_chunked :
-  t ->
-  ?chunk_size:int ->
-  map:('a list -> 'b) ->
-  merge:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** [fold_chunked t ~chunk_size ~map ~merge ~init l] splits [l] into
-    contiguous chunks of [chunk_size] (default 1024; the split depends
-    only on [chunk_size] and [l], never on the pool), applies [map] to
-    every chunk in parallel, and folds the chunk results with [merge]
-    left-to-right in chunk order.  Deterministic for pure [map]. *)
-
-val chunk : chunk_size:int -> 'a list -> 'a list list
-(** The contiguous chunking used by {!fold_chunked}, exposed so tests
-    can lock in determinism.  Raises [Invalid_argument] if
-    [chunk_size < 1]. *)
-
-val shutdown : t -> unit
-(** Join the worker domains.  The pool then executes sequentially;
-    shutting down twice (or shutting down {!sequential}) is a no-op. *)
-
 val with_pool : ?size:int -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exceptions). *)
+(** A pool with [size] total degrees of parallelism (the calling domain
+    participates, so [size - 1] worker domains are spawned; default
+    {!default_size}), passed to the function and joined when it returns
+    or raises.  [size <= 1] or a [Domain.spawn] failure falls back
+    toward sequential execution with however many workers exist.
+    Raises [Invalid_argument] if [size < 1]. *)

@@ -1,4 +1,4 @@
-type event = { time : float; seq : int; id : int; callback : t -> unit }
+type event = { time : float; seq : int; callback : t -> unit }
 
 (* A pre-sorted batch of events sharing one callback: slab presampling
    already produces arrivals in time order, so delivering them as a
@@ -8,7 +8,7 @@ type event = { time : float; seq : int; id : int; callback : t -> unit }
    main event heap is untouched. *)
 and block = {
   bk_times : float array;  (* ascending *)
-  bk_seq0 : int;  (* event i has seq (and cancel id) bk_seq0 + i *)
+  bk_seq0 : int;  (* event i has seq bk_seq0 + i *)
   bk_callback : t -> int -> unit;
   mutable bk_next : int;  (* cursor: next undelivered index *)
 }
@@ -19,11 +19,9 @@ and t = {
   mutable size : int;
   mutable blocks : block array;
   mutable n_blocks : int;
-  mutable block_pending : int;  (* undelivered events across all blocks *)
   mutable next_seq : int;
   mutable executed : int;
   mutable batched : int;  (* events ever scheduled via batches *)
-  cancelled : (int, unit) Hashtbl.t;
 }
 
 let dummy_block =
@@ -32,15 +30,13 @@ let dummy_block =
 let create ?(start_time = 0.0) () =
   {
     clock = start_time;
-    heap = Array.make 64 { time = 0.0; seq = 0; id = 0; callback = (fun _ -> ()) };
+    heap = Array.make 64 { time = 0.0; seq = 0; callback = (fun _ -> ()) };
     size = 0;
     blocks = Array.make 4 dummy_block;
     n_blocks = 0;
-    block_pending = 0;
     next_seq = 0;
     executed = 0;
     batched = 0;
-    cancelled = Hashtbl.create 16;
   }
 
 let now t = t.clock
@@ -155,14 +151,11 @@ let badvance t =
   end
   else bsift_down t 0
 
-let schedule_id t ~delay callback =
+let schedule t ~delay callback =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  push t { time = t.clock +. delay; seq; id = seq; callback };
-  seq
-
-let schedule t ~delay callback = ignore (schedule_id t ~delay callback)
+  push t { time = t.clock +. delay; seq; callback }
 
 let schedule_at t ~time callback =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
@@ -170,8 +163,7 @@ let schedule_at t ~time callback =
 
 let schedule_batch t ~times callback =
   let n = Array.length times in
-  if n = 0 then t.next_seq
-  else begin
+  if n > 0 then begin
     if times.(0) < t.clock then
       invalid_arg "Engine.schedule_batch: time in the past";
     for i = 1 to n - 1 do
@@ -183,15 +175,10 @@ let schedule_batch t ~times callback =
        schedule_at calls would do, so batched and per-event scheduling
        assign identical (time, seq) keys and tie-break identically. *)
     t.next_seq <- seq0 + n;
-    t.block_pending <- t.block_pending + n;
     t.batched <- t.batched + n;
-    bpush t { bk_times = times; bk_seq0 = seq0; bk_callback = callback; bk_next = 0 };
-    seq0
+    bpush t { bk_times = times; bk_seq0 = seq0; bk_callback = callback; bk_next = 0 }
   end
 
-let cancel t id = Hashtbl.replace t.cancelled id ()
-
-let pending t = t.size + t.block_pending
 let executed t = t.executed
 let batched_total t = t.batched
 
@@ -221,13 +208,10 @@ let step t =
   if from_block then begin
     let b = t.blocks.(0) in
     let i = b.bk_next in
-    let id = b.bk_seq0 + i in
     t.clock <- max t.clock b.bk_times.(i);
     badvance t;
-    t.block_pending <- t.block_pending - 1;
     t.executed <- t.executed + 1;
-    if Hashtbl.mem t.cancelled id then Hashtbl.remove t.cancelled id
-    else b.bk_callback t i;
+    b.bk_callback t i;
     true
   end
   else
@@ -236,8 +220,7 @@ let step t =
     | Some ev ->
       t.clock <- max t.clock ev.time;
       t.executed <- t.executed + 1;
-      if Hashtbl.mem t.cancelled ev.id then Hashtbl.remove t.cancelled ev.id
-      else ev.callback t;
+      ev.callback t;
       true
 
 let run ?until t =

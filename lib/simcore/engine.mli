@@ -19,13 +19,7 @@ val schedule : t -> delay:float -> (t -> unit) -> unit
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Run a callback at an absolute time, which must not be in the past. *)
 
-val cancel : t -> int -> unit
-(** Cancel a pending event by the id from {!schedule_id}. *)
-
-val schedule_id : t -> delay:float -> (t -> unit) -> int
-(** Like {!schedule} but returns an id usable with {!cancel}. *)
-
-val schedule_batch : t -> times:float array -> (t -> int -> unit) -> int
+val schedule_batch : t -> times:float array -> (t -> int -> unit) -> unit
 (** Enqueue a pre-sorted batch of events sharing one callback in a
     single operation.  [times] must be ascending absolute times with
     [times.(0)] not in the past; event [i] fires at [times.(i)] as
@@ -33,20 +27,15 @@ val schedule_batch : t -> times:float array -> (t -> int -> unit) -> int
     event, exactly as the equivalent loop of {!schedule_at} calls
     would, so batched and per-event scheduling interleave and
     tie-break identically — simulations are bit-identical either way.
-    Returns the first event's id; event [i] has id [result + i] and
-    can be cancelled individually with {!cancel}.  An empty array is a
-    no-op.  The array is owned by the engine afterwards and must not
-    be mutated.
+    An empty array is a no-op.  The array is owned by the engine
+    afterwards and must not be mutated.
 
     The point is cost, not semantics: a batch of [n] events costs one
     small record and the caller's float array instead of [n] heap
     pushes, [n] event records and [n] closures. *)
 
-val pending : t -> int
-(** Number of events still queued (batched events included). *)
-
 val executed : t -> int
-(** Total events delivered (or skipped as cancelled) so far. *)
+(** Total events delivered so far. *)
 
 val batched_total : t -> int
 (** Total events ever scheduled through {!schedule_batch}. *)
@@ -54,9 +43,6 @@ val batched_total : t -> int
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [until], stop once the next event would
     be past that time (the clock is then advanced to [until]). *)
-
-val step : t -> bool
-(** Execute the single next event; [false] if the queue was empty. *)
 
 val every : t -> period:float -> ?until:float -> (t -> unit) -> unit
 (** Run a callback periodically, starting one period from now, until the

@@ -32,11 +32,6 @@ let append t ~key ~time value =
   s.values.(s.len) <- value;
   s.len <- s.len + 1
 
-let keys t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
-
-let length t ~key =
-  match Hashtbl.find_opt t key with Some s -> s.len | None -> 0
-
 let last t ~key =
   match Hashtbl.find_opt t key with
   | Some s when s.len > 0 -> Some (s.times.(s.len - 1), s.values.(s.len - 1))
@@ -63,21 +58,3 @@ let range t ~key ~start_time ~end_time =
       incr i
     done;
     List.rev !acc
-
-let rate t ~key ~window ~at =
-  let samples = range t ~key ~start_time:(at -. window) ~end_time:at in
-  match samples with
-  | [] | [ _ ] -> None
-  | (t0, v0) :: rest ->
-    let tn, vn = List.fold_left (fun _ s -> s) (t0, v0) rest in
-    if tn <= t0 then None else Some (Float.max 0.0 ((vn -. v0) /. (tn -. t0)))
-
-let fold t ~key ~init ~f =
-  match Hashtbl.find_opt t key with
-  | None -> init
-  | Some s ->
-    let acc = ref init in
-    for i = 0 to s.len - 1 do
-      acc := f !acc s.times.(i) s.values.(i)
-    done;
-    !acc

@@ -2,7 +2,7 @@
 
     This models the Prometheus database behind FABRIC's MFlib: SNMP
     pollers append (time, value) samples for each metric and queries
-    read ranges or compute rates over windows. *)
+    read ranges. *)
 
 type t
 
@@ -11,21 +11,8 @@ val create : unit -> t
 val append : t -> key:string -> time:float -> float -> unit
 (** Append a sample.  Times must be non-decreasing per key. *)
 
-val keys : t -> string list
-(** All series keys, sorted. *)
-
-val length : t -> key:string -> int
-
 val last : t -> key:string -> (float * float) option
 (** Most recent (time, value) sample. *)
 
 val range : t -> key:string -> start_time:float -> end_time:float -> (float * float) list
 (** Samples with [start_time <= time <= end_time], in time order. *)
-
-val rate : t -> key:string -> window:float -> at:float -> float option
-(** Average per-second increase of a monotonically increasing counter
-    over [window] seconds ending at [at].  [None] when fewer than two
-    samples fall in the window.  Counter resets clamp to zero. *)
-
-val fold : t -> key:string -> init:'a -> f:('a -> float -> float -> 'a) -> 'a
-(** Fold over all samples of a series as [f acc time value]. *)

@@ -48,7 +48,6 @@ type t = {
   mutable outages : (float * float) list;
   mutable transient_failure_prob : float;
   mutable next_slice_id : int;
-  mutable live_slices : int;
 }
 
 let create engine rng (model : Info_model.t) =
@@ -78,11 +77,9 @@ let create engine rng (model : Info_model.t) =
     outages = [];
     transient_failure_prob = 0.0;
     next_slice_id = 0;
-    live_slices = 0;
   }
 
 let set_outages t outages = t.outages <- outages
-let set_transient_failure_prob t p = t.transient_failure_prob <- p
 
 let inventory t site =
   match Hashtbl.find_opt t.inventories site with
@@ -115,13 +112,6 @@ let request_totals req =
         r + vm.ram_gb,
         s + vm.storage_gb ))
     (0, 0, 0, 0, 0) req.vms
-
-let allocation_latency t req =
-  (* The FABRIC allocator slows superlinearly on big slices; Patchwork
-     reacts by preferring small slices. *)
-  let vms = List.length req.vms in
-  let base = 18.0 +. (9.0 *. float_of_int vms) +. (1.5 *. float_of_int (vms * vms)) in
-  base *. (0.8 +. (0.4 *. Rng.float t.rng))
 
 let can_satisfy t req =
   let a = available t ~site:req.site in
@@ -158,7 +148,6 @@ let create_slice t req =
       inv.used_storage_gb <- inv.used_storage_gb + storage;
       let id = t.next_slice_id in
       t.next_slice_id <- id + 1;
-      t.live_slices <- t.live_slices + 1;
       Ok
         {
           slice_id = id;
@@ -178,7 +167,4 @@ let delete_slice t slice =
   inv.used_fpgas <- max 0 (inv.used_fpgas - fpgas);
   inv.used_cores <- max 0 (inv.used_cores - cores);
   inv.used_ram_gb <- max 0 (inv.used_ram_gb - ram);
-  inv.used_storage_gb <- max 0 (inv.used_storage_gb - storage);
-  t.live_slices <- max 0 (t.live_slices - 1)
-
-let active_slices t = t.live_slices
+  inv.used_storage_gb <- max 0 (inv.used_storage_gb - storage)

@@ -39,9 +39,6 @@ val set_outages : t -> (float * float) list -> unit
     [Backend_error] (models the September back-end incidents of
     Fig. 10). *)
 
-val set_transient_failure_prob : t -> float -> unit
-(** Probability that any single allocation fails spuriously. *)
-
 val set_external_utilization : t -> site:string -> float -> unit
 (** Fraction of the site's dedicated NICs and storage currently consumed
     by other researchers' slices, in [0, 1]. *)
@@ -56,10 +53,6 @@ type availability = {
 
 val available : t -> site:string -> availability
 
-val allocation_latency : t -> request -> float
-(** Expected time (seconds) for the allocator to handle the request;
-    grows with the number of VMs. *)
-
 val can_satisfy : t -> request -> bool
 (** Pure feasibility check against current availability — Patchwork
     "carries out its own allocation simulations to ensure that resource
@@ -68,4 +61,3 @@ val can_satisfy : t -> request -> bool
 
 val create_slice : t -> request -> (slice, error) result
 val delete_slice : t -> slice -> unit
-val active_slices : t -> int

@@ -90,8 +90,6 @@ let site t name =
   | Some s -> s
   | None -> raise Not_found
 
-let site_names t = Array.to_list (Array.map (fun s -> s.name) t.sites)
-
 let dedicated_nics s =
   List.fold_left (fun acc w -> acc + w.dedicated_nics) 0 s.workers
 
@@ -103,9 +101,3 @@ let total_ports s = s.uplinks + s.downlinks
 
 let fpga_count s =
   List.fold_left (fun acc w -> acc + if w.has_fpga then 1 else 0) 0 s.workers
-
-let pp_site ppf s =
-  Format.fprintf ppf "%s: %d uplinks, %d downlinks, %d workers, %d dedicated NICs, %d FPGAs, %a/port%s"
-    s.name s.uplinks s.downlinks (List.length s.workers) (dedicated_nics s)
-    (fpga_count s) Units.pp_rate s.line_rate
-    (if s.teaching_only then " (teaching only)" else "")

@@ -39,8 +39,6 @@ val generate : ?n_sites:int -> seed:int -> unit -> t
 val site : t -> string -> site
 (** Lookup by name; raises [Not_found]. *)
 
-val site_names : t -> string list
-
 val profilable_sites : t -> site list
 (** Sites Patchwork can run on: not teaching-only and at least one
     dedicated NIC. *)
@@ -52,5 +50,3 @@ val dedicated_nics : site -> int
 (** Total dedicated NICs across the site's workers. *)
 
 val fpga_count : site -> int
-
-val pp_site : Format.formatter -> site -> unit

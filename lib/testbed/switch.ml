@@ -183,13 +183,6 @@ let read_counters t ~port =
     drops = p.drops_acc;
   }
 
-let channel_rate t ~port ~dir =
-  check_port t port;
-  let p = t.ports.(port) in
-  match dir with
-  | Tx -> p.tx_byte_rate +. p.mirror_tx_byte_rate
-  | Rx -> p.rx_byte_rate
-
 let find_mirror t id =
   match List.find_opt (fun m -> m.mirror_id = id) t.mirrors with
   | Some m -> m

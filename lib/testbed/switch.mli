@@ -60,9 +60,6 @@ val attachments : t -> port:int -> attachment list
 val read_counters : t -> port:int -> counters
 (** Cumulative counters as of the engine's current time. *)
 
-val channel_rate : t -> port:int -> dir:dir -> float
-(** Instantaneous byte rate on one channel (bytes per second). *)
-
 (** {2 Port mirroring} *)
 
 val add_mirror : t -> src_port:int -> dirs:mirror_dirs -> dst_port:int -> (int, string) result

@@ -69,21 +69,6 @@ let busiest_port t ~site ~candidates ~window ~at =
     in
     Some (fst best)
 
-let channel_rates_at t ~site ~port ~at =
-  let latest metric =
-    match
-      Simcore.Timeseries.range t.store ~key:(key site port metric) ~start_time:0.0
-        ~end_time:at
-    with
-    | [] -> None
-    | samples ->
-      let _, v = List.nth samples (List.length samples - 1) in
-      Some v
-  in
-  match (latest "tx_rate", latest "rx_rate") with
-  | Some tx, Some rx -> Some (tx, rx)
-  | _ -> None
-
 (* Bridge to the run-metrics registry: re-export the most recent SNMP
    sample of every registered switch port as labelled gauges, so the
    testbed's telemetry and Patchwork's own pipeline metrics surface
@@ -111,17 +96,3 @@ let export_metrics ?(registry = Obs.Registry.default) t =
           set "testbed_port_drops" "drops"
         done)
       t.switches
-
-let weekly_rate_sums t ~weeks =
-  let sums = Array.make weeks 0.0 in
-  List.iter
-    (fun key ->
-      if
-        String.length key > 8
-        && String.sub key (String.length key - 7) 7 = "tx_rate"
-      then
-        Simcore.Timeseries.fold t.store ~key ~init:() ~f:(fun () time value ->
-            let w = Netcore.Timebase.week_of time in
-            if w >= 0 && w < weeks then sums.(w) <- sums.(w) +. value))
-    (Simcore.Timeseries.keys t.store);
-  sums

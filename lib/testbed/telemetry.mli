@@ -13,14 +13,8 @@ val create : Simcore.Engine.t -> t
 val register_switch : t -> Switch.t -> unit
 (** Add a site switch to the polling set. *)
 
-val poll_period : float
-(** 300 seconds, as on FABRIC. *)
-
 val start : ?until:float -> t -> unit
 (** Begin periodic polling on the engine. *)
-
-val poll_now : t -> unit
-(** Take one immediate sample of every registered switch. *)
 
 val store : t -> Simcore.Timeseries.t
 (** Raw access to the underlying series (keys are
@@ -37,17 +31,9 @@ val busiest_port :
 (** The candidate port with the highest {!port_avg_rate}; [None] if
     every candidate is idle (zero rate). *)
 
-val channel_rates_at :
-  t -> site:string -> port:int -> at:float -> (float * float) option
-(** Most recent (tx, rx) byte-rate sample at or before [at]. *)
-
 val export_metrics : ?registry:Obs.Registry.t -> t -> unit
 (** Re-export the most recent sample of every registered switch port
     (tx/rx rates, cumulative byte and drop counters) as labelled gauges
     [testbed_port_*{site=...,port=...}] in the metrics registry
     (default {!Obs.Registry.default}) — one exposition endpoint for the
     testbed's SNMP series and Patchwork's own pipeline metrics. *)
-
-val weekly_rate_sums : t -> weeks:int -> float array
-(** For each week index, the sum over all ports and polls of the stored
-    5-minute Tx byte-rate samples (the Fig. 6 methodology). *)

@@ -66,7 +66,6 @@ type t = {
   by_name : (string, site_gen) Hashtbl.t;
   specs : (int, Flow_model.spec) Hashtbl.t;
   n_sites : int;
-  mutable spawned : int;
   mutable until : float;
 }
 
@@ -168,21 +167,11 @@ let create ?(pool = Parallel.Pool.sequential) ?(slab = 900.0) fabric ~seed =
     by_name;
     specs = Hashtbl.create 1024;
     n_sites = n;
-    spawned = 0;
     until = 0.0;
   }
 
-let profiles t =
-  Array.fold_left (fun acc g -> g.sg_profile :: acc) [] t.gens
-
-let profile t ~site =
-  match Hashtbl.find_opt t.by_name site with
-  | Some g -> g.sg_profile
-  | None -> invalid_arg ("Driver.profile: unknown site " ^ site)
-
 let resolver t flow = Hashtbl.find_opt t.specs flow
 let live_flow_count t = Hashtbl.length t.specs
-let spawned_flows t = t.spawned
 
 (* Striped flow-id allocation: site i's k-th flow is i + k * n_sites, so
    ids are globally unique without any shared counter. *)
@@ -393,7 +382,6 @@ let execute t prep =
         ~frame_rate:(Flow_model.frame_rate rev_spec);
       [ rev_id ]
   in
-  t.spawned <- t.spawned + 1 + List.length rev_ids;
   let sites = sites_of_plan prep.pr_plan in
   Simcore.Engine.schedule (Fablib.engine t.fabric) ~delay:prep.pr_duration
     (fun _ ->
@@ -455,9 +443,8 @@ let rec refill t ~from =
         let times = Array.map (fun p -> nowc +. (p.pr_time -. nowc)) arr in
         Obs.Registry.inc obs_prepared (float_of_int n);
         Obs.Registry.inc obs_events_batched (float_of_int n);
-        ignore
-          (Simcore.Engine.schedule_batch engine ~times (fun _ i ->
-               execute t arr.(i))))
+        Simcore.Engine.schedule_batch engine ~times (fun _ i ->
+            execute t arr.(i)))
     batches;
   if limit < t.until then
     Simcore.Engine.schedule_at engine ~time:limit (fun _ -> refill t ~from:limit)

@@ -35,9 +35,6 @@ val create :
     the generated traffic, only wall-clock and memory.  Raises
     [Invalid_argument] if [slab <= 0]. *)
 
-val profiles : t -> Workload.profile list
-val profile : t -> site:string -> Workload.profile
-
 val start : t -> until:float -> unit
 (** Begin flow arrivals at every site, running until the given absolute
     time: presamples the first slab immediately and schedules a refill
@@ -47,7 +44,4 @@ val resolver : t -> int -> Flow_model.spec option
 (** Look up the spec of a currently attached flow handle. *)
 
 val live_flow_count : t -> int
-
-val spawned_flows : t -> int
-(** Total flows created since the driver started (ACK streams count as
-    their own flows). *)
+(** Flows whose spec is still held: attached and not yet ended. *)

@@ -28,8 +28,6 @@ let make ~flow_id ~template ~frame_size ~avg_frame_size ~byte_rate ~start_time
 
 let frame_rate spec = spec.byte_rate /. spec.avg_frame_size
 let end_time spec = spec.start_time +. spec.duration
-let active_at spec t = t >= spec.start_time && t < end_time spec
-let total_bytes spec = spec.byte_rate *. spec.duration
 
 let header_total spec =
   List.fold_left (fun acc h -> acc + H.size h) 0 spec.template

@@ -45,8 +45,6 @@ val frame_rate : spec -> float
 (** Average frames per second ([byte_rate / avg_frame_size]). *)
 
 val end_time : spec -> float
-val active_at : spec -> float -> bool
-val total_bytes : spec -> float
 
 val iter_draws :
   spec ->

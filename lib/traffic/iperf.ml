@@ -100,5 +100,3 @@ let run ?(seed = 11) config =
   let mean = total_bits /. float_of_int (max 1 (List.length samples)) in
   let peak = List.fold_left (fun acc s -> Float.max acc s.goodput) 0.0 samples in
   { samples; mean_goodput = mean; total_retransmits = !total_retx; peak_goodput = peak }
-
-let frame_size config = 14 + 20 + 20 + config.mss

@@ -39,6 +39,3 @@ type result = {
 }
 
 val run : ?seed:int -> config -> result
-
-val frame_size : config -> int
-(** Wire size of a full-MSS data frame (Ethernet+IP+TCP+MSS). *)

@@ -24,9 +24,6 @@ type record = {
   nf_last : float;
 }
 
-val key : record -> string
-(** The classic 5-tuple key (no virtualization tags). *)
-
 val export :
   resolver:(int -> Flow_model.spec option) ->
   Testbed.Switch.t ->

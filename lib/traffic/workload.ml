@@ -20,13 +20,6 @@ type profile = {
   elephant_prob : float;
 }
 
-let class_name = function
-  | Bulk_throughput -> "bulk-throughput"
-  | App_rich -> "app-rich"
-  | Hpc_storage -> "hpc-storage"
-  | Light -> "light"
-  | Mixed -> "mixed"
-
 (* Mean flow lifetime: a mix of short tests, medium transfers and a few
    long-running experiments. *)
 let duration_dist =

@@ -57,8 +57,6 @@ val expected_site_rate : profile -> seed:int -> float -> float
     switch ports) offered by this site's experiments at a time.  Used by
     the analytic year-scale utilization series (Fig. 6). *)
 
-val class_name : site_class -> string
-
 val class_scale : site_class -> float
 (** Relative traffic intensity of a site class (used to weight which
     sites attract multi-site slices). *)

@@ -41,10 +41,19 @@ let ipv6 rng : H.header =
 
 (* App headers are classified by well-known destination port during
    dissection, so the port must be consistent with the app layer. *)
+let well_known_port : H.header -> int option = function
+  | H.Tls _ | H.Quic -> Some 443
+  | H.Ssh -> Some 22
+  | H.Http _ -> Some 80
+  | H.Dns _ -> Some 53
+  | H.Ntp -> Some 123
+  | H.Vxlan _ -> Some 4789
+  | _ -> None
+
 let tcp_for rng (app : H.header option) : H.header =
   let dst_port =
     match app with
-    | Some a -> Option.get (H.well_known_port a)
+    | Some a -> Option.get (well_known_port a)
     | None -> 1024 + Netcore.Rng.int rng 60000
   in
   H.Tcp
@@ -56,7 +65,7 @@ let tcp_for rng (app : H.header option) : H.header =
 let udp_for rng (app : H.header option) : H.header =
   let dst_port =
     match app with
-    | Some a -> Option.get (H.well_known_port a)
+    | Some a -> Option.get (well_known_port a)
     | None -> 1024 + Netcore.Rng.int rng 60000
   in
   H.Udp { src_port = 32768 + Netcore.Rng.int rng 28000; dst_port }
@@ -105,7 +114,10 @@ let random_frame ?(max_payload = 1400) rng =
    stays meaningful. *)
 let frame_arb ?max_payload () =
   QCheck.make
-    ~print:(fun f -> Format.asprintf "%a" Frame.pp f)
+    ~print:(fun f ->
+      Printf.sprintf "[%s] +%dB"
+        (String.concat " / " (List.map H.name f.Frame.headers))
+        f.Frame.payload_len)
     (QCheck.Gen.map
        (fun seed -> random_frame ?max_payload (rng_of_seed seed))
        QCheck.Gen.small_int)

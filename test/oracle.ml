@@ -40,9 +40,15 @@ module Full_encoder = struct
 
   let encode_header w (h : Headers.header) (next : Headers.header option) ip_ctx fixups =
     let pos = Wire.Writer.length w in
+    (* Six octets, most significant first. *)
+    let put_mac m =
+      let v = Mac.to_int64 m in
+      for i = 5 downto 0 do
+        Wire.Writer.u8 w (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+      done
+    in
     (match h with
     | Ethernet { src; dst } ->
-      let put_mac m = Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets m) in
       put_mac dst;
       put_mac src;
       Wire.Writer.u16 w (ethertype_of_next next)
@@ -122,9 +128,9 @@ module Full_encoder = struct
       Wire.Writer.u8 w 6;
       Wire.Writer.u8 w 4;
       Wire.Writer.u16 w (match operation with `Request -> 1 | `Reply -> 2);
-      Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets sender_mac);
+      put_mac sender_mac;
       Wire.Writer.u32 w (Ipv4_addr.to_int32 sender_ip);
-      Array.iter (fun o -> Wire.Writer.u8 w o) (Mac.to_octets target_mac);
+      put_mac target_mac;
       Wire.Writer.u32 w (Ipv4_addr.to_int32 target_ip)
     | Vxlan { vni } ->
       Wire.Writer.u8 w 0x08 (* flags: VNI valid *);
@@ -244,7 +250,12 @@ let encode ?(snaplen = max_int) frame =
    and dissected from the copy.  The sliced digest must reproduce it
    record for record. *)
 let acaps_copying buf =
-  List.map Dissect.Acap.of_packet (Packet.Pcapng.read_any buf)
+  List.map
+    (fun (p : Packet.Pcap.packet) ->
+      let data = Bytes.copy p.data in
+      Dissect.Acap.of_slice ~ts:p.ts ~orig_len:p.orig_len
+        (Packet.Slice.make data ~off:0 ~len:(Bytes.length data)))
+    (Packet.Pcapng.read_any buf)
 
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized, written and

@@ -1,0 +1,61 @@
+(* A pcapng encoder for the reader's fixtures: one big-endian section
+   (Section Header, one Ethernet Interface Description at microsecond
+   resolution, then one Enhanced Packet Block per packet). *)
+
+module Pcap = Packet.Pcap
+
+let pad32 n = (4 - (n land 3)) land 3
+
+let write ?(snaplen = 65535) packets =
+  let buf = Buffer.create 4096 in
+  let u32 = Buffer.add_int32_be buf in
+  let u32i v = u32 (Int32.of_int v) in
+  let u16 = Buffer.add_uint16_be buf in
+  let block btype body_len emit_body =
+    let total = 12 + body_len + pad32 body_len in
+    u32 btype;
+    u32i total;
+    emit_body ();
+    for _ = 1 to pad32 body_len do
+      Buffer.add_char buf '\x00'
+    done;
+    u32i total
+  in
+  (* Section Header Block. *)
+  block 0x0A0D0D0Al 16 (fun () ->
+      u32 0x1A2B3C4Dl (* byte-order magic *);
+      u16 1 (* major *);
+      u16 0 (* minor *);
+      u32 0xFFFFFFFFl;
+      u32 0xFFFFFFFFl (* section length unspecified *));
+  (* Interface Description Block: Ethernet, default microsecond ts. *)
+  block 0x00000001l 8 (fun () ->
+      u16 1 (* LINKTYPE_ETHERNET *);
+      u16 0 (* reserved *);
+      u32i snaplen);
+  (* Enhanced Packet Blocks. *)
+  List.iter
+    (fun (p : Pcap.packet) ->
+      let data = p.Pcap.data in
+      let incl = min (Bytes.length data) snaplen in
+      let usec = Int64.of_float (p.Pcap.ts *. 1e6) in
+      block 0x00000006l (20 + incl) (fun () ->
+          u32 0l (* interface id *);
+          u32 (Int64.to_int32 (Int64.shift_right_logical usec 32));
+          u32 (Int64.to_int32 usec);
+          u32i incl;
+          u32i p.Pcap.orig_len;
+          Buffer.add_subbytes buf data 0 incl))
+    packets;
+  Buffer.to_bytes buf
+
+(* The record a capture with snap length [snaplen] stores for a frame:
+   its wire length, and its bytes encoded only that far. *)
+let packet_of_frame ?(snaplen = 65535) ~ts frame : Pcap.packet =
+  let w = Netcore.Wire.Writer.create () in
+  Packet.Codec.encode_into w ~limit:snaplen frame;
+  { ts; orig_len = Packet.Frame.wire_length frame; data = Netcore.Wire.Writer.contents w }
+
+let of_frames ?snaplen frames =
+  write ?snaplen
+    (List.map (fun (ts, frame) -> packet_of_frame ?snaplen ~ts frame) frames)

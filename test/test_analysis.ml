@@ -3,7 +3,6 @@ module Analyze = Analysis.Analyze
 module Flows = Analysis.Flows
 module Report = Analysis.Report
 module Digest = Analysis.Digest
-module Index = Analysis.Index
 module H = Packet.Headers
 
 (* Handy record builder. *)
@@ -144,7 +143,8 @@ let test_flow_size_histogram () =
     [ record ~len:100 ~l4:(Some (1, 2)) (); record ~len:100_000 ~l4:(Some (3, 4)) () ]
   in
   let h = Flows.size_log_histogram (Flows.aggregate records) in
-  Alcotest.(check int) "two entries" 2 (Netcore.Histogram.Log2.total h)
+  Alcotest.(check (list (pair int int))) "two entries" [ (6, 1); (16, 1) ]
+    (Netcore.Histogram.Log2.buckets h)
 
 (* --- Report --- *)
 
@@ -157,14 +157,14 @@ let test_csv_rows () =
   let csv = Report.csv_of_rows ~header:[ "x"; "y" ] [ [ "1"; "a,b" ]; [ "2"; "c" ] ] in
   Alcotest.(check string) "csv" "x,y\n1,\"a,b\"\n2,c\n" csv
 
-(* --- Digest + Index --- *)
+(* --- Digest --- *)
 
 let sample_with_pcap () =
   let w = Packet.Pcap.Writer.create () in
   let eth : H.header =
     H.Ethernet
-      { src = Netcore.Mac.of_string "02:00:00:00:00:01";
-        dst = Netcore.Mac.of_string "02:00:00:00:00:02" }
+      { src = Netcore.Mac.of_int64 0x020000000001L;
+        dst = Netcore.Mac.of_int64 0x020000000002L }
   in
   let ip : H.header =
     H.Ipv4
@@ -207,59 +207,6 @@ let test_digest_pcap () =
   let r = List.hd acaps in
   Alcotest.(check (list string)) "stack digested"
     [ "eth"; "ipv4"; "tcp"; "iperf3" ] r.Acap.stack
-
-let test_acap_file_roundtrip () =
-  let records = [ record ~ts:1.5 (); record ~ts:2.5 ~len:2000 () ] in
-  let path = Filename.temp_file "patchwork" ".acap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Digest.write_acap_file path records;
-      let back = Digest.read_acap_file path in
-      Alcotest.(check int) "count" 2 (List.length back);
-      Alcotest.(check bool) "identical" true (records = back))
-
-let test_acap_file_error_names_line () =
-  let records = [ record ~ts:1.0 (); record ~ts:2.0 () ] in
-  let path = Filename.temp_file "patchwork" ".acap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Digest.write_acap_file path records;
-      (* Corrupt the third line. *)
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc "not an acap line\n";
-      close_out oc;
-      match Digest.read_acap_file path with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg ->
-        let expected_prefix = path ^ ": line 3: " in
-        Alcotest.(check string) "names file and line" expected_prefix
-          (String.sub msg 0 (String.length expected_prefix)))
-
-let test_index_store () =
-  let dir = Filename.temp_file "patchwork_index" "" in
-  Sys.remove dir;
-  let t = Index.create ~dir in
-  let entry = Index.add_sample t ~occasion:3 (sample_with_pcap ()) in
-  Alcotest.(check int) "records counted" 2 entry.Index.record_count;
-  Alcotest.(check int) "find by site" 1
-    (List.length (Index.find ~site:"STAR" t));
-  Alcotest.(check int) "find by wrong site" 0
-    (List.length (Index.find ~site:"WASH" t));
-  Alcotest.(check int) "find by occasion" 1
-    (List.length (Index.find ~occasion:3 t));
-  let loaded = Index.load t entry in
-  Alcotest.(check int) "loadable" 2 (List.length loaded);
-  Index.save t;
-  let reopened = Index.open_existing ~dir in
-  Alcotest.(check int) "index persists" 1 (List.length (Index.entries reopened));
-  (* Clean up. *)
-  List.iter
-    (fun e -> Sys.remove (Filename.concat dir e.Index.path))
-    (Index.entries t);
-  Sys.remove (Filename.concat dir "index.tsv");
-  Sys.rmdir dir
 
 (* --- Profile over a real occasion --- *)
 
@@ -325,10 +272,6 @@ let suites =
     ( "analysis.digest_index",
       [
         Alcotest.test_case "digest pcap" `Quick test_digest_pcap;
-        Alcotest.test_case "acap file roundtrip" `Quick test_acap_file_roundtrip;
-        Alcotest.test_case "acap file error names line" `Quick
-          test_acap_file_error_names_line;
-        Alcotest.test_case "index store" `Quick test_index_store;
       ] );
     ( "analysis.profile",
       [ Alcotest.test_case "end to end" `Slow test_profile_end_to_end ] );

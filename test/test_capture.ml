@@ -344,7 +344,7 @@ let random_spec rng ~flow_id =
     if R.bernoulli rng 0.2 then
       List.map
         (function
-          | H.Tcp tcp -> H.Tcp { tcp with H.flags = H.flags_rst }
+          | H.Tcp tcp -> H.Tcp { tcp with H.flags = { H.flags_none with H.rst = true } }
           | h -> h)
         template
     else template
@@ -453,8 +453,8 @@ let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
   let fraction = if Netcore.Rng.bool rng then 1.0 else 0.1 +. Netcore.Rng.float rng in
   let start_time = Netcore.Rng.float rng in
   let end_time = 1.0 +. (2.0 *. Netcore.Rng.float rng) in
-  let draws = Netcore.Rng.create (seed * 7) in
-  let class_rng = Netcore.Rng.copy draws and frame_rng = Netcore.Rng.copy draws in
+  let class_rng = Netcore.Rng.create (seed * 7)
+  and frame_rng = Netcore.Rng.create (seed * 7) in
   let m =
     Capture.materialize ~config ~rng:class_rng ~fraction ~start_time ~end_time specs
   in
@@ -493,13 +493,13 @@ let tie_case seed =
         { spec with Flow_model.byte_rate = 1e17 *. spec.Flow_model.avg_frame_size })
   in
   let start_time = 1.0 and end_time = 1.0 +. 1e-15 in
-  let draws = Netcore.Rng.create (seed * 7) in
   let m =
-    Capture.materialize ~config:Config.default ~rng:(Netcore.Rng.copy draws)
+    Capture.materialize ~config:Config.default ~rng:(Netcore.Rng.create (seed * 7))
       ~fraction:1.0 ~start_time ~end_time specs
   in
   let records, _ =
-    Oracle.materialize_per_frame ~config:Config.default ~rng:(Netcore.Rng.copy draws)
+    Oracle.materialize_per_frame ~config:Config.default
+      ~rng:(Netcore.Rng.create (seed * 7))
       ~fraction:1.0 ~start_time ~end_time specs
   in
   let rec ties n = function

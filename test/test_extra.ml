@@ -30,7 +30,7 @@ let test_reader_sub_and_truncation () =
   let sub = Wire.Reader.sub r 4 in
   Alcotest.(check int) "sub remaining" 4 (Wire.Reader.remaining sub);
   Alcotest.(check int) "parent advanced" 4 (Wire.Reader.remaining r);
-  ignore (Wire.Reader.take sub 4);
+  Wire.Reader.skip sub 4;
   Alcotest.check_raises "sub bounded" Wire.Reader.Truncated (fun () ->
       ignore (Wire.Reader.u8 sub))
 
@@ -43,7 +43,10 @@ let test_reader_bounds () =
 let test_reader_window () =
   let r = Wire.Reader.of_bytes ~pos:2 ~len:3 (Bytes.of_string "abcdefgh") in
   Alcotest.(check int) "remaining" 3 (Wire.Reader.remaining r);
-  Alcotest.(check bytes) "window" (Bytes.of_string "cde") (Wire.Reader.take r 3)
+  Alcotest.(check string) "window" "cde"
+    (String.init 3 (fun _ -> Char.chr (Wire.Reader.u8 r)));
+  Alcotest.check_raises "window bounded" Wire.Reader.Truncated (fun () ->
+      ignore (Wire.Reader.u8 r))
 
 (* --- pcap little-endian interop --- *)
 
@@ -135,26 +138,15 @@ let test_dist_mean_matches_sampling () =
   let rng = Rng.create 17 in
   let d = Dist.Mixture [ (0.7, Dist.Exponential 2.0); (0.3, Dist.Uniform (5.0, 15.0)) ] in
   let analytic = Option.get (Dist.mean d) in
-  let empirical = Dist.mean_estimate d 100_000 rng in
+  let empirical =
+    let sum = ref 0.0 in
+    for _ = 1 to 100_000 do
+      sum := !sum +. Dist.sample d rng
+    done;
+    !sum /. 100_000.0
+  in
   Alcotest.(check bool) "within 2%" true
     (Float.abs (empirical -. analytic) /. analytic < 0.02)
-
-(* --- Units / Timebase printing --- *)
-
-let fmt_to_string pp v = Format.asprintf "%a" pp v
-
-let test_pp_rate () =
-  Alcotest.(check string) "tbps" "3.97 Tbps" (fmt_to_string Units.pp_rate 3.968e12);
-  Alcotest.(check string) "gbps" "100.00 Gbps" (fmt_to_string Units.pp_rate 100e9);
-  Alcotest.(check string) "bps" "12 bps" (fmt_to_string Units.pp_rate 12.0)
-
-let test_pp_bytes () =
-  Alcotest.(check string) "gib" "1.00 GiB" (fmt_to_string Units.pp_bytes 1073741824.0);
-  Alcotest.(check string) "b" "100 B" (fmt_to_string Units.pp_bytes 100.0)
-
-let test_pp_duration () =
-  Alcotest.(check string) "days" "2.0 d" (fmt_to_string Timebase.pp_duration 172800.0);
-  Alcotest.(check string) "us" "5.0 us" (fmt_to_string Timebase.pp_duration 5e-6)
 
 (* --- Instance behavior --- *)
 
@@ -227,7 +219,7 @@ let test_instance_watchdog_storage_crash () =
   | Patchwork.Instance.Crashed msg ->
     Alcotest.(check string) "storage exhaustion" "storage exhausted" msg;
     Alcotest.(check bool) "error logged" true
-      (List.length (Patchwork.Logging.errors log) > 0)
+      (Patchwork.Logging.count ~min_level:Patchwork.Logging.Error log > 0)
   | Patchwork.Instance.Running | Patchwork.Instance.Finished ->
     Alcotest.fail "watchdog should have fired"
 
@@ -243,7 +235,7 @@ let test_capture_thinning_consistency () =
   let template =
     [
       Packet.Headers.Ethernet
-        { src = Mac.of_string "02:00:00:00:00:01"; dst = Mac.of_string "02:00:00:00:00:02" };
+        { src = Mac.of_int64 0x020000000001L; dst = Mac.of_int64 0x020000000002L };
       Packet.Headers.Ipv4
         { src = Ipv4_addr.of_string "10.0.0.1"; dst = Ipv4_addr.of_string "10.0.0.2";
           dscp = 0; ttl = 64; ident = 0; dont_fragment = true };
@@ -294,7 +286,7 @@ let test_capture_thinning_consistency () =
 
 let test_header_sizes () =
   let module H = Packet.Headers in
-  Alcotest.(check int) "eth" 14 (H.size (H.Ethernet { src = Mac.zero; dst = Mac.zero }));
+  Alcotest.(check int) "eth" 14 (H.size (H.Ethernet { src = Mac.of_int64 0L; dst = Mac.of_int64 0L }));
   Alcotest.(check int) "vlan" 4 (H.size (H.Vlan { pcp = 0; dei = false; vid = 1 }));
   Alcotest.(check int) "ipv6" 40
     (H.size
@@ -348,12 +340,6 @@ let suites =
       [
         Alcotest.test_case "analytic means" `Quick test_dist_mean;
         Alcotest.test_case "mean matches sampling" `Quick test_dist_mean_matches_sampling;
-      ] );
-    ( "extra.pp",
-      [
-        Alcotest.test_case "rates" `Quick test_pp_rate;
-        Alcotest.test_case "bytes" `Quick test_pp_bytes;
-        Alcotest.test_case "durations" `Quick test_pp_duration;
       ] );
     ( "extra.instance",
       [

@@ -4,7 +4,7 @@
    exception a decoder lets escape: pcap and pcapng indexing (then the
    dissection of every indexed entry) and reading raise only their
    [Malformed]; HTTP request heads, their numeric query parameters,
-   Prometheus and JSON text, and acap lines return [Error]. *)
+   and Prometheus and JSON text return [Error]. *)
 
 (* Run [decode] on every mutation of the valid inputs [bases].
    [decode] returns normally on a declared outcome; anything it raises
@@ -28,7 +28,7 @@ let captures =
   List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
   [
     Bytes.to_string (Packet.Pcap.Writer.contents w);
-    Bytes.to_string (Packet.Pcapng.writer_of_frames frames);
+    Bytes.to_string (Pcapng_writer.of_frames frames);
   ]
 
 let test_index_any () =
@@ -103,12 +103,6 @@ let test_json () =
     ]
     (fun s -> ignore (J.parse s))
 
-let test_acap_line () =
-  fuzz ~seed:36
-    (List.map Dissect.Acap.to_line
-       (Analysis.Digest.pcap_to_acaps (Bytes.of_string (List.hd captures))))
-    (fun s -> ignore (Dissect.Acap.of_line s))
-
 let suites =
   [
     ( "decoders.fuzz",
@@ -118,6 +112,5 @@ let suites =
         Alcotest.test_case "http request + params" `Quick test_http_request;
         Alcotest.test_case "prometheus text" `Quick test_prometheus;
         Alcotest.test_case "json text" `Quick test_json;
-        Alcotest.test_case "acap lines" `Quick test_acap_line;
       ] );
   ]

@@ -338,7 +338,7 @@ let allocated_words f =
    warm-up record, so the median excludes the few records at which the
    writer's buffer grows. *)
 let record_words ~snaplen payload_len =
-  let mac = Netcore.Mac.of_string "02:00:00:00:00:01" in
+  let mac = Netcore.Mac.of_int64 0x020000000001L in
   let ip = Netcore.Ipv4_addr.of_string "10.0.0.1" in
   let frame =
     Packet.Frame.make

@@ -32,24 +32,21 @@ let cache ?(bg = 10.0) ?(hard = 20.0) () =
 let test_cache_write_and_drain () =
   let c = cache () in
   Page_cache.write c 5e8;
-  Alcotest.(check (float 1.0)) "dirty" 5e8 (Page_cache.dirty_bytes c);
   Alcotest.(check (float 1e-9)) "fraction" 0.5 (Page_cache.dirty_fraction c);
   Page_cache.advance c ~dt:1.0;
-  Alcotest.(check (float 1.0)) "drained 1e8" 4e8 (Page_cache.dirty_bytes c)
+  Alcotest.(check (float 1e-9)) "drained 1e8" 0.4 (Page_cache.dirty_fraction c)
 
 let test_cache_no_drain_below_background () =
   let c = cache () in
   Page_cache.write c 5e7;
   (* 5% < 10% background. *)
   Page_cache.advance c ~dt:10.0;
-  Alcotest.(check (float 1.0)) "nothing drained below background" 5e7
-    (Page_cache.dirty_bytes c)
+  Alcotest.(check (float 1e-9)) "nothing drained below background" 0.05
+    (Page_cache.dirty_fraction c)
 
 let test_cache_thresholds () =
   let c = cache () in
-  Alcotest.(check (float 1e-9)) "background" 0.10 (Page_cache.background_threshold c);
-  Alcotest.(check (float 1e-9)) "midpoint" 0.15 (Page_cache.throttle_threshold c);
-  Alcotest.(check (float 1e-9)) "hard" 0.20 (Page_cache.hard_threshold c)
+  Alcotest.(check (float 1e-9)) "midpoint" 0.15 (Page_cache.throttle_threshold c)
 
 let test_throttle_kicks_in_at_midpoint () =
   let c = cache () in
@@ -84,11 +81,11 @@ let test_cache_conservation () =
   let c = cache () in
   Page_cache.write c 8e8;
   Page_cache.advance c ~dt:3.0;
-  let expected_dirty =
-    Page_cache.total_written c -. Page_cache.total_drained c
-  in
+  (* Dirty stays above the background ratio, so writeback drains at
+     its full rate for all three seconds. *)
+  let expected_dirty = Page_cache.total_written c -. (3.0 *. 1e8) in
   Alcotest.(check (float 1.0)) "bytes conserved" expected_dirty
-    (Page_cache.dirty_bytes c)
+    (Page_cache.dirty_fraction c *. 1e9)
 
 (* --- DPDK path --- *)
 
@@ -147,7 +144,9 @@ let test_dpdk_writev_histogram_populated () =
       ~duration:2.0
   in
   Alcotest.(check bool) "writev calls recorded" true
-    (Netcore.Histogram.Log2.total r.Dpdk_path.writev_latency > 1000)
+    (List.fold_left ( + ) 0
+       (List.map snd (Netcore.Histogram.Log2.buckets r.Dpdk_path.writev_latency))
+    > 1000)
 
 let test_dpdk_capacity_rate_matches_table () =
   (* 5 cores / 200B truncation should saturate right around 100 Gbps of
@@ -183,8 +182,8 @@ let frame_of ~dst_port ~payload =
   Packet.Frame.make
     [
       H.Ethernet
-        { src = Netcore.Mac.of_string "02:00:00:00:00:01";
-          dst = Netcore.Mac.of_string "02:00:00:00:00:02" };
+        { src = Netcore.Mac.of_int64 0x020000000001L;
+          dst = Netcore.Mac.of_int64 0x020000000002L };
       H.Ipv4
         { src = Netcore.Ipv4_addr.of_string "10.1.0.1";
           dst = Netcore.Ipv4_addr.of_string "10.2.0.2";

@@ -8,23 +8,15 @@ module J = Obs.Export.Json
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 
+let last_closed l =
+  match List.rev (L.history l) with e :: _ -> Some e | [] -> None
+
 (* --- cause taxonomy --- *)
 
 let test_cause_labels () =
-  List.iter
-    (fun c ->
-      check
-        (Alcotest.option
-           (Alcotest.testable
-              (fun fmt c -> Format.pp_print_string fmt (L.cause_label c))
-              ( = )))
-        (L.cause_label c) (Some c)
-        (L.cause_of_label (L.cause_label c)))
-    L.all_causes;
   checkb "labels distinct" true
     (let ls = List.map L.cause_label L.all_causes in
-     List.length (List.sort_uniq compare ls) = List.length ls);
-  checkb "unknown label" true (L.cause_of_label "cosmic_rays" = None)
+     List.length (List.sort_uniq compare ls) = List.length ls)
 
 (* --- conservation: balanced close, violation detection --- *)
 
@@ -216,13 +208,7 @@ let qcheck_conservation_adversarial =
             ~stored_frames:b.Patchwork.Capture.b_captured_frames
             ~stored_bytes:b.Patchwork.Capture.b_stored_wire_bytes
             ~keys:[ Printf.sprintf "flow-%d" i ]
-            b.Patchwork.Capture.b_causes;
-          (* Out-of-band loss must keep the invariant balanced too. *)
-          if i mod 3 = 0 then
-            L.attribute_lost l ~site ~cause:L.Mirror_revoked
-              ~frames:(float_of_int (i * 7))
-              ~bytes:(float_of_int (i * 5600))
-              ())
+            b.Patchwork.Capture.b_causes)
         samples;
       (* Strict mode is on for the whole suite: a violating close would
          raise rather than return. *)
@@ -263,7 +249,7 @@ let test_occasion_pool_determinism () =
   check Alcotest.string "pool 1 = pool 2" j1 j2;
   check Alcotest.string "pool 1 = pool 4" j1 j4;
   (* The occasion actually exercised the ledger. *)
-  match L.last L.default with
+  match last_closed L.default with
   | None -> Alcotest.fail "no closed occasion in the default ledger"
   | Some e ->
     let star =
@@ -299,7 +285,7 @@ let test_page_cache_attribution () =
         })
       ~pool_size:1 77
   in
-  match L.last L.default with
+  match last_closed L.default with
   | None -> Alcotest.fail "no closed occasion"
   | Some e ->
     let throttled =
@@ -364,7 +350,7 @@ let suites =
   [
     ( "ledger",
       [
-        Alcotest.test_case "cause labels round-trip" `Quick test_cause_labels;
+        Alcotest.test_case "cause labels distinct" `Quick test_cause_labels;
         Alcotest.test_case "balanced occasions close conserved" `Quick
           test_conservation_close;
         Alcotest.test_case "violations detected, counted, strict-raised" `Quick

@@ -52,7 +52,13 @@ let test_rng_weighted () =
 
 let test_exponential_mean () =
   let rng = Rng.create 4 in
-  let est = Dist.mean_estimate (Dist.Exponential 5.0) 50_000 rng in
+  let est =
+    let sum = ref 0.0 in
+    for _ = 1 to 50_000 do
+      sum := !sum +. Dist.sample (Dist.Exponential 5.0) rng
+    done;
+    !sum /. 50_000.0
+  in
   Alcotest.(check bool) "mean ~ 5" true (Float.abs (est -. 5.0) < 0.2)
 
 let test_zipf_rank1_most_common () =
@@ -81,14 +87,13 @@ let prop_empirical_matches_weighted =
         let v = try Ok (f rng) with Invalid_argument m -> Error m in
         (v, Rng.bits64 rng)
       in
-      let rng = Rng.create seed in
-      outcome (fun r -> Dist.sample (Dist.Empirical pairs) r) (Rng.copy rng)
-      = outcome (fun r -> Rng.weighted r (Array.to_list pairs)) (Rng.copy rng))
+      outcome (fun r -> Dist.sample (Dist.Empirical pairs) r) (Rng.create seed)
+      = outcome (fun r -> Rng.weighted r (Array.to_list pairs)) (Rng.create seed))
 
 let test_empirical_failures () =
   let fails pairs =
     let rng = Rng.create 3 in
-    let untouched = Rng.bits64 (Rng.copy rng) in
+    let untouched = Rng.bits64 (Rng.create 3) in
     (match Dist.sample (Dist.Empirical pairs) rng with
     | _ -> Alcotest.fail "expected Invalid_argument"
     | exception Invalid_argument m ->
@@ -118,25 +123,16 @@ let test_histogram_binning () =
   Alcotest.(check (array int)) "counts" [| 1; 2; 1; 3 |] (Histogram.counts h);
   Alcotest.(check int) "total" 7 (Histogram.total h)
 
-let test_histogram_merge () =
-  let a = Histogram.create [| 10.0 |] and b = Histogram.create [| 10.0 |] in
-  Histogram.add a 5.0;
-  Histogram.add b 15.0;
-  let m = Histogram.merge a b in
-  Alcotest.(check (array int)) "merged" [| 1; 1 |] (Histogram.counts m)
-
 let test_histogram_float_counts () =
   let h = Histogram.create [| 100.0 |] in
   (* Sampling weights land fractionally, one weighted add per bin;
-     fcounts/ftotal keep them exact while the int accessors round for
-     display. *)
+     ftotal and fractions keep them exact while the int accessors round
+     for display. *)
   Alcotest.(check (list int)) "bins" [ 0; 1; 1 ]
     (List.map (Histogram.bin h) [ 10.0; 100.0; 200.0 ]);
   Histogram.add_bin h (Histogram.bin h 10.0) ~count:2.5;
   Histogram.add_bin h 0 ~count:0.25;
   Histogram.add_bin h (Histogram.bin h 200.0) ~count:1.75;
-  Alcotest.(check (array (float 1e-12))) "fcounts" [| 2.75; 1.75 |]
-    (Histogram.fcounts h);
   Alcotest.(check (float 1e-12)) "ftotal" 4.5 (Histogram.ftotal h);
   Alcotest.(check (array int)) "counts round" [| 3; 2 |] (Histogram.counts h);
   Alcotest.(check (float 1e-12)) "fractions from floats" (2.75 /. 4.5)
@@ -147,12 +143,7 @@ let test_histogram_float_counts () =
   Alcotest.(check bool) "negative count rejected" true
     (rejected (fun () -> Histogram.add_bin h 0 ~count:(-1.0)));
   Alcotest.(check bool) "bin out of range rejected" true
-    (rejected (fun () -> Histogram.add_bin h 2 ~count:1.0));
-  (* Merging preserves the fractional counts. *)
-  let other = Histogram.create [| 100.0 |] in
-  Histogram.add_bin other 0 ~count:0.5;
-  Alcotest.(check (float 1e-12)) "merge keeps fractions" 3.25
-    (Histogram.fcounts (Histogram.merge h other)).(0)
+    (rejected (fun () -> Histogram.add_bin h 2 ~count:1.0))
 
 let test_histogram_int_path_exact () =
   (* The classic int API must stay exact through the float store. *)
@@ -177,32 +168,30 @@ let test_log2_histogram () =
     (Histogram.Log2.upper_bound_sum h ~min_exponent:5)
 
 let test_mac_roundtrip () =
-  let m = Mac.of_string "02:1a:2b:3c:4d:5e" in
-  Alcotest.(check string) "roundtrip" "02:1a:2b:3c:4d:5e" (Mac.to_string m);
-  let o = Mac.to_octets m in
-  Alcotest.(check int) "first octet" 0x02 o.(0);
-  Alcotest.(check int) "last octet" 0x5e o.(5)
+  let m = Mac.of_int64 0x021a2b3c4d5eL in
+  Alcotest.(check int64) "roundtrip" 0x021a2b3c4d5eL (Mac.to_int64 m);
+  Alcotest.(check int64) "keeps the low 48 bits" 0x021a2b3c4d5eL
+    (Mac.to_int64 (Mac.of_int64 0x7fff_021a2b3c4d5eL))
 
 let test_mac_random_unicast () =
   let rng = Rng.create 6 in
   for _ = 1 to 100 do
     let m = Mac.random rng in
-    Alcotest.(check bool) "unicast" false (Mac.is_multicast m)
+    Alcotest.(check int64) "unicast" 0L
+      (Int64.logand (Int64.shift_right_logical (Mac.to_int64 m) 40) 1L)
   done
 
 let test_ipv4_roundtrip () =
   let a = Ipv4_addr.of_string "10.128.3.77" in
-  Alcotest.(check string) "roundtrip" "10.128.3.77" (Ipv4_addr.to_string a);
-  Alcotest.(check bool) "private" true (Ipv4_addr.is_private a);
-  Alcotest.(check bool) "public" false
-    (Ipv4_addr.is_private (Ipv4_addr.of_string "8.8.8.8"))
+  Alcotest.(check string) "roundtrip" "10.128.3.77" (Ipv4_addr.to_string a)
 
 let test_ipv4_prefix () =
   let rng = Rng.create 7 in
   let prefix = Ipv4_addr.of_string "10.42.0.0" in
   for _ = 1 to 200 do
     let a = Ipv4_addr.random_in rng ~prefix ~prefix_len:16 in
-    Alcotest.(check bool) "in prefix" true (Ipv4_addr.in_prefix a ~prefix ~prefix_len:16)
+    Alcotest.(check int32) "in prefix" (Ipv4_addr.to_int32 prefix)
+      (Int32.logand (Ipv4_addr.to_int32 a) 0xFFFF0000l)
   done
 
 let test_ipv6_roundtrip () =
@@ -225,19 +214,14 @@ let test_checksum_rfc1071 () =
 
 let test_units_pps () =
   (* 100 Gbps of 1514-byte frames ~ 8.13 Mpps with 24B overhead. *)
-  let pps = Units.pps_of_bps (Units.gbps 100.0) ~frame_bytes:1514 in
+  let pps = Units.pps_of_bps 100e9 ~frame_bytes:1514 in
   Alcotest.(check bool) "about 8.1Mpps" true (Float.abs (pps -. 8.127e6) < 0.01e6);
   let back = Units.bps_of_pps pps ~frame_bytes:1514 in
-  Alcotest.(check (float 1.0)) "inverse" (Units.gbps 100.0) back
+  Alcotest.(check (float 1.0)) "inverse" 100e9 back
 
 let test_timebase () =
-  Alcotest.(check int) "week" 2 (Timebase.week_of (Timebase.of_days 15.0));
-  Alcotest.(check int) "day" 15 (Timebase.day_of (Timebase.of_days 15.5));
-  Alcotest.(check int) "jan" 0 (Timebase.month_of_day 30);
-  Alcotest.(check int) "feb" 1 (Timebase.month_of_day 31);
-  Alcotest.(check int) "dec" 11 (Timebase.month_of_day 364);
-  Alcotest.(check (float 1e-9)) "hour of day" 12.0
-    (Timebase.hour_of_day (Timebase.of_days 3.5))
+  Alcotest.(check int) "week" 2 (Timebase.week_of (15.0 *. Timebase.day));
+  Alcotest.(check int) "day" 15 (Timebase.day_of (15.5 *. Timebase.day))
 
 let qcheck_tests =
   let open QCheck in
@@ -257,12 +241,7 @@ let qcheck_tests =
       (pair (map Int64.of_int int) (map Int64.of_int int))
       (fun (hi, lo) ->
         let addr = Ipv6_addr.make hi lo in
-        Ipv6_addr.equal addr (Ipv6_addr.of_string (Ipv6_addr.to_string addr)));
-    Test.make ~name:"mac string roundtrip" ~count:500
-      (map Int64.of_int int)
-      (fun raw ->
-        let m = Mac.of_int64 raw in
-        Mac.equal m (Mac.of_string (Mac.to_string m)));
+        addr = Ipv6_addr.of_string (Ipv6_addr.to_string addr));
     Test.make ~name:"histogram total equals additions" ~count:200
       (list (float_range (-1000.0) 1000.0))
       (fun values ->
@@ -293,7 +272,6 @@ let suites =
     ( "netcore.histogram",
       [
         Alcotest.test_case "binning" `Quick test_histogram_binning;
-        Alcotest.test_case "merge" `Quick test_histogram_merge;
         Alcotest.test_case "float counts" `Quick test_histogram_float_counts;
         Alcotest.test_case "int path exact" `Quick test_histogram_int_path_exact;
         Alcotest.test_case "log2" `Quick test_log2_histogram;

@@ -5,8 +5,8 @@ let frame ?(vlan = Some 100) ?(dst_port = 443) ?(payload = 100) () =
   let base =
     [
       H.Ethernet
-        { src = Netcore.Mac.of_string "02:00:00:00:00:01";
-          dst = Netcore.Mac.of_string "02:00:00:00:00:02" };
+        { src = Netcore.Mac.of_int64 0x020000000001L;
+          dst = Netcore.Mac.of_int64 0x020000000002L };
     ]
   in
   let tags =

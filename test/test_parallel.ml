@@ -1,6 +1,6 @@
-(* The domain work pool: ordering, error propagation, chunking, and the
-   end-to-end property that parallel analysis equals sequential output
-   exactly, whatever the pool size or chunking. *)
+(* The domain work pool: ordering, error propagation, and the end-to-end
+   property that parallel analysis equals sequential output exactly,
+   whatever the pool size or grouping. *)
 
 module Pool = Parallel.Pool
 
@@ -47,30 +47,16 @@ let test_exception_propagates () =
       Alcotest.(check (list int)) "pool survives failed batch" [ 2; 3; 4 ]
         (Pool.map pool succ [ 1; 2; 3 ]))
 
-let test_chunk_partitions () =
-  let xs = List.init 10 Fun.id in
-  Alcotest.(check (list (list int)))
-    "contiguous chunks"
-    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ]; [ 9 ] ]
-    (Pool.chunk ~chunk_size:3 xs);
-  Alcotest.(check (list (list int))) "oversized chunk" [ xs ]
-    (Pool.chunk ~chunk_size:100 xs);
-  Alcotest.(check (list (list int))) "empty input" [] (Pool.chunk ~chunk_size:3 [])
-
-let test_fold_chunked_bit_identical () =
-  (* Chunk boundaries depend only on chunk_size, and merges run in chunk
-     order, so even float accumulation is bit-identical at any size. *)
-  let xs = List.init 500 (fun i -> float_of_int (i + 1) *. 0.1) in
-  let run pool =
-    Pool.fold_chunked pool ~chunk_size:64
-      ~map:(List.fold_left ( +. ) 0.0)
-      ~merge:( +. ) ~init:0.0 xs
-  in
-  let seq = run Pool.sequential in
-  Pool.with_pool ~size:2 (fun p ->
-      Alcotest.(check (float 0.0)) "2 domains bit-identical" seq (run p));
-  Pool.with_pool ~size:5 (fun p ->
-      Alcotest.(check (float 0.0)) "5 domains bit-identical" seq (run p))
+(* Contiguous groups of [size] elements (the last may be shorter). *)
+let rec chunks size l =
+  if l = [] then []
+  else
+    let rec split k acc = function
+      | x :: rest when k > 0 -> split (k - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let c, rest = split size [] l in
+    c :: chunks size rest
 
 (* The satellite property: the full digest -> weighted-flow pipeline,
    run through a pool over random chunkings, equals the sequential
@@ -91,7 +77,7 @@ let qcheck_parallel_pipeline_deterministic =
       let groups =
         List.mapi
           (fun i c -> (c, if i mod 2 = 0 then 1.0 else 0.25))
-          (Pool.chunk ~chunk_size seq_acaps)
+          (chunks chunk_size seq_acaps)
       in
       let seq_flows = Analysis.Flows.aggregate ~weights:groups [] in
       Pool.with_pool ~size (fun pool ->
@@ -142,9 +128,6 @@ let suites =
         Alcotest.test_case "map edge cases" `Quick test_map_edge_cases;
         Alcotest.test_case "map_array" `Quick test_map_array;
         Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
-        Alcotest.test_case "chunk partitions" `Quick test_chunk_partitions;
-        Alcotest.test_case "fold_chunked determinism" `Quick
-          test_fold_chunked_bit_identical;
         QCheck_alcotest.to_alcotest qcheck_parallel_pipeline_deterministic;
         QCheck_alcotest.to_alcotest qcheck_sliced_fused_equal_copying;
       ] );

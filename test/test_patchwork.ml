@@ -280,7 +280,7 @@ let test_capture_emits_valid_pcap () =
         Alcotest.(check int) "pcap matches acaps" (List.length sample.Capture.acaps)
           (List.length packets);
         (* Digesting the pcap yields the same stacks. *)
-        let digested = List.map Dissect.Acap.of_packet packets in
+        let digested = Analysis.Digest.pcap_to_acaps buf in
         List.iter2
           (fun (a : Dissect.Acap.record) (b : Dissect.Acap.record) ->
             Alcotest.(check (list string)) "same stack" a.Dissect.Acap.stack
@@ -289,14 +289,13 @@ let test_capture_emits_valid_pcap () =
 
 let test_capture_anonymizes () =
   with_busy_port (fun ~engine:_ ~fabric ~site ~mirror ~port ~resolver ->
-      let rng = Netcore.Rng.create 5 in
       let plain =
-        Capture.run ~fabric ~resolver ~config:Config.default ~rng:(Netcore.Rng.copy rng)
+        Capture.run ~fabric ~resolver ~config:Config.default ~rng:(Netcore.Rng.create 5)
           ~site ~mirror ~mirrored_port:port ()
       in
       let anon_config = { Config.default with Config.anonymize = true } in
       let anon =
-        Capture.run ~fabric ~resolver ~config:anon_config ~rng:(Netcore.Rng.copy rng)
+        Capture.run ~fabric ~resolver ~config:anon_config ~rng:(Netcore.Rng.create 5)
           ~site ~mirror ~mirrored_port:port ()
       in
       match (plain.Capture.acaps, anon.Capture.acaps) with
@@ -370,6 +369,13 @@ let test_coordinator_all_experiment_mode () =
   let config =
     { Config.default with Config.samples_per_run = 2; max_frames_per_sample = 500 }
   in
+  let availability () =
+    List.map
+      (fun (s : Testbed.Info_model.site) ->
+        Allocator.available (Fablib.allocator fabric) ~site:s.Testbed.Info_model.name)
+      (Testbed.Info_model.profilable_sites (Fablib.model fabric))
+  in
+  let before = availability () in
   let report =
     Coordinator.run_occasion ~fabric ~driver ~config ~max_instances:1
       ~start_time:0.0 ~duration:1900.0 ()
@@ -381,11 +387,18 @@ let test_coordinator_all_experiment_mode () =
        (List.exists
           (fun r -> r.Coordinator.report_site = "EDUKY")
           report.Coordinator.sites));
-  let rate = Coordinator.success_rate [ report ] in
-  Alcotest.(check bool) "mostly successful" true (rate > 0.8);
+  let ok =
+    List.filter
+      (fun r ->
+        match r.Coordinator.outcome with
+        | Coordinator.Site_success | Coordinator.Site_degraded -> true
+        | Coordinator.Site_failed _ | Coordinator.Site_incomplete _ -> false)
+      report.Coordinator.sites
+  in
+  Alcotest.(check bool) "mostly successful" true
+    (float_of_int (List.length ok) > 0.8 *. float_of_int n_sites);
   (* Resources are yielded back after gathering. *)
-  Alcotest.(check int) "slices released" 0
-    (Allocator.active_slices (Fablib.allocator fabric))
+  Alcotest.(check bool) "slices released" true (availability () = before)
 
 let test_coordinator_outage_fails_sites () =
   let _, fabric = make_fabric ~seed:16 () in
@@ -398,8 +411,6 @@ let test_coordinator_outage_fails_sites () =
     Coordinator.run_occasion ~fabric ~driver ~config ~max_instances:1
       ~start_time:0.0 ~duration:1200.0 ()
   in
-  Alcotest.(check (float 1e-9)) "nothing succeeds in an outage" 0.0
-    (Coordinator.success_rate [ report ]);
   List.iter
     (fun r ->
       match r.Coordinator.outcome with
@@ -414,11 +425,11 @@ let test_logging_order_and_count () =
   Logging.log log ~time:1.0 ~level:Logging.Info ~component:"a" "first";
   Logging.log log ~time:2.0 ~level:Logging.Error ~component:"b" "second";
   Logging.log log ~time:3.0 ~level:Logging.Warning ~component:"c" "third";
-  let entries = Logging.entries log in
+  let entries = List.map snd (Logging.drain_since log ~seq:0) in
   Alcotest.(check int) "three entries" 3 (List.length entries);
   Alcotest.(check string) "oldest first" "first" (List.hd entries).Logging.event;
   Alcotest.(check int) "warnings and up" 2 (Logging.count ~min_level:Logging.Warning log);
-  Alcotest.(check int) "errors" 1 (List.length (Logging.errors log))
+  Alcotest.(check int) "errors" 1 (Logging.count ~min_level:Logging.Error log)
 
 let suites =
   [

@@ -36,7 +36,6 @@ let test_engine_run_until () =
   Engine.run ~until:5.0 engine;
   Alcotest.(check (list (float 1e-9))) "only early events" [ 1.0; 2.0 ] (List.rev !fired);
   Alcotest.(check (float 1e-9)) "clock clamped" 5.0 (Engine.now engine);
-  Alcotest.(check int) "one pending" 1 (Engine.pending engine);
   Engine.run engine;
   Alcotest.(check int) "late event fires" 3 (List.length !fired)
 
@@ -51,14 +50,6 @@ let test_engine_nested_scheduling () =
   Engine.run engine;
   Alcotest.(check int) "chain of 10" 10 !count;
   Alcotest.(check (float 1e-9)) "final time" 10.0 (Engine.now engine)
-
-let test_engine_cancel () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  let id = Engine.schedule_id engine ~delay:1.0 (fun _ -> fired := true) in
-  Engine.cancel engine id;
-  Engine.run engine;
-  Alcotest.(check bool) "cancelled" false !fired
 
 let test_engine_negative_delay_rejected () =
   let engine = Engine.create () in
@@ -113,9 +104,8 @@ let test_engine_batch_equals_per_event () =
               trace := (k, -1, Engine.now e) :: !trace)
         | `Batch times ->
           if batched then
-            ignore
-              (Engine.schedule_batch engine ~times (fun e i ->
-                   trace := (k, i, Engine.now e) :: !trace))
+            Engine.schedule_batch engine ~times (fun e i ->
+                trace := (k, i, Engine.now e) :: !trace)
           else
             Array.iteri
               (fun i t ->
@@ -134,64 +124,56 @@ let test_engine_batch_ties_interleave () =
      scheduling order, exactly as per-event scheduling would. *)
   let engine = Engine.create () in
   let order = ref [] in
-  ignore
-    (Engine.schedule_batch engine ~times:[| 1.0; 1.0 |] (fun _ i ->
-         order := Printf.sprintf "a%d" i :: !order));
+  Engine.schedule_batch engine ~times:[| 1.0; 1.0 |] (fun _ i ->
+      order := Printf.sprintf "a%d" i :: !order);
   Engine.schedule engine ~delay:1.0 (fun _ -> order := "s" :: !order);
-  ignore
-    (Engine.schedule_batch engine ~times:[| 1.0 |] (fun _ i ->
-         order := Printf.sprintf "b%d" i :: !order));
+  Engine.schedule_batch engine ~times:[| 1.0 |] (fun _ i ->
+      order := Printf.sprintf "b%d" i :: !order);
   Engine.run engine;
   Alcotest.(check (list string)) "fifo across batches and singles"
     [ "a0"; "a1"; "s"; "b0" ] (List.rev !order)
 
-let test_engine_batch_cancellation () =
+let test_engine_batch_counters () =
   let engine = Engine.create () in
   let fired = ref [] in
-  let id0 =
-    Engine.schedule_batch engine ~times:[| 1.0; 2.0; 3.0; 4.0 |] (fun _ i ->
-        fired := i :: !fired)
-  in
-  (* Cancel the 2nd and 4th batch events by id = id0 + i, and a single
-     scheduled in between. *)
-  let sid = Engine.schedule_id engine ~delay:2.5 (fun _ -> fired := 99 :: !fired) in
-  Engine.cancel engine (id0 + 1);
-  Engine.cancel engine (id0 + 3);
-  Engine.cancel engine sid;
+  Engine.schedule_batch engine ~times:[| 1.0; 2.0; 3.0; 4.0 |] (fun _ i ->
+      fired := i :: !fired);
+  Engine.schedule engine ~delay:2.5 (fun _ -> fired := 99 :: !fired);
   Engine.run engine;
-  Alcotest.(check (list int)) "only uncancelled batch events" [ 0; 2 ]
+  Alcotest.(check (list int)) "batch and single in time order" [ 0; 1; 99; 2; 3 ]
     (List.rev !fired);
-  Alcotest.(check int) "executed counts cancelled deliveries" 5
+  Alcotest.(check int) "executed counts every delivery" 5
     (Engine.executed engine);
   Alcotest.(check int) "batched_total" 4 (Engine.batched_total engine)
 
 let test_engine_batch_pending_and_run_until () =
   let engine = Engine.create () in
-  ignore
-    (Engine.schedule_batch engine ~times:[| 1.0; 2.0; 10.0 |] (fun _ _ -> ()));
-  Engine.schedule engine ~delay:5.0 (fun _ -> ());
-  Alcotest.(check int) "pending counts batch events" 4 (Engine.pending engine);
+  let fired = ref [] in
+  Engine.schedule_batch engine ~times:[| 1.0; 2.0; 10.0 |] (fun e _ ->
+      fired := Engine.now e :: !fired);
+  Engine.schedule engine ~delay:5.0 (fun e -> fired := Engine.now e :: !fired);
   Engine.run ~until:6.0 engine;
-  Alcotest.(check int) "late batch event still pending" 1 (Engine.pending engine);
+  Alcotest.(check (list (float 1e-9))) "late batch event still pending"
+    [ 1.0; 2.0; 5.0 ] (List.rev !fired);
   Alcotest.(check (float 1e-9)) "clock clamped" 6.0 (Engine.now engine);
   Engine.run engine;
-  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+  Alcotest.(check int) "drained" 4 (Engine.executed engine)
 
 let test_engine_batch_validation () =
   let engine = Engine.create () in
   Alcotest.check_raises "descending times"
     (Invalid_argument "Engine.schedule_batch: times not ascending") (fun () ->
-      ignore (Engine.schedule_batch engine ~times:[| 2.0; 1.0 |] (fun _ _ -> ())));
+      Engine.schedule_batch engine ~times:[| 2.0; 1.0 |] (fun _ _ -> ()));
   Engine.schedule engine ~delay:5.0 (fun _ -> ());
   Engine.run engine;
   Alcotest.check_raises "past time"
     (Invalid_argument "Engine.schedule_batch: time in the past") (fun () ->
-      ignore (Engine.schedule_batch engine ~times:[| 1.0 |] (fun _ _ -> ())));
+      Engine.schedule_batch engine ~times:[| 1.0 |] (fun _ _ -> ()));
   (* Empty batches are a no-op and must not consume sequence numbers:
      two ties scheduled around one still fire in order. *)
   let order = ref [] in
   Engine.schedule engine ~delay:1.0 (fun _ -> order := 1 :: !order);
-  ignore (Engine.schedule_batch engine ~times:[||] (fun _ _ -> ()));
+  Engine.schedule_batch engine ~times:[||] (fun _ _ -> ());
   Engine.schedule engine ~delay:1.0 (fun _ -> order := 2 :: !order);
   Engine.run engine;
   Alcotest.(check (list int)) "no-op empty batch" [ 1; 2 ] (List.rev !order)
@@ -218,7 +200,8 @@ let test_ts_append_and_range () =
   for i = 0 to 9 do
     Timeseries.append ts ~key:"a" ~time:(float_of_int i) (float_of_int (i * i))
   done;
-  Alcotest.(check int) "length" 10 (Timeseries.length ts ~key:"a");
+  Alcotest.(check int) "length" 10
+    (List.length (Timeseries.range ts ~key:"a" ~start_time:0.0 ~end_time:9.0));
   let r = Timeseries.range ts ~key:"a" ~start_time:3.0 ~end_time:6.0 in
   Alcotest.(check int) "range size" 4 (List.length r);
   Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "last"
@@ -231,31 +214,6 @@ let test_ts_monotonic_enforced () =
     (Invalid_argument "Timeseries.append: time went backwards") (fun () ->
       Timeseries.append ts ~key:"a" ~time:4.0 2.0)
 
-let test_ts_rate () =
-  let ts = Timeseries.create () in
-  (* Counter increasing 100 bytes/s. *)
-  for i = 0 to 10 do
-    Timeseries.append ts ~key:"ctr" ~time:(float_of_int (i * 10))
-      (float_of_int (i * 1000))
-  done;
-  match Timeseries.rate ts ~key:"ctr" ~window:50.0 ~at:100.0 with
-  | None -> Alcotest.fail "expected a rate"
-  | Some r -> Alcotest.(check (float 1e-6)) "rate" 100.0 r
-
-let test_ts_rate_insufficient () =
-  let ts = Timeseries.create () in
-  Timeseries.append ts ~key:"x" ~time:0.0 5.0;
-  Alcotest.(check (option (float 1.0))) "one sample" None
-    (Timeseries.rate ts ~key:"x" ~window:10.0 ~at:5.0);
-  Alcotest.(check (option (float 1.0))) "missing key" None
-    (Timeseries.rate ts ~key:"y" ~window:10.0 ~at:5.0)
-
-let test_ts_keys () =
-  let ts = Timeseries.create () in
-  Timeseries.append ts ~key:"b" ~time:0.0 0.0;
-  Timeseries.append ts ~key:"a" ~time:0.0 0.0;
-  Alcotest.(check (list string)) "sorted keys" [ "a"; "b" ] (Timeseries.keys ts)
-
 let suites =
   [
     ( "simcore.engine",
@@ -265,7 +223,6 @@ let suites =
         Alcotest.test_case "clock advance" `Quick test_engine_clock_advances;
         Alcotest.test_case "run until" `Quick test_engine_run_until;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
-        Alcotest.test_case "cancel" `Quick test_engine_cancel;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
         Alcotest.test_case "every" `Quick test_engine_every;
         Alcotest.test_case "heap stress" `Quick test_engine_heap_stress;
@@ -273,8 +230,7 @@ let suites =
           test_engine_batch_equals_per_event;
         Alcotest.test_case "batch fifo ties" `Quick
           test_engine_batch_ties_interleave;
-        Alcotest.test_case "batch cancellation" `Quick
-          test_engine_batch_cancellation;
+        Alcotest.test_case "batch counters" `Quick test_engine_batch_counters;
         Alcotest.test_case "batch pending / run until" `Quick
           test_engine_batch_pending_and_run_until;
         Alcotest.test_case "batch validation" `Quick
@@ -284,8 +240,5 @@ let suites =
       [
         Alcotest.test_case "append and range" `Quick test_ts_append_and_range;
         Alcotest.test_case "monotonic time" `Quick test_ts_monotonic_enforced;
-        Alcotest.test_case "counter rate" `Quick test_ts_rate;
-        Alcotest.test_case "rate edge cases" `Quick test_ts_rate_insufficient;
-        Alcotest.test_case "sorted keys" `Quick test_ts_keys;
       ] );
   ]

@@ -199,23 +199,6 @@ let test_telemetry_window_edges () =
   Alcotest.(check (float 1e-9)) "window before data" 0.0
     (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:100.0 ~at:300.0)
 
-let test_telemetry_weekly_buckets () =
-  let engine = Engine.create () in
-  let tel = Telemetry.create engine in
-  let store = Telemetry.store tel in
-  let week = Netcore.Timebase.week in
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:0.0 1.0;
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:(week -. 1.0) 2.0;
-  (* The first instant of week 1 lands in bucket 1, not 0. *)
-  Simcore.Timeseries.append store ~key:"S/p1/tx_rate" ~time:week 4.0;
-  (* Rx series and weeks beyond the horizon are ignored. *)
-  Simcore.Timeseries.append store ~key:"S/p0/rx_rate" ~time:week 100.0;
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:(3.0 *. week) 8.0;
-  let sums = Telemetry.weekly_rate_sums tel ~weeks:2 in
-  Alcotest.(check int) "length" 2 (Array.length sums);
-  Alcotest.(check (float 1e-9)) "week 0" 3.0 sums.(0);
-  Alcotest.(check (float 1e-9)) "week 1 sums across ports" 4.0 sums.(1)
-
 let test_telemetry_export_metrics () =
   let engine = Engine.create () in
   let sw = Switch.create engine ~site_name:"S" ~ports:2 ~line_rate:100e9 in
@@ -259,11 +242,9 @@ let test_allocator_lifecycle () =
   | Ok slice ->
     let during = (Allocator.available alloc ~site).Allocator.avail_dedicated_nics in
     Alcotest.(check int) "nic consumed" (before - 1) during;
-    Alcotest.(check int) "one live slice" 1 (Allocator.active_slices alloc);
     Allocator.delete_slice alloc slice;
     let after = (Allocator.available alloc ~site).Allocator.avail_dedicated_nics in
-    Alcotest.(check int) "nic released" before after;
-    Alcotest.(check int) "no live slices" 0 (Allocator.active_slices alloc)
+    Alcotest.(check int) "nic released" before after
 
 let test_allocator_insufficient () =
   let _, model, alloc = make_allocator () in
@@ -303,14 +284,6 @@ let test_allocator_external_pressure () =
   Allocator.set_external_utilization alloc ~site 0.0;
   Alcotest.(check bool) "released" true
     ((Allocator.available alloc ~site).Allocator.avail_dedicated_nics > 0)
-
-let test_allocator_latency_grows () =
-  let _, _, alloc = make_allocator () in
-  let lat n =
-    Allocator.allocation_latency alloc
-      { Allocator.site = "X"; vms = List.init n (fun _ -> vm ()) }
-  in
-  Alcotest.(check bool) "bigger slices are slower" true (lat 10 > lat 1)
 
 (* --- Fablib facade --- *)
 
@@ -355,7 +328,6 @@ let suites =
         Alcotest.test_case "port rates" `Quick test_telemetry_rates;
         Alcotest.test_case "busiest port" `Quick test_telemetry_busiest;
         Alcotest.test_case "window edges" `Quick test_telemetry_window_edges;
-        Alcotest.test_case "weekly buckets" `Quick test_telemetry_weekly_buckets;
         Alcotest.test_case "export metrics" `Quick test_telemetry_export_metrics;
       ] );
     ( "testbed.allocator",
@@ -364,7 +336,6 @@ let suites =
         Alcotest.test_case "insufficient resources" `Quick test_allocator_insufficient;
         Alcotest.test_case "backend outage" `Quick test_allocator_outage;
         Alcotest.test_case "external pressure" `Quick test_allocator_external_pressure;
-        Alcotest.test_case "latency grows with size" `Quick test_allocator_latency_grows;
       ] );
     ("testbed.fablib", [ Alcotest.test_case "port layout" `Quick test_fablib_ports ]);
   ]

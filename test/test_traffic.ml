@@ -9,8 +9,8 @@ let rng () = Netcore.Rng.create 11
 let simple_template () =
   [
     H.Ethernet
-      { src = Netcore.Mac.of_string "02:00:00:00:00:01";
-        dst = Netcore.Mac.of_string "02:00:00:00:00:02" };
+      { src = Netcore.Mac.of_int64 0x020000000001L;
+        dst = Netcore.Mac.of_int64 0x020000000002L };
     H.Ipv4
       { src = Netcore.Ipv4_addr.of_string "10.0.0.1";
         dst = Netcore.Ipv4_addr.of_string "10.0.0.2";
@@ -28,11 +28,7 @@ let make_spec ?(subflows = 1) ?(byte_rate = 1e6) () =
 let test_spec_rates () =
   let spec = make_spec () in
   Alcotest.(check (float 1e-9)) "frame rate" 1000.0 (Flow_model.frame_rate spec);
-  Alcotest.(check (float 1e-9)) "end time" 160.0 (Flow_model.end_time spec);
-  Alcotest.(check bool) "active inside" true (Flow_model.active_at spec 130.0);
-  Alcotest.(check bool) "inactive before" false (Flow_model.active_at spec 99.0);
-  Alcotest.(check bool) "inactive after" false (Flow_model.active_at spec 160.0);
-  Alcotest.(check (float 1e-3)) "total bytes" 6e7 (Flow_model.total_bytes spec)
+  Alcotest.(check (float 1e-9)) "end time" 160.0 (Flow_model.end_time spec)
 
 let test_spec_rejects_bad_template () =
   let bad = [ List.nth (simple_template ()) 1 ] in
@@ -290,7 +286,6 @@ let test_driver_attaches_and_detaches () =
   let driver = Driver.create fabric ~seed:5 in
   Driver.start driver ~until:7200.0;
   Simcore.Engine.run ~until:7200.0 engine;
-  Alcotest.(check bool) "flows were spawned" true (Driver.spawned_flows driver > 50);
   Alcotest.(check bool) "some flows live" true (Driver.live_flow_count driver > 0);
   (* Every live flow resolves to a spec that is active now. *)
   let now = Simcore.Engine.now engine in
@@ -306,8 +301,7 @@ let test_driver_attaches_and_detaches () =
               | None -> Alcotest.fail "attached flow lacks spec"
               | Some spec ->
                 Alcotest.(check bool) "spec active" true
-                  (Flow_model.active_at spec now
-                  || Flow_model.end_time spec >= now))
+                  (Flow_model.end_time spec >= now))
             (Testbed.Switch.attachments sw ~port))
         (Testbed.Fablib.all_ports fabric ~site:site.Testbed.Info_model.name))
     m.Testbed.Info_model.sites;

@@ -699,7 +699,7 @@ let test_federation_scrape_and_dead_target () =
   in
   let server = Http.create ~port:0 handler in
   let port = Http.port server in
-  let bg = Parallel.Background.spawn ~name:"fed-test" (fun () -> Http.run server) in
+  let bg = Parallel.Background.spawn (fun () -> Http.run server) in
   Fun.protect
     ~finally:(fun () ->
       Http.stop server;
@@ -724,8 +724,9 @@ let test_federation_scrape_and_dead_target () =
         Fed.create ~timeout_s:1.0
           ~log:(fun msg -> logged := msg :: !logged)
           [
-            Fed.target ~site:"STAR" ~port ();
-            Fed.target ~site:"WASH" ~port:dead_port ();
+            Result.get_ok (Fed.target_of_string (Printf.sprintf "STAR=%d" port));
+            Result.get_ok
+              (Fed.target_of_string (Printf.sprintf "WASH=%d" dead_port));
           ]
       in
       let pts = Fed.scrape fed ~at:100.0 in
