@@ -38,7 +38,8 @@ let cycling () =
         List.length
           (List.filter
              (fun (s : Patchwork.Capture.sample) ->
-               s.Patchwork.Capture.stats.Patchwork.Capture.offered_frames > 0.0)
+               s.Patchwork.Capture.stats.Patchwork.Capture.loss
+                 .Patchwork.Capture.b_offered_frames > 0.0)
              samples)
       in
       let ports =
@@ -51,7 +52,9 @@ let cycling () =
       let frames =
         List.fold_left
           (fun acc (s : Patchwork.Capture.sample) ->
-            acc +. s.Patchwork.Capture.stats.Patchwork.Capture.offered_frames)
+            acc
+            +. s.Patchwork.Capture.stats.Patchwork.Capture.loss
+                 .Patchwork.Capture.b_offered_frames)
           0.0 samples
       in
       Paper.row "%-24s %6d / %-6d %14d %12.2e" name active (List.length samples)

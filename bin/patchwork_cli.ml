@@ -8,7 +8,7 @@
      generate  synthesize a pcap of FABRIC-style traffic
      analyze   run the offline pipeline over a capture and emit CSVs
      query     scan a flow store written by weekly --flow-store
-     report    render the per-occasion span tree + drop/loss attribution
+     report    render the per-occasion span tree + the loss ledger
      release   anonymize + truncate a capture for public release
      capacity  query the capture-path capacity models
      doctor    audit a live service or stored history: ledger
@@ -870,86 +870,28 @@ let rec print_span ~indent j =
   | Some (J.Arr children) -> List.iter (print_span ~indent:(indent + 2)) children
   | _ -> ()
 
-(* Per-site drop/loss attribution from the capture counters: where along
-   the mirror -> switch -> host path frames were lost (Fig. 9's loss
-   taxonomy, aggregated per site). *)
-let print_attribution metrics =
-  let sites = Hashtbl.create 8 in
-  let site_row site =
-    match Hashtbl.find_opt sites site with
-    | Some r -> r
-    | None ->
-      let r = Array.make 4 0.0 in
-      Hashtbl.add sites site r;
-      r
-  in
-  let col = function
-    | "capture_offered_frames_total" -> Some 0
-    | "capture_switch_dropped_frames_total" -> Some 1
-    | "capture_host_dropped_frames_total" -> Some 2
-    | "capture_frames_total" -> Some 3
-    | _ -> None
-  in
-  List.iter
-    (fun m ->
-      match Option.bind (J.member "name" m) J.to_str with
-      | None -> ()
-      | Some name -> (
-        match
-          ( col name,
-            Option.bind (J.member "labels" m) (J.member "site")
-            |> Fun.flip Option.bind J.to_str,
-            Option.bind (J.member "value" m) J.to_float )
-        with
-        | Some c, Some site, Some v -> (site_row site).(c) <- v
-        | _ -> ()))
-    metrics;
-  if Hashtbl.length sites = 0 then
-    print_endline "no capture counters in snapshot (analyze-only run)"
-  else begin
-    print_endline "drop/loss attribution:";
-    Printf.printf "  %-8s %12s %12s %12s %12s %8s\n" "site" "offered"
-      "switch-drop" "host-drop" "captured" "loss%";
-    let rows =
-      List.sort compare
-        (Hashtbl.fold (fun site r acc -> (site, r) :: acc) sites [])
-    in
-    let totals = Array.make 4 0.0 in
-    List.iter
-      (fun (site, (r : float array)) ->
-        Array.iteri (fun i v -> totals.(i) <- totals.(i) +. v) r;
-        let loss =
-          if r.(0) > 0.0 then 100.0 *. (r.(1) +. r.(2)) /. r.(0) else 0.0
-        in
-        Printf.printf "  %-8s %12.0f %12.0f %12.0f %12.0f %7.2f%%\n" site r.(0)
-          r.(1) r.(2) r.(3) loss)
-      rows;
-    let loss =
-      if totals.(0) > 0.0 then
-        100.0 *. (totals.(1) +. totals.(2)) /. totals.(0)
-      else 0.0
-    in
-    Printf.printf "  %-8s %12.0f %12.0f %12.0f %12.0f %7.2f%%\n" "TOTAL"
-      totals.(0) totals.(1) totals.(2) totals.(3) loss
-  end
-
-(* The loss waterfall: the ledger's per-site, per-cause attribution from
-   the snapshot's [ledger_*] counters, rendered as offered -> each cause
-   -> stored so the whole budget is visible at once.  Silent when the
-   snapshot predates the ledger (or it was disabled). *)
+(* The loss table: the ledger's per-site, per-cause attribution from the
+   snapshot's [ledger_*] counters, rendered as offered -> each cause ->
+   stored so the whole budget is visible at once, then the same
+   waterfall summed across sites. *)
 let print_loss_waterfall metrics =
   let member_str k m = Option.bind (J.member k m) J.to_str in
   let label k m =
     Option.bind (J.member "labels" m) (J.member k) |> Fun.flip Option.bind J.to_str
   in
   let value m = Option.bind (J.member "value" m) J.to_float in
+  let new_row () = (ref 0.0, ref 0.0, Hashtbl.create 8) in
+  let add_cause causes cause v =
+    Hashtbl.replace causes cause
+      (v +. Option.value ~default:0.0 (Hashtbl.find_opt causes cause))
+  in
   (* site -> (offered, stored, (cause -> frames)) *)
   let sites = Hashtbl.create 8 in
   let site_row site =
     match Hashtbl.find_opt sites site with
     | Some r -> r
     | None ->
-      let r = (ref 0.0, ref 0.0, Hashtbl.create 8) in
+      let r = new_row () in
       Hashtbl.add sites site r;
       r
   in
@@ -970,34 +912,40 @@ let print_loss_waterfall metrics =
         | None -> ()
         | Some cause ->
           let _, _, causes = site_row site in
-          Hashtbl.replace causes cause
-            (v +. Option.value ~default:0.0 (Hashtbl.find_opt causes cause)))
+          add_cause causes cause v)
       | _ -> ())
     metrics;
-  if Hashtbl.length sites > 0 then begin
-    print_newline ();
+  if Hashtbl.length sites = 0 then
+    print_endline "no loss ledger in snapshot (analyze-only run)"
+  else begin
     print_endline "loss waterfall (attribution ledger):";
-    let rows =
-      List.sort compare
-        (Hashtbl.fold (fun site r acc -> (site, r) :: acc) sites [])
+    let print_block site (offered, stored, causes) =
+      let pct v = if !offered > 0.0 then 100.0 *. v /. !offered else 0.0 in
+      Printf.printf "  %-8s offered %14.0f frames\n" site !offered;
+      let cause_rows =
+        List.sort (fun (_, a) (_, b) -> compare b a)
+          (Hashtbl.fold (fun c v acc -> (c, v) :: acc) causes [])
+      in
+      List.iter
+        (fun (cause, v) ->
+          if v > 0.0 then
+            Printf.printf "  %-8s   - %-20s %10.0f  %6.2f%%\n" "" cause v (pct v))
+        cause_rows;
+      Printf.printf "  %-8s   = stored %18.0f  %6.2f%%\n" "" !stored
+        (pct !stored)
     in
+    let rows =
+      List.sort compare (Hashtbl.fold (fun site r acc -> (site, r) :: acc) sites [])
+    in
+    let ((t_offered, t_stored, t_causes) as total) = new_row () in
     List.iter
-      (fun (site, (offered, stored, causes)) ->
-        let pct v = if !offered > 0.0 then 100.0 *. v /. !offered else 0.0 in
-        Printf.printf "  %-8s offered %14.0f frames\n" site !offered;
-        let cause_rows =
-          List.sort (fun (_, a) (_, b) -> compare b a)
-            (Hashtbl.fold (fun c v acc -> (c, v) :: acc) causes [])
-        in
-        List.iter
-          (fun (cause, v) ->
-            if v > 0.0 then
-              Printf.printf "  %-8s   - %-20s %10.0f  %6.2f%%\n" "" cause v
-                (pct v))
-          cause_rows;
-        Printf.printf "  %-8s   = stored %18.0f  %6.2f%%\n" "" !stored
-          (pct !stored))
+      (fun (site, ((offered, stored, causes) as r)) ->
+        print_block site r;
+        t_offered := !t_offered +. !offered;
+        t_stored := !t_stored +. !stored;
+        Hashtbl.iter (add_cause t_causes) causes)
       rows;
+    print_block "TOTAL" total;
     if !violations > 0.0 then
       Printf.printf
         "  WARNING: %.0f conservation violation%s recorded (run doctor)\n"
@@ -1038,7 +986,6 @@ let render_report doc =
   print_newline ();
   match J.member "metrics" doc with
   | Some (J.Arr metrics) ->
-    print_attribution metrics;
     print_loss_waterfall metrics;
     print_fastpath_lines metrics
   | _ -> print_endline "no metrics in snapshot"
@@ -1120,8 +1067,8 @@ let report_cmd =
   let info =
     Cmd.info "report"
       ~doc:
-        "Render the per-occasion span tree and drop/loss attribution from a \
-         metrics snapshot (or from a fresh occasion), scrape a live \
+        "Render the per-occasion span tree and the loss ledger's waterfall \
+         from a metrics snapshot (or from a fresh occasion), scrape a live \
          service with $(b,--live), or render stored telemetry trends \
          with $(b,--history)"
   in

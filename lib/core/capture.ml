@@ -2,11 +2,24 @@ module Switch = Testbed.Switch
 module Fablib = Testbed.Fablib
 module Flow_model = Traffic.Flow_model
 
+(* The whole-sample loss split the attribution ledger records: every
+   offered frame/byte lands in exactly one bucket — stored, or one of
+   the loss causes — so `offered = stored + Σ attributed` holds by
+   construction (up to float association, well inside the ledger's
+   1e-6 relative tolerance). *)
+type breakdown = {
+  b_offered_frames : float;
+  b_offered_bytes : float;  (** wire bytes, no pcap record headers *)
+  b_switch_dropped : float;
+  b_host_dropped : float;  (** total host loss, throttling included *)
+  b_captured_frames : float;
+  b_host_keep : float;  (** host keep rate, throttle included *)
+  b_stored_wire_bytes : float;  (** wire bytes of stored frames *)
+  b_causes : (Obs.Ledger.cause * float * float) list;
+}
+
 type stats = {
-  offered_frames : float;
-  switch_dropped : float;
-  host_dropped : float;
-  captured_frames : float;
+  loss : breakdown;
   stored_bytes : float;
   flow_estimate : float;
   congestion_detected : bool;
@@ -162,23 +175,10 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
     frames_built = !built;
   }
 
-(* Aggregate capture counters, registered at module init so the
-   families exist (at zero) in every snapshot — the offline analyze
-   path never runs a capture but its metrics dump still shows the
-   switch/host drop series.  Per-site series are registered on first
-   use. *)
-let obs_offered =
-  Obs.Registry.counter Obs.Registry.default "capture_offered_frames_total"
-    ~help:"Frames offered to the mirror across all sites"
-
-let obs_switch_dropped =
-  Obs.Registry.counter Obs.Registry.default "capture_switch_dropped_frames_total"
-    ~help:"Frames dropped at the switch mirror (egress overflow)"
-
-let obs_host_dropped =
-  Obs.Registry.counter Obs.Registry.default "capture_host_dropped_frames_total"
-    ~help:"Frames dropped at the capture host (capacity exceeded)"
-
+(* Capture counters, registered at module init so the families exist
+   (at zero) in every snapshot, the offline analyze path's included.
+   Loss is not counted here: the ledger accounts for it, per site and
+   cause, in its [ledger_*_total] counters. *)
 let obs_captured =
   Obs.Registry.counter Obs.Registry.default "capture_frames_total"
     ~help:"Frames captured and stored"
@@ -203,30 +203,14 @@ let obs_frames_built =
   Obs.Registry.counter Obs.Registry.default "capture_frames_built_total"
     ~help:"Frames the capture built per draw (pcap writing and FPGA offload)"
 
-let site_counter name site =
-  Obs.Registry.counter Obs.Registry.default name ~labels:[ ("site", site) ]
-
-let record_sample_metrics ~site ~offered ~switch_dropped ~host_dropped ~captured
-    ~stored ~congested ~materialized:m =
+let record_sample_metrics ~captured ~stored ~congested ~materialized:m =
   if Obs.Registry.enabled () then begin
     Obs.Registry.inc obs_records (float_of_int (List.length m.records));
     Obs.Registry.inc obs_classes (float_of_int m.classes);
     Obs.Registry.inc obs_frames_built (float_of_int m.frames_built);
-    Obs.Registry.inc obs_offered offered;
-    Obs.Registry.inc obs_switch_dropped switch_dropped;
-    Obs.Registry.inc obs_host_dropped host_dropped;
     Obs.Registry.inc obs_captured captured;
     Obs.Registry.inc obs_stored_bytes stored;
-    Obs.Registry.inc (site_counter "capture_offered_frames_total" site) offered;
-    Obs.Registry.inc
-      (site_counter "capture_switch_dropped_frames_total" site)
-      switch_dropped;
-    Obs.Registry.inc (site_counter "capture_host_dropped_frames_total" site) host_dropped;
-    Obs.Registry.inc (site_counter "capture_frames_total" site) captured;
-    if congested then begin
-      Obs.Registry.incr obs_congestion;
-      Obs.Registry.incr (site_counter "capture_congestion_samples_total" site)
-    end
+    if congested then Obs.Registry.incr obs_congestion
   end
 
 let method_capacity_pps (config : Config.t) =
@@ -246,22 +230,8 @@ let method_capacity_pps (config : Config.t) =
     in
     host *. float_of_int fpga.Hostmodel.Fpga_path.sample_1_in
 
-(* The whole-sample loss split the attribution ledger records: every
-   offered frame/byte lands in exactly one bucket — stored, or one of
-   the loss causes — so `offered = stored + Σ attributed` holds by
-   construction (up to float association, well inside the ledger's
-   1e-6 relative tolerance).  Pure, so the conservation property is
-   qcheck-able over adversarial parameters without a fabric. *)
-type breakdown = {
-  b_offered_frames : float;
-  b_offered_bytes : float;  (** wire bytes, no pcap record headers *)
-  b_switch_dropped : float;
-  b_host_dropped : float;  (** total host loss, throttling included *)
-  b_captured_frames : float;
-  b_stored_wire_bytes : float;  (** wire bytes of stored frames *)
-  b_causes : (Obs.Ledger.cause * float * float) list;
-}
-
+(* Pure, so the conservation property is qcheck-able over adversarial
+   parameters without a fabric. *)
 let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
     ~congested ~capacity_pps ~throttle ~truncation ~host_path =
   let offered_frames = offered_pps *. duration in
@@ -294,6 +264,7 @@ let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
     b_switch_dropped = switch_dropped;
     b_host_dropped = host_dropped;
     b_captured_frames = captured;
+    b_host_keep = keep;
     b_stored_wire_bytes = stored_wire;
     b_causes =
       [
@@ -368,7 +339,6 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   let congestion_detected =
     Switch.mirrored_rate sw mirror *. 8.0 > Switch.line_rate sw
   in
-  let after_switch_pps = offered_pps *. (1.0 -. switch_drop_frac) in
   (* Loss at the host, paced down by page-cache writeback when the
      instance models one (throttle is read at sample start: this
      sample's keep rate reflects the cache state its writes meet). *)
@@ -389,18 +359,10 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
       ~congested:congestion_detected ~capacity_pps:capacity ~throttle
       ~truncation:config.Config.truncation ~host_path
   in
-  let host_keep =
-    if after_switch_pps <= 0.0 then 1.0
-    else Float.min 1.0 (capacity *. throttle /. after_switch_pps)
-  in
-  let offered_frames = b.b_offered_frames in
-  let switch_dropped = b.b_switch_dropped in
-  let host_dropped = b.b_host_dropped in
-  let captured_frames = b.b_captured_frames in
   let stored_per_frame =
     Float.min avg_frame_size (float_of_int config.Config.truncation) +. 16.0
   in
-  let stored_bytes = captured_frames *. stored_per_frame in
+  let stored_bytes = b.b_captured_frames *. stored_per_frame in
   (match page_cache with
   | Some pc ->
     Hostmodel.Page_cache.write pc stored_bytes;
@@ -409,16 +371,16 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   (* Materialization budget: thin uniformly if the sample is heavy. *)
   let budget = float_of_int config.Config.max_frames_per_sample in
   let materialized_fraction =
-    if captured_frames <= budget then host_keep *. (1.0 -. switch_drop_frac)
-    else budget /. offered_frames
+    if b.b_captured_frames <= budget then
+      b.b_host_keep *. (1.0 -. switch_drop_frac)
+    else budget /. b.b_offered_frames
   in
   let m =
     materialize ~config ~rng ~fraction:materialized_fraction ~start_time:now
       ~end_time:window_end specs
   in
   let acaps = m.records in
-  record_sample_metrics ~site ~offered:offered_frames ~switch_dropped
-    ~host_dropped ~captured:captured_frames ~stored:stored_bytes
+  record_sample_metrics ~captured:b.b_captured_frames ~stored:stored_bytes
     ~congested:congestion_detected ~materialized:m;
   if Obs.Ledger.enabled () then
     Obs.Ledger.record_sample Obs.Ledger.default ~site
@@ -435,10 +397,7 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
     pcap = m.pcap;
     stats =
       {
-        offered_frames;
-        switch_dropped;
-        host_dropped;
-        captured_frames;
+        loss = b;
         stored_bytes;
         flow_estimate = flow_estimate specs ~start_time:now ~end_time:window_end;
         congestion_detected;

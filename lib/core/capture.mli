@@ -8,11 +8,30 @@
     records (and optionally real pcap bytes), after the configured
     filter, FPGA pre-processing and anonymization. *)
 
+(** The whole-sample loss split recorded into the attribution ledger:
+    every offered frame/byte lands in exactly one bucket — stored, or
+    one of the loss causes — so [offered = stored + Σ attributed] holds
+    by construction (within the ledger's relative tolerance).  Offered
+    and stored bytes are {e wire} bytes: truncation appears as a
+    bytes-only cause and pcap record headers are excluded. *)
+type breakdown = {
+  b_offered_frames : float;
+  b_offered_bytes : float;
+  b_switch_dropped : float;
+  b_host_dropped : float;  (** total host loss, throttling included *)
+  b_captured_frames : float;
+  b_host_keep : float;
+      (** fraction of the frames past the switch that the host keeps,
+          page-cache throttle included *)
+  b_stored_wire_bytes : float;
+  b_causes : (Obs.Ledger.cause * float * float) list;
+      (** (cause, frames, bytes); zero-amount entries included *)
+}
+
 type stats = {
-  offered_frames : float;  (** frames the mirror tried to clone *)
-  switch_dropped : float;  (** lost at the switch egress queue *)
-  host_dropped : float;  (** lost by the capture path *)
-  captured_frames : float;  (** modeled count that reached storage *)
+  loss : breakdown;
+      (** the sample's loss split, as the ledger records it: offered,
+          switch and host drops, captured frames and their causes *)
   stored_bytes : float;  (** pcap bytes written (with record headers) *)
   flow_estimate : float;
       (** expected number of distinct flows observable in this sample,
@@ -39,23 +58,6 @@ type sample = {
           but snapped to [truncation] bytes with microsecond timestamps,
           so digesting them yields a different profile from [acaps] *)
   stats : stats;
-}
-
-(** The whole-sample loss split recorded into the attribution ledger:
-    every offered frame/byte lands in exactly one bucket — stored, or
-    one of the loss causes — so [offered = stored + Σ attributed] holds
-    by construction (within the ledger's relative tolerance).  Offered
-    and stored bytes are {e wire} bytes: truncation appears as a
-    bytes-only cause and pcap record headers are excluded. *)
-type breakdown = {
-  b_offered_frames : float;
-  b_offered_bytes : float;
-  b_switch_dropped : float;
-  b_host_dropped : float;  (** total host loss, throttling included *)
-  b_captured_frames : float;
-  b_stored_wire_bytes : float;
-  b_causes : (Obs.Ledger.cause * float * float) list;
-      (** (cause, frames, bytes); zero-amount entries included *)
 }
 
 val loss_breakdown :
@@ -124,7 +126,10 @@ val run :
     When [page_cache] is given, the sample's keep rate is paced by the
     cache's current {!Hostmodel.Page_cache.throttle_factor} and the
     sample's stored bytes are written into (and drained from) the
-    cache.  The sample's loss split is folded into
-    [Obs.Ledger.default] while the ledger is enabled, and
+    cache.  The sample's loss split ([stats.loss]) is folded into
+    [Obs.Ledger.default] while the ledger is enabled; the ledger is the
+    one account of loss, per site and cause.  The registry's aggregate
+    [capture_frames_total], [capture_stored_bytes_total] and
+    [capture_congestion_samples_total] count what was kept, and
     [capture_records_total], [capture_classes_total] and
     [capture_frames_built_total] count its {!materialize} work. *)

@@ -80,12 +80,12 @@ module Collector = struct
     c_lock : Mutex.t;
     c_capacity : int;
     tbl : (string * Registry.labels, series) Hashtbl.t;
-    (* Previous snapshot, flattened per cell: counters/gauges as a
-       value, histograms as (count, non-cumulative bins). *)
-    prev : (string * Registry.labels, float) Hashtbl.t;
-    prev_bins : (string * Registry.labels, (float * int) list) Hashtbl.t;
+    (* The previous snapshot, one table per kind of cell: counters and
+       gauges as a value, histograms as non-cumulative bins. *)
+    mutable prev : (string * Registry.labels, float) Hashtbl.t;
+    mutable prev_bins : (string * Registry.labels, (float * int) list) Hashtbl.t;
+    mutable prev_at : float option;  (* [None] until the first collect *)
     mutable prev_wall : float;
-    mutable rounds : int;
   }
 
   let create ?(capacity = 512) () =
@@ -94,18 +94,18 @@ module Collector = struct
       c_lock = Mutex.create ();
       c_capacity = capacity;
       tbl = Hashtbl.create 32;
-      prev = Hashtbl.create 64;
-      prev_bins = Hashtbl.create 8;
+      prev = Hashtbl.create 1;
+      prev_bins = Hashtbl.create 1;
+      prev_at = None;
       prev_wall = 0.0;
-      rounds = 0;
     }
 
   let locked t f =
     Mutex.lock t.c_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.c_lock) f
 
+  (* [labels] sorted. *)
   let get_series t name labels =
-    let labels = List.sort compare labels in
     match Hashtbl.find_opt t.tbl (name, labels) with
     | Some s -> s
     | None ->
@@ -138,80 +138,60 @@ module Collector = struct
       go 0 bins
     end
 
-  let float_of_sample (s : Registry.sample) =
-    match s.Registry.s_value with
-    | Registry.Counter v | Registry.Gauge v -> Some v
-    | Registry.Histogram _ -> None
-
   (* Append one externally computed point (federation staleness series,
      history warm-loads) to the named window. *)
   let push_point t ~name ?(labels = []) ~at value =
-    push (get_series t name labels) ~at value
+    push (get_series t name (List.sort compare labels)) ~at value
 
   let collect_points t ~at reg =
     let snap = Registry.snapshot reg in
     let wall = Clock.now () in
+    (* The snapshot read once, keyed by (name, sorted labels): every
+       delta below looks its cell up here, and the tables become the
+       next collect's baseline. *)
+    let cur = Hashtbl.create (List.length snap) in
+    let cur_bins = Hashtbl.create 8 in
+    List.iter
+      (fun (s : Registry.sample) ->
+        let key = (s.Registry.s_name, s.Registry.s_labels) in
+        match s.Registry.s_value with
+        | Registry.Counter v | Registry.Gauge v -> Hashtbl.replace cur key v
+        | Registry.Histogram h ->
+          Hashtbl.replace cur_bins key (bins_of_buckets h.Registry.h_buckets))
+      snap;
+    let label_values name key =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (s : Registry.sample) ->
+             if s.Registry.s_name = name then List.assoc_opt key s.Registry.s_labels
+             else None)
+           snap)
+    in
     locked t @@ fun () ->
     let pushed = ref [] in
+    (* [record] and [delta] take labels sorted, as the snapshot keys
+       them. *)
     let record name labels v =
-      let labels = List.sort compare labels in
       push (get_series t name labels) ~at v;
       pushed := (name, labels, { at; value = v }) :: !pushed
     in
     let delta name labels =
-      let key = (name, List.sort compare labels) in
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt t.prev key) in
-      let cur =
-        List.find_map
-          (fun (s : Registry.sample) ->
-            if s.Registry.s_name = name && s.Registry.s_labels = snd key then
-              float_of_sample s
-            else None)
-          snap
-      in
-      match cur with Some v -> v -. prev | None -> 0.0
+      match Hashtbl.find_opt cur (name, labels) with
+      | Some v ->
+        v -. Option.value ~default:0.0 (Hashtbl.find_opt t.prev (name, labels))
+      | None -> 0.0
     in
-    let first = t.rounds = 0 in
-    if not first then begin
-      (* Per-site drop rate from the capture counters. *)
-      let sites =
-        List.filter_map
-          (fun (s : Registry.sample) ->
-            if s.Registry.s_name = "capture_offered_frames_total" then
-              List.assoc_opt "site" s.Registry.s_labels
-            else None)
-          snap
-      in
-      List.iter
-        (fun site ->
-          let l = [ ("site", site) ] in
-          let offered = delta "capture_offered_frames_total" l in
-          let dropped =
-            delta "capture_switch_dropped_frames_total" l
-            +. delta "capture_host_dropped_frames_total" l
-          in
-          let v = if offered > 0.0 then dropped /. offered else 0.0 in
-          record "site_drop_rate" l v)
-        (List.sort_uniq compare sites);
+    (match t.prev_at with
+    | None -> ()
+    | Some prev_at ->
       (* Captured bytes per second of the caller's time axis. *)
-      (match Hashtbl.find_opt t.prev ("__at", []) with
-      | Some prev_at when at > prev_at ->
+      if at > prev_at then
         record "captured_bytes_per_s" []
-          (delta "capture_stored_bytes_total" [] /. (at -. prev_at))
-      | _ -> ());
+          (delta "capture_stored_bytes_total" [] /. (at -. prev_at));
       (* Pool busy fraction over the wall-clock delta. *)
-      let domains =
-        List.filter_map
-          (fun (s : Registry.sample) ->
-            if s.Registry.s_name = "pool_domain_busy_seconds_total" then
-              List.assoc_opt "domain" s.Registry.s_labels
-            else None)
-          snap
-      in
-      let domains = List.sort_uniq compare domains in
-      (match domains with
+      (match label_values "pool_domain_busy_seconds_total" "domain" with
       | [] -> ()
-      | _ ->
+      | domains ->
         let busy =
           List.fold_left
             (fun acc d ->
@@ -231,16 +211,7 @@ module Collector = struct
         [ "success"; "degraded"; "failed"; "incomplete" ];
       (* Queue-wait p99 from the delta histogram. *)
       let qw_key = ("pool_queue_wait_seconds", []) in
-      let cur_bins =
-        List.find_map
-          (fun (s : Registry.sample) ->
-            match (s.Registry.s_name, s.Registry.s_value) with
-            | "pool_queue_wait_seconds", Registry.Histogram h ->
-              Some (bins_of_buckets h.Registry.h_buckets)
-            | _ -> None)
-          snap
-      in
-      (match cur_bins with
+      (match Hashtbl.find_opt cur_bins qw_key with
       | None -> ()
       | Some bins ->
         let prev_bins =
@@ -263,29 +234,25 @@ module Collector = struct
          ledger_offered_frames = ledger_stored_frames +
          Σ loss_attributed_frames{cause} (untouched cells pushed no
          point and contribute zero; downsampled buckets are
-         sum-preserving, so the identity survives compaction too). *)
-      let ledger_sites =
-        List.filter_map
-          (fun (s : Registry.sample) ->
-            if s.Registry.s_name = "ledger_offered_frames_total" then
-              List.assoc_opt "site" s.Registry.s_labels
-            else None)
-          snap
-      in
+         sum-preserving, so the identity survives compaction too).
+         The per-site drop rate is the ledger's too, and 0 when nothing
+         was offered, so a [for N] alert clears. *)
       List.iter
         (fun site ->
           let l = [ ("site", site) ] in
           let offered = delta "ledger_offered_frames_total" l in
+          let stored = delta "ledger_stored_frames_total" l in
           if offered > 0.0 then begin
             record "ledger_offered_frames" l offered;
             record "ledger_offered_bytes" l
               (delta "ledger_offered_bytes_total" l);
-            record "ledger_stored_frames" l
-              (delta "ledger_stored_frames_total" l);
+            record "ledger_stored_frames" l stored;
             record "ledger_stored_bytes" l
               (delta "ledger_stored_bytes_total" l)
-          end)
-        (List.sort_uniq compare ledger_sites);
+          end;
+          record "site_drop_rate" l
+            (if offered > 0.0 then (offered -. stored) /. offered else 0.0))
+        (label_values "ledger_offered_frames_total" "site");
       List.iter
         (fun (s : Registry.sample) ->
           if s.Registry.s_name = "ledger_attributed_frames_total" then begin
@@ -297,24 +264,11 @@ module Collector = struct
               record "loss_attributed_bytes" l bytes
             end
           end)
-        snap
-    end;
-    (* Refresh the baseline for the next collect. *)
-    Hashtbl.reset t.prev;
-    Hashtbl.reset t.prev_bins;
-    List.iter
-      (fun (s : Registry.sample) ->
-        match s.Registry.s_value with
-        | Registry.Counter v | Registry.Gauge v ->
-          Hashtbl.replace t.prev (s.Registry.s_name, s.Registry.s_labels) v
-        | Registry.Histogram h ->
-          Hashtbl.replace t.prev_bins
-            (s.Registry.s_name, s.Registry.s_labels)
-            (bins_of_buckets h.Registry.h_buckets))
-      snap;
-    Hashtbl.replace t.prev ("__at", []) at;
+        snap);
+    t.prev <- cur;
+    t.prev_bins <- cur_bins;
+    t.prev_at <- Some at;
     t.prev_wall <- wall;
-    t.rounds <- t.rounds + 1;
     List.rev !pushed
 
   let collect t ~at reg = ignore (collect_points t ~at reg)

@@ -39,13 +39,15 @@ val sparkline : ?width:int -> t -> string
 
 (** Derives operational series from successive snapshots of a registry.
 
-    [collect] computes deltas against the previous snapshot, so the
-    first call only records the baseline; every later call appends one
-    point per derived series:
+    [collect] reads the snapshot once, into a table keyed by (name,
+    sorted labels), and computes deltas against the previous collect's
+    table, so the first call only records the baseline; every later call
+    appends one point per derived series:
 
-    - [site_drop_rate{site}] — [(Δswitch_dropped + Δhost_dropped) /
-      Δoffered] from the [capture_*_frames_total] counters (0 when
-      nothing was offered);
+    - [site_drop_rate{site}] — [(Δledger_offered_frames_total -
+      Δledger_stored_frames_total) / Δoffered] from the loss ledger's
+      per-site counters (0 when nothing was offered, so a [for N] alert
+      clears);
     - [captured_bytes_per_s] — [Δcapture_stored_bytes_total / Δat]
       (the caller's time axis, e.g. simulated seconds);
     - [pool_busy_fraction] — [Δpool_domain_busy_seconds_total] summed
@@ -55,7 +57,10 @@ val sparkline : ?width:int -> t -> string
     - [occasion_outcome_count{outcome}] — [Δoccasion_sites_total];
     - [pool_queue_wait_p99] — the 0.99 quantile upper bound of the
       {e delta} [pool_queue_wait_seconds] histogram (0 when no task was
-      queued between collects). *)
+      queued between collects);
+    - [ledger_{offered,stored}_{frames,bytes}{site}] and
+      [loss_attributed_{frames,bytes}{site,cause}] — the deltas of the
+      ledger's counters, only for the sites and causes that moved. *)
 module Collector : sig
   type series = t
   type t

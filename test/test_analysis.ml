@@ -190,10 +190,17 @@ let sample_with_pcap () =
     pcap = Some (Packet.Pcap.Writer.contents w);
     stats =
       {
-        Patchwork.Capture.offered_frames = 2.0;
-        switch_dropped = 0.0;
-        host_dropped = 0.0;
-        captured_frames = 2.0;
+        Patchwork.Capture.loss =
+          {
+            Patchwork.Capture.b_offered_frames = 2.0;
+            b_offered_bytes = 0.0;
+            b_switch_dropped = 0.0;
+            b_host_dropped = 0.0;
+            b_captured_frames = 2.0;
+            b_host_keep = 1.0;
+            b_stored_wire_bytes = 0.0;
+            b_causes = [];
+          };
         stored_bytes = 300.0;
         flow_estimate = 1.0;
         congestion_detected = false;

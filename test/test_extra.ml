@@ -266,12 +266,12 @@ let test_capture_thinning_consistency () =
       ~resolver:(fun f -> if f = 1 then Some spec else None)
       ~config ~rng:(Rng.create 4) ~site ~mirror ~mirrored_port:d0 ()
   in
-  let stats = sample.Patchwork.Capture.stats in
+  let loss = sample.Patchwork.Capture.stats.Patchwork.Capture.loss in
   (* Offered: 50k fps * 20s = 1M frames; budget 500. *)
   Alcotest.(check bool) "offered large" true
-    (stats.Patchwork.Capture.offered_frames > 900_000.0);
+    (loss.Patchwork.Capture.b_offered_frames > 900_000.0);
   let expected_materialized =
-    stats.Patchwork.Capture.offered_frames
+    loss.Patchwork.Capture.b_offered_frames
     *. sample.Patchwork.Capture.materialized_fraction
   in
   let n = float_of_int (List.length sample.Patchwork.Capture.acaps) in
@@ -280,7 +280,7 @@ let test_capture_thinning_consistency () =
   (* tcpdump cannot keep up with 50k fps?  It can (0.7 Mpps), so the
      only losses are at the materialization stage, which is not loss. *)
   Alcotest.(check (float 1.0)) "no host drops at 50kfps" 0.0
-    stats.Patchwork.Capture.host_dropped
+    loss.Patchwork.Capture.b_host_dropped
 
 (* --- Headers misc --- *)
 

@@ -470,10 +470,18 @@ let sample_of ?(site = "STAR") ?(fraction = 1.0) ?(start = 0.0) records =
     pcap = None;
     stats =
       {
-        Patchwork.Capture.offered_frames = float_of_int (List.length records);
-        switch_dropped = 0.0;
-        host_dropped = 0.0;
-        captured_frames = float_of_int (List.length records);
+        Patchwork.Capture.loss =
+          {
+            Patchwork.Capture.b_offered_frames =
+              float_of_int (List.length records);
+            b_offered_bytes = 0.0;
+            b_switch_dropped = 0.0;
+            b_host_dropped = 0.0;
+            b_captured_frames = float_of_int (List.length records);
+            b_host_keep = 1.0;
+            b_stored_wire_bytes = 0.0;
+            b_causes = [];
+          };
         stored_bytes = 0.0;
         flow_estimate = 1.0;
         congestion_detected = false;

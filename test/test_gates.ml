@@ -114,23 +114,32 @@ let test_decode_registry_overhead () =
 
 (* --- series collect: words per registry cell ----------------------- *)
 
-(* A registry shaped like a federation-wide run: five capture counters
-   per site, per-domain pool counters, the queue-wait histogram and the
-   occasion counter. *)
+(* A registry shaped like a federation-wide run: the ledger counters
+   the collector reads per site (offered and stored frames and bytes,
+   and one attributed cause's frames and bytes), per-domain pool
+   counters, the queue-wait histogram and the occasion counter.  Every
+   ledger cell moves between collects, as after an occasion, so each
+   collect derives every per-site series. *)
+let ledger_cells reg ~sites =
+  List.concat_map
+    (fun i ->
+      let site = ("site", Printf.sprintf "SITE%02d" i) in
+      let cause = [ site; ("cause", "host_drop_kernel") ] in
+      List.map
+        (fun (name, labels) -> Obs.Registry.counter reg name ~labels)
+        [
+          ("ledger_offered_frames_total", [ site ]);
+          ("ledger_offered_bytes_total", [ site ]);
+          ("ledger_stored_frames_total", [ site ]);
+          ("ledger_stored_bytes_total", [ site ]);
+          ("ledger_attributed_frames_total", cause);
+          ("ledger_attributed_bytes_total", cause);
+        ])
+    (List.init sites Fun.id)
+
 let collect_registry ~sites =
   let reg = Obs.Registry.create () in
-  for i = 0 to sites - 1 do
-    let labels = [ ("site", Printf.sprintf "SITE%02d" i) ] in
-    List.iter
-      (fun name -> Obs.Registry.inc (Obs.Registry.counter reg name ~labels) 1e6)
-      [
-        "capture_offered_frames_total";
-        "capture_switch_dropped_frames_total";
-        "capture_host_dropped_frames_total";
-        "capture_frames_total";
-        "capture_stored_bytes_total";
-      ]
-  done;
+  let ledger = ledger_cells reg ~sites in
   for d = 0 to 3 do
     Obs.Registry.inc
       (Obs.Registry.counter reg "pool_domain_busy_seconds_total"
@@ -142,10 +151,10 @@ let collect_registry ~sites =
     Obs.Registry.observe qw (float_of_int i *. 1e-4)
   done;
   ignore (Obs.Registry.counter reg "occasions_total");
-  reg
+  (reg, ledger)
 
 let test_collect_words_per_cell () =
-  let reg = collect_registry ~sites:30 in
+  let reg, ledger = collect_registry ~sites:30 in
   let cells = List.length (Obs.Registry.snapshot reg) in
   let col = Obs.Series.Collector.create () in
   let occasions = Obs.Registry.counter reg "occasions_total" in
@@ -156,6 +165,7 @@ let test_collect_words_per_cell () =
   Fun.protect ~finally:Obs.Clock.reset_source @@ fun () ->
   let collect i =
     Obs.Registry.incr occasions;
+    List.iter (fun c -> Obs.Registry.inc c 1e6) ledger;
     minor_words (fun () ->
         Obs.Series.Collector.collect col ~at:(float_of_int i *. 600.0) reg)
   in

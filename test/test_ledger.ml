@@ -301,6 +301,72 @@ let test_page_cache_attribution () =
       (fun (s : L.site_entry) -> checkb "conserved" true s.L.e_conserved)
       e.L.o_sites
 
+(* --- the collector's site_drop_rate is the ledger's --- *)
+
+let test_site_drop_rate_is_ledgers () =
+  let col = Obs.Series.Collector.create () in
+  Obs.Series.Collector.collect col ~at:0.0 Obs.Registry.default;
+  (* A kernel path slow enough (~2k pps) that the host drops frames. *)
+  let slow =
+    {
+      Hostmodel.Host_profile.default with
+      Hostmodel.Host_profile.kernel_fixed_cost = 5e-4;
+    }
+  in
+  let report, _ =
+    run_occasion
+      ~config:(fun c -> { c with Patchwork.Config.host_profile = slow })
+      ~pool_size:1 77
+  in
+  let points =
+    Obs.Series.Collector.collect_points col
+      ~at:
+        (report.Patchwork.Coordinator.occasion_start
+        +. report.Patchwork.Coordinator.occasion_duration)
+      Obs.Registry.default
+  in
+  let drop_rate site =
+    List.find_map
+      (fun (name, labels, (p : Obs.Series.point)) ->
+        if name = "site_drop_rate" && labels = [ ("site", site) ] then
+          Some p.Obs.Series.value
+        else None)
+      points
+  in
+  (match last_closed L.default with
+  | None -> Alcotest.fail "no closed occasion"
+  | Some e ->
+    checkb "some site lost frames" true
+      (List.exists
+         (fun (s : L.site_entry) -> s.L.e_stored_frames < s.L.e_offered_frames)
+         e.L.o_sites);
+    List.iter
+      (fun (s : L.site_entry) ->
+        check
+          Alcotest.(option (float 1e-12))
+          (s.L.e_site ^ " drop rate")
+          (Some
+             ((s.L.e_offered_frames -. s.L.e_stored_frames)
+             /. s.L.e_offered_frames))
+          (drop_rate s.L.e_site))
+      e.L.o_sites);
+  (* One loss account: the capture keeps no per-site or loss counters. *)
+  List.iter
+    (fun (m : Obs.Registry.sample) ->
+      let name = m.Obs.Registry.s_name in
+      if String.starts_with ~prefix:"capture_" name then begin
+        checkb (name ^ " has no site label") false
+          (List.mem_assoc "site" m.Obs.Registry.s_labels);
+        checkb (name ^ " is not a loss counter") false
+          (List.mem name
+             [
+               "capture_offered_frames_total";
+               "capture_switch_dropped_frames_total";
+               "capture_host_dropped_frames_total";
+             ])
+      end)
+    (Obs.Registry.snapshot Obs.Registry.default)
+
 (* --- /lossmap.json agrees with the in-process ledger --- *)
 
 let lossmap_req query =
@@ -361,6 +427,8 @@ let suites =
           test_occasion_pool_determinism;
         Alcotest.test_case "page-cache throttling attributed" `Slow
           test_page_cache_attribution;
+        Alcotest.test_case "site drop rate is the ledger's" `Slow
+          test_site_drop_rate_is_ledgers;
         Alcotest.test_case "/lossmap.json agrees with the ledger" `Quick
           test_lossmap_endpoint;
       ] );

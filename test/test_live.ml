@@ -199,8 +199,11 @@ let feed reg ~offered ~dropped ~stored ~busy ~success ~queue_wait =
   let c name labels v =
     if v > 0.0 then Registry.inc (Registry.counter reg name ~labels) v
   in
-  c "capture_offered_frames_total" [ ("site", "STAR") ] offered;
-  c "capture_switch_dropped_frames_total" [ ("site", "STAR") ] dropped;
+  c "ledger_offered_frames_total" [ ("site", "STAR") ] offered;
+  c "ledger_stored_frames_total" [ ("site", "STAR") ] (offered -. dropped);
+  c "ledger_attributed_frames_total"
+    [ ("site", "STAR"); ("cause", "switch_drop") ]
+    dropped;
   c "capture_stored_bytes_total" [] stored;
   c "pool_domain_busy_seconds_total" [ ("domain", "0") ] busy;
   c "occasion_sites_total" [ ("outcome", "success") ] success;

@@ -237,9 +237,9 @@ let test_capture_produces_acaps () =
       Alcotest.(check bool) "acaps produced" true (n > 15_000);
       Alcotest.(check bool) "within budget+slack" true (n < 25_000);
       Alcotest.(check bool) "offered counted" true
-        (sample.Capture.stats.Capture.offered_frames > 20_000.0);
+        (sample.Capture.stats.Capture.loss.Capture.b_offered_frames > 20_000.0);
       Alcotest.(check bool) "no switch loss at 0.8 Gbps" true
-        (sample.Capture.stats.Capture.switch_dropped = 0.0);
+        (sample.Capture.stats.Capture.loss.Capture.b_switch_dropped = 0.0);
       Alcotest.(check bool) "no congestion flag" false
         sample.Capture.stats.Capture.congestion_detected;
       (* All materialized frames carry the flow's stack. *)

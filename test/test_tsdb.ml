@@ -684,7 +684,7 @@ let test_federation_scrape_and_dead_target () =
   (* A fake per-site exposition endpoint backed by its own registry. *)
   let site_reg = Registry.create () in
   Registry.inc
-    (Registry.counter site_reg "capture_offered_frames_total"
+    (Registry.counter site_reg "ledger_offered_frames_total"
        ~labels:[ ("site", "STAR") ])
     1000.0;
   Registry.inc (Registry.counter site_reg "frames_total") 500.0;
@@ -764,7 +764,7 @@ let test_federation_scrape_and_dead_target () =
            ~labels:[ ("site", "STAR") ]
         = Some (Registry.Gauge 500.0));
       Alcotest.(check bool) "existing site label preserved" true
-        (Registry.value (Fed.registry fed) "capture_offered_frames_total"
+        (Registry.value (Fed.registry fed) "ledger_offered_frames_total"
            ~labels:[ ("site", "STAR") ]
         = Some (Registry.Gauge 1000.0));
       Alcotest.(check bool) "scrape duration gauge exists" true
@@ -774,7 +774,7 @@ let test_federation_scrape_and_dead_target () =
       (* Second round: the counter moved; the collector derives deltas
          federation-wide, and staleness ages for the dead site. *)
       Registry.inc
-        (Registry.counter site_reg "capture_offered_frames_total"
+        (Registry.counter site_reg "ledger_offered_frames_total"
            ~labels:[ ("site", "STAR") ])
         500.0;
       let pts2 = Fed.scrape fed ~at:200.0 in
