@@ -125,7 +125,7 @@ let backoff () =
         let log = Patchwork.Logging.create () in
         match
           Patchwork.Backoff.acquire allocator ~log ~time:0.0 ~site
-            ~desired_instances:want ()
+            ~desired_instances:want
         with
         | Patchwork.Backoff.Acquired { instances; _ } ->
           incr got_any;

@@ -5,7 +5,7 @@ module Slice_process = Traffic.Slice_process
 
 let fig2 () =
   Paper.section "Fig 2: distribution of ports across production FABRIC sites";
-  let model = Info_model.generate ~seed:Paper.seed () in
+  let model = Info_model.generate ~seed:Paper.seed in
   Paper.row "%-8s %8s %10s" "site" "uplinks" "downlinks";
   let total_up = ref 0 and total_down = ref 0 in
   Array.iter

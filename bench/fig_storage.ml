@@ -49,14 +49,14 @@ let tcpdump_bound () =
     iperf.Traffic.Iperf.samples;
   Paper.row "  sustained %.2f Gbps mean (paper: ~11 Gbps sustained)"
     (iperf.Traffic.Iperf.mean_goodput /. 1e9);
-  let bound = Kernel.lossless_bound ~frame_size:1500 () in
+  let bound = Kernel.lossless_bound ~frame_size:1500 in
   Paper.row "lossless capture bound @1500B frames: %.2f Gbps (paper: ~8.5 Gbps)"
     (bound /. 1e9);
   Paper.row "%-12s %10s" "rate (Gbps)" "loss (%)";
   List.iter
     (fun gbps ->
       let r =
-        Kernel.run ~offered_rate:(gbps *. 1e9) ~frame_size:1500 ~duration:10.0 ()
+        Kernel.run ~offered_rate:(gbps *. 1e9) ~frame_size:1500 ~duration:10.0
       in
       Paper.row "%-12.1f %10.2f%s" gbps r.Kernel.loss_percent
         (if gbps <= 8.5 && r.Kernel.loss_percent < 0.5 then "   (lossless zone)"

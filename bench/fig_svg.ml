@@ -13,7 +13,7 @@ let emit name svg =
   Paper.row "  wrote %s/%s" dir name
 
 let infra_figures () =
-  let model = Testbed.Info_model.generate ~seed:Paper.seed () in
+  let model = Testbed.Info_model.generate ~seed:Paper.seed in
   emit "fig2_ports.svg"
     (Charts.stacked_bar_chart ~title:"Ports across production sites"
        ~x_axis:"site"

@@ -6,7 +6,7 @@
    polling would only re-sample this function). *)
 
 let weekly_avg_rates () =
-  let model = Testbed.Info_model.generate ~seed:Paper.seed () in
+  let model = Testbed.Info_model.generate ~seed:Paper.seed in
   let profiles =
     Array.to_list model.Testbed.Info_model.sites
     |> List.map (Traffic.Workload.profile_for_site ~seed:Paper.seed)

@@ -1128,7 +1128,7 @@ let capacity_cmd =
   let run frame =
     Printf.printf "capture-path capacity for %dB frames:\n" frame;
     Printf.printf "  tcpdump: %.2f Gbps\n"
-      (Hostmodel.Kernel_path.lossless_bound ~frame_size:frame () /. 1e9);
+      (Hostmodel.Kernel_path.lossless_bound ~frame_size:frame /. 1e9);
     List.iter
       (fun (cores, trunc) ->
         let config =

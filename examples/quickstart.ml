@@ -83,7 +83,7 @@ let () =
   | Ok mirror ->
     let sample =
       Patchwork.Capture.run ~fabric ~resolver ~config ~rng:(Netcore.Rng.create 2)
-        ~site ~mirror ~mirrored_port:src ()
+        ~site ~mirror ~mirrored_port:src
     in
     Printf.printf "captured %d frames in a %.0fs sample (%.1f%% of offered)\n"
       (List.length sample.Patchwork.Capture.acaps)

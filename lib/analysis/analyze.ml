@@ -19,7 +19,11 @@ let occurrence records =
     records;
   let total = float_of_int (max 1 !total) in
   Hashtbl.fold (fun tok c acc -> (tok, 100.0 *. float_of_int c /. total) :: acc) counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  (* Percent-tied tokens break on the token itself, as in
+     [Profile.Builder.finish], so the order never depends on hash
+     iteration. *)
+  |> List.sort (fun (ta, a) (tb, b) ->
+         match compare b a with 0 -> compare ta tb | c -> c)
 
 let occurrence_of table token =
   Option.value ~default:0.0 (List.assoc_opt token table)
@@ -27,8 +31,8 @@ let occurrence_of table token =
 let standard_size_edges =
   [| 64.0; 128.0; 256.0; 512.0; 1024.0; 1519.0; 2048.0; 9000.0 |]
 
-let frame_size_histogram ?(edges = standard_size_edges) records =
-  let h = Netcore.Histogram.create edges in
+let frame_size_histogram records =
+  let h = Netcore.Histogram.create standard_size_edges in
   List.iter
     (fun (r : Dissect.Acap.record) ->
       Netcore.Histogram.add h (float_of_int r.Dissect.Acap.orig_len))

@@ -18,7 +18,8 @@ type site_headers = {
 val occurrence : Dissect.Acap.record list -> (string * float) list
 (** For each token, the percentage of frames whose stack contains it —
     counted with multiplicity, so nested Ethernet pushes "eth" above
-    100% exactly as in Fig. 12.  Sorted descending. *)
+    100% exactly as in Fig. 12.  Sorted descending, tied percentages
+    by token. *)
 
 val occurrence_of : (string * float) list -> string -> float
 (** Lookup with 0 default. *)
@@ -27,9 +28,8 @@ val standard_size_edges : float array
 (** The paper's frame-size bins: 64 / 128 / 256 / 512 / 1024 / 1519 /
     2048 / 9000 byte boundaries. *)
 
-val frame_size_histogram :
-  ?edges:float array -> Dissect.Acap.record list -> Netcore.Histogram.t
-(** Histogram of original wire lengths. *)
+val frame_size_histogram : Dissect.Acap.record list -> Netcore.Histogram.t
+(** Histogram of original wire lengths over {!standard_size_edges}. *)
 
 val jumbo_fraction : Dissect.Acap.record list -> float
 (** Fraction of frames longer than 1518 bytes. *)

@@ -101,8 +101,8 @@ let legend f names =
       Svg.text f.svg ~x:(x +. 14.0) ~y ~size:10.0 name)
     names
 
-let bar_chart ~title ~x_axis ~y_axis ?(width = 720.0) ?(height = 400.0) data =
-  let f = make_frame ~title ~width ~height in
+let bar_chart ~title ~x_axis ~y_axis data =
+  let f = make_frame ~title ~width:720.0 ~height:400.0 in
   let max_value = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 data in
   let scale = draw_y_ticks y_axis ~max_value f in
   let n = List.length data in
@@ -116,9 +116,8 @@ let bar_chart ~title ~x_axis ~y_axis ?(width = 720.0) ?(height = 400.0) data =
   draw_x_label f x_axis;
   f.svg
 
-let grouped_bar_chart ~title ~x_axis ~y_axis ~series ?(width = 760.0)
-    ?(height = 420.0) data =
-  let f = make_frame ~title ~width ~height in
+let grouped_bar_chart ~title ~x_axis ~y_axis ~series data =
+  let f = make_frame ~title ~width:760.0 ~height:420.0 in
   let max_value =
     List.fold_left
       (fun acc (_, vs) -> List.fold_left Float.max acc vs)
@@ -144,9 +143,8 @@ let grouped_bar_chart ~title ~x_axis ~y_axis ~series ?(width = 760.0)
   draw_x_label f x_axis;
   f.svg
 
-let stacked_bar_chart ~title ~x_axis ~y_axis ~series ?(width = 860.0)
-    ?(height = 420.0) data =
-  let f = make_frame ~title ~width ~height in
+let stacked_bar_chart ~title ~x_axis ~y_axis ~series data =
+  let f = make_frame ~title ~width:860.0 ~height:420.0 in
   let max_value =
     List.fold_left
       (fun acc (_, vs) -> Float.max acc (List.fold_left ( +. ) 0.0 vs))
@@ -172,8 +170,8 @@ let stacked_bar_chart ~title ~x_axis ~y_axis ~series ?(width = 860.0)
   draw_x_label f x_axis;
   f.svg
 
-let line_chart ~title ~x_axis ~y_axis ?(width = 860.0) ?(height = 420.0) series_data =
-  let f = make_frame ~title ~width ~height in
+let line_chart ~title ~x_axis ~y_axis series_data =
+  let f = make_frame ~title ~width:860.0 ~height:420.0 in
   let all_points = List.concat_map snd series_data in
   let max_y = List.fold_left (fun acc (_, y) -> Float.max acc y) 0.0 all_points in
   let min_x, max_x =
@@ -201,8 +199,8 @@ let line_chart ~title ~x_axis ~y_axis ?(width = 860.0) ?(height = 420.0) series_
   draw_x_label f x_axis;
   f.svg
 
-let cdf_chart ~title ~x_axis ?(width = 640.0) ?(height = 400.0) points =
-  let f = make_frame ~title ~width ~height in
+let cdf_chart ~title ~x_axis points =
+  let f = make_frame ~title ~width:640.0 ~height:400.0 in
   let scale_y = draw_y_ticks { label = "CDF (%)"; log = false } ~max_value:100.0 f in
   let min_x, max_x =
     List.fold_left
@@ -219,11 +217,11 @@ let cdf_chart ~title ~x_axis ?(width = 640.0) ?(height = 400.0) points =
     [ 0.0; 0.25; 0.5; 0.75; 1.0 ];
   let pts = List.map (fun (x, y) -> (scale_x x, scale_y (100.0 *. y))) points in
   Svg.polyline f.svg pts ();
-  List.iter (fun (x, y) -> Svg.circle f.svg ~cx:x ~cy:y ~r:2.5 ()) pts;
+  List.iter (fun (x, y) -> Svg.circle f.svg ~cx:x ~cy:y ~r:2.5) pts;
   draw_x_label f x_axis;
   f.svg
 
-let histogram_chart ~title ~x_axis ?(width = 720.0) ?(height = 400.0) hist =
+let histogram_chart ~title ~x_axis hist =
   let counts = Netcore.Histogram.counts hist in
   let data =
     Array.to_list
@@ -231,5 +229,4 @@ let histogram_chart ~title ~x_axis ?(width = 720.0) ?(height = 400.0) hist =
          (fun i c -> (Netcore.Histogram.bin_label hist i, float_of_int c))
          counts)
   in
-  bar_chart ~title ~x_axis ~y_axis:{ label = "frames"; log = false } ~width ~height
-    data
+  bar_chart ~title ~x_axis ~y_axis:{ label = "frames"; log = false } data

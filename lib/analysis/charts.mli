@@ -11,58 +11,48 @@ val bar_chart :
   title:string ->
   x_axis:string ->
   y_axis:axis ->
-  ?width:float ->
-  ?height:float ->
   (string * float) list ->
   Svg.t
-(** Vertical bars, one per labelled value. *)
+(** Vertical bars, one per labelled value, on a 720 x 400 canvas. *)
 
 val grouped_bar_chart :
   title:string ->
   x_axis:string ->
   y_axis:axis ->
   series:string list ->
-  ?width:float ->
-  ?height:float ->
   (string * float list) list ->
   Svg.t
-(** Bars grouped per label, one bar per series, with a legend. *)
+(** Bars grouped per label, one bar per series, with a legend
+    (760 x 420). *)
 
 val stacked_bar_chart :
   title:string ->
   x_axis:string ->
   y_axis:axis ->
   series:string list ->
-  ?width:float ->
-  ?height:float ->
   (string * float list) list ->
   Svg.t
-(** Stacked bars (Fig. 10's per-day outcome counts). *)
+(** Stacked bars (Fig. 10's per-day outcome counts; 860 x 420). *)
 
 val line_chart :
   title:string ->
   x_axis:string ->
   y_axis:axis ->
-  ?width:float ->
-  ?height:float ->
   (string * (float * float) list) list ->
   Svg.t
-(** One polyline per named series, with a legend. *)
+(** One polyline per named series, with a legend (860 x 420). *)
 
 val cdf_chart :
   title:string ->
   x_axis:string ->
-  ?width:float ->
-  ?height:float ->
   (float * float) list ->
   Svg.t
-(** A CDF: y in [0,1] rendered as percentages. *)
+(** A CDF: y in [0,1] rendered as percentages (640 x 400). *)
 
 val histogram_chart :
   title:string ->
   x_axis:string ->
-  ?width:float ->
-  ?height:float ->
   Netcore.Histogram.t ->
   Svg.t
-(** Bars over the histogram's bins, labelled with the bin ranges. *)
+(** Bars over the histogram's bins, labelled with the bin ranges
+    (720 x 400). *)

@@ -54,7 +54,7 @@ let read_file path =
 
 let pcap_file_to_acaps ?pool path = pcap_to_acaps ?pool (read_file path)
 
-let sample_acaps ?pool (sample : Patchwork.Capture.sample) =
+let sample_acaps (sample : Patchwork.Capture.sample) =
   match sample.Patchwork.Capture.pcap with
-  | Some buf -> pcap_to_acaps ?pool buf
+  | Some buf -> pcap_to_acaps buf
   | None -> sample.Patchwork.Capture.acaps

@@ -17,8 +17,7 @@ val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
 val pcap_file_to_acaps :
   ?pool:Parallel.Pool.t -> string -> Dissect.Acap.record list
 
-val sample_acaps :
-  ?pool:Parallel.Pool.t -> Patchwork.Capture.sample -> Dissect.Acap.record list
+val sample_acaps : Patchwork.Capture.sample -> Dissect.Acap.record list
 (** The abstract records of a sample: digested from its pcap bytes when
     it carries them, else the records the capture already abstracted
     in-line.  The two are different measurements, not a fast and a slow

@@ -152,34 +152,20 @@ let obs_unweighted =
        aggregated at weight 1.0"
     ~labels:[ ("stage", "flows") ]
 
-(* A fraction <= 0 means the capture materialized nothing it could
-   attribute a thinning rate to; treating it as weight 1.0 is the only
-   safe default, but doing so silently hides thinned-to-nothing samples.
-   Count every such group and, when the caller runs with a service log,
-   say so out loud. *)
-let warn_unweighted ?log fraction =
-  Obs.Registry.incr obs_unweighted;
-  match log with
-  | None -> ()
-  | Some l ->
-    Patchwork.Logging.log l ~time:0.0 ~level:Patchwork.Logging.Warning
-      ~component:"analysis/flows"
-      (Printf.sprintf
-         "sample group has materialized_fraction %g <= 0; aggregating \
-          unweighted (weight 1.0)"
-         fraction)
-
 (* Merge shard tables in list order.  Per-key sums are exact integers
    until weighting, min/max/or are order-independent, and the final sort
    breaks byte ties on the flow key, so the result depends only on the
    multiset of records per weight — never on how they were sharded. *)
-let merge ?log shards =
+let merge shards =
   Obs.Span.timed ~stage:"flows.merge" @@ fun () ->
   let totals = Totals.create () in
   List.iter
     (fun (shard, fraction) ->
+      (* A fraction <= 0 means the capture materialized nothing it could
+         attribute a thinning rate to; weight 1.0 is the only safe
+         default, and the counter keeps such samples visible. *)
       if fraction <= 0.0 && not (Shard.is_empty shard) then
-        warn_unweighted ?log fraction;
+        Obs.Registry.incr obs_unweighted;
       Totals.add totals shard ~weight:(weight_of_fraction fraction))
     shards;
   let summaries = Totals.summaries totals in
@@ -199,13 +185,13 @@ let merge ?log shards =
 (* Sharding is per group (one capture sample = one shard task) and the
    merge is shard-order-insensitive, so the result is identical whatever
    the pool size — including the sequential fallback. *)
-let aggregate_weighted ?(pool = Parallel.Pool.sequential) ?log groups =
-  merge ?log (Parallel.Pool.map pool shard_group groups)
+let aggregate_weighted ?(pool = Parallel.Pool.sequential) groups =
+  merge (Parallel.Pool.map pool shard_group groups)
 
-let aggregate ?pool ?log ?weights records =
+let aggregate ?pool ?weights records =
   match weights with
-  | Some groups -> aggregate_weighted ?pool ?log groups
-  | None -> aggregate_weighted ?pool ?log [ (records, 1.0) ]
+  | Some groups -> aggregate_weighted ?pool groups
+  | None -> aggregate_weighted ?pool [ (records, 1.0) ]
 
 let size_log_histogram summaries =
   let h = Netcore.Histogram.Log2.create () in

@@ -87,7 +87,7 @@ module Totals : sig
   (** Sorted by {!compare_by_bytes}. *)
 end
 
-val merge : ?log:Patchwork.Logging.t -> (Shard.t * float) list -> summary list
+val merge : (Shard.t * float) list -> summary list
 (** Merge shards (each with its sample's materialized fraction) into
     summaries.  For unit fractions the merge is exact-integer and
     shard-order-insensitive, and the final ordering breaks byte ties on
@@ -96,13 +96,12 @@ val merge : ?log:Patchwork.Logging.t -> (Shard.t * float) list -> summary list
 
     A non-empty shard whose fraction is [<= 0.0] is aggregated at weight
     1.0; each such group bumps
-    [analysis_unweighted_samples_total{stage="flows"}] and logs a
-    warning to [log] when one is given, so thinned-to-nothing samples
-    are visible rather than silently unweighted. *)
+    [analysis_unweighted_samples_total{stage="flows"}], so
+    thinned-to-nothing samples are visible rather than silently
+    unweighted. *)
 
 val aggregate :
   ?pool:Parallel.Pool.t ->
-  ?log:Patchwork.Logging.t ->
   ?weights:(Dissect.Acap.record list * float) list ->
   Dissect.Acap.record list ->
   summary list

@@ -17,36 +17,33 @@ let escape s =
     s;
   Buffer.contents out
 
-let rect t ~x ~y ~w ~h ?(fill = "#4878a8") ?(stroke = "none") ?(opacity = 1.0) () =
+let rect t ~x ~y ~w ~h ?(fill = "#4878a8") () =
   Buffer.add_string t.buf
     (Printf.sprintf
-       "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" fill=\"%s\" stroke=\"%s\" opacity=\"%.2f\"/>\n"
-       x y (Float.max 0.0 w) (Float.max 0.0 h) fill stroke opacity)
+       "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" fill=\"%s\" stroke=\"none\" opacity=\"1.00\"/>\n"
+       x y (Float.max 0.0 w) (Float.max 0.0 h) fill)
 
-let line t ~x1 ~y1 ~x2 ~y2 ?(stroke = "#333333") ?(width = 1.0) ?dash () =
-  let dash_attr =
-    match dash with Some d -> Printf.sprintf " stroke-dasharray=\"%s\"" d | None -> ""
-  in
+let line t ~x1 ~y1 ~x2 ~y2 ?(stroke = "#333333") ?(width = 1.0) () =
   Buffer.add_string t.buf
     (Printf.sprintf
-       "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" stroke=\"%s\" stroke-width=\"%.1f\"%s/>\n"
-       x1 y1 x2 y2 stroke width dash_attr)
+       "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" stroke=\"%s\" stroke-width=\"%.1f\"/>\n"
+       x1 y1 x2 y2 stroke width)
 
-let polyline t points ?(stroke = "#4878a8") ?(width = 1.5) ?(fill = "none") () =
+let polyline t points ?(stroke = "#4878a8") () =
   let pts =
     String.concat " " (List.map (fun (x, y) -> Printf.sprintf "%.1f,%.1f" x y) points)
   in
   Buffer.add_string t.buf
     (Printf.sprintf
-       "<polyline points=\"%s\" fill=\"%s\" stroke=\"%s\" stroke-width=\"%.1f\"/>\n"
-       pts fill stroke width)
+       "<polyline points=\"%s\" fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\"/>\n"
+       pts stroke)
 
-let circle t ~cx ~cy ~r ?(fill = "#4878a8") () =
+let circle t ~cx ~cy ~r =
   Buffer.add_string t.buf
-    (Printf.sprintf "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\" fill=\"%s\"/>\n" cx cy r
-       fill)
+    (Printf.sprintf "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\" fill=\"#4878a8\"/>\n" cx
+       cy r)
 
-let text t ~x ~y ?(size = 11.0) ?(anchor = `Start) ?(fill = "#222222") ?rotate s =
+let text t ~x ~y ?(size = 11.0) ?(anchor = `Start) ?rotate s =
   let anchor_str =
     match anchor with `Start -> "start" | `Middle -> "middle" | `End -> "end"
   in
@@ -57,8 +54,8 @@ let text t ~x ~y ?(size = 11.0) ?(anchor = `Start) ?(fill = "#222222") ?rotate s
   in
   Buffer.add_string t.buf
     (Printf.sprintf
-       "<text x=\"%.1f\" y=\"%.1f\" font-size=\"%.1f\" font-family=\"sans-serif\" text-anchor=\"%s\" fill=\"%s\"%s>%s</text>\n"
-       x y size anchor_str fill transform (escape s))
+       "<text x=\"%.1f\" y=\"%.1f\" font-size=\"%.1f\" font-family=\"sans-serif\" text-anchor=\"%s\" fill=\"#222222\"%s>%s</text>\n"
+       x y size anchor_str transform (escape s))
 
 let to_string t =
   Printf.sprintf

@@ -10,23 +10,19 @@ type t
 
 val create : width:float -> height:float -> t
 
-val rect :
-  t -> x:float -> y:float -> w:float -> h:float -> ?fill:string -> ?stroke:string ->
-  ?opacity:float -> unit -> unit
+val rect : t -> x:float -> y:float -> w:float -> h:float -> ?fill:string -> unit -> unit
 
 val line :
   t -> x1:float -> y1:float -> x2:float -> y2:float -> ?stroke:string ->
-  ?width:float -> ?dash:string -> unit -> unit
+  ?width:float -> unit -> unit
 
-val polyline :
-  t -> (float * float) list -> ?stroke:string -> ?width:float -> ?fill:string ->
-  unit -> unit
+val polyline : t -> (float * float) list -> ?stroke:string -> unit -> unit
 
-val circle : t -> cx:float -> cy:float -> r:float -> ?fill:string -> unit -> unit
+val circle : t -> cx:float -> cy:float -> r:float -> unit
 
 val text :
   t -> x:float -> y:float -> ?size:float -> ?anchor:[ `Start | `Middle | `End ] ->
-  ?fill:string -> ?rotate:float -> string -> unit
+  ?rotate:float -> string -> unit
 
 val to_string : t -> string
 (** A complete standalone SVG document. *)

@@ -14,7 +14,10 @@ let instance_vm =
     use_fpga = false;
   }
 
-let acquire allocator ~log ~time ~site ~desired_instances ?(backend_retries = 2) () =
+(* Back-end errors retried per acquisition before giving up. *)
+let backend_retries = 2
+
+let acquire allocator ~log ~time ~site ~desired_instances =
   if desired_instances < 1 then invalid_arg "Backoff.acquire: desired_instances";
   let component = site ^ "/setup" in
   let rec attempt instances retries_left =

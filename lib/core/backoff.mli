@@ -23,8 +23,7 @@ val acquire :
   time:float ->
   site:string ->
   desired_instances:int ->
-  ?backend_retries:int ->
-  unit ->
   outcome
 (** Try to create the site slice with [desired_instances] VMs, backing
-    off one instance at a time. *)
+    off one instance at a time.  A back-end error is retried twice at
+    the same size before the acquisition fails. *)

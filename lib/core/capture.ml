@@ -11,9 +11,9 @@ type breakdown = {
   b_offered_frames : float;
   b_offered_bytes : float;  (** wire bytes, no pcap record headers *)
   b_switch_dropped : float;
-  b_host_dropped : float;  (** total host loss, throttling included *)
+  b_host_dropped : float;
   b_captured_frames : float;
-  b_host_keep : float;  (** host keep rate, throttle included *)
+  b_host_keep : float;  (** host keep rate *)
   b_stored_wire_bytes : float;  (** wire bytes of stored frames *)
   b_causes : (Obs.Ledger.cause * float * float) list;
 }
@@ -233,25 +233,15 @@ let method_capacity_pps (config : Config.t) =
 (* Pure, so the conservation property is qcheck-able over adversarial
    parameters without a fabric. *)
 let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
-    ~congested ~capacity_pps ~throttle ~truncation ~host_path =
+    ~congested ~capacity_pps ~truncation ~host_path =
   let offered_frames = offered_pps *. duration in
   let offered_bytes = offered_frames *. avg_frame_size in
   let switch_dropped = offered_frames *. switch_drop_frac in
   let after_pps = offered_pps *. (1.0 -. switch_drop_frac) in
-  (* keep_full: what the host would keep unthrottled; keep: with the
-     page-cache throttle pacing the writer down.  The gap between the
-     two is the throttle's own loss. *)
-  let keep_full =
+  let keep =
     if after_pps <= 0.0 then 1.0 else Float.min 1.0 (capacity_pps /. after_pps)
   in
-  let keep =
-    if after_pps <= 0.0 then 1.0
-    else Float.min 1.0 (capacity_pps *. throttle /. after_pps)
-  in
   let host_dropped = after_pps *. (1.0 -. keep) *. duration in
-  let host_base = after_pps *. (1.0 -. keep_full) *. duration in
-  let throttled = Float.max 0.0 (host_dropped -. host_base) in
-  let host_dropped_base = host_dropped -. throttled in
   let captured = after_pps *. keep *. duration in
   let wire = Float.min avg_frame_size (float_of_int truncation) in
   (* Truncation loses bytes, never frames; stored wire bytes are the
@@ -273,9 +263,8 @@ let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
           switch_dropped,
           switch_dropped *. avg_frame_size );
         ( Obs.Ledger.Host_drop host_path,
-          host_dropped_base,
-          host_dropped_base *. avg_frame_size );
-        (Obs.Ledger.Page_cache_throttle, throttled, throttled *. avg_frame_size);
+          host_dropped,
+          host_dropped *. avg_frame_size );
         (Obs.Ledger.Truncated, 0.0, truncated_bytes);
       ];
   }
@@ -311,8 +300,8 @@ let flow_estimate specs ~start_time ~end_time =
       end)
     0.0 specs
 
-let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
-    ~mirrored_port () =
+let run ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
+    ~mirrored_port =
   let engine = Fablib.engine fabric in
   let sw = Fablib.switch fabric ~site in
   let now = Simcore.Engine.now engine in
@@ -339,15 +328,8 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   let congestion_detected =
     Switch.mirrored_rate sw mirror *. 8.0 > Switch.line_rate sw
   in
-  (* Loss at the host, paced down by page-cache writeback when the
-     instance models one (throttle is read at sample start: this
-     sample's keep rate reflects the cache state its writes meet). *)
+  (* Loss at the host: whatever exceeds the capture method's capacity. *)
   let capacity = method_capacity_pps config in
-  let throttle =
-    match page_cache with
-    | Some pc -> Hostmodel.Page_cache.throttle_factor pc
-    | None -> 1.0
-  in
   let host_path =
     match config.Config.capture_method with
     | Config.Tcpdump -> Hostmodel.Kernel_path.host_path
@@ -356,18 +338,13 @@ let run ?page_cache ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   in
   let b =
     loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
-      ~congested:congestion_detected ~capacity_pps:capacity ~throttle
+      ~congested:congestion_detected ~capacity_pps:capacity
       ~truncation:config.Config.truncation ~host_path
   in
   let stored_per_frame =
     Float.min avg_frame_size (float_of_int config.Config.truncation) +. 16.0
   in
   let stored_bytes = b.b_captured_frames *. stored_per_frame in
-  (match page_cache with
-  | Some pc ->
-    Hostmodel.Page_cache.write pc stored_bytes;
-    Hostmodel.Page_cache.advance pc ~dt:duration
-  | None -> ());
   (* Materialization budget: thin uniformly if the sample is heavy. *)
   let budget = float_of_int config.Config.max_frames_per_sample in
   let materialized_fraction =

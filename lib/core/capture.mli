@@ -18,11 +18,10 @@ type breakdown = {
   b_offered_frames : float;
   b_offered_bytes : float;
   b_switch_dropped : float;
-  b_host_dropped : float;  (** total host loss, throttling included *)
+  b_host_dropped : float;
   b_captured_frames : float;
   b_host_keep : float;
-      (** fraction of the frames past the switch that the host keeps,
-          page-cache throttle included *)
+      (** fraction of the frames past the switch that the host keeps *)
   b_stored_wire_bytes : float;
   b_causes : (Obs.Ledger.cause * float * float) list;
       (** (cause, frames, bytes); zero-amount entries included *)
@@ -67,15 +66,13 @@ val loss_breakdown :
   switch_drop_frac:float ->
   congested:bool ->
   capacity_pps:float ->
-  throttle:float ->
   truncation:int ->
   host_path:Obs.Ledger.host_path ->
   breakdown
 (** Pure, so the conservation property is testable over adversarial
     parameters without a fabric.  Switch loss is attributed to
-    [Mirror_congestion] when [congested], else [Switch_drop]; host loss
-    beyond the unthrottled capacity split goes to
-    [Page_cache_throttle]. *)
+    [Mirror_congestion] when [congested], else [Switch_drop]; host loss,
+    the frames past the switch beyond [capacity_pps], to [Host_drop]. *)
 
 type materialized = {
   records : Dissect.Acap.record list;
@@ -110,7 +107,6 @@ val materialize :
     same state. *)
 
 val run :
-  ?page_cache:Hostmodel.Page_cache.t ->
   fabric:Testbed.Fablib.t ->
   resolver:(int -> Traffic.Flow_model.spec option) ->
   config:Config.t ->
@@ -118,15 +114,11 @@ val run :
   site:string ->
   mirror:int ->
   mirrored_port:int ->
-  unit ->
   sample
 (** Capture one sample starting now (the engine's current time is the
     sample start; the traffic state is read at that instant).
 
-    When [page_cache] is given, the sample's keep rate is paced by the
-    cache's current {!Hostmodel.Page_cache.throttle_factor} and the
-    sample's stored bytes are written into (and drained from) the
-    cache.  The sample's loss split ([stats.loss]) is folded into
+    The sample's loss split ([stats.loss]) is folded into
     [Obs.Ledger.default] while the ledger is enabled; the ledger is the
     one account of loss, per site and cause.  The registry's aggregate
     [capture_frames_total], [capture_stored_bytes_total] and

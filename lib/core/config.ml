@@ -24,10 +24,8 @@ type t = {
   anonymize : bool;
   emit_pcap : bool;
   max_frames_per_sample : int;
-  busiest_window : float;
   instance_crash_prob : float;
   host_profile : Hostmodel.Host_profile.t;
-  model_page_cache : bool;
   pool_size : int;
 }
 
@@ -45,10 +43,8 @@ let default =
     anonymize = false;
     emit_pcap = false;
     max_frames_per_sample = 20_000;
-    busiest_window = 1800.0;
     instance_crash_prob = 0.001;
     host_profile = Hostmodel.Host_profile.default;
-    model_page_cache = false;
     pool_size = Parallel.Pool.default_size ();
   }
 

@@ -45,18 +45,11 @@ type t = {
   max_frames_per_sample : int;
       (** materialization budget; heavier samples are thinned uniformly
           (recorded, so analyses can re-weight) *)
-  busiest_window : float;  (** telemetry window for the busiest-port rank *)
   instance_crash_prob : float;
       (** per-sample probability that an instance dies unexpectedly
           (environmental failures and the early-deployment bug behind
           Fig. 10's "Incomplete" runs) *)
   host_profile : Hostmodel.Host_profile.t;
-  model_page_cache : bool;
-      (** model page-cache writeback per instance: the sample keep rate
-          is paced by the cache's throttle factor and the shortfall is
-          attributed to [Page_cache_throttle] in the loss ledger.  Off
-          by default (the host profile's drain rate rarely throttles;
-          turn on with a constrained profile to study the cliff). *)
   pool_size : int;
       (** degrees of parallelism for the offline pipeline (gathering and
           analysis fan-out); 1 disables domain spawning.  Defaults to

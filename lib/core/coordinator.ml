@@ -122,7 +122,7 @@ let setup_site ~fabric ~driver ~config ~log ~rng ~max_instances ~site
   let desired = max_instances in
   match
     Backoff.acquire (Fablib.allocator fabric) ~log ~time:now ~site
-      ~desired_instances:desired ()
+      ~desired_instances:desired
   with
   | Backoff.No_resources ->
     {

@@ -13,7 +13,6 @@ type t = {
   instance_id : int;
   nic_port : int;
   cycling : Port_cycling.t;
-  page_cache : Hostmodel.Page_cache.t option;
   storage_bytes : float;
   mutable status : status;
   mutable samples : Capture.sample list;  (* newest first *)
@@ -43,10 +42,6 @@ let create ~fabric ~resolver ~config ~log ~rng ~site ~instance_id ~nic_port
     cycling =
       Port_cycling.create config.Config.port_selection ~rng ~site ~candidates
         ~uplinks;
-    page_cache =
-      (if config.Config.model_page_cache then
-         Some (Hostmodel.Page_cache.of_profile config.Config.host_profile)
-       else None);
     storage_bytes;
     status = Running;
     samples = [];
@@ -74,6 +69,9 @@ let watchdog_check t =
     log_event t ~level:Logging.Error "watchdog: instance crashed (storage exhausted)"
   end
 
+(* Seconds of switch telemetry behind the busiest-port rank. *)
+let busiest_window = 1800.0
+
 let rec schedule_cycle t =
   let engine = Fablib.engine t.fabric in
   if t.status <> Running then ()
@@ -88,7 +86,7 @@ let rec schedule_cycle t =
     let telemetry = Fablib.telemetry t.fabric in
     match
       Port_cycling.next t.cycling ~telemetry
-        ~window:t.config.Config.busiest_window ~at:now
+        ~window:busiest_window ~at:now
     with
     | None ->
       (* Nothing to sample right now; try again next interval. *)
@@ -135,18 +133,9 @@ and run_samples t ~mirror ~port ~remaining =
   end
   else begin
     let sample =
-      Capture.run ?page_cache:t.page_cache ~fabric:t.fabric ~resolver:t.resolver
-        ~config:t.config ~rng:t.rng ~site:t.site ~mirror ~mirrored_port:port ()
+      Capture.run ~fabric:t.fabric ~resolver:t.resolver ~config:t.config ~rng:t.rng
+        ~site:t.site ~mirror ~mirrored_port:port
     in
-    (* The disk keeps draining between samples: let the cache recover
-       over the idle remainder of the interval. *)
-    (match t.page_cache with
-    | Some pc ->
-      Hostmodel.Page_cache.advance pc
-        ~dt:
-          (Float.max 0.0
-             (t.config.Config.sample_interval -. t.config.Config.sample_duration))
-    | None -> ());
     t.samples <- sample :: t.samples;
     Obs.Registry.incr (obs_counter "instance_samples_total" t.site);
     t.storage_used <- t.storage_used +. sample.Capture.stats.Capture.stored_bytes;

@@ -39,12 +39,12 @@ let capacity_rate config ~frame_size =
   in
   Units.bps_of_pps pps ~frame_bytes:frame_size
 
-let run ?(seed = 42) config ~offered_rate ~frame_size ~duration =
+let run config ~offered_rate ~frame_size ~duration =
   if config.cores <= 0 || config.cores > config.profile.Host_profile.cores then
     invalid_arg "Dpdk_path.run: core count out of range";
   if config.truncation <= 0 then invalid_arg "Dpdk_path.run: truncation";
   if duration <= 0.0 then invalid_arg "Dpdk_path.run: duration";
-  let rng = Rng.create seed in
+  let rng = Rng.create 42 in
   let p = config.profile in
   let cache =
     Page_cache.create

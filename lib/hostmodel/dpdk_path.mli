@@ -40,16 +40,10 @@ type result = {
       (** bpftrace-style latency histogram of writev calls, nanoseconds *)
 }
 
-val run :
-  ?seed:int ->
-  config ->
-  offered_rate:float ->
-  frame_size:int ->
-  duration:float ->
-  result
+val run : config -> offered_rate:float -> frame_size:int -> duration:float -> result
 (** Simulate a capture of [duration] seconds of traffic offered at
     [offered_rate] bits/s of fixed-size frames (the DPDK-pktgen setup of
-    the paper's experiments). *)
+    the paper's experiments).  Seeded, so a run repeats exactly. *)
 
 val capacity_rate : config -> frame_size:int -> float
 (** Offered bit rate at which the configured cores saturate (ignoring

@@ -8,10 +8,13 @@ type result = {
   peak_buffer_used : float;
 }
 
-let run ?(seed = 7) ?(profile = Host_profile.default) ?(snaplen = 64)
-    ~offered_rate ~frame_size ~duration () =
+(* Bytes kept per frame. *)
+let snaplen = 64
+
+let run ~offered_rate ~frame_size ~duration =
   if duration <= 0.0 then invalid_arg "Kernel_path.run: duration";
-  let rng = Rng.create seed in
+  let rng = Rng.create 7 in
+  let profile = Host_profile.default in
   let offered_pps = Units.pps_of_bps offered_rate ~frame_bytes:frame_size in
   let capacity_pps = Host_profile.kernel_capacity_pps profile in
   (* The capture buffer holds truncated frames plus pcap record
@@ -46,8 +49,10 @@ let run ?(seed = 7) ?(profile = Host_profile.default) ?(snaplen = 64)
     peak_buffer_used = !peak;
   }
 
-let lossless_bound ?(profile = Host_profile.default) ~frame_size () =
-  Units.bps_of_pps (Host_profile.kernel_capacity_pps profile) ~frame_bytes:frame_size
+let lossless_bound ~frame_size =
+  Units.bps_of_pps
+    (Host_profile.kernel_capacity_pps Host_profile.default)
+    ~frame_bytes:frame_size
 
 (* This path's identity in the loss-attribution ledger. *)
 let host_path = Obs.Ledger.Kernel

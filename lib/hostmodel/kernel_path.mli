@@ -14,20 +14,14 @@ type result = {
   peak_buffer_used : float;  (** bytes of the 32 MB capture buffer *)
 }
 
-val run :
-  ?seed:int ->
-  ?profile:Host_profile.t ->
-  ?snaplen:int ->
-  offered_rate:float ->
-  frame_size:int ->
-  duration:float ->
-  unit ->
-  result
+val run : offered_rate:float -> frame_size:int -> duration:float -> result
 (** Capture fixed-size frames offered at [offered_rate] bits/s for
-    [duration] seconds, truncating to [snaplen] (default 64). *)
+    [duration] seconds on the default {!Host_profile}, truncating each
+    to 64 bytes.  Seeded, so a run repeats exactly. *)
 
-val lossless_bound : ?profile:Host_profile.t -> frame_size:int -> unit -> float
-(** Highest offered bit rate the path captures without sustained loss. *)
+val lossless_bound : frame_size:int -> float
+(** Highest offered bit rate the default {!Host_profile}'s path
+    captures without sustained loss. *)
 
 val host_path : Obs.Ledger.host_path
 (** This path's identity ([Kernel]) in the loss-attribution ledger. *)

@@ -24,14 +24,6 @@ let create ~free_cache_bytes ~drain_rate ~dirty_background_ratio ~dirty_ratio =
     written = 0.0;
   }
 
-(* The paper's tuned capture host: vm.dirty ratios raised to 60/80 (the
-   Dpdk_path defaults), cache size and drain rate from the profile. *)
-let of_profile p =
-  create
-    ~free_cache_bytes:(Host_profile.free_cache_bytes p)
-    ~drain_rate:p.Host_profile.storage_drain_rate ~dirty_background_ratio:60.0
-    ~dirty_ratio:80.0
-
 let obs_written =
   Obs.Registry.counter Obs.Registry.default "page_cache_written_bytes_total"
     ~help:"Bytes written into the simulated page cache"

@@ -25,10 +25,6 @@ val create :
 (** Ratios are percentages in (0, 100], with
     [dirty_background_ratio < dirty_ratio]. *)
 
-val of_profile : Host_profile.t -> t
-(** The paper's tuned capture host: the profile's free cache and drain
-    rate with vm.dirty ratios 60/80 (the [Dpdk_path] defaults). *)
-
 val write : t -> float -> unit
 (** Stage bytes into the cache (dirtying pages). *)
 

@@ -35,7 +35,7 @@ let add_bin t i ~count =
   if count < 0.0 then invalid_arg "Histogram.add_bin: negative count";
   t.counts.(i) <- t.counts.(i) +. count
 
-let add t ?(count = 1) v = add_bin t (bin t v) ~count:(float_of_int count)
+let add t v = add_bin t (bin t v) ~count:1.0
 
 let ftotal t = Array.fold_left ( +. ) 0.0 t.counts
 let counts t = Array.map (fun c -> int_of_float (Float.round c)) t.counts

@@ -13,8 +13,8 @@ val create : float array -> t
     [(-inf, e0), [e0, e1), ..., [en, +inf)].  Edges must be strictly
     increasing and non-empty. *)
 
-val add : t -> ?count:int -> float -> unit
-(** Add [count] (default 1) observations of a value. *)
+val add : t -> float -> unit
+(** Add one observation of a value. *)
 
 val bin : t -> float -> int
 (** Index of the bin holding a value, in the order of {!counts}. *)

@@ -14,12 +14,12 @@ let base_to_string r =
   Printf.sprintf "%s %s %g%s" r.series_name (op_to_string r.op) r.threshold
     (if r.for_count = 1 then "" else Printf.sprintf " for %d" r.for_count)
 
-let rule ?name ~series ~op ~threshold ?(for_count = 1) () =
+let rule ~series ~op ~threshold ?(for_count = 1) () =
   if for_count < 1 then invalid_arg "Obs.Alerts.rule: for_count must be >= 1";
   let r =
     { rule_name = ""; series_name = series; op; threshold; for_count }
   in
-  { r with rule_name = (match name with Some n -> n | None -> base_to_string r) }
+  { r with rule_name = base_to_string r }
 
 let rule_of_string s =
   let tokens =

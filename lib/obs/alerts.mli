@@ -20,7 +20,7 @@
 type op = Gt | Lt
 
 type rule = {
-  rule_name : string;  (** defaults to the rule's textual form *)
+  rule_name : string;  (** the rule's textual form *)
   series_name : string;
   op : op;
   threshold : float;
@@ -28,7 +28,6 @@ type rule = {
 }
 
 val rule :
-  ?name:string ->
   series:string ->
   op:op ->
   threshold:float ->

@@ -485,16 +485,8 @@ let to_trace_events ?(process_name = "patchwork") spans =
        ]);
   let rec emit sp =
     let args =
-      (("minor_words", Json.Num (Span.minor_words sp))
-       :: List.map (fun (k, v) -> (k, Json.Str v)) (Span.notes sp))
-      @
-      if Span.sampled_out sp > 0 then
-        [
-          ("children_total", Json.Num (float_of_int (Span.child_count sp)));
-          ("children_sampled_out", Json.Num (float_of_int (Span.sampled_out sp)));
-          ("children_wall_s", Json.Num (Span.child_wall_total sp));
-        ]
-      else []
+      ("minor_words", Json.Num (Span.minor_words sp))
+      :: List.map (fun (k, v) -> (k, Json.Str v)) (Span.notes sp)
     in
     add
       (Json.Obj

@@ -72,13 +72,13 @@ type t = {
   last_ok : (string, float) Hashtbl.t; (* site -> at of last good scrape *)
 }
 
-let create ?(capacity = 512) ?(timeout_s = 2.0) ?(log = fun _ -> ()) targets =
+let create ?(timeout_s = 2.0) ?(log = fun _ -> ()) targets =
   {
     targets;
     timeout_s;
     log;
     registry = Registry.create ();
-    collector = Series.Collector.create ~capacity ();
+    collector = Series.Collector.create ();
     lock = Mutex.create ();
     last_ok = Hashtbl.create 8;
   }

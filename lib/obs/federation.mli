@@ -29,10 +29,8 @@ val target_of_string : string -> (target, string) result
 
 type t
 
-val create :
-  ?capacity:int -> ?timeout_s:float -> ?log:(string -> unit) -> target list -> t
-(** [capacity] is the per-series window of the federation's collector
-    (default 512); [timeout_s] bounds each scrape (default 2s). *)
+val create : ?timeout_s:float -> ?log:(string -> unit) -> target list -> t
+(** [timeout_s] bounds each scrape (default 2s). *)
 
 val registry : t -> Registry.t
 (** The federation's own registry of site-labelled scraped gauges. *)

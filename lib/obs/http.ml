@@ -158,14 +158,16 @@ type server = {
   listen_fd : Unix.file_descr;
   bound_port : int;
   handler : request -> response;
-  max_request_bytes : int;
   stop_rd : Unix.file_descr;
   stop_wr : Unix.file_descr;
   stopped : bool Atomic.t;
   finished : bool Atomic.t; (* run has returned; sockets closed *)
 }
 
-let create ?(max_request_bytes = 8192) ?(backlog = 16) ~port handler =
+(* The longest request head served; a longer one is answered with 431. *)
+let max_request_bytes = 8192
+
+let create ~port handler =
   (* A scrape client that disconnects mid-response (curl Ctrl-C, RST)
      would otherwise deliver SIGPIPE on write, whose default action
      kills the whole process; with it ignored the write raises
@@ -175,7 +177,7 @@ let create ?(max_request_bytes = 8192) ?(backlog = 16) ~port handler =
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen fd backlog
+     Unix.listen fd 16
    with e ->
      Unix.close fd;
      raise e);
@@ -189,7 +191,6 @@ let create ?(max_request_bytes = 8192) ?(backlog = 16) ~port handler =
     listen_fd = fd;
     bound_port;
     handler;
-    max_request_bytes;
     stop_rd;
     stop_wr;
     stopped = Atomic.make false;
@@ -220,12 +221,12 @@ let response_string ~head_only (r : response) =
 
 (* Read the request head from [fd]: up to max_request_bytes, bounded
    wall time, stopping at the first blank line. *)
-let read_head t fd =
+let read_head fd =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 1024 in
   let deadline = Unix.gettimeofday () +. 5.0 in
   let rec go () =
-    if Buffer.length buf > t.max_request_bytes then `Oversized
+    if Buffer.length buf > max_request_bytes then `Oversized
     else begin
       let complete s =
         Str_search.find s "\r\n\r\n" <> None || Str_search.find s "\n\n" <> None
@@ -251,7 +252,7 @@ let read_head t fd =
   go ()
 
 let handle_connection t fd =
-  match read_head t fd with
+  match read_head fd with
   | `Closed -> ()
   | `Timeout ->
     write_all fd (response_string ~head_only:false (response ~status:408 "timeout\n"))

@@ -46,11 +46,10 @@ val routes : (string * (request -> response)) list -> request -> response
 
 type server
 
-val create :
-  ?max_request_bytes:int -> ?backlog:int -> port:int -> (request -> response) -> server
+val create : port:int -> (request -> response) -> server
 (** Bind [127.0.0.1:port] ([SO_REUSEADDR]; [port = 0] picks an
-    ephemeral port) and listen.  [max_request_bytes] (default 8192)
-    bounds the request head; longer requests are answered with 431.
+    ephemeral port) and listen with a backlog of 16.  A request head
+    longer than 8192 bytes is answered with 431.
     Also ignores [SIGPIPE] process-wide (non-Windows) so a scrape
     client disconnecting mid-response surfaces as [EPIPE] on the
     connection instead of killing the service.  Raises

@@ -29,7 +29,6 @@ type cause =
   | Mirror_congestion
   | Switch_drop
   | Host_drop of host_path
-  | Page_cache_throttle
   | Truncated
 
 let all_causes =
@@ -39,7 +38,6 @@ let all_causes =
     Host_drop Kernel;
     Host_drop Dpdk;
     Host_drop Fpga;
-    Page_cache_throttle;
     Truncated;
   ]
 
@@ -49,7 +47,6 @@ let cause_label = function
   | Host_drop Kernel -> "host_drop_kernel"
   | Host_drop Dpdk -> "host_drop_dpdk"
   | Host_drop Fpga -> "host_drop_fpga"
-  | Page_cache_throttle -> "page_cache_throttle"
   | Truncated -> "truncated"
 
 let tolerance = 1e-6
@@ -121,21 +118,20 @@ type occasion_entry = {
 
 type t = {
   l_lock : Mutex.t;
-  l_exemplars : int;
-  l_history_cap : int;
   l_current : (string, acc) Hashtbl.t;
   mutable l_start : float;
   mutable l_seq : int;
   mutable l_history : occasion_entry list; (* newest first, bounded *)
 }
 
-let create ?(exemplars = 5) ?(history = 64) () =
-  if exemplars < 1 then invalid_arg "Obs.Ledger.create: exemplars must be >= 1";
-  if history < 1 then invalid_arg "Obs.Ledger.create: history must be >= 1";
+(* K, the exemplar keys each (site, cause) cell keeps, and the closed
+   occasions a ledger retains. *)
+let exemplars = 5
+let history_cap = 64
+
+let create () =
   {
     l_lock = Mutex.create ();
-    l_exemplars = exemplars;
-    l_history_cap = history;
     l_current = Hashtbl.create 8;
     l_start = 0.0;
     l_seq = 0;
@@ -209,13 +205,13 @@ let precedes (p, key) (q, kk) =
   let c = Int64.unsigned_compare p q in
   c < 0 || (c = 0 && String.compare key kk < 0)
 
-(* The list never holds more than [k], so its k-th element is the worst
+(* The list never holds more than K, so its K-th element is the worst
    of a full reservoir: one walk, without allocating, rejects. *)
 let rec kth_exemplar i = function
   | [] -> raise_notrace Exit
   | e :: rest -> if i = 0 then e else kth_exemplar (i - 1) rest
 
-let admit_exemplar ~k ~full cell ((_, key) as cand) =
+let admit_exemplar ~full cell ((_, key) as cand) =
   let exs = cell.c_exemplars in
   if not (List.exists (fun (_, kk) -> String.equal kk key) exs) then begin
     let rec ins = function
@@ -223,21 +219,20 @@ let admit_exemplar ~k ~full cell ((_, key) as cand) =
       | e :: rest -> if precedes cand e then cand :: e :: rest else e :: ins rest
     in
     let l = ins exs in
-    cell.c_exemplars <- (if full then List.filteri (fun i _ -> i < k) l else l)
+    cell.c_exemplars <- (if full then List.filteri (fun i _ -> i < exemplars) l else l)
   end
 
-let insert_exemplar ~k cell cand =
-  if k > 0 then
-    match kth_exemplar (k - 1) cell.c_exemplars with
-    | worst -> if precedes cand worst then admit_exemplar ~k ~full:true cell cand
-    | exception Exit -> admit_exemplar ~k ~full:false cell cand
+let insert_exemplar cell cand =
+  match kth_exemplar (exemplars - 1) cell.c_exemplars with
+  | worst -> if precedes cand worst then admit_exemplar ~full:true cell cand
+  | exception Exit -> admit_exemplar ~full:false cell cand
 
-let add_to_cell t a cause ~frames ~bytes ~pkeys =
+let add_to_cell a cause ~frames ~bytes ~pkeys =
   if frames > 0.0 || bytes > 0.0 then begin
     let c = cell_for a cause in
     c.c_frames <- c.c_frames +. frames;
     c.c_bytes <- c.c_bytes +. bytes;
-    List.iter (insert_exemplar ~k:t.l_exemplars c) pkeys
+    List.iter (insert_exemplar c) pkeys
   end
 
 let priorities ~seed keys =
@@ -258,7 +253,7 @@ let record_sample t ~site ~offered_frames ~offered_bytes ~stored_frames
   a.a_stored_bytes <- a.a_stored_bytes +. stored_bytes;
   let pkeys = priorities ~seed:a.a_seed keys in
   List.iter
-    (fun (cause, frames, bytes) -> add_to_cell t a cause ~frames ~bytes ~pkeys)
+    (fun (cause, frames, bytes) -> add_to_cell a cause ~frames ~bytes ~pkeys)
     causes
 
 (* --- occasion close: conservation + counters ----------------------- *)
@@ -334,7 +329,7 @@ let close_occasion ?(log = fun _ -> ()) t =
     t.l_seq <- t.l_seq + 1;
     Hashtbl.reset t.l_current;
     t.l_history <-
-      List.filteri (fun i _ -> i < t.l_history_cap) (entry :: t.l_history);
+      List.filteri (fun i _ -> i < history_cap) (entry :: t.l_history);
     let violations =
       List.filter_map
         (fun e ->

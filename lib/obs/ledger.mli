@@ -26,7 +26,6 @@ type cause =
   | Mirror_congestion  (** switch mirror egress over line rate *)
   | Switch_drop  (** uncongested mirror-port loss *)
   | Host_drop of host_path  (** capture host could not keep up *)
-  | Page_cache_throttle  (** writeback throttling cut the keep rate *)
   | Truncated  (** bytes beyond the snap length (bytes-only cause) *)
 
 val all_causes : cause list
@@ -61,10 +60,9 @@ exception Conservation_violation of string
 
 type t
 
-val create : ?exemplars:int -> ?history:int -> unit -> t
-(** [exemplars] is K, the per-cell exemplar reservoir size (default 5);
-    [history] bounds retained closed occasions (default 64, oldest
-    evicted).  Raises [Invalid_argument] when either is [< 1]. *)
+val create : unit -> t
+(** A fresh ledger: K = 5 exemplars per cell, and the newest 64 closed
+    occasions retained (the oldest evicted). *)
 
 val default : t
 (** The process-wide ledger the capture path writes into. *)

@@ -9,8 +9,10 @@ type t = {
   mutable len : int;
 }
 
-let create ?(capacity = 512) ~name ?(labels = []) () =
-  if capacity < 1 then invalid_arg "Obs.Series.create: capacity must be >= 1";
+(* Points each series retains. *)
+let capacity = 512
+
+let create ~name ?(labels = []) () =
   {
     lock = Mutex.create ();
     s_name = name;
@@ -78,7 +80,6 @@ module Collector = struct
 
   type t = {
     c_lock : Mutex.t;
-    c_capacity : int;
     tbl : (string * Registry.labels, series) Hashtbl.t;
     (* The previous snapshot, one table per kind of cell: counters and
        gauges as a value, histograms as non-cumulative bins. *)
@@ -88,11 +89,9 @@ module Collector = struct
     mutable prev_wall : float;
   }
 
-  let create ?(capacity = 512) () =
-    if capacity < 1 then invalid_arg "Obs.Series.Collector.create: capacity must be >= 1";
+  let create () =
     {
       c_lock = Mutex.create ();
-      c_capacity = capacity;
       tbl = Hashtbl.create 32;
       prev = Hashtbl.create 1;
       prev_bins = Hashtbl.create 1;
@@ -109,7 +108,7 @@ module Collector = struct
     match Hashtbl.find_opt t.tbl (name, labels) with
     | Some s -> s
     | None ->
-      let s = make_series ~capacity:t.c_capacity ~name ~labels () in
+      let s = make_series ~name ~labels () in
       Hashtbl.add t.tbl (name, labels) s;
       s
 

@@ -18,9 +18,8 @@ type point = { at : float; value : float }
 
 type t
 
-val create : ?capacity:int -> name:string -> ?labels:Registry.labels -> unit -> t
-(** A rolling window retaining the newest [capacity] points (default
-    512).  Raises [Invalid_argument] if [capacity < 1]. *)
+val create : name:string -> ?labels:Registry.labels -> unit -> t
+(** A rolling window retaining the newest 512 points. *)
 
 val name : t -> string
 val labels : t -> Registry.labels
@@ -65,8 +64,7 @@ module Collector : sig
   type series = t
   type t
 
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] is the per-series window passed to {!create}. *)
+  val create : unit -> t
 
   val collect : t -> at:float -> Registry.t -> unit
 

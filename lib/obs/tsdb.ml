@@ -511,5 +511,4 @@ let tail ?(pred = no_predicate) ~n paths =
   in
   List.rev_map (fun (name, labels, pts) -> (name, labels, List.rev pts)) groups
 
-let tail_store ?pred ~n t =
-  locked t (fun () -> tail ?pred ~n (segments_in_dir t.dir))
+let tail_store ~n t = locked t (fun () -> tail ~n (segments_in_dir t.dir))

@@ -99,4 +99,4 @@ val tail : ?pred:predicate -> n:int -> string list -> (string * Registry.labels 
 (** The last [n] rendered points per series — what a restarted service
     re-arms alerts and warms memory windows from. *)
 
-val tail_store : ?pred:predicate -> n:int -> t -> (string * Registry.labels * (float * float) list) list
+val tail_store : n:int -> t -> (string * Registry.labels * (float * float) list) list

@@ -1,5 +1,3 @@
-open Netcore
-
 type vm_request = {
   cores : int;
   ram_gb : int;
@@ -43,14 +41,12 @@ type availability = {
 
 type t = {
   engine : Simcore.Engine.t;
-  rng : Rng.t;
   inventories : (string, site_inventory) Hashtbl.t;
   mutable outages : (float * float) list;
-  mutable transient_failure_prob : float;
   mutable next_slice_id : int;
 }
 
-let create engine rng (model : Info_model.t) =
+let create engine (model : Info_model.t) =
   let inventories = Hashtbl.create 32 in
   Array.iter
     (fun (s : Info_model.site) ->
@@ -70,14 +66,7 @@ let create engine rng (model : Info_model.t) =
           used_storage_gb = 0;
         })
     model.Info_model.sites;
-  {
-    engine;
-    rng;
-    inventories;
-    outages = [];
-    transient_failure_prob = 0.0;
-    next_slice_id = 0;
-  }
+  { engine; inventories; outages = []; next_slice_id = 0 }
 
 let set_outages t outages = t.outages <- outages
 
@@ -128,8 +117,6 @@ let in_outage t =
 
 let create_slice t req =
   if in_outage t then Error (Backend_error "control framework unavailable")
-  else if Rng.bernoulli t.rng t.transient_failure_prob then
-    Error (Backend_error "transient allocation failure")
   else begin
     let inv = inventory t req.site in
     let a = available t ~site:req.site in

@@ -2,8 +2,6 @@
 
     Models the part of FABRIC's control framework that Patchwork
     interacts with: slice requests against finite per-site inventories,
-    allocation latency that grows with slice size (the paper notes the
-    allocator "often struggled when handling large slices"), transient
     back-end outages, and resource pressure from other researchers'
     experiments. *)
 
@@ -28,11 +26,11 @@ type error =
   | Insufficient_resources of string
       (** the site cannot satisfy the request right now *)
   | Backend_error of string
-      (** transient control-framework failure; retrying later may work *)
+      (** the control framework is in an outage; retrying later may work *)
 
 type t
 
-val create : Simcore.Engine.t -> Netcore.Rng.t -> Info_model.t -> t
+val create : Simcore.Engine.t -> Info_model.t -> t
 
 val set_outages : t -> (float * float) list -> unit
 (** Absolute time intervals during which every allocation fails with

@@ -7,11 +7,11 @@ type t = {
   rng : Netcore.Rng.t;
 }
 
-let create ?(n_sites = 30) ~seed engine =
-  let model = Info_model.generate ~n_sites ~seed () in
+let create ~seed engine =
+  let model = Info_model.generate ~seed in
   let rng = Netcore.Rng.create (seed * 104729) in
   let telemetry = Telemetry.create engine in
-  let switches = Hashtbl.create n_sites in
+  let switches = Hashtbl.create (Array.length model.Info_model.sites) in
   Array.iter
     (fun (s : Info_model.site) ->
       let sw =
@@ -21,7 +21,10 @@ let create ?(n_sites = 30) ~seed engine =
       Hashtbl.add switches s.Info_model.name sw;
       Telemetry.register_switch telemetry sw)
     model.Info_model.sites;
-  let allocator = Allocator.create engine (Netcore.Rng.split rng) model in
+  (* This split once seeded the allocator's transient failures, which are
+     gone; it stays so that every later draw from [rng] keeps its value. *)
+  ignore (Netcore.Rng.split rng);
+  let allocator = Allocator.create engine model in
   { engine; model; switches; allocator; telemetry; rng }
 
 let engine t = t.engine

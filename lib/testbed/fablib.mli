@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?n_sites:int -> seed:int -> Simcore.Engine.t -> t
+val create : seed:int -> Simcore.Engine.t -> t
 (** Instantiate a federation: generates the information model and one
     switch per site, wires up telemetry, and creates the allocator. *)
 

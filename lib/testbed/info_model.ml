@@ -24,13 +24,13 @@ type site = {
 type t = { seed : int; sites : site array }
 
 (* Site names evoke FABRIC's real deployment (universities, exchange
-   points, international sites); the last one is the teaching-only site. *)
-let site_names_pool =
+   points, international sites); the teaching-only EDUKY follows them. *)
+let site_names =
   [|
     "STAR"; "WASH"; "DALL"; "SALT"; "UTAH"; "NCSA"; "MICH"; "MASS"; "TACC";
     "MAXG"; "GPNN"; "CLEM"; "GATC"; "UCSD"; "FIUN"; "UKYE"; "INDI"; "PSCC";
     "RUTG"; "SRIC"; "CERN"; "AMST"; "BRIS"; "TOKY"; "HAWI"; "LOSA"; "NEWY";
-    "KANS"; "ATLA"; "SEAT"; "PRIN"; "EDCC"; "CICA"; "MARY"; "EDUKY";
+    "KANS"; "ATLA";
   |]
 
 let make_worker rng site_name i ~with_fpga =
@@ -70,17 +70,14 @@ let make_site rng index name ~teaching_only =
     teaching_only;
   }
 
-let generate ?(n_sites = 30) ~seed () =
-  if n_sites < 2 || n_sites > Array.length site_names_pool then
-    invalid_arg "Info_model.generate: n_sites out of range";
+let generate ~seed =
   let rng = Rng.create (seed * 7919) in
+  let n = Array.length site_names in
   let sites =
-    Array.init n_sites (fun i ->
+    Array.init (n + 1) (fun i ->
         (* The final site is the teaching-only one, mirroring EDUKY. *)
-        let teaching_only = i = n_sites - 1 in
-        let name =
-          if teaching_only then "EDUKY" else site_names_pool.(i)
-        in
+        let teaching_only = i = n in
+        let name = if teaching_only then "EDUKY" else site_names.(i) in
         make_site rng i name ~teaching_only)
   in
   { seed; sites }

@@ -33,8 +33,8 @@ type site = {
 
 type t = { seed : int; sites : site array }
 
-val generate : ?n_sites:int -> seed:int -> unit -> t
-(** Deterministic synthetic federation; default 30 sites. *)
+val generate : seed:int -> t
+(** Deterministic synthetic federation of 30 sites. *)
 
 val site : t -> string -> site
 (** Lookup by name; raises [Not_found]. *)

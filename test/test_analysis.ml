@@ -35,6 +35,16 @@ let test_occurrence_sorted_descending () =
   | (first, _) :: _ -> Alcotest.(check string) "eth first" "eth" first
   | [] -> Alcotest.fail "empty"
 
+(* Every token of one stack is at 100%; the table lists them by token
+   whatever order the hash table holds them in. *)
+let test_occurrence_ties_by_token () =
+  let stack = [ "eth"; "vlan"; "ipv4"; "tcp"; "tls"; "http"; "dns"; "udp" ] in
+  let occ = Analyze.occurrence [ record ~stack () ] in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "tied tokens sorted"
+    (List.map (fun t -> (t, 100.0)) (List.sort compare stack))
+    occ
+
 let test_frame_size_histogram_bins () =
   let records = [ record ~len:70 (); record ~len:1600 (); record ~len:9000 () ] in
   let h = Analyze.frame_size_histogram records in
@@ -255,6 +265,7 @@ let suites =
       [
         Alcotest.test_case "occurrence multiplicity" `Quick test_occurrence_with_multiplicity;
         Alcotest.test_case "occurrence sorted" `Quick test_occurrence_sorted_descending;
+        Alcotest.test_case "occurrence ties by token" `Quick test_occurrence_ties_by_token;
         Alcotest.test_case "size histogram bins" `Quick test_frame_size_histogram_bins;
         Alcotest.test_case "jumbo fraction" `Quick test_jumbo_fraction;
         Alcotest.test_case "observed flows" `Quick test_observed_flows;

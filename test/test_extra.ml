@@ -264,7 +264,7 @@ let test_capture_thinning_consistency () =
   let sample =
     Patchwork.Capture.run ~fabric
       ~resolver:(fun f -> if f = 1 then Some spec else None)
-      ~config ~rng:(Rng.create 4) ~site ~mirror ~mirrored_port:d0 ()
+      ~config ~rng:(Rng.create 4) ~site ~mirror ~mirrored_port:d0
   in
   let loss = sample.Patchwork.Capture.stats.Patchwork.Capture.loss in
   (* Offered: 50k fps * 20s = 1M frames; budget 500. *)

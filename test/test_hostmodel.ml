@@ -160,19 +160,19 @@ let test_dpdk_capacity_rate_matches_table () =
 (* --- Kernel path --- *)
 
 let test_kernel_bound_ballpark () =
-  let b = Kernel_path.lossless_bound ~frame_size:1500 () in
+  let b = Kernel_path.lossless_bound ~frame_size:1500 in
   Alcotest.(check bool) "8-9.5 Gbps" true (b > 8e9 && b < 9.5e9)
 
 let test_kernel_lossless_below_bound () =
-  let r = Kernel_path.run ~offered_rate:6e9 ~frame_size:1500 ~duration:5.0 () in
+  let r = Kernel_path.run ~offered_rate:6e9 ~frame_size:1500 ~duration:5.0 in
   Alcotest.(check bool) "tiny loss" true (r.Kernel_path.loss_percent < 0.05)
 
 let test_kernel_lossy_above_bound () =
-  let r = Kernel_path.run ~offered_rate:11e9 ~frame_size:1500 ~duration:5.0 () in
+  let r = Kernel_path.run ~offered_rate:11e9 ~frame_size:1500 ~duration:5.0 in
   Alcotest.(check bool) "loses above bound" true (r.Kernel_path.loss_percent > 10.0)
 
 let test_kernel_buffer_absorbs () =
-  let r = Kernel_path.run ~offered_rate:6e9 ~frame_size:1500 ~duration:5.0 () in
+  let r = Kernel_path.run ~offered_rate:6e9 ~frame_size:1500 ~duration:5.0 in
   Alcotest.(check bool) "buffer used but not full" true
     (r.Kernel_path.peak_buffer_used < 32.0 *. 1048576.0)
 

@@ -65,8 +65,8 @@ let test_deterministic () =
 (* Allocation simulation. *)
 let test_can_satisfy () =
   let engine = Simcore.Engine.create () in
-  let model = Testbed.Info_model.generate ~seed:3 () in
-  let alloc = Testbed.Allocator.create engine (Netcore.Rng.create 3) model in
+  let model = Testbed.Info_model.generate ~seed:3 in
+  let alloc = Testbed.Allocator.create engine model in
   let site =
     (List.hd (Testbed.Info_model.profilable_sites model)).Testbed.Info_model.name
   in

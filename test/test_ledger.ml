@@ -1,6 +1,5 @@
 (* The loss-attribution ledger: conservation as a property, exemplar
-   determinism under sharding, page-cache attribution, and the
-   /lossmap.json contract. *)
+   determinism under sharding, and the /lossmap.json contract. *)
 
 module L = Obs.Ledger
 module J = Obs.Export.Json
@@ -88,17 +87,17 @@ let test_violation_detected () =
 
 (* --- exemplar determinism --- *)
 
-(* The reservoir is a pure function of the candidate key set: the K
+(* The reservoir is a pure function of the candidate key set: the K = 5
    unsigned-smallest priorities under the (site, occasion-start) seed,
    ties toward the smaller key. *)
-let expected_exemplars ~site ~at ~k keys =
+let expected_exemplars ~site ~at keys =
   let seed = L.seed_for ~site ~at in
   List.sort_uniq compare keys
   |> List.map (fun key -> (L.priority ~seed key, key))
   |> List.sort (fun (p, a) (q, b) ->
          let c = Int64.unsigned_compare p q in
          if c <> 0 then c else String.compare a b)
-  |> List.filteri (fun i _ -> i < k)
+  |> List.filteri (fun i _ -> i < 5)
   |> List.map snd
 
 let exemplars_of_entry (e : L.occasion_entry) ~site ~cause =
@@ -111,8 +110,8 @@ let exemplars_of_entry (e : L.occasion_entry) ~site ~cause =
 
 (* Feed the same key multiset through [shards] record_sample calls,
    round-robin, in the given traversal order. *)
-let run_sharded ~k ~at ~site ~shards keys =
-  let l = L.create ~exemplars:k () in
+let run_sharded ~at ~site ~shards keys =
+  let l = L.create () in
   L.begin_occasion l ~at;
   let buckets = Array.make shards [] in
   List.iteri
@@ -129,16 +128,14 @@ let run_sharded ~k ~at ~site ~shards keys =
 let qcheck_exemplars_deterministic =
   QCheck.Test.make ~count:200
     ~name:"exemplar reservoir independent of sharding and order"
-    QCheck.(
-      pair (int_range 1 6)
-        (small_list (string_gen_of_size (Gen.int_range 1 12) Gen.printable)))
-    (fun (k, keys) ->
+    QCheck.(small_list (string_gen_of_size (Gen.int_range 1 12) Gen.printable))
+    (fun keys ->
       let at = 2.5e6 and site = "STAR" in
-      let reference = expected_exemplars ~site ~at ~k keys in
+      let reference = expected_exemplars ~site ~at keys in
       List.for_all
-        (fun shards -> run_sharded ~k ~at ~site ~shards keys = reference)
+        (fun shards -> run_sharded ~at ~site ~shards keys = reference)
         [ 1; 2; 4 ]
-      && run_sharded ~k ~at ~site ~shards:2 (List.rev keys) = reference)
+      && run_sharded ~at ~site ~shards:2 (List.rev keys) = reference)
 
 (* --- conservation property over the capture arithmetic --- *)
 
@@ -150,7 +147,6 @@ let breakdown_gen =
     let* dropc = int_bound 100 in
     let* congested = bool in
     let* capacity = map float_of_int (int_bound 2_000_000) in
-    let* thr = int_bound 100 in
     let* trunc = oneofl [ 64; 200; 1514; 9000 ] in
     let* path = oneofl [ L.Kernel; L.Dpdk; L.Fpga ] in
     return
@@ -160,7 +156,6 @@ let breakdown_gen =
         float_of_int dropc /. 100.0,
         congested,
         capacity,
-        0.02 +. (0.98 *. float_of_int thr /. 100.0),
         trunc,
         path ))
 
@@ -169,11 +164,10 @@ let arb_stream =
     ~print:(fun samples ->
       String.concat ";\n"
         (List.map
-           (fun (o, d, a, f, c, cap, th, tr, _) ->
+           (fun (o, d, a, f, c, cap, tr, _) ->
              Printf.sprintf
-               "offered=%g dur=%g avg=%g drop=%g congested=%b cap=%g \
-                throttle=%g trunc=%d"
-               o d a f c cap th tr)
+               "offered=%g dur=%g avg=%g drop=%g congested=%b cap=%g trunc=%d"
+               o d a f c cap tr)
            samples))
     QCheck.Gen.(list_size (int_range 1 20) breakdown_gen)
 
@@ -193,13 +187,12 @@ let qcheck_conservation_adversarial =
                switch_drop_frac,
                congested,
                capacity_pps,
-               throttle,
                truncation,
                host_path ) ->
           let b =
             Patchwork.Capture.loss_breakdown ~offered_pps ~duration
               ~avg_frame_size ~switch_drop_frac ~congested ~capacity_pps
-              ~throttle ~truncation ~host_path
+              ~truncation ~host_path
           in
           let site = sites.(i mod Array.length sites) in
           L.record_sample l ~site
@@ -217,7 +210,7 @@ let qcheck_conservation_adversarial =
 
 (* --- real occasions: determinism across pool sizes --- *)
 
-let run_occasion ?(config = fun c -> c) ?(site = "STAR") ~pool_size seed =
+let run_occasion ?(config = fun c -> c) ~pool_size seed =
   L.reset L.default;
   let start_time = 30.0 *. Netcore.Timebase.day in
   Parallel.Pool.with_pool ~size:pool_size @@ fun pool ->
@@ -229,7 +222,7 @@ let run_occasion ?(config = fun c -> c) ?(site = "STAR") ~pool_size seed =
       Patchwork.Config.default with
       Patchwork.Config.mode =
         Patchwork.Config.Single_experiment
-          [ (site, Testbed.Fablib.all_ports fabric ~site) ];
+          [ ("STAR", Testbed.Fablib.all_ports fabric ~site:"STAR") ];
       samples_per_run = 2;
       max_frames_per_sample = 500;
       pool_size = Parallel.Pool.size pool;
@@ -260,46 +253,6 @@ let test_occasion_pool_determinism () =
     | Some s ->
       checkb "offered frames recorded" true (s.L.e_offered_frames > 0.0);
       checkb "conserved" true s.L.e_conserved)
-
-(* --- page-cache throttling lands in the ledger --- *)
-
-let test_page_cache_attribution () =
-  (* 1 MB of cache that essentially never drains, behind a kernel path
-     slow enough that a throttled keep rate actually bites. *)
-  let tiny =
-    {
-      Hostmodel.Host_profile.default with
-      Hostmodel.Host_profile.ram_bytes = 1.0e8;
-      free_cache_fraction = 0.01;
-      storage_drain_rate = 1.0;
-      kernel_fixed_cost = 5.0e-4;  (* ~2k pps capacity *)
-    }
-  in
-  let _, _ =
-    run_occasion ~site:"ATLA"
-      ~config:(fun c ->
-        {
-          c with
-          Patchwork.Config.host_profile = tiny;
-          model_page_cache = true;
-        })
-      ~pool_size:1 77
-  in
-  match last_closed L.default with
-  | None -> Alcotest.fail "no closed occasion"
-  | Some e ->
-    let throttled =
-      List.exists
-        (fun (s : L.site_entry) ->
-          List.exists
-            (fun (c, frames, _, _) -> c = L.Page_cache_throttle && frames > 0.0)
-            s.L.e_causes)
-        e.L.o_sites
-    in
-    checkb "page-cache throttle attributed" true throttled;
-    List.iter
-      (fun (s : L.site_entry) -> checkb "conserved" true s.L.e_conserved)
-      e.L.o_sites
 
 (* --- the collector's site_drop_rate is the ledger's --- *)
 
@@ -425,8 +378,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_conservation_adversarial;
         Alcotest.test_case "occasion ledger identical at pools 1/2/4" `Slow
           test_occasion_pool_determinism;
-        Alcotest.test_case "page-cache throttling attributed" `Slow
-          test_page_cache_attribution;
         Alcotest.test_case "site drop rate is the ledger's" `Slow
           test_site_drop_rate_is_ledgers;
         Alcotest.test_case "/lossmap.json agrees with the ledger" `Quick

@@ -1,5 +1,5 @@
 (* The live half of the observability stack: HTTP exposition, rolling
-   series, threshold alerts, and bounded span sampling. *)
+   series, threshold alerts, and span trees. *)
 
 module Registry = Obs.Registry
 module Series = Obs.Series
@@ -176,13 +176,13 @@ let test_http_socket_smoke () =
 (* --- rolling series --- *)
 
 let test_series_window () =
-  let s = Series.create ~capacity:4 ~name:"x" () in
-  for i = 1 to 6 do
+  let s = Series.create ~name:"x" () in
+  for i = 1 to 514 do
     Series.push s ~at:(float_of_int i) (float_of_int (10 * i))
   done;
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "evicts to capacity, oldest first"
-    [ (3.0, 30.0); (4.0, 40.0); (5.0, 50.0); (6.0, 60.0) ]
+    "evicts to the newest 512, oldest first"
+    (List.init 512 (fun i -> (float_of_int (i + 3), float_of_int (10 * (i + 3)))))
     (List.map (fun p -> (p.Series.at, p.Series.value)) (Series.points s));
   Alcotest.(check int) "sparkline width" 2
     (let line = Series.sparkline ~width:2 s in
@@ -336,58 +336,28 @@ let test_alert_fires_and_clears () =
   Alcotest.(check bool) "gauge lowered" true (gauge () = Some (Registry.Gauge 0.0));
   Alcotest.(check bool) "nothing active" true (Alerts.active alerts = [])
 
-(* --- span sampling --- *)
+(* --- span trees --- *)
 
-let test_span_sampling_bounds () =
-  with_fake_clock @@ fun now ->
-  let budget = 8 in
-  let t = Span.create ~max_children:budget ~seed:42 () in
-  Span.with_span t "root" (fun root ->
-      for i = 1 to 100 do
-        let sp = Span.start t (string_of_int i) in
-        now := !now +. 1.0;
-        Span.finish t sp
-      done;
-      let kept = Span.children root in
-      Alcotest.(check bool) "retained within budget" true
-        (List.length kept <= budget);
-      Alcotest.(check int) "exact child count" 100 (Span.child_count root);
-      Alcotest.(check int) "sampled_out accounts for the rest"
-        (100 - List.length kept)
-        (Span.sampled_out root);
-      (* Every child ran exactly 1 fake-clock second; the aggregate is
-         exact even though most children were discarded. *)
-      Alcotest.(check (float 1e-9)) "exact wall aggregate" 100.0
-        (Span.child_wall_total root);
-      (* The first half of the budget is the chronological prefix; the
-         reservoir keeps arrival order. *)
-      let seqs = List.map (fun c -> int_of_string (Span.name c)) kept in
-      Alcotest.(check (list int)) "chronological order" (List.sort compare seqs)
-        seqs;
-      let keep_first = budget - (budget / 2) in
-      Alcotest.(check (list int)) "prefix always kept"
-        (List.init keep_first (fun i -> i + 1))
-        (List.filteri (fun i _ -> i < keep_first) seqs))
-
-let test_span_sampling_disabled_by_default () =
+(* A span keeps every child it ever had: there is no bound on a span's
+   children, only on a tracer's finished roots. *)
+let test_span_keeps_every_child () =
   let t = Span.create () in
   Span.with_span t "root" (fun root ->
       for i = 1 to 50 do
         Span.with_span t (string_of_int i) ignore
       done;
-      Alcotest.(check int) "unbounded keeps everything" 50
-        (List.length (Span.children root));
-      Alcotest.(check int) "nothing sampled out" 0 (Span.sampled_out root))
+      Alcotest.(check (list string)) "every child kept, oldest first"
+        (List.init 50 (fun i -> string_of_int (i + 1)))
+        (List.map Span.name (Span.children root)))
 
-(* Random span forests — whatever the sampling discards, the exported
-   trace stream stays balanced: every "B" has its "E", properly nested. *)
+(* Random span forests: the exported trace stream stays balanced,
+   every "B" has its "E", properly nested. *)
 let qcheck_trace_events_balanced =
   QCheck.Test.make ~name:"trace events balanced B/E" ~count:50
-    QCheck.(
-      triple (int_range 1 20) (int_range 1 6) (int_range 0 1000))
-    (fun (fanout, budget, seed) ->
+    QCheck.(int_range 1 20)
+    (fun fanout ->
       with_fake_clock @@ fun now ->
-      let t = Span.create ~max_children:budget ~seed () in
+      let t = Span.create () in
       Span.with_span t "root" (fun _ ->
           for i = 1 to fanout do
             Span.with_span t ("mid" ^ string_of_int i) (fun _ ->
@@ -439,10 +409,8 @@ let suites =
       ] );
     ( "live.span-sampling",
       [
-        Alcotest.test_case "bounded with exact aggregates" `Quick
-          test_span_sampling_bounds;
         Alcotest.test_case "unbounded by default" `Quick
-          test_span_sampling_disabled_by_default;
+          test_span_keeps_every_child;
         QCheck_alcotest.to_alcotest qcheck_trace_events_balanced;
       ] );
   ]

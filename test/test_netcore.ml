@@ -119,7 +119,8 @@ let test_histogram_binning () =
   Histogram.add h 127.0;
   Histogram.add h 255.0;
   Histogram.add h 256.0;
-  Histogram.add h ~count:2 1000.0;
+  Histogram.add h 1000.0;
+  Histogram.add h 1000.0;
   Alcotest.(check (array int)) "counts" [| 1; 2; 1; 3 |] (Histogram.counts h);
   Alcotest.(check int) "total" 7 (Histogram.total h)
 

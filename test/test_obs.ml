@@ -187,12 +187,14 @@ let test_span_nesting () =
     Alcotest.(check bool) "notes" true (Span.notes root = [ ("k", "v") ])
   | l -> Alcotest.failf "expected one root, got %d" (List.length l)
 
+(* A tracer keeps the newest 1,024 roots. *)
 let test_span_root_bound () =
-  let t = Span.create ~max_roots:3 () in
-  for i = 1 to 5 do
+  let t = Span.create () in
+  for i = 1 to 1026 do
     Span.with_span t (string_of_int i) ignore
   done;
-  Alcotest.(check (list string)) "oldest dropped" [ "3"; "4"; "5" ]
+  Alcotest.(check (list string)) "oldest dropped"
+    (List.init 1024 (fun i -> string_of_int (i + 3)))
     (List.map Span.name (Span.roots t));
   Alcotest.(check int) "dropped count" 2 (Span.dropped_roots t)
 

@@ -141,7 +141,7 @@ let test_backoff_full_acquisition () =
   let log = Logging.create () in
   match
     Backoff.acquire (Fablib.allocator fabric) ~log ~time:0.0 ~site
-      ~desired_instances:1 ()
+      ~desired_instances:1
   with
   | Backoff.Acquired { instances; degraded; _ } ->
     Alcotest.(check int) "one instance" 1 instances;
@@ -157,7 +157,7 @@ let test_backoff_scales_down () =
   let log = Logging.create () in
   match
     Backoff.acquire (Fablib.allocator fabric) ~log ~time:0.0 ~site
-      ~desired_instances:(avail + 3) ()
+      ~desired_instances:(avail + 3)
   with
   | Backoff.Acquired { instances; degraded; _ } ->
     Alcotest.(check int) "backed off to availability" avail instances;
@@ -173,7 +173,7 @@ let test_backoff_no_resources () =
   let log = Logging.create () in
   match
     Backoff.acquire (Fablib.allocator fabric) ~log ~time:0.0 ~site
-      ~desired_instances:2 ()
+      ~desired_instances:2
   with
   | Backoff.No_resources -> ()
   | Backoff.Acquired _ | Backoff.Backend_failed _ -> Alcotest.fail "expected no resources"
@@ -185,7 +185,7 @@ let test_backoff_backend_outage () =
   let log = Logging.create () in
   match
     Backoff.acquire (Fablib.allocator fabric) ~log ~time:0.0 ~site
-      ~desired_instances:1 ()
+      ~desired_instances:1
   with
   | Backoff.Backend_failed _ -> ()
   | Backoff.Acquired _ | Backoff.No_resources -> Alcotest.fail "expected backend failure"
@@ -229,7 +229,7 @@ let test_capture_produces_acaps () =
       let rng = Netcore.Rng.create 5 in
       let sample =
         Capture.run ~fabric ~resolver ~config:Config.default ~rng ~site ~mirror
-          ~mirrored_port:port ()
+          ~mirrored_port:port
       in
       let n = List.length sample.Capture.acaps in
       (* 1e8 B/s of 1514B frames for 20s ~ 1321 fps * 20 = 26k, capped at
@@ -258,7 +258,6 @@ let test_capture_filter_restricts () =
       let config = { Config.default with Config.filter } in
       let sample =
         Capture.run ~fabric ~resolver ~config ~rng ~site ~mirror ~mirrored_port:port
-          ()
       in
       Alcotest.(check int) "tcp flow filtered out" 0
         (List.length sample.Capture.acaps))
@@ -271,7 +270,6 @@ let test_capture_emits_valid_pcap () =
       in
       let sample =
         Capture.run ~fabric ~resolver ~config ~rng ~site ~mirror ~mirrored_port:port
-          ()
       in
       match sample.Capture.pcap with
       | None -> Alcotest.fail "expected pcap bytes"
@@ -291,12 +289,12 @@ let test_capture_anonymizes () =
   with_busy_port (fun ~engine:_ ~fabric ~site ~mirror ~port ~resolver ->
       let plain =
         Capture.run ~fabric ~resolver ~config:Config.default ~rng:(Netcore.Rng.create 5)
-          ~site ~mirror ~mirrored_port:port ()
+          ~site ~mirror ~mirrored_port:port
       in
       let anon_config = { Config.default with Config.anonymize = true } in
       let anon =
         Capture.run ~fabric ~resolver ~config:anon_config ~rng:(Netcore.Rng.create 5)
-          ~site ~mirror ~mirrored_port:port ()
+          ~site ~mirror ~mirrored_port:port
       in
       match (plain.Capture.acaps, anon.Capture.acaps) with
       | p :: _, a :: _ ->
@@ -324,7 +322,7 @@ let test_capture_congestion_detection () =
     let rng = Netcore.Rng.create 5 in
     let sample =
       Capture.run ~fabric ~resolver:(Traffic.Driver.resolver driver)
-        ~config:Config.default ~rng ~site ~mirror ~mirrored_port:downlink ()
+        ~config:Config.default ~rng ~site ~mirror ~mirrored_port:downlink
     in
     Alcotest.(check bool) "congestion detected" true
       sample.Capture.stats.Capture.congestion_detected

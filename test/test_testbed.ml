@@ -8,13 +8,13 @@ module Fablib = Testbed.Fablib
 (* --- Information model --- *)
 
 let test_model_deterministic () =
-  let a = Info_model.generate ~seed:5 () and b = Info_model.generate ~seed:5 () in
+  let a = Info_model.generate ~seed:5 and b = Info_model.generate ~seed:5 in
   Alcotest.(check bool) "same model" true (a = b);
-  let c = Info_model.generate ~seed:6 () in
+  let c = Info_model.generate ~seed:6 in
   Alcotest.(check bool) "different seed differs" true (a <> c)
 
 let test_model_shape () =
-  let m = Info_model.generate ~seed:1 () in
+  let m = Info_model.generate ~seed:1 in
   Alcotest.(check int) "30 sites" 30 (Array.length m.Info_model.sites);
   Array.iter
     (fun (s : Info_model.site) ->
@@ -24,7 +24,7 @@ let test_model_shape () =
     m.Info_model.sites
 
 let test_model_teaching_site () =
-  let m = Info_model.generate ~seed:1 () in
+  let m = Info_model.generate ~seed:1 in
   let eduky = Info_model.site m "EDUKY" in
   Alcotest.(check bool) "teaching only" true eduky.Info_model.teaching_only;
   Alcotest.(check int) "no dedicated NICs" 0 (Info_model.dedicated_nics eduky);
@@ -34,7 +34,7 @@ let test_model_teaching_site () =
   Alcotest.(check bool) "most sites profilable" true (List.length profilable >= 25)
 
 let test_model_lookup () =
-  let m = Info_model.generate ~seed:1 () in
+  let m = Info_model.generate ~seed:1 in
   Alcotest.check_raises "unknown site" Not_found (fun () ->
       ignore (Info_model.site m "NOPE"))
 
@@ -226,9 +226,8 @@ let vm ?(nics = 1) () =
 
 let make_allocator () =
   let engine = Engine.create () in
-  let model = Info_model.generate ~seed:3 () in
-  let rng = Netcore.Rng.create 3 in
-  (engine, model, Allocator.create engine rng model)
+  let model = Info_model.generate ~seed:3 in
+  (engine, model, Allocator.create engine model)
 
 let first_profilable model =
   (List.hd (Info_model.profilable_sites model)).Info_model.name

@@ -192,7 +192,7 @@ let test_reverse_swaps_and_validates () =
 (* --- Workload --- *)
 
 let site_of_model idx =
-  let m = Testbed.Info_model.generate ~seed:4 () in
+  let m = Testbed.Info_model.generate ~seed:4 in
   m.Testbed.Info_model.sites.(idx)
 
 let test_profiles_persistent () =
@@ -203,7 +203,7 @@ let test_profiles_persistent () =
   Alcotest.(check bool) "seed changes profile" true (p1 <> p3)
 
 let test_profiles_diverse () =
-  let m = Testbed.Info_model.generate ~seed:4 () in
+  let m = Testbed.Info_model.generate ~seed:4 in
   let classes =
     Array.to_list m.Testbed.Info_model.sites
     |> List.map (fun s -> (Workload.profile_for_site ~seed:9 s).Workload.site_class)
@@ -212,7 +212,7 @@ let test_profiles_diverse () =
   Alcotest.(check bool) "several classes in use" true (List.length classes >= 3)
 
 let test_palette_sizes () =
-  let m = Testbed.Info_model.generate ~seed:4 () in
+  let m = Testbed.Info_model.generate ~seed:4 in
   Array.iter
     (fun s ->
       let p = Workload.profile_for_site ~seed:9 s in
