@@ -3,8 +3,8 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe fig6 table1 ...
-     dune exec bench/main.exe bechamel   # micro-benchmarks only
-*)
+
+   Performance is measured by perfbench/, not here. *)
 
 let experiments =
   [
@@ -29,7 +29,6 @@ let experiments =
     ("figures", Fig_svg.run);
     ("netflow", Netflow_cmp.run);
     ("lessons", Lessons.run);
-    ("bechamel", Micro.run);
   ]
 
 let usage () =

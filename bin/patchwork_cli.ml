@@ -14,9 +14,9 @@
      doctor    audit a live service or stored history: ledger
                conservation, segment validation, staleness, alerts
 
-   profile/analyze/weekly accept --metrics-out FILE (and
-   --metrics-format json|prom) to dump the run's metrics registry and
-   span trees; report renders such a JSON snapshot. *)
+   profile/analyze/weekly/query accept --metrics-out FILE to dump the
+   run's metrics registry and span trees as JSON; report renders such a
+   snapshot. *)
 
 open Cmdliner
 
@@ -42,32 +42,19 @@ let with_domains domains f =
 
 let metrics_out_arg =
   let doc =
-    "Write a metrics snapshot (registry counters/gauges/histograms plus \
-     the finished span trees) to $(docv) when the command completes."
+    "Write a JSON metrics snapshot (registry counters/gauges/histograms \
+     plus the finished span trees) to $(docv) when the command completes; \
+     $(b,report --in) renders it."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let metrics_format_arg =
-  let doc =
-    "Snapshot format: $(b,json) (metrics plus span tree, readable by the \
-     $(b,report) subcommand) or $(b,prom) (Prometheus text exposition; \
-     spans are omitted)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("json", `Json); ("prom", `Prom) ]) `Json
-    & info [ "metrics-format" ] ~docv:"FMT" ~doc)
-
-let write_metrics out format =
+let write_metrics out =
   match out with
   | None -> ()
   | Some path ->
     let snap = Obs.Registry.snapshot Obs.Registry.default in
     let body =
-      match format with
-      | `Json ->
-        Obs.Export.to_json_string ~spans:(Obs.Span.roots Obs.Span.default) snap
-      | `Prom -> Obs.Export.to_prometheus snap
+      Obs.Export.to_json_string ~spans:(Obs.Span.roots Obs.Span.default) snap
     in
     let oc = open_out path in
     Fun.protect
@@ -143,7 +130,7 @@ let profile_cmd =
     let doc = "Materialization budget per 20s sample." in
     Arg.(value & opt int 5000 & info [ "max-frames" ] ~docv:"N" ~doc)
   in
-  let run seed hours site csv_dir max_frames domains metrics_out metrics_format =
+  let run seed hours site csv_dir max_frames domains metrics_out =
     (with_domains domains @@ fun pool ->
      let report = run_profile_occasion ~seed ~hours ~site ~max_frames pool in
      List.iter
@@ -163,7 +150,7 @@ let profile_cmd =
      | Some dir ->
        let files = Analysis.Profile.write_csv_files profile ~dir in
        Printf.printf "wrote %s under %s\n" (String.concat ", " files) dir);
-    write_metrics metrics_out metrics_format
+    write_metrics metrics_out
   in
   let info =
     Cmd.info "profile" ~doc:"Run a profiling occasion on the simulated federation"
@@ -171,7 +158,7 @@ let profile_cmd =
   Cmd.v info
     Term.(
       const run $ seed_arg $ hours $ site $ csv_dir $ max_frames $ domains_arg
-      $ metrics_out_arg $ metrics_format_arg)
+      $ metrics_out_arg)
 
 (* --- dissect --- *)
 
@@ -257,7 +244,7 @@ let analyze_cmd =
   let csv_dir =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR")
   in
-  let run file csv_dir domains metrics_out metrics_format =
+  let run file csv_dir domains metrics_out =
     (with_domains domains @@ fun pool ->
      let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
      let occ = Analysis.Analyze.occurrence acaps in
@@ -300,13 +287,11 @@ let analyze_cmd =
        write "flows.csv" [ "flow"; "frames"; "bytes"; "first"; "last"; "rst" ]
          (Analysis.Report.flow_rows flows);
        Printf.printf "wrote CSVs under %s\n" dir);
-    write_metrics metrics_out metrics_format
+    write_metrics metrics_out
   in
   let info = Cmd.info "analyze" ~doc:"Run the offline analysis over a pcap" in
   Cmd.v info
-    Term.(
-      const run $ file $ csv_dir $ domains_arg $ metrics_out_arg
-      $ metrics_format_arg)
+    Term.(const run $ file $ csv_dir $ domains_arg $ metrics_out_arg)
 
 (* --- weekly --- *)
 
@@ -429,7 +414,7 @@ let weekly_cmd =
     in
     Arg.(value & opt_all string [] & info [ "scrape" ] ~docv:"TARGET" ~doc)
   in
-  let run seed weeks start_day hours out domains metrics_out metrics_format
+  let run seed weeks start_day hours out domains metrics_out
       serve_metrics hold alert_rules fail_on_alert pipeline pipeline_depth
       flow_store spill_threshold tsdb retention downsample scrape =
     (* The paper's operational mode: Patchwork runs weekly and keeps a
@@ -598,7 +583,7 @@ let weekly_cmd =
         dir
     | _ -> ());
     print_capture_summary ();
-    write_metrics metrics_out metrics_format;
+    write_metrics metrics_out;
     let actives =
       match live with
       | None -> []
@@ -642,7 +627,7 @@ let weekly_cmd =
   Cmd.v info
     Term.(
       const run $ seed_arg $ weeks $ start_day $ hours $ out $ domains_arg
-      $ metrics_out_arg $ metrics_format_arg $ serve_metrics $ hold
+      $ metrics_out_arg $ serve_metrics $ hold
       $ alert_rules $ fail_on_alert $ pipeline $ pipeline_depth $ flow_store
       $ spill_threshold $ tsdb $ retention $ downsample $ scrape)
 
@@ -689,8 +674,7 @@ let query_cmd =
     in
     Arg.(value & opt_all string [] & info [ "key" ] ~docv:"KEY" ~doc)
   in
-  let run store_dir since until site proto top dist keys metrics_out
-      metrics_format =
+  let run store_dir since until site proto top dist keys metrics_out =
     (* A missing or corrupt store is the user's input, not a bug: one
        line on stderr and exit 1, like weekly --fail-on-alert. *)
     let fail msg =
@@ -761,7 +745,7 @@ let query_cmd =
            (fun (k, c) -> Printf.printf "  [2^%-2d, 2^%-2d) %8d\n" k (k + 1) c)
            (Netcore.Histogram.Log2.buckets res.Analysis.Flow_store.size_hist)
        end);
-    write_metrics metrics_out metrics_format
+    write_metrics metrics_out
   in
   let info =
     Cmd.info "query"
@@ -773,7 +757,7 @@ let query_cmd =
   Cmd.v info
     Term.(
       const run $ store_dir $ since $ until $ site $ proto $ top $ dist $ keys
-      $ metrics_out_arg $ metrics_format_arg)
+      $ metrics_out_arg)
 
 (* --- release --- *)
 
@@ -806,13 +790,17 @@ let release_cmd =
           really_input ic b 0 len;
           b)
     in
-    let packets = Packet.Pcapng.read_any buf in
+    (* The digest's decode: index the records, dissect each in place. *)
+    let entries = Packet.Pcapng.index_any buf in
     let anon = Hostmodel.Anonymize.create ~key in
     let w = Packet.Pcap.Writer.create ~snaplen () in
     let rewritten = ref 0 and passed = ref 0 in
-    List.iter
-      (fun (p : Packet.Pcap.packet) ->
-        let d = Dissect.Dissector.dissect ~orig_len:p.Packet.Pcap.orig_len p.Packet.Pcap.data in
+    Array.iter
+      (fun (e : Packet.Pcap.index_entry) ->
+        let d =
+          Dissect.Dissector.dissect_slice ~orig_len:e.orig_len
+            (Packet.Pcap.Reader.slice buf e)
+        in
         match Packet.Frame.validate d.Dissect.Dissector.headers with
         | Ok () when d.Dissect.Dissector.headers <> [] ->
           (* Re-encode the anonymized headers, only as far as the
@@ -823,19 +811,17 @@ let release_cmd =
           in
           let frame = Hostmodel.Anonymize.frame anon frame in
           incr rewritten;
-          Packet.Pcap.Writer.add w ~ts:p.Packet.Pcap.ts
-            ~orig_len:p.Packet.Pcap.orig_len
+          Packet.Pcap.Writer.add w ~ts:e.ts ~orig_len:e.orig_len
             (Packet.Codec.encode ~limit:snaplen frame)
         | Ok () | Error _ ->
           (* Frames we cannot re-encode are blanked rather than leaked. *)
           incr passed;
-          Packet.Pcap.Writer.add w ~ts:p.Packet.Pcap.ts
-            ~orig_len:p.Packet.Pcap.orig_len
-            (Bytes.make (min snaplen (Bytes.length p.Packet.Pcap.data)) '\x00'))
-      packets;
+          Packet.Pcap.Writer.add w ~ts:e.ts ~orig_len:e.orig_len
+            (Bytes.make (min snaplen e.cap_len) '\x00'))
+      entries;
     Packet.Pcap.Writer.to_file w output;
     Printf.printf "released %d packets to %s (%d anonymized, %d blanked)\n"
-      (List.length packets) output !rewritten !passed
+      (Array.length entries) output !rewritten !passed
   in
   let info =
     Cmd.info "release"

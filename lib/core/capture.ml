@@ -49,7 +49,8 @@ type materialized = {
    decides the filter (with each draw's own wire length) and one
    abstract record, stamped per draw, stands for every frame. *)
 type flow_class = {
-  frame : Packet.Frame.t;  (** before anonymization, for filter checks *)
+  frame : Packet.Frame.t;
+      (** before anonymization, for filter checks and the offload *)
   record : Dissect.Acap.record;  (** after anonymization *)
 }
 
@@ -97,11 +98,12 @@ let merge_runs runs =
 
 let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
   let filter = config.Config.filter in
-  let fpga_process =
+  (* The offload's verdict depends only on how many frames its sampler
+     has seen, so the class frame answers for each draw. *)
+  let offload =
     match config.Config.capture_method with
-    | Config.Fpga_dpdk { fpga; _ } ->
-      Some (fst (Hostmodel.Fpga_path.create fpga ()))
-    | Config.Tcpdump | Config.Dpdk _ -> None
+    | Config.Fpga_dpdk { fpga; _ } -> fst (Hostmodel.Fpga_path.create fpga ())
+    | Config.Tcpdump | Config.Dpdk _ -> fun _ -> true
   in
   let anonymize =
     if config.Config.anonymize then
@@ -136,36 +138,21 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
           incr classes;
           c
       in
-      let build ~index ~wire_len ~subflow =
-        incr built;
-        Flow_model.draw_frame spec ~index ~wire_len ~subflow
-      in
-      let write ~ts frame =
-        match pcap_writer with
-        | Some w -> Packet.Pcap.Writer.add_frame w ~ts frame
-        | None -> ()
-      in
       Flow_model.iter_draws spec rng ~start_time ~end_time
         (fun ~index ~ts ~wire_len ~subflow ->
           let c = class_of ~index ~wire_len ~subflow in
-          if Packet.Filter.matches ~wire_len filter c.frame then
-            match fpga_process with
-            | Some process -> (
-              (* The P4 sampler keeps per-frame state: abstract the frame
-                 the pipeline returns. *)
-              match process (build ~index ~wire_len ~subflow) with
-              | None -> ()
-              | Some frame ->
-                let frame = anonymize frame in
-                write ~ts frame;
-                acaps := Dissect.Acap.of_frame ~ts frame :: !acaps)
-            | None ->
-              if pcap_writer <> None then
-                write ~ts (anonymize (build ~index ~wire_len ~subflow));
-              acaps :=
-                Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len
-                  ~cap_len:wire_len
-                :: !acaps);
+          if Packet.Filter.matches ~wire_len filter c.frame && offload c.frame
+          then begin
+            (match pcap_writer with
+            | Some w ->
+              incr built;
+              Packet.Pcap.Writer.add_frame w ~ts
+                (anonymize (Flow_model.draw_frame spec ~index ~wire_len ~subflow))
+            | None -> ());
+            acaps :=
+              Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len ~cap_len:wire_len
+              :: !acaps
+          end);
       runs := !acaps :: !runs)
     specs;
   {
@@ -201,7 +188,7 @@ let obs_classes =
 
 let obs_frames_built =
   Obs.Registry.counter Obs.Registry.default "capture_frames_built_total"
-    ~help:"Frames the capture built per draw (pcap writing and FPGA offload)"
+    ~help:"Frames the capture built per draw for pcap writing"
 
 let record_sample_metrics ~captured ~stored ~congested ~materialized:m =
   if Obs.Registry.enabled () then begin
@@ -221,7 +208,7 @@ let method_capacity_pps (config : Config.t) =
     Hostmodel.Host_profile.dpdk_capacity_pps p ~cores
       ~truncation:config.Config.truncation
   | Config.Fpga_dpdk { cores; fpga } ->
-    (* The FPGA samples/filters at line rate; the host only sees the
+    (* The FPGA samples at line rate; the host only sees the
        survivors, so its effective capacity scales up by the sampling
        factor. *)
     let host =

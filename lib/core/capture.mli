@@ -47,9 +47,9 @@ type sample = {
   sample_duration : float;
   acaps : Dissect.Acap.record list;
       (** materialized records in timestamp order, possibly a uniform
-          thinning.  Outside FPGA offload, the records of one flow class
-          (spec, subflow) are stamps of one abstracted frame and share
-          its lists, strings and flow key ({!materialize}). *)
+          thinning.  The records of one flow class (spec, subflow) are
+          stamps of one abstracted frame and share its lists, strings
+          and flow key ({!materialize}). *)
   materialized_fraction : float;
       (** fraction of captured frames materialized into [acaps] *)
   pcap : bytes option;
@@ -79,7 +79,7 @@ type materialized = {
       (** sorted by timestamp; equal times come latest-generated first *)
   pcap : bytes option;  (** with [emit_pcap] *)
   classes : int;  (** flow classes abstracted *)
-  frames_built : int;  (** frames built per draw *)
+  frames_built : int;  (** frames built per draw, for the pcap writer *)
 }
 
 val materialize :
@@ -92,17 +92,17 @@ val materialize :
   materialized
 (** The frames a sample keeps from [specs] over the window, each spec's
     rate scaled by [fraction], after the configured filter, FPGA
-    pre-processing and anonymization — as records and, with
-    [emit_pcap], pcap bytes.  The draws come from
-    {!Traffic.Flow_model.iter_draws}, spec by spec.
+    sampling and anonymization — as records and, with [emit_pcap],
+    pcap bytes.  The draws come from {!Traffic.Flow_model.iter_draws},
+    spec by spec.
 
     A record is a pure function of its draw's (spec, subflow) plus
     timestamp and wire length, so each class is abstracted once, from
     the first frame drawn for it, and every draw is a stamp of that
-    record.  Frames are built per draw only where bytes are consumed:
-    the pcap writer, and FPGA offload, whose P4 sampler keeps per-frame
-    state and whose returned frame is abstracted instead.  Records are
-    bit-identical to abstracting every frame of
+    record.  The filter and the FPGA offload's sampler decide each draw
+    on its class frame.  Frames are built per draw only for the pcap
+    writer, which needs their bytes.  Records are bit-identical to
+    abstracting every frame of
     {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
     same state. *)
 

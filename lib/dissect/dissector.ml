@@ -317,15 +317,13 @@ let dissect_reader ~orig_len ~cap_len r0 =
   in
   { headers = List.rev !headers; payload_len; truncated = !truncated }
 
-let dissect ?orig_len data =
-  let orig_len = match orig_len with Some l -> l | None -> Bytes.length data in
-  dissect_reader ~orig_len ~cap_len:(Bytes.length data)
-    (Wire.Reader.of_bytes data)
+let dissect data =
+  let len = Bytes.length data in
+  dissect_reader ~orig_len:len ~cap_len:len (Wire.Reader.of_bytes data)
 
 (* The zero-copy path: headers are read in place through the slice's
    bounds-checked cursor, so dissecting a slice of the shared capture
    buffer allocates nothing payload-sized. *)
-let dissect_slice ?orig_len slice =
-  let cap_len = Packet.Slice.length slice in
-  let orig_len = match orig_len with Some l -> l | None -> cap_len in
-  dissect_reader ~orig_len ~cap_len (Packet.Slice.reader slice)
+let dissect_slice ~orig_len slice =
+  dissect_reader ~orig_len ~cap_len:(Packet.Slice.length slice)
+    (Packet.Slice.reader slice)

@@ -23,13 +23,13 @@ type result = {
           short or [orig_len] exceeds the captured bytes *)
 }
 
-val dissect : ?orig_len:int -> bytes -> result
-(** Dissect a captured frame.  [orig_len] is the original wire length
-    when the capture was snapped (as recorded in pcap); it defaults to
-    the buffer length. *)
+val dissect : bytes -> result
+(** Dissect a whole frame: its wire length is the buffer's. *)
 
-val dissect_slice : ?orig_len:int -> Packet.Slice.t -> result
-(** Zero-copy flavour of {!dissect}: headers are read in place through
-    the slice's bounds-checked cursor, never copying the underlying
-    capture buffer.  Produces the same result as {!dissect} on a copy
-    of the viewed bytes. *)
+val dissect_slice : orig_len:int -> Packet.Slice.t -> result
+(** Dissect a captured record in place: headers are read through the
+    slice's bounds-checked cursor, never copying the underlying capture
+    buffer.  [orig_len] is the original wire length, as recorded in
+    pcap; the slice holds its first bytes when the capture was snapped.
+    On a whole frame it produces what {!dissect} does on a copy of the
+    viewed bytes. *)

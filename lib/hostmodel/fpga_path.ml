@@ -1,51 +1,31 @@
-type config = {
-  filter : Packet.Filter.t;
-  sample_1_in : int;
-  truncation : int;
-  anonymizer : Anonymize.t option;
-}
+type config = { sample_1_in : int; truncation : int }
 
-let default_config =
-  { filter = Packet.Filter.True; sample_1_in = 1; truncation = 200; anonymizer = None }
+let default_config = { sample_1_in = 1; truncation = 200 }
 
-type stats = {
-  seen : int;
-  passed_filter : int;
-  sampled : int;
-  bytes_in : int;
-  bytes_out : int;
-}
+type stats = { seen : int; sampled : int; bytes_in : int; bytes_out : int }
 
 (* The offload executes as a compiled P4 pipeline, exactly as Patchwork
-   compiles its configuration onto the Alveo NIC.  Address-level filter
-   clauses cannot run on the NIC tables (they match on tags/ports), so
-   they are re-checked host-side after the pipeline — the same split the
-   real system uses. *)
+   compiles its configuration onto the Alveo NIC.  Its filter table
+   matches everything: the capture has already applied the user's
+   filter. *)
 let create config () =
   if config.sample_1_in < 1 then invalid_arg "Fpga_path.create: sample_1_in";
   if config.truncation < 1 then invalid_arg "Fpga_path.create: truncation";
   let pipeline =
     P4_pipeline.Compile.of_filter ~truncation:config.truncation
-      ~sample_1_in:config.sample_1_in ?anonymizer:config.anonymizer config.filter
+      ~sample_1_in:config.sample_1_in Packet.Filter.True
   in
   let seen = ref 0 and bytes_in = ref 0 and bytes_out = ref 0 in
-  let host_side_pass frame = Packet.Filter.matches config.filter frame in
-  let process frame =
+  let forwards frame =
     incr seen;
     bytes_in := !bytes_in + Packet.Frame.wire_length frame;
-    (* The host-side residual filter sees pre-anonymization headers. *)
-    let host_ok = host_side_pass frame in
     let verdict = P4_pipeline.process pipeline frame in
-    match verdict.P4_pipeline.frame with
-    | Some out when host_ok ->
-      bytes_out := !bytes_out + verdict.P4_pipeline.forwarded_bytes;
-      Some out
-    | Some _ | None -> None
+    bytes_out := !bytes_out + verdict.P4_pipeline.forwarded_bytes;
+    verdict.P4_pipeline.frame <> None
   in
   let stats () =
     {
       seen = !seen;
-      passed_filter = P4_pipeline.counter pipeline "filter.matched";
       sampled =
         (if config.sample_1_in <= 1 then
            P4_pipeline.counter pipeline "edit.emitted"
@@ -54,7 +34,7 @@ let create config () =
       bytes_out = !bytes_out;
     }
   in
-  (process, stats)
+  (forwards, stats)
 
 let host_relief config ~offered_pps ~avg_frame_size =
   let pps = offered_pps /. float_of_int config.sample_1_in in

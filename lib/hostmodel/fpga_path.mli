@@ -1,40 +1,39 @@
 (** The Alveo FPGA offload pipeline.
 
-    Patchwork compiles a P4 program onto the FPGA NIC that filters,
-    samples, truncates and edits frames at line rate before the host
-    ever sees them; the DPDK application then only serializes what
-    survives.  The functional half of this module applies those stages
-    to frames; the performance half quantifies the host-side relief
-    (frames and bytes removed before the DPDK path). *)
+    Patchwork compiles a P4 program onto the FPGA NIC that samples and
+    truncates frames at line rate before the host ever sees them; the
+    DPDK application then only serializes what survives.  The user's
+    filter and anonymization are not part of this config: the capture
+    applies [Config.filter] and [Config.anonymize] to every capture
+    method alike.  The functional half of this module gives the
+    offload's verdict on each frame; the performance half quantifies
+    the host-side relief (frames and bytes removed before the DPDK
+    path). *)
 
 type config = {
-  filter : Packet.Filter.t;  (** drop frames not matching *)
   sample_1_in : int;  (** keep one frame in N (1 = keep all) *)
   truncation : int;  (** bytes forwarded to the host per frame *)
-  anonymizer : Anonymize.t option;  (** rewrite addresses at source *)
 }
 
 val default_config : config
-(** Keep everything, truncate to 200 bytes, no anonymization. *)
+(** Keep everything, truncate to 200 bytes. *)
 
 type stats = {
   seen : int;
-  passed_filter : int;
-  sampled : int;  (** frames surviving both filter and sampling *)
+  sampled : int;  (** frames surviving sampling *)
   bytes_in : int;  (** wire bytes presented to the FPGA *)
   bytes_out : int;  (** bytes actually delivered to the host *)
 }
 
-val create : config -> unit -> (Packet.Frame.t -> Packet.Frame.t option) * (unit -> stats)
-(** [create config ()] returns a processing function and a stats
-    accessor.  The processing function is deterministic given the
-    config: sampling is systematic (every Nth matching frame), as in the
-    P4 implementation. *)
+val create : config -> unit -> (Packet.Frame.t -> bool) * (unit -> stats)
+(** [create config ()] returns the offload's verdict, [true] when it
+    forwards a frame to the host, and a stats accessor.  The verdict is
+    deterministic given the config: sampling is systematic (every Nth
+    frame), as in the P4 implementation. *)
 
 val host_relief : config -> offered_pps:float -> avg_frame_size:float -> float * float
-(** [(pps, bytes_per_sec)] that reach the host after offload, given an
-    offered load and assuming the filter passes everything (upper
-    bound). *)
+(** [(pps, bytes_per_sec)] that reach the host after offload, given the
+    load the capture's filter passes to it. *)
 
 val host_path : Obs.Ledger.host_path
 (** This path's identity ([Fpga]) in the loss-attribution ledger. *)

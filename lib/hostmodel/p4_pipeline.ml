@@ -1,24 +1,3 @@
-module H = Packet.Headers
-
-type field =
-  | F_wire_length
-  | F_stack_depth
-  | F_vlan_id
-  | F_mpls_label
-  | F_ip_version
-  | F_ip_proto
-  | F_src_port
-  | F_dst_port
-  | F_has_token of string
-
-type match_expr =
-  | M_any
-  | M_eq of field * int
-  | M_range of field * int * int
-  | M_not of match_expr
-  | M_and of match_expr * match_expr
-  | M_or of match_expr * match_expr
-
 type action =
   | A_pass
   | A_drop
@@ -28,7 +7,7 @@ type action =
   | A_anonymize of Anonymize.t
   | A_count of string
 
-type entry = { matches : match_expr; actions : action list }
+type entry = { matches : Packet.Filter.t; actions : action list }
 
 type table = { table_name : string; entries : entry list; default : action list }
 
@@ -43,47 +22,6 @@ type t = {
 
 let create tables =
   { tables; counters = Hashtbl.create 16; samplers = Hashtbl.create 16 }
-
-let eval_field field (frame : Packet.Frame.t) =
-  match field with
-  | F_wire_length -> Packet.Frame.wire_length frame
-  | F_stack_depth -> Packet.Frame.depth frame
-  | F_vlan_id -> (
-    match Packet.Frame.vlan_ids frame with [] -> -1 | vid :: _ -> vid)
-  | F_mpls_label -> (
-    match Packet.Frame.mpls_labels frame with [] -> -1 | label :: _ -> label)
-  | F_ip_version -> (
-    match Packet.Frame.l3 frame with
-    | Some (H.Ipv4 _) -> 4
-    | Some (H.Ipv6 _) -> 6
-    | Some _ | None -> 0)
-  | F_ip_proto -> (
-    match Packet.Frame.l4 frame with
-    | Some (H.Tcp _) -> 6
-    | Some (H.Udp _) -> 17
-    | Some (H.Icmpv4 _) -> 1
-    | Some (H.Icmpv6 _) -> 58
-    | Some _ | None -> 0)
-  | F_src_port -> (
-    match Packet.Frame.l4 frame with
-    | Some (H.Tcp { src_port; _ }) | Some (H.Udp { src_port; _ }) -> src_port
-    | Some _ | None -> -1)
-  | F_dst_port -> (
-    match Packet.Frame.l4 frame with
-    | Some (H.Tcp { dst_port; _ }) | Some (H.Udp { dst_port; _ }) -> dst_port
-    | Some _ | None -> -1)
-  | F_has_token token -> if List.mem token (Packet.Frame.tokens frame) then 1 else 0
-
-let rec matches expr frame =
-  match expr with
-  | M_any -> true
-  | M_eq (f, v) -> eval_field f frame = v
-  | M_range (f, lo, hi) ->
-    let v = eval_field f frame in
-    v >= lo && v <= hi
-  | M_not e -> not (matches e frame)
-  | M_and (a, b) -> matches a frame && matches b frame
-  | M_or (a, b) -> matches a frame || matches b frame
 
 type verdict = { frame : Packet.Frame.t option; forwarded_bytes : int }
 
@@ -131,7 +69,8 @@ let process t frame0 =
       let rec first_entry entry_idx = function
         | [] -> run_actions table_idx (-1) table.default
         | e :: more ->
-          if matches e.matches !frame then run_actions table_idx entry_idx e.actions
+          if Packet.Filter.matches e.matches !frame then
+            run_actions table_idx entry_idx e.actions
           else first_entry (entry_idx + 1) more
       in
       match first_entry 0 table.entries with
@@ -153,48 +92,12 @@ let counters t =
 let stage_count t = List.length t.tables
 
 module Compile = struct
-  let port_match dir p =
-    match dir with
-    | Packet.Filter.Any -> M_or (M_eq (F_src_port, p), M_eq (F_dst_port, p))
-    | Packet.Filter.Src -> M_eq (F_src_port, p)
-    | Packet.Filter.Dst -> M_eq (F_dst_port, p)
-
-  let rec filter_to_match (f : Packet.Filter.t) =
-    match f with
-    | Packet.Filter.True -> M_any
-    | Packet.Filter.Not e -> M_not (filter_to_match e)
-    | Packet.Filter.And (a, b) -> M_and (filter_to_match a, filter_to_match b)
-    | Packet.Filter.Or (a, b) -> M_or (filter_to_match a, filter_to_match b)
-    | Packet.Filter.Proto "ipv4" -> M_eq (F_ip_version, 4)
-    | Packet.Filter.Proto "ipv6" -> M_eq (F_ip_version, 6)
-    | Packet.Filter.Proto "tcp" -> M_eq (F_ip_proto, 6)
-    | Packet.Filter.Proto "udp" -> M_eq (F_ip_proto, 17)
-    | Packet.Filter.Proto "icmp" -> M_eq (F_ip_proto, 1)
-    | Packet.Filter.Proto token -> M_eq (F_has_token token, 1)
-    | Packet.Filter.Vlan None -> M_not (M_eq (F_vlan_id, -1))
-    | Packet.Filter.Vlan (Some vid) -> M_eq (F_vlan_id, vid)
-    | Packet.Filter.Mpls None -> M_not (M_eq (F_mpls_label, -1))
-    | Packet.Filter.Mpls (Some label) -> M_eq (F_mpls_label, label)
-    | Packet.Filter.Host (_, _) ->
-      (* Addresses are matched on the host side in Patchwork's split:
-         the FPGA tables match on tags and ports; a host-rule falls
-         back to passing the frame through. *)
-      M_any
-    | Packet.Filter.Port (dir, p) -> port_match dir p
-    | Packet.Filter.Less n -> M_range (F_wire_length, 0, n)
-    | Packet.Filter.Greater n -> M_range (F_wire_length, n, max_int)
-
   let of_filter ?(truncation = 200) ?(sample_1_in = 1) ?anonymizer filter =
     let filter_table =
       {
         table_name = "filter";
         entries =
-          [
-            {
-              matches = filter_to_match filter;
-              actions = [ A_count "filter.matched"; A_pass ];
-            };
-          ];
+          [ { matches = filter; actions = [ A_count "filter.matched"; A_pass ] } ];
         default = [ A_count "filter.dropped"; A_drop ];
       }
     in
@@ -206,7 +109,7 @@ module Compile = struct
            else
              [
                {
-                 matches = M_any;
+                 matches = Packet.Filter.True;
                  actions = [ A_sample sample_1_in; A_count "sample.kept" ];
                };
              ]);

@@ -8,29 +8,10 @@
     dropping, truncation, systematic sampling, address rewriting, and
     counting.
 
-    {!Compile} translates the user-facing {!Packet.Filter} language into
-    a pipeline, mirroring how Patchwork generates its P4 tables from the
-    user's capture configuration. *)
-
-(** Values a match key can extract from a frame. *)
-type field =
-  | F_wire_length
-  | F_stack_depth
-  | F_vlan_id  (** outermost VLAN id; -1 when untagged *)
-  | F_mpls_label  (** outermost label; -1 when none *)
-  | F_ip_version  (** 4, 6, or 0 *)
-  | F_ip_proto  (** 6 TCP, 17 UDP, 1/58 ICMP, 0 none *)
-  | F_src_port  (** innermost L4; -1 when none *)
-  | F_dst_port
-  | F_has_token of string  (** 1 when the stack contains the token *)
-
-type match_expr =
-  | M_any
-  | M_eq of field * int
-  | M_range of field * int * int  (** inclusive *)
-  | M_not of match_expr
-  | M_and of match_expr * match_expr
-  | M_or of match_expr * match_expr
+    An entry matches with the user-facing {!Packet.Filter} language and
+    its one evaluator, {!Packet.Filter.matches}, so {!Compile} puts the
+    user's capture filter into a table unchanged, as Patchwork generates
+    its P4 tables from the user's capture configuration. *)
 
 type action =
   | A_pass  (** continue to the next table *)
@@ -41,18 +22,13 @@ type action =
   | A_anonymize of Anonymize.t  (** rewrite IP addresses *)
   | A_count of string  (** bump a named counter *)
 
-type entry = { matches : match_expr; actions : action list }
+type entry = { matches : Packet.Filter.t; actions : action list }
 
 type table = { table_name : string; entries : entry list; default : action list }
 
 type t
 
 val create : table list -> t
-
-val eval_field : field -> Packet.Frame.t -> int
-(** Extract one match key from a frame. *)
-
-val matches : match_expr -> Packet.Frame.t -> bool
 
 type verdict = {
   frame : Packet.Frame.t option;  (** [None] when dropped or unsampled *)
@@ -77,11 +53,8 @@ module Compile : sig
     ?anonymizer:Anonymize.t ->
     Packet.Filter.t ->
     t
-  (** Patchwork's offload generator: a filter table (drop non-matching
-      frames, with counters for both outcomes), then a sampling table,
-      then an editing table (truncate + optionally anonymize). *)
-
-  val filter_to_match : Packet.Filter.t -> match_expr
-  (** The translation at the heart of [of_filter]; total — every filter
-      construct has a pipeline equivalent. *)
+  (** Patchwork's offload generator: a filter table (drop frames the
+      filter does not match, with counters for both outcomes), then a
+      sampling table, then an editing table (truncate + optionally
+      anonymize). *)
 end

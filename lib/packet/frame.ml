@@ -62,26 +62,6 @@ let header_size_total t =
 
 let wire_length t = max min_wire_size (header_size_total t + t.payload_len)
 
-let depth t = List.length t.headers
-
-let rec last_matching pred acc = function
-  | [] -> acc
-  | h :: rest -> last_matching pred (if pred h then Some h else acc) rest
-
-let l3 t =
-  let is_l3 : Headers.header -> bool = function
-    | Ipv4 _ | Ipv6 _ | Arp _ -> true
-    | _ -> false
-  in
-  last_matching is_l3 None t.headers
-
-let l4 t =
-  let is_l4 : Headers.header -> bool = function
-    | Tcp _ | Udp _ | Icmpv4 _ | Icmpv6 _ -> true
-    | _ -> false
-  in
-  last_matching is_l4 None t.headers
-
 let vlan_ids t =
   List.filter_map
     (function Headers.Vlan { vid; _ } -> Some vid | _ -> None)

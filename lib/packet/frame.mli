@@ -25,15 +25,6 @@ val wire_length : t -> int
 
 val header_size_total : t -> int
 
-val depth : t -> int
-(** Number of headers in the stack. *)
-
-val l3 : t -> Headers.header option
-(** The innermost network-layer header (IPv4/IPv6/ARP), if any. *)
-
-val l4 : t -> Headers.header option
-(** The innermost transport-layer header (TCP/UDP/ICMP), if any. *)
-
 val vlan_ids : t -> int list
 (** All VLAN ids, outermost first. *)
 

@@ -1,7 +1,5 @@
 open Netcore
 
-type packet = { ts : float; orig_len : int; data : bytes }
-
 type index_entry = { ts : float; orig_len : int; data_off : int; cap_len : int }
 
 let magic_be = 0xA1B2C3D4l
@@ -117,8 +115,8 @@ module Reader = struct
 
   (* First pass of the indexed decode: walk record headers only (never
      payload bytes) and emit one offset/length/timestamp entry per
-     record.  Everything downstream — slicing, parallel dissection, the
-     compatibility [packets] list — derives from this single walk. *)
+     record.  Everything downstream — slicing, parallel dissection —
+     derives from this single walk. *)
   let index buf =
     let endian = header buf in
     let snaplen = u32_int endian buf 16 in
@@ -144,13 +142,5 @@ module Reader = struct
     Array.of_list (List.rev !entries)
 
   let slice buf (e : index_entry) = Slice.make buf ~off:e.data_off ~len:e.cap_len
-
-  let packet_of_entry buf (e : index_entry) =
-    { ts = e.ts; orig_len = e.orig_len; data = Bytes.sub buf e.data_off e.cap_len }
-
-  let fold buf ~init ~f =
-    Array.fold_left (fun acc e -> f acc (packet_of_entry buf e)) init (index buf)
-
-  let packets buf = List.rev (fold buf ~init:[] ~f:(fun acc p -> p :: acc))
 
 end

@@ -6,12 +6,6 @@
     readable by tcpdump/Wireshark (big-endian byte order, which readers
     detect from the magic number). *)
 
-type packet = {
-  ts : float;  (** capture timestamp, seconds (microsecond precision) *)
-  orig_len : int;  (** original frame length on the wire *)
-  data : bytes;  (** captured bytes, possibly truncated to the snaplen *)
-}
-
 type index_entry = {
   ts : float;
   orig_len : int;
@@ -59,13 +53,5 @@ module Reader : sig
 
   val slice : bytes -> index_entry -> Slice.t
   (** The captured bytes of an indexed record, as a zero-copy view. *)
-
-  val packet_of_entry : bytes -> index_entry -> packet
-  (** Materialize an indexed record (copies the data; the compatibility
-      path). *)
-
-  val packets : bytes -> packet list
-  (** Decode a whole capture.  Raises {!Malformed} on a bad magic number
-      or a truncated record. *)
 
 end

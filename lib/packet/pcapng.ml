@@ -78,10 +78,5 @@ let index buf =
   done;
   Array.of_list (List.rev !out)
 
-let packets buf =
-  Array.to_list (Array.map (Pcap.Reader.packet_of_entry buf) (index buf))
-
 let index_any buf = if is_pcapng buf then index buf else Pcap.Reader.index buf
 
-let read_any buf =
-  if is_pcapng buf then packets buf else Pcap.Reader.packets buf

@@ -4,7 +4,7 @@
     Modern Wireshark writes pcapng by default, so the offline pipeline
     accepts it alongside classic pcap.  The reader handles both byte
     orders, skips unknown block types, and tolerates multiple interfaces
-    (all packets are returned in file order). *)
+    (all packets are indexed in file order). *)
 
 exception Malformed of string
 
@@ -14,15 +14,9 @@ val index : bytes -> Pcap.index_entry array
     section, each resolving to a zero-copy {!Slice.t} via
     {!Pcap.Reader.slice}.  Raises {!Malformed} on bad block structure. *)
 
-val packets : bytes -> Pcap.packet list
-(** Decode every Enhanced/Simple Packet block of every section. *)
-
 val is_pcapng : bytes -> bool
 (** Checks the magic block type (and so distinguishes pcapng from
     classic pcap). *)
 
 val index_any : bytes -> Pcap.index_entry array
 (** Dispatch on magic: classic pcap or pcapng index. *)
-
-val read_any : bytes -> Pcap.packet list
-(** Dispatch on magic: classic pcap or pcapng. *)

@@ -246,16 +246,37 @@ let encode ?(snaplen = max_int) frame =
   let b = Full_encoder.encode frame in
   if Bytes.length b <= snaplen then b else Bytes.sub b 0 snaplen
 
+(* The copying readers: each record is copied out of the capture buffer
+   into a packet of its own.  The library reads captures only through
+   the index and zero-copy slices ([Pcapng.index_any],
+   [Pcap.Reader.slice]); these are the reference the slices are checked
+   against, and the record the pcapng fixture writer takes. *)
+type packet = {
+  ts : float;  (* capture timestamp, seconds (microsecond precision) *)
+  orig_len : int;  (* original frame length on the wire *)
+  data : bytes;  (* captured bytes, possibly truncated to the snaplen *)
+}
+
+let packets_of index buf =
+  Array.to_list
+    (Array.map
+       (fun (e : Packet.Pcap.index_entry) ->
+         { ts = e.ts; orig_len = e.orig_len; data = Bytes.sub buf e.data_off e.cap_len })
+       (index buf))
+
+let pcap_packets = packets_of Packet.Pcap.Reader.index
+let pcapng_packets = packets_of Packet.Pcapng.index
+let read_any = packets_of Packet.Pcapng.index_any
+
 (* The copying decode: every packet is copied out of the capture buffer
    and dissected from the copy.  The sliced digest must reproduce it
    record for record. *)
 let acaps_copying buf =
   List.map
-    (fun (p : Packet.Pcap.packet) ->
-      let data = Bytes.copy p.data in
+    (fun p ->
       Dissect.Acap.of_slice ~ts:p.ts ~orig_len:p.orig_len
-        (Packet.Slice.make data ~off:0 ~len:(Bytes.length data)))
-    (Packet.Pcapng.read_any buf)
+        (Packet.Slice.make p.data ~off:0 ~len:(Bytes.length p.data)))
+    (read_any buf)
 
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized, written and
@@ -266,11 +287,11 @@ let acaps_copying buf =
 let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
     ~start_time ~end_time specs =
   let module Flow_model = Traffic.Flow_model in
-  let fpga_process =
+  let offload =
     match config.Patchwork.Config.capture_method with
     | Patchwork.Config.Fpga_dpdk { fpga; _ } ->
-      Some (fst (Hostmodel.Fpga_path.create fpga ()))
-    | Patchwork.Config.Tcpdump | Patchwork.Config.Dpdk _ -> None
+      fst (Hostmodel.Fpga_path.create fpga ())
+    | Patchwork.Config.Tcpdump | Patchwork.Config.Dpdk _ -> fun _ -> true
   in
   let anonymizer =
     if config.Patchwork.Config.anonymize then
@@ -291,24 +312,18 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
       let frames = Flow_model.frames_in_window scaled rng ~start_time ~end_time in
       List.iter
         (fun (ts, frame) ->
-          if Packet.Filter.matches config.Patchwork.Config.filter frame then begin
+          if Packet.Filter.matches config.Patchwork.Config.filter frame
+             && offload frame
+          then begin
             let frame =
-              match fpga_process with
-              | Some process -> process frame
-              | None -> Some frame
+              match anonymizer with
+              | Some anon -> Hostmodel.Anonymize.frame anon frame
+              | None -> frame
             in
-            match frame with
-            | None -> ()
-            | Some frame ->
-              let frame =
-                match anonymizer with
-                | Some anon -> Hostmodel.Anonymize.frame anon frame
-                | None -> frame
-              in
-              (match pcap_writer with
-              | Some w -> Packet.Pcap.Writer.add w ~ts (encode frame)
-              | None -> ());
-              acaps := Dissect.Acap.of_frame ~ts frame :: !acaps
+            (match pcap_writer with
+            | Some w -> Packet.Pcap.Writer.add w ~ts (encode frame)
+            | None -> ());
+            acaps := Dissect.Acap.of_frame ~ts frame :: !acaps
           end)
         frames)
     specs;

@@ -2,8 +2,6 @@
    (Section Header, one Ethernet Interface Description at microsecond
    resolution, then one Enhanced Packet Block per packet). *)
 
-module Pcap = Packet.Pcap
-
 let pad32 n = (4 - (n land 3)) land 3
 
 let write ?(snaplen = 65535) packets =
@@ -35,23 +33,23 @@ let write ?(snaplen = 65535) packets =
       u32i snaplen);
   (* Enhanced Packet Blocks. *)
   List.iter
-    (fun (p : Pcap.packet) ->
-      let data = p.Pcap.data in
+    (fun (p : Oracle.packet) ->
+      let data = p.Oracle.data in
       let incl = min (Bytes.length data) snaplen in
-      let usec = Int64.of_float (p.Pcap.ts *. 1e6) in
+      let usec = Int64.of_float (p.Oracle.ts *. 1e6) in
       block 0x00000006l (20 + incl) (fun () ->
           u32 0l (* interface id *);
           u32 (Int64.to_int32 (Int64.shift_right_logical usec 32));
           u32 (Int64.to_int32 usec);
           u32i incl;
-          u32i p.Pcap.orig_len;
+          u32i p.Oracle.orig_len;
           Buffer.add_subbytes buf data 0 incl))
     packets;
   Buffer.to_bytes buf
 
 (* The record a capture with snap length [snaplen] stores for a frame:
    its wire length, and its bytes encoded only that far. *)
-let packet_of_frame ?(snaplen = 65535) ~ts frame : Pcap.packet =
+let packet_of_frame ?(snaplen = 65535) ~ts frame : Oracle.packet =
   let w = Netcore.Wire.Writer.create () in
   Packet.Codec.encode_into w ~limit:snaplen frame;
   { ts; orig_len = Packet.Frame.wire_length frame; data = Netcore.Wire.Writer.contents w }

@@ -435,16 +435,7 @@ let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
         {
           cores = 2;
           fpga =
-            {
-              Hostmodel.Fpga_path.filter =
-                (if Netcore.Rng.bool rng then filter else Packet.Filter.True);
-              sample_1_in = 1 + Netcore.Rng.int rng 3;
-              truncation;
-              anonymizer =
-                (if Netcore.Rng.bernoulli rng 0.3 then
-                   Some (Hostmodel.Anonymize.create ~key:5)
-                 else None);
-            };
+            { Hostmodel.Fpga_path.sample_1_in = 1 + Netcore.Rng.int rng 3; truncation };
         }
   in
   let config =
@@ -462,16 +453,10 @@ let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
     Oracle.materialize_per_frame ~config ~rng:frame_rng ~fraction ~start_time ~end_time
       specs
   in
-  let built_ok =
-    match (fpga, emit_pcap) with
-    | false, false -> m.Capture.frames_built = 0
-    | false, true -> m.Capture.frames_built = List.length records
-    | true, _ -> m.Capture.frames_built >= List.length records
-  in
   m.Capture.records = records
   && m.Capture.pcap = pcap
   && Netcore.Rng.bits64 class_rng = Netcore.Rng.bits64 frame_rng
-  && built_ok
+  && m.Capture.frames_built = if emit_pcap then List.length records else 0
 
 let prop_classes_match_oracle =
   QCheck.Test.make ~name:"class route matches the per-frame oracle" ~count:300
@@ -553,8 +538,8 @@ let counter name =
   | Some (Obs.Registry.Counter v) -> v
   | _ -> 0.0
 
-(* A default-config sample builds no frame; under [emit_pcap] the
-   capture builds exactly one frame per record it keeps. *)
+(* A sample builds no frame, FPGA offload included; under [emit_pcap]
+   the capture builds exactly one frame per record it keeps. *)
 let test_frames_built_counter () =
   let names =
     [ "capture_records_total"; "capture_classes_total"; "capture_frames_built_total" ]
@@ -588,7 +573,18 @@ let test_frames_built_counter () =
   Alcotest.(check int) "default builds no frame" 0 f;
   let records, r, _, f = run { base with Config.emit_pcap = true } in
   Alcotest.(check int) "records counted (pcap)" records r;
-  Alcotest.(check int) "emit_pcap builds one frame per record" records f
+  Alcotest.(check int) "emit_pcap builds one frame per record" records f;
+  let fpga =
+    Config.Fpga_dpdk
+      {
+        cores = 2;
+        fpga = { Hostmodel.Fpga_path.default_config with sample_1_in = 2 };
+      }
+  in
+  let records, r, _, f = run { base with Config.capture_method = fpga } in
+  Alcotest.(check bool) "FPGA sample has records" true (records > 0);
+  Alcotest.(check int) "records counted (FPGA)" records r;
+  Alcotest.(check int) "FPGA offload builds no frame" 0 f
 
 let suites =
   [

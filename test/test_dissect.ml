@@ -117,8 +117,8 @@ let test_no_app_on_unknown_port () =
 let test_truncated_capture () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:1000 in
   let b = Codec.encode f in
-  let snapped = Bytes.sub b 0 200 in
-  let d = Dissector.dissect ~orig_len:(Bytes.length b) snapped in
+  let snapped = Slice.make b ~off:0 ~len:200 in
+  let d = Dissector.dissect_slice ~orig_len:(Bytes.length b) snapped in
   Alcotest.(check bool) "truncated" true d.Dissector.truncated;
   Alcotest.check headers_testable "headers survive" f.Frame.headers d.Dissector.headers
 
@@ -126,8 +126,8 @@ let test_truncated_mid_header () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:1000 in
   let b = Codec.encode f in
   (* Cut inside the TCP header (starts at 34). *)
-  let snapped = Bytes.sub b 0 40 in
-  let d = Dissector.dissect ~orig_len:(Bytes.length b) snapped in
+  let snapped = Slice.make b ~off:0 ~len:40 in
+  let d = Dissector.dissect_slice ~orig_len:(Bytes.length b) snapped in
   Alcotest.(check bool) "truncated" true d.Dissector.truncated;
   Alcotest.(check int) "eth+ip survive" 2 (List.length d.Dissector.headers)
 
@@ -236,7 +236,9 @@ let qcheck_tests =
       (fun (f, snap) ->
         let b = Codec.encode f in
         let snap = min snap (Bytes.length b) in
-        let d = Dissector.dissect ~orig_len:(Bytes.length b) (Bytes.sub b 0 snap) in
+        let d =
+          Dissector.dissect_slice ~orig_len:(Bytes.length b) (Slice.make b ~off:0 ~len:snap)
+        in
         List.length d.Dissector.headers <= List.length f.Frame.headers);
     Test.make ~name:"acap line columns" ~count:300
       (Frame_gen.frame_arb ())

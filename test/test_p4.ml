@@ -27,30 +27,31 @@ let frame ?(vlan = Some 100) ?(dst_port = 443) ?(payload = 100) () =
   in
   Packet.Frame.make (base @ tags @ rest) ~payload_len:payload
 
-let test_field_extraction () =
-  let f = frame () in
-  Alcotest.(check int) "vlan" 100 (P4.eval_field P4.F_vlan_id f);
-  Alcotest.(check int) "no mpls" (-1) (P4.eval_field P4.F_mpls_label f);
-  Alcotest.(check int) "ip version" 4 (P4.eval_field P4.F_ip_version f);
-  Alcotest.(check int) "proto tcp" 6 (P4.eval_field P4.F_ip_proto f);
-  Alcotest.(check int) "dst port" 443 (P4.eval_field P4.F_dst_port f);
-  Alcotest.(check int) "depth" 4 (P4.eval_field P4.F_stack_depth f);
-  Alcotest.(check int) "has tcp token" 1 (P4.eval_field (P4.F_has_token "tcp") f);
-  Alcotest.(check int) "no dns token" 0 (P4.eval_field (P4.F_has_token "dns") f)
+let parse expr =
+  match Packet.Filter.parse expr with Ok f -> f | Error m -> failwith (expr ^ ": " ^ m)
 
+let forwards pipeline fr = (P4.process pipeline fr).P4.frame <> None
+
+(* An entry matches with a filter expression: field equality, length
+   ranges, negation and conjunctions. *)
 let test_match_exprs () =
   let f = frame () in
-  Alcotest.(check bool) "eq" true (P4.matches (P4.M_eq (P4.F_vlan_id, 100)) f);
-  Alcotest.(check bool) "range" true
-    (P4.matches (P4.M_range (P4.F_dst_port, 400, 500)) f);
-  Alcotest.(check bool) "not" false
-    (P4.matches (P4.M_not (P4.M_eq (P4.F_ip_version, 4))) f);
-  Alcotest.(check bool) "and/or" true
-    (P4.matches
-       (P4.M_and
-          (P4.M_eq (P4.F_ip_proto, 6),
-           P4.M_or (P4.M_eq (P4.F_dst_port, 80), P4.M_eq (P4.F_dst_port, 443))))
-       f)
+  let accepts expr =
+    forwards
+      (P4.create
+         [
+           {
+             P4.table_name = "t";
+             entries = [ { P4.matches = parse expr; actions = [ P4.A_accept ] } ];
+             default = [ P4.A_drop ];
+           };
+         ])
+      f
+  in
+  Alcotest.(check bool) "eq" true (accepts "vlan 100");
+  Alcotest.(check bool) "range" true (accepts "greater 100 and less 500");
+  Alcotest.(check bool) "not" false (accepts "not ip");
+  Alcotest.(check bool) "and/or" true (accepts "tcp and (dst port 80 or dst port 443)")
 
 let test_first_match_wins () =
   let pipeline =
@@ -60,9 +61,9 @@ let test_first_match_wins () =
           P4.table_name = "t";
           entries =
             [
-              { P4.matches = P4.M_eq (P4.F_dst_port, 443);
+              { P4.matches = parse "dst port 443";
                 actions = [ P4.A_count "first"; P4.A_drop ] };
-              { P4.matches = P4.M_any; actions = [ P4.A_count "second" ] };
+              { P4.matches = Packet.Filter.True; actions = [ P4.A_count "second" ] };
             ];
           default = [ P4.A_count "default" ];
         };
@@ -137,28 +138,90 @@ let test_anonymize_action () =
         (Netcore.Ipv4_addr.equal ip.H.src (Netcore.Ipv4_addr.of_string "10.5.0.1"))
     | None -> Alcotest.fail "no ipv4")
 
+(* [Compile.of_filter f] forwards a frame exactly when [f] matches it,
+   on every frame of [frames] for every filter of [exprs]. *)
+let check_offload_agrees exprs frames =
+  List.iter
+    (fun expr ->
+      let f = parse expr in
+      let pipeline = P4.Compile.of_filter f in
+      let disagree =
+        List.filter_map Fun.id
+          (List.mapi
+             (fun i fr ->
+               if Packet.Filter.matches f fr = forwards pipeline fr then None
+               else Some i)
+             frames)
+      in
+      Alcotest.(check (list int)) (expr ^ ": frames the offload decides otherwise") []
+        disagree)
+    exprs
+
 let test_compile_filter_equivalence () =
-  (* On tag/port/protocol filters, pipeline matching must agree with the
-     host-side filter evaluator. *)
-  let exprs =
+  check_offload_agrees
     [ "tcp"; "udp"; "ip"; "ip6"; "vlan 100"; "vlan 9"; "port 443"; "dst port 443";
       "src port 443"; "tcp and vlan 100"; "not udp"; "udp or port 443";
       "greater 100"; "less 100"; "tls"; "mpls" ]
+    [ frame (); frame ~vlan:None ~dst_port:80 (); frame ~payload:0 () ]
+
+(* [Stack_builder] templates (plain, VXLAN, PseudoWire and PseudoWire
+   over VXLAN, for every service at two VLANs) and random stacks.  A filter
+   reads every header of the stack: a VXLAN frame's outer UDP header
+   matches [udp] and [port 4789], and [host] matches either of its IPv4
+   headers. *)
+let test_offload_forwards_filtered () =
+  let rng = Netcore.Rng.create 11 in
+  let templates =
+    List.concat_map
+      (fun (use_pseudowire, use_vxlan) ->
+        List.concat_map
+          (fun service ->
+            List.map
+              (fun vlan_id ->
+                Packet.Frame.make
+                  (Traffic.Stack_builder.forward rng
+                     {
+                       Traffic.Stack_builder.vlan_id;
+                       mpls_labels = [ 48000 ];
+                       use_pseudowire;
+                       use_vxlan;
+                       use_ipv6 = false;
+                       service;
+                     })
+                  ~payload_len:(Netcore.Rng.int rng 1400))
+              [ 100; 999 ])
+          (Array.to_list Dissect.Services.catalog))
+      [ (false, false); (false, true); (true, false); (true, true) ]
   in
-  let frames = [ frame (); frame ~vlan:None ~dst_port:80 (); frame ~payload:0 () ] in
+  let random =
+    List.init 200 (fun seed -> Frame_gen.random_frame (Frame_gen.rng_of_seed seed))
+  in
+  let frames = templates @ random in
+  (* A VXLAN frame's underlay source: its first IPv4 header, not the
+     innermost one. *)
+  let underlay =
+    List.find_map
+      (fun (fr : Packet.Frame.t) ->
+        if List.mem "vxlan" (Packet.Frame.tokens fr) then
+          List.find_map
+            (function H.Ipv4 ip -> Some ip.H.src | _ -> None)
+            fr.Packet.Frame.headers
+        else None)
+      frames
+    |> Option.get |> Netcore.Ipv4_addr.to_string
+  in
+  let exprs =
+    [ "udp"; "not udp"; "port 4789"; "host " ^ underlay; "not host " ^ underlay;
+      "vlan 100"; "tcp and port 443 and not vlan 999" ]
+  in
+  (* Every filter keeps some frames and drops others. *)
   List.iter
     (fun expr ->
-      match Packet.Filter.parse expr with
-      | Error m -> Alcotest.failf "parse %s: %s" expr m
-      | Ok f ->
-        let m = P4.Compile.filter_to_match f in
-        List.iter
-          (fun fr ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s agrees" expr)
-              (Packet.Filter.matches f fr) (P4.matches m fr))
-          frames)
-    exprs
+      let kept = List.filter (Packet.Filter.matches (parse expr)) frames in
+      Alcotest.(check bool) (expr ^ " splits the frames") true
+        (kept <> [] && List.length kept < List.length frames))
+    exprs;
+  check_offload_agrees exprs frames
 
 let test_compiled_offload_counts () =
   let filter =
@@ -183,14 +246,12 @@ let qcheck_pipeline_filter_agreement =
         Packet.Filter.And
           (Packet.Filter.Proto "tcp", Packet.Filter.Not (Packet.Filter.Vlan None))
       in
-      let m = P4.Compile.filter_to_match filter in
-      P4.matches m f = Packet.Filter.matches filter f)
+      forwards (P4.Compile.of_filter filter) f = Packet.Filter.matches filter f)
 
 let suites =
   [
     ( "p4.pipeline",
       [
-        Alcotest.test_case "field extraction" `Quick test_field_extraction;
         Alcotest.test_case "match expressions" `Quick test_match_exprs;
         Alcotest.test_case "first match wins" `Quick test_first_match_wins;
         Alcotest.test_case "drop stops pipeline" `Quick test_drop_stops_pipeline;
@@ -199,6 +260,8 @@ let suites =
         Alcotest.test_case "systematic sampling" `Quick test_systematic_sampling;
         Alcotest.test_case "anonymize action" `Quick test_anonymize_action;
         Alcotest.test_case "filter compile equivalence" `Quick test_compile_filter_equivalence;
+        Alcotest.test_case "offload forwards what the filter keeps" `Quick
+          test_offload_forwards_filtered;
         Alcotest.test_case "compiled offload counters" `Quick test_compiled_offload_counts;
         QCheck_alcotest.to_alcotest qcheck_pipeline_filter_agreement;
       ] );

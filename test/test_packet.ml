@@ -95,13 +95,8 @@ let test_accessors () =
   in
   Alcotest.(check (list int)) "vlans" [ 7 ] (Frame.vlan_ids f);
   Alcotest.(check (list int)) "labels" [ 1000; 2000 ] (Frame.mpls_labels f);
-  Alcotest.(check int) "depth" 6 (Frame.depth f);
-  (match Frame.l3 f with
-  | Some (H.Ipv4 _) -> ()
-  | _ -> Alcotest.fail "expected ipv4 l3");
-  match Frame.l4 f with
-  | Some (H.Tcp _) -> ()
-  | _ -> Alcotest.fail "expected tcp l4"
+  Alcotest.(check (list string))
+    "tokens" [ "eth"; "vlan"; "mpls"; "mpls"; "ipv4"; "tcp" ] (Frame.tokens f)
 
 (* --- Codec --- *)
 
@@ -172,23 +167,23 @@ let test_pcap_roundtrip () =
   Pcap.Writer.add_frame w ~ts:1.25 f1;
   Pcap.Writer.add_frame w ~ts:2.5 f2;
   Alcotest.(check int) "count" 2 (Pcap.Writer.packet_count w);
-  let packets = Pcap.Reader.packets (Pcap.Writer.contents w) in
+  let packets = Oracle.pcap_packets (Pcap.Writer.contents w) in
   Alcotest.(check int) "read back" 2 (List.length packets);
   let p1 = List.nth packets 0 and p2 = List.nth packets 1 in
-  Alcotest.(check (float 1e-5)) "ts1" 1.25 p1.Pcap.ts;
-  Alcotest.(check (float 1e-5)) "ts2" 2.5 p2.Pcap.ts;
-  Alcotest.(check int) "len1" 64 p1.Pcap.orig_len;
-  Alcotest.(check int) "len2" 542 p2.Pcap.orig_len;
-  Alcotest.(check bytes) "bytes1" (Codec.encode f1) p1.Pcap.data
+  Alcotest.(check (float 1e-5)) "ts1" 1.25 p1.Oracle.ts;
+  Alcotest.(check (float 1e-5)) "ts2" 2.5 p2.Oracle.ts;
+  Alcotest.(check int) "len1" 64 p1.Oracle.orig_len;
+  Alcotest.(check int) "len2" 542 p2.Oracle.orig_len;
+  Alcotest.(check bytes) "bytes1" (Codec.encode f1) p1.Oracle.data
 
 let test_pcap_snaplen_truncation () =
   let w = Pcap.Writer.create ~snaplen:64 () in
   let f = Frame.make [ eth; ipv4 (); tcp () ] ~payload_len:1000 in
   Pcap.Writer.add_frame w ~ts:0.0 f;
-  let packets = Pcap.Reader.packets (Pcap.Writer.contents w) in
+  let packets = Oracle.pcap_packets (Pcap.Writer.contents w) in
   let p = List.hd packets in
-  Alcotest.(check int) "captured" 64 (Bytes.length p.Pcap.data);
-  Alcotest.(check int) "orig" 1054 p.Pcap.orig_len;
+  Alcotest.(check int) "captured" 64 (Bytes.length p.Oracle.data);
+  Alcotest.(check int) "orig" 1054 p.Oracle.orig_len;
   (* The global header's snaplen field, big-endian at offset 16. *)
   Alcotest.(check int32) "snaplen recorded" 64l
     (Bytes.get_int32_be (Pcap.Writer.contents w) 16)
@@ -197,7 +192,7 @@ let test_pcap_bad_magic () =
   let b = Bytes.make 24 '\x00' in
   Alcotest.check_raises "bad magic"
     (Pcap.Reader.Malformed "bad magic 0x00000000") (fun () ->
-      ignore (Pcap.Reader.packets b))
+      ignore (Oracle.pcap_packets b))
 
 let test_pcap_file_io () =
   let w = Pcap.Writer.create () in
@@ -209,7 +204,7 @@ let test_pcap_file_io () =
     (fun () ->
       Pcap.Writer.to_file w path;
       let packets =
-        Pcap.Reader.packets
+        Oracle.pcap_packets
           (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))
       in
       Alcotest.(check int) "one packet" 1 (List.length packets))
@@ -324,15 +319,15 @@ let records_match_oracle seed =
       frames
   in
   let records packets =
-    List.map (fun (p : Pcap.packet) -> (p.Pcap.orig_len, p.Pcap.data)) packets
+    List.map (fun (p : Oracle.packet) -> (p.Oracle.orig_len, p.Oracle.data)) packets
   in
   List.for_all
     (fun snaplen ->
       let w = Pcap.Writer.create ~snaplen () in
       List.iter (fun f -> Pcap.Writer.add_frame w ~ts:1.0 f) frames;
       let timed = List.map (fun f -> (1.0, f)) frames in
-      records (Pcap.Reader.packets (Pcap.Writer.contents w)) = expected snaplen
-      && records (Pcapng.packets (Pcapng_writer.of_frames ~snaplen timed))
+      records (Oracle.pcap_packets (Pcap.Writer.contents w)) = expected snaplen
+      && records (Oracle.pcapng_packets (Pcapng_writer.of_frames ~snaplen timed))
          = expected snaplen)
     snaplens
 
@@ -352,8 +347,8 @@ let qcheck_tests =
       (fun f ->
         let w = Pcap.Writer.create () in
         Pcap.Writer.add_frame w ~ts:1.0 f;
-        match Pcap.Reader.packets (Pcap.Writer.contents w) with
-        | [ p ] -> Bytes.equal p.Pcap.data (Codec.encode f)
+        match Oracle.pcap_packets (Pcap.Writer.contents w) with
+        | [ p ] -> Bytes.equal p.Oracle.data (Codec.encode f)
         | _ -> false);
     Test.make ~name:"records are the full-payload oracle's prefix (snaplen 14..65535)"
       ~count:300 (int_range 1 1_000_000) records_match_oracle;

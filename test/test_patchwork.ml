@@ -274,7 +274,7 @@ let test_capture_emits_valid_pcap () =
       match sample.Capture.pcap with
       | None -> Alcotest.fail "expected pcap bytes"
       | Some buf ->
-        let packets = Packet.Pcap.Reader.packets buf in
+        let packets = Oracle.pcap_packets buf in
         Alcotest.(check int) "pcap matches acaps" (List.length sample.Capture.acaps)
           (List.length packets);
         (* Digesting the pcap yields the same stacks. *)
