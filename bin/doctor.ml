@@ -1,9 +1,9 @@
 (* `patchwork_cli doctor`: the platform auditing its own measurement
    quality.  A battery of health checks — loss-ledger conservation,
-   federation staleness, active alerts, segment-store validation
-   sweeps — rendered as PASS/WARN/FAIL lines, against either a live
-   service (`--live PORT`, over the HTTP endpoints) or an on-disk
-   history (`--history DIR`, over the tsdb segments directly).
+   active alerts, segment-store validation sweeps — rendered as
+   PASS/WARN/FAIL lines, against either a live service (`--live PORT`,
+   over the HTTP endpoints) or an on-disk history (`--history DIR`,
+   over the tsdb segments directly).
 
    The conservation checks recompute `offered = stored + Σ attributed`
    from the numbers themselves (never trusting a stored "conserved"
@@ -149,51 +149,12 @@ let check_alerts ~port =
              (String.concat ", " names))
       | Some _ -> check name Fail "malformed active member"))
 
-(* Federation staleness from the served /series.json. *)
-let check_up ~port =
-  let name = "federation up{site}" in
-  match fetch ~port "/series.json" with
-  | Error msg -> check "series endpoint" Fail msg
-  | Ok (status, _) when status <> 200 ->
-    check "series endpoint" Fail
-      (Printf.sprintf "/series.json answers %d" status)
-  | Ok (_, body) -> (
-    match J.parse body with
-    | Error msg ->
-      check "series endpoint" Fail ("/series.json unparseable: " ^ msg)
-    | Ok doc ->
-      let up =
-        List.filter_map
-          (fun (n, ls, pts) ->
-            if n = "up" then
-              Option.map
-                (fun site -> (site, List.rev pts))
-                (List.assoc_opt "site" ls)
-            else None)
-          (Live.series_of_json doc)
-      in
-      if up = [] then check name Pass "no federated sites"
-      else
-        let down =
-          List.filter_map
-            (fun (site, pts) ->
-              match pts with
-              | (_, v) :: _ when v < 1.0 -> Some site
-              | _ -> None)
-            up
-        in
-        if down = [] then
-          check name Pass
-            (Printf.sprintf "%d site%s up" (List.length up)
-               (if List.length up = 1 then "" else "s"))
-        else check name Fail ("down: " ^ String.concat ", " down))
-
 let live_checks ~port =
   [ check_endpoint ~port ~name:"service liveness" "/healthz" ]
   @ [ check_endpoint ~port ~name:"service readiness" "/readyz" ]
+  @ [ check_endpoint ~port ~name:"series endpoint" "/series.json" ]
   @ [ check_lossmap ~port ]
   @ [ check_alerts ~port ]
-  @ [ check_up ~port ]
 
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
@@ -225,19 +186,17 @@ let check_segments ~sweep schema ~dir segments =
            (if List.length all = 1 then "" else "s")
            (Filename.basename path) msg))
 
-(* Conservation from persisted series alone: per (site, at, res) bucket,
+(* Conservation from persisted series alone: per (site, at) cell,
    Σ ledger_offered_frames = Σ ledger_stored_frames +
-   Σ loss_attributed_frames.  Works on raw points and on downsampled
-   buckets alike, because compaction is sum-preserving and buckets the
-   two sides of the identity identically. *)
+   Σ loss_attributed_frames. *)
 let check_history_conservation segments =
   let name = "ledger conservation" in
   match Obs.Tsdb.query segments with
   | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
   | groups ->
     let table = Hashtbl.create 64 in
-    let entry site at res =
-      let key = (site, at, res) in
+    let entry site at =
+      let key = (site, at) in
       match Hashtbl.find_opt table key with
       | Some e -> e
       | None ->
@@ -264,16 +223,14 @@ let check_history_conservation segments =
             saw_ledger := true;
             List.iter
               (fun (r : Obs.Tsdb.record) ->
-                let offered, stored, attributed =
-                  entry site r.Obs.Tsdb.t_at r.Obs.Tsdb.t_res
-                in
+                let offered, stored, attributed = entry site r.Obs.Tsdb.t_at in
                 let cell =
                   match side with
                   | `Offered -> offered
                   | `Stored -> stored
                   | `Attributed -> attributed
                 in
-                cell := !cell +. r.Obs.Tsdb.t_sum)
+                cell := !cell +. r.Obs.Tsdb.t_value)
               records))
       groups;
     if not !saw_ledger then
@@ -282,7 +239,7 @@ let check_history_conservation segments =
       let violations = ref [] in
       let cells = ref 0 in
       Hashtbl.iter
-        (fun (site, at, _) (offered, stored, attributed) ->
+        (fun (site, at) (offered, stored, attributed) ->
           incr cells;
           let residual = !offered -. !stored -. !attributed in
           if not (conserved ~offered:!offered residual) then
@@ -305,34 +262,11 @@ let check_history_conservation segments =
              v)
     end
 
-let check_history_up segments =
-  let name = "federation up{site}" in
-  match Obs.Tsdb.query ~pred:(Obs.Tsdb.predicate ~name:"up" ()) segments with
-  | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
-  | [] -> check name Pass "no federated sites"
-  | groups ->
-    let down =
-      List.filter_map
-        (fun (_, ls, records) ->
-          match (List.assoc_opt "site" ls, List.rev records) with
-          | Some site, last :: _ ->
-            let _, v = Obs.Tsdb.point_of_record last in
-            if v < 1.0 then Some site else None
-          | _ -> None)
-        groups
-    in
-    if down = [] then
-      check name Pass
-        (Printf.sprintf "%d site%s up at last scrape" (List.length groups)
-           (if List.length groups = 1 then "" else "s"))
-    else check name Fail ("down at last scrape: " ^ String.concat ", " down)
-
 let history_checks ~dir =
   let segments = Obs.Tsdb.segments_in_dir dir in
   check_segments ~sweep:"tsdb segment sweep" Obs.Tsdb.schema ~dir segments
   ::
-  (if segments = [] then []
-   else [ check_history_conservation segments; check_history_up segments ])
+  (if segments = [] then [] else [ check_history_conservation segments ])
 
 (* --- optional flow-store sweep -------------------------------------- *)
 

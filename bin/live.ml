@@ -91,8 +91,7 @@ type t = {
   tsdb : Obs.Tsdb.t option;
 }
 
-let start ?(rules = default_rules) ?baseline_at ?tsdb ?federation ~port ~log ()
-    =
+let start ?(rules = default_rules) ?baseline_at ?tsdb ~port ~log () =
   let collector = Obs.Series.Collector.create () in
   let alerts = Obs.Alerts.create rules in
   (* Re-arm from persisted history before anything fresh is collected:
@@ -125,22 +124,8 @@ let start ?(rules = default_rules) ?baseline_at ?tsdb ?federation ~port ~log ()
         report.Patchwork.Coordinator.occasion_start
         +. report.Patchwork.Coordinator.occasion_duration
       in
-      let local =
+      let points =
         Obs.Series.Collector.collect_points collector ~at Obs.Registry.default
-      in
-      (* Federation round: pull every per-site endpoint, then merge the
-         site-labelled derived points into the central collector. *)
-      let federated =
-        match federation with
-        | None -> []
-        | Some fed ->
-          let pts = Obs.Federation.scrape fed ~at in
-          List.iter
-            (fun (name, labels, p) ->
-              Obs.Series.Collector.push_point collector ~name ~labels
-                ~at:p.Obs.Series.at p.Obs.Series.value)
-            pts;
-          pts
       in
       (* Persist every point collected this occasion; each flush seals
          one segment, so history survives a kill at any boundary. *)
@@ -150,7 +135,7 @@ let start ?(rules = default_rules) ?baseline_at ?tsdb ?federation ~port ~log ()
           (fun (name, labels, p) ->
             Obs.Tsdb.append_point store ~name ~labels ~at:p.Obs.Series.at
               p.Obs.Series.value)
-          (local @ federated);
+          points;
         ignore (Obs.Tsdb.flush store)
       | None -> ());
       let events = Obs.Alerts.evaluate alerts ~at collector in
@@ -265,39 +250,7 @@ let render_live ~port =
               (name ^ label_suffix labels)
               (Obs.Series.sparkline ~width:32 s)
               last)
-          all;
-        (* Federation staleness: a dead scraped site must be visible in
-           the report, not only in the raw up{site} gauge. *)
-        let last_value wanted site =
-          List.find_map
-            (fun (n, ls, pts) ->
-              if n = wanted && List.assoc_opt "site" ls = Some site then
-                match List.rev pts with (_, v) :: _ -> Some v | [] -> None
-              else None)
-            all
-        in
-        let fed_sites =
-          List.filter_map
-            (fun (n, ls, _) ->
-              if n = "up" then List.assoc_opt "site" ls else None)
-            all
-          |> List.sort_uniq compare
-        in
-        if fed_sites <> [] then begin
-          print_endline "federated sites:";
-          List.iter
-            (fun site ->
-              let age =
-                match last_value "scrape_age_seconds" site with
-                | Some a -> Printf.sprintf " (scrape age %gs)" a
-                | None -> ""
-              in
-              match last_value "up" site with
-              | Some v when v >= 1.0 -> Printf.printf "  %-16s up%s\n" site age
-              | Some _ -> Printf.printf "  %-16s DOWN%s\n" site age
-              | None -> ())
-            fed_sites
-        end
+          all
       end));
   match Obs.Http.get ~port "/alerts.json" with
   | Error msg -> Printf.printf "alerts unavailable: %s\n" msg
@@ -334,9 +287,9 @@ let render_live ~port =
 (* --- the history side: `report --history DIR` --- *)
 
 (* Render trends straight from a store directory, no service needed.
-   Reads the live segments as they are (a killed write's temporary and
-   the inputs a committed merge replaced are not listed), so this never
-   mutates the store a live service may still own. *)
+   Reads the committed segments as they are (a killed write's temporary
+   is not listed), so this never mutates the store a live service may
+   still own. *)
 let render_history ?since ?until ?name ~dir () =
   let segments = Obs.Tsdb.segments_in_dir dir in
   if segments = [] then
@@ -351,10 +304,8 @@ let render_history ?since ?until ?name ~dir () =
       List.iter
         (fun (sname, labels, records) ->
           let s = Obs.Series.create ~name:sname ~labels () in
-          let raw = ref 0 and buckets = ref 0 in
           List.iter
             (fun r ->
-              if Obs.Tsdb.is_raw r then incr raw else incr buckets;
               let at, v = Obs.Tsdb.point_of_record r in
               Obs.Series.push s ~at v)
             records;
@@ -363,10 +314,10 @@ let render_history ?since ?until ?name ~dir () =
             | Some p -> Printf.sprintf "%g" p.Obs.Series.value
             | None -> "-"
           in
-          Printf.printf "  %-42s %s %s (%d raw, %d buckets)\n"
+          Printf.printf "  %-42s %s %s (%d points)\n"
             (sname ^ label_suffix labels)
             (Obs.Series.sparkline ~width:32 s)
-            last !raw !buckets)
+            last (List.length records))
         groups
     end
   end

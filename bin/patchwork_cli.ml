@@ -387,36 +387,9 @@ let weekly_cmd =
     in
     Arg.(value & opt (some string) None & info [ "tsdb" ] ~docv:"DIR" ~doc)
   in
-  let retention =
-    let doc =
-      "With $(b,--tsdb): drop stored records older than $(docv) behind the \
-       newest stored timestamp (e.g. $(b,30d), $(b,12w); default: keep \
-       everything)."
-    in
-    Arg.(value & opt (some string) None & info [ "retention" ] ~docv:"DUR" ~doc)
-  in
-  let downsample =
-    let doc =
-      "With $(b,--tsdb): compact raw points older than the current window \
-       into $(docv)-wide buckets carrying count/sum/min/max/last (e.g. \
-       $(b,1h), $(b,1d); default: keep raw points forever)."
-    in
-    Arg.(value & opt (some string) None & info [ "downsample" ] ~docv:"RES" ~doc)
-  in
-  let scrape =
-    let doc =
-      "Federate a per-site exposition endpoint: scrape \
-       $(b,SITE=HOST:PORT[/path]) after every occasion, rewrite its \
-       samples with a site label, and derive federation-wide series \
-       (plus up{site} / scrape_duration_seconds{site} staleness \
-       tracking).  Repeatable; a dead target is marked up=0 and never \
-       blocks the others."
-    in
-    Arg.(value & opt_all string [] & info [ "scrape" ] ~docv:"TARGET" ~doc)
-  in
   let run seed weeks start_day hours out domains metrics_out
       serve_metrics hold alert_rules fail_on_alert pipeline pipeline_depth
-      flow_store spill_threshold tsdb retention downsample scrape =
+      flow_store spill_threshold tsdb =
     (* The paper's operational mode: Patchwork runs weekly and keeps a
        cumulative testbed-wide profile (the public dashboard's data).
        One pool serves every occasion. *)
@@ -442,49 +415,17 @@ let weekly_cmd =
     (* One bounded ring log shared across occasions so /logs.json can
        tail the whole service, not just the newest occasion. *)
     let service_log = Patchwork.Logging.create ~capacity:4096 () in
-    let service_event ~component msg =
-      Patchwork.Logging.log service_log ~time:(Obs.Clock.now ())
-        ~level:Patchwork.Logging.Warning ~component msg
-    in
-    let duration_of flag = function
-      | None -> None
-      | Some s -> (
-        match Netcore.Units.parse_duration s with
-        | Ok v -> Some v
-        | Error msg -> failwith (flag ^ ": " ^ msg))
-    in
-    let tsdb_store =
-      Option.map
-        (fun dir ->
-          Obs.Tsdb.open_store
-            ?retention:(duration_of "--retention" retention)
-            ?resolution:(duration_of "--downsample" downsample)
-            ~dir ())
-        tsdb
-    in
-    let federation =
-      match scrape with
-      | [] -> None
-      | targets ->
-        Some
-          (Obs.Federation.create ~log:(service_event ~component:"federation")
-             (List.map
-                (fun s ->
-                  match Obs.Federation.target_of_string s with
-                  | Ok t -> t
-                  | Error msg -> failwith ("--scrape: " ^ msg))
-                targets))
-    in
+    let tsdb_store = Option.map (fun dir -> Obs.Tsdb.open_store ~dir ()) tsdb in
     let live =
-      (* --tsdb / --scrape without --serve-metrics still need the
-         occasion hook (and re-armed alerts): run the service on an
-         ephemeral port without announcing it. *)
-      match (serve_metrics, tsdb_store, federation) with
-      | None, None, None when not fail_on_alert -> None
-      | port, _, _ ->
+      (* --tsdb without --serve-metrics still needs the occasion hook
+         (and re-armed alerts): run the service on an ephemeral port
+         without announcing it. *)
+      match (serve_metrics, tsdb_store) with
+      | None, None when not fail_on_alert -> None
+      | port, _ ->
         let baseline_at = float_of_int start_day *. Netcore.Timebase.day in
         let l =
-          Live.start ~rules ~baseline_at ?tsdb:tsdb_store ?federation
+          Live.start ~rules ~baseline_at ?tsdb:tsdb_store
             ~port:(Option.value ~default:0 port)
             ~log:service_log ()
         in
@@ -629,7 +570,7 @@ let weekly_cmd =
       const run $ seed_arg $ weeks $ start_day $ hours $ out $ domains_arg
       $ metrics_out_arg $ serve_metrics $ hold
       $ alert_rules $ fail_on_alert $ pipeline $ pipeline_depth $ flow_store
-      $ spill_threshold $ tsdb $ retention $ downsample $ scrape)
+      $ spill_threshold $ tsdb)
 
 (* --- query --- *)
 
@@ -1002,9 +943,8 @@ let report_cmd =
   in
   let history =
     let doc =
-      "Render trends from a $(b,weekly --tsdb) store directory (raw \
-       points and downsampled buckets) without needing a running \
-       service."
+      "Render trends from a $(b,weekly --tsdb) store directory without \
+       needing a running service."
     in
     Arg.(value & opt (some string) None & info [ "history" ] ~docv:"DIR" ~doc)
   in
@@ -1022,11 +962,20 @@ let report_cmd =
   in
   let run seed hours site infile live_port history hist_since hist_until
       hist_name domains =
+    (* An unreachable service or a corrupt store is the user's input,
+       not a bug: one line on stderr and exit 1, as query does. *)
+    let fail msg =
+      prerr_endline ("report: " ^ msg);
+      exit 1
+    in
     match (live_port, history) with
-    | Some port, _ -> Live.render_live ~port
-    | None, Some dir ->
-      Live.render_history ?since:hist_since ?until:hist_until ?name:hist_name
-        ~dir ()
+    | Some port, _ -> (
+      try Live.render_live ~port with Failure msg -> fail msg)
+    | None, Some dir -> (
+      try
+        Live.render_history ?since:hist_since ?until:hist_until
+          ?name:hist_name ~dir ()
+      with Obs.Tsdb.Corrupt msg -> fail msg)
     | None, None ->
     let doc =
       match infile with
@@ -1039,7 +988,7 @@ let report_cmd =
         in
         (match J.parse text with
         | Ok doc -> doc
-        | Error msg -> failwith (path ^ ": " ^ msg))
+        | Error msg -> fail (path ^ ": " ^ msg))
       | None ->
         (* Run one occasion and report on its live spans and counters. *)
         (with_domains domains @@ fun pool ->
@@ -1070,17 +1019,16 @@ let doctor_cmd =
     let doc =
       "Audit a running $(b,weekly --serve-metrics) service on \
        127.0.0.1:$(docv): liveness/readiness, loss-ledger conservation \
-       recomputed from $(b,/lossmap.json), active alerts and federation \
-       staleness."
+       recomputed from $(b,/lossmap.json), the series endpoint and \
+       active alerts."
     in
     Arg.(value & opt (some int) None & info [ "live" ] ~docv:"PORT" ~doc)
   in
   let history =
     let doc =
       "Audit an on-disk $(b,weekly --tsdb) store under $(docv): validate \
-       every segment byte-for-byte, recompute ledger conservation from \
-       the persisted series, and check federation staleness from the \
-       stored history."
+       every segment byte-for-byte and recompute ledger conservation \
+       from the persisted series."
     in
     Arg.(value & opt (some string) None & info [ "history" ] ~docv:"DIR" ~doc)
   in
@@ -1098,7 +1046,7 @@ let doctor_cmd =
     Cmd.info "doctor"
       ~doc:
         "Run the platform's health checks — ledger conservation, segment \
-         validation, federation staleness, alerts — against \
+         validation, alerts — against \
          a live service ($(b,--live)) and/or stored history \
          ($(b,--history)); PASS/WARN/FAIL per check, nonzero exit on any \
          FAIL"

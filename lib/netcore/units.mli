@@ -1,4 +1,4 @@
-(** Unit conversions and pretty-printing for rates and sizes.
+(** Unit conversions between bit rates and frame rates.
 
     Throughout the code base, rates are bits per second ([float]) and
     sizes are bytes ([int] or [float]); this module keeps the
@@ -10,9 +10,3 @@ val pps_of_bps : float -> frame_bytes:int -> float
 
 val bps_of_pps : float -> frame_bytes:int -> float
 (** Inverse of {!pps_of_bps}. *)
-
-val parse_duration : string -> (float, string) result
-(** Parse a duration to seconds: a positive number with an optional
-    [s]/[m]/[h]/[d]/[w] suffix (["90s"], ["15m"], ["2h"], ["7d"],
-    ["1w"]; no suffix means seconds).  The CLI syntax for telemetry
-    retention and downsample resolution. *)

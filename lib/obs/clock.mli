@@ -1,7 +1,7 @@
 (** Wall-clock source for the whole observability layer.
 
-    Injectable so tests can drive spans, scrape ages and alert timing
-    with a fake clock. *)
+    Injectable so tests can drive spans and the series collector's
+    wall-clock deltas with a fake clock. *)
 
 val now : unit -> float
 (** Seconds since the epoch, from the current source. *)

@@ -4,10 +4,9 @@
    parameter validation included — is exercised by the socket smoke
    tests.  The endpoint unifies two sources: the collector's rolling
    in-memory windows (authoritative for the span they still retain) and
-   the on-disk {!Tsdb} history (raw points and downsampled buckets
-   older than what memory holds), filtered by [?since=]/[?until=]/
-   [?name=]/[?label=k=v] query parameters.  Malformed parameters are
-   answered with 400. *)
+   the on-disk {!Tsdb} history (the points older than what memory
+   holds), filtered by [?since=]/[?until=]/[?name=]/[?label=k=v] query
+   parameters.  Malformed parameters are answered with 400. *)
 
 module J = Export.Json
 
@@ -35,24 +34,6 @@ let label_params req =
   |> Result.map List.rev
 
 let point_json at value = J.Obj [ ("at", J.Num at); ("value", J.Num value) ]
-
-(* A downsampled bucket renders as its last raw point plus the
-   aggregate fields, so history-unaware readers (sparkline scrapers)
-   keep working on the (at, value) shape. *)
-let record_json (r : Tsdb.record) =
-  if Tsdb.is_raw r then point_json r.Tsdb.t_at r.Tsdb.t_sum
-  else
-    J.Obj
-      [
-        ("at", J.Num r.Tsdb.t_last_at);
-        ("value", J.Num r.Tsdb.t_last);
-        ("start", J.Num r.Tsdb.t_at);
-        ("res", J.Num r.Tsdb.t_res);
-        ("count", J.Num (float_of_int r.Tsdb.t_count));
-        ("sum", J.Num r.Tsdb.t_sum);
-        ("min", J.Num r.Tsdb.t_min);
-        ("max", J.Num r.Tsdb.t_max);
-      ]
 
 let series_json ?tsdb ~collector ~since ~until ~name ~labels () =
   let keep_name n = match name with None -> true | Some x -> String.equal x n in
@@ -100,9 +81,12 @@ let series_json ?tsdb ~collector ~since ~until ~name ~labels () =
             | Some (oldest, _) -> oldest
             | None -> infinity
           in
-          match List.filter (fun r -> Tsdb.record_end r < cut) records with
+          match List.filter (fun r -> r.Tsdb.t_at < cut) records with
           | [] -> None
-          | kept -> Some ((n, ls), List.map record_json kept))
+          | kept ->
+            Some
+              ( (n, ls),
+                List.map (fun r -> point_json r.Tsdb.t_at r.Tsdb.t_value) kept ))
         (Tsdb.query_store ~pred store)
   in
   let keys = List.sort_uniq compare (List.map fst hist @ List.map fst mem) in

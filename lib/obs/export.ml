@@ -318,99 +318,6 @@ let to_prometheus samples =
     samples;
   Buffer.contents buf
 
-let parse_labels line pos =
-  (* Parse {k="v",...}; [pos] points at '{'. Returns (labels, next). *)
-  let n = String.length line in
-  let labels = ref [] in
-  let pos = ref (pos + 1) in
-  let fail msg = failwith msg in
-  let rec go () =
-    if !pos >= n then fail "unterminated label set"
-    else if line.[!pos] = '}' then incr pos
-    else begin
-      let key_start = !pos in
-      while !pos < n && line.[!pos] <> '=' do incr pos done;
-      if !pos >= n then fail "missing '=' in label";
-      let key = String.sub line key_start (!pos - key_start) in
-      incr pos;
-      if !pos >= n || line.[!pos] <> '"' then fail "missing label value quote";
-      incr pos;
-      let buf = Buffer.create 16 in
-      let rec value () =
-        if !pos >= n then fail "unterminated label value"
-        else
-          match line.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then fail "bad escape";
-            (match line.[!pos + 1] with
-            | 'n' -> Buffer.add_char buf '\n'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '"' -> Buffer.add_char buf '"'
-            | c -> Buffer.add_char buf c);
-            pos := !pos + 2;
-            value ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            value ()
-      in
-      value ();
-      labels := (key, Buffer.contents buf) :: !labels;
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        go ()
-      end
-      else if !pos < n && line.[!pos] = '}' then incr pos
-      else fail "expected ',' or '}'"
-    end
-  in
-  go ();
-  (List.rev !labels, !pos)
-
-let parse_value_text s =
-  match String.trim s with
-  | "+Inf" -> Some infinity
-  | "-Inf" -> Some neg_infinity
-  | "NaN" -> Some Float.nan
-  | s -> float_of_string_opt s
-
-let parse_prometheus text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let line' = String.trim line in
-      if line' = "" || line'.[0] = '#' then go acc rest
-      else begin
-        match
-          let brace = String.index_opt line' '{' in
-          let name, labels, after =
-            match brace with
-            | Some b ->
-              let name = String.sub line' 0 b in
-              let labels, next = parse_labels line' b in
-              (name, labels, String.sub line' next (String.length line' - next))
-            | None ->
-              let sp =
-                match String.index_opt line' ' ' with
-                | Some i -> i
-                | None -> failwith "missing value"
-              in
-              ( String.sub line' 0 sp,
-                [],
-                String.sub line' sp (String.length line' - sp) )
-          in
-          match parse_value_text after with
-          | Some v -> (name, labels, v)
-          | None -> failwith ("bad value: " ^ after)
-        with
-        | sample -> go (sample :: acc) rest
-        | exception Failure msg -> Error (Printf.sprintf "%s in %S" msg line')
-      end
-  in
-  go [] lines
-
 (* --- JSON snapshot --- *)
 
 let json_of_labels labels =

@@ -1,8 +1,8 @@
 (** Exposition formats for {!Registry} snapshots and {!Span} trees.
 
-    Two exporters (Prometheus text, JSON) plus the matching parsers used
-    by the round-trip tests, the CI smoke check and
-    [patchwork_cli report --in]. *)
+    Two exporters (Prometheus text, JSON) plus the JSON parser that
+    [patchwork_cli report --in], [report --live] and [doctor] read
+    snapshots and endpoints back with. *)
 
 (** Minimal JSON: writer + recursive-descent parser (no external
     dependencies). *)
@@ -33,12 +33,6 @@ val flatten : Registry.sample list -> (string * Registry.labels * float) list
 val to_prometheus : Registry.sample list -> string
 (** Prometheus text exposition (HELP/TYPE comments plus {!flatten}'s
     data lines). *)
-
-val parse_prometheus :
-  string -> ((string * Registry.labels * float) list, string) result
-(** Parse exposition text back into data lines; inverse of
-    {!to_prometheus} up to float formatting (17 significant digits, so
-    values round-trip exactly). *)
 
 val json_of_snapshot : ?spans:Span.span list -> Registry.sample list -> Json.t
 (** [{ "metrics": [...], "spans": [...] }]; spans nest recursively with

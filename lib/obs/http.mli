@@ -66,8 +66,8 @@ val stop : server -> unit
 (** Request shutdown and wake the accept loop; idempotent and safe from
     any domain.  Once {!run} returns, every socket is closed. *)
 
-val get :
-  ?host:string -> ?timeout_s:float -> port:int -> string -> (int * string, string) result
-(** One-shot [GET path] against [host] (default [127.0.0.1]); returns
-    (status, body).  The scrape client behind [report --live] and the
-    socket smoke tests. *)
+val get : port:int -> string -> (int * string, string) result
+(** One-shot [GET path] against [127.0.0.1:port], each socket read and
+    write bounded at 5 s; returns (status, body).  The scrape client
+    behind [report --live], [doctor --live] and the socket smoke
+    tests. *)

@@ -137,8 +137,7 @@ module Collector = struct
       go 0 bins
     end
 
-  (* Append one externally computed point (federation staleness series,
-     history warm-loads) to the named window. *)
+  (* Append one externally computed point to the named window. *)
   let push_point t ~name ?(labels = []) ~at value =
     push (get_series t name (List.sort compare labels)) ~at value
 
@@ -232,8 +231,7 @@ module Collector = struct
          checkable from persisted history alone: per (site, at),
          ledger_offered_frames = ledger_stored_frames +
          Σ loss_attributed_frames{cause} (untouched cells pushed no
-         point and contribute zero; downsampled buckets are
-         sum-preserving, so the identity survives compaction too).
+         point and contribute zero).
          The per-site drop rate is the ledger's too, and 0 when nothing
          was offered, so a [for N] alert clears. *)
       List.iter

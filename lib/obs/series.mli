@@ -77,8 +77,7 @@ module Collector : sig
   val push_point :
     t -> name:string -> ?labels:Registry.labels -> at:float -> float -> unit
   (** Append one externally computed point to the named window (creating
-      it on first use) — e.g. federation staleness series, or history
-      replayed from the on-disk store after a restart. *)
+      it on first use), without a registry collect. *)
 
   val series : t -> series list
   (** Every derived series, sorted by name then labels. *)

@@ -4,7 +4,7 @@
    exception a decoder lets escape: pcap and pcapng indexing (then the
    dissection of every indexed entry, the decode [release] runs too)
    raises only their [Malformed]; HTTP request heads, their numeric
-   query parameters, and Prometheus and JSON text return [Error]. *)
+   query parameters, and JSON text return [Error]. *)
 
 (* Run [decode] on every mutation of the valid inputs [bases].
    [decode] returns normally on a declared outcome; anything it raises
@@ -73,14 +73,6 @@ let snapshot =
   List.iter (Obs.Registry.observe h) [ 1e-4; 0.5; 3.0 ];
   Obs.Registry.snapshot reg
 
-let test_prometheus () =
-  fuzz ~seed:34
-    [
-      Obs.Export.to_prometheus snapshot;
-      Obs.Export.to_prometheus (List.tl snapshot);
-    ]
-    (fun s -> ignore (Obs.Export.parse_prometheus s))
-
 let test_json () =
   let module J = Obs.Export.Json in
   fuzz ~seed:35
@@ -102,7 +94,6 @@ let suites =
       [
         Alcotest.test_case "pcap/pcapng index_any + dissect" `Quick test_index_any;
         Alcotest.test_case "http request + params" `Quick test_http_request;
-        Alcotest.test_case "prometheus text" `Quick test_prometheus;
         Alcotest.test_case "json text" `Quick test_json;
       ] );
   ]

@@ -17,7 +17,7 @@
    - collect: one series collect allocates at most 150 minor words per
      registry cell;
    - tsdb: persisting one occasion's collected points (append, then one
-     flush) allocates at most 150 minor words per point;
+     flush) allocates at most 100 minor words per point;
    - ledger: the loss ledger adds under 1% to an occasion's minor words;
    - flow store: a top-k query promotes under a twentieth of the words
      the in-memory merge of the same groups promotes, because it never
@@ -226,7 +226,7 @@ let test_tsdb_words_per_point () =
   ignore (persist ());
   check_at_most
     (Printf.sprintf "tsdb: minor words per point (%d points)" (List.length points))
-    ~bound:150.0
+    ~bound:100.0
     (persist () /. float_of_int (List.length points))
 
 (* --- ledger: share of an occasion's words -------------------------- *)

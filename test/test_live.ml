@@ -106,7 +106,7 @@ let test_http_socket_smoke () =
       | Error msg -> Alcotest.fail ("get /metrics: " ^ msg)
       | Ok (status, body) -> (
         Alcotest.(check int) "metrics 200" 200 status;
-        match Export.parse_prometheus body with
+        match Oracle.parse_prometheus body with
         | Error msg -> Alcotest.fail ("scraped text unparseable: " ^ msg)
         | Ok lines ->
           Alcotest.(check bool) "scraped value" true

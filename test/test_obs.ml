@@ -89,7 +89,7 @@ let populated_registry () =
 let test_prometheus_roundtrip () =
   let snap = Registry.snapshot (populated_registry ()) in
   let text = Export.to_prometheus snap in
-  match Export.parse_prometheus text with
+  match Oracle.parse_prometheus text with
   | Error msg -> Alcotest.fail ("parse_prometheus: " ^ msg)
   | Ok lines ->
     Alcotest.(check int) "line count survives" (List.length (Export.flatten snap))
@@ -157,7 +157,7 @@ let qcheck_prometheus_escaping =
         (Registry.counter r "m_total" ~help ~labels:[ ("site", label_value) ])
         7.0;
       let snap = Registry.snapshot r in
-      match Export.parse_prometheus (Export.to_prometheus snap) with
+      match Oracle.parse_prometheus (Export.to_prometheus snap) with
       | Error _ -> false
       | Ok lines -> lines = Export.flatten snap)
 

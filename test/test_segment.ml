@@ -45,16 +45,7 @@ let fsrec ?(site = "STAR") ?(rst = false) ~seq key =
     r_rst = rst;
   }
 
-let bucket ~name ~at =
-  {
-    (T.raw_point ~name ~labels:[ ("site", "STAR") ] ~at 1.5) with
-    T.t_res = 60.0;
-    t_count = 3;
-    t_sum = 4.5;
-    t_min = 0.5;
-    t_max = 2.5;
-    t_last_at = at +. 30.0;
-  }
+let point ~name ~at = T.raw_point ~name ~labels:[ ("site", "STAR") ] ~at 1.5
 
 (* --- readers are closed when a later segment fails ----------------- *)
 
@@ -165,7 +156,7 @@ let test_killed_write_flow_store () =
 let test_killed_write_tsdb () =
   killed_write T.schema
     ~committed:
-      [ [ bucket ~name:"x" ~at:0.0 ]; [ T.raw_point ~name:"y" ~at:1.0 2.0 ] ]
+      [ [ point ~name:"x" ~at:0.0 ]; [ T.raw_point ~name:"y" ~at:1.0 2.0 ] ]
     (List.init 2000 (fun i ->
          T.raw_point ~name:"captured_bytes_per_s"
            ~labels:[ ("site", "STAR") ]
@@ -233,10 +224,10 @@ let test_fuzz_tsdb () =
         [
           T.raw_point ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:60.0 0.125;
           T.raw_point ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:60.0 0.125;
-          bucket ~name:"captured_bytes_per_s" ~at:0.0;
+          point ~name:"captured_bytes_per_s" ~at:0.0;
           T.raw_point ~name:"up" ~labels:[ ("a", "1"); ("b", "2") ] ~at:5.0 1.0;
         ];
-        [ bucket ~name:"x" ~at:3600.0; T.raw_point ~name:"y" ~at:1.0 (-1.0) ];
+        [ point ~name:"x" ~at:3600.0; T.raw_point ~name:"y" ~at:1.0 (-1.0) ];
       ]
     ()
 

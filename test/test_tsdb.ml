@@ -1,8 +1,7 @@
-(* The persistent telemetry store and the federated scrape plane:
-   segment wire format (pinned by an independent encoder), corruption
-   rejection, downsampling identity against raw recomputation,
-   kill-and-resume determinism, the states a killed compaction leaves,
-   alert re-arming, and the filterable /series.json endpoint. *)
+(* The persistent telemetry store: segment wire format (pinned by an
+   independent encoder), corruption rejection, kill-and-resume
+   determinism, alert re-arming, and the filterable /series.json
+   endpoint. *)
 
 module T = Obs.Tsdb
 module Segment = Obs.Segment
@@ -11,7 +10,6 @@ module Series = Obs.Series
 module Alerts = Obs.Alerts
 module Http = Obs.Http
 module Clock = Obs.Clock
-module Fed = Obs.Federation
 module J = Obs.Export.Json
 
 let with_temp_dir f =
@@ -64,6 +62,8 @@ let enc_raw b ~name ~labels ~at ~value =
   enc_f64 b at;
   enc_f64 b value
 
+(* The layout an older writer gave a downsampled bucket (kind 1), which
+   the reader must refuse rather than misread. *)
 let enc_bucket b ~name ~labels ~start ~res ~count ~sum ~min ~max ~last ~last_at =
   enc_head b ~name ~labels;
   Buffer.add_uint8 b 1;
@@ -118,26 +118,19 @@ let test_segment_format_pinned () =
   let path = Filename.concat dir "pinned.pwts" in
   write_file path
     (encode_segment ~count:2 (fun b ->
-         enc_bucket b ~name:"captured_bytes_per_s" ~labels:[] ~start:3600.0
-           ~res:3600.0 ~count:3 ~sum:6.75 ~min:1.25 ~max:3.0 ~last:2.5
-           ~last_at:5400.0;
+         enc_raw b ~name:"captured_bytes_per_s" ~labels:[] ~at:5400.0
+           ~value:2.5;
          enc_raw b ~name:"site_drop_rate"
            ~labels:[ ("site", "STAR") ]
            ~at:7200.0 ~value:0.125));
   (match Segment.read_all T.schema path with
   | Error e -> Alcotest.fail e
-  | Ok [ bucket; point ] ->
-    Alcotest.(check string) "bucket name" "captured_bytes_per_s" bucket.T.t_name;
-    Alcotest.(check bool) "bucket is not raw" false (T.is_raw bucket);
-    Alcotest.(check (float 0.0)) "bucket start" 3600.0 bucket.T.t_at;
-    Alcotest.(check (float 0.0)) "bucket res" 3600.0 bucket.T.t_res;
-    Alcotest.(check int) "bucket count" 3 bucket.T.t_count;
-    Alcotest.(check (float 0.0)) "bucket sum" 6.75 bucket.T.t_sum;
-    Alcotest.(check (float 0.0)) "bucket min" 1.25 bucket.T.t_min;
-    Alcotest.(check (float 0.0)) "bucket max" 3.0 bucket.T.t_max;
-    Alcotest.(check (float 0.0)) "bucket last" 2.5 bucket.T.t_last;
-    Alcotest.(check (float 0.0)) "bucket last_at" 5400.0 bucket.T.t_last_at;
-    Alcotest.(check bool) "raw record exact" true
+  | Ok [ first; point ] ->
+    Alcotest.(check string) "first name" "captured_bytes_per_s" first.T.t_name;
+    Alcotest.(check (list (pair string string))) "first labels" [] first.T.t_labels;
+    Alcotest.(check (float 0.0)) "first at" 5400.0 first.T.t_at;
+    Alcotest.(check (float 0.0)) "first value" 2.5 first.T.t_value;
+    Alcotest.(check bool) "labelled record exact" true
       (point = raw ~name:"site_drop_rate" ~labels:[ ("site", "STAR") ] ~at:7200.0 0.125)
   | Ok l -> Alcotest.failf "expected 2 records, got %d" (List.length l));
   (* Direction 2: the library writes byte-for-byte what the independent
@@ -158,10 +151,9 @@ let test_segment_format_pinned () =
   Alcotest.(check bool) "writer output byte-identical to spec" true
     (read_file path2 = expected)
 
-(* Two sources reporting the same series at the same instant (a local
-   and a federated aggregate) produce duplicate-keyed records; the
-   writer keeps them adjacent and the reader must accept its own
-   writer's output. *)
+(* Two sources reporting the same series at the same instant produce
+   duplicate-keyed records; the writer keeps them adjacent and the
+   reader must accept its own writer's output. *)
 let test_segment_duplicate_keys_roundtrip () =
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "dup.pwts" in
@@ -230,109 +222,13 @@ let test_segment_corruption_rejected () =
            ~labels:[ ("z", "1"); ("a", "2") ]
            ~at:1.0 ~value:1.0));
   check_error (path "labels.pwts") "labels not sorted";
-  write_file (path "minmax.pwts")
+  (* A store an older build downsampled holds kind-1 buckets: refused,
+     never read as points. *)
+  write_file (path "bucket.pwts")
     (encode_segment ~count:1 (fun b ->
          enc_bucket b ~name:"a" ~labels:[] ~start:0.0 ~res:60.0 ~count:2
-           ~sum:3.0 ~min:9.0 ~max:1.0 ~last:1.0 ~last_at:5.0));
-  check_error (path "minmax.pwts") "min > max";
-  write_file (path "count.pwts")
-    (encode_segment ~count:1 (fun b ->
-         enc_bucket b ~name:"a" ~labels:[] ~start:0.0 ~res:60.0 ~count:0
-           ~sum:0.0 ~min:0.0 ~max:0.0 ~last:0.0 ~last_at:0.0));
-  check_error (path "count.pwts") "bucket with count 0"
-
-(* --- downsampling identity ----------------------------------------- *)
-
-(* Monotone random series: the shape every collector produces. *)
-let gen_points seed =
-  let rng = Netcore.Rng.create seed in
-  let n = 20 + Netcore.Rng.int rng 60 in
-  let at = ref 0.0 in
-  List.init n (fun _ ->
-      at := !at +. (0.5 +. (Netcore.Rng.float rng *. 40.0));
-      let v = (Netcore.Rng.float rng *. 200.0) -. 100.0 in
-      (!at, v))
-
-let prop_downsample_matches_raw =
-  QCheck.Test.make ~count:40 ~name:"downsampled buckets ≡ recompute from raw"
-    QCheck.small_int
-    (fun seed ->
-      with_temp_dir @@ fun dir ->
-      let res = 60.0 in
-      let pts = gen_points seed in
-      let newest = List.fold_left (fun acc (at, _) -> Float.max acc at) 0.0 pts in
-      let store = T.open_store ~resolution:res ~dir () in
-      List.iter (fun (at, v) -> T.append_point store ~name:"x" ~at v) pts;
-      ignore (T.flush store);
-      T.compact store;
-      let records =
-        match T.query_store store with
-        | [ ("x", [], records) ] -> records
-        | [] -> []
-        | _ -> Alcotest.fail "unexpected series grouping"
-      in
-      (* Every stored record is either a raw point past the fold cutoff
-         or a bucket whose aggregates match recomputation over exactly
-         the raw points it replaced. *)
-      let ok_record r =
-        if T.is_raw r then
-          (* kept raw because its bucket had not fully passed *)
-          Float.floor (r.T.t_at /. res) *. res +. res > newest
-          && List.mem (r.T.t_at, r.T.t_sum) pts
-        else begin
-          let in_bucket =
-            List.filter
-              (fun (at, _) -> at >= r.T.t_at && at < r.T.t_at +. res)
-              pts
-          in
-          let sum = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 in
-          let vs = List.map snd in_bucket in
-          r.T.t_count = List.length in_bucket
-          && r.T.t_sum = sum in_bucket (* bit-exact: same fold order *)
-          && r.T.t_min = List.fold_left Float.min infinity vs
-          && r.T.t_max = List.fold_left Float.max neg_infinity vs
-          && (r.T.t_last_at, r.T.t_last)
-             = List.nth in_bucket (List.length in_bucket - 1)
-        end
-      in
-      (* No point lost: bucket counts + raw records cover the input. *)
-      let covered =
-        List.fold_left
-          (fun acc r -> acc + (if T.is_raw r then 1 else r.T.t_count))
-          0 records
-      in
-      covered = List.length pts && List.for_all ok_record records)
-
-(* Compacting incrementally (flush/compact/flush/compact, as the live
-   service does at occasion boundaries) converges on the same store as
-   one final compaction — the determinism behind kill-and-resume. *)
-let prop_incremental_compaction_identical =
-  QCheck.Test.make ~count:30 ~name:"incremental compaction ≡ one-shot"
-    QCheck.small_int
-    (fun seed ->
-      with_temp_dir @@ fun dir_a ->
-      with_temp_dir @@ fun dir_b ->
-      let res = 60.0 in
-      let pts = gen_points (seed + 1000) in
-      let half = List.length pts / 2 in
-      let first = List.filteri (fun i _ -> i < half) pts in
-      let second = List.filteri (fun i _ -> i >= half) pts in
-      (* A: everything in one open handle, single flush+compact. *)
-      let a = T.open_store ~resolution:res ~dir:dir_a () in
-      List.iter (fun (at, v) -> T.append_point a ~name:"x" ~at v) pts;
-      ignore (T.flush a);
-      T.compact a;
-      (* B: two sessions with a "kill" (handle dropped) in between,
-         compacting each time. *)
-      let b1 = T.open_store ~resolution:res ~dir:dir_b () in
-      List.iter (fun (at, v) -> T.append_point b1 ~name:"x" ~at v) first;
-      ignore (T.flush b1);
-      T.compact b1;
-      let b2 = T.open_store ~resolution:res ~dir:dir_b () in
-      List.iter (fun (at, v) -> T.append_point b2 ~name:"x" ~at v) second;
-      ignore (T.flush b2);
-      T.compact b2;
-      T.query_store a = T.query_store b2)
+           ~sum:3.0 ~min:1.0 ~max:2.0 ~last:2.0 ~last_at:5.0));
+  check_error (path "bucket.pwts") "invalid record kind 0x01"
 
 (* --- restart survival ---------------------------------------------- *)
 
@@ -554,74 +450,21 @@ let test_series_endpoint_restart_identity () =
   Alcotest.(check int) "uncommitted points not served" 0
     (List.length (T.query_store ~pred:(T.predicate ~since:25.0 ()) reopened))
 
-(* --- killed compaction --------------------------------------------- *)
-
-let points_of groups =
-  List.concat_map
-    (fun (_, _, records) -> List.map T.point_of_record records)
-    groups
+(* --- killed flush --------------------------------------------------- *)
 
 let dir_listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
 
-(* A compaction commits its merge and then removes its inputs in order.
-   A kill between the two leaves the merge beside all of its inputs, or
-   beside the suffix in-order removal has not reached.  Here the inputs
-   are an earlier merge and a flush.  Every such state must answer as
-   the uncrashed store does before any reopen, and reopening must leave
-   the merge alone. *)
-let test_killed_compaction () =
-  with_temp_dir @@ fun dir ->
-  let store = T.open_store ~dir () in
-  let feed round =
-    List.iter
-      (fun i ->
-        let at = float_of_int ((100 * round) + (7 * i)) in
-        T.append_point store ~name:"x" ~at (float_of_int i))
-      (List.init 10 Fun.id);
-    ignore (T.flush store)
-  in
-  feed 0;
-  feed 1;
-  T.compact store;
-  feed 2;
-  let inputs = List.map (fun p -> (p, read_file p)) (T.segments_in_dir dir) in
-  let uncrashed = T.query (T.segments_in_dir dir) in
-  Alcotest.(check int) "30 points appended" 30 (List.length (points_of uncrashed));
-  T.compact store;
-  let merge = dir_listing dir in
-  let rec suffixes = function [] -> [] | _ :: rest as l -> l :: suffixes rest in
-  List.iter
-    (fun left ->
-      List.iter (fun (p, bytes) -> write_file p bytes) left;
-      let what =
-        String.concat "+" (List.map (fun (p, _) -> Filename.basename p) left)
-      in
-      Alcotest.(check int)
-        (what ^ " beside the merge: points served")
-        30
-        (List.length (points_of (T.query (T.segments_in_dir dir))));
-      Alcotest.(check bool)
-        (what ^ " beside the merge: uncrashed answer")
-        true
-        (T.query (T.segments_in_dir dir) = uncrashed);
-      ignore (T.open_store ~dir ());
-      Alcotest.(check (list string)) (what ^ ": only the merge after open")
-        merge (dir_listing dir))
-    (suffixes inputs)
-
-let counter_value name ~labels =
-  match Registry.value Registry.default ~labels name with
+let counter_value name =
+  match Registry.value Registry.default name with
   | Some (Registry.Counter v) -> v
   | _ -> 0.0
 
-(* Opening a store deletes what a killed writer left, counting each
-   cleanup, and the store then writes the bytes an uncrashed one does:
-   a kill after a compaction committed its merge (the inputs remain),
-   and later a kill during a flush (its temporary remains). *)
-let test_open_removes_uncommitted_and_superseded () =
+(* Opening a store deletes the temporary a flush killed before its
+   rename left, counting it, and the store then writes the bytes an
+   uncrashed one does. *)
+let test_open_removes_uncommitted () =
   with_temp_dir @@ fun dir_a ->
   with_temp_dir @@ fun dir_b ->
-  let res = 60.0 in
   let round k =
     List.init 10 (fun i ->
         (float_of_int ((100 * k) + (7 * i)), float_of_int (k + i)))
@@ -630,44 +473,25 @@ let test_open_removes_uncommitted_and_superseded () =
     List.iter (fun (at, v) -> T.append_point store ~name:"x" ~at v) (round k);
     ignore (T.flush store)
   in
-  let removed reason =
-    counter_value "tsdb_segments_removed_total" ~labels:[ ("reason", reason) ]
-  in
-  (* A: uninterrupted, compacting on every second flush. *)
-  let a = T.open_store ~resolution:res ~dir:dir_a () in
+  (* A: uninterrupted. *)
+  let a = T.open_store ~dir:dir_a () in
   List.iter (feed a) [ 0; 1; 2; 3 ];
-  (* B: the first compaction's inputs are put back beside its merge. *)
-  let b = T.open_store ~resolution:res ~dir:dir_b () in
-  feed b 0;
-  let first = Filename.concat dir_b "tsdb-000000.pwts" in
-  let first_bytes = read_file first in
-  feed b 1;
-  let merge = dir_listing dir_b in
-  Alcotest.(check int) "compacted into one segment" 1 (List.length merge);
-  write_file first first_bytes;
-  ignore
-    (Segment.write T.schema
-       (Filename.concat dir_b "tsdb-000001.pwts")
-       (List.map (fun (at, v) -> raw ~at v) (round 1)));
-  let superseded = removed "superseded" in
-  let b = T.open_store ~resolution:res ~dir:dir_b () in
-  Alcotest.(check (list string)) "superseded inputs deleted" merge
-    (dir_listing dir_b);
-  Alcotest.(check (float 0.0)) "superseded counted" (superseded +. 2.0)
-    (removed "superseded");
-  feed b 2;
+  let b = T.open_store ~dir:dir_b () in
+  List.iter (feed b) [ 0; 1; 2 ];
   (* Killed during the next flush: its temporary, cut short. *)
-  let next = Filename.concat dir_b "tsdb-000005.pwts" in
+  let next = Filename.concat dir_b "tsdb-000003.pwts" in
   ignore
     (Segment.write T.schema next
        (List.map (fun (at, v) -> raw ~at v) (round 3)));
   let bytes = read_file next in
   Sys.remove next;
   write_file (next ^ ".tmp") (String.sub bytes 0 (String.length bytes / 2));
-  let uncommitted = removed "uncommitted" in
-  let b = T.open_store ~resolution:res ~dir:dir_b () in
+  let uncommitted = counter_value "tsdb_segments_removed_total" in
+  let b = T.open_store ~dir:dir_b () in
+  Alcotest.(check bool) "temporary deleted" false
+    (Sys.file_exists (next ^ ".tmp"));
   Alcotest.(check (float 0.0)) "temporary counted" (uncommitted +. 1.0)
-    (removed "uncommitted");
+    (counter_value "tsdb_segments_removed_total");
   feed b 3;
   Alcotest.(check (list string)) "same files as uncrashed" (dir_listing dir_a)
     (dir_listing dir_b);
@@ -677,179 +501,6 @@ let test_open_removes_uncommitted_and_superseded () =
         (read_file (Filename.concat dir_a f)
         = read_file (Filename.concat dir_b f)))
     (dir_listing dir_a)
-
-(* --- federation ---------------------------------------------------- *)
-
-let test_federation_scrape_and_dead_target () =
-  (* A fake per-site exposition endpoint backed by its own registry. *)
-  let site_reg = Registry.create () in
-  Registry.inc
-    (Registry.counter site_reg "ledger_offered_frames_total"
-       ~labels:[ ("site", "STAR") ])
-    1000.0;
-  Registry.inc (Registry.counter site_reg "frames_total") 500.0;
-  let handler =
-    Http.routes
-      [
-        ( "/metrics",
-          fun _ ->
-            Http.response
-              (Obs.Export.to_prometheus (Registry.snapshot site_reg)) );
-      ]
-  in
-  let server = Http.create ~port:0 handler in
-  let port = Http.port server in
-  let bg = Parallel.Background.spawn (fun () -> Http.run server) in
-  Fun.protect
-    ~finally:(fun () ->
-      Http.stop server;
-      match Parallel.Background.join bg with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "server died: %s" (Printexc.to_string e))
-    (fun () ->
-      (* A dead target on a freshly closed port: never blocks the rest. *)
-      let dead_port =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        let p =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> assert false
-        in
-        Unix.close fd;
-        p
-      in
-      let logged = ref [] in
-      let fed =
-        Fed.create ~timeout_s:1.0
-          ~log:(fun msg -> logged := msg :: !logged)
-          [
-            Result.get_ok (Fed.target_of_string (Printf.sprintf "STAR=%d" port));
-            Result.get_ok
-              (Fed.target_of_string (Printf.sprintf "WASH=%d" dead_port));
-          ]
-      in
-      let pts = Fed.scrape fed ~at:100.0 in
-      (* Everything leaving the federation plane is site-scoped —
-         unlabelled aggregate derivations would shadow the local
-         service's own series. *)
-      Alcotest.(check bool) "every federated point is site-labelled" true
-        (pts <> []
-        && List.for_all (fun (_, labels, _) -> List.mem_assoc "site" labels) pts);
-      (* Baseline round still reports liveness points for every site. *)
-      let up site =
-        List.filter_map
-          (fun (name, labels, p) ->
-            if name = "up" && labels = [ ("site", site) ] then
-              Some p.Series.value
-            else None)
-          pts
-      in
-      Alcotest.(check (list (float 0.0))) "good site up" [ 1.0 ] (up "STAR");
-      Alcotest.(check (list (float 0.0))) "dead site down" [ 0.0 ] (up "WASH");
-      Alcotest.(check bool) "failure logged, names the site" true
-        (List.exists
-           (fun m ->
-             let has sub =
-               let n = String.length m and k = String.length sub in
-               let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
-               go 0
-             in
-             has "WASH" && has "failed")
-           !logged);
-      (* Scraped samples landed site-labelled in the federation registry;
-         already-labelled samples keep their own site label. *)
-      Alcotest.(check bool) "unlabelled sample gains site" true
-        (Registry.value (Fed.registry fed) "frames_total"
-           ~labels:[ ("site", "STAR") ]
-        = Some (Registry.Gauge 500.0));
-      Alcotest.(check bool) "existing site label preserved" true
-        (Registry.value (Fed.registry fed) "ledger_offered_frames_total"
-           ~labels:[ ("site", "STAR") ]
-        = Some (Registry.Gauge 1000.0));
-      Alcotest.(check bool) "scrape duration gauge exists" true
-        (Registry.value (Fed.registry fed) "scrape_duration_seconds"
-           ~labels:[ ("site", "STAR") ]
-        <> None);
-      (* Second round: the counter moved; the collector derives deltas
-         federation-wide, and staleness ages for the dead site. *)
-      Registry.inc
-        (Registry.counter site_reg "ledger_offered_frames_total"
-           ~labels:[ ("site", "STAR") ])
-        500.0;
-      let pts2 = Fed.scrape fed ~at:200.0 in
-      let age site =
-        List.filter_map
-          (fun (name, labels, p) ->
-            if name = "scrape_age_seconds" && labels = [ ("site", site) ] then
-              Some p.Series.value
-            else None)
-          pts2
-      in
-      Alcotest.(check (list (float 0.0))) "live site age 0" [ 0.0 ] (age "STAR");
-      (* WASH never answered: its age is undefined, so no point — the
-         up=0 gauge is the alerting hook for a never-up site. *)
-      Alcotest.(check (list (float 0.0))) "never-up site has no age" [] (age "WASH"))
-
-let test_target_parsing () =
-  (match Fed.target_of_string "STAR=127.0.0.1:9100" with
-  | Ok t ->
-    Alcotest.(check string) "site" "STAR" t.Fed.site;
-    Alcotest.(check string) "host" "127.0.0.1" t.Fed.host;
-    Alcotest.(check int) "port" 9100 t.Fed.port;
-    Alcotest.(check string) "default path" "/metrics" t.Fed.path
-  | Error e -> Alcotest.fail e);
-  (match Fed.target_of_string "WASH=9200/custom/metrics" with
-  | Ok t ->
-    Alcotest.(check string) "default host" "127.0.0.1" t.Fed.host;
-    Alcotest.(check int) "bare port" 9200 t.Fed.port;
-    Alcotest.(check string) "custom path" "/custom/metrics" t.Fed.path
-  | Error e -> Alcotest.fail e);
-  List.iter
-    (fun bad ->
-      Alcotest.(check bool) (bad ^ " rejected") true
-        (Result.is_error (Fed.target_of_string bad)))
-    [ "no-equals"; "=9100"; "X=hostonly"; "X=1.2.3.4:notaport"; "X=1.2.3.4:0" ]
-
-let test_duration_parsing () =
-  List.iter
-    (fun (s, expect) ->
-      match Netcore.Units.parse_duration s with
-      | Ok v -> Alcotest.(check (float 0.0)) s expect v
-      | Error e -> Alcotest.fail (s ^ ": " ^ e))
-    [
-      ("90", 90.0);
-      ("90s", 90.0);
-      ("15m", 900.0);
-      ("2h", 7200.0);
-      ("7d", 604800.0);
-      ("1w", 604800.0);
-      ("1.5h", 5400.0);
-    ];
-  List.iter
-    (fun bad ->
-      Alcotest.(check bool) (bad ^ " rejected") true
-        (Result.is_error (Netcore.Units.parse_duration bad)))
-    [ ""; "abc"; "-5m"; "0"; "5y"; "nan" ]
-
-(* --- retention ----------------------------------------------------- *)
-
-let test_retention_drops_old_records () =
-  with_temp_dir @@ fun dir ->
-  let store = T.open_store ~retention:100.0 ~dir () in
-  List.iter
-    (fun (at, v) -> T.append_point store ~name:"x" ~at v)
-    [ (10.0, 1.0); (150.0, 2.0); (300.0, 3.0) ];
-  ignore (T.flush store);
-  T.compact store;
-  match T.query_store store with
-  | [ ("x", [], records) ] ->
-    (* newest = 300; cutoff = 200: the 10.0 and 150.0 points age out. *)
-    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-      "only the retained window survives"
-      [ (300.0, 3.0) ]
-      (List.map T.point_of_record records)
-  | _ -> Alcotest.fail "unexpected query result"
 
 let suites =
   [
@@ -863,13 +514,6 @@ let suites =
         Alcotest.test_case "corruption rejected" `Quick
           test_segment_corruption_rejected;
       ] );
-    ( "tsdb.downsample",
-      List.map QCheck_alcotest.to_alcotest
-        [ prop_downsample_matches_raw; prop_incremental_compaction_identical ]
-      @ [
-          Alcotest.test_case "retention drops old records" `Quick
-            test_retention_drops_old_records;
-        ] );
     ( "tsdb.restart",
       [
         Alcotest.test_case "byte-identical after kill+resume" `Quick
@@ -878,21 +522,12 @@ let suites =
           test_alert_rearm_matches_uninterrupted;
         Alcotest.test_case "endpoint restart identity" `Quick
           test_series_endpoint_restart_identity;
-        Alcotest.test_case "killed compaction serves the uncrashed answer"
-          `Quick test_killed_compaction;
-        Alcotest.test_case "open deletes uncommitted and superseded files"
-          `Quick test_open_removes_uncommitted_and_superseded;
+        Alcotest.test_case "open deletes uncommitted files" `Quick
+          test_open_removes_uncommitted;
       ] );
     ( "tsdb.endpoint",
       [
         Alcotest.test_case "history + filters + 400s" `Quick
           test_series_endpoint_history_and_filters;
-      ] );
-    ( "tsdb.federation",
-      [
-        Alcotest.test_case "scrape round with dead target" `Quick
-          test_federation_scrape_and_dead_target;
-        Alcotest.test_case "target parsing" `Quick test_target_parsing;
-        Alcotest.test_case "duration parsing" `Quick test_duration_parsing;
       ] );
   ]
