@@ -155,18 +155,55 @@ let locked t f =
 
 (* --- registry surface ---------------------------------------------- *)
 
-(* Fetched per use, not cached: a test's [Registry.reset] would strand
-   a cached cell outside the registry. *)
+(* Registered at the first violation, so a run without one exports no
+   violation series. *)
 let obs_violations () =
   Registry.counter Registry.default "ledger_conservation_violations_total"
     ~help:"Occasion closes whose loss attribution failed to reconcile"
 
-let site_counter name site =
-  Registry.counter Registry.default name ~labels:[ ("site", site) ]
+(* Each site's counters in [Registry.default], resolved at its first
+   close and kept (registration sorts and hashes a label list); a cause's
+   pair at its first attribution, so a cause that never lost a frame has
+   no series.  Closes emit outside the ledger lock: [handles_lock]. *)
+type site_handles = {
+  offered_frames : Registry.counter;
+  offered_bytes : Registry.counter;
+  stored_frames : Registry.counter;
+  stored_bytes : Registry.counter;
+  attributed : (cause, Registry.counter * Registry.counter) Hashtbl.t;
+}
 
-let cause_counter name site cause =
-  Registry.counter Registry.default name
-    ~labels:[ ("site", site); ("cause", cause_label cause) ]
+let handles_lock = Mutex.create ()
+let handles : (string, site_handles) Hashtbl.t = Hashtbl.create 32
+
+let site_handles site =
+  match Hashtbl.find_opt handles site with
+  | Some h -> h
+  | None ->
+    let counter name = Registry.counter Registry.default name ~labels:[ ("site", site) ] in
+    let h =
+      {
+        offered_frames = counter "ledger_offered_frames_total";
+        offered_bytes = counter "ledger_offered_bytes_total";
+        stored_frames = counter "ledger_stored_frames_total";
+        stored_bytes = counter "ledger_stored_bytes_total";
+        attributed = Hashtbl.create 8;
+      }
+    in
+    Hashtbl.add handles site h;
+    h
+
+let cause_handles h site cause =
+  match Hashtbl.find_opt h.attributed cause with
+  | Some pair -> pair
+  | None ->
+    let labels = [ ("site", site); ("cause", cause_label cause) ] in
+    let counter name = Registry.counter Registry.default name ~labels in
+    let pair =
+      (counter "ledger_attributed_frames_total", counter "ledger_attributed_bytes_total")
+    in
+    Hashtbl.add h.attributed cause pair;
+    pair
 
 (* --- accumulation -------------------------------------------------- *)
 
@@ -291,32 +328,25 @@ let close_site site (a : acc) =
   }
 
 let emit_counters entry =
-  if Registry.enabled () then
+  if Registry.enabled () then begin
+    Mutex.lock handles_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock handles_lock) @@ fun () ->
     List.iter
       (fun e ->
         let site = e.e_site in
-        Registry.inc
-          (site_counter "ledger_offered_frames_total" site)
-          e.e_offered_frames;
-        Registry.inc
-          (site_counter "ledger_offered_bytes_total" site)
-          e.e_offered_bytes;
-        Registry.inc
-          (site_counter "ledger_stored_frames_total" site)
-          e.e_stored_frames;
-        Registry.inc
-          (site_counter "ledger_stored_bytes_total" site)
-          e.e_stored_bytes;
+        let h = site_handles site in
+        Registry.inc h.offered_frames e.e_offered_frames;
+        Registry.inc h.offered_bytes e.e_offered_bytes;
+        Registry.inc h.stored_frames e.e_stored_frames;
+        Registry.inc h.stored_bytes e.e_stored_bytes;
         List.iter
           (fun (cause, frames, bytes, _) ->
-            Registry.inc
-              (cause_counter "ledger_attributed_frames_total" site cause)
-              frames;
-            Registry.inc
-              (cause_counter "ledger_attributed_bytes_total" site cause)
-              bytes)
+            let frames_counter, bytes_counter = cause_handles h site cause in
+            Registry.inc frames_counter frames;
+            Registry.inc bytes_counter bytes)
           e.e_causes)
       entry.o_sites
+  end
 
 let close_occasion ?(log = fun _ -> ()) t =
   let entry, violations =

@@ -1,98 +1,147 @@
-type t = {
-  engine : Simcore.Engine.t;
-  store : Simcore.Timeseries.t;
-  mutable switches : Switch.t list;
-  (* Last polled cumulative byte counters per (site, port), used to turn
-     counters into per-interval rates. *)
-  last_poll : (string * int, float * float * float) Hashtbl.t;
+(* Each registered switch's SNMP series as per-port float columns.  All
+   ports of a switch are polled at one instant, so each poll after the
+   first adds one row of rates: row [i] was taken at [times.(i)], and
+   port [p]'s tx and rx byte rates in it sit at [i * ports + p]. *)
+type columns = {
+  switch : Switch.t;
+  ports : int;
+  mutable rows : int;
+  mutable times : float array;
+  mutable tx_rate : float array;
+  mutable rx_rate : float array;
+  (* The last poll's time ([nan] before the first, which takes no rate)
+     and each port's cumulative counters, allocated at the first poll. *)
+  mutable polled_at : float;
+  mutable tx_bytes : float array;
+  mutable rx_bytes : float array;
+  mutable drops : float array;
 }
 
-let poll_period = 300.0
+type t = {
+  engine : Simcore.Engine.t;
+  mutable switches : columns list;
+  by_site : (string, columns) Hashtbl.t;
+}
 
-let create engine =
-  { engine; store = Simcore.Timeseries.create (); switches = []; last_poll = Hashtbl.create 256 }
+let create engine = { engine; switches = []; by_site = Hashtbl.create 32 }
 
-let register_switch t sw = t.switches <- sw :: t.switches
-
-let key site port metric = Printf.sprintf "%s/p%d/%s" site port metric
-
-let poll_switch t sw =
-  let now = Simcore.Engine.now t.engine in
+let register_switch t sw =
   let site = Switch.site_name sw in
-  for port = 0 to Switch.port_count sw - 1 do
-    let c = Switch.read_counters sw ~port in
-    Simcore.Timeseries.append t.store ~key:(key site port "tx_bytes") ~time:now c.Switch.tx_bytes;
-    Simcore.Timeseries.append t.store ~key:(key site port "rx_bytes") ~time:now c.Switch.rx_bytes;
-    Simcore.Timeseries.append t.store ~key:(key site port "drops") ~time:now c.Switch.drops;
-    (match Hashtbl.find_opt t.last_poll (site, port) with
-    | Some (prev_time, prev_tx, prev_rx) when now > prev_time ->
-      let dt = now -. prev_time in
-      Simcore.Timeseries.append t.store ~key:(key site port "tx_rate") ~time:now
-        (Float.max 0.0 ((c.Switch.tx_bytes -. prev_tx) /. dt));
-      Simcore.Timeseries.append t.store ~key:(key site port "rx_rate") ~time:now
-        (Float.max 0.0 ((c.Switch.rx_bytes -. prev_rx) /. dt))
-    | Some _ | None -> ());
-    Hashtbl.replace t.last_poll (site, port) (now, c.Switch.tx_bytes, c.Switch.rx_bytes)
-  done
+  if Hashtbl.mem t.by_site site then
+    invalid_arg "Telemetry.register_switch: site already registered";
+  let c =
+    { switch = sw; ports = Switch.port_count sw; rows = 0; times = [||]; tx_rate = [||];
+      rx_rate = [||]; polled_at = Float.nan; tx_bytes = [||]; rx_bytes = [||]; drops = [||] }
+  in
+  Hashtbl.add t.by_site site c;
+  t.switches <- c :: t.switches
 
-let poll_now t = List.iter (poll_switch t) t.switches
+(* An occasion's fabric takes two or three rows, so the first room is two. *)
+let grow c =
+  let rows = max 2 (2 * c.rows) in
+  let extend a len =
+    let b = Array.make len 0.0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  c.times <- extend c.times rows;
+  c.tx_rate <- extend c.tx_rate (rows * c.ports);
+  c.rx_rate <- extend c.rx_rate (rows * c.ports)
+
+let poll_switch now c =
+  let ports = c.ports in
+  if Float.is_nan c.polled_at then begin
+    c.tx_bytes <- Array.make ports 0.0;
+    c.rx_bytes <- Array.make ports 0.0;
+    c.drops <- Array.make ports 0.0
+  end;
+  (* A second poll at the same instant takes no rate either. *)
+  let rated = now > c.polled_at in
+  let dt = now -. c.polled_at in
+  let row = c.rows * ports in
+  if rated then begin
+    if c.rows = Array.length c.times then grow c;
+    c.times.(c.rows) <- now;
+    c.rows <- c.rows + 1
+  end;
+  for port = 0 to ports - 1 do
+    let k = Switch.read_counters c.switch ~port in
+    if rated then begin
+      c.tx_rate.(row + port) <-
+        Float.max 0.0 ((k.Switch.tx_bytes -. c.tx_bytes.(port)) /. dt);
+      c.rx_rate.(row + port) <-
+        Float.max 0.0 ((k.Switch.rx_bytes -. c.rx_bytes.(port)) /. dt)
+    end;
+    c.tx_bytes.(port) <- k.Switch.tx_bytes;
+    c.rx_bytes.(port) <- k.Switch.rx_bytes;
+    c.drops.(port) <- k.Switch.drops
+  done;
+  c.polled_at <- now
+
+let poll_now t = List.iter (poll_switch (Simcore.Engine.now t.engine)) t.switches
 
 let start ?until t =
-  Simcore.Engine.every t.engine ~period:poll_period ?until (fun _ -> poll_now t)
+  Simcore.Engine.every t.engine ~period:300.0 ?until (fun _ -> poll_now t)
 
-let store t = t.store
-
-let avg_samples samples =
-  match samples with
-  | [] -> 0.0
-  | _ ->
-    List.fold_left (fun acc (_, v) -> acc +. v) 0.0 samples
-    /. float_of_int (List.length samples)
-
+(* The average tx rate plus the average rx rate over the rows taken in
+   [at - window, at], both edges included.  Each average is the
+   time-ordered sum from 0 divided by the row count; no row reads 0. *)
 let port_avg_rate t ~site ~port ~window ~at =
-  let read metric =
-    Simcore.Timeseries.range t.store ~key:(key site port metric)
-      ~start_time:(at -. window) ~end_time:at
-  in
-  avg_samples (read "tx_rate") +. avg_samples (read "rx_rate")
+  match Hashtbl.find_opt t.by_site site with
+  | Some c when port >= 0 && port < c.ports ->
+    let start = at -. window in
+    let lo = ref 0 and hi = ref c.rows in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if c.times.(mid) < start then lo := mid + 1 else hi := mid
+    done;
+    let tx = ref 0.0 and rx = ref 0.0 and i = ref !lo in
+    while !i < c.rows && c.times.(!i) <= at do
+      tx := !tx +. c.tx_rate.((!i * c.ports) + port);
+      rx := !rx +. c.rx_rate.((!i * c.ports) + port);
+      incr i
+    done;
+    let n = float_of_int (!i - !lo) in
+    if !i = !lo then 0.0 else (!tx /. n) +. (!rx /. n)
+  | Some _ | None -> 0.0
 
+(* The first candidate with the highest rate; an idle one never wins. *)
 let busiest_port t ~site ~candidates ~window ~at =
-  let rated =
-    List.map (fun p -> (p, port_avg_rate t ~site ~port:p ~window ~at)) candidates
+  let rec best port rate = function
+    | [] -> if rate > 0.0 then Some port else None
+    | p :: rest ->
+      let r = port_avg_rate t ~site ~port:p ~window ~at in
+      if r > rate then best p r rest else best port rate rest
   in
-  match List.filter (fun (_, r) -> r > 0.0) rated with
-  | [] -> None
-  | active ->
-    let best =
-      List.fold_left (fun (bp, br) (p, r) -> if r > br then (p, r) else (bp, br))
-        (List.hd active) (List.tl active)
-    in
-    Some (fst best)
+  best (-1) 0.0 candidates
+
+let set_gauge registry ~labels ~help name v =
+  Obs.Registry.set (Obs.Registry.gauge registry name ~help ~labels) v
 
 (* Bridge to the run-metrics registry: re-export the most recent SNMP
    sample of every registered switch port as labelled gauges, so the
    testbed's telemetry and Patchwork's own pipeline metrics surface
-   through one exposition endpoint. *)
+   through one exposition endpoint.  Rates exist once a row is taken,
+   counters once polled: until then the counter columns are empty. *)
 let export_metrics ?(registry = Obs.Registry.default) t =
   if Obs.Registry.enabled () then
     List.iter
-      (fun sw ->
-        let site = Switch.site_name sw in
-        for port = 0 to Switch.port_count sw - 1 do
+      (fun c ->
+        let site = Switch.site_name c.switch in
+        let last = (c.rows - 1) * c.ports in
+        for port = 0 to Array.length c.tx_bytes - 1 do
           let labels = [ ("site", site); ("port", string_of_int port) ] in
-          let set name metric =
-            match Simcore.Timeseries.last t.store ~key:(key site port metric) with
-            | None -> ()
-            | Some (_, v) ->
-              Obs.Registry.set
-                (Obs.Registry.gauge registry name
-                   ~help:("Latest SNMP " ^ metric ^ " sample") ~labels)
-                v
-          in
-          set "testbed_port_tx_rate_bytes" "tx_rate";
-          set "testbed_port_rx_rate_bytes" "rx_rate";
-          set "testbed_port_tx_bytes" "tx_bytes";
-          set "testbed_port_rx_bytes" "rx_bytes";
-          set "testbed_port_drops" "drops"
+          if c.rows > 0 then begin
+            set_gauge registry ~labels "testbed_port_tx_rate_bytes"
+              ~help:"Latest SNMP tx_rate sample" c.tx_rate.(last + port);
+            set_gauge registry ~labels "testbed_port_rx_rate_bytes"
+              ~help:"Latest SNMP rx_rate sample" c.rx_rate.(last + port)
+          end;
+          set_gauge registry ~labels "testbed_port_tx_bytes"
+            ~help:"Latest SNMP tx_bytes sample" c.tx_bytes.(port);
+          set_gauge registry ~labels "testbed_port_rx_bytes"
+            ~help:"Latest SNMP rx_bytes sample" c.rx_bytes.(port);
+          set_gauge registry ~labels "testbed_port_drops"
+            ~help:"Latest SNMP drops sample" c.drops.(port)
         done)
       t.switches

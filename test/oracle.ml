@@ -427,3 +427,169 @@ let parse_prometheus text =
       end
   in
   go [] lines
+
+(* The keyed SNMP store: an append-only time-series store, one series
+   per string key, and the telemetry over it that keeps each (site,
+   port, metric) as its own series under a "SITE/p<N>/metric" key.
+   [Testbed.Telemetry] keeps per-port columns instead and must answer
+   every query, bit for bit, as this does. *)
+module Timeseries = struct
+  type series = {
+    mutable times : float array;
+    mutable values : float array;
+    mutable len : int;
+  }
+
+  type t = (string, series) Hashtbl.t
+
+  let create () = Hashtbl.create 64
+
+  let find_or_add t key =
+    match Hashtbl.find_opt t key with
+    | Some s -> s
+    | None ->
+      let s = { times = Array.make 16 0.0; values = Array.make 16 0.0; len = 0 } in
+      Hashtbl.add t key s;
+      s
+
+  let append t ~key ~time value =
+    let s = find_or_add t key in
+    if s.len > 0 && time < s.times.(s.len - 1) then
+      invalid_arg "Timeseries.append: time went backwards";
+    if s.len = Array.length s.times then begin
+      let cap = 2 * s.len in
+      let times = Array.make cap 0.0 and values = Array.make cap 0.0 in
+      Array.blit s.times 0 times 0 s.len;
+      Array.blit s.values 0 values 0 s.len;
+      s.times <- times;
+      s.values <- values
+    end;
+    s.times.(s.len) <- time;
+    s.values.(s.len) <- value;
+    s.len <- s.len + 1
+
+  let last t ~key =
+    match Hashtbl.find_opt t key with
+    | Some s when s.len > 0 -> Some (s.times.(s.len - 1), s.values.(s.len - 1))
+    | _ -> None
+
+  (* First index with time >= target, or len. *)
+  let lower_bound s target =
+    let lo = ref 0 and hi = ref s.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if s.times.(mid) < target then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* Samples with [start_time <= time <= end_time], in time order. *)
+  let range t ~key ~start_time ~end_time =
+    match Hashtbl.find_opt t key with
+    | None -> []
+    | Some s ->
+      let start_idx = lower_bound s start_time in
+      let acc = ref [] in
+      let i = ref start_idx in
+      while !i < s.len && s.times.(!i) <= end_time do
+        acc := (s.times.(!i), s.values.(!i)) :: !acc;
+        incr i
+      done;
+      List.rev !acc
+end
+
+module Keyed_telemetry = struct
+  module Switch = Testbed.Switch
+
+  type t = {
+    engine : Simcore.Engine.t;
+    store : Timeseries.t;
+    mutable switches : Switch.t list;
+    (* Last polled cumulative byte counters per (site, port), used to
+       turn counters into per-interval rates. *)
+    last_poll : (string * int, float * float * float) Hashtbl.t;
+  }
+
+  let poll_period = 300.0
+
+  let create engine =
+    { engine; store = Timeseries.create (); switches = []; last_poll = Hashtbl.create 256 }
+
+  let register_switch t sw = t.switches <- sw :: t.switches
+
+  let key site port metric = Printf.sprintf "%s/p%d/%s" site port metric
+
+  let poll_switch t sw =
+    let now = Simcore.Engine.now t.engine in
+    let site = Switch.site_name sw in
+    for port = 0 to Switch.port_count sw - 1 do
+      let c = Switch.read_counters sw ~port in
+      Timeseries.append t.store ~key:(key site port "tx_bytes") ~time:now c.Switch.tx_bytes;
+      Timeseries.append t.store ~key:(key site port "rx_bytes") ~time:now c.Switch.rx_bytes;
+      Timeseries.append t.store ~key:(key site port "drops") ~time:now c.Switch.drops;
+      (match Hashtbl.find_opt t.last_poll (site, port) with
+      | Some (prev_time, prev_tx, prev_rx) when now > prev_time ->
+        let dt = now -. prev_time in
+        Timeseries.append t.store ~key:(key site port "tx_rate") ~time:now
+          (Float.max 0.0 ((c.Switch.tx_bytes -. prev_tx) /. dt));
+        Timeseries.append t.store ~key:(key site port "rx_rate") ~time:now
+          (Float.max 0.0 ((c.Switch.rx_bytes -. prev_rx) /. dt))
+      | Some _ | None -> ());
+      Hashtbl.replace t.last_poll (site, port) (now, c.Switch.tx_bytes, c.Switch.rx_bytes)
+    done
+
+  let poll_now t = List.iter (poll_switch t) t.switches
+
+  let start ?until t =
+    Simcore.Engine.every t.engine ~period:poll_period ?until (fun _ -> poll_now t)
+
+  let avg_samples samples =
+    match samples with
+    | [] -> 0.0
+    | _ ->
+      List.fold_left (fun acc (_, v) -> acc +. v) 0.0 samples
+      /. float_of_int (List.length samples)
+
+  let port_avg_rate t ~site ~port ~window ~at =
+    let read metric =
+      Timeseries.range t.store ~key:(key site port metric)
+        ~start_time:(at -. window) ~end_time:at
+    in
+    avg_samples (read "tx_rate") +. avg_samples (read "rx_rate")
+
+  let busiest_port t ~site ~candidates ~window ~at =
+    let rated =
+      List.map (fun p -> (p, port_avg_rate t ~site ~port:p ~window ~at)) candidates
+    in
+    match List.filter (fun (_, r) -> r > 0.0) rated with
+    | [] -> None
+    | active ->
+      let best =
+        List.fold_left (fun (bp, br) (p, r) -> if r > br then (p, r) else (bp, br))
+          (List.hd active) (List.tl active)
+      in
+      Some (fst best)
+
+  let export_metrics ~registry t =
+    if Obs.Registry.enabled () then
+      List.iter
+        (fun sw ->
+          let site = Switch.site_name sw in
+          for port = 0 to Switch.port_count sw - 1 do
+            let labels = [ ("site", site); ("port", string_of_int port) ] in
+            let set name metric =
+              match Timeseries.last t.store ~key:(key site port metric) with
+              | None -> ()
+              | Some (_, v) ->
+                Obs.Registry.set
+                  (Obs.Registry.gauge registry name
+                     ~help:("Latest SNMP " ^ metric ^ " sample") ~labels)
+                  v
+            in
+            set "testbed_port_tx_rate_bytes" "tx_rate";
+            set "testbed_port_rx_rate_bytes" "rx_rate";
+            set "testbed_port_tx_bytes" "tx_bytes";
+            set "testbed_port_rx_bytes" "rx_bytes";
+            set "testbed_port_drops" "drops"
+          done)
+        t.switches
+end

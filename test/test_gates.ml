@@ -36,7 +36,11 @@
      per record, because the specs' time-ordered runs are merged, not
      sorted;
    - rng: a [Rng.int] draw allocates nothing and a [Dist.sample_int]
-     draw on an [Empirical] at most 2 words (its boxed uniform). *)
+     draw on an [Empirical] at most 2 words (its boxed uniform);
+   - telemetry: a poll allocates at most 16 minor words per switch port
+     and a [port_avg_rate] read at most 16, because each switch keeps
+     its SNMP series as per-port float columns, not one string-keyed
+     series per (site, port, metric). *)
 
 module Rng = Netcore.Rng
 module T = Obs.Tsdb
@@ -475,6 +479,42 @@ let test_rng_draw_words () =
   check_at_most "rng: Dist.sample_int (Empirical) minor words per draw" ~bound:2.0
     (per_draw sample)
 
+(* --- telemetry: words per port per poll and per rate read ---------- *)
+
+(* The 951 ports of a [Fablib.create ~seed:2024] fabric, polled by its
+   telemetry.  After two warm-up polls (the second takes the first
+   rates), five polls are measured, then one [port_avg_rate] per port
+   over the last 30 minutes, after a warm-up pass. *)
+let test_telemetry_words () =
+  let engine = Simcore.Engine.create () in
+  let fabric = Testbed.Fablib.create ~seed:2024 engine in
+  let telemetry = Testbed.Fablib.telemetry fabric in
+  let ports =
+    Array.to_list (Testbed.Fablib.model fabric).Testbed.Info_model.sites
+    |> List.concat_map (fun (s : Testbed.Info_model.site) ->
+           let site = s.Testbed.Info_model.name in
+           List.map (fun port -> (site, port)) (Testbed.Fablib.all_ports fabric ~site))
+  in
+  let n = float_of_int (List.length ports) in
+  Testbed.Fablib.start_telemetry fabric;
+  Simcore.Engine.run ~until:600.0 engine;
+  let polls = minor_words (fun () -> Simcore.Engine.run ~until:2100.0 engine) in
+  let read () =
+    List.iter
+      (fun (site, port) ->
+        ignore
+          (Sys.opaque_identity
+             (Testbed.Telemetry.port_avg_rate telemetry ~site ~port ~window:1800.0
+                ~at:2100.0)))
+      ports
+  in
+  read ();
+  let per_poll = polls /. (5.0 *. n) and per_read = minor_words read /. n in
+  Printf.printf "telemetry: %.0f ports; %.1f minor words per port per poll, %.1f per read\n"
+    n per_poll per_read;
+  check_at_most "telemetry: minor words per port per poll" ~bound:16.0 per_poll;
+  check_at_most "telemetry: minor words per port_avg_rate" ~bound:16.0 per_read
+
 let suites =
   [
     ( "gates",
@@ -493,5 +533,6 @@ let suites =
         Alcotest.test_case "profile absorb words" `Quick test_profile_absorb_words;
         Alcotest.test_case "capture words" `Quick test_capture_words;
         Alcotest.test_case "rng draw words" `Quick test_rng_draw_words;
+        Alcotest.test_case "telemetry words" `Quick test_telemetry_words;
       ] );
   ]

@@ -1,5 +1,4 @@
 module Engine = Simcore.Engine
-module Timeseries = Simcore.Timeseries
 
 let test_engine_ordering () =
   let engine = Engine.create () in
@@ -193,27 +192,6 @@ let test_engine_heap_stress () =
   Engine.run engine;
   Alcotest.(check int) "all fired" 10_000 !count
 
-(* --- Timeseries --- *)
-
-let test_ts_append_and_range () =
-  let ts = Timeseries.create () in
-  for i = 0 to 9 do
-    Timeseries.append ts ~key:"a" ~time:(float_of_int i) (float_of_int (i * i))
-  done;
-  Alcotest.(check int) "length" 10
-    (List.length (Timeseries.range ts ~key:"a" ~start_time:0.0 ~end_time:9.0));
-  let r = Timeseries.range ts ~key:"a" ~start_time:3.0 ~end_time:6.0 in
-  Alcotest.(check int) "range size" 4 (List.length r);
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "last"
-    (Some (9.0, 81.0)) (Timeseries.last ts ~key:"a")
-
-let test_ts_monotonic_enforced () =
-  let ts = Timeseries.create () in
-  Timeseries.append ts ~key:"a" ~time:5.0 1.0;
-  Alcotest.check_raises "backwards time"
-    (Invalid_argument "Timeseries.append: time went backwards") (fun () ->
-      Timeseries.append ts ~key:"a" ~time:4.0 2.0)
-
 let suites =
   [
     ( "simcore.engine",
@@ -235,10 +213,5 @@ let suites =
           test_engine_batch_pending_and_run_until;
         Alcotest.test_case "batch validation" `Quick
           test_engine_batch_validation;
-      ] );
-    ( "simcore.timeseries",
-      [
-        Alcotest.test_case "append and range" `Quick test_ts_append_and_range;
-        Alcotest.test_case "monotonic time" `Quick test_ts_monotonic_enforced;
       ] );
   ]

@@ -184,20 +184,33 @@ let test_telemetry_window_edges () =
   Alcotest.(check (option int)) "empty store busiest" None
     (Telemetry.busiest_port tel ~site:"S" ~candidates:[ 0; 1 ] ~window:100.0
        ~at:1000.0);
-  (* Hand-placed rate samples pin the exact timestamps. *)
-  let store = Telemetry.store tel in
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:400.0 8.0;
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:700.0 2.0;
-  Simcore.Timeseries.append store ~key:"S/p0/tx_rate" ~time:1000.0 4.0;
-  (* Window [700, 1000]: both edge samples count, the 400 s one does not. *)
+  (* Flows attached at known times pin each rate sample: polls run
+     every 300 s, the first (at 300 s) takes no rate, and a flow of r B/s
+     over (t - 300, t] makes the sample at t read r: 8 at 600 s, 2 at
+     900 s and 4 at 1,200 s. *)
+  let sw = Switch.create engine ~site_name:"S" ~ports:1 ~line_rate:100e9 in
+  Telemetry.register_switch tel sw;
+  List.iteri
+    (fun i byte_rate ->
+      let from = 300.0 *. float_of_int (i + 1) in
+      Engine.schedule engine ~delay:from (fun _ ->
+          Switch.attach_flow sw ~port:0 ~dir:Switch.Tx ~byte_rate ~frame_rate:1.0
+            ~flow:i);
+      Engine.schedule engine ~delay:(from +. 300.0) (fun _ ->
+          Switch.detach_flow sw ~flow:i))
+    [ 8.0; 2.0; 4.0 ];
+  Telemetry.start ~until:1200.0 tel;
+  Engine.run ~until:1200.0 engine;
+  (* Window [900, 1200]: both edge samples count, the 600 s one does not. *)
   Alcotest.(check (float 1e-9)) "inclusive edges" 3.0
-    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:300.0 ~at:1000.0);
+    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:300.0 ~at:1200.0);
   (* A sample exactly at [at] is visible on its own. *)
   Alcotest.(check (float 1e-9)) "sample exactly at" 4.0
-    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:1.0 ~at:1000.0);
-  (* A window that ends before the first sample sees nothing. *)
+    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:1.0 ~at:1200.0);
+  (* A window that ends before the first sample sees nothing, though it
+     holds the first poll. *)
   Alcotest.(check (float 1e-9)) "window before data" 0.0
-    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:100.0 ~at:300.0)
+    (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:300.0 ~at:599.0)
 
 let test_telemetry_export_metrics () =
   let engine = Engine.create () in
@@ -217,6 +230,113 @@ let test_telemetry_export_metrics () =
   | Some (Obs.Registry.Gauge v) ->
     Alcotest.(check bool) "cumulative bytes exported" true (v > 0.0)
   | _ -> Alcotest.fail "testbed_port_tx_bytes gauge missing"
+
+(* One case from one seed: 1-4 switches of 1-64 ports, polled by the
+   columns and by the keyed store of [Oracle] on one engine over two
+   polling phases a random gap apart (the first sometimes started twice,
+   so two polls share an instant), while flows attach and detach at
+   random times and a mirror may overload a port into drops.  Then
+   random reads: rates must be bit-equal, for unknown sites, ports out of
+   range, and [at] on and off poll instants; rankings and exported
+   gauges must be equal. *)
+let telemetry_case seed =
+  let module K = Oracle.Keyed_telemetry in
+  let rng = Netcore.Rng.create seed in
+  let int n = Netcore.Rng.int rng n and float x = Netcore.Rng.float rng *. x in
+  let engine = Engine.create () in
+  let tel = Telemetry.create engine and keyed = K.create engine in
+  let switches =
+    Array.init (1 + int 4) (fun i ->
+        Switch.create engine ~site_name:(Printf.sprintf "S%d" i) ~ports:(1 + int 64)
+          ~line_rate:8e5)
+  in
+  Array.iter
+    (fun sw ->
+      Telemetry.register_switch tel sw;
+      K.register_switch keyed sw;
+      if Switch.port_count sw > 1 && Netcore.Rng.bool rng then
+        ignore (Switch.add_mirror sw ~src_port:0 ~dirs:Switch.Both ~dst_port:1))
+    switches;
+  let first = 300.0 *. float_of_int (1 + int 8) in
+  let gap =
+    Netcore.Rng.choice rng [| 0.0; 150.0; 300.0; 7.0 *. 86400.0 |] +. float 1000.0
+  in
+  let second = 300.0 *. float_of_int (1 + int 8) in
+  let horizon = first +. gap +. second in
+  (* Half the flows sit on the first four ports at one of a few rates,
+     attached on the 300 s grid, so equal rates, and so ties in the
+     ranking, are common. *)
+  for flow = 0 to int 24 do
+    let sw = Netcore.Rng.choice rng switches in
+    let low = Netcore.Rng.bool rng in
+    let port = int (if low then min 4 (Switch.port_count sw) else Switch.port_count sw) in
+    let dir = if Netcore.Rng.bool rng then Switch.Tx else Switch.Rx in
+    let byte_rate =
+      if low then Netcore.Rng.choice rng [| 0.0; 1e3; 1e3; 5e4 |] else float 2e5
+    in
+    let from =
+      if low then 300.0 *. float_of_int (int (int_of_float (horizon /. 300.0)))
+      else float horizon
+    in
+    Engine.schedule engine ~delay:from (fun _ ->
+        Switch.attach_flow sw ~port ~dir ~byte_rate ~frame_rate:(byte_rate /. 1000.0)
+          ~flow);
+    if Netcore.Rng.bool rng then
+      Engine.schedule engine ~delay:(from +. float horizon) (fun _ ->
+          Switch.detach_flow sw ~flow)
+  done;
+  let start ~until =
+    Telemetry.start ~until tel;
+    K.start ~until keyed
+  in
+  start ~until:first;
+  if Netcore.Rng.bool rng then start ~until:first;
+  Engine.run ~until:(first +. gap) engine;
+  start ~until:horizon;
+  Engine.run ~until:horizon engine;
+  (* A poll instant of either phase, or any time up to past the last. *)
+  let instant () =
+    match int 3 with
+    | 0 -> 300.0 *. float_of_int (1 + int (int_of_float (first /. 300.0)))
+    | 1 ->
+      first +. gap +. (300.0 *. float_of_int (1 + int (int_of_float (second /. 300.0))))
+    | _ -> float (horizon +. 600.0)
+  in
+  let window () =
+    if Netcore.Rng.bool rng then float 4000.0
+    else
+      Netcore.Rng.choice rng [| -1.0; 0.0; 1.0; 299.0; 300.0; 301.0; 600.0; 1800.0; 1e9 |]
+  in
+  let site () =
+    let i = int (Array.length switches + 1) in
+    if i = Array.length switches then "unknown" else Switch.site_name switches.(i)
+  in
+  let port () = int 66 - 1 in
+  let rate_equal () =
+    let site = site () and port = port () and window = window () and at = instant () in
+    Int64.equal
+      (Int64.bits_of_float (Telemetry.port_avg_rate tel ~site ~port ~window ~at))
+      (Int64.bits_of_float (K.port_avg_rate keyed ~site ~port ~window ~at))
+  in
+  let busiest_equal () =
+    let site = site () and window = window () and at = instant () in
+    let candidates =
+      List.init (int 12) (fun _ -> if Netcore.Rng.bool rng then int 5 - 1 else port ())
+    in
+    Telemetry.busiest_port tel ~site ~candidates ~window ~at
+    = K.busiest_port keyed ~site ~candidates ~window ~at
+  in
+  let exported = Obs.Registry.create () and oracle = Obs.Registry.create () in
+  Telemetry.export_metrics ~registry:exported tel;
+  K.export_metrics ~registry:oracle keyed;
+  List.for_all (fun _ -> rate_equal ()) (List.init 64 Fun.id)
+  && List.for_all (fun _ -> busiest_equal ()) (List.init 16 Fun.id)
+  && compare (Obs.Registry.snapshot exported) (Obs.Registry.snapshot oracle) = 0
+
+let prop_telemetry_matches_keyed =
+  QCheck.Test.make ~name:"columns answer as the keyed store" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    telemetry_case
 
 (* --- Allocator --- *)
 
@@ -328,6 +448,7 @@ let suites =
         Alcotest.test_case "busiest port" `Quick test_telemetry_busiest;
         Alcotest.test_case "window edges" `Quick test_telemetry_window_edges;
         Alcotest.test_case "export metrics" `Quick test_telemetry_export_metrics;
+        QCheck_alcotest.to_alcotest prop_telemetry_matches_keyed;
       ] );
     ( "testbed.allocator",
       [
