@@ -25,22 +25,24 @@ let fig10 ?(first_day = 152) ?(last_day = 272) ?(stride = 2) () =
   let outage_days = [ 253; 254; 258 ] in
   let tallies = ref [] in
   let total = { ok = 0; degraded = 0; failed = 0; incomplete = 0 } in
-  let day = ref first_day in
-  while !day <= last_day do
-    let d = !day in
+  (* One occasion every [stride] days, on the weekly service's schedule:
+     the next day simulates while this one is tallied. *)
+  let occasion pool i =
+    let d = first_day + (i * stride) in
     let start_time = float_of_int d *. Netcore.Timebase.day in
     let _, fabric, driver =
-      Paper.fresh_occasion ~occasion_seed:(1000 + d) ~start_time
+      Paper.fresh_occasion ~pool ~occasion_seed:(1000 + d) ~start_time ()
     in
     Paper.apply_external_pressure fabric ~at:start_time ~occasion_seed:(1000 + d);
     if List.mem d outage_days then
       Testbed.Allocator.set_outages
         (Testbed.Fablib.allocator fabric)
         [ (start_time, start_time +. Netcore.Timebase.day) ];
-    let report =
-      Coordinator.run_occasion ~fabric ~driver ~config ~start_time
-        ~duration:(0.75 *. Netcore.Timebase.hour) ()
-    in
+    ( d,
+      Coordinator.run_occasion ~fabric ~driver ~config ~pool ~start_time
+        ~duration:(0.75 *. Netcore.Timebase.hour) () )
+  in
+  let tally_day _ _ (d, report) =
     let tally = { ok = 0; degraded = 0; failed = 0; incomplete = 0 } in
     List.iter
       (fun (s : Coordinator.site_report) ->
@@ -58,9 +60,14 @@ let fig10 ?(first_day = 152) ?(last_day = 272) ?(stride = 2) () =
           tally.incomplete <- tally.incomplete + 1;
           total.incomplete <- total.incomplete + 1)
       report.Coordinator.sites;
-    tallies := (d, tally) :: !tallies;
-    day := !day + stride
-  done;
+    tallies := (d, tally) :: !tallies
+  in
+  ignore
+    (Patchwork.Pipeline.run_within
+       ~domains:(Domain.recommended_domain_count ())
+       ~n:(if last_day < first_day then 0
+           else ((last_day - first_day) / stride) + 1)
+       ~produce:occasion ~consume:tally_day);
   Paper.row "%-6s %4s %9s %7s %11s" "day" "ok" "degraded" "failed" "incomplete";
   List.iter
     (fun (d, t) ->

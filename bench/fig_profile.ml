@@ -18,9 +18,10 @@ let build_profile ?(occasions = default_occasions) ?(hours = default_hours) () =
   (* Stream occasions through the profile builder: each report's
      captures are absorbed into aggregates and then dropped, which is
      what keeps a multi-occasion profile in memory (the real captures
-     ran to dozens of gigabytes). *)
+     ran to dozens of gigabytes).  The weekly service's schedule runs
+     them, simulating one occasion while the previous one is absorbed. *)
   let builder = Profile.Builder.create () in
-  for i = 0 to occasions - 1 do
+  let occasion pool i =
     (* Spread occasions across the year, as the weekly runs were. *)
     let day = 20 + (i * 340 / max 1 occasions) in
     let start_time = float_of_int day *. Netcore.Timebase.day in
@@ -31,12 +32,15 @@ let build_profile ?(occasions = default_occasions) ?(hours = default_hours) () =
         max_frames_per_sample = 2_500;
       }
     in
-    let report =
-      Paper.run_profile_occasion ~config ~occasion_seed:(7000 + i) ~start_time
-        ~duration:(hours *. Netcore.Timebase.hour) ()
-    in
-    Profile.Builder.add_report builder report
-  done;
+    Paper.run_profile_occasion ~config ~pool ~occasion_seed:(7000 + i)
+      ~start_time ~duration:(hours *. Netcore.Timebase.hour) ()
+  in
+  ignore
+    (Patchwork.Pipeline.run_within
+       ~domains:(Domain.recommended_domain_count ())
+       ~n:occasions ~produce:occasion
+       ~consume:(fun pool _ report ->
+         Profile.Builder.add_report ~pool builder report));
   Profile.Builder.finish builder
 
 let profile_cache : Profile.t option ref = ref None

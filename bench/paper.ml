@@ -14,10 +14,10 @@ let bar width fraction =
 (* A fresh federation + traffic for one occasion starting at an absolute
    time.  Each occasion is its own engine, as in the real system, where
    every run sets its slices up from scratch. *)
-let fresh_occasion ~occasion_seed ~start_time =
+let fresh_occasion ?pool ~occasion_seed ~start_time () =
   let engine = Simcore.Engine.create ~start_time () in
   let fabric = Testbed.Fablib.create ~seed engine in
-  let driver = Traffic.Driver.create fabric ~seed:occasion_seed in
+  let driver = Traffic.Driver.create ?pool fabric ~seed:occasion_seed in
   (engine, fabric, driver)
 
 (* Resource pressure from other researchers at a given time: scales with
@@ -40,10 +40,10 @@ let apply_external_pressure fabric ~at ~occasion_seed =
     model.Testbed.Info_model.sites
 
 (* One all-experiment profiling occasion; returns the coordinator
-   report. *)
+   report.  [pool] runs its synthesis and gathering. *)
 let run_profile_occasion ?(config = Patchwork.Config.default) ?(pressure = true)
-    ~occasion_seed ~start_time ~duration () =
-  let _, fabric, driver = fresh_occasion ~occasion_seed ~start_time in
+    ?pool ~occasion_seed ~start_time ~duration () =
+  let _, fabric, driver = fresh_occasion ?pool ~occasion_seed ~start_time () in
   if pressure then apply_external_pressure fabric ~at:start_time ~occasion_seed;
-  Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~start_time
+  Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ?pool ~start_time
     ~duration ()

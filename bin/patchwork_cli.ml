@@ -344,22 +344,17 @@ let weekly_cmd =
     in
     Arg.(value & flag & info [ "fail-on-alert" ] ~doc)
   in
-  let pipeline =
+  let domains =
     let doc =
-      "Overlap each week's analysis with the next week's simulation: the \
-       occasions run on a background domain one stage ahead of the \
-       profile builder (each stage gets its own domain pool).  The \
-       cumulative profile is byte-identical to the sequential run; only \
-       wall-clock changes."
+      "Cores for the occasions.  The simulation of week w+1 overlaps the \
+       analysis of week w: simulation gets half of $(docv) rounded up, \
+       analysis the rest, and the two never use more than $(docv) \
+       together.  With 1, the weeks run one after the other on this \
+       domain.  The profile, its CSVs and figures, the flow store and \
+       the printed lines are identical at any value; only wall-clock \
+       changes.  Defaults to the machine's recommended domain count."
     in
-    Arg.(value & flag & info [ "pipeline" ] ~doc)
-  in
-  let pipeline_depth =
-    let doc =
-      "With $(b,--pipeline): how many finished occasions may wait in the \
-       hand-off queue before the simulation stage blocks."
-    in
-    Arg.(value & opt int 1 & info [ "pipeline-depth" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let flow_store =
     let doc =
@@ -388,11 +383,10 @@ let weekly_cmd =
     Arg.(value & opt (some string) None & info [ "tsdb" ] ~docv:"DIR" ~doc)
   in
   let run seed weeks start_day hours out domains metrics_out
-      serve_metrics hold alert_rules fail_on_alert pipeline pipeline_depth
-      flow_store spill_threshold tsdb =
+      serve_metrics hold alert_rules fail_on_alert flow_store spill_threshold
+      tsdb =
     (* The paper's operational mode: Patchwork runs weekly and keeps a
-       cumulative testbed-wide profile (the public dashboard's data).
-       One pool serves every occasion. *)
+       cumulative testbed-wide profile (the public dashboard's data). *)
     (match flow_store with
     | Some dir when Analysis.Flow_store.segments_in_dir dir <> [] ->
       Printf.eprintf
@@ -434,7 +428,6 @@ let weekly_cmd =
             (Live.port l);
         Some l
     in
-    (with_domains domains @@ fun pool ->
     let builder = Analysis.Profile.Builder.create ~log:service_log () in
     let store =
       Option.map
@@ -444,9 +437,9 @@ let weekly_cmd =
         flow_store
     in
     (* One simulated week: fresh engine/fabric/driver, one occasion.
-       Independent across weeks, which is what lets the pipelined mode
-       run week w+1 while week w is still being absorbed. *)
-    let run_week ~pool w =
+       Independent across weeks, which is what lets the schedule run
+       week w+1 while week w is still being absorbed. *)
+    let run_week pool w =
       let day = start_day + (7 * w) in
       let start_time = float_of_int day *. Netcore.Timebase.day in
       let engine = Simcore.Engine.create ~start_time () in
@@ -481,41 +474,24 @@ let weekly_cmd =
         (List.length (Patchwork.Coordinator.all_samples report));
       report
     in
-    if pipeline then begin
-      (* Two-stage pipeline: simulation on a background domain with its
-         own pool, analysis on this domain with [pool] (a pool must be
-         owned by one domain at a time).  The hand-off queue preserves
-         week order, so the profile matches the sequential loop. *)
-      with_domains domains @@ fun sim_pool ->
-      let stats =
-        Patchwork.Pipeline.run ~depth:pipeline_depth ~n:weeks
-          ~produce:(fun w -> run_week ~pool:sim_pool w)
-          ~consume:(fun _ report ->
-            Analysis.Profile.Builder.add_report ~pool ?flow_store:store builder
-              report)
-          ()
-      in
-      Printf.printf
-        "pipeline: %d weeks in %.2fs wall (simulate %.2fs, analyze %.2fs, \
-         overlap %.2fs, max queue depth %d)\n%!"
-        stats.Patchwork.Pipeline.items stats.Patchwork.Pipeline.wall_s
-        stats.Patchwork.Pipeline.produce_busy_s
-        stats.Patchwork.Pipeline.consume_busy_s
-        stats.Patchwork.Pipeline.overlap_s stats.Patchwork.Pipeline.max_depth
-    end
-    else
-      for w = 0 to weeks - 1 do
-        let report = run_week ~pool w in
-        Analysis.Profile.Builder.add_report ~pool ?flow_store:store builder
-          report
-      done;
+    let domains =
+      match domains with
+      | Some n -> max 1 n
+      | None -> Domain.recommended_domain_count ()
+    in
+    ignore
+      (Patchwork.Pipeline.run_within ~domains ~n:weeks
+         ~produce:run_week
+         ~consume:(fun pool _ report ->
+           Analysis.Profile.Builder.add_report ~pool ?flow_store:store builder
+             report));
     let profile = Analysis.Profile.Builder.finish builder in
     Format.printf "%a" Analysis.Profile.pp_summary profile;
     let csvs = Analysis.Profile.write_csv_files profile ~dir:out in
     let figs = Analysis.Figures.write_profile_figures profile ~dir:out in
     Printf.printf "wrote %d CSVs and %d figures under %s\n"
       (List.length csvs) (List.length figs) out;
-    match (store, flow_store) with
+    (match (store, flow_store) with
     | Some w, Some dir ->
       let segs = Analysis.Flow_store.Writer.finish w in
       Printf.printf "flow store: %d segments, %d bytes under %s\n"
@@ -567,10 +543,9 @@ let weekly_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ seed_arg $ weeks $ start_day $ hours $ out $ domains_arg
-      $ metrics_out_arg $ serve_metrics $ hold
-      $ alert_rules $ fail_on_alert $ pipeline $ pipeline_depth $ flow_store
-      $ spill_threshold $ tsdb)
+      const run $ seed_arg $ weeks $ start_day $ hours $ out $ domains
+      $ metrics_out_arg $ serve_metrics $ hold $ alert_rules $ fail_on_alert
+      $ flow_store $ spill_threshold $ tsdb)
 
 (* --- query --- *)
 
@@ -920,18 +895,9 @@ let render_report doc =
 let report_cmd =
   let infile =
     let doc =
-      "Render a previously written JSON metrics snapshot (the file from \
-       $(b,--metrics-out)) instead of running a fresh occasion."
+      "Render a JSON metrics snapshot: the file $(b,--metrics-out) wrote."
     in
     Arg.(value & opt (some file) None & info [ "in" ] ~docv:"FILE" ~doc)
-  in
-  let hours =
-    let doc = "Simulated occasion duration when running live, in hours." in
-    Arg.(value & opt float 2.0 & info [ "hours" ] ~docv:"H" ~doc)
-  in
-  let site =
-    let doc = "Profile only this site when running live." in
-    Arg.(value & opt (some string) None & info [ "site" ] ~docv:"SITE" ~doc)
   in
   let live_port =
     let doc =
@@ -960,57 +926,48 @@ let report_cmd =
     let doc = "With $(b,--history): render only the named series." in
     Arg.(value & opt (some string) None & info [ "name" ] ~docv:"SERIES" ~doc)
   in
-  let run seed hours site infile live_port history hist_since hist_until
-      hist_name domains =
-    (* An unreachable service or a corrupt store is the user's input,
-       not a bug: one line on stderr and exit 1, as query does. *)
+  let run infile live_port history hist_since hist_until hist_name =
+    (* No source, an unreachable service or a corrupt store is the
+       user's input, not a bug: one line on stderr and exit 1, as query
+       does. *)
     let fail msg =
       prerr_endline ("report: " ^ msg);
       exit 1
     in
-    match (live_port, history) with
-    | Some port, _ -> (
+    match (live_port, history, infile) with
+    | Some port, _, _ -> (
       try Live.render_live ~port with Failure msg -> fail msg)
-    | None, Some dir -> (
+    | None, Some dir, _ -> (
       try
         Live.render_history ?since:hist_since ?until:hist_until
           ?name:hist_name ~dir ()
       with Obs.Tsdb.Corrupt msg -> fail msg)
-    | None, None ->
-    let doc =
-      match infile with
-      | Some path ->
-        let ic = open_in_bin path in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        (match J.parse text with
-        | Ok doc -> doc
-        | Error msg -> fail (path ^ ": " ^ msg))
-      | None ->
-        (* Run one occasion and report on its live spans and counters. *)
-        (with_domains domains @@ fun pool ->
-         ignore (run_profile_occasion ~seed ~hours ~site ~max_frames:2000 pool));
-        Obs.Export.json_of_snapshot
-          ~spans:(Obs.Span.roots Obs.Span.default)
-          (Obs.Registry.snapshot Obs.Registry.default)
-    in
-    render_report doc
+    | None, None, Some path -> (
+      let ic = open_in_bin path in
+      let text =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      match J.parse text with
+      | Ok doc -> render_report doc
+      | Error msg -> fail (path ^ ": " ^ msg))
+    | None, None, None ->
+      fail
+        "nothing to render: give --in FILE (a --metrics-out snapshot), \
+         --live PORT or --history DIR"
   in
   let info =
     Cmd.info "report"
       ~doc:
         "Render the per-occasion span tree and the loss ledger's waterfall \
-         from a metrics snapshot (or from a fresh occasion), scrape a live \
-         service with $(b,--live), or render stored telemetry trends \
-         with $(b,--history)"
+         from a metrics snapshot ($(b,--in)), scrape a live service with \
+         $(b,--live), or render stored telemetry trends with $(b,--history)"
   in
   Cmd.v info
     Term.(
-      const run $ seed_arg $ hours $ site $ infile $ live_port $ history
-      $ hist_since $ hist_until $ hist_name $ domains_arg)
+      const run $ infile $ live_port $ history $ hist_since $ hist_until
+      $ hist_name)
 
 (* --- doctor --- *)
 

@@ -7,8 +7,8 @@
    sees exactly the sequence a sequential loop would have produced; the
    only thing that changes is wall-clock overlap.  Each stage must own
    its resources (in particular its Parallel.Pool: a pool is owned by
-   one domain at a time), which the weekly service arranges by giving
-   the simulation and analysis stages separate pools. *)
+   one domain at a time), so run_within gives the two stages separate
+   pools cut from one core budget. *)
 
 type stats = {
   items : int;  (** items produced and consumed *)
@@ -215,3 +215,17 @@ let run ?(depth = 1) ~n ~produce ~consume () =
       }
     end
   end
+
+let run_within ~domains ~n ~produce ~consume =
+  if domains < 1 then invalid_arg "Pipeline.run_within: domains must be >= 1";
+  if n < 0 then invalid_arg "Pipeline.run_within: n must be >= 0";
+  if domains = 1 then
+    let pool = Parallel.Pool.sequential in
+    run_sequential ~n ~produce:(produce pool) ~consume:(consume pool)
+  else
+    (* Simulation is the slower stage, so it takes the odd core.  The
+       producer's domain and the calling domain each run in their own
+       pool, so the two pools together use exactly [domains]. *)
+    Parallel.Pool.with_pool ~size:((domains + 1) / 2) @@ fun sim_pool ->
+    Parallel.Pool.with_pool ~size:(domains / 2) @@ fun an_pool ->
+    run ~n ~produce:(produce sim_pool) ~consume:(consume an_pool) ()

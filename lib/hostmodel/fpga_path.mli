@@ -8,7 +8,12 @@
     method alike.  The functional half of this module gives the
     offload's verdict on each frame; the performance half quantifies
     the host-side relief (frames and bytes removed before the DPDK
-    path). *)
+    path).
+
+    The verdict is a stride counter, not a run of the compiled program:
+    the program {!P4_pipeline.Compile.of_filter} builds for this config
+    (filter [True]) forwards every Nth frame, and the capture tests
+    check the counter against it. *)
 
 type config = {
   sample_1_in : int;  (** keep one frame in N (1 = keep all) *)
@@ -27,9 +32,9 @@ type stats = {
 
 val create : config -> unit -> (Packet.Frame.t -> bool) * (unit -> stats)
 (** [create config ()] returns the offload's verdict, [true] when it
-    forwards a frame to the host, and a stats accessor.  The verdict is
-    deterministic given the config: sampling is systematic (every Nth
-    frame), as in the P4 implementation. *)
+    forwards a frame to the host, and a stats accessor.  Sampling is
+    systematic: it forwards the 0th, Nth, 2Nth, ... frame it sees, and
+    [bytes_out] sums [min wire truncation] over them. *)
 
 val host_relief : config -> offered_pps:float -> avg_frame_size:float -> float * float
 (** [(pps, bytes_per_sec)] that reach the host after offload, given the

@@ -390,7 +390,9 @@ let to_trace_events ?(process_name = "patchwork") spans =
          ("tid", Json.Num 1.0);
          ("args", Json.Obj [ ("name", Json.Str process_name) ]);
        ]);
+  (* One lane per domain: a span's tree never leaves its domain. *)
   let rec emit sp =
+    let tid = Json.Num (float_of_int (Span.domain sp)) in
     let args =
       ("minor_words", Json.Num (Span.minor_words sp))
       :: List.map (fun (k, v) -> (k, Json.Str v)) (Span.notes sp)
@@ -403,7 +405,7 @@ let to_trace_events ?(process_name = "patchwork") spans =
            ("ph", Json.Str "B");
            ("ts", Json.Num (Span.start_time sp *. 1e6));
            ("pid", Json.Num 1.0);
-           ("tid", Json.Num 1.0);
+           ("tid", tid);
            ("args", Json.Obj args);
          ]);
     List.iter emit (Span.children sp);
@@ -415,7 +417,7 @@ let to_trace_events ?(process_name = "patchwork") spans =
            ("ph", Json.Str "E");
            ("ts", Json.Num ((Span.start_time sp +. Span.wall sp) *. 1e6));
            ("pid", Json.Num 1.0);
-           ("tid", Json.Num 1.0);
+           ("tid", tid);
          ])
   in
   List.iter emit spans;

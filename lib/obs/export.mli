@@ -34,10 +34,11 @@ val to_prometheus : Registry.sample list -> string
 (** Prometheus text exposition (HELP/TYPE comments plus {!flatten}'s
     data lines). *)
 
-val json_of_snapshot : ?spans:Span.span list -> Registry.sample list -> Json.t
+val to_json_string : ?spans:Span.span list -> Registry.sample list -> string
 (** [{ "metrics": [...], "spans": [...] }]; spans nest recursively with
     wall seconds, minor words and notes. *)
 
-val to_json_string : ?spans:Span.span list -> Registry.sample list -> string
-
 val trace_events_string : ?process_name:string -> Span.span list -> string
+(** Chrome trace-event JSON (chrome://tracing, Perfetto): a [B] and an
+    [E] event per span, with the span's domain as [tid], so each
+    domain's spans draw in a lane of their own. *)

@@ -2,6 +2,7 @@ type span = {
   sp_name : string;
   sp_t0 : float;
   sp_m0 : float;
+  sp_domain : int;
   mutable sp_wall : float;
   mutable sp_minor : float;
   mutable sp_notes : (string * string) list; (* newest first *)
@@ -11,7 +12,8 @@ type span = {
 
 type t = {
   lock : Mutex.t;
-  mutable stack : span list; (* innermost open span first *)
+  stacks : (int, span list) Hashtbl.t;
+      (* domain -> its open spans, innermost first; no entry when empty *)
   roots : span Queue.t; (* finished roots, oldest first, <= max_roots *)
   mutable dropped : int;
 }
@@ -19,7 +21,12 @@ type t = {
 let max_roots = 1024
 
 let create () =
-  { lock = Mutex.create (); stack = []; roots = Queue.create (); dropped = 0 }
+  {
+    lock = Mutex.create ();
+    stacks = Hashtbl.create 4;
+    roots = Queue.create ();
+    dropped = 0;
+  }
 
 let default = create ()
 
@@ -28,12 +35,20 @@ let dummy =
     sp_name = "";
     sp_t0 = 0.0;
     sp_m0 = 0.0;
+    sp_domain = 0;
     sp_wall = 0.0;
     sp_minor = 0.0;
     sp_notes = [];
     sp_children = [];
     sp_dummy = true;
   }
+
+let stack t domain =
+  match Hashtbl.find t.stacks domain with s -> s | exception Not_found -> []
+
+let set_stack t domain = function
+  | [] -> Hashtbl.remove t.stacks domain
+  | s -> Hashtbl.replace t.stacks domain s
 
 let start t name =
   if not (Registry.enabled ()) then dummy
@@ -43,6 +58,7 @@ let start t name =
         sp_name = name;
         sp_t0 = Clock.now ();
         sp_m0 = Gc.minor_words ();
+        sp_domain = (Domain.self () :> int);
         sp_wall = 0.0;
         sp_minor = 0.0;
         sp_notes = [];
@@ -51,8 +67,9 @@ let start t name =
       }
     in
     Mutex.lock t.lock;
-    (match t.stack with p :: _ -> p.sp_children <- sp :: p.sp_children | [] -> ());
-    t.stack <- sp :: t.stack;
+    let st = stack t sp.sp_domain in
+    (match st with p :: _ -> p.sp_children <- sp :: p.sp_children | [] -> ());
+    set_stack t sp.sp_domain (sp :: st);
     Mutex.unlock t.lock;
     sp
   end
@@ -62,16 +79,18 @@ let finish t sp =
     sp.sp_wall <- Clock.now () -. sp.sp_t0;
     sp.sp_minor <- Gc.minor_words () -. sp.sp_m0;
     Mutex.lock t.lock;
-    let was_open = List.memq sp t.stack in
+    let st = stack t sp.sp_domain in
+    let was_open = List.memq sp st in
     (* Pop this span (and, defensively, anything opened after it that
        was never finished). *)
     let rec pop = function
       | [] -> []
       | x :: rest -> if x == sp then rest else pop rest
     in
-    if was_open then t.stack <- pop t.stack;
-    (* A span is a root if nothing remains open under it. *)
-    if was_open && t.stack = [] then begin
+    let rest = if was_open then pop st else st in
+    if was_open then set_stack t sp.sp_domain rest;
+    (* A span is a root if nothing remains open under it on its domain. *)
+    if was_open && rest = [] then begin
       (* A full history drops its oldest root in O(1), so a long-lived
          tracer pays the same per root as a fresh one. *)
       Queue.push sp t.roots;
@@ -106,6 +125,7 @@ let timed ?(tracer = default) ?(registry = Registry.default) ~stage f =
 
 let name sp = sp.sp_name
 let start_time sp = sp.sp_t0
+let domain sp = sp.sp_domain
 let wall sp = sp.sp_wall
 let minor_words sp = sp.sp_minor
 let notes sp = List.rev sp.sp_notes
@@ -122,7 +142,7 @@ let dropped_roots t = t.dropped
 
 let reset t =
   Mutex.lock t.lock;
-  t.stack <- [];
+  Hashtbl.reset t.stacks;
   Queue.clear t.roots;
   t.dropped <- 0;
   Mutex.unlock t.lock

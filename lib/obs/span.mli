@@ -1,16 +1,18 @@
 (** Hierarchical timed spans.
 
-    A tracer keeps an ambient stack of open spans: {!start} attaches to
-    the innermost open span, so layered code (coordinator phase ->
-    digest stage -> flow merge) nests without threading span handles
-    through every call.  Each finished span
-    records wall time, the domain's minor-allocation delta
+    A tracer keeps one ambient stack of open spans per domain: {!start}
+    attaches to the innermost span open on the calling domain, so
+    layered code (coordinator phase -> digest stage -> flow merge) nests
+    without threading span handles through every call, and two domains
+    working at once (the weekly schedule's simulate and analysis stages)
+    each build their own trees.  Each finished span records the domain
+    it ran on, wall time, that domain's minor-allocation delta
     ([Gc.minor_words], the count the [gates] case "decode registry
     overhead" bounds) and its children.
 
-    Spans must be started and finished on the tracer's owning domain
-    (pool workers report through the registry instead); the tracer's
-    mutex only guards against accidental cross-domain use.
+    A span is finished on the domain that started it.  The stacks and
+    the root history sit under the tracer's mutex, so any domain may
+    trace.
 
     When {!Registry.set_enabled} is off, [start] hands out a dummy span
     and records nothing. *)
@@ -43,6 +45,10 @@ val name : span -> string
 
 val start_time : span -> float
 (** {!Clock} time at [start] (feeds the trace-event exporter). *)
+
+val domain : span -> int
+(** The id of the domain that started the span (the trace-event
+    exporter's [tid]). *)
 
 val wall : span -> float
 (** Seconds; 0 until finished. *)

@@ -290,7 +290,16 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
   let offload =
     match config.Patchwork.Config.capture_method with
     | Patchwork.Config.Fpga_dpdk { fpga; _ } ->
-      fst (Hostmodel.Fpga_path.create fpga ())
+      (* The compiled P4 program the offload's stride counter stands
+         for: it sees the frames the filter passed, in draw order. *)
+      let program =
+        Hostmodel.P4_pipeline.Compile.of_filter
+          ~truncation:fpga.Hostmodel.Fpga_path.truncation
+          ~sample_1_in:fpga.Hostmodel.Fpga_path.sample_1_in Packet.Filter.True
+      in
+      fun frame ->
+        (Hostmodel.P4_pipeline.process program frame).Hostmodel.P4_pipeline.frame
+        <> None
     | Patchwork.Config.Tcpdump | Patchwork.Config.Dpdk _ -> fun _ -> true
   in
   let anonymizer =

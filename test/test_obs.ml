@@ -210,6 +210,85 @@ let test_span_timed_histogram () =
     Alcotest.(check int) "one observation" 1 hs.Registry.h_count
   | _ -> Alcotest.fail "stage histogram missing"
 
+type span_tree = Node of string * int * span_tree list
+
+let rec span_tree sp =
+  Node (Span.name sp, Span.domain sp, List.map span_tree (Span.children sp))
+
+(* Two domains hold nested spans open at the same time.  Each domain's
+   spans form trees of their own, and the trace export draws each
+   domain in its own lane ([tid]) with balanced B/E events. *)
+let test_span_two_domains () =
+  let t = Span.create () in
+  let step = Atomic.make 0 in
+  let await n =
+    while Atomic.get step < n do
+      Domain.cpu_relax ()
+    done
+  in
+  (* Interleaved: a.outer, b.outer, a.inner, b.inner are all open before
+     any of them finishes. *)
+  let a_outer = Span.start t "a.outer" in
+  let other =
+    Domain.spawn (fun () ->
+        let b_outer = Span.start t "b.outer" in
+        Atomic.set step 1;
+        await 2;
+        let b_inner = Span.start t "b.inner" in
+        Atomic.set step 3;
+        await 4;
+        Span.finish t b_inner;
+        Span.finish t b_outer;
+        (Domain.self () :> int))
+  in
+  await 1;
+  let a_inner = Span.start t "a.inner" in
+  Atomic.set step 2;
+  await 3;
+  Atomic.set step 4;
+  let b_domain = Domain.join other in
+  Span.finish t a_inner;
+  Span.finish t a_outer;
+  let a_domain = (Domain.self () :> int) in
+  Alcotest.(check bool) "two domains" true (a_domain <> b_domain);
+  Alcotest.(check bool) "roots b.outer then a.outer, each over its own inner" true
+    (List.map span_tree (Span.roots t)
+    = [
+        Node ("b.outer", b_domain, [ Node ("b.inner", b_domain, []) ]);
+        Node ("a.outer", a_domain, [ Node ("a.inner", a_domain, []) ]);
+      ]);
+  let events =
+    match J.parse (Export.trace_events_string (Span.roots t)) with
+    | Ok doc -> (
+      match J.member "traceEvents" doc with
+      | Some (J.Arr evs) -> evs
+      | _ -> Alcotest.fail "no traceEvents")
+    | Error msg -> Alcotest.fail msg
+  in
+  (* Per tid: B and E events nest like parentheses and close out. *)
+  let lanes = Hashtbl.create 2 in
+  List.iter
+    (fun ev ->
+      let str k = Option.bind (J.member k ev) J.to_str in
+      let tid = Option.bind (J.member "tid" ev) J.to_float in
+      match (str "ph", tid, str "name") with
+      | Some "B", Some tid, Some name ->
+        let open_ = Option.value ~default:[] (Hashtbl.find_opt lanes tid) in
+        Hashtbl.replace lanes tid (name :: open_)
+      | Some "E", Some tid, Some name -> (
+        match Hashtbl.find_opt lanes tid with
+        | Some (top :: rest) when top = name -> Hashtbl.replace lanes tid rest
+        | _ -> Alcotest.failf "unbalanced E %s on tid %g" name tid)
+      | _ -> ())
+    events;
+  Alcotest.(check (list (float 0.0))) "one lane per domain"
+    (List.sort compare [ float_of_int a_domain; float_of_int b_domain ])
+    (List.sort compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) lanes []));
+  Hashtbl.iter
+    (fun tid open_ ->
+      Alcotest.(check (list string)) (Printf.sprintf "tid %g closes" tid) [] open_)
+    lanes
+
 (* --- logging ring buffer --- *)
 
 let log_n log n =
@@ -312,6 +391,7 @@ let suites =
         Alcotest.test_case "nesting" `Quick test_span_nesting;
         Alcotest.test_case "root bound" `Quick test_span_root_bound;
         Alcotest.test_case "timed stage histogram" `Quick test_span_timed_histogram;
+        Alcotest.test_case "two domains, two trees" `Quick test_span_two_domains;
       ] );
     ( "obs.logging",
       [

@@ -1,9 +1,10 @@
-(* Core.Pipeline and the identity properties behind the pipelined weekly
-   service: the hand-off queue preserves order and propagates errors,
-   the pipelined service produces a profile byte-identical to the
-   sequential loop at any pool size and queue depth, and the traffic
-   driver's per-site synthesis is bit-identical at any pool size and
-   presample slab. *)
+(* Core.Pipeline and the identity properties behind the weekly
+   schedule: the hand-off queue preserves order and propagates errors,
+   the schedule splits its core budget between the two stages and
+   produces a profile byte-identical to the sequential loop kept here
+   as the oracle, at any budget, pool size and queue depth, and the
+   traffic driver's per-site synthesis is bit-identical at any pool size
+   and presample slab. *)
 
 module Pipeline = Patchwork.Pipeline
 module Pool = Parallel.Pool
@@ -74,18 +75,58 @@ let test_pipeline_consumer_error () =
      items while the consumer died on item 1 with a depth-1 queue. *)
   Alcotest.(check bool) "producer stopped early" true (!produced < 100)
 
-(* --- pipelined weekly equals sequential weekly --- *)
+(* --- the schedule's core budget --- *)
+
+(* Budget 1 runs both stages inline on the calling domain; a larger
+   budget gives the producer a domain of its own, and the two stages'
+   pools use exactly the budget, the odd core going to the producer. *)
+let test_schedule_budget () =
+  let caller = (Domain.self () :> int) in
+  let observe domains =
+    let sizes = ref [] and producer_domain = ref caller in
+    let stats =
+      Pipeline.run_within ~domains ~n:3
+        ~produce:(fun pool k ->
+          producer_domain := (Domain.self () :> int);
+          (Pool.size pool, k))
+        ~consume:(fun pool _ (produce_size, _) ->
+          sizes := (produce_size, Pool.size pool) :: !sizes)
+    in
+    (stats, List.sort_uniq compare !sizes, !producer_domain)
+  in
+  let stats, sizes, producer = observe 1 in
+  Alcotest.(check int) "budget 1: items" 3 stats.Pipeline.items;
+  Alcotest.(check int) "budget 1: max_depth" 0 stats.Pipeline.max_depth;
+  Alcotest.(check (float 0.0)) "budget 1: overlap_s" 0.0 stats.Pipeline.overlap_s;
+  Alcotest.(check (list (pair int int))) "budget 1: pools" [ (1, 1) ] sizes;
+  Alcotest.(check int) "budget 1: produced on the calling domain" caller producer;
+  List.iter
+    (fun budget ->
+      let stats, sizes, producer = observe budget in
+      let name what = Printf.sprintf "budget %d: %s" budget what in
+      Alcotest.(check int) (name "items") 3 stats.Pipeline.items;
+      Alcotest.(check (list (pair int int)))
+        (name "pools (produce, consume)")
+        [ ((budget + 1) / 2, budget / 2) ]
+        sizes;
+      Alcotest.(check bool) (name "produced on another domain") true (producer <> caller))
+    [ 2; 3; 4 ];
+  Alcotest.check_raises "budget 0 rejected"
+    (Invalid_argument "Pipeline.run_within: domains must be >= 1") (fun () ->
+      ignore
+        (Pipeline.run_within ~domains:0 ~n:1 ~produce:(fun _ k -> k)
+           ~consume:(fun _ _ _ -> ())))
+
+(* --- the weekly schedule equals the sequential weekly loop --- *)
 
 let weekly_seed = 2024
 let weekly_weeks = 2
 
-let run_week ~pool w =
+let run_week ?(seed = weekly_seed) ~pool w =
   let start_time = float_of_int (30 + (7 * w)) *. Netcore.Timebase.day in
   let engine = Simcore.Engine.create ~start_time () in
-  let fabric = Testbed.Fablib.create ~seed:weekly_seed engine in
-  let driver =
-    Traffic.Driver.create ~pool fabric ~seed:(weekly_seed + (31 * w))
-  in
+  let fabric = Testbed.Fablib.create ~seed engine in
+  let driver = Traffic.Driver.create ~pool fabric ~seed:(seed + (31 * w)) in
   let config =
     {
       Patchwork.Config.default with
@@ -97,12 +138,22 @@ let run_week ~pool w =
   Patchwork.Coordinator.run_occasion ~fabric ~driver ~config ~pool ~start_time
     ~duration:1500.0 ()
 
-let weekly_profile_sequential ~size =
+(* The oracle: one pool, one week after the other. *)
+let weekly_profile_sequential ?seed ~size () =
   Pool.with_pool ~size @@ fun pool ->
   let b = Analysis.Profile.Builder.create () in
   for w = 0 to weekly_weeks - 1 do
-    Analysis.Profile.Builder.add_report ~pool b (run_week ~pool w)
+    Analysis.Profile.Builder.add_report ~pool b (run_week ?seed ~pool w)
   done;
+  Analysis.Profile.Builder.finish b
+
+let weekly_profile_scheduled ~seed ~domains =
+  let b = Analysis.Profile.Builder.create () in
+  ignore
+    (Pipeline.run_within ~domains ~n:weekly_weeks
+       ~produce:(fun pool w -> run_week ~seed ~pool w)
+       ~consume:(fun pool _ report ->
+         Analysis.Profile.Builder.add_report ~pool b report));
   Analysis.Profile.Builder.finish b
 
 let weekly_profile_pipelined ~size ~depth =
@@ -117,7 +168,16 @@ let weekly_profile_pipelined ~size ~depth =
        ());
   Analysis.Profile.Builder.finish b
 
-let reference_profile = lazy (weekly_profile_sequential ~size:1)
+let reference_profile = lazy (weekly_profile_sequential ~size:1 ())
+
+let qcheck_schedule_weekly_identical =
+  QCheck.Test.make ~name:"scheduled weekly profile equals sequential, budgets 1-4"
+    ~count:3 (QCheck.int_range 1 10_000) (fun seed ->
+      let reference = weekly_profile_sequential ~seed ~size:1 () in
+      List.for_all
+        (fun domains ->
+          Analysis.Profile.equal reference (weekly_profile_scheduled ~seed ~domains))
+        [ 1; 2; 3; 4 ])
 
 let qcheck_pipelined_weekly_identical =
   QCheck.Test.make ~name:"pipelined weekly profile equals sequential" ~count:4
@@ -131,7 +191,7 @@ let test_sequential_pool_size_independent () =
   Alcotest.(check bool) "pool size 2 equals size 1" true
     (Analysis.Profile.equal
        (Lazy.force reference_profile)
-       (weekly_profile_sequential ~size:2))
+       (weekly_profile_sequential ~size:2 ()))
 
 (* --- traffic synthesis is pool-size- and slab-independent --- *)
 
@@ -172,6 +232,8 @@ let suites =
         Alcotest.test_case "sequential pool-size independent" `Slow
           test_sequential_pool_size_independent;
         QCheck_alcotest.to_alcotest qcheck_pipelined_weekly_identical;
+        Alcotest.test_case "schedule budget" `Quick test_schedule_budget;
+        QCheck_alcotest.to_alcotest qcheck_schedule_weekly_identical;
       ] );
     ( "traffic.parallel-synthesis",
       [
