@@ -20,10 +20,9 @@ val pcap_file_to_acaps :
 val sample_acaps : Patchwork.Capture.sample -> Dissect.Acap.record list
 (** The abstract records of a sample: digested from its pcap bytes when
     it carries them, else the records the capture already abstracted
-    in-line.  The two are different measurements, not a fast and a slow
-    route to one answer: the pcap bytes hold each frame as storage kept
-    it — snapped to the capture's truncation length, its timestamp
-    rounded to the microsecond, its application layer re-derived from
-    the snapped bytes — so a profile built from them differs from the
-    in-line one (flow first/last times, and the shares of services such
-    as dns and dns-tcp). *)
+    in-line.  The pcap holds the in-line records' frames in their order,
+    and at a truncation that keeps each header stack its digest reads
+    back every record in each field but the stamp: storage keeps a frame
+    snapped to the truncation length with its timestamp rounded to the
+    microsecond, so [ts], [cap_len] and [truncated] differ, and with
+    them a profile's flow first and last times. *)

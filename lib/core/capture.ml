@@ -54,47 +54,58 @@ type flow_class = {
   record : Dissect.Acap.record;  (** after anonymization *)
 }
 
-(* Split the records at time [ts] off the head of a run: they come back
+(* Split the draws at time [at] off the head of a run: they come back
    reversed, onto [group], with the rest of the run. *)
-let rec split_group ts group = function
-  | (r : Dissect.Acap.record) :: rest when r.Dissect.Acap.ts = ts ->
-    split_group ts (r :: group) rest
+let rec split_group ts at group = function
+  | d :: rest when ts d = at -> split_group ts at (d :: group) rest
   | rest -> (group, rest)
 
-(* Merge the specs' runs of records, each newest first, into one list
-   in time order.  The result is the stable sort of every record consed
-   in generation order: equal times come latest-generated first, so the
-   higher spec first and, within a spec, the higher draw first.  The
-   list is built from its end: each step takes the latest time left at
-   the head of a run (on a tie, the lowest spec, which lands last) and
-   prepends that run's whole group at this time, in the run's own
-   order.  One cons per record, and [k] compares for [k] specs. *)
-let merge_runs runs =
+(* Merge the specs' runs of kept draws, each newest first, into one
+   list in time order; [ts] reads a draw's time.  The result is the
+   stable sort of every draw consed in generation order: equal times
+   come latest-generated first, so the higher spec first and, within a
+   spec, the higher draw first.  The list is built from its end: each
+   step takes the latest time left at the head of a run (on a tie, the
+   lowest spec, which lands last) and prepends that run's whole group at
+   this time, in the run's own order.  One cons per draw, and [k]
+   compares for [k] specs. *)
+let merge_runs ts runs =
   let runs = Array.of_list runs in
   let k = Array.length runs in
   let rec go acc =
     let best = ref (-1) and best_ts = ref 0.0 in
     for i = 0 to k - 1 do
       match runs.(i) with
-      | (r : Dissect.Acap.record) :: _
-        when !best < 0 || r.Dissect.Acap.ts > !best_ts ->
+      | d :: _ when !best < 0 || ts d > !best_ts ->
         best := i;
-        best_ts := r.Dissect.Acap.ts
+        best_ts := ts d
       | _ -> ()
     done;
     if !best < 0 then acc
     else
       match runs.(!best) with
       | [] -> assert false
-      | r :: (r' :: _ as rest) when r'.Dissect.Acap.ts = !best_ts ->
-        let group, rest = split_group !best_ts [ r ] rest in
+      | d :: (d' :: _ as rest) when ts d' = !best_ts ->
+        let group, rest = split_group ts !best_ts [ d ] rest in
         runs.(!best) <- rest;
         go (List.rev_append group acc)
-      | r :: rest ->
+      | d :: rest ->
         runs.(!best) <- rest;
-        go (r :: acc)
+        go (d :: acc)
   in
   go []
+
+let record_ts (r : Dissect.Acap.record) = r.Dissect.Acap.ts
+
+(* A kept draw of a capture that writes pcap: its record, and what
+   builds its frame once the draws are in time order. *)
+type pcap_draw = {
+  record : Dissect.Acap.record;
+  spec : Flow_model.spec;
+  index : int;
+  wire_len : int;
+  subflow : int;
+}
 
 let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
   let filter = config.Config.filter in
@@ -110,16 +121,12 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
       Hostmodel.Anonymize.frame (Hostmodel.Anonymize.create ~key:97)
     else Fun.id
   in
-  let pcap_writer =
-    if config.Config.emit_pcap then
-      Some (Packet.Pcap.Writer.create ~snaplen:config.Config.truncation ())
-    else None
-  in
-  (* One run per spec, newest first, in reverse spec order. *)
-  let runs = ref [] and classes = ref 0 and built = ref 0 in
+  (* One run per spec, newest first, in reverse spec order: of records,
+     or of pcap draws with [emit_pcap]. *)
+  let runs = ref [] and pcap_runs = ref [] and classes = ref 0 in
   List.iter
     (fun spec ->
-      let acaps = ref [] in
+      let acaps = ref [] and draws = ref [] in
       (* Scale the spec's rate by the materialized fraction so the
          Poisson draw produces the thinned stream directly. *)
       let spec =
@@ -143,24 +150,36 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
           let c = class_of ~index ~wire_len ~subflow in
           if Packet.Filter.matches ~wire_len filter c.frame && offload c.frame
           then begin
-            (match pcap_writer with
-            | Some w ->
-              incr built;
-              Packet.Pcap.Writer.add_frame w ~ts
-                (anonymize (Flow_model.draw_frame spec ~index ~wire_len ~subflow))
-            | None -> ());
-            acaps :=
+            let record =
               Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len ~cap_len:wire_len
-              :: !acaps
+            in
+            if config.Config.emit_pcap then
+              draws := { record; spec; index; wire_len; subflow } :: !draws
+            else acaps := record :: !acaps
           end);
-      runs := !acaps :: !runs)
+      if config.Config.emit_pcap then pcap_runs := !draws :: !pcap_runs
+      else runs := !acaps :: !runs)
     specs;
-  {
-    records = merge_runs (List.rev !runs);
-    pcap = Option.map Packet.Pcap.Writer.contents pcap_writer;
-    classes = !classes;
-    frames_built = !built;
-  }
+  let records, pcap, frames_built =
+    if not config.Config.emit_pcap then (merge_runs record_ts (List.rev !runs), None, 0)
+    else begin
+      (* The pcap holds the records' frames in the records' order, each
+         frame built once, as it is written. *)
+      let draws = merge_runs (fun d -> record_ts d.record) (List.rev !pcap_runs) in
+      let w = Packet.Pcap.Writer.create ~snaplen:config.Config.truncation () in
+      List.iter
+        (fun d ->
+          Packet.Pcap.Writer.add_frame w ~ts:(record_ts d.record)
+            (anonymize
+               (Flow_model.draw_frame d.spec ~index:d.index ~wire_len:d.wire_len
+                  ~subflow:d.subflow)))
+        draws;
+      ( List.map (fun d -> d.record) draws,
+        Some (Packet.Pcap.Writer.contents w),
+        List.length draws )
+    end
+  in
+  { records; pcap; classes = !classes; frames_built }
 
 (* Capture counters, registered at module init so the families exist
    (at zero) in every snapshot, the offline analyze path's included.

@@ -53,9 +53,9 @@ type sample = {
   materialized_fraction : float;
       (** fraction of captured frames materialized into [acaps] *)
   pcap : bytes option;
-      (** real pcap bytes when [emit_pcap]: the same frames as [acaps]
-          but snapped to [truncation] bytes with microsecond timestamps,
-          so digesting them yields a different profile from [acaps] *)
+      (** real pcap bytes when [emit_pcap]: the frames of [acaps], in
+          their order, snapped to [truncation] bytes with microsecond
+          timestamps *)
   stats : stats;
 }
 
@@ -77,7 +77,7 @@ val loss_breakdown :
 type materialized = {
   records : Dissect.Acap.record list;
       (** sorted by timestamp; equal times come latest-generated first *)
-  pcap : bytes option;  (** with [emit_pcap] *)
+  pcap : bytes option;  (** with [emit_pcap]: the records' frames, in their order *)
   classes : int;  (** flow classes abstracted *)
   frames_built : int;  (** frames built per draw, for the pcap writer *)
 }
@@ -100,8 +100,9 @@ val materialize :
     timestamp and wire length, so each class is abstracted once, from
     the first frame drawn for it, and every draw is a stamp of that
     record.  The filter and the FPGA offload's sampler decide each draw
-    on its class frame.  Frames are built per draw only for the pcap
-    writer, which needs their bytes.  Records are bit-identical to
+    on its class frame.  Frames are built per kept draw only for the
+    pcap writer, which needs their bytes, once the draws are merged
+    into the records' order.  Records are bit-identical to
     abstracting every frame of
     {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
     same state. *)

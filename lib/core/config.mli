@@ -39,9 +39,9 @@ type t = {
   anonymize : bool;  (** prefix-preserving address anonymization *)
   emit_pcap : bool;
       (** build real pcap bytes (off for long profiles).  Profiles then
-          digest those bytes instead of the in-line acaps, which is a
-          different measurement, not a speed variant: see
-          [Analysis.Digest.sample_acaps]. *)
+          digest those bytes instead of the in-line acaps: the same
+          records but for their stamps (microsecond times, captured
+          lengths, truncation), see [Analysis.Digest.sample_acaps]. *)
   max_frames_per_sample : int;
       (** materialization budget; heavier samples are thinned uniformly
           (recorded, so analyses can re-weight) *)

@@ -287,9 +287,7 @@ let run_occasion ~fabric ~driver ~config ?pool ?log ?(max_instances = 2)
           | Some slice -> Allocator.delete_slice (Fablib.allocator fabric) slice
           | None -> ())
         runs);
-  (* Success/failure series plus the telemetry bridge: the simulated
-     SNMP state of every polled switch surfaces through the same
-     registry as the pipeline's own metrics. *)
+  (* Success/failure series. *)
   Obs.Registry.incr obs_occasions;
   let ok = ref 0 in
   List.iter
@@ -303,7 +301,6 @@ let run_occasion ~fabric ~driver ~config ?pool ?log ?(max_instances = 2)
     (Printf.sprintf "%d/%d" !ok (List.length reports));
   Obs.Span.annotate occ "log_warnings"
     (string_of_int (Logging.count ~min_level:Logging.Warning log));
-  Testbed.Telemetry.export_metrics (Fablib.telemetry fabric);
   let report =
     { occasion_start = start_time; occasion_duration = duration; sites = reports; log }
   in

@@ -61,11 +61,17 @@ let dissect_http r kind =
   Wire.Reader.skip r (String.length line);
   H.Http kind
 
+(* A header with neither a question nor an answer is not DNS (the
+   codec writes a question in every header): zero bytes on port 53,
+   such as a reverse stream's payload, stay payload. *)
 let dissect_dns r =
   let id = Wire.Reader.u16 r in
   let flags = Wire.Reader.u16 r in
-  Wire.Reader.skip r 8;
-  H.Dns { query = flags land 0x8000 = 0; id }
+  let questions = Wire.Reader.u16 r in
+  let answers = Wire.Reader.u16 r in
+  Wire.Reader.skip r 4;
+  if questions = 0 && answers = 0 then None
+  else Some (H.Dns { query = flags land 0x8000 = 0; id })
 
 let dissect_ntp r =
   Wire.Reader.skip r 48;
@@ -258,26 +264,33 @@ let dissect_reader ~orig_len ~cap_len r0 =
       Wire.Reader.remaining r
     | Next_ip_proto (_, _) -> go r Next_payload
     | Next_tcp_payload (src_port, dst_port) ->
-      if Wire.Reader.remaining r = 0 then 0
+      (* A classifier that declines may have read ahead: what it
+         declined is payload. *)
+      let payload = Wire.Reader.remaining r in
+      if payload = 0 then 0
       else begin
         let port = if dst_port < src_port then dst_port else src_port in
+        (* HTTP on 8080 too, as Wireshark's HTTP dissector claims it. *)
         let classify () =
           match port with
           | 443 when looks_like_tls r -> Some (dissect_tls r)
           | 22 when Wire.Reader.starts_with r "SSH-" -> Some (dissect_ssh r)
-          | 80 when Wire.Reader.starts_with r "GET " -> Some (dissect_http r `Request)
-          | 80 when Wire.Reader.starts_with r "HTTP/" -> Some (dissect_http r `Response)
-          | 53 when Wire.Reader.remaining r >= 12 -> Some (dissect_dns r)
+          | (80 | 8080) when Wire.Reader.starts_with r "GET " ->
+            Some (dissect_http r `Request)
+          | (80 | 8080) when Wire.Reader.starts_with r "HTTP/" ->
+            Some (dissect_http r `Response)
+          | 53 when payload >= 12 -> dissect_dns r
           | _ -> None
         in
         match classify () with
         | Some h ->
           push h;
           Wire.Reader.remaining r
-        | None -> Wire.Reader.remaining r
+        | None -> payload
       end
     | Next_udp_payload (src_port, dst_port) ->
-      if Wire.Reader.remaining r = 0 then 0
+      let payload = Wire.Reader.remaining r in
+      if payload = 0 then 0
       else begin
         let port = if dst_port < src_port then dst_port else src_port in
         let classify () =
@@ -291,7 +304,8 @@ let dissect_reader ~orig_len ~cap_len r0 =
               if flags land 0x08 <> 0 then Some (`Vxlan vni) else None
             end
             else None
-          | 53, _ when Wire.Reader.remaining r >= 12 -> Some (`Plain (dissect_dns r))
+          | 53, _ when payload >= 12 ->
+            Option.map (fun h -> `Plain h) (dissect_dns r)
           | 123, _ when Wire.Reader.remaining r >= 48 -> Some (`Plain (dissect_ntp r))
           | 443, _ when Wire.Reader.remaining r >= H.quic_header_len
                         && Wire.Reader.peek_u8 r land 0x80 <> 0 ->
@@ -305,7 +319,7 @@ let dissect_reader ~orig_len ~cap_len r0 =
         | Some (`Plain h) ->
           push h;
           Wire.Reader.remaining r
-        | None -> Wire.Reader.remaining r
+        | None -> payload
       end
     | Next_payload -> Wire.Reader.remaining r
   in

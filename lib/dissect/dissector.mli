@@ -5,7 +5,10 @@
     (which uses Wireshark/tshark dissectors), application layers are
     classified by well-known layer-4 port and then verified against
     their wire syntax where possible (TLS record header, SSH banner,
-    HTTP method/status line, QUIC long header).
+    HTTP method/status line on port 80 or 8080, a DNS header with a
+    question or an answer, QUIC long header).  Bytes no classifier
+    takes are payload, so the abstract record names the service by
+    port alone, as it names the generator's template.
 
     Dissection is tolerant of snap-length truncation: a header that runs
     past the end of the captured bytes terminates dissection and marks

@@ -11,8 +11,9 @@
     A process-wide {!default} registry serves the instrumented layers
     (pool, coordinator, capture, digest); isolated registries from
     {!create} serve tests.  The global {!set_enabled} switch turns every
-    update into a no-op, which is how the [gates] case "decode registry
-    overhead" measures the instrumentation overhead. *)
+    update into a no-op, which is how the [gates] cases "decode registry
+    overhead" and "instrumentation share of occasion" measure the
+    instrumentation overhead. *)
 
 type t
 

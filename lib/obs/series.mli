@@ -52,7 +52,10 @@ val sparkline : ?width:int -> t -> string
     - [pool_busy_fraction] — [Δpool_domain_busy_seconds_total] summed
       over domains, divided by the {e wall-clock} delta between
       collects times the domain count (busy seconds are wall time, so
-      the fraction must not be scaled by the simulated axis);
+      the fraction must not be scaled by the simulated axis).  The
+      pool labels each domain's series by its [Domain.self] id, so the
+      count is the number of domains that have run a pool task, and two
+      stages on two domains are two, not one;
     - [occasion_outcome_count{outcome}] — [Δoccasion_sites_total];
     - [pool_queue_wait_p99] — the 0.99 quantile upper bound of the
       {e delta} [pool_queue_wait_seconds] histogram (0 when no task was

@@ -4,12 +4,12 @@
    owned by one domain at a time: batches are submitted and awaited from
    the owner, never concurrently.
 
-   Observability: every executed job credits its domain's busy-seconds
-   and task counters in Obs.Registry.default ("0" is the calling
-   domain, "1".. are workers), and the time a job sat in the queue
-   feeds the pool_queue_wait_seconds histogram.  Jobs are chunk-sized
-   (a few per domain per batch), so the per-job clock reads and cell
-   updates are far off the per-packet hot path. *)
+   Observability: every executed job credits the busy-seconds and task
+   counters in Obs.Registry.default of the domain that ran it, labelled
+   by its [Domain.self] id, and the time a job sat in the queue feeds
+   the pool_queue_wait_seconds histogram.  Jobs are chunk-sized (a few
+   per domain per batch), so the per-job clock reads and cell updates
+   are far off the per-packet hot path. *)
 
 type job = unit -> unit
 
@@ -23,34 +23,46 @@ type t = {
 
 let default_size () = max 1 (Domain.recommended_domain_count () - 1)
 
-let busy_counter domain =
+(* The series of the domain running the caller.  Labelling by the
+   domain, not by its index in a pool, keeps two pools on two domains
+   (the weekly schedule's two stages) apart. *)
+let domain_labels () = [ ("domain", string_of_int (Domain.self () :> int)) ]
+
+let busy_counter () =
   Obs.Registry.counter Obs.Registry.default "pool_domain_busy_seconds_total"
     ~help:"Seconds each pool domain spent executing tasks"
-    ~labels:[ ("domain", string_of_int domain) ]
+    ~labels:(domain_labels ())
 
-let tasks_counter domain =
+let tasks_counter () =
   Obs.Registry.counter Obs.Registry.default "pool_domain_tasks_total"
     ~help:"Tasks executed per pool domain"
-    ~labels:[ ("domain", string_of_int domain) ]
+    ~labels:(domain_labels ())
 
 let queue_wait_hist =
   lazy
     (Obs.Registry.histogram Obs.Registry.default "pool_queue_wait_seconds"
        ~help:"Seconds a task waited in the pool queue before starting")
 
-(* Run one job on [domain], crediting busy time and queue wait. *)
-let run_job ~domain ~enqueued job =
-  if Obs.Registry.enabled () then begin
+(* Run [f], crediting [tasks] tasks and its busy time to this domain. *)
+let credit ~tasks f =
+  if not (Obs.Registry.enabled ()) then f ()
+  else begin
     let t0 = Obs.Clock.now () in
-    if enqueued >= 0.0 then
-      Obs.Registry.observe (Lazy.force queue_wait_hist) (Float.max 0.0 (t0 -. enqueued));
-    job ();
-    Obs.Registry.inc (busy_counter domain) (Obs.Clock.now () -. t0);
-    Obs.Registry.incr (tasks_counter domain)
+    let r = f () in
+    Obs.Registry.inc (busy_counter ()) (Obs.Clock.now () -. t0);
+    Obs.Registry.inc (tasks_counter ()) (float_of_int tasks);
+    r
   end
-  else job ()
 
-let rec worker_loop t domain =
+(* Run one queued job on this domain, crediting busy time and queue
+   wait. *)
+let run_job ~enqueued job =
+  if enqueued >= 0.0 && Obs.Registry.enabled () then
+    Obs.Registry.observe (Lazy.force queue_wait_hist)
+      (Float.max 0.0 (Obs.Clock.now () -. enqueued));
+  credit ~tasks:1 job
+
+let rec worker_loop t =
   Mutex.lock t.lock;
   while Queue.is_empty t.jobs && not t.closed do
     Condition.wait t.work t.lock
@@ -59,8 +71,8 @@ let rec worker_loop t domain =
   else begin
     let enqueued, job = Queue.pop t.jobs in
     Mutex.unlock t.lock;
-    run_job ~domain ~enqueued job;
-    worker_loop t domain
+    run_job ~enqueued job;
+    worker_loop t
   end
 
 let create ?size () =
@@ -83,8 +95,8 @@ let create ?size () =
      runtime cannot give us more domains. *)
   let workers = ref [] in
   (try
-     for i = 2 to size do
-       workers := Domain.spawn (fun () -> worker_loop t (i - 1)) :: !workers
+     for _ = 2 to size do
+       workers := Domain.spawn (fun () -> worker_loop t) :: !workers
      done
    with _ -> ());
   t.workers <- !workers;
@@ -114,16 +126,10 @@ let with_pool ?size f =
   let t = create ?size () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Run a sequential batch in the calling domain, still crediting domain
-   0 so single-core runs surface busy time too. *)
+(* Run a sequential batch in the calling domain, still crediting it so
+   single-core runs surface busy time too. *)
 let run_seq tasks =
-  if Obs.Registry.enabled () then begin
-    let t0 = Obs.Clock.now () in
-    Array.iter (fun f -> f ()) tasks;
-    Obs.Registry.inc (busy_counter 0) (Obs.Clock.now () -. t0);
-    Obs.Registry.inc (tasks_counter 0) (float_of_int (Array.length tasks))
-  end
-  else Array.iter (fun f -> f ()) tasks
+  credit ~tasks:(Array.length tasks) (fun () -> Array.iter (fun f -> f ()) tasks)
 
 (* Run every task of a batch; tasks must not raise (callers wrap them).
    The caller helps drain the queue, then blocks until the last worker
@@ -153,7 +159,7 @@ let run_all t (tasks : job array) =
       if not (Queue.is_empty t.jobs) then begin
         let enqueued, job = Queue.pop t.jobs in
         Mutex.unlock t.lock;
-        run_job ~domain:0 ~enqueued job;
+        run_job ~enqueued job;
         help ()
       end
       else begin
@@ -176,15 +182,7 @@ let reraise_first results n =
 
 let map_array t f arr =
   match t.workers with
-  | [] -> (
-    if not (Obs.Registry.enabled ()) then Array.map f arr
-    else begin
-      let t0 = Obs.Clock.now () in
-      let out = Array.map f arr in
-      Obs.Registry.inc (busy_counter 0) (Obs.Clock.now () -. t0);
-      Obs.Registry.incr (tasks_counter 0);
-      out
-    end)
+  | [] -> credit ~tasks:1 (fun () -> Array.map f arr)
   | workers ->
     let n = Array.length arr in
     let results = Array.make n None in
@@ -213,15 +211,7 @@ let map_array t f arr =
 
 let map t f l =
   match t.workers with
-  | [] ->
-    if not (Obs.Registry.enabled ()) then List.map f l
-    else begin
-      let t0 = Obs.Clock.now () in
-      let out = List.map f l in
-      Obs.Registry.inc (busy_counter 0) (Obs.Clock.now () -. t0);
-      Obs.Registry.incr (tasks_counter 0);
-      out
-    end
+  | [] -> credit ~tasks:1 (fun () -> List.map f l)
   | _ -> Array.to_list (map_array t f (Array.of_list l))
 
 (* Fan an index range [0, n) out as contiguous sub-ranges — the indexed

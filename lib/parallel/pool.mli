@@ -15,10 +15,14 @@
     Every executed batch reports into [Obs.Registry.default]:
     per-domain busy seconds and task counts
     ([pool_domain_busy_seconds_total{domain=...}],
-    [pool_domain_tasks_total{domain=...}]; domain ["0"] is the calling
-    domain) and a [pool_queue_wait_seconds] histogram of how long tasks
-    sat in the shared queue.  [Obs.Registry.set_enabled false] turns all
-    of it off. *)
+    [pool_domain_tasks_total{domain=...}]) and a
+    [pool_queue_wait_seconds] histogram of how long tasks sat in the
+    shared queue.  A task is credited to the domain that ran it, whose
+    [domain] label is its [Domain.self] id (["0"] is the program's
+    first domain), whatever pool it came from: two pools owned by two
+    domains, such as the weekly schedule's stages, credit two series,
+    and a domain that owns several pools in turn credits one.
+    [Obs.Registry.set_enabled false] turns all of it off. *)
 
 type t
 

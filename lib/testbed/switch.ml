@@ -6,7 +6,6 @@ type counters = {
   rx_bytes : float;
   tx_frames : float;
   rx_frames : float;
-  drops : float;
 }
 
 type attachment = {
@@ -22,16 +21,14 @@ type port_state = {
   mutable rx_bytes_acc : float;
   mutable tx_frames_acc : float;
   mutable rx_frames_acc : float;
-  mutable drops_acc : float;
   mutable tx_byte_rate : float;
   mutable rx_byte_rate : float;
   mutable tx_frame_rate : float;
   mutable rx_frame_rate : float;
-  (* Extra Tx load and drop rate induced by a mirror session whose
-     destination is this port. *)
+  (* Extra Tx load induced by a mirror session whose destination is
+     this port. *)
   mutable mirror_tx_byte_rate : float;
   mutable mirror_tx_frame_rate : float;
-  mutable mirror_drop_rate : float;
   mutable last_update : float;
 }
 
@@ -60,14 +57,12 @@ let create engine ~site_name ~ports ~line_rate =
             rx_bytes_acc = 0.0;
             tx_frames_acc = 0.0;
             rx_frames_acc = 0.0;
-            drops_acc = 0.0;
             tx_byte_rate = 0.0;
             rx_byte_rate = 0.0;
             tx_frame_rate = 0.0;
             rx_frame_rate = 0.0;
             mirror_tx_byte_rate = 0.0;
             mirror_tx_frame_rate = 0.0;
-            mirror_drop_rate = 0.0;
             last_update = Simcore.Engine.now engine;
           });
     mirrors = [];
@@ -93,7 +88,6 @@ let refresh t port =
     p.rx_bytes_acc <- p.rx_bytes_acc +. (p.rx_byte_rate *. dt);
     p.tx_frames_acc <- p.tx_frames_acc +. ((p.tx_frame_rate +. p.mirror_tx_frame_rate) *. dt);
     p.rx_frames_acc <- p.rx_frames_acc +. (p.rx_frame_rate *. dt);
-    p.drops_acc <- p.drops_acc +. (p.mirror_drop_rate *. dt);
     p.last_update <- now
   end
 
@@ -115,14 +109,11 @@ let recompute_mirror t m =
   let dst = t.ports.(m.dst_port) in
   if byte_rate <= line_bytes then begin
     dst.mirror_tx_byte_rate <- byte_rate;
-    dst.mirror_tx_frame_rate <- frame_rate;
-    dst.mirror_drop_rate <- 0.0
+    dst.mirror_tx_frame_rate <- frame_rate
   end
   else begin
-    let keep = line_bytes /. byte_rate in
     dst.mirror_tx_byte_rate <- line_bytes;
-    dst.mirror_tx_frame_rate <- frame_rate *. keep;
-    dst.mirror_drop_rate <- frame_rate *. (1.0 -. keep)
+    dst.mirror_tx_frame_rate <- frame_rate *. (line_bytes /. byte_rate)
   end
 
 let recompute_mirrors_of_port t port =
@@ -180,7 +171,6 @@ let read_counters t ~port =
     rx_bytes = p.rx_bytes_acc;
     tx_frames = p.tx_frames_acc;
     rx_frames = p.rx_frames_acc;
-    drops = p.drops_acc;
   }
 
 let find_mirror t id =
@@ -215,8 +205,7 @@ let remove_mirror t id =
     t.mirrors <- List.filter (fun m' -> m'.mirror_id <> id) t.mirrors;
     let dst = t.ports.(m.dst_port) in
     dst.mirror_tx_byte_rate <- 0.0;
-    dst.mirror_tx_frame_rate <- 0.0;
-    dst.mirror_drop_rate <- 0.0
+    dst.mirror_tx_frame_rate <- 0.0
 
 let mirror_count t = List.length t.mirrors
 

@@ -25,7 +25,6 @@ type counters = {
   rx_bytes : float;
   tx_frames : float;
   rx_frames : float;
-  drops : float;  (** frames dropped at this port's egress queue *)
 }
 
 type attachment = {

@@ -10,11 +10,11 @@ type columns = {
   mutable tx_rate : float array;
   mutable rx_rate : float array;
   (* The last poll's time ([nan] before the first, which takes no rate)
-     and each port's cumulative counters, allocated at the first poll. *)
+     and each port's cumulative byte counters, allocated at the first
+     poll, from which the next poll's rates are taken. *)
   mutable polled_at : float;
   mutable tx_bytes : float array;
   mutable rx_bytes : float array;
-  mutable drops : float array;
 }
 
 type t = {
@@ -31,7 +31,7 @@ let register_switch t sw =
     invalid_arg "Telemetry.register_switch: site already registered";
   let c =
     { switch = sw; ports = Switch.port_count sw; rows = 0; times = [||]; tx_rate = [||];
-      rx_rate = [||]; polled_at = Float.nan; tx_bytes = [||]; rx_bytes = [||]; drops = [||] }
+      rx_rate = [||]; polled_at = Float.nan; tx_bytes = [||]; rx_bytes = [||] }
   in
   Hashtbl.add t.by_site site c;
   t.switches <- c :: t.switches
@@ -52,8 +52,7 @@ let poll_switch now c =
   let ports = c.ports in
   if Float.is_nan c.polled_at then begin
     c.tx_bytes <- Array.make ports 0.0;
-    c.rx_bytes <- Array.make ports 0.0;
-    c.drops <- Array.make ports 0.0
+    c.rx_bytes <- Array.make ports 0.0
   end;
   (* A second poll at the same instant takes no rate either. *)
   let rated = now > c.polled_at in
@@ -73,8 +72,7 @@ let poll_switch now c =
         Float.max 0.0 ((k.Switch.rx_bytes -. c.rx_bytes.(port)) /. dt)
     end;
     c.tx_bytes.(port) <- k.Switch.tx_bytes;
-    c.rx_bytes.(port) <- k.Switch.rx_bytes;
-    c.drops.(port) <- k.Switch.drops
+    c.rx_bytes.(port) <- k.Switch.rx_bytes
   done;
   c.polled_at <- now
 
@@ -114,34 +112,3 @@ let busiest_port t ~site ~candidates ~window ~at =
       if r > rate then best p r rest else best port rate rest
   in
   best (-1) 0.0 candidates
-
-let set_gauge registry ~labels ~help name v =
-  Obs.Registry.set (Obs.Registry.gauge registry name ~help ~labels) v
-
-(* Bridge to the run-metrics registry: re-export the most recent SNMP
-   sample of every registered switch port as labelled gauges, so the
-   testbed's telemetry and Patchwork's own pipeline metrics surface
-   through one exposition endpoint.  Rates exist once a row is taken,
-   counters once polled: until then the counter columns are empty. *)
-let export_metrics ?(registry = Obs.Registry.default) t =
-  if Obs.Registry.enabled () then
-    List.iter
-      (fun c ->
-        let site = Switch.site_name c.switch in
-        let last = (c.rows - 1) * c.ports in
-        for port = 0 to Array.length c.tx_bytes - 1 do
-          let labels = [ ("site", site); ("port", string_of_int port) ] in
-          if c.rows > 0 then begin
-            set_gauge registry ~labels "testbed_port_tx_rate_bytes"
-              ~help:"Latest SNMP tx_rate sample" c.tx_rate.(last + port);
-            set_gauge registry ~labels "testbed_port_rx_rate_bytes"
-              ~help:"Latest SNMP rx_rate sample" c.rx_rate.(last + port)
-          end;
-          set_gauge registry ~labels "testbed_port_tx_bytes"
-            ~help:"Latest SNMP tx_bytes sample" c.tx_bytes.(port);
-          set_gauge registry ~labels "testbed_port_rx_bytes"
-            ~help:"Latest SNMP rx_bytes sample" c.rx_bytes.(port);
-          set_gauge registry ~labels "testbed_port_drops"
-            ~help:"Latest SNMP drops sample" c.drops.(port)
-        done)
-      t.switches

@@ -1,12 +1,13 @@
 (** MFlib-style telemetry: SNMP polling of switch counters.
 
     FABRIC polls every switch port every 5 minutes into a Prometheus
-    database; Patchwork consumes the resulting series to rank ports by
-    activity, detect mirror congestion, and (in this reproduction) to
-    regenerate the testbed-utilization figures.  Here each registered
-    switch keeps its series as per-port columns: every poll after the
-    first adds one row of tx and rx byte rates, and the last poll's
-    cumulative counters are kept for export. *)
+    database; Patchwork only reads the resulting series, to rank ports
+    by activity, detect mirror congestion, and (in this reproduction)
+    regenerate the testbed-utilization figures; it never republishes
+    it.  Here each registered switch keeps its series as per-port
+    columns, read in place: every poll after the first adds one row of
+    tx and rx byte rates, taken from the last poll's cumulative byte
+    counters. *)
 
 type t
 
@@ -29,10 +30,3 @@ val busiest_port :
   t -> site:string -> candidates:int list -> window:float -> at:float -> int option
 (** The first candidate port with the highest {!port_avg_rate}; [None] if
     every candidate is idle (zero rate). *)
-
-val export_metrics : ?registry:Obs.Registry.t -> t -> unit
-(** Re-export the most recent sample of every registered switch port
-    (tx/rx rates, cumulative byte and drop counters) as labelled gauges
-    [testbed_port_*{site=...,port=...}] in the metrics registry
-    (default {!Obs.Registry.default}) — one exposition endpoint for the
-    testbed's SNMP series and Patchwork's own pipeline metrics. *)

@@ -279,11 +279,12 @@ let acaps_copying buf =
     (read_any buf)
 
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
-   built as a frame, then filtered, offloaded, anonymized, written and
-   abstracted on its own, and its pcap record comes from the
-   full-payload encoder.  [Capture.materialize] abstracts one frame per
-   flow class instead and must reproduce its records, pcap bytes and RNG
-   state. *)
+   built as a frame, then filtered, offloaded, anonymized and abstracted
+   on its own; the kept frames are sorted by time, stably, from newest
+   generated first, and written in that order, each pcap record from
+   the full-payload encoder.  [Capture.materialize] abstracts one frame
+   per flow class instead and must reproduce its records, pcap bytes and
+   RNG state. *)
 let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
     ~start_time ~end_time specs =
   let module Flow_model = Traffic.Flow_model in
@@ -307,12 +308,7 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
       Some (Hostmodel.Anonymize.create ~key:97)
     else None
   in
-  let pcap_writer =
-    if config.Patchwork.Config.emit_pcap then
-      Some (Packet.Pcap.Writer.create ~snaplen:config.Patchwork.Config.truncation ())
-    else None
-  in
-  let acaps = ref [] in
+  let kept = ref [] in
   List.iter
     (fun spec ->
       let scaled =
@@ -329,15 +325,28 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
               | Some anon -> Hostmodel.Anonymize.frame anon frame
               | None -> frame
             in
-            (match pcap_writer with
-            | Some w -> Packet.Pcap.Writer.add w ~ts (encode frame)
-            | None -> ());
-            acaps := Dissect.Acap.of_frame ~ts frame :: !acaps
+            kept := (Dissect.Acap.of_frame ~ts frame, frame) :: !kept
           end)
         frames)
     specs;
-  ( List.sort (fun a b -> compare a.Dissect.Acap.ts b.Dissect.Acap.ts) !acaps,
-    Option.map Packet.Pcap.Writer.contents pcap_writer )
+  let kept =
+    List.stable_sort
+      (fun ((a : Dissect.Acap.record), _) ((b : Dissect.Acap.record), _) ->
+        compare a.Dissect.Acap.ts b.Dissect.Acap.ts)
+      !kept
+  in
+  let pcap =
+    if not config.Patchwork.Config.emit_pcap then None
+    else begin
+      let w = Packet.Pcap.Writer.create ~snaplen:config.Patchwork.Config.truncation () in
+      List.iter
+        (fun ((r : Dissect.Acap.record), frame) ->
+          Packet.Pcap.Writer.add w ~ts:r.Dissect.Acap.ts (encode frame))
+        kept;
+      Some (Packet.Pcap.Writer.contents w)
+    end
+  in
+  (List.map fst kept, pcap)
 
 (* Prometheus text exposition back into data lines: the inverse of
    [Obs.Export.to_prometheus] up to float formatting (17 significant
@@ -477,11 +486,6 @@ module Timeseries = struct
     s.values.(s.len) <- value;
     s.len <- s.len + 1
 
-  let last t ~key =
-    match Hashtbl.find_opt t key with
-    | Some s when s.len > 0 -> Some (s.times.(s.len - 1), s.values.(s.len - 1))
-    | _ -> None
-
   (* First index with time >= target, or len. *)
   let lower_bound s target =
     let lo = ref 0 and hi = ref s.len in
@@ -532,9 +536,6 @@ module Keyed_telemetry = struct
     let site = Switch.site_name sw in
     for port = 0 to Switch.port_count sw - 1 do
       let c = Switch.read_counters sw ~port in
-      Timeseries.append t.store ~key:(key site port "tx_bytes") ~time:now c.Switch.tx_bytes;
-      Timeseries.append t.store ~key:(key site port "rx_bytes") ~time:now c.Switch.rx_bytes;
-      Timeseries.append t.store ~key:(key site port "drops") ~time:now c.Switch.drops;
       (match Hashtbl.find_opt t.last_poll (site, port) with
       | Some (prev_time, prev_tx, prev_rx) when now > prev_time ->
         let dt = now -. prev_time in
@@ -577,28 +578,4 @@ module Keyed_telemetry = struct
           (List.hd active) (List.tl active)
       in
       Some (fst best)
-
-  let export_metrics ~registry t =
-    if Obs.Registry.enabled () then
-      List.iter
-        (fun sw ->
-          let site = Switch.site_name sw in
-          for port = 0 to Switch.port_count sw - 1 do
-            let labels = [ ("site", site); ("port", string_of_int port) ] in
-            let set name metric =
-              match Timeseries.last t.store ~key:(key site port metric) with
-              | None -> ()
-              | Some (_, v) ->
-                Obs.Registry.set
-                  (Obs.Registry.gauge registry name
-                     ~help:("Latest SNMP " ^ metric ^ " sample") ~labels)
-                  v
-            in
-            set "testbed_port_tx_rate_bytes" "tx_rate";
-            set "testbed_port_rx_rate_bytes" "rx_rate";
-            set "testbed_port_tx_bytes" "tx_bytes";
-            set "testbed_port_rx_bytes" "rx_bytes";
-            set "testbed_port_drops" "drops"
-          done)
-        t.switches
 end

@@ -19,9 +19,11 @@ let parse_filter s =
    output fails here.  Four [flows.csv] digests were re-recorded once,
    when the profile began weighting each sample's exact counts once:
    each file holds the same rows, and byte-tied flows now order by key,
-   as the flow-store query orders them.  The digests assume glibc's
-   libm: synthesis calls [exp], [log] and [cos], and another libm may
-   round differently. *)
+   as the flow-store query orders them.  Sixteen [emit_pcap] per-sample
+   digests were re-recorded when the capture began writing each pcap
+   in time order: the same records and frames, the frames now in the
+   records' order.  The digests assume glibc's libm: synthesis calls
+   [exp], [log] and [cos], and another libm may round differently. *)
 
 let golden_configs =
   let base =
@@ -223,31 +225,31 @@ let expected =
       {
         samples =
           [
-            "fd5c2fdd479a1ca022f394c3dd66eb69"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3897dac409bb9cdae2c2f8336cf3daef"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "2788f56114e787be1fb597ba7eb1d2c5";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "f5014704635c17d77275d0cf12cb0264";
-            "ec5a76f8a05a4f2fa5e92b501026a997"; "0271b95544146f2259f7c34d5f269c84";
-            "e1a90991141597f3e5081a0360c8395a"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "5c6a59b8e0839415dec9b0081b1a0c51"; "bc775d3fee9d6099fef11588eb9eb6fb";
+            "36c10ac5b48dc0961c40594de0fb2f77"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "4ada663d0d3ba1074e8c8de05c3acbd4";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "6e03b99d6955b69bde9a57f1146fdd94";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "dd18b2f457f84d1ae1a16488b87e3d2e";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "a4792c1e141c847b695f08772151c0b1";
-            "ad0bd82ae12186cbb203effdf0e97c6c"; "2fef0eb698a7b18ee7723f03bdaafb4f";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "2cbddb02c7ada93aeedf6c9bf740b452";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "5248d3c27a70e687068c597ff435a8e1";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "5fa8cce19177fa6155cc7ff531135556";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "804e5f642c78784483758bc637ca2647";
+            "6553ecda947148395954e6ecfc91fe30"; "f667549231fd94085dbbe5d39f3bd75b";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "57ca4c0f366110a5123d37ef35a110b7";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "599a89e23f805aa035ca325375294e32";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "ea5628ad66405bbdfdd8250e95d4d302";
-            "bdc28409f5d9ea3d2eebbf9c9167f2fd"; "3f3e6e3d4491e101ea339bee9340b41e";
-            "3f3e6e3d4491e101ea339bee9340b41e"; "ca357f4f1e87aeb8d0f8c90b9727afa1";
-            "928dbf57a91896beb49434c51f77a8dd"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "9fe28998154b01bd486bd7eee0c0dc2f";
+            "73acde80bfa455eccd7ba7244c26a4fa"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "3f3e6e3d4491e101ea339bee9340b41e"; "aead8c49719551ceb0b3b48dd680ca29";
+            "24f85b53fc7a113b207fccc76456cafd"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
-            "91c7f6cf0c14c60d0844dfbaadd31308"; "3f3e6e3d4491e101ea339bee9340b41e";
+            "818bb3b49237e11891d06ba4f7be5981"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
             "3f3e6e3d4491e101ea339bee9340b41e"; "3f3e6e3d4491e101ea339bee9340b41e";
           ];
@@ -418,9 +420,10 @@ let spec_filters spec =
   in
   ip @ ports @ vlan
 
-(* One case: specs, window and capture configuration, all from one
-   seed, crossed with the configuration flags QCheck picks. *)
-let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
+(* One case: specs, capture configuration, materialized fraction and
+   window, all from one seed, crossed with the configuration flags
+   QCheck picks. *)
+let case_setup (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
   let rng = Netcore.Rng.create seed in
   let specs =
     List.init (1 + Netcore.Rng.int rng 4) (fun i -> random_spec rng ~flow_id:(seed + i))
@@ -444,6 +447,10 @@ let run_case (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
   let fraction = if Netcore.Rng.bool rng then 1.0 else 0.1 +. Netcore.Rng.float rng in
   let start_time = Netcore.Rng.float rng in
   let end_time = 1.0 +. (2.0 *. Netcore.Rng.float rng) in
+  (specs, config, fraction, start_time, end_time)
+
+let run_case ((seed, _, (_, emit_pcap, _)) as case) =
+  let specs, config, fraction, start_time, end_time = case_setup case in
   let class_rng = Netcore.Rng.create (seed * 7)
   and frame_rng = Netcore.Rng.create (seed * 7) in
   let m =
@@ -463,6 +470,35 @@ let prop_classes_match_oracle =
     QCheck.(
       triple (int_range 1 1_000_000) (int_range 0 1000) (triple bool bool bool))
     run_case
+
+(* The same cases with [emit_pcap], at the default truncation: the pcap
+   holds the records' frames in the records' order, so its timestamps
+   never decrease and its digest reads back each in-line record in
+   every field but the stamp (time rounded to the microsecond, captured
+   length, truncation). *)
+let pcap_case (seed, filter_pick, (anonymize, fpga)) =
+  let specs, config, fraction, start_time, end_time =
+    case_setup (seed, filter_pick, (anonymize, true, fpga))
+  in
+  let config = { config with Config.truncation = Config.default.Config.truncation } in
+  let m =
+    Capture.materialize ~config ~rng:(Netcore.Rng.create (seed * 7)) ~fraction
+      ~start_time ~end_time specs
+  in
+  let pcap = Option.get m.Capture.pcap in
+  let rec ordered = function
+    | (a : Packet.Pcap.index_entry) :: (b :: _ as rest) ->
+      a.Packet.Pcap.ts <= b.Packet.Pcap.ts && ordered rest
+    | _ -> true
+  in
+  ordered (Array.to_list (Packet.Pcapng.index_any pcap))
+  && List.map Test_dissect.unstamped (Analysis.Digest.pcap_to_acaps pcap)
+     = List.map Test_dissect.unstamped m.Capture.records
+
+let prop_pcap_in_record_order =
+  QCheck.Test.make ~name:"pcap holds the records' frames in their order" ~count:200
+    QCheck.(triple (int_range 1 1_000_000) (int_range 0 1000) (pair bool bool))
+    pcap_case
 
 (* Forced ties: 1-4 specs at 1e17 frames/s over a 1e-15 s window at
    t = 1.0, so each spec's ~100 draws fall on a handful of representable
@@ -592,6 +628,7 @@ let suites =
       [
         Alcotest.test_case "weekly output pinned" `Quick test_weekly_golden;
         QCheck_alcotest.to_alcotest prop_classes_match_oracle;
+        QCheck_alcotest.to_alcotest prop_pcap_in_record_order;
         Alcotest.test_case "class route matches the oracle under ties" `Quick
           test_ties_match_oracle;
         Alcotest.test_case "oracle cases cover the crossing" `Quick test_oracle_cases_cover;

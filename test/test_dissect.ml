@@ -92,6 +92,7 @@ let test_app_layer_classification () =
     [ (tcp ~dst_port:443, H.Tls { content_type = 23 });
       (tcp ~dst_port:22, H.Ssh);
       (tcp ~dst_port:80, H.Http `Response);
+      (tcp ~dst_port:8080, H.Http `Request);
       (H.Udp { src_port = 40000; dst_port = 53 }, H.Dns { query = true; id = 77 });
       (H.Udp { src_port = 40000; dst_port = 123 }, H.Ntp);
       (H.Udp { src_port = 40000; dst_port = 443 }, H.Quic) ]
@@ -113,6 +114,22 @@ let test_no_app_on_unknown_port () =
   let d = roundtrip f in
   Alcotest.(check int) "3 headers only" 3 (List.length d.Dissector.headers);
   Alcotest.(check int) "payload intact" 64 d.Dissector.payload_len
+
+(* Zero bytes on port 53 hold neither a question nor an answer, so they
+   are no DNS header: they stay payload, over TCP and UDP alike. *)
+let test_zero_dns_stays_payload () =
+  List.iter
+    (fun l4 ->
+      let d = roundtrip (Frame.make [ eth; ipv4 (); l4 ] ~payload_len:64) in
+      Alcotest.check headers_testable "no dns header" [ eth; ipv4 (); l4 ]
+        d.Dissector.headers;
+      Alcotest.(check int) "payload intact" 64 d.Dissector.payload_len)
+    [
+      H.Tcp
+        { src_port = 53; dst_port = 43210; seq = 1l; ack_seq = 2l; flags = H.flags_ack;
+          window = 500 };
+      H.Udp { src_port = 53; dst_port = 43210 };
+    ]
 
 let test_truncated_capture () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:1000 in
@@ -216,9 +233,67 @@ let test_acap_no_l3 () =
   let r = Acap.of_frame ~ts:0.0 f in
   Alcotest.(check (option string)) "no flow key" None (Acap.flow_key r)
 
+(* --- the digest names what the generator emits --- *)
+
+(* The fields of a record the digest must read back from the stored
+   bytes: all but its stamp (time, captured length, truncation). *)
+let unstamped (r : Acap.record) =
+  ( r.Acap.orig_len, r.Acap.stack, r.Acap.vlan_ids, r.Acap.mpls_labels, r.Acap.src,
+    r.Acap.dst, r.Acap.l4, r.Acap.tcp_rst, r.Acap.key )
+
+(* MPLS labels, PseudoWire, VXLAN and IPv6 for the five encapsulations
+   the traffic driver builds around a service: VLAN alone, MPLS, a
+   PseudoWire, a VXLAN overlay and IPv6. *)
+let encapsulations =
+  [
+    ([], false, false, false); ([ 1001 ], false, false, false);
+    ([ 1001; 2002 ], true, false, false); ([ 1001 ], false, true, false);
+    ([], false, false, true);
+  ]
+
+(* Every [Stack_builder] template, one per catalog service, encapsulation
+   and direction, at one payload length: the record the capture
+   abstracts from the template and the digest of its bytes snapped to
+   [snap] agree at every snap that keeps the header stack whole (a
+   shorter one cuts the stack by design).  Each case checks the 14 snaps
+   from the header length up (a DNS header is 12 bytes), one [extra]
+   bytes past it and the whole frame. *)
+let templates_case (seed, payload_len, extra) =
+  let rng = Netcore.Rng.create seed in
+  let agree ~service (mpls_labels, use_pseudowire, use_vxlan, use_ipv6) reverse =
+    let forward =
+      Traffic.Stack_builder.forward rng
+        { Traffic.Stack_builder.vlan_id = 100 + Netcore.Rng.int rng 3900; mpls_labels;
+          use_pseudowire; use_vxlan; use_ipv6; service }
+    in
+    let frame =
+      Frame.make ~payload_len
+        (if reverse then Traffic.Stack_builder.reverse forward else forward)
+    in
+    let wire = Frame.wire_length frame and header = Frame.header_size_total frame in
+    let inline = unstamped (Acap.of_frame ~ts:0.0 frame) in
+    (* [Codec.encode ~limit] writes a prefix of the whole encoding. *)
+    let bytes = Codec.encode frame in
+    let digest snap =
+      unstamped (Acap.of_slice ~ts:0.0 ~orig_len:wire (Slice.make bytes ~off:0 ~len:snap))
+    in
+    List.for_all
+      (fun snap -> digest (min wire snap) = inline)
+      (wire :: (header + extra) :: List.init 14 (fun i -> header + i))
+  in
+  Array.for_all
+    (fun service ->
+      List.for_all
+        (fun encap -> agree ~service encap false && agree ~service encap true)
+        encapsulations)
+    Dissect.Services.catalog
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"digest of a template's bytes names what it names" ~count:10
+      (triple (int_range 1 1_000_000) (int_range 0 1400) (int_range 0 1500))
+      templates_case;
     Test.make ~name:"dissect inverts encode (headers)" ~count:500
       (Frame_gen.frame_arb ())
       (fun f ->
@@ -265,6 +340,7 @@ let suites =
       [
         Alcotest.test_case "app layers by port" `Quick test_app_layer_classification;
         Alcotest.test_case "unknown port stays payload" `Quick test_no_app_on_unknown_port;
+        Alcotest.test_case "zero dns header stays payload" `Quick test_zero_dns_stays_payload;
       ] );
     ( "dissect.robustness",
       [

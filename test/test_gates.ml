@@ -19,6 +19,8 @@
    - tsdb: persisting one occasion's collected points (append, then one
      flush) allocates at most 100 minor words per point;
    - ledger: the loss ledger adds under 1% to an occasion's minor words;
+   - instrumentation: the metrics registry and the spans, which one
+     switch turns off, add under 1% to an occasion's minor words;
    - flow store: a top-k query promotes under a twentieth of the words
      the in-memory merge of the same groups promotes, because it never
      holds the whole flow table;
@@ -233,22 +235,35 @@ let test_tsdb_words_per_point () =
     ~bound:100.0
     (persist () /. float_of_int (List.length points))
 
-(* --- ledger: share of an occasion's words -------------------------- *)
+(* --- ledger and instrumentation: shares of an occasion's words ------ *)
 
-let test_ledger_share () =
+(* The minor words of the occasion with a layer's switch on and off,
+   and the percent of the off words that turning it on adds.  The
+   ledger is reset before each run. *)
+let occasion_share set_enabled =
   let words enabled =
-    Obs.Ledger.set_enabled enabled;
+    set_enabled enabled;
     Obs.Ledger.reset Obs.Ledger.default;
-    Fun.protect
-      ~finally:(fun () -> Obs.Ledger.set_enabled true)
-      (fun () -> minor_words occasion)
+    Fun.protect ~finally:(fun () -> set_enabled true) (fun () -> minor_words occasion)
   in
   ignore (words true);
   let off = words false in
   let on = words true in
+  (on, off, 100.0 *. (on -. off) /. off)
+
+let test_ledger_share () =
+  let on, off, share = occasion_share Obs.Ledger.set_enabled in
   Printf.printf "ledger: %.0f minor words on, %.0f off\n" on off;
-  check_at_most "ledger: % of the ledger-off occasion's minor words" ~bound:1.0
-    (100.0 *. (on -. off) /. off)
+  check_at_most "ledger: % of the ledger-off occasion's minor words" ~bound:1.0 share
+
+(* [Obs.Registry.set_enabled] covers the registry's cells and the
+   spans, so the difference is everything Patchwork spends measuring
+   itself. *)
+let test_instrumentation_share () =
+  let on, off, share = occasion_share Obs.Registry.set_enabled in
+  Printf.printf "instrumentation: %.0f minor words on, %.0f off\n" on off;
+  check_at_most "instrumentation: % of the registry-off occasion's minor words"
+    ~bound:1.0 share
 
 (* --- flow store: top-k scan vs in-memory merge --------------------- *)
 
@@ -525,6 +540,8 @@ let suites =
           test_collect_words_per_cell;
         Alcotest.test_case "tsdb words per point" `Quick test_tsdb_words_per_point;
         Alcotest.test_case "ledger share of occasion" `Quick test_ledger_share;
+        Alcotest.test_case "instrumentation share of occasion" `Quick
+          test_instrumentation_share;
         Alcotest.test_case "flow-store top-k promoted" `Quick
           test_flowstore_topk_promoted;
         Alcotest.test_case "span root history words" `Quick

@@ -117,6 +117,34 @@ let test_schedule_budget () =
         (Pipeline.run_within ~domains:0 ~n:1 ~produce:(fun _ k -> k)
            ~consume:(fun _ _ _ -> ())))
 
+(* A pool credits its tasks to the domain that ran them.  At budget 2
+   the producer's pool runs on its background domain and the
+   consumer's on the caller, so the two stages' [Pool.map] work moves
+   two [domain] series of the pool's task counter, not one. *)
+let test_schedule_domain_series () =
+  let tasks () =
+    List.filter_map
+      (fun (s : Obs.Registry.sample) ->
+        match (s.Obs.Registry.s_name, s.Obs.Registry.s_value) with
+        | "pool_domain_tasks_total", Obs.Registry.Counter v ->
+          Some (List.assoc "domain" s.Obs.Registry.s_labels, v)
+        | _ -> None)
+      (Obs.Registry.snapshot Obs.Registry.default)
+  in
+  let before = tasks () in
+  let work pool k =
+    List.fold_left ( + ) k (Pool.map pool (fun i -> i * i) (List.init 64 Fun.id))
+  in
+  ignore
+    (Pipeline.run_within ~domains:2 ~n:4 ~produce:work
+       ~consume:(fun pool k _ -> ignore (work pool k)));
+  let moved =
+    List.filter
+      (fun (domain, v) -> v > Option.value ~default:0.0 (List.assoc_opt domain before))
+      (tasks ())
+  in
+  Alcotest.(check int) "domain series moved at budget 2" 2 (List.length moved)
+
 (* --- the weekly schedule equals the sequential weekly loop --- *)
 
 let weekly_seed = 2024
@@ -233,6 +261,8 @@ let suites =
           test_sequential_pool_size_independent;
         QCheck_alcotest.to_alcotest qcheck_pipelined_weekly_identical;
         Alcotest.test_case "schedule budget" `Quick test_schedule_budget;
+        Alcotest.test_case "stages credit their own domains" `Quick
+          test_schedule_domain_series;
         QCheck_alcotest.to_alcotest qcheck_schedule_weekly_identical;
       ] );
     ( "traffic.parallel-synthesis",

@@ -212,33 +212,13 @@ let test_telemetry_window_edges () =
   Alcotest.(check (float 1e-9)) "window before data" 0.0
     (Telemetry.port_avg_rate tel ~site:"S" ~port:0 ~window:300.0 ~at:599.0)
 
-let test_telemetry_export_metrics () =
-  let engine = Engine.create () in
-  let sw = Switch.create engine ~site_name:"S" ~ports:2 ~line_rate:100e9 in
-  let tel = Telemetry.create engine in
-  Telemetry.register_switch tel sw;
-  Switch.attach_flow sw ~port:1 ~dir:Switch.Tx ~byte_rate:1e6 ~frame_rate:1e3
-    ~flow:1;
-  Telemetry.start ~until:900.0 tel;
-  Engine.run ~until:900.0 engine;
-  let r = Obs.Registry.create () in
-  Telemetry.export_metrics ~registry:r tel;
-  match
-    Obs.Registry.value r "testbed_port_tx_bytes"
-      ~labels:[ ("port", "1"); ("site", "S") ]
-  with
-  | Some (Obs.Registry.Gauge v) ->
-    Alcotest.(check bool) "cumulative bytes exported" true (v > 0.0)
-  | _ -> Alcotest.fail "testbed_port_tx_bytes gauge missing"
-
 (* One case from one seed: 1-4 switches of 1-64 ports, polled by the
    columns and by the keyed store of [Oracle] on one engine over two
    polling phases a random gap apart (the first sometimes started twice,
    so two polls share an instant), while flows attach and detach at
    random times and a mirror may overload a port into drops.  Then
    random reads: rates must be bit-equal, for unknown sites, ports out of
-   range, and [at] on and off poll instants; rankings and exported
-   gauges must be equal. *)
+   range, and [at] on and off poll instants; rankings must be equal. *)
 let telemetry_case seed =
   let module K = Oracle.Keyed_telemetry in
   let rng = Netcore.Rng.create seed in
@@ -326,12 +306,8 @@ let telemetry_case seed =
     Telemetry.busiest_port tel ~site ~candidates ~window ~at
     = K.busiest_port keyed ~site ~candidates ~window ~at
   in
-  let exported = Obs.Registry.create () and oracle = Obs.Registry.create () in
-  Telemetry.export_metrics ~registry:exported tel;
-  K.export_metrics ~registry:oracle keyed;
   List.for_all (fun _ -> rate_equal ()) (List.init 64 Fun.id)
   && List.for_all (fun _ -> busiest_equal ()) (List.init 16 Fun.id)
-  && compare (Obs.Registry.snapshot exported) (Obs.Registry.snapshot oracle) = 0
 
 let prop_telemetry_matches_keyed =
   QCheck.Test.make ~name:"columns answer as the keyed store" ~count:200
@@ -447,7 +423,6 @@ let suites =
         Alcotest.test_case "port rates" `Quick test_telemetry_rates;
         Alcotest.test_case "busiest port" `Quick test_telemetry_busiest;
         Alcotest.test_case "window edges" `Quick test_telemetry_window_edges;
-        Alcotest.test_case "export metrics" `Quick test_telemetry_export_metrics;
         QCheck_alcotest.to_alcotest prop_telemetry_matches_keyed;
       ] );
     ( "testbed.allocator",
