@@ -159,7 +159,8 @@ let live_checks ~port =
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
 (* One validator for both stores: every segment the store lists under
-   [dir], through the schema's strict reader.  Corruption fails. *)
+   [dir], streamed through the schema's strict reader, so a sweep holds
+   one block and one record at a time.  Corruption fails. *)
 let check_segments ~sweep schema ~dir segments =
   match segments with
   | [] -> check sweep Warn (Printf.sprintf "no segments under %s" dir)
@@ -168,9 +169,9 @@ let check_segments ~sweep schema ~dir segments =
     let records = ref 0 in
     List.iter
       (fun path ->
-        match Obs.Segment.read_all schema path with
-        | Error msg -> corrupt := (path, msg) :: !corrupt
-        | Ok rs -> records := !records + List.length rs)
+        match Obs.Segment.scan schema [ path ] ignore with
+        | n -> records := !records + n
+        | exception Obs.Segment.Corrupt msg -> corrupt := (path, msg) :: !corrupt)
       segments;
     match List.rev !corrupt with
     | [] ->

@@ -226,13 +226,33 @@ let no_predicate = { q_since = None; q_until = None; q_site = None; q_proto = No
 let predicate ?since ?until ?site ?proto () =
   { q_since = since; q_until = until; q_site = site; q_proto = proto }
 
+(* The index after the [bars]-th bar from [i] on, or [-1]. *)
+let rec after_bars key i bars =
+  if bars = 0 then i
+  else if i >= String.length key then -1
+  else after_bars key (i + 1) (if key.[i] = '|' then bars - 1 else bars)
+
+(* Whether the field of [key] from [i] on is [s] from [j] on. *)
+let rec field_is key i s j =
+  if j = String.length s then i = String.length key || key.[i] = '|'
+  else
+    i < String.length key
+    && key.[i] = s.[j]
+    && key.[i] <> '|'
+    && field_is key (i + 1) s (j + 1)
+
+(* [String.equal proto (proto_of_key key)], comparing the key's fifth
+   field in place instead of splitting the key. *)
+let proto_is proto key =
+  match after_bars key 0 4 with
+  | -1 -> String.equal proto "other"
+  | start -> field_is key start proto 0
+
 let matches p (r : record) =
   (match p.q_site with None -> true | Some s -> String.equal s r.r_site)
   && (match p.q_since with None -> true | Some t -> r.r_last >= t)
   && (match p.q_until with None -> true | Some t -> r.r_first <= t)
-  && match p.q_proto with
-     | None -> true
-     | Some proto -> String.equal proto (proto_of_key r.r_key)
+  && match p.q_proto with None -> true | Some proto -> proto_is proto r.r_key
 
 type query_stats = {
   segments_scanned : int;
@@ -250,97 +270,114 @@ type query_result = {
   stats : query_stats;
 }
 
-(* Per-key accumulator replaying exactly the operations of
-   Flows.Totals.add (init from the first contribution, then
-   add/min/max/or per contribution in seq order). *)
-type acc = {
-  a_key : string;
+(* A key's sums, and a query's totals, in all-float records: OCaml
+   stores their fields flat, so an add boxes nothing. *)
+type sums = {
   mutable a_frames : float;
   mutable a_bytes : float;
   mutable a_first : float;
   mutable a_last : float;
-  mutable a_rst : bool;
 }
 
-let acc_of (r : record) =
+type totals = { mutable t_frames : float; mutable t_bytes : float }
+
+(* Per-key accumulator replaying exactly the operations of
+   Flows.Totals.add: the first contribution sets the times and the sums
+   start from 0.0, then add/min/max/or per contribution in seq order. *)
+type acc = {
+  mutable a_key : string;
+  a_sums : sums;
+  mutable a_rst : bool;
+  mutable a_open : bool;  (* a contribution has been absorbed *)
+}
+
+let new_acc () =
   {
-    a_key = r.r_key;
-    a_frames = 0.0;
-    a_bytes = 0.0;
-    a_first = r.r_first;
-    a_last = r.r_last;
+    a_key = "";
+    a_sums = { a_frames = 0.0; a_bytes = 0.0; a_first = 0.0; a_last = 0.0 };
     a_rst = false;
+    a_open = false;
   }
 
 let absorb a (r : record) =
-  a.a_frames <- a.a_frames +. r.r_frames;
-  a.a_bytes <- a.a_bytes +. r.r_bytes;
-  a.a_first <- Float.min a.a_first r.r_first;
-  a.a_last <- Float.max a.a_last r.r_last;
+  let s = a.a_sums in
+  if not a.a_open then begin
+    a.a_open <- true;
+    a.a_key <- r.r_key;
+    s.a_frames <- 0.0;
+    s.a_bytes <- 0.0;
+    s.a_first <- r.r_first;
+    s.a_last <- r.r_last;
+    a.a_rst <- false
+  end;
+  s.a_frames <- s.a_frames +. r.r_frames;
+  s.a_bytes <- s.a_bytes +. r.r_bytes;
+  s.a_first <- Float.min s.a_first r.r_first;
+  s.a_last <- Float.max s.a_last r.r_last;
   a.a_rst <- a.a_rst || r.r_rst
 
 let summary a =
+  let s = a.a_sums in
   {
     Flows.flow_key = a.a_key;
-    frames = a.a_frames;
-    bytes = a.a_bytes;
-    first_seen = a.a_first;
-    last_seen = a.a_last;
+    frames = s.a_frames;
+    bytes = s.a_bytes;
+    first_seen = s.a_first;
+    last_seen = s.a_last;
     rst_seen = a.a_rst;
   }
 
-(* Bounded top-k selection: an insertion-sorted list of at most [k]
-   summaries under the canonical comparator. *)
-let insert_topk k s l =
-  let rec ins = function
-    | [] -> [ s ]
-    | y :: tl ->
-      if Flows.compare_by_bytes s y < 0 then s :: y :: tl else y :: ins tl
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | y :: tl -> y :: take (n - 1) tl
-  in
-  take k (ins l)
+(* [Flows.compare_by_bytes (summary a) s], without building the
+   summary. *)
+let compare_acc a (s : Flows.summary) =
+  match Float.compare s.Flows.bytes a.a_sums.a_bytes with
+  | 0 -> String.compare a.a_key s.Flows.flow_key
+  | c -> c
+
+(* Bounded top-k selection: at most [k] summaries, worst first, under
+   the canonical comparator.  A finished flow that does not beat the
+   current k-th is rejected before its summary is built; keys are
+   unique, so no flow ties the k-th. *)
+let rec insert_worst_first s = function
+  | y :: tl when Flows.compare_by_bytes s y < 0 -> y :: insert_worst_first s tl
+  | l -> s :: l
 
 let query ?(pred = no_predicate) ?top paths =
   Obs.Span.timed ~stage:"flowstore.query" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let matched = ref 0 in
   let distinct = ref 0 in
-  let total_frames = ref 0.0 in
-  let total_bytes = ref 0.0 in
+  let totals = { t_frames = 0.0; t_bytes = 0.0 } in
   let hist = Netcore.Histogram.Log2.create () in
-  let all = ref [] in
-  let best = ref [] in
-  let cur = ref None in
+  (* Every flow, newest first, or under [top] the best, worst first. *)
+  let kept = ref [] in
+  let n_kept = ref 0 in
+  let a = new_acc () in
   let finalize () =
-    match !cur with
-    | None -> ()
-    | Some a ->
-      cur := None;
-      let s = summary a in
+    if a.a_open then begin
+      a.a_open <- false;
+      let s = a.a_sums in
       incr distinct;
-      total_frames := !total_frames +. s.Flows.frames;
-      total_bytes := !total_bytes +. s.Flows.bytes;
-      Netcore.Histogram.Log2.add hist (Float.max 1.0 s.Flows.bytes);
-      (match top with
-      | None -> all := s :: !all
-      | Some k -> best := insert_topk k s !best)
+      totals.t_frames <- totals.t_frames +. s.a_frames;
+      totals.t_bytes <- totals.t_bytes +. s.a_bytes;
+      Netcore.Histogram.Log2.add hist (Float.max 1.0 s.a_bytes);
+      match top with
+      | None -> kept := summary a :: !kept
+      | Some k when k < 0 || !n_kept < k ->
+        kept := insert_worst_first (summary a) !kept;
+        incr n_kept
+      | Some _ -> (
+        match !kept with
+        | kth :: rest when compare_acc a kth < 0 ->
+          kept := insert_worst_first (summary a) rest
+        | _ -> ())
+    end
   in
   let on_record (r : record) =
-    (match !cur with
-    | Some a when not (String.equal a.a_key r.r_key) -> finalize ()
-    | _ -> ());
+    if a.a_open && not (String.equal a.a_key r.r_key) then finalize ();
     if matches pred r then begin
       incr matched;
-      match !cur with
-      | Some a -> absorb a r
-      | None ->
-        let a = acc_of r in
-        cur := Some a;
-        absorb a r
+      absorb a r
     end
   in
   let scanned = Obs.Segment.scan schema paths on_record in
@@ -354,8 +391,8 @@ let query ?(pred = no_predicate) ?top paths =
   end;
   let flows =
     match top with
-    | None -> List.sort Flows.compare_by_bytes !all
-    | Some _ -> !best
+    | None -> List.sort Flows.compare_by_bytes !kept
+    | Some _ -> List.rev !kept
   in
   {
     flows;
@@ -366,8 +403,8 @@ let query ?(pred = no_predicate) ?top paths =
         records_scanned = scanned;
         records_matched = !matched;
         distinct_flows = !distinct;
-        total_frames = !total_frames;
-        total_bytes = !total_bytes;
+        total_frames = totals.t_frames;
+        total_bytes = totals.t_bytes;
         wall_s = wall;
       };
   }
@@ -379,15 +416,13 @@ let query ?(pred = no_predicate) ?top paths =
 let lookup ~keys paths =
   Obs.Span.timed ~stage:"flowstore.lookup" @@ fun () ->
   let wanted = Hashtbl.create (List.length keys) in
-  List.iter (fun k -> if not (Hashtbl.mem wanted k) then Hashtbl.add wanted k None) keys;
+  List.iter
+    (fun k -> if not (Hashtbl.mem wanted k) then Hashtbl.add wanted k (new_acc ()))
+    keys;
   let on_record (r : record) =
-    if Hashtbl.mem wanted r.r_key then
-      match Hashtbl.find wanted r.r_key with
-      | Some a -> absorb a r
-      | None ->
-        let a = acc_of r in
-        Hashtbl.replace wanted r.r_key (Some a);
-        absorb a r
+    match Hashtbl.find_opt wanted r.r_key with
+    | Some a -> absorb a r
+    | None -> ()
   in
   let scanned = Obs.Segment.scan schema paths on_record in
   if Obs.Registry.enabled () then begin
@@ -397,6 +432,6 @@ let lookup ~keys paths =
   List.map
     (fun k ->
       match Hashtbl.find_opt wanted k with
-      | Some (Some a) -> (k, Some (summary a))
+      | Some a when a.a_open -> (k, Some (summary a))
       | _ -> (k, None))
     keys

@@ -116,8 +116,10 @@ type query_result = {
 
 val query : ?pred:predicate -> ?top:int -> string list -> query_result
 (** Scan segment files with a k-way merge.  Memory is bounded by one
-    in-flight record per segment plus the result: with [top] given, the
-    result is a [top]-element selection, so a top-k query over a
+    block and one decoded record per segment ({!Obs.Segment}) plus the
+    result: with [top] given, the result is a [top]-element selection,
+    and a finished flow that does not beat the current [top]-th is
+    dropped before its summary is built, so a top-k query over a
     year-long store never materializes the full flow table.  Without
     [top] and without a predicate, [flows] is byte-identical to
     [Flows.aggregate] over the groups the store was written from.

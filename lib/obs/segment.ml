@@ -2,8 +2,8 @@
 
    Header: 4-byte magic, u16 version, u32 record count, little-endian.
    A schema supplies the magic, the record codec and the record order;
-   this module owns the header, the commit, every structural check and
-   the k-way merge. *)
+   this module owns the header, the commit, the block-buffered reader,
+   every structural check and the k-way merge. *)
 
 exception Corrupt of string
 
@@ -20,31 +20,63 @@ let corrupt path fmt =
 
 (* --- the decoder's cursor ------------------------------------------- *)
 
+(* The cursor decodes from a block of the file that it refills itself,
+   one channel read per block, so a record costs no channel call of its
+   own.  The block grows only for a field or string longer than it (a
+   string is at most 65,535 bytes), never to the whole file.  At 4 KiB
+   a refill is already rare; a larger block scans no faster and only
+   adds to the garbage each query leaves. *)
+let block_size = 4096
+
 type cursor = {
   path : string;
   ic : in_channel;
   len : int;  (* file length at open *)
   count : int;
   mutable read : int;
-  mutable buf : Bytes.t;  (* reused by every fixed-size read *)
+  mutable block : Bytes.t;
+  mutable pos : int;  (* next byte to decode *)
+  mutable lim : int;  (* end of the bytes read into the block *)
+  mutable fixed : Bytes.t;  (* what [field] returns; every call reuses it *)
 }
 
 let cut_short c what =
   corrupt c.path "truncated segment: %s cut short at record %d/%d" what
     (c.read + 1) c.count
 
+(* Make the next [n] bytes decodable at [c.pos]: move the unread tail
+   to the front of the block, growing it if [n] does not fit, and read
+   on from the file. *)
+let refill c n what =
+  let avail = c.lim - c.pos in
+  let block =
+    if n > Bytes.length c.block then Bytes.create n else c.block
+  in
+  Bytes.blit c.block c.pos block 0 avail;
+  c.block <- block;
+  c.pos <- 0;
+  c.lim <- avail;
+  while c.lim < n do
+    match input c.ic block c.lim (Bytes.length block - c.lim) with
+    | 0 -> cut_short c what
+    | k -> c.lim <- c.lim + k
+  done
+
 let field c n what =
-  if n > Bytes.length c.buf then c.buf <- Bytes.create n;
-  (try really_input c.ic c.buf 0 n with End_of_file -> cut_short c what);
-  c.buf
+  if c.lim - c.pos < n then refill c n what;
+  if n > Bytes.length c.fixed then c.fixed <- Bytes.create n;
+  Bytes.blit c.block c.pos c.fixed 0 n;
+  c.pos <- c.pos + n;
+  c.fixed
 
 let str c what =
-  let len =
-    match really_input c.ic c.buf 0 2 with
-    | () -> Bytes.get_uint16_le c.buf 0
-    | exception End_of_file -> cut_short c (what ^ " length")
-  in
-  try really_input_string c.ic len with End_of_file -> cut_short c what
+  if c.lim - c.pos < 2 then refill c 2 (what ^ " length");
+  let len = Bytes.get_uint16_le c.block c.pos in
+  c.pos <- c.pos + 2;
+  if c.lim - c.pos < len then refill c len what;
+  let s = Bytes.sub_string c.block c.pos len in
+  c.pos <- c.pos + len;
+  s
 
 let invalid c fmt =
   Printf.ksprintf
@@ -145,7 +177,18 @@ let open_reader schema path =
   | len, count ->
     {
       schema;
-      cur = { path; ic; len; count; read = 0; buf = Bytes.create 64 };
+      cur =
+        {
+          path;
+          ic;
+          len;
+          count;
+          read = 0;
+          block = Bytes.create block_size;
+          pos = 0;
+          lim = 0;
+          fixed = Bytes.create 64;
+        };
       prev = None;
       closed = false;
     }
@@ -163,7 +206,7 @@ let next r =
   let c = r.cur in
   if r.closed then None
   else if c.read >= c.count then begin
-    if pos_in c.ic < c.len then
+    if c.pos < c.lim || pos_in c.ic < c.len then
       corrupt c.path "trailing garbage after %d records" c.count;
     close r;
     None
@@ -176,9 +219,10 @@ let next r =
       if o > 0 || (o = 0 && not r.schema.ties) then
         corrupt c.path "segment not sorted at record %d" (c.read + 1)
     | None -> ());
-    r.prev <- Some x;
+    let o = Some x in
+    r.prev <- o;
     c.read <- c.read + 1;
-    Some x
+    o
   end
 
 let read_all schema path =
@@ -200,7 +244,8 @@ let read_all schema path =
 (* Min-heap over open readers ordered by each reader's head record;
    equal records tie-break on reader index so the merge is a stable,
    deterministic interleave whatever the heap's internal layout.  One
-   record of look-ahead per segment is the whole in-flight state. *)
+   record of look-ahead and one block per segment is the whole
+   in-flight state. *)
 module Heap = struct
   type 'a entry = { mutable head : 'a; reader : 'a reader; index : int }
   type 'a t = { compare : 'a -> 'a -> int; a : 'a entry array; mutable n : int }

@@ -9,6 +9,11 @@
     killed mid-write leaves at most a temporary, which {!in_dir} never
     lists and {!remove_uncommitted} deletes.
 
+    A reader decodes from a 4 KiB block of the file that it refills
+    with one channel read per block, and grows the block only for a
+    string longer than it (at most 65,535 bytes): an open reader holds
+    one block and one decoded record, whatever the segment's size.
+
     Readers validate everything they touch and raise {!Corrupt} with
     the file name in the message: short header, bad magic, version,
     implausible count, truncation (naming record [i/n]), trailing
@@ -22,15 +27,15 @@ exception Corrupt of string
 (** {1 Schemas} *)
 
 type cursor
-(** The decoder's view of the record being read. *)
+(** The decoder's view of the record being read: the reader's block. *)
 
 val field : cursor -> int -> string -> Bytes.t
-(** [field c n what] reads the record's next [n] bytes into a buffer
-    that the next read reuses.  [what] names the field in the
-    truncation message. *)
+(** [field c n what] copies the record's next [n] bytes out of the
+    block into a buffer that the next [field] reuses.  [what] names the
+    field in the truncation message. *)
 
 val str : cursor -> string -> string
-(** A u16-length-prefixed string. *)
+(** A u16-length-prefixed string, decoded from the block. *)
 
 val invalid : cursor -> ('a, unit, string, 'b) format4 -> 'a
 (** Reject the record being read: raises {!Corrupt} with the message
@@ -69,8 +74,9 @@ val read_all : 'a schema -> string -> ('a list, string) result
 val scan : 'a schema -> string list -> ('a -> unit) -> int
 (** Stream every record of the segments merged in schema order; equal
     records come out in the order of their segments in the list.
-    Returns the record count.  Every reader is closed on return,
-    including when a segment fails to open.
+    Returns the record count; [scan schema [ path ] ignore] validates
+    one segment holding one block and one record.  Every reader is
+    closed on return, including when a segment fails to open.
     @raise Corrupt on a malformed segment. *)
 
 val in_dir : 'a schema -> string -> string list

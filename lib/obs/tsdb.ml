@@ -5,7 +5,7 @@
    Tsdb makes telemetry durable as append-only sorted [Segment] files,
    the layer it shares with the flow store: one commit per segment,
    [Corrupt] on any validation failure, and bounded-memory reads by a
-   k-way merge holding one record per segment in flight.  A record is
+   k-way merge holding one block and one record per segment.  A record is
    the very (at, value) point pushed into a series. *)
 
 type record = {
@@ -77,6 +77,11 @@ let encode buf (r : record) =
   Buffer.add_int64_le buf (Int64.bits_of_float r.t_at);
   Buffer.add_int64_le buf (Int64.bits_of_float r.t_value)
 
+(* Labels in canonical order: no adjacent pair decreases. *)
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare a b <= 0 && sorted rest
+  | _ -> true
+
 let decode c =
   let name = Segment.str c "series name" in
   let n_labels = Bytes.get_uint8 (Segment.field c 1 "label count") 0 in
@@ -92,8 +97,7 @@ let decode c =
   let fixed = Segment.field c 16 "raw point" in
   let at = Int64.float_of_bits (Bytes.get_int64_le fixed 0) in
   let value = Int64.float_of_bits (Bytes.get_int64_le fixed 8) in
-  if List.sort compare labels <> labels then
-    Segment.invalid c "labels not sorted";
+  if not (sorted labels) then Segment.invalid c "labels not sorted";
   { t_name = name; t_labels = labels; t_at = at; t_value = value }
 
 let schema =
@@ -200,7 +204,8 @@ let flush t =
 (* --- range queries ------------------------------------------------- *)
 
 (* Bounded-memory streaming fold over matching records in (series,
-   time) order: the in-flight state is one record per segment. *)
+   time) order: the in-flight state is one block and one record per
+   segment. *)
 let fold ?(pred = no_predicate) ~init ~f paths =
   Span.timed ~stage:"tsdb.query" @@ fun () ->
   let acc = ref init in

@@ -417,6 +417,27 @@ let test_query_proto_predicate () =
         full.FS.flows);
   Alcotest.(check int) "one udp flow" 1 udp.FS.stats.FS.distinct_flows
 
+(* The proto predicate compares the key's fifth field in place; over
+   keys of one to eight fields, empty ones included, it must keep
+   exactly the flows whose [proto_of_key] is the proto asked for. *)
+let qcheck_proto_predicate =
+  let fields = [ ""; "tcp"; "udp"; "other"; "tc"; "tcpx" ] in
+  let key = QCheck.Gen.(map (String.concat "|") (list_size (int_range 1 8) (oneofl fields))) in
+  let proto = QCheck.Gen.(oneofl ("tcp|udp" :: "|" :: fields)) in
+  QCheck.Test.make ~name:"proto predicate equals proto_of_key" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair string (list string))
+        Gen.(pair proto (list_size (int_range 1 6) key)))
+    (fun (proto, keys) ->
+      with_temp_dir @@ fun dir ->
+      let keys = List.sort_uniq compare keys in
+      let path = Filename.concat dir "keys.pwfs" in
+      ignore (Segment.write FS.schema path (List.mapi (fun seq k -> fsrec ~seq k) keys));
+      let kept = FS.query ~pred:(FS.predicate ~proto ()) [ path ] in
+      List.sort compare (List.map (fun s -> s.Flows.flow_key) kept.FS.flows)
+      = List.filter (fun k -> String.equal proto (FS.proto_of_key k)) keys)
+
 let test_query_time_predicate () =
   with_temp_dir @@ fun dir ->
   let segments, _, _ = two_site_segments dir in
@@ -711,6 +732,7 @@ let suites =
           test_writer_unweighted_counter;
         Alcotest.test_case "site predicate" `Quick test_query_site_predicate;
         Alcotest.test_case "proto predicate" `Quick test_query_proto_predicate;
+        QCheck_alcotest.to_alcotest qcheck_proto_predicate;
         Alcotest.test_case "time predicate" `Quick test_query_time_predicate;
         Alcotest.test_case "top-k" `Quick test_query_topk;
         QCheck_alcotest.to_alcotest qcheck_spill_identity;

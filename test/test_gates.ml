@@ -24,6 +24,10 @@
    - flow store: a top-k query promotes under a twentieth of the words
      the in-memory merge of the same groups promotes, because it never
      holds the whole flow table;
+   - store scan: a top-10 flow query allocates at most 40 minor words
+     per record it scans, a proto query 42 and a tsdb tail 75, because
+     the reader decodes from a block, the sums are flat floats, the
+     proto test splits nothing and a rejected flow builds no summary;
    - span roots: once a tracer's root history is full, a finished root
      allocates at most twice the words it did below the cap, because
      the oldest root is dropped in constant time;
@@ -303,7 +307,9 @@ let flow_groups ~flows ~groups =
   in
   (shards, !records)
 
-let test_flowstore_topk_promoted () =
+(* The store both flow-store gates read: the groups, spilled at a
+   quarter of their acap records. *)
+let with_gate_store f =
   let shards, records = flow_groups ~flows:5000 ~groups:6 in
   with_temp_dir @@ fun dir ->
   let w =
@@ -313,7 +319,10 @@ let test_flowstore_topk_promoted () =
     (fun (shard, fraction) ->
       Analysis.Flow_store.Writer.add_shard w ~site:"GATE" ~fraction shard)
     shards;
-  let segments = Analysis.Flow_store.Writer.finish w in
+  f shards (Analysis.Flow_store.Writer.finish w)
+
+let test_flowstore_topk_promoted () =
+  with_gate_store @@ fun shards segments ->
   let merge () = Analysis.Flows.merge shards in
   let top () = Analysis.Flow_store.query ~top:10 segments in
   ignore (merge ());
@@ -324,6 +333,53 @@ let test_flowstore_topk_promoted () =
     (List.length segments) scanned merged;
   check_at_most "flow store: top-10 query's share of the merge's promoted words"
     ~bound:0.05 (scanned /. merged)
+
+(* --- store scans: words per scanned record ------------------------- *)
+
+(* The minor words [query] allocates per record it reads, after a
+   warm-up call. *)
+let words_per_record ~records query =
+  ignore (query ());
+  minor_words query /. float_of_int records
+
+(* 30 series with two labels each, 200 points a series, flushed as four
+   segments of 50 points a series. *)
+let with_gate_tsdb f =
+  with_temp_dir @@ fun dir ->
+  let store = T.open_store ~dir () in
+  for seg = 0 to 3 do
+    for series = 0 to 29 do
+      let name = Printf.sprintf "gate_series_%d" (series mod 3) in
+      let labels =
+        [ ("port", string_of_int series); ("site", Printf.sprintf "SITE%02d" (series mod 7)) ]
+      in
+      for i = 0 to 49 do
+        let at = float_of_int ((seg * 50) + i) *. 60.0 in
+        T.append_point store ~name ~labels ~at (float_of_int (series * i))
+      done
+    done;
+    ignore (T.flush store)
+  done;
+  f (T.segments store)
+
+let test_store_scan_words () =
+  let module FS = Analysis.Flow_store in
+  let records, top, udp =
+    with_gate_store @@ fun _ segments ->
+    let records = (FS.query segments).FS.stats.FS.records_scanned in
+    let per_record ?pred ?top () =
+      words_per_record ~records (fun () -> FS.query ?pred ?top segments)
+    in
+    (records, per_record ~top:10 (), per_record ~pred:(FS.predicate ~proto:"udp" ()) ())
+  in
+  let tail =
+    with_gate_tsdb @@ fun segments ->
+    words_per_record ~records:6000 (fun () -> T.tail ~n:2 segments)
+  in
+  Printf.printf "store scan: %d flow records, 6000 tsdb records\n" records;
+  check_at_most "store scan: top-10 query minor words per record" ~bound:40.0 top;
+  check_at_most "store scan: udp query minor words per record" ~bound:42.0 udp;
+  check_at_most "store scan: tsdb tail minor words per record" ~bound:75.0 tail
 
 (* --- span roots: words per finished root ---------------------------- *)
 
@@ -544,6 +600,8 @@ let suites =
           test_instrumentation_share;
         Alcotest.test_case "flow-store top-k promoted" `Quick
           test_flowstore_topk_promoted;
+        Alcotest.test_case "store scan words per record" `Quick
+          test_store_scan_words;
         Alcotest.test_case "span root history words" `Quick
           test_span_root_history;
         Alcotest.test_case "pcap record words" `Quick test_pcap_record_words;

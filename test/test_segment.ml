@@ -162,6 +162,103 @@ let test_killed_write_tsdb () =
            ~labels:[ ("site", "STAR") ]
            ~at:(float_of_int i) (float_of_int (i * i))))
 
+(* --- block edges ------------------------------------------------------ *)
+
+(* The reader decodes from a 4 KiB block that it refills from the file,
+   and grows it only for a string longer than the block.  [records]
+   spans many blocks and holds a 65,535-byte string, so records and
+   fields straddle the refills.  The segment must read back whole
+   through [read_all] and [scan]; cut one byte before, at and after
+   each nominal block edge and each record boundary, it must name the
+   record cut short; one appended byte is trailing garbage. *)
+let block = 4096
+let header = 10
+
+let mentions ~affix s =
+  let n = String.length s and m = String.length affix in
+  let rec at i = i + m <= n && (String.sub s i m = affix || at (i + 1)) in
+  at 0
+
+let block_edges (type a) (schema : a Segment.schema) (records : a list) =
+  with_temp_dir @@ fun dir ->
+  let path name = Filename.concat dir (name ^ schema.Segment.suffix) in
+  let whole = path "whole" in
+  ignore (Segment.write schema whole records);
+  let sorted = List.stable_sort schema.Segment.compare records in
+  let scanned () =
+    let acc = ref [] in
+    ignore (Segment.scan schema [ whole ] (fun x -> acc := x :: !acc));
+    List.rev !acc
+  in
+  Alcotest.(check bool) "read_all reads back every record" true
+    (Segment.read_all schema whole = Ok sorted);
+  Alcotest.(check bool) "scan reads back every record" true (scanned () = sorted);
+  let bytes = read_file whole in
+  let len = String.length bytes and n = List.length sorted in
+  Alcotest.(check bool) "the segment spans several blocks" true (len > 4 * block);
+  (* Where each record ends in the file. *)
+  let ends =
+    let b = Buffer.create len in
+    List.map
+      (fun x ->
+        schema.Segment.encode b x;
+        header + Buffer.length b)
+      sorted
+  in
+  let fails what bytes want =
+    let target = path what in
+    write_file target bytes;
+    Fun.protect ~finally:(fun () -> Sys.remove target) @@ fun () ->
+    let says msg = mentions ~affix:want msg in
+    (match Segment.read_all schema target with
+    | Error msg when says msg -> ()
+    | Error msg -> Alcotest.failf "%s: read_all said %S, not %S" what msg want
+    | Ok _ -> Alcotest.failf "%s: read_all accepted the segment" what);
+    match Segment.scan schema [ target ] ignore with
+    | exception Segment.Corrupt msg when says msg -> ()
+    | exception Segment.Corrupt msg ->
+      Alcotest.failf "%s: scan said %S, not %S" what msg want
+    | _ -> Alcotest.failf "%s: scan accepted the segment" what
+  in
+  let edges = List.init (len / block) (fun k -> header + ((k + 1) * block)) in
+  List.concat_map (fun e -> [ e - 1; e; e + 1 ]) (edges @ ends)
+  |> List.sort_uniq compare
+  |> List.filter (fun t -> t > header && t < len)
+  |> List.iter (fun t ->
+         let want =
+           if t - header < n then "implausible record count"
+           else
+             let complete = List.length (List.filter (fun e -> e <= t) ends) in
+             Printf.sprintf "cut short at record %d/%d" (complete + 1) n
+         in
+         fails (Printf.sprintf "cut%d" t) (String.sub bytes 0 t) want);
+  fails "appended" (bytes ^ "\x00") (Printf.sprintf "trailing garbage after %d records" n)
+
+(* A string of the longest length a record holds. *)
+let longest prefix = prefix ^ String.make (0xFFFF - String.length prefix) 'x'
+
+let test_block_edges_flow_store () =
+  block_edges FS.schema
+    (List.init 300 (fun i ->
+         let key =
+           if i = 150 then longest "150|"
+           else
+             Printf.sprintf "%03d|-|10.0.%d.%d|%s|%s|%d-443" i (i / 7) (i * 13 mod 256)
+               (String.make (i mod 23) '1')
+               (if i mod 3 = 0 then "udp" else "tcp")
+               (1024 + i)
+         in
+         fsrec ~seq:i ~site:(String.make (i mod 5) 'S') ~rst:(i mod 11 = 0) key))
+
+let test_block_edges_tsdb () =
+  block_edges T.schema
+    (List.init 300 (fun i ->
+         let value = if i = 150 then longest "" else String.make (i mod 19) 'v' in
+         T.raw_point
+           ~name:(Printf.sprintf "series_%d" (i mod 17))
+           ~labels:[ ("site", Printf.sprintf "S%d" (i mod 4)); ("value", value) ]
+           ~at:(float_of_int i) (float_of_int (i * i))))
+
 (* --- seeded mutation fuzz ------------------------------------------ *)
 
 let fuzz (type a) (schema : a Segment.schema) ~(bases : a list list) ~seed () =
@@ -241,6 +338,10 @@ let suites =
           `Quick test_killed_write_tsdb;
         Alcotest.test_case "failed scan closes readers" `Quick
           test_failed_scan_closes_readers;
+        Alcotest.test_case ".pwfs reads across block edges" `Quick
+          test_block_edges_flow_store;
+        Alcotest.test_case ".pwts reads across block edges" `Quick
+          test_block_edges_tsdb;
         Alcotest.test_case "fuzzed .pwfs raises only Corrupt" `Quick
           test_fuzz_flow_store;
         Alcotest.test_case "fuzzed .pwts raises only Corrupt" `Quick
