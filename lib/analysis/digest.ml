@@ -1,15 +1,12 @@
 (* The indexed, zero-copy decode path.  A first sequential pass walks
    record headers only and produces an offset/length/timestamp index
-   (Pcap.Reader.index / Pcapng.index); dissection then fans index ranges
-   out over the pool and reads headers in place through Packet.Slice,
-   so per-packet allocation is bounded by the abstract output, never by
-   payload sizes. *)
-
-let range_to_acaps buf idx ~lo ~hi =
-  let rec go i acc =
-    if i < lo then acc else go (i - 1) (Dissect.Acap.of_entry buf idx.(i) :: acc)
-  in
-  go (hi - 1) []
+   (Pcap.Reader.index / Pcapng.index); dissection then reads each
+   record's headers in place through Packet.Slice, so per-packet
+   allocation is bounded by the abstract output, never by payload
+   sizes.  Each frame is dissected into one reused Acap.Fields; the
+   fold hands it straight to its consumer, and the record path builds
+   one record from it per frame, fanning index ranges out over the
+   pool. *)
 
 (* Decode counters are bumped once per capture (never per packet), so
    the registry costs the decode a bounded number of words per frame:
@@ -23,20 +20,50 @@ let obs_capture_bytes =
   Obs.Registry.counter Obs.Registry.default "capture_bytes_total"
     ~help:"Capture-buffer bytes fed to the offline digest"
 
-let record_decode buf idx =
-  if Obs.Registry.enabled () then begin
-    Obs.Registry.inc obs_packets (float_of_int (Array.length idx));
-    Obs.Registry.inc obs_capture_bytes (float_of_int (Bytes.length buf))
-  end
-
-let pcap_to_acaps ?(pool = Parallel.Pool.sequential) buf =
-  (* Accepts both classic pcap and pcapng.  Dissection is pure and range
-     results concatenate in range order, so the output is identical at
-     any pool size or range partition. *)
+(* Accepts both classic pcap and pcapng. *)
+let index buf =
   let idx =
     Obs.Span.timed ~stage:"digest.index" (fun () -> Packet.Pcapng.index_any buf)
   in
-  record_decode buf idx;
+  if Obs.Registry.enabled () then begin
+    Obs.Registry.inc obs_packets (float_of_int (Array.length idx));
+    Obs.Registry.inc obs_capture_bytes (float_of_int (Bytes.length buf))
+  end;
+  idx
+
+let dissect_entry fields buf (e : Packet.Pcap.index_entry) =
+  Dissect.Acap.Fields.dissect fields ~orig_len:e.Packet.Pcap.orig_len
+    (Packet.Pcap.Reader.slice buf e)
+
+let fold_pcap buf ~init ~f =
+  let idx = index buf in
+  Obs.Span.timed ~stage:"digest.dissect" @@ fun () ->
+  let fields = Dissect.Acap.Fields.create () in
+  Array.fold_left
+    (fun acc (e : Packet.Pcap.index_entry) ->
+      dissect_entry fields buf e;
+      f acc fields ~orig_len:e.Packet.Pcap.orig_len ~ts:e.Packet.Pcap.ts)
+    init idx
+
+let range_to_acaps buf idx ~lo ~hi =
+  let fields = Dissect.Acap.Fields.create () in
+  let rec go i acc =
+    if i < lo then acc
+    else begin
+      let e = idx.(i) in
+      dissect_entry fields buf e;
+      go (i - 1)
+        (Dissect.Acap.of_fields fields ~ts:e.Packet.Pcap.ts
+           ~orig_len:e.Packet.Pcap.orig_len
+        :: acc)
+    end
+  in
+  go (hi - 1) []
+
+let pcap_to_acaps ?(pool = Parallel.Pool.sequential) buf =
+  (* Dissection is pure and range results concatenate in range order,
+     so the output is identical at any pool size or range partition. *)
+  let idx = index buf in
   Obs.Span.timed ~stage:"digest.dissect" (fun () ->
       List.concat
         (Parallel.Pool.map_ranges pool ~n:(Array.length idx)

@@ -3,7 +3,26 @@
     Applies the protocol dissectors to every frame of a pcap and keeps
     only the abstract header stack plus timing/size metadata — the most
     expensive step of the paper's offline pipeline ("most of this time
-    is taken up by Wireshark's protocol dissectors"). *)
+    is taken up by Wireshark's protocol dissectors").
+
+    Two consumers share one walk.  {!fold_pcap} hands each frame's
+    reused {!Dissect.Acap.Fields} straight to a consumer: the profile
+    counts every pcap-carrying sample this way, and builds no record.
+    {!pcap_to_acaps} builds one record per frame from the same fields,
+    for [dissect]'s rows, [analyze], the benchmark's digest probe and
+    the tests' oracles. *)
+
+val fold_pcap :
+  bytes ->
+  init:'a ->
+  f:('a -> Dissect.Acap.Fields.t -> orig_len:int -> ts:float -> 'a) ->
+  'a
+(** Index a capture (classic pcap or pcapng) once, then dissect its
+    frames in order into one {!Dissect.Acap.Fields.t}, handing it with
+    the frame's original length and timestamp to [f].  The fields are
+    overwritten by the next frame: [f] reads what it keeps.  The walk
+    runs under the [digest.index] and [digest.dissect] spans, and the
+    decode counters are bumped once per capture. *)
 
 val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
 (** Dissect every packet of an in-memory capture (classic pcap or
@@ -12,7 +31,8 @@ val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
     offset/length index, then index ranges are dissected in parallel as
     {!Packet.Slice} views of the shared buffer — packet payloads are
     never copied.  Record order (and content) is identical to the
-    sequential, copying run at any pool size. *)
+    sequential, copying run at any pool size; each record carries the
+    fields {!fold_pcap} hands over for its frame. *)
 
 val pcap_file_to_acaps :
   ?pool:Parallel.Pool.t -> string -> Dissect.Acap.record list
@@ -20,9 +40,11 @@ val pcap_file_to_acaps :
 val sample_acaps : Patchwork.Capture.sample -> Dissect.Acap.record list
 (** The abstract records of a sample: digested from its pcap bytes when
     it carries them, else the records the capture already abstracted
-    in-line.  The pcap holds the in-line records' frames in their order,
-    and at a truncation that keeps each header stack its digest reads
-    back every record in each field but the stamp: storage keeps a frame
-    snapped to the truncation length with its timestamp rounded to the
+    in-line.  The profile does not call it (it folds a pcap-carrying
+    sample, {!fold_pcap}); the benchmark and the tests do.  The pcap
+    holds the in-line records' frames in their order, and at a
+    truncation that keeps each header stack its digest reads back every
+    record in each field but the stamp: storage keeps a frame snapped to
+    the truncation length with its timestamp rounded to the
     microsecond, so [ts], [cap_len] and [truncated] differ, and with
     them a profile's flow first and last times. *)

@@ -41,26 +41,29 @@ module Shard = struct
 
   let create () : t = Hashtbl.create 64
 
+  let add_frame (table : t) ~key ~ts ~orig_len ~rst =
+    let entry =
+      match Hashtbl.find table key with
+      | e -> e
+      | exception Not_found ->
+        let e =
+          { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
+        in
+        Hashtbl.add table key e;
+        e
+    in
+    entry.s_frames <- entry.s_frames + 1;
+    entry.s_bytes <- entry.s_bytes + orig_len;
+    entry.s_first <- Float.min entry.s_first ts;
+    entry.s_last <- Float.max entry.s_last ts;
+    entry.s_rst <- entry.s_rst || rst
+
   let add (table : t) (r : Dissect.Acap.record) =
     match Dissect.Acap.flow_key r with
     | None -> ()
     | Some key ->
-      let ts = r.Dissect.Acap.ts in
-      let entry =
-        match Hashtbl.find table key with
-        | e -> e
-        | exception Not_found ->
-          let e =
-            { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
-          in
-          Hashtbl.add table key e;
-          e
-      in
-      entry.s_frames <- entry.s_frames + 1;
-      entry.s_bytes <- entry.s_bytes + r.Dissect.Acap.orig_len;
-      entry.s_first <- Float.min entry.s_first ts;
-      entry.s_last <- Float.max entry.s_last ts;
-      entry.s_rst <- entry.s_rst || r.Dissect.Acap.tcp_rst
+      add_frame table ~key ~ts:r.Dissect.Acap.ts ~orig_len:r.Dissect.Acap.orig_len
+        ~rst:r.Dissect.Acap.tcp_rst
 
   let is_empty (table : t) = Hashtbl.length table = 0
 

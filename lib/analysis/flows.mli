@@ -41,6 +41,11 @@ module Shard : sig
   val add : t -> Dissect.Acap.record -> unit
   (** Fold one record in (records without a flow key are ignored). *)
 
+  val add_frame : t -> key:string -> ts:float -> orig_len:int -> rst:bool -> unit
+  (** Fold one keyed frame in from its fields, as {!add} folds its
+      record: how the profile counts a pcap-carrying sample, which it
+      digests without building records. *)
+
   val is_empty : t -> bool
 
   val fold_weighted :

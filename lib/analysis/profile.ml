@@ -26,14 +26,21 @@ module Builder = struct
 
   type count = { mutable n : int }
 
+  (* A distinct stack list and its frames in one sample. *)
+  type stack_count = { stack : string list; mutable frames : int }
+
+  module By_hash = Hashtbl.Make (Int)
+
   (* One sample's records as exact integer counts: per flow (the shard
      the flow store is handed), per distinct stack list, per size bin
      and over the jumbo line.  The sample's weight meets each count
      once, when the shard is absorbed, so the sums do not depend on
-     record order. *)
+     record order.  Stacks are found by a hash of their tokens, so a
+     folded frame's tokens are compared in place and a stack's list is
+     built once per sample. *)
   type shard = {
     flows : Flows.Shard.t;
-    stacks : (string list, count) Hashtbl.t;
+    stacks : stack_count list By_hash.t;
     bins : int array;
     mutable records : int;
     mutable jumbo : int;
@@ -99,28 +106,88 @@ module Builder = struct
       Hashtbl.add b.sites site acc;
       acc
 
-  let shard_of records =
-    let sh =
-      {
-        flows = Flows.Shard.create ();
-        stacks = Hashtbl.create 16;
-        bins = Array.make (Array.length Analyze.standard_size_edges + 1) 0;
-        records = 0;
-        jumbo = 0;
-      }
-    in
-    List.iter
-      (fun (r : Dissect.Acap.record) ->
-        sh.records <- sh.records + 1;
-        (match Hashtbl.find sh.stacks r.Dissect.Acap.stack with
-        | c -> c.n <- c.n + 1
-        | exception Not_found -> Hashtbl.add sh.stacks r.Dissect.Acap.stack { n = 1 });
-        let len = r.Dissect.Acap.orig_len in
-        let bin = Netcore.Histogram.bin size_bins (float_of_int len) in
-        sh.bins.(bin) <- sh.bins.(bin) + 1;
-        if len > 1518 then sh.jumbo <- sh.jumbo + 1;
-        Flows.Shard.add sh.flows r)
-      records;
+  let new_shard () =
+    {
+      flows = Flows.Shard.create ();
+      stacks = By_hash.create 16;
+      bins = Array.make (Array.length Analyze.standard_size_edges + 1) 0;
+      records = 0;
+      jumbo = 0;
+    }
+
+  (* A stack's hash, over its tokens in order, whether they sit in a
+     record's list or in the fields the digest left. *)
+  let mix h tok = (h * 31) + Hashtbl.hash tok
+
+  module F = Dissect.Acap.Fields
+
+  let rec fields_hash fields h i =
+    if i = F.depth fields then h else fields_hash fields (mix h (F.token fields i)) (i + 1)
+
+  let rec same_as_fields fields i = function
+    | [] -> i = F.depth fields
+    | tok :: rest ->
+      i < F.depth fields && String.equal tok (F.token fields i)
+      && same_as_fields fields (i + 1) rest
+
+  (* Bump the count of the bucket's stack that matches; false if none
+     does. *)
+  let rec bump_list stack = function
+    | [] -> false
+    | c :: rest ->
+      if List.equal String.equal c.stack stack then begin
+        c.frames <- c.frames + 1;
+        true
+      end
+      else bump_list stack rest
+
+  let rec bump_fields fields = function
+    | [] -> false
+    | c :: rest ->
+      if same_as_fields fields 0 c.stack then begin
+        c.frames <- c.frames + 1;
+        true
+      end
+      else bump_fields fields rest
+
+  let bucket sh h = try By_hash.find sh.stacks h with Not_found -> []
+
+  let count_size sh len =
+    sh.records <- sh.records + 1;
+    let bin = Netcore.Histogram.bin size_bins (float_of_int len) in
+    sh.bins.(bin) <- sh.bins.(bin) + 1;
+    if len > 1518 then sh.jumbo <- sh.jumbo + 1
+
+  let count_record sh (r : Dissect.Acap.record) =
+    let stack = r.Dissect.Acap.stack in
+    let h = List.fold_left mix 0 stack in
+    let b = bucket sh h in
+    if not (bump_list stack b) then
+      By_hash.replace sh.stacks h ({ stack; frames = 1 } :: b);
+    count_size sh r.Dissect.Acap.orig_len;
+    Flows.Shard.add sh.flows r
+
+  (* A folded frame: its tokens are compared where the digest left
+     them, and its key is the one string it costs. *)
+  let count_fields sh fields ~orig_len ~ts =
+    let h = fields_hash fields 0 0 in
+    let b = bucket sh h in
+    if not (bump_fields fields b) then
+      By_hash.replace sh.stacks h ({ stack = F.stack fields; frames = 1 } :: b);
+    count_size sh orig_len;
+    match F.key fields with
+    | None -> ()
+    | Some key -> Flows.Shard.add_frame sh.flows ~key ~ts ~orig_len ~rst:(F.tcp_rst fields)
+
+  (* A pcap-carrying sample is folded frame by frame; an in-line
+     sample's records are counted as they are. *)
+  let shard_of_sample (s : Patchwork.Capture.sample) =
+    let sh = new_shard () in
+    (match s.Patchwork.Capture.pcap with
+    | Some buf ->
+      Digest.fold_pcap buf ~init:() ~f:(fun () fields ~orig_len ~ts ->
+          count_fields sh fields ~orig_len ~ts)
+    | None -> List.iter (count_record sh) s.Patchwork.Capture.acaps);
     sh
 
   let absorb b (s : Patchwork.Capture.sample) sh =
@@ -151,17 +218,20 @@ module Builder = struct
     (* Per-site header diversity, and each token's count in the sample:
        a token twice in one stack counts twice per frame. *)
     let tokens = Hashtbl.create 32 and ipv6 = ref 0 in
-    Hashtbl.iter
-      (fun stack c ->
-        site.deepest <- max site.deepest (List.length stack);
-        if List.mem "ipv6" stack then ipv6 := !ipv6 + c.n;
+    By_hash.iter
+      (fun _ bucket ->
         List.iter
-          (fun tok ->
-            Hashtbl.replace site.tokens tok ();
-            match Hashtbl.find tokens tok with
-            | t -> t.n <- t.n + c.n
-            | exception Not_found -> Hashtbl.add tokens tok { n = c.n })
-          stack)
+          (fun { stack; frames } ->
+            site.deepest <- max site.deepest (List.length stack);
+            if List.mem "ipv6" stack then ipv6 := !ipv6 + frames;
+            List.iter
+              (fun tok ->
+                Hashtbl.replace site.tokens tok ();
+                match Hashtbl.find tokens tok with
+                | t -> t.n <- t.n + frames
+                | exception Not_found -> Hashtbl.add tokens tok { n = frames })
+              stack)
+          bucket)
       sh.stacks;
     (* Weighted occurrence, sizes and shares: one add per cell. *)
     Hashtbl.iter
@@ -198,7 +268,7 @@ module Builder = struct
        spill buffer) in memory. *)
     let samples = Patchwork.Coordinator.all_samples report in
     let shards =
-      Parallel.Pool.map pool (fun s -> shard_of (Digest.sample_acaps s)) samples
+      Parallel.Pool.map pool shard_of_sample samples
     in
     List.iter2
       (fun (s : Patchwork.Capture.sample) sh ->

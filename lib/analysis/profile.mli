@@ -42,7 +42,11 @@ module Builder : sig
   (** Digest and absorb one occasion; safe to drop the report (and its
       samples) afterwards.  Each sample is counted into one exact shard
       (integer counts per flow, per stack list, per size bin and over
-      the jumbo line), and each count is added to the profile's floats
+      the jumbo line).  A sample that carries a pcap is folded, not
+      materialized: {!Digest.fold_pcap} dissects it frame by frame into
+      one reused accumulator and each frame is counted from there, so
+      no record or record list is built; a sample without one has its
+      in-line records counted.  Each count is added to the profile's floats
       once, scaled by the sample's weight, in sample order — the
       arithmetic of [Flows.merge].  Exact counts do not depend on record
       order, and with a pool the per-sample digestion and counting run

@@ -39,9 +39,10 @@ type t = {
   anonymize : bool;  (** prefix-preserving address anonymization *)
   emit_pcap : bool;
       (** build real pcap bytes (off for long profiles).  Profiles then
-          digest those bytes instead of the in-line acaps: the same
-          records but for their stamps (microsecond times, captured
-          lengths, truncation), see [Analysis.Digest.sample_acaps]. *)
+          digest those bytes, folded frame by frame, instead of the
+          in-line acaps: the same records but for their stamps
+          (microsecond times, captured lengths, truncation), see
+          [Analysis.Digest.sample_acaps]. *)
   max_frames_per_sample : int;
       (** materialization budget; heavier samples are thinned uniformly
           (recorded, so analyses can re-weight) *)

@@ -15,56 +15,247 @@ type record = {
   key : string option;
 }
 
-let buf_add_ints b sep = function
-  | [] -> Buffer.add_char b '-'
-  | v :: rest ->
-    Buffer.add_string b (string_of_int v);
-    List.iter
-      (fun v ->
-        Buffer.add_char b sep;
-        Buffer.add_string b (string_of_int v))
-      rest
+(* --- the per-frame fields --------------------------------------- *)
 
-(* The flow key is a function of the tags, endpoints, stack and ports
-   alone, so it is rendered once, when a record is built, straight into
-   one buffer — no Printf, no intermediate list-of-strings.  Every
-   consumer (profile, flow shards, exemplars) then reads the field. *)
-let render_key ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4 =
-  match (src, dst) with
-  | Some src, Some dst ->
-    let proto =
-      if List.mem "tcp" stack then "tcp"
-      else if List.mem "udp" stack then "udp"
-      else if List.mem "icmp" stack then "icmp"
-      else if List.mem "icmpv6" stack then "icmpv6"
-      else "other"
-    in
-    let b = Buffer.create 64 in
-    buf_add_ints b ',' vlan_ids;
-    Buffer.add_char b '|';
-    buf_add_ints b ',' mpls_labels;
-    Buffer.add_char b '|';
-    Buffer.add_string b src;
-    Buffer.add_char b '|';
-    Buffer.add_string b dst;
-    Buffer.add_char b '|';
-    Buffer.add_string b proto;
-    Buffer.add_char b '|';
-    (match l4 with
-    | None -> Buffer.add_char b '-'
-    | Some (s, d) ->
-      Buffer.add_string b (string_of_int s);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int d));
-    Some (Buffer.contents b)
-  | _ -> None
+(* One frame's abstraction, overwritten frame after frame: the stack
+   tokens, the tags, the innermost L3 header and L4 ports, the RST
+   flag, and the flow key rendered into [key].  A digest fold hands it
+   to its consumer as it stands; a record is built from it only where
+   one is asked for.  So the stack and the key have one renderer each,
+   over the one dissector walk. *)
+module Fields = struct
+  (* A growable array, emptied per frame. *)
+  type 'a vec = { mutable items : 'a array; mutable len : int }
+
+  let vec n x = { items = Array.make n x; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.items then v.items <- Array.append v.items v.items;
+    v.items.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let rec to_list_from v i acc =
+    if i < 0 then acc else to_list_from v (i - 1) (v.items.(i) :: acc)
+
+  let to_list v = to_list_from v (v.len - 1) []
+
+  type t = {
+    tokens : string vec;
+    vlans : int vec;
+    labels : int vec;
+    mutable l3 : H.header;  (* the innermost IPv4/IPv6 header, if [has_l3] *)
+    mutable has_l3 : bool;
+    mutable text : (string * string) option;
+        (* rendered endpoints given to {!make}, in place of [l3] *)
+    mutable src_port : int;
+    mutable dst_port : int;
+    mutable has_l4 : bool;
+    mutable rst : bool;
+    mutable truncated : bool;
+    mutable cap_len : int;
+    key : Buffer.t;
+    (* where the endpoints sit in [key] *)
+    mutable src_at : int;
+    mutable dst_at : int;
+    mutable dst_end : int;
+  }
+
+  let create () =
+    {
+      tokens = vec 16 "";
+      vlans = vec 4 0;
+      labels = vec 4 0;
+      l3 = H.Pseudowire;
+      has_l3 = false;
+      text = None;
+      src_port = 0;
+      dst_port = 0;
+      has_l4 = false;
+      rst = false;
+      truncated = false;
+      cap_len = 0;
+      key = Buffer.create 64;
+      src_at = 0;
+      dst_at = 0;
+      dst_end = 0;
+    }
+
+  let reset f ~cap_len ~truncated =
+    f.tokens.len <- 0;
+    f.vlans.len <- 0;
+    f.labels.len <- 0;
+    f.has_l3 <- false;
+    f.text <- None;
+    f.has_l4 <- false;
+    f.rst <- false;
+    f.truncated <- truncated;
+    f.cap_len <- cap_len
+
+  let set_ports f ~src_port ~dst_port =
+    f.has_l4 <- true;
+    f.src_port <- src_port;
+    f.dst_port <- dst_port
+
+  let depth f = f.tokens.len
+  let token f i = f.tokens.items.(i)
+  let stack f = to_list f.tokens
+  let tcp_rst f = f.rst
+  let has_key f = f.has_l3 || Option.is_some f.text
+
+  (* Top-level, not a local closure: it runs four times a frame. *)
+  let rec has_token f tok i =
+    i < depth f && (String.equal (token f i) tok || has_token f tok (i + 1))
+
+  (* Decimal digits straight into the buffer, as [string_of_int] prints
+     them, without building the string. *)
+  let rec add_nat b n =
+    if n >= 10 then add_nat b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+  let add_int b n = if n >= 0 then add_nat b n else Buffer.add_string b (string_of_int n)
+
+  let add_ints b v =
+    if v.len = 0 then Buffer.add_char b '-'
+    else
+      for i = 0 to v.len - 1 do
+        if i > 0 then Buffer.add_char b ',';
+        add_int b v.items.(i)
+      done
+
+  let add_endpoint b ~src = function
+    | H.Ipv4 { src = s; dst = d; _ } ->
+      Netcore.Ipv4_addr.add_to_buffer b (if src then s else d)
+    | H.Ipv6 { src = s; dst = d; _ } ->
+      Netcore.Ipv6_addr.add_to_buffer b (if src then s else d)
+    | _ -> ()
+
+  (* The flow key: a function of the tags, endpoints, stack and ports
+     alone, rendered once per frame into [key], so no Printf and no
+     intermediate list of strings. *)
+  let render_key f =
+    let b = f.key in
+    Buffer.clear b;
+    if has_key f then begin
+      add_ints b f.vlans;
+      Buffer.add_char b '|';
+      add_ints b f.labels;
+      Buffer.add_char b '|';
+      f.src_at <- Buffer.length b;
+      (match f.text with
+      | Some (src, dst) ->
+        Buffer.add_string b src;
+        Buffer.add_char b '|';
+        f.dst_at <- Buffer.length b;
+        Buffer.add_string b dst
+      | None ->
+        add_endpoint b ~src:true f.l3;
+        Buffer.add_char b '|';
+        f.dst_at <- Buffer.length b;
+        add_endpoint b ~src:false f.l3);
+      f.dst_end <- Buffer.length b;
+      Buffer.add_char b '|';
+      Buffer.add_string b
+        (if has_token f "tcp" 0 then "tcp"
+         else if has_token f "udp" 0 then "udp"
+         else if has_token f "icmp" 0 then "icmp"
+         else if has_token f "icmpv6" 0 then "icmpv6"
+         else "other");
+      Buffer.add_char b '|';
+      if f.has_l4 then begin
+        add_int b f.src_port;
+        Buffer.add_char b ':';
+        add_int b f.dst_port
+      end
+      else Buffer.add_char b '-'
+    end
+
+  let key f = if has_key f then Some (Buffer.contents f.key) else None
+
+  let endpoints f =
+    if has_key f then
+      ( Some (Buffer.sub f.key f.src_at (f.dst_at - 1 - f.src_at)),
+        Some (Buffer.sub f.key f.dst_at (f.dst_end - f.dst_at)) )
+    else (None, None)
+
+  (* When dissection stopped at a bare TCP/UDP header, classify the
+     payload above it by well-known port, as tshark does; the service
+     token counts as one more "header" in the abstract stack. *)
+  let add_service f l4 ~src_port ~dst_port =
+    match Services.lookup l4 ~src_port ~dst_port with
+    | Some s -> push f.tokens s.Services.service_name
+    | None -> ()
+
+  let add_header f h =
+    push f.tokens (H.name h);
+    match h with
+    | H.Vlan { vid; _ } -> push f.vlans vid
+    | H.Mpls { label; _ } -> push f.labels label
+    | H.Ipv4 _ | H.Ipv6 _ ->
+      f.l3 <- h;
+      f.has_l3 <- true
+    | H.Tcp { src_port; dst_port; flags; _ } ->
+      set_ports f ~src_port ~dst_port;
+      if flags.H.rst then f.rst <- true
+    | H.Udp { src_port; dst_port } -> set_ports f ~src_port ~dst_port
+    | _ -> ()
+
+  (* One left-to-right walk: tokens and tags append, and the
+     innermost-wins fields (L3 endpoints, L4 ports) overwrite as the
+     walk descends.  The last header names the service. *)
+  let rec walk f = function
+    | [] -> ()
+    | [ h ] -> (
+      add_header f h;
+      match h with
+      | H.Tcp { src_port; dst_port; _ } -> add_service f Services.Tcp ~src_port ~dst_port
+      | H.Udp { src_port; dst_port } -> add_service f Services.Udp ~src_port ~dst_port
+      | _ -> ())
+    | h :: rest ->
+      add_header f h;
+      walk f rest
+
+  let abstract f ~cap_len ~truncated headers =
+    reset f ~cap_len ~truncated;
+    walk f headers;
+    render_key f
+
+  let dissect f ~orig_len slice =
+    let d = Dissector.dissect_slice ~orig_len slice in
+    abstract f ~cap_len:(Packet.Slice.length slice) ~truncated:d.Dissector.truncated
+      d.Dissector.headers
+end
+
+let of_fields (f : Fields.t) ~ts ~orig_len =
+  let src, dst = Fields.endpoints f in
+  {
+    ts;
+    orig_len;
+    cap_len = f.Fields.cap_len;
+    stack = Fields.stack f;
+    vlan_ids = Fields.to_list f.Fields.vlans;
+    mpls_labels = Fields.to_list f.Fields.labels;
+    src;
+    dst;
+    l4 = (if f.Fields.has_l4 then Some (f.Fields.src_port, f.Fields.dst_port) else None);
+    tcp_rst = f.Fields.rst;
+    truncated = f.Fields.truncated;
+    key = Fields.key f;
+  }
 
 let make ~ts ~orig_len ~cap_len ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4
     ~tcp_rst ~truncated =
+  let f = Fields.create () in
+  List.iter (Fields.push f.Fields.tokens) stack;
+  List.iter (Fields.push f.Fields.vlans) vlan_ids;
+  List.iter (Fields.push f.Fields.labels) mpls_labels;
+  (match (src, dst) with
+  | Some s, Some d -> f.Fields.text <- Some (s, d)
+  | _ -> ());
+  Option.iter (fun (src_port, dst_port) -> Fields.set_ports f ~src_port ~dst_port) l4;
+  Fields.render_key f;
   {
     ts; orig_len; cap_len; stack; vlan_ids; mpls_labels; src; dst; l4; tcp_rst;
-    truncated;
-    key = render_key ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4;
+    truncated; key = Fields.key f;
   }
 
 (* The key reads none of the stamped fields, so the copy keeps it. *)
@@ -72,73 +263,10 @@ let stamp r ~ts ~orig_len ~cap_len = { r with ts; orig_len; cap_len }
 
 let flow_key r = r.key
 
-(* When dissection stopped at a bare TCP/UDP header, classify the
-   payload above it by well-known port, as tshark does; the service
-   token counts as one more "header" in the abstract stack. *)
-let service_token (last : H.header option) =
-  match last with
-  | Some (H.Tcp { src_port; dst_port; _ }) ->
-    Option.map
-      (fun s -> s.Services.service_name)
-      (Services.lookup Services.Tcp ~src_port ~dst_port)
-  | Some (H.Udp { src_port; dst_port }) ->
-    Option.map
-      (fun s -> s.Services.service_name)
-      (Services.lookup Services.Udp ~src_port ~dst_port)
-  | _ -> None
-
-(* One left-to-right walk collects everything the record needs: the
-   header list is consed back-to-front and innermost-wins fields (L3
-   endpoints, L4 ports) simply overwrite as the walk descends, so the
-   single fold produces exactly what six separate walks used to.  The
-   innermost IP is rendered once, after the walk. *)
-let abstract ~ts ~orig_len ~cap_len ~truncated (headers : H.header list) =
-  let rec walk stack_rev vlans_rev mpls_rev l3 l4 rst last = function
-    | [] ->
-      let stack =
-        List.rev
-          (match service_token last with
-          | Some token -> token :: stack_rev
-          | None -> stack_rev)
-      in
-      let src, dst =
-        match l3 with
-        | Some (H.Ipv4 { src; dst; _ }) ->
-          (Some (Netcore.Ipv4_addr.to_string src),
-           Some (Netcore.Ipv4_addr.to_string dst))
-        | Some (H.Ipv6 { src; dst; _ }) ->
-          (Some (Netcore.Ipv6_addr.to_string src),
-           Some (Netcore.Ipv6_addr.to_string dst))
-        | _ -> (None, None)
-      in
-      make ~ts ~orig_len ~cap_len ~stack ~vlan_ids:(List.rev vlans_rev)
-        ~mpls_labels:(List.rev mpls_rev) ~src ~dst ~l4 ~tcp_rst:rst ~truncated
-    | h :: rest ->
-      let stack_rev = H.name h :: stack_rev in
-      let vlans_rev =
-        match h with H.Vlan { vid; _ } -> vid :: vlans_rev | _ -> vlans_rev
-      in
-      let mpls_rev =
-        match h with H.Mpls { label; _ } -> label :: mpls_rev | _ -> mpls_rev
-      in
-      let l3 = match h with H.Ipv4 _ | H.Ipv6 _ -> Some h | _ -> l3 in
-      let l4 =
-        match h with
-        | H.Tcp { src_port; dst_port; _ } | H.Udp { src_port; dst_port } ->
-          Some (src_port, dst_port)
-        | _ -> l4
-      in
-      let rst =
-        match h with H.Tcp { flags; _ } -> rst || flags.rst | _ -> rst
-      in
-      walk stack_rev vlans_rev mpls_rev l3 l4 rst (Some h) rest
-  in
-  walk [] [] [] None None false None headers
-
 let of_slice ~ts ~orig_len slice =
-  let d = Dissector.dissect_slice ~orig_len slice in
-  abstract ~ts ~orig_len ~cap_len:(Packet.Slice.length slice)
-    ~truncated:d.truncated d.headers
+  let f = Fields.create () in
+  Fields.dissect f ~orig_len slice;
+  of_fields f ~ts ~orig_len
 
 let of_entry buf (e : Packet.Pcap.index_entry) =
   of_slice ~ts:e.Packet.Pcap.ts ~orig_len:e.Packet.Pcap.orig_len
@@ -146,7 +274,9 @@ let of_entry buf (e : Packet.Pcap.index_entry) =
 
 let of_frame ~ts (frame : Packet.Frame.t) =
   let len = Packet.Frame.wire_length frame in
-  abstract ~ts ~orig_len:len ~cap_len:len ~truncated:false frame.headers
+  let f = Fields.create () in
+  Fields.abstract f ~cap_len:len ~truncated:false frame.headers;
+  of_fields f ~ts ~orig_len:len
 
 (* One record per line; fields are tab-separated, list elements
    comma-separated, missing values are "-".  Serialization runs once
@@ -156,6 +286,16 @@ let of_frame ~ts (frame : Packet.Frame.t) =
    as with Ipv4_addr.to_string). *)
 
 let opt_str = function None -> "-" | Some s -> s
+
+let add_int_list b = function
+  | [] -> Buffer.add_char b '-'
+  | v :: rest ->
+    Fields.add_int b v;
+    List.iter
+      (fun v ->
+        Buffer.add_char b ',';
+        Fields.add_int b v)
+      rest
 
 (* Fixed-point rendering equivalent to ["%.6f"] for the timestamps this
    code meets (non-negative, well under 2^52 us, so [v *. 1e6] is off
@@ -200,9 +340,9 @@ let to_line r =
         Buffer.add_string b tok)
       rest);
   Buffer.add_char b '\t';
-  buf_add_ints b ',' r.vlan_ids;
+  add_int_list b r.vlan_ids;
   Buffer.add_char b '\t';
-  buf_add_ints b ',' r.mpls_labels;
+  add_int_list b r.mpls_labels;
   Buffer.add_char b '\t';
   Buffer.add_string b (opt_str r.src);
   Buffer.add_char b '\t';

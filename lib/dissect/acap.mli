@@ -27,6 +27,45 @@ type record = private {
     the only ways to build one.  The key reads neither the timestamp nor
     the lengths, which is what lets {!stamp} share it. *)
 
+(** One frame's abstract fields, in a value reused frame after frame.
+    A digest fold dissects each frame into one [t] and hands it to its
+    consumer, which reads what it counts and builds no record;
+    {!of_fields} builds the record where one is wanted.  Every record
+    constructor goes through it, so the stack and the flow key are
+    rendered in one place.  A [t] belongs to one fold: it is
+    overwritten by the next frame, so parallel folds each need their
+    own. *)
+module Fields : sig
+  type t
+
+  val create : unit -> t
+
+  val dissect : t -> orig_len:int -> Packet.Slice.t -> unit
+  (** Run {!Dissector.dissect_slice} over a captured record and
+      abstract its headers into [t], overwriting the previous frame:
+      the stack tokens (the port-classified service token last), the
+      flow key rendered into [t]'s buffer, and the RST flag. *)
+
+  val depth : t -> int
+  (** Tokens in the stack. *)
+
+  val token : t -> int -> string
+  (** [token t i] is the stack's [i]th token, outermost first. *)
+
+  val stack : t -> string list
+  (** The stack as a record holds it. *)
+
+  val key : t -> string option
+  (** The frame's {!flow_key}, copied out of the buffer: the one string
+      a fold's consumer needs per frame. *)
+
+  val tcp_rst : t -> bool
+end
+
+val of_fields : Fields.t -> ts:float -> orig_len:int -> record
+(** The record of the frame [Fields] holds; [cap_len] and [truncated]
+    are the dissected record's. *)
+
 val make :
   ts:float ->
   orig_len:int ->
@@ -57,8 +96,8 @@ val of_entry : bytes -> Packet.Pcap.index_entry -> record
     through the slice path. *)
 
 val of_frame : ts:float -> Packet.Frame.t -> record
-(** Abstract a frame directly (no wire round-trip); used by fast paths
-    that skip serialization. *)
+(** Abstract a frame's typed headers directly (no wire round-trip), as
+    the capture abstracts one frame per flow class. *)
 
 val to_line : record -> string
 (** Serialize as one tab-separated line. *)

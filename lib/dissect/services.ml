@@ -60,10 +60,32 @@ let catalog =
     svc "minio" 9000 Tcp;
   |]
 
+(* The lookup runs once per dissected frame, so it indexes instead of
+   scanning: per L4 kind, one byte per port holds the catalog index + 1
+   of the first entry on that port (0 for none), and each entry's
+   [Some] is built once, here. *)
+let hits = Array.map Option.some catalog
+
+let port_index l4 =
+  assert (Array.length catalog < 0x100);
+  let t = Bytes.make 0x10000 '\000' in
+  Array.iteri
+    (fun i s ->
+      if s.l4 = l4 && Bytes.get_uint8 t s.port = 0 then Bytes.set_uint8 t s.port (i + 1))
+    catalog;
+  t
+
+let tcp_ports = port_index Tcp
+let udp_ports = port_index Udp
+
+let find l4 port =
+  if port < 0 || port > 0xFFFF then None
+  else
+    match Bytes.get_uint8 (match l4 with Tcp -> tcp_ports | Udp -> udp_ports) port with
+    | 0 -> None
+    | i -> hits.(i - 1)
+
 let lookup l4 ~src_port ~dst_port =
-  let find p =
-    Array.find_opt (fun s -> s.port = p && s.l4 = l4) catalog
-  in
-  match find dst_port with Some s -> Some s | None -> find src_port
+  match find l4 dst_port with None -> find l4 src_port | hit -> hit
 
 let by_name name = Array.find_opt (fun s -> s.service_name = name) catalog

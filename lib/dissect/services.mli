@@ -15,6 +15,9 @@ val catalog : service array
 (** All known services, unique per (port, l4). *)
 
 val lookup : l4 -> src_port:int -> dst_port:int -> service option
-(** Service matching either port (destination takes precedence). *)
+(** Service matching either port (destination takes precedence; on one
+    port the first catalog entry wins; a port outside 0-65535 matches
+    nothing).  It allocates nothing: the digest calls it once per
+    frame. *)
 
 val by_name : string -> service option

@@ -47,6 +47,23 @@ let to_string t =
   ignore (put_octet buf (pos + 1) d);
   Bytes.unsafe_to_string buf
 
+(* The same digits appended to a buffer: the flow key renders its
+   endpoints this way, into the one string it builds. *)
+let add_octet b n =
+  if n >= 100 then Buffer.add_char b (Char.unsafe_chr (48 + (n / 100)));
+  if n >= 10 then Buffer.add_char b (Char.unsafe_chr (48 + (n / 10 mod 10)));
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_to_buffer b t =
+  let v = Int32.to_int t land 0xFFFF_FFFF in
+  add_octet b (v lsr 24);
+  Buffer.add_char b '.';
+  add_octet b ((v lsr 16) land 0xFF);
+  Buffer.add_char b '.';
+  add_octet b ((v lsr 8) land 0xFF);
+  Buffer.add_char b '.';
+  add_octet b (v land 0xFF)
+
 let mask_of_len len =
   if len < 0 || len > 32 then invalid_arg "Ipv4_addr: bad prefix length";
   if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)

@@ -54,15 +54,32 @@ let of_string s =
   in
   of_groups (Array.of_list (List.map parse groups))
 
-let to_string t =
-  let groups = Array.init 8 (group t) in
+(* A group in lower-case hex without leading zeros, as ["%x"] prints
+   it. *)
+let add_group b g =
+  let digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d) in
+  if g >= 0x1000 then Buffer.add_char b (digit (g lsr 12));
+  if g >= 0x100 then Buffer.add_char b (digit ((g lsr 8) land 0xF));
+  if g >= 0x10 then Buffer.add_char b (digit ((g lsr 4) land 0xF));
+  Buffer.add_char b (digit (g land 0xF))
+
+(* Groups [lo .. hi - 1], colon-separated. *)
+let add_groups b t lo hi =
+  for k = lo to hi - 1 do
+    if k > lo then Buffer.add_char b ':';
+    add_group b (group t k)
+  done
+
+(* The flow key renders its endpoints straight into its buffer, so
+   the rendering allocates nothing. *)
+let add_to_buffer b t =
   (* Find the longest run of zero groups (length >= 2) to compress. *)
   let best_start = ref (-1) and best_len = ref 0 in
   let i = ref 0 in
   while !i < 8 do
-    if groups.(!i) = 0 then begin
+    if group t !i = 0 then begin
       let j = ref !i in
-      while !j < 8 && groups.(!j) = 0 do incr j done;
+      while !j < 8 && group t !j = 0 do incr j done;
       if !j - !i > !best_len then begin
         best_len := !j - !i;
         best_start := !i
@@ -71,15 +88,17 @@ let to_string t =
     end
     else incr i
   done;
-  if !best_len < 2 then
-    String.concat ":" (Array.to_list (Array.map (Printf.sprintf "%x") groups))
+  if !best_len < 2 then add_groups b t 0 8
   else begin
-    let fmt lo hi =
-      String.concat ":"
-        (List.init (hi - lo) (fun k -> Printf.sprintf "%x" groups.(lo + k)))
-    in
-    fmt 0 !best_start ^ "::" ^ fmt (!best_start + !best_len) 8
+    add_groups b t 0 !best_start;
+    Buffer.add_string b "::";
+    add_groups b t (!best_start + !best_len) 8
   end
+
+let to_string t =
+  let b = Buffer.create 39 in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let random_in rng ~prefix ~prefix_len =
   if prefix_len < 0 || prefix_len > 128 then invalid_arg "Ipv6_addr.random_in";

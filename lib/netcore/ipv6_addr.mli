@@ -13,6 +13,9 @@ val of_string : string -> t
 val to_string : t -> string
 (** Canonical lower-case form with the longest zero run compressed. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text, allocating nothing but buffer growth. *)
+
 val random_in : Rng.t -> prefix:t -> prefix_len:int -> t
 (** A random address inside the given prefix (prefix length <= 64 keeps
     the low half fully random). *)

@@ -234,28 +234,52 @@ let query ?(pred = no_predicate) paths =
    one, so a store query needs no lock. *)
 let query_store ?pred t = query ?pred (segments t)
 
+(* The series [tail] is reading: its last records in a ring that grows
+   by doubling up to [n], so a record costs the same at any [n]. *)
+type tail_acc = { mutable ring : record array; mutable seen : int }
+
+let tail_push ~n a r =
+  let cap = Array.length a.ring in
+  (* Not yet wrapped: the records fill [0, cap) in order. *)
+  if a.seen = cap && cap < n then
+    a.ring <- Array.append a.ring (Array.make (min cap (n - cap)) r);
+  a.ring.(a.seen mod Array.length a.ring) <- r;
+  a.seen <- a.seen + 1
+
+(* The series and its kept points, oldest first. *)
+let tail_points a =
+  let cap = Array.length a.ring in
+  let kept = min a.seen cap in
+  let rec go k acc =
+    if k < 0 then acc
+    else go (k - 1) (point_of_record a.ring.((a.seen - kept + k) mod cap) :: acc)
+  in
+  (a.ring.(0).t_name, a.ring.(0).t_labels, go (kept - 1) [])
+
 (* The last [n] points per series — the tail a restarted service
    re-arms its alerts from. *)
 let tail ?(pred = no_predicate) ~n paths =
   if n < 1 then invalid_arg "Obs.Tsdb.tail: n must be >= 1";
-  let keep_last tail_pts p =
-    (* tail_pts is newest-first and at most n long. *)
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    take n (p :: tail_pts)
+  let current = ref None and finished = ref [] in
+  let start r =
+    let a = { ring = Array.make (min n 16) r; seen = 0 } in
+    current := Some a;
+    a
   in
-  let groups =
-    fold ~pred paths ~init:[] ~f:(fun acc r ->
-        let p = point_of_record r in
-        match acc with
-        | (name, labels, pts) :: rest
-          when String.equal name r.t_name && labels = r.t_labels ->
-          (name, labels, keep_last pts p) :: rest
-        | _ -> (r.t_name, r.t_labels, [ p ]) :: acc)
-  in
-  List.rev_map (fun (name, labels, pts) -> (name, labels, List.rev pts)) groups
+  fold ~pred paths ~init:() ~f:(fun () r ->
+      let a =
+        match !current with
+        | Some a
+          when String.equal a.ring.(0).t_name r.t_name
+               && a.ring.(0).t_labels = r.t_labels ->
+          a
+        | Some a ->
+          finished := tail_points a :: !finished;
+          start r
+        | None -> start r
+      in
+      tail_push ~n a r);
+  Option.iter (fun a -> finished := tail_points a :: !finished) !current;
+  List.rev !finished
 
 let tail_store ~n t = tail ~n (segments t)

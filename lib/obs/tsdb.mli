@@ -70,6 +70,7 @@ val query_store : ?pred:predicate -> t -> (string * Registry.labels * record lis
 
 val tail : ?pred:predicate -> n:int -> string list -> (string * Registry.labels * (float * float) list) list
 (** The last [n] points per series — what a restarted service re-arms
-    alerts from. *)
+    alerts from.  The series being read keeps its last records in one
+    ring, so a record costs the same at any [n]. *)
 
 val tail_store : n:int -> t -> (string * Registry.labels * (float * float) list) list

@@ -278,6 +278,46 @@ let acaps_copying buf =
         (Packet.Slice.make p.data ~off:0 ~len:(Bytes.length p.data)))
     (read_any buf)
 
+(* The service lookup as a catalog scan: the first entry on a port
+   wins, and the destination port is tried before the source port.
+   [Services.lookup] indexes the catalog by port instead and must agree
+   with this scan on every port. *)
+let service_lookup l4 ~src_port ~dst_port =
+  let module S = Dissect.Services in
+  let find p = Array.find_opt (fun s -> s.S.port = p && s.S.l4 = l4) S.catalog in
+  match find dst_port with Some s -> Some s | None -> find src_port
+
+(* An IPv6 address through Printf: the groups in ["%x"], the longest
+   run of two or more zero groups (the first of equal runs) written as
+   ["::"].  [Ipv6_addr.add_to_buffer] writes the digits itself and must
+   print the same text. *)
+let ipv6_to_string a =
+  let hi, lo = Netcore.Ipv6_addr.halves a in
+  let group i =
+    let half, shift = if i < 4 then (hi, (3 - i) * 16) else (lo, (7 - i) * 16) in
+    Int64.to_int (Int64.logand (Int64.shift_right_logical half shift) 0xFFFFL)
+  in
+  let groups = Array.init 8 group in
+  let best_start = ref (-1) and best_len = ref 0 in
+  let i = ref 0 in
+  while !i < 8 do
+    if groups.(!i) = 0 then begin
+      let j = ref !i in
+      while !j < 8 && groups.(!j) = 0 do incr j done;
+      if !j - !i > !best_len then begin
+        best_len := !j - !i;
+        best_start := !i
+      end;
+      i := !j
+    end
+    else incr i
+  done;
+  let fmt lo hi =
+    String.concat ":" (List.init (hi - lo) (fun k -> Printf.sprintf "%x" groups.(lo + k)))
+  in
+  if !best_len < 2 then fmt 0 8
+  else fmt 0 !best_start ^ "::" ^ fmt (!best_start + !best_len) 8
+
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized and abstracted
    on its own; the kept frames are sorted by time, stably, from newest

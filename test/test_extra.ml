@@ -322,6 +322,40 @@ let test_services_lookup () =
   Alcotest.(check bool) "unknown port" true
     (S.lookup S.Tcp ~src_port:1 ~dst_port:2 = None)
 
+(* Every port, for both kinds: as the destination alone (the source
+   port 0 is in no entry), as the source alone, and paired with a
+   catalog port, which takes precedence when it is the destination.
+   Ports outside 0-65535 match nothing. *)
+let test_services_lookup_oracle () =
+  let module S = Dissect.Services in
+  let name = Option.map (fun s -> s.S.service_name) in
+  let agree l4 ~src_port ~dst_port =
+    let got = S.lookup l4 ~src_port ~dst_port
+    and want = Oracle.service_lookup l4 ~src_port ~dst_port in
+    if got <> want then
+      Alcotest.failf "lookup ~src_port:%d ~dst_port:%d: %s, the scan says %s" src_port
+        dst_port
+        (Option.value ~default:"-" (name got))
+        (Option.value ~default:"-" (name want))
+  in
+  let n = Array.length S.catalog in
+  List.iter
+    (fun l4 ->
+      for p = 0 to 0xFFFF do
+        let q = S.catalog.(p mod n).S.port in
+        agree l4 ~src_port:0 ~dst_port:p;
+        agree l4 ~src_port:p ~dst_port:0;
+        agree l4 ~src_port:p ~dst_port:q;
+        agree l4 ~src_port:q ~dst_port:p
+      done;
+      List.iter
+        (fun p ->
+          agree l4 ~src_port:p ~dst_port:p;
+          agree l4 ~src_port:p ~dst_port:443;
+          agree l4 ~src_port:443 ~dst_port:p)
+        [ -1; 0x10000; 0x10000 + 443; max_int; min_int ])
+    [ S.Tcp; S.Udp ]
+
 let suites =
   [
     ( "extra.wire",
@@ -353,5 +387,7 @@ let suites =
         Alcotest.test_case "sizes" `Quick test_header_sizes;
         Alcotest.test_case "ethertype errors" `Quick test_ethertype_errors;
         Alcotest.test_case "service lookup" `Quick test_services_lookup;
+        Alcotest.test_case "service lookup ≡ catalog scan" `Quick
+          test_services_lookup_oracle;
       ] );
   ]

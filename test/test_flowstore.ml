@@ -670,6 +670,75 @@ let test_weekly_store_identity () =
   (* Pcap-carrying samples reach the profile through the digest. *)
   weekly_store_identity ~seed:1 ~weeks:2 ~emit_pcap:true
 
+(* The profile folds a pcap-carrying sample frame by frame.  Handed
+   the same samples carrying their pcaps' records instead, it counts
+   the same profile, at any pool size.  The samples are the capture
+   golden's [emit_pcap] occasion, every other one carrying instead the
+   capture of a few random specs (RST segments, IPv6, VXLAN, reversed
+   streams, runt and jumbo frames, snapped at 96, 200 or 1,500 bytes),
+   which the driver's traffic lacks. *)
+let test_profile_fold_identity () =
+  let module C = Patchwork.Coordinator in
+  let module Capture = Patchwork.Capture in
+  let golden =
+    Test_capture.golden_occasion (List.assoc "emit_pcap" Test_capture.golden_configs)
+  in
+  let random_pcap seed =
+    let specs, config, fraction, start_time, end_time =
+      Test_capture.case_setup (seed, 0, (false, true, false))
+    in
+    (Capture.materialize ~config ~rng:(Netcore.Rng.create seed) ~fraction ~start_time
+       ~end_time specs)
+      .Capture.pcap
+  in
+  let map_samples f (report : C.occasion_report) =
+    {
+      report with
+      C.sites =
+        List.map
+          (fun (r : C.site_report) ->
+            { r with C.site_samples = List.map f r.C.site_samples })
+          report.C.sites;
+    }
+  in
+  let i = ref 0 in
+  let report =
+    map_samples
+      (fun (s : Capture.sample) ->
+        incr i;
+        if !i mod 2 = 0 then { s with Capture.pcap = random_pcap !i } else s)
+      golden
+  in
+  let records =
+    map_samples
+      (fun (s : Capture.sample) ->
+        match s.Capture.pcap with
+        | None -> s
+        | Some buf ->
+          { s with Capture.pcap = None; acaps = Analysis.Digest.pcap_to_acaps buf })
+      report
+  in
+  let digested =
+    List.concat_map (fun (s : Capture.sample) -> s.Capture.acaps) (C.all_samples records)
+  in
+  Alcotest.(check bool) "every sample carries a pcap" true
+    (List.for_all
+       (fun (s : Capture.sample) -> s.Capture.pcap <> None)
+       (C.all_samples report));
+  Alcotest.(check bool) "some frames carry RST" true
+    (List.exists (fun (r : Dissect.Acap.record) -> r.Dissect.Acap.tcp_rst) digested);
+  let profile ~size report =
+    Parallel.Pool.with_pool ~size (fun pool -> Profile.of_reports ~pool [ report ])
+  in
+  let reference = profile ~size:1 records in
+  List.iter
+    (fun size ->
+      Alcotest.(check bool)
+        (Printf.sprintf "folded ≡ records at pool %d" size)
+        true
+        (Profile.equal reference (profile ~size report)))
+    [ 1; 2; 4 ]
+
 (* A thinned sample weighs each record by 1/fraction.  Exact per-sample
    counts, each weighted once, cannot see the order the records came
    in; per-record float adds of varied lengths would. *)
@@ -745,6 +814,8 @@ let suites =
           test_profile_flow_store_stream;
         Alcotest.test_case "flow store identity over many spills" `Quick
           test_weekly_store_identity;
+        Alcotest.test_case "folded pcap samples ≡ their records (pools 1/2/4)" `Quick
+          test_profile_fold_identity;
         QCheck_alcotest.to_alcotest qcheck_profile_order_independent;
         QCheck_alcotest.to_alcotest qcheck_profile_pool_independent;
       ] );

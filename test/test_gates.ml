@@ -25,9 +25,12 @@
      the in-memory merge of the same groups promotes, because it never
      holds the whole flow table;
    - store scan: a top-10 flow query allocates at most 40 minor words
-     per record it scans, a proto query 42 and a tsdb tail 75, because
-     the reader decodes from a block, the sums are flat floats, the
-     proto test splits nothing and a rejected flow builds no summary;
+     per record it scans, a proto query 42 and a tsdb tail of 2 points
+     a series 48, and a tail of 50 at most 1.25 times that, because the
+     reader decodes from a block, the sums are flat floats, the proto
+     test splits nothing, a rejected flow builds no summary and the
+     tail keeps each series' points in one ring of unboxed floats; the
+     flow store is spilled into at least three segments;
    - span roots: once a tracer's root history is full, a finished root
      allocates at most twice the words it did below the cap, because
      the oldest root is dropped in constant time;
@@ -41,6 +44,11 @@
    - capture: [Capture.materialize] allocates at most 45 minor words
      per record, because the specs' time-ordered runs are merged, not
      sorted;
+   - digest fold: [add_report] over pcap-carrying samples allocates at
+     most 240 minor words per record, because each frame is dissected
+     into one reused accumulator and counted from it, with the flow key
+     as its one string, instead of into a record list counted
+     afterwards;
    - rng: a [Rng.int] draw allocates nothing and a [Dist.sample_int]
      draw on an [Empirical] at most 2 words (its boxed uniform);
    - telemetry: a poll allocates at most 16 minor words per switch port
@@ -272,20 +280,16 @@ let test_instrumentation_share () =
 (* --- flow store: top-k scan vs in-memory merge --------------------- *)
 
 (* [flows] synthetic flows over [groups] sample groups with mixed
-   sampling fractions; sizes repeat, so many flows tie on bytes.  Also
-   returns the number of records added. *)
+   sampling fractions; sizes repeat, so many flows tie on bytes. *)
 let flow_groups ~flows ~groups =
   let fractions = [| 1.0; 0.5; 0.3; 0.25; 1.0; 0.125 |] in
   let rng = Rng.create 42 in
-  let records = ref 0 in
-  let shards =
-    List.init groups (fun g ->
+  List.init groups (fun g ->
         let shard = Analysis.Flows.Shard.create () in
         for flow = 0 to flows - 1 do
           if flow mod 2 = g mod 2 || Rng.bernoulli rng 0.3 then
             for i = 0 to Rng.int rng 3 do
               let len = 64 + (64 * (flow mod 4)) in
-              incr records;
               Analysis.Flows.Shard.add shard
                 (Dissect.Acap.make
                    ~ts:(float_of_int ((g * 1000) + i))
@@ -304,22 +308,32 @@ let flow_groups ~flows ~groups =
             done
         done;
         (shard, fractions.(g mod Array.length fractions)))
-  in
-  (shards, !records)
 
 (* The store both flow-store gates read: the groups, spilled at a
-   quarter of their acap records. *)
+   quarter of the records the store keeps, one per (flow, group), so
+   that a query merges at least three segments. *)
 let with_gate_store f =
-  let shards, records = flow_groups ~flows:5000 ~groups:6 in
+  let shards = flow_groups ~flows:5000 ~groups:6 in
+  let stored =
+    List.fold_left
+      (fun n (shard, _) ->
+        Analysis.Flows.Shard.fold_weighted shard ~weight:1.0 ~init:n
+          ~f:(fun n ~key:_ ~frames:_ ~bytes:_ ~first:_ ~last:_ ~rst:_ -> n + 1))
+      0 shards
+  in
   with_temp_dir @@ fun dir ->
   let w =
-    Analysis.Flow_store.Writer.create ~spill_records:((records / 4) + 1) ~dir ()
+    Analysis.Flow_store.Writer.create ~spill_records:((stored / 4) + 1) ~dir ()
   in
   List.iter
     (fun (shard, fraction) ->
       Analysis.Flow_store.Writer.add_shard w ~site:"GATE" ~fraction shard)
     shards;
-  f shards (Analysis.Flow_store.Writer.finish w)
+  let segments = Analysis.Flow_store.Writer.finish w in
+  Printf.printf "gate store: %d records in %d segments\n" stored (List.length segments);
+  if List.length segments < 3 then
+    Alcotest.failf "gate store: %d segments, fewer than 3" (List.length segments);
+  f shards segments
 
 let test_flowstore_topk_promoted () =
   with_gate_store @@ fun shards segments ->
@@ -372,14 +386,17 @@ let test_store_scan_words () =
     in
     (records, per_record ~top:10 (), per_record ~pred:(FS.predicate ~proto:"udp" ()) ())
   in
-  let tail =
+  let tail2, tail50 =
     with_gate_tsdb @@ fun segments ->
-    words_per_record ~records:6000 (fun () -> T.tail ~n:2 segments)
+    let tail n = words_per_record ~records:6000 (fun () -> T.tail ~n segments) in
+    (tail 2, tail 50)
   in
   Printf.printf "store scan: %d flow records, 6000 tsdb records\n" records;
   check_at_most "store scan: top-10 query minor words per record" ~bound:40.0 top;
   check_at_most "store scan: udp query minor words per record" ~bound:42.0 udp;
-  check_at_most "store scan: tsdb tail minor words per record" ~bound:75.0 tail
+  check_at_most "store scan: tsdb tail (n = 2) minor words per record" ~bound:48.0 tail2;
+  check_at_most "store scan: tsdb tail words per record at n = 50 over n = 2"
+    ~bound:1.25 (tail50 /. tail2)
 
 (* --- span roots: words per finished root ---------------------------- *)
 
@@ -486,6 +503,28 @@ let test_profile_absorb_words () =
   check_at_most
     (Printf.sprintf "profile: add_report minor words per record (%d records)" records)
     ~bound:8.0
+    (words /. float_of_int records)
+
+(* --- digest fold: words per folded record --------------------------- *)
+
+(* The [emit_pcap] occasion of the capture golden: every sample carries
+   its pcap, which [add_report] digests and counts in one fold. *)
+let test_digest_fold_words () =
+  let report =
+    Test_capture.golden_occasion (List.assoc "emit_pcap" Test_capture.golden_configs)
+  in
+  let records =
+    List.fold_left
+      (fun n (s : Patchwork.Capture.sample) -> n + List.length s.Patchwork.Capture.acaps)
+      0
+      (Patchwork.Coordinator.all_samples report)
+  in
+  let b = Analysis.Profile.Builder.create () in
+  Analysis.Profile.Builder.add_report b report;
+  let words = minor_words (fun () -> Analysis.Profile.Builder.add_report b report) in
+  check_at_most
+    (Printf.sprintf "digest fold: add_report minor words per record (%d records)" records)
+    ~bound:240.0
     (words /. float_of_int records)
 
 (* --- capture: words per materialized record ------------------------ *)
@@ -607,6 +646,8 @@ let suites =
         Alcotest.test_case "pcap record words" `Quick test_pcap_record_words;
         Alcotest.test_case "profile absorb words" `Quick test_profile_absorb_words;
         Alcotest.test_case "capture words" `Quick test_capture_words;
+        Alcotest.test_case "digest fold words per record" `Quick
+          test_digest_fold_words;
         Alcotest.test_case "rng draw words" `Quick test_rng_draw_words;
         Alcotest.test_case "telemetry words" `Quick test_telemetry_words;
       ] );

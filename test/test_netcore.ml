@@ -243,6 +243,28 @@ let qcheck_tests =
       (fun (hi, lo) ->
         let addr = Ipv6_addr.make hi lo in
         addr = Ipv6_addr.of_string (Ipv6_addr.to_string addr));
+    Test.make ~name:"ipv6 rendering ≡ printf oracle" ~count:1000
+      (array_of_size (Gen.return 8) (oneof [ always 0; always 0; int_bound 0xFFFF ]))
+      (fun groups ->
+        let half k =
+          Array.fold_left
+            (fun acc g -> Int64.logor (Int64.shift_left acc 16) (Int64.of_int g))
+            0L (Array.sub groups k 4)
+        in
+        let addr = Ipv6_addr.make (half 0) (half 4) in
+        let b = Buffer.create 8 in
+        Buffer.add_string b "key|";
+        Ipv6_addr.add_to_buffer b addr;
+        Ipv6_addr.to_string addr = Oracle.ipv6_to_string addr
+        && Buffer.contents b = "key|" ^ Oracle.ipv6_to_string addr);
+    Test.make ~name:"ipv4 add_to_buffer ≡ to_string" ~count:500
+      (quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255))
+      (fun (a, b, c, d) ->
+        let addr = Ipv4_addr.of_octets a b c d in
+        let buf = Buffer.create 4 in
+        Buffer.add_string buf "key|";
+        Ipv4_addr.add_to_buffer buf addr;
+        Buffer.contents buf = "key|" ^ Ipv4_addr.to_string addr);
     Test.make ~name:"histogram total equals additions" ~count:200
       (list (float_range (-1000.0) 1000.0))
       (fun values ->

@@ -93,6 +93,77 @@ let prop_sliced_acaps_identical =
               Analysis.Digest.pcap_to_acaps ~pool buf = reference))
         [ 1; 2; 4 ])
 
+(* --- the digest fold ≡ the record path, frame by frame --- *)
+
+(* Per frame, what the fold hands its consumer (the stack as the
+   profile reads it, token by token, the flow key, the lengths and
+   time, the RST flag), and the same fields of the records
+   [pcap_to_acaps] builds. *)
+let folded buf =
+  let module F = Dissect.Acap.Fields in
+  List.rev
+    (Analysis.Digest.fold_pcap buf ~init:[] ~f:(fun acc fields ~orig_len ~ts ->
+         ( List.init (F.depth fields) (F.token fields),
+           F.key fields,
+           orig_len,
+           ts,
+           F.tcp_rst fields )
+         :: acc))
+
+let recorded buf =
+  List.map
+    (fun (r : Dissect.Acap.record) ->
+      (r.Dissect.Acap.stack, r.Dissect.Acap.key, r.Dissect.Acap.orig_len, r.Dissect.Acap.ts,
+       r.Dissect.Acap.tcp_rst))
+    (Analysis.Digest.pcap_to_acaps buf)
+
+let fold_agrees buf = folded buf = recorded buf
+
+let prop_fold_adversarial =
+  QCheck.Test.make ~count:20
+    ~name:"digest fold ≡ sliced acaps per frame over adversarial captures"
+    QCheck.small_int
+    (fun seed -> fold_agrees (adversarial_pcap seed))
+
+(* Every [Stack_builder] template, one per catalog service,
+   encapsulation and direction, written whole, cut one byte short of
+   its headers and cut at the header length. *)
+let templates_pcap (seed, payload_len) =
+  let rng = Rng.create seed in
+  let w = Packet.Pcap.Writer.create () in
+  let ts = ref 0.0 in
+  Array.iter
+    (fun service ->
+      List.iter
+        (fun (mpls_labels, use_pseudowire, use_vxlan, use_ipv6) ->
+          let forward =
+            Traffic.Stack_builder.forward rng
+              { Traffic.Stack_builder.vlan_id = 100 + Rng.int rng 3900; mpls_labels;
+                use_pseudowire; use_vxlan; use_ipv6; service }
+          in
+          List.iter
+            (fun stack ->
+              let frame = Packet.Frame.make ~payload_len stack in
+              let bytes = Packet.Codec.encode frame in
+              let wire = Bytes.length bytes
+              and header = Packet.Frame.header_size_total frame in
+              List.iter
+                (fun snap ->
+                  ts := !ts +. 1e-3;
+                  Packet.Pcap.Writer.add w ~ts:!ts ~orig_len:wire
+                    (Bytes.sub bytes 0 (min wire snap)))
+                [ wire; header - 1; header ])
+            [ forward; Traffic.Stack_builder.reverse forward ])
+        Test_dissect.encapsulations)
+    Dissect.Services.catalog;
+  Packet.Pcap.Writer.contents w
+
+let prop_fold_templates =
+  QCheck.Test.make ~count:10
+    ~name:"digest fold ≡ sliced acaps per frame over every template"
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 1400))
+    (fun case -> fold_agrees (templates_pcap case))
+
 (* --- fuzz: seeded mutations of encoded frames --- *)
 
 let encoded rng =
@@ -186,11 +257,18 @@ let prop_fuzz_digest =
               Analysis.Digest.pcap_to_acaps ~pool buf = reference))
         [ 1; 2; 4 ])
 
+let prop_fold_mutated =
+  QCheck.Test.make ~count:15
+    ~name:"mutated captures: digest fold ≡ sliced acaps per frame"
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> fold_agrees (mutated_pcap seed))
+
 let suites =
   [
     ( "overlay.properties",
-      [ QCheck_alcotest.to_alcotest prop_sliced_acaps_identical ] );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_sliced_acaps_identical; prop_fold_adversarial; prop_fold_templates ] );
     ( "overlay.fuzz",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_fuzz_per_frame; prop_fuzz_digest ] );
+        [ prop_fuzz_per_frame; prop_fuzz_digest; prop_fold_mutated ] );
   ]
