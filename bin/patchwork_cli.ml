@@ -70,19 +70,15 @@ let counter_value name =
   | _ -> 0.0
 
 (* How the capture abstracted its records: one flow class per (spec,
-   subflow) drawn, and frames built per draw only where bytes were
-   consumed (pcap writing, FPGA offload).  Silent when nothing was
-   captured. *)
-let print_capture_classes ~classes ~records ~built =
-  if classes > 0.0 || built > 0.0 then
-    Printf.printf "capture classes: %.0f for %.0f records, %.0f frames built\n"
-      classes records built
+   subflow) drawn.  Silent when nothing was captured. *)
+let print_capture_classes ~classes ~records =
+  if classes > 0.0 then
+    Printf.printf "capture classes: %.0f for %.0f records\n" classes records
 
 let print_capture_summary () =
   print_capture_classes
     ~classes:(counter_value "capture_classes_total")
     ~records:(counter_value "capture_records_total")
-    ~built:(counter_value "capture_frames_built_total")
 
 (* --- profile --- *)
 
@@ -877,7 +873,6 @@ let print_fastpath_lines metrics =
   print_capture_classes
     ~classes:(value "capture_classes_total")
     ~records:(value "capture_records_total")
-    ~built:(value "capture_frames_built_total")
 
 let render_report doc =
   (match J.member "spans" doc with

@@ -40,18 +40,20 @@ type materialized = {
   records : Dissect.Acap.record list;
   pcap : bytes option;
   classes : int;
-  frames_built : int;
 }
 
 (* One flow class: every draw of one (spec, subflow).  [instantiate]
    varies only the IPv4 ident and TCP seq between its frames, which no
-   filter primitive and no acap field reads, so one instantiated frame
-   decides the filter (with each draw's own wire length) and one
-   abstract record, stamped per draw, stands for every frame. *)
+   filter primitive and no acap field reads, so one frame, drawn at
+   index 0, decides the filter (with each draw's own wire length), one
+   abstract record, stamped per draw, stands for every frame, and one
+   template, stamped per draw, writes every frame's pcap bytes. *)
 type flow_class = {
   frame : Packet.Frame.t;
       (** before anonymization, for filter checks and the offload *)
   record : Dissect.Acap.record;  (** after anonymization *)
+  template : Packet.Codec.template option;
+      (** after anonymization, with [emit_pcap] *)
 }
 
 (* Split the draws at time [at] off the head of a run: they come back
@@ -98,13 +100,11 @@ let merge_runs ts runs =
 let record_ts (r : Dissect.Acap.record) = r.Dissect.Acap.ts
 
 (* A kept draw of a capture that writes pcap: its record, and what
-   builds its frame once the draws are in time order. *)
+   stamps its pcap record once the draws are in time order. *)
 type pcap_draw = {
   record : Dissect.Acap.record;
-  spec : Flow_model.spec;
+  template : Packet.Codec.template;
   index : int;
-  wire_len : int;
-  subflow : int;
 }
 
 let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
@@ -121,6 +121,7 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
       Hostmodel.Anonymize.frame (Hostmodel.Anonymize.create ~key:97)
     else Fun.id
   in
+  let emit_pcap = config.Config.emit_pcap in
   (* One run per spec, newest first, in reverse spec order: of records,
      or of pcap draws with [emit_pcap]. *)
   let runs = ref [] and pcap_runs = ref [] and classes = ref 0 in
@@ -133,13 +134,19 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
         { spec with Flow_model.byte_rate = spec.Flow_model.byte_rate *. fraction }
       in
       let table = Hashtbl.create 8 in
-      let class_of ~index ~wire_len ~subflow =
+      let class_of ~wire_len ~subflow =
         match Hashtbl.find table subflow with
         | c -> c
         | exception Not_found ->
-          let frame = Flow_model.draw_frame spec ~index ~wire_len ~subflow in
+          let frame = Flow_model.draw_frame spec ~index:0 ~wire_len ~subflow in
+          let anonymized = anonymize frame in
           let c =
-            { frame; record = Dissect.Acap.of_frame ~ts:0.0 (anonymize frame) }
+            {
+              frame;
+              record = Dissect.Acap.of_frame ~ts:0.0 anonymized;
+              template =
+                (if emit_pcap then Some (Packet.Codec.template anonymized) else None);
+            }
           in
           Hashtbl.add table subflow c;
           incr classes;
@@ -147,39 +154,41 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
       in
       Flow_model.iter_draws spec rng ~start_time ~end_time
         (fun ~index ~ts ~wire_len ~subflow ->
-          let c = class_of ~index ~wire_len ~subflow in
+          let c = class_of ~wire_len ~subflow in
           if Packet.Filter.matches ~wire_len filter c.frame && offload c.frame
           then begin
             let record =
               Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len ~cap_len:wire_len
             in
-            if config.Config.emit_pcap then
-              draws := { record; spec; index; wire_len; subflow } :: !draws
-            else acaps := record :: !acaps
+            match c.template with
+            | Some template -> draws := { record; template; index } :: !draws
+            | None -> acaps := record :: !acaps
           end);
-      if config.Config.emit_pcap then pcap_runs := !draws :: !pcap_runs
+      if emit_pcap then pcap_runs := !draws :: !pcap_runs
       else runs := !acaps :: !runs)
     specs;
-  let records, pcap, frames_built =
-    if not config.Config.emit_pcap then (merge_runs record_ts (List.rev !runs), None, 0)
+  let records, pcap =
+    if not emit_pcap then (merge_runs record_ts (List.rev !runs), None)
     else begin
       (* The pcap holds the records' frames in the records' order, each
-         frame built once, as it is written. *)
+         stamped from its class's template straight into a buffer
+         allocated once, at the file's size. *)
       let draws = merge_runs (fun d -> record_ts d.record) (List.rev !pcap_runs) in
+      let wire_len d = d.record.Dissect.Acap.orig_len in
       let w = Packet.Pcap.Writer.create ~snaplen:config.Config.truncation () in
+      Packet.Pcap.Writer.reserve w
+        (List.fold_left
+           (fun n d -> n + Packet.Pcap.Writer.record_length w ~wire_len:(wire_len d))
+           0 draws);
       List.iter
         (fun d ->
-          Packet.Pcap.Writer.add_frame w ~ts:(record_ts d.record)
-            (anonymize
-               (Flow_model.draw_frame d.spec ~index:d.index ~wire_len:d.wire_len
-                  ~subflow:d.subflow)))
+          Flow_model.stamp_draw w ~ts:(record_ts d.record) d.template ~index:d.index
+            ~wire_len:(wire_len d))
         draws;
-      ( List.map (fun d -> d.record) draws,
-        Some (Packet.Pcap.Writer.contents w),
-        List.length draws )
+      (List.map (fun d -> d.record) draws, Some (Packet.Pcap.Writer.contents w))
     end
   in
-  { records; pcap; classes = !classes; frames_built }
+  { records; pcap; classes = !classes }
 
 (* Capture counters, registered at module init so the families exist
    (at zero) in every snapshot, the offline analyze path's included.
@@ -205,15 +214,10 @@ let obs_classes =
   Obs.Registry.counter Obs.Registry.default "capture_classes_total"
     ~help:"Flow classes the capture abstracted, one per (spec, subflow) drawn"
 
-let obs_frames_built =
-  Obs.Registry.counter Obs.Registry.default "capture_frames_built_total"
-    ~help:"Frames the capture built per draw for pcap writing"
-
 let record_sample_metrics ~captured ~stored ~congested ~materialized:m =
   if Obs.Registry.enabled () then begin
     Obs.Registry.inc obs_records (float_of_int (List.length m.records));
     Obs.Registry.inc obs_classes (float_of_int m.classes);
-    Obs.Registry.inc obs_frames_built (float_of_int m.frames_built);
     Obs.Registry.inc obs_captured captured;
     Obs.Registry.inc obs_stored_bytes stored;
     if congested then Obs.Registry.incr obs_congestion

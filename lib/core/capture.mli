@@ -55,7 +55,8 @@ type sample = {
   pcap : bytes option;
       (** real pcap bytes when [emit_pcap]: the frames of [acaps], in
           their order, snapped to [truncation] bytes with microsecond
-          timestamps *)
+          timestamps.  The buffer the capture stamped them into, sized
+          exactly, handed over without a copy. *)
   stats : stats;
 }
 
@@ -79,7 +80,6 @@ type materialized = {
       (** sorted by timestamp; equal times come latest-generated first *)
   pcap : bytes option;  (** with [emit_pcap]: the records' frames, in their order *)
   classes : int;  (** flow classes abstracted *)
-  frames_built : int;  (** frames built per draw, for the pcap writer *)
 }
 
 val materialize :
@@ -97,15 +97,19 @@ val materialize :
     spec by spec.
 
     A record is a pure function of its draw's (spec, subflow) plus
-    timestamp and wire length, so each class is abstracted once, from
-    the first frame drawn for it, and every draw is a stamp of that
-    record.  The filter and the FPGA offload's sampler decide each draw
-    on its class frame.  Frames are built per kept draw only for the
-    pcap writer, which needs their bytes, once the draws are merged
-    into the records' order.  Records are bit-identical to
-    abstracting every frame of
-    {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
-    same state. *)
+    timestamp and wire length, so each class builds one frame, at
+    index 0 when its first draw comes, and every draw's record is a
+    stamp of the record abstracted from it.  The filter and the FPGA
+    offload's sampler decide each draw on that class frame.  With
+    [emit_pcap] the anonymized class frame is also compiled to a
+    {!Packet.Codec.template}, and once the draws are merged into the
+    records' order each kept draw's pcap record is stamped from it
+    ({!Traffic.Flow_model.stamp_draw}) into one buffer, reserved at the
+    file's exact size: 24 bytes plus, per record, 16 and
+    [min truncation wire_len].  No frame is built per draw.  Records
+    and pcap bytes are bit-identical to abstracting and encoding every
+    frame of {!Traffic.Flow_model.frames_in_window}, and the RNG is
+    left in the same state. *)
 
 val run :
   fabric:Testbed.Fablib.t ->
@@ -124,5 +128,5 @@ val run :
     one account of loss, per site and cause.  The registry's aggregate
     [capture_frames_total], [capture_stored_bytes_total] and
     [capture_congestion_samples_total] count what was kept, and
-    [capture_records_total], [capture_classes_total] and
-    [capture_frames_built_total] count its {!materialize} work. *)
+    [capture_records_total] and [capture_classes_total] count its
+    {!materialize} work. *)

@@ -5,15 +5,20 @@ module Writer = struct
 
   let length t = t.len
 
+  let grow t cap =
+    let grown = Bytes.create cap in
+    Bytes.blit t.buf 0 grown 0 t.len;
+    t.buf <- grown
+
   let ensure t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.buf then begin
       let cap = ref (Bytes.length t.buf) in
       while !cap < needed do cap := !cap * 2 done;
-      let grown = Bytes.create !cap in
-      Bytes.blit t.buf 0 grown 0 t.len;
-      t.buf <- grown
+      grow t !cap
     end
+
+  let reserve t n = if t.len + n > Bytes.length t.buf then grow t (t.len + n)
 
   let u8 t v =
     ensure t 1;
@@ -45,9 +50,10 @@ module Writer = struct
     Bytes.fill t.buf t.len n '\000';
     t.len <- t.len + n
 
-  let truncate t n =
-    if n < 0 || n > t.len then invalid_arg "Writer.truncate: out of range";
-    t.len <- n
+  let subbytes t b ~pos ~len =
+    ensure t len;
+    Bytes.blit b pos t.buf t.len len;
+    t.len <- t.len + len
 
   let contents t = Bytes.sub t.buf 0 t.len
   let buffer t = t.buf

@@ -16,9 +16,13 @@ module Writer : sig
   val string : t -> string -> unit
   val zeros : t -> int -> unit
 
-  val truncate : t -> int -> unit
-  (** [truncate t n] keeps the first [n] bytes written, and keeps the
-      storage for the next writes. *)
+  val subbytes : t -> bytes -> pos:int -> len:int -> unit
+  (** Append the [len] bytes of a byte sequence from [pos]. *)
+
+  val reserve : t -> int -> unit
+  (** [reserve t n] makes room for [n] more bytes at once: storage too
+      short for them is replaced by storage of exactly [length t + n]
+      bytes, so [n] bytes of writes then fill it without a move. *)
 
   val contents : t -> bytes
 

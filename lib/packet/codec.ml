@@ -28,11 +28,10 @@ let put_mac w m =
   Wire.Writer.u32 w (Int64.to_int32 m)
 
 (* Write one header at the writer's end.  [rest] are the headers after
-   it, and [total] is the offset at which the frame's headers and
-   payload end, so length fields are written final; checksum fields are
-   written as zero and filled in by [put_stack]. *)
-let put_header w ~total (h : Headers.header) rest =
-  let pos = Wire.Writer.length w in
+   it.  The fields a stamp sets are written as zero: IPv4 total length,
+   ident and checksum, IPv6 payload length, UDP length and checksum,
+   and TCP seq and checksum. *)
+let put_header w (h : Headers.header) rest =
   match h with
   | Ethernet { src; dst } ->
     put_mac w dst;
@@ -52,11 +51,11 @@ let put_header w ~total (h : Headers.header) rest =
   | Pseudowire ->
     (* All-zero control word: first nibble 0 distinguishes it from IPv4/IPv6. *)
     Wire.Writer.u32 w 0l
-  | Ipv4 { dscp; ttl; ident; dont_fragment; src; dst } ->
+  | Ipv4 { dscp; ttl; ident = _; dont_fragment; src; dst } ->
     Wire.Writer.u8 w 0x45;
     Wire.Writer.u8 w (dscp lsl 2);
-    Wire.Writer.u16 w (total - pos) (* total length *);
-    Wire.Writer.u16 w ident;
+    Wire.Writer.u16 w 0 (* total length *);
+    Wire.Writer.u16 w 0 (* ident *);
     Wire.Writer.u16 w (if dont_fragment then 0x4000 else 0);
     Wire.Writer.u8 w ttl;
     Wire.Writer.u8 w (ip_protocol_of_next rest);
@@ -72,7 +71,7 @@ let put_header w ~total (h : Headers.header) rest =
            (Int32.of_int (flow_label land 0xFFFFF)))
     in
     Wire.Writer.u32 w word;
-    Wire.Writer.u16 w (total - pos - 40) (* payload length *);
+    Wire.Writer.u16 w 0 (* payload length *);
     Wire.Writer.u8 w (ip_protocol_of_next rest);
     Wire.Writer.u8 w hop_limit;
     let shi, slo = Ipv6_addr.halves src and dhi, dlo = Ipv6_addr.halves dst in
@@ -80,10 +79,10 @@ let put_header w ~total (h : Headers.header) rest =
     Wire.Writer.u64 w slo;
     Wire.Writer.u64 w dhi;
     Wire.Writer.u64 w dlo
-  | Tcp { src_port; dst_port; seq; ack_seq; flags; window } ->
+  | Tcp { src_port; dst_port; seq = _; ack_seq; flags; window } ->
     Wire.Writer.u16 w src_port;
     Wire.Writer.u16 w dst_port;
-    Wire.Writer.u32 w seq;
+    Wire.Writer.u32 w 0l (* seq *);
     Wire.Writer.u32 w ack_seq;
     Wire.Writer.u8 w 0x50 (* data offset 5, no options *);
     Wire.Writer.u8 w (tcp_flags_byte flags);
@@ -93,7 +92,7 @@ let put_header w ~total (h : Headers.header) rest =
   | Udp { src_port; dst_port } ->
     Wire.Writer.u16 w src_port;
     Wire.Writer.u16 w dst_port;
-    Wire.Writer.u16 w (total - pos) (* length *);
+    Wire.Writer.u16 w 0 (* length *);
     Wire.Writer.u16 w 0 (* checksum *)
   | Icmpv4 { icmp_type; icmp_code } | Icmpv6 { icmp_type; icmp_code } ->
     Wire.Writer.u8 w icmp_type;
@@ -158,47 +157,90 @@ let l4_checksum buf ~ip ~v6 ~protocol ~pos ~headers_end ~total =
   Checksum.finish
     (Checksum.ones_complement_sum buf ~pos ~len:(headers_end - pos) ~initial:pseudo)
 
-(* Write [headers] outermost first, then fill in their checksums
-   innermost first, so an outer checksum covers the final bytes of the
-   headers inside it.  [ip] is the offset of the enclosing IP header, or
-   -1 when there is none, and [v6] tells its version. *)
-let rec put_stack w ~total ~ip ~v6 = function
-  | [] -> ()
-  | h :: rest -> (
-    let pos = Wire.Writer.length w in
-    put_header w ~total h rest;
-    (match h with
-    | Headers.Ipv4 _ -> put_stack w ~total ~ip:pos ~v6:false rest
-    | Headers.Ipv6 _ -> put_stack w ~total ~ip:pos ~v6:true rest
-    | Headers.Ethernet _ ->
-      (* An inner Ethernet resets the IP context. *)
-      put_stack w ~total ~ip:(-1) ~v6:false rest
-    | _ -> put_stack w ~total ~ip ~v6 rest);
-    (* Read the storage only now: writing the inner headers may have
-       moved it. *)
-    let buf = Wire.Writer.buffer w and headers_end = Wire.Writer.length w in
-    match h with
-    | Headers.Ipv4 _ ->
-      Wire.Writer.patch_u16 w ~pos:(pos + 10)
-        (Checksum.finish (Checksum.ones_complement_sum buf ~pos ~len:20))
-    | Headers.Udp _ when ip >= 0 ->
-      let cksum = l4_checksum buf ~ip ~v6 ~protocol:17 ~pos ~headers_end ~total in
-      (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
-      Wire.Writer.patch_u16 w ~pos:(pos + 6) (if cksum = 0 then 0xFFFF else cksum)
-    | Headers.Tcp _ when ip >= 0 ->
-      Wire.Writer.patch_u16 w ~pos:(pos + 16)
-        (l4_checksum buf ~ip ~v6 ~protocol:6 ~pos ~headers_end ~total)
-    | _ -> ())
+(* A field group a stamp sets, at the offset [pos] of its header in the
+   template.  [ip] is the offset of the IP header around a TCP or UDP
+   header, or -1 when there is none, and [v6] tells its version.  An
+   IPv4 header keeps its ident and the sum of its fixed words, a TCP
+   header its seq (unsigned). *)
+type field =
+  | Ipv4_fields of { pos : int; ident : int; sum : int }
+  | Ipv6_fields of { pos : int }
+  | Udp_fields of { pos : int; ip : int; v6 : bool }
+  | Tcp_fields of { pos : int; ip : int; v6 : bool; seq : int }
+
+(* The header bytes, and their fields innermost first: the order the
+   checksums are filled in, so an outer checksum covers the final bytes
+   of the headers inside it. *)
+type template = { hdr : Wire.Writer.t; fields : field array }
+
+let template (frame : Frame.t) =
+  let hdr = Wire.Writer.create ~capacity:(Frame.header_size_total frame) () in
+  let rec go ~ip ~v6 fields = function
+    | [] -> fields
+    | h :: rest -> (
+      let pos = Wire.Writer.length hdr in
+      put_header hdr h rest;
+      match h with
+      | Headers.Ipv4 { ident; _ } ->
+        (* The total length, ident and checksum are still zero. *)
+        let sum = Checksum.ones_complement_sum (Wire.Writer.buffer hdr) ~pos ~len:20 in
+        go ~ip:pos ~v6:false (Ipv4_fields { pos; ident; sum } :: fields) rest
+      | Headers.Ipv6 _ -> go ~ip:pos ~v6:true (Ipv6_fields { pos } :: fields) rest
+      | Headers.Ethernet _ ->
+        (* An inner Ethernet resets the IP context. *)
+        go ~ip:(-1) ~v6:false fields rest
+      | Headers.Udp _ -> go ~ip ~v6 (Udp_fields { pos; ip; v6 } :: fields) rest
+      | Headers.Tcp { seq; _ } ->
+        let seq = Int32.to_int seq land 0xFFFF_FFFF in
+        go ~ip ~v6 (Tcp_fields { pos; ip; v6; seq } :: fields) rest
+      | _ -> go ~ip ~v6 fields rest)
+  in
+  { hdr; fields = Array.of_list (go ~ip:(-1) ~v6:false [] frame.headers) }
+
+let header_length t = Wire.Writer.length t.hdr
+
+let wire_length t ~payload_len = max Frame.min_wire_size (header_length t + payload_len)
+
+(* The fields are set in the template's own bytes, which every stamp
+   overwrites whole, then the bytes are copied. *)
+let stamp_into w t ~ident ~seq ~payload_len ~limit =
+  if limit < 0 then invalid_arg "Codec.stamp_into: negative limit";
+  let hdr = t.hdr in
+  let buf = Wire.Writer.buffer hdr and headers_end = header_length t in
+  let total = headers_end + payload_len in
+  for i = 0 to Array.length t.fields - 1 do
+    match t.fields.(i) with
+    | Ipv4_fields { pos; ident = base; sum } ->
+      let length = (total - pos) land 0xFFFF and ident = (base + ident) land 0xFFFF in
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 2) length;
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 4) ident;
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 10) (Checksum.finish (sum + length + ident))
+    | Ipv6_fields { pos } -> Wire.Writer.patch_u16 hdr ~pos:(pos + 4) (total - pos - 40)
+    | Udp_fields { pos; ip; v6 } ->
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 4) (total - pos);
+      if ip >= 0 then begin
+        Wire.Writer.patch_u16 hdr ~pos:(pos + 6) 0;
+        let cksum = l4_checksum buf ~ip ~v6 ~protocol:17 ~pos ~headers_end ~total in
+        (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
+        Wire.Writer.patch_u16 hdr ~pos:(pos + 6) (if cksum = 0 then 0xFFFF else cksum)
+      end
+    | Tcp_fields { pos; ip; v6; seq = base } ->
+      let seq = base + seq in
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 4) (seq lsr 16);
+      Wire.Writer.patch_u16 hdr ~pos:(pos + 6) seq;
+      if ip >= 0 then begin
+        Wire.Writer.patch_u16 hdr ~pos:(pos + 16) 0;
+        Wire.Writer.patch_u16 hdr ~pos:(pos + 16)
+          (l4_checksum buf ~ip ~v6 ~protocol:6 ~pos ~headers_end ~total)
+      end
+  done;
+  let stop = min limit (max Frame.min_wire_size total) in
+  let copied = min stop headers_end in
+  Wire.Writer.subbytes w buf ~pos:0 ~len:copied;
+  Wire.Writer.zeros w (stop - copied)
 
 let encode_into w ~limit (frame : Frame.t) =
-  if limit < 0 then invalid_arg "Codec.encode_into: negative limit";
-  let start = Wire.Writer.length w in
-  let total = start + Frame.header_size_total frame + frame.payload_len in
-  put_stack w ~total ~ip:(-1) ~v6:false frame.headers;
-  let stop = start + min limit (Frame.wire_length frame) in
-  let len = Wire.Writer.length w in
-  if stop < len then Wire.Writer.truncate w stop
-  else Wire.Writer.zeros w (stop - len)
+  stamp_into w (template frame) ~ident:0 ~seq:0 ~payload_len:frame.payload_len ~limit
 
 let encode ?limit frame =
   let wire_len = Frame.wire_length frame in

@@ -8,37 +8,33 @@ let linktype_ethernet = 1l
 
 let default_snaplen = 65535
 
-(* The record a capture with snap length [snaplen] stores for [frame]:
-   its first [min snaplen wire_length] bytes, appended to the emptied
-   [w], and its wire length, returned. *)
-let encode_record w ~snaplen frame =
-  Wire.Writer.truncate w 0;
-  Codec.encode_into w ~limit:snaplen frame;
-  Frame.wire_length frame
+let global_header_length = 24
 
 module Writer = struct
-  type t = {
-    snaplen : int;
-    buf : Buffer.t;
-    scratch : Wire.Writer.t;  (* the frame [add_frame] is encoding *)
-    mutable count : int;
-  }
+  (* The file's bytes so far, in one growable buffer that every record
+     is encoded straight into. *)
+  type t = { snaplen : int; w : Wire.Writer.t; mutable count : int }
 
   let create ?(snaplen = default_snaplen) () =
     if snaplen <= 0 then invalid_arg "Pcap.Writer.create: snaplen must be positive";
-    let buf = Buffer.create 4096 in
-    Buffer.add_int32_be buf magic_be;
-    Buffer.add_uint16_be buf 2 (* version major *);
-    Buffer.add_uint16_be buf 4 (* version minor *);
-    Buffer.add_int32_be buf 0l (* thiszone *);
-    Buffer.add_int32_be buf 0l (* sigfigs *);
-    Buffer.add_int32_be buf (Int32.of_int snaplen);
-    Buffer.add_int32_be buf linktype_ethernet;
-    { snaplen; buf; scratch = Wire.Writer.create (); count = 0 }
+    let w = Wire.Writer.create ~capacity:global_header_length () in
+    Wire.Writer.u32 w magic_be;
+    Wire.Writer.u16 w 2 (* version major *);
+    Wire.Writer.u16 w 4 (* version minor *);
+    Wire.Writer.u32 w 0l (* thiszone *);
+    Wire.Writer.u32 w 0l (* sigfigs *);
+    Wire.Writer.u32 w (Int32.of_int snaplen);
+    Wire.Writer.u32 w linktype_ethernet;
+    { snaplen; w; count = 0 }
 
-  (* Append a record of [orig_len] wire bytes whose first [incl_len] are
-     the first [incl_len] of [data]. *)
-  let add_record t ~ts ~orig_len ~incl_len data =
+  (* A 32-bit field as two 16-bit halves, so no [int32] is boxed. *)
+  let u32 w v =
+    Wire.Writer.u16 w (v lsr 16);
+    Wire.Writer.u16 w v
+
+  (* Append the 16-byte header of a record of [orig_len] wire bytes
+     whose first [incl_len] follow it. *)
+  let add_header t ~ts ~orig_len ~incl_len =
     let sec = int_of_float ts in
     (* Round (not truncate) to the nearest microsecond: truncation biases
        every timestamp down by up to 1us.  Rounding near a whole second can
@@ -49,11 +45,10 @@ module Writer = struct
       if usec >= 1_000_000 then (sec + 1, usec - 1_000_000)
       else (sec, max 0 usec)
     in
-    Buffer.add_int32_be t.buf (Int32.of_int sec);
-    Buffer.add_int32_be t.buf (Int32.of_int usec);
-    Buffer.add_int32_be t.buf (Int32.of_int incl_len);
-    Buffer.add_int32_be t.buf (Int32.of_int orig_len);
-    Buffer.add_subbytes t.buf data 0 incl_len;
+    u32 t.w sec;
+    u32 t.w usec;
+    u32 t.w incl_len;
+    u32 t.w orig_len;
     t.count <- t.count + 1
 
   let add t ~ts ?orig_len data =
@@ -61,23 +56,35 @@ module Writer = struct
     if orig_len < 0 then invalid_arg "Pcap.Writer.add: negative orig_len";
     (* The spec requires incl_len <= orig_len: a caller claiming fewer
        original bytes than it hands us gets the excess dropped. *)
-    add_record t ~ts ~orig_len
-      ~incl_len:(min (min (Bytes.length data) t.snaplen) orig_len)
-      data
+    let incl_len = min (min (Bytes.length data) t.snaplen) orig_len in
+    add_header t ~ts ~orig_len ~incl_len;
+    Wire.Writer.subbytes t.w data ~pos:0 ~len:incl_len
 
   let add_frame t ~ts frame =
-    let orig_len = encode_record t.scratch ~snaplen:t.snaplen frame in
-    add_record t ~ts ~orig_len ~incl_len:(Wire.Writer.length t.scratch)
-      (Wire.Writer.buffer t.scratch)
+    let orig_len = Frame.wire_length frame in
+    add_header t ~ts ~orig_len ~incl_len:(min t.snaplen orig_len);
+    Codec.encode_into t.w ~limit:t.snaplen frame
 
+  let add_stamp t ~ts template ~ident ~seq ~payload_len =
+    let orig_len = Codec.wire_length template ~payload_len in
+    add_header t ~ts ~orig_len ~incl_len:(min t.snaplen orig_len);
+    Codec.stamp_into t.w template ~ident ~seq ~payload_len ~limit:t.snaplen
+
+  let record_length t ~wire_len = 16 + min t.snaplen wire_len
+  let reserve t n = Wire.Writer.reserve t.w n
   let packet_count t = t.count
-  let contents t = Buffer.to_bytes t.buf
+
+  (* A buffer written to its last byte is handed over as it is: a later
+     record would move the writer to new storage, never write into it. *)
+  let contents t =
+    let buf = Wire.Writer.buffer t.w in
+    if Bytes.length buf = Wire.Writer.length t.w then buf else Wire.Writer.contents t.w
 
   let to_file t path =
     let oc = open_out_bin path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Buffer.output_buffer oc t.buf)
+      (fun () -> output oc (Wire.Writer.buffer t.w) 0 (Wire.Writer.length t.w))
 end
 
 module Reader = struct

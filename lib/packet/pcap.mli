@@ -18,11 +18,14 @@ type index_entry = {
 
 module Writer : sig
   type t
+  (** An in-memory pcap file: one growable byte buffer, which every
+      record is encoded straight into. *)
 
   val create : ?snaplen:int -> unit -> t
-  (** In-memory pcap writer.  [snaplen] (default 65535) truncates stored
-      packet bytes, as a capture snap length does.  Records are written
-      big-endian; each costs its 16-byte header and its stored bytes. *)
+  (** A file holding its global header.  [snaplen] (default 65535)
+      truncates stored packet bytes, as a capture snap length does.
+      Records are written big-endian; each costs its 16-byte header and
+      its stored bytes. *)
 
   val add : t -> ts:float -> ?orig_len:int -> bytes -> unit
   (** Append a raw packet.  [orig_len] defaults to the byte length. *)
@@ -30,13 +33,32 @@ module Writer : sig
   val add_frame : t -> ts:float -> Frame.t -> unit
   (** Append the record a capture with the writer's snap length stores
       for a frame: its wire length, and the bytes
-      [Codec.encode ~limit:snaplen frame] returns.  The frame is encoded
-      only up to the snap length, into a buffer the writer reuses, so a
-      record costs its stored bytes whatever the frame's wire length. *)
+      [Codec.encode ~limit:snaplen frame] returns, encoded into the
+      file's buffer only up to the snap length, so a record costs its
+      stored bytes whatever the frame's wire length. *)
+
+  val add_stamp :
+    t -> ts:float -> Codec.template -> ident:int -> seq:int -> payload_len:int -> unit
+  (** Append the record of a stamp of a template ({!Codec.stamp_into}):
+      the same record {!add_frame} writes for the frame the stamp
+      stands for, stamped straight into the file's buffer. *)
+
+  val record_length : t -> wire_len:int -> int
+  (** The bytes the record of a frame of [wire_len] wire bytes takes:
+      its header and [min snaplen wire_len]. *)
+
+  val reserve : t -> int -> unit
+  (** Make room for that many more bytes at once, so that a writer
+      reserved the sum of its records' {!record_length}s before it
+      writes them allocates its buffer once, at the file's exact size. *)
 
   val packet_count : t -> int
 
   val contents : t -> bytes
+  (** The file's bytes.  A buffer written to its last byte (as after
+      {!reserve}) is returned itself, without a copy; the writer never
+      writes into it again. *)
+
   val to_file : t -> string -> unit
 end
 

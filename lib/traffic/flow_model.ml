@@ -44,6 +44,13 @@ let subflow_mix flow_id k =
   in
   mixed land 0xFFFFFF
 
+(* How far a flow's frame [index] advances the TCP seq of its frame at
+   index 0, as if every frame before it had carried [payload_len] bytes
+   and one sequence number more; every IPv4 ident advances by [index].
+   [instantiate] advances a template's fields by these, and
+   [stamp_draw] a compiled class frame's bytes. *)
+let seq_advance ~index ~payload_len = index * (payload_len + 1)
+
 (* Randomize per-frame mutable fields so materialized frames look like a
    real packet stream rather than copies of one packet.  [subflow] = 0
    keeps the template's own endpoints. *)
@@ -84,7 +91,9 @@ let instantiate spec ~payload_len ~frame_index ~subflow =
             {
               tcp with
               src_port = (if mix = 0 then tcp.src_port else 20000 + (mix mod 40000));
-              seq = Int32.add tcp.seq (Int32.of_int (frame_index * (payload_len + 1)));
+              seq =
+                Int32.add tcp.seq
+                  (Int32.of_int (seq_advance ~index:frame_index ~payload_len));
             }
         | H.Udp udp when inner && mix <> 0 ->
           H.Udp { udp with src_port = 20000 + (mix mod 40000) }
@@ -160,6 +169,11 @@ let iter_draws spec rng ~start_time ~end_time f =
 let draw_frame spec ~index ~wire_len ~subflow =
   instantiate spec ~payload_len:(wire_len - header_total spec) ~frame_index:index
     ~subflow
+
+let stamp_draw w ~ts template ~index ~wire_len =
+  let payload_len = wire_len - Packet.Codec.header_length template in
+  Packet.Pcap.Writer.add_stamp w ~ts template ~ident:index
+    ~seq:(seq_advance ~index ~payload_len) ~payload_len
 
 let frames_in_window spec rng ~start_time ~end_time =
   let frames = ref [] in

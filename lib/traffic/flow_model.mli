@@ -5,8 +5,9 @@
     model only needs the rates; actual frames are materialized lazily,
     and only for the time windows in which a capture is running — this
     is what makes year-scale simulations affordable.  The capture goes
-    one step further and builds frames only where it consumes bytes
-    ({!iter_draws}). *)
+    one step further and builds no frame per draw ({!iter_draws}): one
+    frame per flow class, and pcap records stamped from its encoded
+    headers ({!stamp_draw}). *)
 
 type spec = {
   flow_id : int;
@@ -65,6 +66,22 @@ val iter_draws :
 
 val draw_frame : spec -> index:int -> wire_len:int -> subflow:int -> Packet.Frame.t
 (** The frame of one draw; its wire length is [wire_len]. *)
+
+val stamp_draw :
+  Packet.Pcap.Writer.t ->
+  ts:float ->
+  Packet.Codec.template ->
+  index:int ->
+  wire_len:int ->
+  unit
+(** Append the pcap record of draw [index], of [wire_len] bytes, of the
+    flow class (spec, subflow) whose frame at index 0 compiled to the
+    template ([Codec.template] of [draw_frame ~index:0], anonymized or
+    not).  The template is stamped with how far the draw advances the
+    class's per-frame fields: every IPv4 ident by [index] and the TCP
+    seq by [index * (payload + 1)], as {!draw_frame} does.  So the record
+    holds the bytes of the draw's own frame, anonymized alike, and no
+    frame is built. *)
 
 val frames_in_window :
   spec ->

@@ -288,6 +288,68 @@ let templates_case (seed, payload_len, extra) =
         encapsulations)
     Dissect.Services.catalog
 
+(* Every [Stack_builder] template, as a flow of 64 subflows, at subflow
+   0 and one above: the records [Flow_model.stamp_draw] writes from the
+   class's template (its frame at index 0, compiled) hold the oracle's
+   encoding of each draw's own frame, cut at the snap length, and its
+   wire length.  The draws cover the header length, 1,500 and 9,000
+   bytes, and indices that wrap the IPv4 ident past 0xFFFF and the TCP
+   seq past 2{^32}; the snaps cut inside the stack, at its end and past
+   it.  One template is stamped for every draw and snap, as a capture
+   stamps it, so a field one stamp leaves unset shows in the next. *)
+let stamps_case seed =
+  let rng = Netcore.Rng.create seed in
+  let module Flow_model = Traffic.Flow_model in
+  let agree ~service (mpls_labels, use_pseudowire, use_vxlan, use_ipv6) reverse =
+    let forward =
+      Traffic.Stack_builder.forward rng
+        { Traffic.Stack_builder.vlan_id = 100 + Netcore.Rng.int rng 3900; mpls_labels;
+          use_pseudowire; use_vxlan; use_ipv6; service }
+    in
+    let template = if reverse then Traffic.Stack_builder.reverse forward else forward in
+    let spec =
+      Flow_model.make ~flow_id:(Netcore.Rng.int rng 1_000_000) ~template
+        ~frame_size:(Netcore.Dist.Constant 1500.0) ~avg_frame_size:1500.0
+        ~byte_rate:1500.0 ~start_time:0.0 ~duration:1.0 ~subflows:64 ()
+    in
+    let header = List.fold_left (fun n h -> n + H.size h) 0 template in
+    let draws =
+      List.concat_map
+        (fun wire_len ->
+          List.map (fun index -> (index, wire_len))
+            [ 0; 1; 0xFFFF; 0x10003; 700_000; 3_000_001 ])
+        [ header; 1500; 9000 ]
+    in
+    List.for_all
+      (fun subflow ->
+        let frame ~index ~wire_len = Flow_model.draw_frame spec ~index ~wire_len ~subflow in
+        let whole =
+          List.map (fun (index, wire_len) -> Oracle.encode (frame ~index ~wire_len)) draws
+        in
+        let class_template = Codec.template (frame ~index:0 ~wire_len:header) in
+        List.for_all
+          (fun snap ->
+            let w = Pcap.Writer.create ~snaplen:snap () in
+            List.iter
+              (fun (index, wire_len) ->
+                Flow_model.stamp_draw w ~ts:0.0 class_template ~index ~wire_len)
+              draws;
+            List.for_all2
+              (fun (p : Oracle.packet) b ->
+                p.Oracle.orig_len = Bytes.length b
+                && Bytes.equal p.Oracle.data (Bytes.sub b 0 (min snap (Bytes.length b))))
+              (Oracle.pcap_packets (Pcap.Writer.contents w))
+              whole)
+          [ 14; header - 1; header; 96; 200; 65_535 ])
+      [ 0; 1 + Netcore.Rng.int rng 63 ]
+  in
+  Array.for_all
+    (fun service ->
+      List.for_all
+        (fun encap -> agree ~service encap false && agree ~service encap true)
+        encapsulations)
+    Dissect.Services.catalog
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -324,6 +386,8 @@ let qcheck_tests =
           float_of_string ts = r.Acap.ts
           && stack = String.concat "," r.Acap.stack
         | _ -> false);
+    Test.make ~name:"a class template's stamp is the oracle's draw encoding" ~count:2
+      (int_range 1 1_000_000) stamps_case;
   ]
 
 let suites =

@@ -18,7 +18,8 @@
      registry cell;
    - tsdb: persisting one occasion's collected points (append, then one
      flush) allocates at most 100 minor words per point;
-   - ledger: the loss ledger adds under 1% to an occasion's minor words;
+   - ledger: the loss ledger adds at most 573 minor words to an
+     occasion per sample it records;
    - instrumentation: the metrics registry and the spans, which one
      switch turns off, add under 1% to an occasion's minor words;
    - flow store: a top-k query promotes under a twentieth of the words
@@ -44,6 +45,10 @@
    - capture: [Capture.materialize] allocates at most 45 minor words
      per record, because the specs' time-ordered runs are merged, not
      sorted;
+   - capture with pcap: with [emit_pcap] it allocates at most 60 minor
+     words per record, and at most 1.1 times the pcap's words straight
+     in the major heap, because each record is stamped from its flow
+     class's template into one buffer reserved at the pcap's size;
    - digest fold: [add_report] over pcap-carrying samples allocates at
      most 240 minor words per record, because each frame is dissected
      into one reused accumulator and counted from it, with the flow key
@@ -247,35 +252,43 @@ let test_tsdb_words_per_point () =
     ~bound:100.0
     (persist () /. float_of_int (List.length points))
 
-(* --- ledger and instrumentation: shares of an occasion's words ------ *)
+(* --- ledger and instrumentation: words they add to an occasion ------- *)
 
-(* The minor words of the occasion with a layer's switch on and off,
-   and the percent of the off words that turning it on adds.  The
-   ledger is reset before each run. *)
-let occasion_share set_enabled =
+(* The minor words of the occasion with a layer's switch on and off, and
+   the occasion's sample count.  The ledger is reset before each run. *)
+let occasion_words set_enabled =
   let words enabled =
     set_enabled enabled;
     Obs.Ledger.reset Obs.Ledger.default;
-    Fun.protect ~finally:(fun () -> set_enabled true) (fun () -> minor_words occasion)
+    Fun.protect ~finally:(fun () -> set_enabled true) @@ fun () ->
+    let before = Gc.minor_words () in
+    let report = occasion () in
+    let words = Gc.minor_words () -. before in
+    (words, List.length (Patchwork.Coordinator.all_samples report))
   in
   ignore (words true);
-  let off = words false in
-  let on = words true in
-  (on, off, 100.0 *. (on -. off) /. off)
+  let off, _ = words false in
+  let on, samples = words true in
+  (on, off, samples)
 
-let test_ledger_share () =
-  let on, off, share = occasion_share Obs.Ledger.set_enabled in
-  Printf.printf "ledger: %.0f minor words on, %.0f off\n" on off;
-  check_at_most "ledger: % of the ledger-off occasion's minor words" ~bound:1.0 share
+(* The ledger's words are a fixed cost per sample it records, so they
+   are bounded per sample, not as a share of an occasion that gets
+   cheaper as other layers do. *)
+let test_ledger_words_per_sample () =
+  let on, off, samples = occasion_words Obs.Ledger.set_enabled in
+  Printf.printf "ledger: %.0f minor words on, %.0f off, %d samples\n" on off samples;
+  check_at_most "ledger: minor words per recorded sample" ~bound:573.0
+    ((on -. off) /. float_of_int samples)
 
 (* [Obs.Registry.set_enabled] covers the registry's cells and the
    spans, so the difference is everything Patchwork spends measuring
    itself. *)
 let test_instrumentation_share () =
-  let on, off, share = occasion_share Obs.Registry.set_enabled in
+  let on, off, _ = occasion_words Obs.Registry.set_enabled in
   Printf.printf "instrumentation: %.0f minor words on, %.0f off\n" on off;
   check_at_most "instrumentation: % of the registry-off occasion's minor words"
-    ~bound:1.0 share
+    ~bound:1.0
+    (100.0 *. (on -. off) /. off)
 
 (* --- flow store: top-k scan vs in-memory merge --------------------- *)
 
@@ -427,18 +440,22 @@ let test_span_root_history () =
 
 (* --- pcap record: words per written record ----------------------- *)
 
-(* Words [f] allocates on this domain: minor words plus words allocated
-   straight in the major heap, where objects over 256 words go (a 2 KB
-   frame's bytes do).  [Gc.counters]' major words also count what minor
-   collections promote, so promoted words are taken out; its minor count
-   is not used, [Gc.minor_words] is the exact one. *)
-let allocated_words f =
+(* The words [f] allocates on this domain, as minor words and words
+   allocated straight in the major heap, where objects over 256 words go
+   (a 2 KB frame's bytes do).  [Gc.counters]' major words also count
+   what minor collections promote, so promoted words are taken out; its
+   minor count is not used, [Gc.minor_words] is the exact one. *)
+let heap_words f =
   let _, promoted0, major0 = Gc.counters () in
   let minor0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
   let minor1 = Gc.minor_words () in
   let _, promoted1, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
+
+let allocated_words f =
+  let minor, major = heap_words f in
+  minor +. major
 
 (* The median words of one [add_frame] of a frame with [payload_len]
    payload bytes, over 64 records written to one writer after a
@@ -570,6 +587,33 @@ let test_capture_words () =
     ~bound:45.0
     (words /. float_of_int records)
 
+(* --- capture with pcap: words per record, and the pcap's buffer ------ *)
+
+(* The [capture words] specs with [emit_pcap], at the default snap
+   length: the pcap MD5 is the one every frame built and encoded per
+   draw wrote. *)
+let test_capture_pcap_words () =
+  let specs = capture_specs () in
+  let materialize () =
+    Patchwork.Capture.materialize
+      ~config:{ Patchwork.Config.default with Patchwork.Config.emit_pcap = true }
+      ~rng:(Rng.create 7) ~fraction:1.0 ~start_time:0.0 ~end_time:1.0 specs
+  in
+  let m = materialize () in
+  let records = float_of_int (List.length m.Patchwork.Capture.records) in
+  let pcap = Option.get m.Patchwork.Capture.pcap in
+  let pcap_words = float_of_int (Bytes.length pcap / (Sys.word_size / 8)) in
+  Printf.printf "capture with pcap: %.0f records, %d pcap bytes\n" records
+    (Bytes.length pcap);
+  Alcotest.(check string) "pcap MD5" "1c923f57d6d56ec3bb632014c7f2c101"
+    (Digest.to_hex (Digest.bytes pcap));
+  let minor, major = heap_words materialize in
+  check_at_most "capture with pcap: materialize minor words per record" ~bound:60.0
+    (minor /. records);
+  check_at_most
+    "capture with pcap: words allocated in the major heap over the pcap's words"
+    ~bound:1.1 (major /. pcap_words)
+
 (* --- rng: words per draw ------------------------------------------- *)
 
 let test_rng_draw_words () =
@@ -634,7 +678,7 @@ let suites =
         Alcotest.test_case "collect words per cell" `Quick
           test_collect_words_per_cell;
         Alcotest.test_case "tsdb words per point" `Quick test_tsdb_words_per_point;
-        Alcotest.test_case "ledger share of occasion" `Quick test_ledger_share;
+        Alcotest.test_case "ledger words per sample" `Quick test_ledger_words_per_sample;
         Alcotest.test_case "instrumentation share of occasion" `Quick
           test_instrumentation_share;
         Alcotest.test_case "flow-store top-k promoted" `Quick
@@ -646,6 +690,7 @@ let suites =
         Alcotest.test_case "pcap record words" `Quick test_pcap_record_words;
         Alcotest.test_case "profile absorb words" `Quick test_profile_absorb_words;
         Alcotest.test_case "capture words" `Quick test_capture_words;
+        Alcotest.test_case "capture words with pcap" `Quick test_capture_pcap_words;
         Alcotest.test_case "digest fold words per record" `Quick
           test_digest_fold_words;
         Alcotest.test_case "rng draw words" `Quick test_rng_draw_words;
