@@ -9,7 +9,6 @@
    change their shape. *)
 
 module Profile = Analysis.Profile
-module Analyze = Analysis.Analyze
 
 let default_occasions = 12
 let default_hours = 3.0
@@ -59,31 +58,31 @@ let fig11 () =
   Paper.section "Fig 11: distinct headers and deepest stacks per site";
   let profile = get_profile () in
   let stats =
-    List.filter (fun s -> s.Analyze.frames > 0) profile.Profile.header_stats
+    List.filter (fun s -> s.Profile.frames > 0) profile.Profile.header_stats
   in
   let sorted =
-    List.sort (fun a b -> compare b.Analyze.distinct_headers a.Analyze.distinct_headers) stats
+    List.sort (fun a b -> compare b.Profile.distinct_headers a.Profile.distinct_headers) stats
   in
   Paper.row "%-6s %16s %14s %9s" "site" "distinct headers" "deepest stack" "frames";
   List.iteri
-    (fun i (s : Analyze.site_headers) ->
-      Paper.row "S%-5d %16d %14d %9d" i s.Analyze.distinct_headers
-        s.Analyze.deepest_stack s.Analyze.frames)
+    (fun i (s : Profile.site_headers) ->
+      Paper.row "S%-5d %16d %14d %9d" i s.Profile.distinct_headers
+        s.Profile.deepest_stack s.Profile.frames)
     sorted;
   let min_of f = List.fold_left (fun acc s -> min acc (f s)) max_int stats in
   let max_of f = List.fold_left (fun acc s -> max acc (f s)) 0 stats in
   Paper.row
     "paper: sites range from a handful to ~45 distinct headers; deepest stacks span 6-12.";
   Paper.row "measured: distinct %d-%d; deepest %d-%d"
-    (min_of (fun s -> s.Analyze.distinct_headers))
-    (max_of (fun s -> s.Analyze.distinct_headers))
-    (min_of (fun s -> s.Analyze.deepest_stack))
-    (max_of (fun s -> s.Analyze.deepest_stack))
+    (min_of (fun s -> s.Profile.distinct_headers))
+    (max_of (fun s -> s.Profile.distinct_headers))
+    (min_of (fun s -> s.Profile.deepest_stack))
+    (max_of (fun s -> s.Profile.deepest_stack))
 
 let fig12 () =
   Paper.section "Fig 12: occurrence of protocol headers in testbed traffic";
   let profile = get_profile () in
-  let show tok = Analyze.occurrence_of profile.Profile.occurrence tok in
+  let show tok = Profile.occurrence_of profile.Profile.occurrence tok in
   Paper.row "%-10s %10s" "protocol" "% frames";
   List.iter
     (fun tok -> Paper.row "%-10s %9.1f%% %s" tok (show tok) (Paper.bar 40 (show tok /. 160.0)))

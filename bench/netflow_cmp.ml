@@ -70,10 +70,10 @@ let run () =
           (Flow_model.frames_in_window spec (Netcore.Rng.create 6) ~start_time:0.0
              ~end_time:2.0))
       [ flow_a; flow_b ];
-    let observed = Analysis.Analyze.observed_flows !acaps in
-    Paper.row "Patchwork distinct flows (tag-aware keys): %d" observed;
-    let h = Analysis.Analyze.frame_size_histogram !acaps in
-    let fr = Netcore.Histogram.fractions h in
+    let profile = Analysis.Profile.of_records !acaps in
+    Paper.row "Patchwork distinct flows (tag-aware keys): %d"
+      (List.length profile.Analysis.Profile.flow_summaries);
+    let fr = Netcore.Histogram.fractions profile.Analysis.Profile.size_histogram in
     Paper.row "Patchwork additionally sees: %d-deep stacks, %.0f%% jumbo frames"
       (List.fold_left
          (fun acc (r : Dissect.Acap.record) ->

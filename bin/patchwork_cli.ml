@@ -26,9 +26,10 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Domains for the offline pipeline (digest, flow aggregation, \
-     gathering).  Results are identical at any value; only wall-clock \
-     changes.  Defaults to the machine's core count minus one."
+    "Domains for the pipeline: $(b,dissect)'s digest, and \
+     $(b,profile)'s synthesis, gathering and per-sample counting.  \
+     Results are identical at any value; only wall-clock changes.  \
+     Defaults to the machine's core count minus one."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -167,15 +168,17 @@ let dissect_cmd =
   in
   let run file limit domains =
     with_domains domains @@ fun pool ->
-    let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
+    let acaps = Analysis.Digest.pcap_to_acaps ~pool (Analysis.Digest.read_file file) in
     Printf.printf "%d packets\n" (List.length acaps);
     List.iteri
       (fun i r ->
         if i < limit then print_endline (Dissect.Acap.to_line r))
       acaps;
-    let occ = Analysis.Analyze.occurrence acaps in
+    let profile = Analysis.Profile.of_records acaps in
     print_endline "occurrence:";
-    List.iter (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct) occ
+    List.iter
+      (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct)
+      profile.Analysis.Profile.occurrence
   in
   let info = Cmd.info "dissect" ~doc:"Dissect a pcap file into abstract captures" in
   Cmd.v info Term.(const run $ file $ limit $ domains_arg)
@@ -240,54 +243,53 @@ let analyze_cmd =
   let csv_dir =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR")
   in
-  let run file csv_dir domains metrics_out =
-    (with_domains domains @@ fun pool ->
-     let acaps = Analysis.Digest.pcap_file_to_acaps ~pool file in
-     let occ = Analysis.Analyze.occurrence acaps in
-     let h = Analysis.Analyze.frame_size_histogram acaps in
-     Printf.printf "%d frames, %d distinct flows, %.2f%% IPv6, %.1f%% jumbo\n"
-       (List.length acaps)
-       (Analysis.Analyze.observed_flows acaps)
-       (Analysis.Analyze.ipv6_percent acaps)
-       (100.0 *. Analysis.Analyze.jumbo_fraction acaps);
-     List.iter (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct) occ;
-     Array.iteri
-       (fun i c ->
-         if c > 0 then Printf.printf "  %-16s %d\n" (Netcore.Histogram.bin_label h i) c)
-       (Netcore.Histogram.counts h);
-     let flows = Analysis.Flows.aggregate ~pool acaps in
-     let total f =
-       List.fold_left (fun acc (s : Analysis.Flows.summary) -> acc +. f s) 0.0 flows
-     in
-     Printf.printf "%d flows, %.0f keyed frames, %.0f bytes\n" (List.length flows)
-       (total (fun s -> s.Analysis.Flows.frames))
-       (total (fun s -> s.Analysis.Flows.bytes));
-     List.iter
-       (fun (f : Analysis.Flows.summary) ->
-         Printf.printf "  %-48s %10.0f B %8.0f frames%s\n" f.Analysis.Flows.flow_key
-           f.Analysis.Flows.bytes f.Analysis.Flows.frames
-           (if f.Analysis.Flows.rst_seen then "  RST" else ""))
-       (Analysis.Flows.top_n flows 10);
-     match csv_dir with
-     | None -> ()
-     | Some dir ->
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-       let write name header rows =
-         Analysis.Report.write_file (Filename.concat dir name)
-           (Analysis.Report.csv_of_rows ~header rows)
-       in
-       write "occurrence.csv" [ "protocol"; "percent" ]
-         (Analysis.Report.occurrence_rows occ);
-       write "frame_sizes.csv" [ "bin"; "count"; "fraction" ]
-         (Analysis.Report.histogram_rows h);
-       write "flows.csv" [ "flow"; "frames"; "bytes"; "first"; "last"; "rst" ]
-         (Analysis.Report.flow_rows flows);
-       Printf.printf "wrote CSVs under %s\n" dir);
+  (* The capture is profiled at weight 1 through the fold the weekly
+     service runs on a pcap-carrying sample: no record is built. *)
+  let run file csv_dir metrics_out =
+    let p = Analysis.Profile.of_pcap (Analysis.Digest.read_file file) in
+    let occ = p.Analysis.Profile.occurrence
+    and h = p.Analysis.Profile.size_histogram
+    and flows = p.Analysis.Profile.flow_summaries in
+    Printf.printf "%d frames, %d distinct flows, %.2f%% IPv6, %.1f%% jumbo\n"
+      p.Analysis.Profile.total_frames (List.length flows)
+      p.Analysis.Profile.ipv6_percent
+      (100.0 *. p.Analysis.Profile.jumbo_fraction);
+    List.iter (fun (tok, pct) -> Printf.printf "  %-10s %6.2f%%\n" tok pct) occ;
+    Array.iteri
+      (fun i c ->
+        if c > 0 then Printf.printf "  %-16s %d\n" (Netcore.Histogram.bin_label h i) c)
+      (Netcore.Histogram.counts h);
+    let total f =
+      List.fold_left (fun acc (s : Analysis.Flows.summary) -> acc +. f s) 0.0 flows
+    in
+    Printf.printf "%d flows, %.0f keyed frames, %.0f bytes\n" (List.length flows)
+      (total (fun s -> s.Analysis.Flows.frames))
+      (total (fun s -> s.Analysis.Flows.bytes));
+    List.iter
+      (fun (f : Analysis.Flows.summary) ->
+        Printf.printf "  %-48s %10.0f B %8.0f frames%s\n" f.Analysis.Flows.flow_key
+          f.Analysis.Flows.bytes f.Analysis.Flows.frames
+          (if f.Analysis.Flows.rst_seen then "  RST" else ""))
+      (Analysis.Flows.top_n flows 10);
+    (match csv_dir with
+    | None -> ()
+    | Some dir ->
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      let write name header rows =
+        Analysis.Report.write_file (Filename.concat dir name)
+          (Analysis.Report.csv_of_rows ~header rows)
+      in
+      write "occurrence.csv" [ "protocol"; "percent" ]
+        (Analysis.Report.occurrence_rows occ);
+      write "frame_sizes.csv" [ "bin"; "count"; "fraction" ]
+        (Analysis.Report.histogram_rows h);
+      write "flows.csv" [ "flow"; "frames"; "bytes"; "first"; "last"; "rst" ]
+        (Analysis.Report.flow_rows flows);
+      Printf.printf "wrote CSVs under %s\n" dir);
     write_metrics metrics_out
   in
   let info = Cmd.info "analyze" ~doc:"Run the offline analysis over a pcap" in
-  Cmd.v info
-    Term.(const run $ file $ csv_dir $ domains_arg $ metrics_out_arg)
+  Cmd.v info Term.(const run $ file $ csv_dir $ metrics_out_arg)
 
 (* --- weekly --- *)
 

@@ -99,12 +99,12 @@ let () =
       Printf.printf "wrote %s (%d bytes)\n" path (Bytes.length buf)
     | None -> ());
     (* Inspect the traffic composition. *)
-    let occ = Analysis.Analyze.occurrence sample.Patchwork.Capture.acaps in
+    let profile = Analysis.Profile.of_records sample.Patchwork.Capture.acaps in
     print_endline "traffic composition:";
     List.iter
       (fun (tok, pct) -> Printf.printf "  %-8s %6.1f%%\n" tok pct)
-      occ;
-    let h = Analysis.Analyze.frame_size_histogram sample.Patchwork.Capture.acaps in
+      profile.Analysis.Profile.occurrence;
+    let h = profile.Analysis.Profile.size_histogram in
     print_endline "frame sizes:";
     Array.iteri
       (fun i c ->

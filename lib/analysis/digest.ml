@@ -79,8 +79,6 @@ let read_file path =
       really_input ic buf 0 len;
       buf)
 
-let pcap_file_to_acaps ?pool path = pcap_to_acaps ?pool (read_file path)
-
 let sample_acaps (sample : Patchwork.Capture.sample) =
   match sample.Patchwork.Capture.pcap with
   | Some buf -> pcap_to_acaps buf

@@ -7,10 +7,10 @@
 
     Two consumers share one walk.  {!fold_pcap} hands each frame's
     reused {!Dissect.Acap.Fields} straight to a consumer: the profile
-    counts every pcap-carrying sample this way, and builds no record.
-    {!pcap_to_acaps} builds one record per frame from the same fields,
-    for [dissect]'s rows, [analyze], the benchmark's digest probe and
-    the tests' oracles. *)
+    counts every pcap-carrying sample and [analyze]'s capture this way
+    ({!Profile.of_pcap}), and builds no record.  {!pcap_to_acaps}
+    builds one record per frame from the same fields, for [dissect]'s
+    rows, the benchmark's digest probe and the tests' oracles. *)
 
 val fold_pcap :
   bytes ->
@@ -34,8 +34,9 @@ val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
     sequential, copying run at any pool size; each record carries the
     fields {!fold_pcap} hands over for its frame. *)
 
-val pcap_file_to_acaps :
-  ?pool:Parallel.Pool.t -> string -> Dissect.Acap.record list
+val read_file : string -> bytes
+(** A capture file's bytes, read whole, for {!fold_pcap} or
+    {!pcap_to_acaps}. *)
 
 val sample_acaps : Patchwork.Capture.sample -> Dissect.Acap.record list
 (** The abstract records of a sample: digested from its pcap bytes when

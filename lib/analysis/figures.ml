@@ -9,8 +9,8 @@ let write_profile_figures (p : Profile.t) ~dir =
   in
   (* Fig 11: per-site header diversity, pseudonymized and sorted. *)
   let stats =
-    List.filter (fun s -> s.Analyze.frames > 0) p.Profile.header_stats
-    |> List.sort (fun a b -> compare b.Analyze.distinct_headers a.Analyze.distinct_headers)
+    List.filter (fun s -> s.Profile.frames > 0) p.Profile.header_stats
+    |> List.sort (fun a b -> compare b.Profile.distinct_headers a.Profile.distinct_headers)
   in
   emit "fig11_headers.svg"
     (Charts.grouped_bar_chart ~title:"Distinct headers and deepest stack per site"
@@ -20,8 +20,8 @@ let write_profile_figures (p : Profile.t) ~dir =
        (List.mapi
           (fun i s ->
             ( Printf.sprintf "S%d" i,
-              [ float_of_int s.Analyze.distinct_headers;
-                float_of_int s.Analyze.deepest_stack ] ))
+              [ float_of_int s.Profile.distinct_headers;
+                float_of_int s.Profile.deepest_stack ] ))
           stats));
   (* Fig 12: occurrence of the most prevalent headers. *)
   let top_occurrence = List.filteri (fun i _ -> i < 14) p.Profile.occurrence in

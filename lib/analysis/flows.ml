@@ -136,65 +136,23 @@ let shard_group (records, fraction) =
   List.iter (Shard.add table) records;
   (table, fraction)
 
-let obs_flows =
-  Obs.Registry.counter Obs.Registry.default "flows_total"
-    ~help:"Distinct flows produced by merges"
-
-let obs_flow_frames =
-  Obs.Registry.counter Obs.Registry.default "flow_frames_total"
-    ~help:"Weighted frames aggregated into flow summaries"
-
-let obs_flow_bytes =
-  Obs.Registry.counter Obs.Registry.default "flow_bytes_total"
-    ~help:"Weighted bytes aggregated into flow summaries"
-
-let obs_unweighted =
-  Obs.Registry.counter Obs.Registry.default "analysis_unweighted_samples_total"
-    ~help:
-      "Sample groups whose materialized_fraction was <= 0 and were \
-       aggregated at weight 1.0"
-    ~labels:[ ("stage", "flows") ]
-
 (* Merge shard tables in list order.  Per-key sums are exact integers
    until weighting, min/max/or are order-independent, and the final sort
    breaks byte ties on the flow key, so the result depends only on the
-   multiset of records per weight — never on how they were sharded. *)
+   multiset of records per weight — never on how they were sharded.  A
+   fraction <= 0 means the capture materialized nothing it could
+   attribute a thinning rate to; weight 1.0 is the only safe default. *)
 let merge shards =
-  Obs.Span.timed ~stage:"flows.merge" @@ fun () ->
   let totals = Totals.create () in
   List.iter
     (fun (shard, fraction) ->
-      (* A fraction <= 0 means the capture materialized nothing it could
-         attribute a thinning rate to; weight 1.0 is the only safe
-         default, and the counter keeps such samples visible. *)
-      if fraction <= 0.0 && not (Shard.is_empty shard) then
-        Obs.Registry.incr obs_unweighted;
       Totals.add totals shard ~weight:(weight_of_fraction fraction))
     shards;
-  let summaries = Totals.summaries totals in
-  (* One batch of counter bumps per merge, never per record. *)
-  if Obs.Registry.enabled () then begin
-    Obs.Registry.inc obs_flows (float_of_int (List.length summaries));
-    let frames, bytes =
-      List.fold_left
-        (fun (f, b) s -> (f +. s.frames, b +. s.bytes))
-        (0.0, 0.0) summaries
-    in
-    Obs.Registry.inc obs_flow_frames frames;
-    Obs.Registry.inc obs_flow_bytes bytes
-  end;
-  summaries
+  Totals.summaries totals
 
-(* Sharding is per group (one capture sample = one shard task) and the
-   merge is shard-order-insensitive, so the result is identical whatever
-   the pool size — including the sequential fallback. *)
-let aggregate_weighted ?(pool = Parallel.Pool.sequential) groups =
-  merge (Parallel.Pool.map pool shard_group groups)
-
-let aggregate ?pool ?weights records =
-  match weights with
-  | Some groups -> aggregate_weighted ?pool groups
-  | None -> aggregate_weighted ?pool [ (records, 1.0) ]
+let aggregate ?weights records =
+  let groups = Option.value weights ~default:[ (records, 1.0) ] in
+  merge (List.map shard_group groups)
 
 let size_log_histogram summaries =
   let h = Netcore.Histogram.Log2.create () in

@@ -6,10 +6,10 @@
     samples and aggregates their packets.  That aggregation found most
     flows to be tiny while a few reached ~100 GB.
 
-    Aggregation shards per group (one capture sample per shard) and
-    merges shards in group order, so handing it a {!Parallel.Pool}
-    parallelizes the sharding without changing a single bit of the
-    result. *)
+    {!Profile} counts every statistic through {!Shard} and {!Totals};
+    {!aggregate} and {!merge} are the same arithmetic over record
+    lists and shards, kept as the reference the flow store's queries
+    (and the benchmark's query oracle) are checked against. *)
 
 type summary = {
   flow_key : string;
@@ -97,16 +97,10 @@ val merge : (Shard.t * float) list -> summary list
     summaries.  For unit fractions the merge is exact-integer and
     shard-order-insensitive, and the final ordering breaks byte ties on
     the flow key, so the output depends only on the records fed in —
-    never on how they were sharded.
-
-    A non-empty shard whose fraction is [<= 0.0] is aggregated at weight
-    1.0; each such group bumps
-    [analysis_unweighted_samples_total{stage="flows"}], so
-    thinned-to-nothing samples are visible rather than silently
-    unweighted. *)
+    never on how they were sharded.  A shard whose fraction is
+    [<= 0.0] is aggregated at weight 1.0. *)
 
 val aggregate :
-  ?pool:Parallel.Pool.t ->
   ?weights:(Dissect.Acap.record list * float) list ->
   Dissect.Acap.record list ->
   summary list

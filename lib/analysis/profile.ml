@@ -1,8 +1,15 @@
+type site_headers = {
+  hs_site : string;
+  distinct_headers : int;
+  deepest_stack : int;
+  frames : int;
+}
+
 type t = {
   occasions : int;
   total_samples : int;
   total_frames : int;
-  header_stats : Analyze.site_headers list;
+  header_stats : site_headers list;
   occurrence : (string * float) list;
   size_histogram : Netcore.Histogram.t;
   per_site_size : (string * Netcore.Histogram.t) list;
@@ -11,6 +18,9 @@ type t = {
   ipv6_percent : float;
   jumbo_fraction : float;
 }
+
+let standard_size_edges =
+  [| 64.0; 128.0; 256.0; 512.0; 1024.0; 1519.0; 2048.0; 9000.0 |]
 
 module Builder = struct
   type site_acc = {
@@ -70,7 +80,7 @@ module Builder = struct
          aggregated at weight 1.0"
       ~labels:[ ("stage", "profile") ]
 
-  let size_hist () = Netcore.Histogram.create Analyze.standard_size_edges
+  let size_hist () = Netcore.Histogram.create standard_size_edges
 
   (* Only its bins are read: it maps a frame length to its bin. *)
   let size_bins = size_hist ()
@@ -110,7 +120,7 @@ module Builder = struct
     {
       flows = Flows.Shard.create ();
       stacks = By_hash.create 16;
-      bins = Array.make (Array.length Analyze.standard_size_edges + 1) 0;
+      bins = Array.make (Array.length standard_size_edges + 1) 0;
       records = 0;
       jumbo = 0;
     }
@@ -179,43 +189,32 @@ module Builder = struct
     | None -> ()
     | Some key -> Flows.Shard.add_frame sh.flows ~key ~ts ~orig_len ~rst:(F.tcp_rst fields)
 
-  (* A pcap-carrying sample is folded frame by frame; an in-line
-     sample's records are counted as they are. *)
-  let shard_of_sample (s : Patchwork.Capture.sample) =
+  (* A capture is folded frame by frame; a record list is counted as
+     it is. *)
+  let shard_of_pcap buf =
     let sh = new_shard () in
-    (match s.Patchwork.Capture.pcap with
-    | Some buf ->
-      Digest.fold_pcap buf ~init:() ~f:(fun () fields ~orig_len ~ts ->
-          count_fields sh fields ~orig_len ~ts)
-    | None -> List.iter (count_record sh) s.Patchwork.Capture.acaps);
+    Digest.fold_pcap buf ~init:() ~f:(fun () fields ~orig_len ~ts ->
+        count_fields sh fields ~orig_len ~ts);
     sh
 
-  let absorb b (s : Patchwork.Capture.sample) sh =
-    b.samples <- b.samples + 1;
-    b.flows_per_sample <-
-      s.Patchwork.Capture.stats.Patchwork.Capture.flow_estimate :: b.flows_per_sample;
-    let frac = s.Patchwork.Capture.materialized_fraction in
-    if frac <= 0.0 && sh.records > 0 then begin
-      (* A thinned-to-nothing sample cannot be re-weighted; make the
-         weight-1.0 fallback visible instead of silent. *)
-      Obs.Registry.incr obs_unweighted;
-      match b.log with
-      | None -> ()
-      | Some l ->
-        Patchwork.Logging.log l ~time:s.Patchwork.Capture.sample_start
-          ~level:Patchwork.Logging.Warning
-          ~component:("analysis/profile/" ^ s.Patchwork.Capture.sample_site)
-          (Printf.sprintf
-             "sample at %.0fs has materialized_fraction %g <= 0; absorbing \
-              unweighted (weight 1.0)"
-             s.Patchwork.Capture.sample_start frac)
-    end;
-    let weight = Flows.weight_of_fraction frac in
+  let shard_of_records records =
+    let sh = new_shard () in
+    List.iter (count_record sh) records;
+    sh
+
+  let shard_of_sample (s : Patchwork.Capture.sample) =
+    match s.Patchwork.Capture.pcap with
+    | Some buf -> shard_of_pcap buf
+    | None -> shard_of_records s.Patchwork.Capture.acaps
+
+  (* Add one shard's counts to the profile, each scaled once by
+     [weight], as one capture at [site]. *)
+  let add_shard b ~site ~weight sh =
     let weigh n = float_of_int n *. weight in
-    let site = site_acc b s.Patchwork.Capture.sample_site in
+    let site = site_acc b site in
     b.frames <- b.frames + sh.records;
     site.site_frames <- site.site_frames + sh.records;
-    (* Per-site header diversity, and each token's count in the sample:
+    (* Per-site header diversity, and each token's count in the shard:
        a token twice in one stack counts twice per frame. *)
     let tokens = Hashtbl.create 32 and ipv6 = ref 0 in
     By_hash.iter
@@ -258,6 +257,31 @@ module Builder = struct
     b.jumbo_weight <- b.jumbo_weight +. weigh sh.jumbo;
     Flows.Totals.add b.flows sh.flows ~weight
 
+  (* What only a sample has: its flow estimate, and a weight its
+     materialized fraction may fail to give. *)
+  let absorb b (s : Patchwork.Capture.sample) sh =
+    b.samples <- b.samples + 1;
+    b.flows_per_sample <-
+      s.Patchwork.Capture.stats.Patchwork.Capture.flow_estimate :: b.flows_per_sample;
+    let frac = s.Patchwork.Capture.materialized_fraction in
+    if frac <= 0.0 && sh.records > 0 then begin
+      (* A thinned-to-nothing sample cannot be re-weighted; make the
+         weight-1.0 fallback visible instead of silent. *)
+      Obs.Registry.incr obs_unweighted;
+      match b.log with
+      | None -> ()
+      | Some l ->
+        Patchwork.Logging.log l ~time:s.Patchwork.Capture.sample_start
+          ~level:Patchwork.Logging.Warning
+          ~component:("analysis/profile/" ^ s.Patchwork.Capture.sample_site)
+          (Printf.sprintf
+             "sample at %.0fs has materialized_fraction %g <= 0; absorbing \
+              unweighted (weight 1.0)"
+             s.Patchwork.Capture.sample_start frac)
+    end;
+    add_shard b ~site:s.Patchwork.Capture.sample_site
+      ~weight:(Flows.weight_of_fraction frac) sh
+
   let add_report ?(pool = Parallel.Pool.sequential) ?flow_store b report =
     b.occasions <- b.occasions + 1;
     (* Digesting and counting each sample fans out across the pool, one
@@ -284,15 +308,16 @@ module Builder = struct
     let header_stats =
       Hashtbl.fold
         (fun site acc l ->
-          {
-            Analyze.hs_site = site;
-            distinct_headers = Hashtbl.length acc.tokens;
-            deepest_stack = acc.deepest;
-            frames = acc.site_frames;
-          }
+          ({
+             hs_site = site;
+             distinct_headers = Hashtbl.length acc.tokens;
+             deepest_stack = acc.deepest;
+             frames = acc.site_frames;
+           }
+            : site_headers)
           :: l)
         b.sites []
-      |> List.sort (fun a b -> compare a.Analyze.hs_site b.Analyze.hs_site)
+      |> List.sort (fun a b -> compare a.hs_site b.hs_site)
     in
     let occurrence =
       let total = Float.max 1e-9 b.occurrence_total in
@@ -335,6 +360,28 @@ let of_reports ?pool reports =
   List.iter (Builder.add_report ?pool b) reports;
   Builder.finish b
 
+let of_shard sh =
+  let b = Builder.create () in
+  Builder.add_shard b ~site:"" ~weight:1.0 sh;
+  Builder.finish b
+
+let of_pcap buf = of_shard (Builder.shard_of_pcap buf)
+let of_records records = of_shard (Builder.shard_of_records records)
+
+let occurrence_of table token =
+  Option.value ~default:0.0 (List.assoc_opt token table)
+
+let site_header_rows stats =
+  List.map
+    (fun s ->
+      [
+        s.hs_site;
+        string_of_int s.distinct_headers;
+        string_of_int s.deepest_stack;
+        string_of_int s.frames;
+      ])
+    stats
+
 let write_csv_files t ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write name ~header rows =
@@ -348,7 +395,7 @@ let write_csv_files t ~dir =
   let f2 =
     write "site_headers.csv"
       ~header:[ "site"; "distinct_headers"; "deepest_stack"; "frames" ]
-      (Report.site_header_rows t.header_stats)
+      (site_header_rows t.header_stats)
   in
   let f3 =
     write "frame_sizes.csv" ~header:[ "bin"; "count"; "fraction" ]
@@ -373,22 +420,22 @@ let pp_summary ppf t =
     t.occasions t.total_samples t.total_frames;
   Format.fprintf ppf "  IPv6: %.2f%% of frames; jumbo: %.1f%% of frames@."
     t.ipv6_percent (100.0 *. t.jumbo_fraction);
-  let show tok = Analyze.occurrence_of t.occurrence tok in
+  let show tok = occurrence_of t.occurrence tok in
   Format.fprintf ppf
     "  occurrence: eth %.1f%%, vlan %.1f%%, mpls %.1f%%, ipv4 %.1f%%, tcp %.1f%%, udp %.1f%%@."
     (show "eth") (show "vlan") (show "mpls") (show "ipv4") (show "tcp") (show "udp");
-  (match List.filter (fun s -> s.Analyze.frames > 0) t.header_stats with
+  (match List.filter (fun s -> s.frames > 0) t.header_stats with
   | [] -> ()
   | stats ->
     let min_d, max_d =
       List.fold_left
         (fun (lo, hi) s ->
-          (min lo s.Analyze.distinct_headers, max hi s.Analyze.distinct_headers))
+          (min lo s.distinct_headers, max hi s.distinct_headers))
         (max_int, 0) stats
     in
     let min_deep, max_deep =
       List.fold_left
-        (fun (lo, hi) s -> (min lo s.Analyze.deepest_stack, max hi s.Analyze.deepest_stack))
+        (fun (lo, hi) s -> (min lo s.deepest_stack, max hi s.deepest_stack))
         (max_int, 0) stats
     in
     Format.fprintf ppf

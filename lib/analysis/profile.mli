@@ -7,21 +7,37 @@
     A profile over many occasions does not fit in memory as raw records
     (the paper's captures ran to dozens of gigabytes), so {!Builder}
     folds occasions in one at a time, keeping only aggregates; each
-    occasion's records are dropped as soon as they are absorbed. *)
+    occasion's records are dropped as soon as they are absorbed.
+
+    It is also the one implementation of the Analyze step: [analyze]
+    profiles one capture ({!of_pcap}), and [dissect], the examples and
+    the paper harness profile one record list ({!of_records}), through
+    the counting a sample goes through. *)
+
+type site_headers = {
+  hs_site : string;
+  distinct_headers : int;  (** distinct protocol/service tokens seen *)
+  deepest_stack : int;  (** maximum header-stack depth observed *)
+  frames : int;
+}
 
 type t = {
   occasions : int;
   total_samples : int;
   total_frames : int;  (** materialized acap records analyzed *)
-  header_stats : Analyze.site_headers list;
+  header_stats : site_headers list;  (** per site, by site name *)
   occurrence : (string * float) list;
-      (** weighted % of frames containing each token *)
+      (** weighted % of frames containing each token, counted with
+          multiplicity (nested Ethernet pushes "eth" above 100%, as in
+          Fig. 12); sorted descending, tied percentages by token *)
   size_histogram : Netcore.Histogram.t;
+      (** wire lengths over the paper's frame-size bins: 64 / 128 / 256
+          / 512 / 1024 / 1519 / 2048 / 9000 byte boundaries *)
   per_site_size : (string * Netcore.Histogram.t) list;
   flows_per_sample : float array;
   flow_summaries : Flows.summary list;
   ipv6_percent : float;
-  jumbo_fraction : float;
+  jumbo_fraction : float;  (** frames longer than 1518 bytes *)
 }
 
 module Builder : sig
@@ -43,12 +59,11 @@ module Builder : sig
       samples) afterwards.  Each sample is counted into one exact shard
       (integer counts per flow, per stack list, per size bin and over
       the jumbo line).  A sample that carries a pcap is folded, not
-      materialized: {!Digest.fold_pcap} dissects it frame by frame into
-      one reused accumulator and each frame is counted from there, so
-      no record or record list is built; a sample without one has its
-      in-line records counted.  Each count is added to the profile's floats
-      once, scaled by the sample's weight, in sample order — the
-      arithmetic of [Flows.merge].  Exact counts do not depend on record
+      materialized, as {!of_pcap} folds a capture; a sample without
+      one has its in-line records counted, as {!of_records} counts
+      them.  Each count is added to the profile's floats once, scaled
+      by the sample's weight, in sample order — the arithmetic of
+      [Flows.merge].  Exact counts do not depend on record
       order, and with a pool the per-sample digestion and counting run
       across domains, so the finished profile is identical to a
       sequential build.  With [flow_store], each sample's flow shard is
@@ -63,6 +78,24 @@ end
 val of_reports :
   ?pool:Parallel.Pool.t -> Patchwork.Coordinator.occasion_report list -> t
 (** Convenience wrapper over {!Builder} for small report sets. *)
+
+val of_pcap : bytes -> t
+(** The profile of one capture (classic pcap or pcapng) at weight 1:
+    {!Digest.fold_pcap} dissects it frame by frame into one reused
+    accumulator and each frame is counted from there, so no record or
+    record list is built.  A capture is no sample: [occasions] and
+    [total_samples] are 0, [flows_per_sample] is empty, and
+    [header_stats] holds one row, for the site [""].  Raises what
+    {!Digest.fold_pcap} raises on a malformed capture. *)
+
+val of_records : Dissect.Acap.record list -> t
+(** The profile of one record list at weight 1, counted as an in-line
+    sample's records are; otherwise as {!of_pcap}.  For any capture
+    [buf], [of_records (Digest.pcap_to_acaps buf)] is {!equal} to
+    [of_pcap buf]. *)
+
+val occurrence_of : (string * float) list -> string -> float
+(** A token's percentage in an [occurrence] table; 0 if absent. *)
 
 val equal : t -> t -> bool
 (** Structural equality over the whole profile — every aggregate,

@@ -35,17 +35,6 @@ let histogram_rows h =
 let occurrence_rows table =
   List.map (fun (tok, pct) -> [ tok; Printf.sprintf "%.4f" pct ]) table
 
-let site_header_rows stats =
-  List.map
-    (fun (s : Analyze.site_headers) ->
-      [
-        s.Analyze.hs_site;
-        string_of_int s.Analyze.distinct_headers;
-        string_of_int s.Analyze.deepest_stack;
-        string_of_int s.Analyze.frames;
-      ])
-    stats
-
 let flow_rows summaries =
   List.map
     (fun (f : Flows.summary) ->

@@ -15,5 +15,4 @@ val histogram_rows : Netcore.Histogram.t -> string list list
 (** Rows of (bin label, count, fraction). *)
 
 val occurrence_rows : (string * float) list -> string list list
-val site_header_rows : Analyze.site_headers list -> string list list
 val flow_rows : Flows.summary list -> string list list

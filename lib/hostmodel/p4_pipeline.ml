@@ -38,6 +38,10 @@ type outcome = Continue | Stop_drop | Stop_accept
 
 let process t frame0 =
   let frame = ref frame0 in
+  (* No action changes a frame's length: anonymizing rewrites addresses
+     and truncation is kept apart, so one length serves every match and
+     the verdict. *)
+  let wire_len = Packet.Frame.wire_length frame0 in
   let truncation = ref max_int in
   let run_actions table_idx entry_idx actions =
     let rec go i = function
@@ -69,7 +73,7 @@ let process t frame0 =
       let rec first_entry entry_idx = function
         | [] -> run_actions table_idx (-1) table.default
         | e :: more ->
-          if Packet.Filter.matches e.matches !frame then
+          if Packet.Filter.matches ~wire_len e.matches !frame then
             run_actions table_idx entry_idx e.actions
           else first_entry (entry_idx + 1) more
       in
@@ -80,8 +84,7 @@ let process t frame0 =
   match run_tables 0 t.tables with
   | Stop_drop -> { frame = None; forwarded_bytes = 0 }
   | Continue | Stop_accept ->
-    let wire = Packet.Frame.wire_length !frame in
-    { frame = Some !frame; forwarded_bytes = min wire !truncation }
+    { frame = Some !frame; forwarded_bytes = min wire_len !truncation }
 
 let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.counters name)
 

@@ -1,7 +1,7 @@
-let ones_complement_sum ?(initial = 0) buf ~pos ~len =
+let ones_complement_sum buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum: bad range";
-  let sum = ref initial in
+  let sum = ref 0 in
   let i = ref pos in
   let stop = pos + len in
   while !i + 1 < stop do

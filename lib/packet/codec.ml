@@ -154,8 +154,7 @@ let l4_checksum buf ~ip ~v6 ~protocol ~pos ~headers_end ~total =
      else Checksum.ones_complement_sum buf ~pos:(ip + 12) ~len:8)
     + protocol + len
   in
-  Checksum.finish
-    (Checksum.ones_complement_sum buf ~pos ~len:(headers_end - pos) ~initial:pseudo)
+  Checksum.finish (pseudo + Checksum.ones_complement_sum buf ~pos ~len:(headers_end - pos))
 
 (* A field group a stamp sets, at the offset [pos] of its header in the
    template.  [ip] is the offset of the IP header around a TCP or UDP

@@ -21,15 +21,12 @@ let dir_matches dir ~src ~dst ~wanted ~equal =
   | Src -> equal src wanted
   | Dst -> equal dst wanted
 
-let wire_length ?wire_len (frame : Frame.t) =
-  match wire_len with Some len -> len | None -> Frame.wire_length frame
-
-let rec matches ?wire_len t (frame : Frame.t) =
+let rec matches ~wire_len t (frame : Frame.t) =
   match t with
   | True -> true
-  | Not inner -> not (matches ?wire_len inner frame)
-  | And (a, b) -> matches ?wire_len a frame && matches ?wire_len b frame
-  | Or (a, b) -> matches ?wire_len a frame || matches ?wire_len b frame
+  | Not inner -> not (matches ~wire_len inner frame)
+  | And (a, b) -> matches ~wire_len a frame && matches ~wire_len b frame
+  | Or (a, b) -> matches ~wire_len a frame || matches ~wire_len b frame
   | Proto token -> List.mem token (Frame.tokens frame)
   | Vlan None -> Frame.vlan_ids frame <> []
   | Vlan (Some vid) -> List.mem vid (Frame.vlan_ids frame)
@@ -49,8 +46,8 @@ let rec matches ?wire_len t (frame : Frame.t) =
           dir_matches dir ~src:src_port ~dst:dst_port ~wanted:port ~equal:Int.equal
         | _ -> false)
       frame.headers
-  | Less n -> wire_length ?wire_len frame <= n
-  | Greater n -> wire_length ?wire_len frame >= n
+  | Less n -> wire_len <= n
+  | Greater n -> wire_len >= n
 
 (* --- Parsing --- *)
 

@@ -32,11 +32,12 @@ type t =
   | Less of int  (** wire length <= n *)
   | Greater of int  (** wire length >= n *)
 
-val matches : ?wire_len:int -> t -> Frame.t -> bool
-(** Evaluate a filter against a decoded frame.  [less] and [greater]
-    compare [wire_len] (default: the frame's own wire length), which
-    lets the capture decide one frame of a flow class for each draw of
-    the class: no other primitive reads a field that varies within a
+val matches : wire_len:int -> t -> Frame.t -> bool
+(** Evaluate a filter against a decoded frame whose wire length is
+    [wire_len] ({!Frame.wire_length} of a frame that stands for
+    itself).  [less] and [greater] compare [wire_len], which lets the
+    capture decide one frame of a flow class for each draw of the
+    class: no other primitive reads a field that varies within a
     class. *)
 
 val parse : string -> (t, string) result

@@ -198,21 +198,18 @@ module Full_encoder = struct
         | Fix_udp (pos, ctx) ->
           let l4_len = total_len - pos in
           patch_u16 (pos + 6) 0;
-          let sum =
-            Checksum.ones_complement_sum buf ~pos ~len:l4_len
-              ~initial:(pseudo_sum ctx l4_len 17)
+          let cksum =
+            Checksum.finish
+              (pseudo_sum ctx l4_len 17 + Checksum.ones_complement_sum buf ~pos ~len:l4_len)
           in
-          let cksum = Checksum.finish sum in
           (* RFC 768: transmitted zero checksum means "none"; use 0xFFFF. *)
           patch_u16 (pos + 6) (if cksum = 0 then 0xFFFF else cksum)
         | Fix_tcp (pos, ctx) ->
           let l4_len = total_len - pos in
           patch_u16 (pos + 16) 0;
-          let sum =
-            Checksum.ones_complement_sum buf ~pos ~len:l4_len
-              ~initial:(pseudo_sum ctx l4_len 6)
-          in
-          patch_u16 (pos + 16) (Checksum.finish sum))
+          patch_u16 (pos + 16)
+            (Checksum.finish
+               (pseudo_sum ctx l4_len 6 + Checksum.ones_complement_sum buf ~pos ~len:l4_len)))
       fixups
 
   let encode (frame : Frame.t) =
@@ -245,6 +242,25 @@ end
 let encode ?(snaplen = max_int) frame =
   let b = Full_encoder.encode frame in
   if Bytes.length b <= snaplen then b else Bytes.sub b 0 snaplen
+
+(* The one's-complement sum of a byte range started from [initial]: a
+   pseudo-header sum folded in with the segment's words.
+   [Checksum.ones_complement_sum] starts from 0, and a TCP or UDP
+   checksum adds the pseudo-header sum to its result before
+   [Checksum.finish]; both must finish to the same checksum. *)
+let ones_complement_sum ~initial buf ~pos ~len =
+  let sum = ref initial in
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 1 < stop do
+    sum := !sum + Bytes.get_uint16_be buf !i;
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Char.code (Bytes.get buf !i) lsl 8);
+  while !sum > 0xFFFF do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  !sum
 
 (* The copying readers: each record is copied out of the capture buffer
    into a packet of its own.  The library reads captures only through
@@ -357,8 +373,10 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
       let frames = Flow_model.frames_in_window scaled rng ~start_time ~end_time in
       List.iter
         (fun (ts, frame) ->
-          if Packet.Filter.matches config.Patchwork.Config.filter frame
-             && offload frame
+          let wire_len = Packet.Frame.wire_length frame in
+          if
+            Packet.Filter.matches ~wire_len config.Patchwork.Config.filter frame
+            && offload frame
           then begin
             let frame =
               match anonymizer with

@@ -1,5 +1,5 @@
 module Acap = Dissect.Acap
-module Analyze = Analysis.Analyze
+module Profile = Analysis.Profile
 module Flows = Analysis.Flows
 module Report = Analysis.Report
 module Digest = Analysis.Digest
@@ -12,7 +12,9 @@ let record ?(ts = 0.0) ?(len = 100) ?(stack = [ "eth"; "ipv4"; "tcp" ])
   Acap.make ~ts ~orig_len:len ~cap_len:(min len 200) ~stack ~vlan_ids:vlans
     ~mpls_labels:mpls ~src ~dst ~l4 ~tcp_rst:rst ~truncated:(len > 200)
 
-(* --- Analyze --- *)
+(* --- Analyze: one record list's profile --- *)
+
+let occurrence records = (Profile.of_records records).Profile.occurrence
 
 let test_occurrence_with_multiplicity () =
   (* Nested Ethernet counts twice per frame, pushing eth above 100%. *)
@@ -20,16 +22,15 @@ let test_occurrence_with_multiplicity () =
     [ record ~stack:[ "eth"; "mpls"; "pw"; "eth"; "ipv4"; "tcp" ] ();
       record ~stack:[ "eth"; "ipv4"; "udp" ] () ]
   in
-  let occ = Analyze.occurrence records in
-  Alcotest.(check (float 1e-9)) "eth 150%" 150.0 (Analyze.occurrence_of occ "eth");
-  Alcotest.(check (float 1e-9)) "ipv4 100%" 100.0 (Analyze.occurrence_of occ "ipv4");
-  Alcotest.(check (float 1e-9)) "udp 50%" 50.0 (Analyze.occurrence_of occ "udp");
-  Alcotest.(check (float 1e-9)) "missing 0%" 0.0 (Analyze.occurrence_of occ "nope")
+  let occ = occurrence records in
+  Alcotest.(check (float 1e-9)) "eth 150%" 150.0 (Profile.occurrence_of occ "eth");
+  Alcotest.(check (float 1e-9)) "ipv4 100%" 100.0 (Profile.occurrence_of occ "ipv4");
+  Alcotest.(check (float 1e-9)) "udp 50%" 50.0 (Profile.occurrence_of occ "udp");
+  Alcotest.(check (float 1e-9)) "missing 0%" 0.0 (Profile.occurrence_of occ "nope")
 
 let test_occurrence_sorted_descending () =
   let occ =
-    Analyze.occurrence
-      [ record ~stack:[ "eth"; "ipv4" ] (); record ~stack:[ "eth" ] () ]
+    occurrence [ record ~stack:[ "eth"; "ipv4" ] (); record ~stack:[ "eth" ] () ]
   in
   match occ with
   | (first, _) :: _ -> Alcotest.(check string) "eth first" "eth" first
@@ -39,7 +40,7 @@ let test_occurrence_sorted_descending () =
    whatever order the hash table holds them in. *)
 let test_occurrence_ties_by_token () =
   let stack = [ "eth"; "vlan"; "ipv4"; "tcp"; "tls"; "http"; "dns"; "udp" ] in
-  let occ = Analyze.occurrence [ record ~stack () ] in
+  let occ = occurrence [ record ~stack () ] in
   Alcotest.(check (list (pair string (float 1e-9))))
     "tied tokens sorted"
     (List.map (fun t -> (t, 100.0)) (List.sort compare stack))
@@ -47,7 +48,7 @@ let test_occurrence_ties_by_token () =
 
 let test_frame_size_histogram_bins () =
   let records = [ record ~len:70 (); record ~len:1600 (); record ~len:9000 () ] in
-  let h = Analyze.frame_size_histogram records in
+  let h = (Profile.of_records records).Profile.size_histogram in
   (* Bins: <64, [64,128), [128,256), [256,512), [512,1024), [1024,1519),
      [1519,2048), [2048,9000), >=9000. *)
   let counts = Netcore.Histogram.counts h in
@@ -57,21 +58,24 @@ let test_frame_size_histogram_bins () =
 
 let test_jumbo_fraction () =
   let records = [ record ~len:1518 (); record ~len:1519 (); record ~len:2000 () ] in
-  Alcotest.(check (float 1e-9)) "2 of 3" (2.0 /. 3.0) (Analyze.jumbo_fraction records);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Analyze.jumbo_fraction [])
+  let jumbo records = (Profile.of_records records).Profile.jumbo_fraction in
+  Alcotest.(check (float 1e-9)) "2 of 3" (2.0 /. 3.0) (jumbo records);
+  Alcotest.(check (float 1e-9)) "empty" 0.0 (jumbo [])
 
 let test_observed_flows () =
   let records =
     [ record ~l4:(Some (1, 2)) (); record ~l4:(Some (1, 2)) ();
       record ~l4:(Some (3, 4)) (); record ~src:None ~dst:None ~l4:None () ]
   in
-  Alcotest.(check int) "two flows" 2 (Analyze.observed_flows records)
+  Alcotest.(check int) "two flows" 2
+    (List.length (Profile.of_records records).Profile.flow_summaries)
 
 let test_ipv6_rst_percent () =
   let records =
     [ record ~stack:[ "eth"; "ipv6"; "tcp" ] (); record (); record ~rst:true () ]
   in
-  Alcotest.(check (float 1e-6)) "ipv6 1/3" (100.0 /. 3.0) (Analyze.ipv6_percent records)
+  Alcotest.(check (float 1e-6)) "ipv6 1/3" (100.0 /. 3.0)
+    (Profile.of_records records).Profile.ipv6_percent
 
 (* --- Flows --- *)
 
@@ -246,7 +250,7 @@ let test_profile_end_to_end () =
   Alcotest.(check int) "one occasion" 1 profile.Analysis.Profile.occasions;
   Alcotest.(check bool) "samples present" true (profile.Analysis.Profile.total_samples > 20);
   Alcotest.(check bool) "vlan tagged traffic" true
-    (Analyze.occurrence_of profile.Analysis.Profile.occurrence "vlan" > 90.0);
+    (Profile.occurrence_of profile.Analysis.Profile.occurrence "vlan" > 90.0);
   (* CSV emission works and produces the advertised files. *)
   let dir = Filename.temp_file "patchwork_csv" "" in
   Sys.remove dir;

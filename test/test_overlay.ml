@@ -1,9 +1,9 @@
 (* Whole-capture decode identities: the sliced digest reproduces the
    copying decode record for record at any pool size, over adversarial
    captures and over seeded mutations of well-formed frames (where the
-   record decode must never raise).  The suites keep the [overlay.*]
-   names they had when the overlay cursor, since removed, was checked
-   here too. *)
+   record decode must never raise), and a capture's profile is its
+   records' profile.  The suites keep the [overlay.*] names they had
+   when the overlay cursor, since removed, was checked here too. *)
 
 module S = Packet.Slice
 module H = Packet.Headers
@@ -164,6 +164,39 @@ let prop_fold_templates =
     QCheck.(pair (int_range 1 1_000_000) (int_range 0 1400))
     (fun case -> fold_agrees (templates_pcap case))
 
+(* --- a capture's profile ≡ its records' profile --- *)
+
+(* [Profile.of_pcap] folds the capture; [Profile.of_records] counts the
+   records [pcap_to_acaps] builds from it.  The two profiles are equal,
+   or both sides raise the same declared error. *)
+let outcome f =
+  match f () with
+  | p -> Ok p
+  | exception Packet.Pcap.Reader.Malformed m -> Error ("pcap: " ^ m)
+  | exception Packet.Pcapng.Malformed m -> Error ("pcapng: " ^ m)
+
+let profiles_agree buf =
+  let module P = Analysis.Profile in
+  match
+    ( outcome (fun () -> P.of_pcap buf),
+      outcome (fun () -> P.of_records (Analysis.Digest.pcap_to_acaps buf)) )
+  with
+  | Ok a, Ok b -> P.equal a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let prop_profile_adversarial =
+  QCheck.Test.make ~count:20
+    ~name:"capture profile ≡ its records' profile over adversarial captures"
+    QCheck.small_int
+    (fun seed -> profiles_agree (adversarial_pcap seed))
+
+let prop_profile_templates =
+  QCheck.Test.make ~count:10
+    ~name:"capture profile ≡ its records' profile over every template"
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 1400))
+    (fun case -> profiles_agree (templates_pcap case))
+
 (* --- fuzz: seeded mutations of encoded frames --- *)
 
 let encoded rng =
@@ -263,12 +296,30 @@ let prop_fold_mutated =
     QCheck.(int_bound 1_000_000)
     (fun seed -> fold_agrees (mutated_pcap seed))
 
+(* The mutated frames, and then the same capture with its file bytes
+   mutated too, which may break its record headers: the index then
+   raises on both sides. *)
+let prop_profile_mutated =
+  QCheck.Test.make ~count:15
+    ~name:"mutated captures: capture profile ≡ its records' profile"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let buf = mutated_pcap seed in
+      profiles_agree buf
+      && profiles_agree (mutate (Frame_gen.rng_of_seed (seed + 1)) buf))
+
 let suites =
   [
     ( "overlay.properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_sliced_acaps_identical; prop_fold_adversarial; prop_fold_templates ] );
+        [
+          prop_sliced_acaps_identical;
+          prop_fold_adversarial;
+          prop_fold_templates;
+          prop_profile_adversarial;
+          prop_profile_templates;
+        ] );
     ( "overlay.fuzz",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_fuzz_per_frame; prop_fuzz_digest; prop_fold_mutated ] );
+        [ prop_fuzz_per_frame; prop_fuzz_digest; prop_fold_mutated; prop_profile_mutated ] );
   ]

@@ -32,6 +32,8 @@ let parse expr =
 
 let forwards pipeline fr = (P4.process pipeline fr).P4.frame <> None
 
+let matches f fr = Packet.Filter.matches ~wire_len:(Packet.Frame.wire_length fr) f fr
+
 (* An entry matches with a filter expression: field equality, length
    ranges, negation and conjunctions. *)
 let test_match_exprs () =
@@ -124,9 +126,13 @@ let test_anonymize_action () =
     P4.create
       [ { P4.table_name = "e"; entries = []; default = [ P4.A_anonymize anon ] } ]
   in
-  match (P4.process pipeline (frame ())).P4.frame with
+  let v = P4.process pipeline (frame ()) in
+  match v.P4.frame with
   | None -> Alcotest.fail "frame dropped"
   | Some out ->
+    (* The verdict's length is taken once, before any action runs. *)
+    Alcotest.(check int) "length kept" (Packet.Frame.wire_length out)
+      v.P4.forwarded_bytes;
     let ip =
       List.find_map
         (function H.Ipv4 ip -> Some ip | _ -> None)
@@ -149,7 +155,7 @@ let check_offload_agrees exprs frames =
         List.filter_map Fun.id
           (List.mapi
              (fun i fr ->
-               if Packet.Filter.matches f fr = forwards pipeline fr then None
+               if matches f fr = forwards pipeline fr then None
                else Some i)
              frames)
       in
@@ -217,7 +223,7 @@ let test_offload_forwards_filtered () =
   (* Every filter keeps some frames and drops others. *)
   List.iter
     (fun expr ->
-      let kept = List.filter (Packet.Filter.matches (parse expr)) frames in
+      let kept = List.filter (matches (parse expr)) frames in
       Alcotest.(check bool) (expr ^ " splits the frames") true
         (kept <> [] && List.length kept < List.length frames))
     exprs;
@@ -246,7 +252,7 @@ let qcheck_pipeline_filter_agreement =
         Packet.Filter.And
           (Packet.Filter.Proto "tcp", Packet.Filter.Not (Packet.Filter.Vlan None))
       in
-      forwards (P4.Compile.of_filter filter) f = Packet.Filter.matches filter f)
+      forwards (P4.Compile.of_filter filter) f = matches filter f)
 
 let suites =
   [

@@ -58,9 +58,9 @@ let rec chunks size l =
     let c, rest = split size [] l in
     c :: chunks size rest
 
-(* The satellite property: the full digest -> weighted-flow pipeline,
-   run through a pool over random chunkings, equals the sequential
-   result exactly (structural equality, no tolerance). *)
+(* The full digest -> weighted-flow pipeline, its digest run through a
+   pool and its records weighted in random chunkings, equals the
+   sequential result exactly (structural equality, no tolerance). *)
 let qcheck_parallel_pipeline_deterministic =
   QCheck.Test.make ~name:"parallel digest+flows equal sequential" ~count:25
     QCheck.(triple small_nat (int_range 1 4) (int_range 1 40))
@@ -74,15 +74,16 @@ let qcheck_parallel_pipeline_deterministic =
       done;
       let buf = Packet.Pcap.Writer.contents w in
       let seq_acaps = Analysis.Digest.pcap_to_acaps buf in
-      let groups =
+      let groups acaps =
         List.mapi
           (fun i c -> (c, if i mod 2 = 0 then 1.0 else 0.25))
-          (chunks chunk_size seq_acaps)
+          (chunks chunk_size acaps)
       in
-      let seq_flows = Analysis.Flows.aggregate ~weights:groups [] in
+      let seq_flows = Analysis.Flows.aggregate ~weights:(groups seq_acaps) [] in
       Pool.with_pool ~size (fun pool ->
-          Analysis.Digest.pcap_to_acaps ~pool buf = seq_acaps
-          && Analysis.Flows.aggregate ~pool ~weights:groups [] = seq_flows))
+          let acaps = Analysis.Digest.pcap_to_acaps ~pool buf in
+          acaps = seq_acaps
+          && Analysis.Flows.aggregate ~weights:(groups acaps) [] = seq_flows))
 
 (* The zero-copy sliced decode, and the flows aggregated from it, are
    bit-identical to the copying baseline at pool sizes 1, 2 and 4, over
@@ -107,8 +108,7 @@ let qcheck_sliced_fused_equal_copying =
         (fun size ->
           Pool.with_pool ~size (fun pool ->
               Analysis.Digest.pcap_to_acaps ~pool buf = copied
-              && Analysis.Flows.aggregate ~pool
-                   (Analysis.Digest.pcap_to_acaps ~pool buf)
+              && Analysis.Flows.aggregate (Analysis.Digest.pcap_to_acaps ~pool buf)
                  = base_flows
               && (* hand-chunked dissection at an explicit range_count *)
               List.concat
