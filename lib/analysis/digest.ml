@@ -1,12 +1,12 @@
-(* The indexed, zero-copy decode path.  A first sequential pass walks
-   record headers only and produces an offset/length/timestamp index
-   (Pcap.Reader.index / Pcapng.index); dissection then reads each
-   record's headers in place through Packet.Slice, so per-packet
-   allocation is bounded by the abstract output, never by payload
-   sizes.  Each frame is dissected into one reused Acap.Fields; the
-   fold hands it straight to its consumer, and the record path builds
-   one record from it per frame, fanning index ranges out over the
-   pool. *)
+(* The zero-copy decode path.  One sequential walk over record headers
+   (Pcapng.fold_any) hands each record's offset and length in the
+   capture buffer to the dissector, which reads the frame's headers
+   where they sit onto a reused tape; per-packet allocation is bounded
+   by the abstract output, never by payload sizes.  Each frame is
+   dissected into one reused Acap.Fields: the fold hands it straight to
+   its consumer and builds no index, while the record path indexes the
+   capture (the same walk, collecting entries) and builds one record
+   per frame, fanning index ranges out over the pool. *)
 
 (* Decode counters are bumped once per capture (never per packet), so
    the registry costs the decode a bounded number of words per frame:
@@ -20,30 +20,32 @@ let obs_capture_bytes =
   Obs.Registry.counter Obs.Registry.default "capture_bytes_total"
     ~help:"Capture-buffer bytes fed to the offline digest"
 
+let count_decoded buf ~frames =
+  if Obs.Registry.enabled () then begin
+    Obs.Registry.inc obs_packets (float_of_int frames);
+    Obs.Registry.inc obs_capture_bytes (float_of_int (Bytes.length buf))
+  end
+
 (* Accepts both classic pcap and pcapng. *)
 let index buf =
   let idx =
     Obs.Span.timed ~stage:"digest.index" (fun () -> Packet.Pcapng.index_any buf)
   in
-  if Obs.Registry.enabled () then begin
-    Obs.Registry.inc obs_packets (float_of_int (Array.length idx));
-    Obs.Registry.inc obs_capture_bytes (float_of_int (Bytes.length buf))
-  end;
+  count_decoded buf ~frames:(Array.length idx);
   idx
 
-let dissect_entry fields buf (e : Packet.Pcap.index_entry) =
-  Dissect.Acap.Fields.dissect fields ~orig_len:e.Packet.Pcap.orig_len
-    (Packet.Pcap.Reader.slice buf e)
-
 let fold_pcap buf ~init ~f =
-  let idx = index buf in
   Obs.Span.timed ~stage:"digest.dissect" @@ fun () ->
   let fields = Dissect.Acap.Fields.create () in
-  Array.fold_left
-    (fun acc (e : Packet.Pcap.index_entry) ->
-      dissect_entry fields buf e;
-      f acc fields ~orig_len:e.Packet.Pcap.orig_len ~ts:e.Packet.Pcap.ts)
-    init idx
+  let frames = ref 0 in
+  let acc =
+    Packet.Pcapng.fold_any buf ~init ~f:(fun acc ~ts ~orig_len ~off ~cap_len ->
+        incr frames;
+        Dissect.Acap.Fields.dissect fields buf ~off ~cap_len ~orig_len;
+        f acc fields ~orig_len ~ts)
+  in
+  count_decoded buf ~frames:!frames;
+  acc
 
 let range_to_acaps buf idx ~lo ~hi =
   let fields = Dissect.Acap.Fields.create () in
@@ -51,7 +53,8 @@ let range_to_acaps buf idx ~lo ~hi =
     if i < lo then acc
     else begin
       let e = idx.(i) in
-      dissect_entry fields buf e;
+      Dissect.Acap.Fields.dissect fields buf ~off:e.Packet.Pcap.data_off
+        ~cap_len:e.Packet.Pcap.cap_len ~orig_len:e.Packet.Pcap.orig_len;
       go (i - 1)
         (Dissect.Acap.of_fields fields ~ts:e.Packet.Pcap.ts
            ~orig_len:e.Packet.Pcap.orig_len

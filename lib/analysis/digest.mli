@@ -8,31 +8,36 @@
     Two consumers share one walk.  {!fold_pcap} hands each frame's
     reused {!Dissect.Acap.Fields} straight to a consumer: the profile
     counts every pcap-carrying sample and [analyze]'s capture this way
-    ({!Profile.of_pcap}), and builds no record.  {!pcap_to_acaps}
-    builds one record per frame from the same fields, for [dissect]'s
-    rows, the benchmark's digest probe and the tests' oracles. *)
+    ({!Profile.of_pcap}), and builds no record and no index.
+    {!pcap_to_acaps} builds one record per frame from the same fields,
+    for [dissect]'s rows, the benchmark's digest probe and the tests'
+    oracles. *)
 
 val fold_pcap :
   bytes ->
   init:'a ->
   f:('a -> Dissect.Acap.Fields.t -> orig_len:int -> ts:float -> 'a) ->
   'a
-(** Index a capture (classic pcap or pcapng) once, then dissect its
-    frames in order into one {!Dissect.Acap.Fields.t}, handing it with
-    the frame's original length and timestamp to [f].  The fields are
-    overwritten by the next frame: [f] reads what it keeps.  The walk
-    runs under the [digest.index] and [digest.dissect] spans, and the
-    decode counters are bumped once per capture. *)
+(** Walk a capture's records (classic pcap or pcapng,
+    {!Packet.Pcapng.fold_any}) and dissect each frame, where it lies in
+    the buffer, into one {!Dissect.Acap.Fields.t}, handing it with the
+    frame's original length and timestamp to [f].  No index is built
+    and nothing is allocated per frame but what [f] allocates.  The
+    fields are overwritten by the next frame: [f] reads what it keeps.
+    The walk runs under the [digest.dissect] span, raises the readers'
+    [Malformed] at the first bad record (the frames before it have been
+    folded), and the decode counters are bumped once per capture. *)
 
 val pcap_to_acaps : ?pool:Parallel.Pool.t -> bytes -> Dissect.Acap.record list
 (** Dissect every packet of an in-memory capture (classic pcap or
     pcapng, detected from the magic number) through the indexed,
     zero-copy decode: record headers are walked once to build an
-    offset/length index, then index ranges are dissected in parallel as
-    {!Packet.Slice} views of the shared buffer — packet payloads are
-    never copied.  Record order (and content) is identical to the
-    sequential, copying run at any pool size; each record carries the
-    fields {!fold_pcap} hands over for its frame. *)
+    offset/length index ({!Packet.Pcapng.index_any}, under the
+    [digest.index] span), then index ranges are dissected in parallel,
+    each frame read where it lies in the shared buffer — packet
+    payloads are never copied.  Record order (and content) is identical
+    to the sequential, copying run at any pool size; each record
+    carries the fields {!fold_pcap} hands over for its frame. *)
 
 val read_file : string -> bytes
 (** A capture file's bytes, read whole, for {!fold_pcap} or

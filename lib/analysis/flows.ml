@@ -37,21 +37,21 @@ let compare_by_bytes a b =
   | c -> c
 
 module Shard = struct
+  module F = Dissect.Acap.Fields
+
   type t = (string, shard) Hashtbl.t
 
   let create () : t = Hashtbl.create 64
 
-  let add_frame (table : t) ~key ~ts ~orig_len ~rst =
-    let entry =
-      match Hashtbl.find table key with
-      | e -> e
-      | exception Not_found ->
-        let e =
-          { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false }
-        in
-        Hashtbl.add table key e;
-        e
-    in
+  let entry_of_key (table : t) key ~ts =
+    match Hashtbl.find table key with
+    | e -> e
+    | exception Not_found ->
+      let e = { s_frames = 0; s_bytes = 0; s_first = ts; s_last = ts; s_rst = false } in
+      Hashtbl.add table key e;
+      e
+
+  let count entry ~ts ~orig_len ~rst =
     entry.s_frames <- entry.s_frames + 1;
     entry.s_bytes <- entry.s_bytes + orig_len;
     entry.s_first <- Float.min entry.s_first ts;
@@ -62,8 +62,80 @@ module Shard = struct
     match Dissect.Acap.flow_key r with
     | None -> ()
     | Some key ->
-      add_frame table ~key ~ts:r.Dissect.Acap.ts ~orig_len:r.Dissect.Acap.orig_len
-        ~rst:r.Dissect.Acap.tcp_rst
+      count
+        (entry_of_key table key ~ts:r.Dissect.Acap.ts)
+        ~ts:r.Dissect.Acap.ts ~orig_len:r.Dissect.Acap.orig_len ~rst:r.Dissect.Acap.tcp_rst
+
+  (* One fold's index from a frame's flow identity ([Fields.identity])
+     to its flow's entry in the shard: open addressing with linear
+     probing, the identities in [ids] ("" marks a free slot) and their
+     entries beside them, kept at most half full.  A frame is found by
+     hashing and comparing its identity where the fields hold it; only
+     a new identity renders its key, and resolves through it, so
+     identities finer than keys still share an entry. *)
+  type index = {
+    table : t;
+    mutable ids : string array;
+    mutable entries : shard array;
+    mutable used : int;
+  }
+
+  let no_entry = { s_frames = 0; s_bytes = 0; s_first = 0.0; s_last = 0.0; s_rst = false }
+  let index table = { table; ids = Array.make 64 ""; entries = Array.make 64 no_entry; used = 0 }
+
+  (* FNV-1a over 16-bit words, its high bits folded into the low ones
+     that pick a slot. *)
+  let rec hash_from b len h i =
+    if i + 1 < len then hash_from b len ((h lxor Bytes.get_uint16_le b i) * 0x100000001b3) (i + 2)
+    else if i < len then (h lxor Bytes.get_uint8 b i) * 0x100000001b3
+    else h
+
+  let hash_id b len =
+    let h = hash_from b len 0x811c9dc5 0 in
+    h lxor (h lsr 32)
+
+  let rec same_from s b len i =
+    if i + 1 < len then
+      String.get_uint16_le s i = Bytes.get_uint16_le b i && same_from s b len (i + 2)
+    else i = len || String.get s i = Bytes.get b i
+
+  (* The slot holding the identity, or the free slot it would go in. *)
+  let rec slot ids b len mask i =
+    let s = Array.unsafe_get ids i in
+    if String.length s = 0 || (String.length s = len && same_from s b len 0) then i
+    else slot ids b len mask ((i + 1) land mask)
+
+  let place ix id entry =
+    let b = Bytes.unsafe_of_string id and len = String.length id in
+    let mask = Array.length ix.ids - 1 in
+    let i = slot ix.ids b len mask (hash_id b len land mask) in
+    ix.ids.(i) <- id;
+    ix.entries.(i) <- entry
+
+  let grow ix =
+    let ids = ix.ids and entries = ix.entries in
+    ix.ids <- Array.make (2 * Array.length ids) "";
+    ix.entries <- Array.make (2 * Array.length ids) no_entry;
+    Array.iteri (fun i id -> if String.length id > 0 then place ix id entries.(i)) ids
+
+  let add_frame ix fields ~ts ~orig_len =
+    let len = F.identity_length fields in
+    if len > 0 then begin
+      if 2 * (ix.used + 1) > Array.length ix.ids then grow ix;
+      let b = F.identity fields and mask = Array.length ix.ids - 1 in
+      let i = slot ix.ids b len mask (hash_id b len land mask) in
+      let entry =
+        if String.length ix.ids.(i) > 0 then ix.entries.(i)
+        else begin
+          let e = entry_of_key ix.table (Option.get (F.key fields)) ~ts in
+          ix.ids.(i) <- Bytes.sub_string b 0 len;
+          ix.entries.(i) <- e;
+          ix.used <- ix.used + 1;
+          e
+        end
+      in
+      count entry ~ts ~orig_len ~rst:(F.tcp_rst fields)
+    end
 
   let is_empty (table : t) = Hashtbl.length table = 0
 

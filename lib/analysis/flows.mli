@@ -41,10 +41,23 @@ module Shard : sig
   val add : t -> Dissect.Acap.record -> unit
   (** Fold one record in (records without a flow key are ignored). *)
 
-  val add_frame : t -> key:string -> ts:float -> orig_len:int -> rst:bool -> unit
-  (** Fold one keyed frame in from its fields, as {!add} folds its
-      record: how the profile counts a pcap-carrying sample, which it
-      digests without building records. *)
+  type index
+  (** An index of one shard's flows by the flow identities
+      ({!Dissect.Acap.Fields.identity}) of the frames a digest fold
+      dissects into it, so the fold finds a frame's flow without
+      rendering its key.  It lives for one fold. *)
+
+  val index : t -> index
+  (** An empty index over the shard. *)
+
+  val add_frame : index -> Dissect.Acap.Fields.t -> ts:float -> orig_len:int -> unit
+  (** Fold one dissected frame into the index's shard, as {!add} folds
+      its record (frames without a flow key are ignored): how the
+      profile counts a pcap-carrying sample, which it digests without
+      building records.  The frame's flow is found by its identity,
+      hashed and compared in place; its key is rendered only when the
+      index meets the identity for the first time, and the flow is
+      found through it. *)
 
   val is_empty : t -> bool
 

@@ -125,20 +125,20 @@ module Builder = struct
       jumbo = 0;
     }
 
-  (* A stack's hash, over its tokens in order, whether they sit in a
-     record's list or in the fields the digest left. *)
-  let mix h tok = (h * 31) + Hashtbl.hash tok
+  (* A stack's hash, over its tokens' [Hashtbl.hash] codes in order,
+     whether they sit in a record's list or in the fields the digest
+     left, which hold each token's code ready. *)
+  let mix h code = (h * 31) + code
 
   module F = Dissect.Acap.Fields
 
-  let rec fields_hash fields h i =
-    if i = F.depth fields then h else fields_hash fields (mix h (F.token fields i)) (i + 1)
+  let rec fields_hash fields n h i =
+    if i = n then h else fields_hash fields n (mix h (F.code fields i)) (i + 1)
 
-  let rec same_as_fields fields i = function
-    | [] -> i = F.depth fields
+  let rec same_as_fields fields n i = function
+    | [] -> i = n
     | tok :: rest ->
-      i < F.depth fields && String.equal tok (F.token fields i)
-      && same_as_fields fields (i + 1) rest
+      i < n && String.equal tok (F.token fields i) && same_as_fields fields n (i + 1) rest
 
   (* Bump the count of the bucket's stack that matches; false if none
      does. *)
@@ -151,14 +151,14 @@ module Builder = struct
       end
       else bump_list stack rest
 
-  let rec bump_fields fields = function
+  let rec bump_fields fields n = function
     | [] -> false
     | c :: rest ->
-      if same_as_fields fields 0 c.stack then begin
+      if same_as_fields fields n 0 c.stack then begin
         c.frames <- c.frames + 1;
         true
       end
-      else bump_fields fields rest
+      else bump_fields fields n rest
 
   let bucket sh h = try By_hash.find sh.stacks h with Not_found -> []
 
@@ -170,31 +170,31 @@ module Builder = struct
 
   let count_record sh (r : Dissect.Acap.record) =
     let stack = r.Dissect.Acap.stack in
-    let h = List.fold_left mix 0 stack in
+    let h = List.fold_left (fun h tok -> mix h (Hashtbl.hash tok)) 0 stack in
     let b = bucket sh h in
     if not (bump_list stack b) then
       By_hash.replace sh.stacks h ({ stack; frames = 1 } :: b);
     count_size sh r.Dissect.Acap.orig_len;
     Flows.Shard.add sh.flows r
 
-  (* A folded frame: its tokens are compared where the digest left
-     them, and its key is the one string it costs. *)
-  let count_fields sh fields ~orig_len ~ts =
-    let h = fields_hash fields 0 0 in
+  (* A folded frame: its stack is found by its tokens' codes and
+     compared where the digest left it, and its flow by its identity. *)
+  let count_fields sh flows fields ~orig_len ~ts =
+    let n = F.depth fields in
+    let h = fields_hash fields n 0 0 in
     let b = bucket sh h in
-    if not (bump_fields fields b) then
+    if not (bump_fields fields n b) then
       By_hash.replace sh.stacks h ({ stack = F.stack fields; frames = 1 } :: b);
     count_size sh orig_len;
-    match F.key fields with
-    | None -> ()
-    | Some key -> Flows.Shard.add_frame sh.flows ~key ~ts ~orig_len ~rst:(F.tcp_rst fields)
+    Flows.Shard.add_frame flows fields ~ts ~orig_len
 
   (* A capture is folded frame by frame; a record list is counted as
      it is. *)
   let shard_of_pcap buf =
     let sh = new_shard () in
+    let flows = Flows.Shard.index sh.flows in
     Digest.fold_pcap buf ~init:() ~f:(fun () fields ~orig_len ~ts ->
-        count_fields sh fields ~orig_len ~ts);
+        count_fields sh flows fields ~orig_len ~ts);
     sh
 
   let shard_of_records records =

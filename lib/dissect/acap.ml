@@ -17,13 +17,16 @@ type record = {
 
 (* --- the per-frame fields --------------------------------------- *)
 
-(* One frame's abstraction, overwritten frame after frame: the stack
-   tokens, the tags, the innermost L3 header and L4 ports, the RST
-   flag, and the flow key rendered into [key].  A digest fold hands it
-   to its consumer as it stands; a record is built from it only where
-   one is asked for.  So the stack and the key have one renderer each,
-   over the one dissector walk. *)
+(* One frame's abstraction, overwritten frame after frame.  A dissected
+   frame is read off the dissector's tape where it lies: its tokens are
+   the tape's kinds and the service its last header's port names, and
+   its flow identity is written into a reused buffer; the key is
+   rendered only when asked.  The capture's class records and [make]
+   fill the same fields from typed headers, and never allocate a tape.
+   So the stack and the key have one renderer each. *)
 module Fields = struct
+  module D = Dissector
+
   (* A growable array, emptied per frame. *)
   type 'a vec = { mutable items : 'a array; mutable len : int }
 
@@ -39,14 +42,48 @@ module Fields = struct
 
   let to_list v = to_list_from v (v.len - 1) []
 
+  (* The key's protocol field: any TCP header makes a frame "tcp",
+     else any UDP header "udp", and so on. *)
+  let protos = [| "tcp"; "udp"; "icmp"; "icmpv6"; "other" |]
+  let other = 4
+
+  (* Each token's [Hashtbl.hash], computed once, not per frame. *)
+  let kind_codes = Array.map Hashtbl.hash D.kind_names
+  let service_codes = Array.map (fun s -> Hashtbl.hash s.Services.service_name) Services.catalog
+
+  (* A dissected frame's own part: the walk's tape, the catalog index
+     of the service its last header's port names (or -1), the tape
+     index of its innermost IP header (or -1), the key's protocol, and
+     the flow identity, the first [id_len] bytes of [id]. *)
+  type frame = {
+    tape : D.Tape.t;
+    mutable service : int;
+    mutable l3_at : int;
+    mutable proto : int;  (* index into [protos] *)
+    mutable id : bytes;
+    mutable id_len : int;
+  }
+
+  let new_frame () =
+    { tape = D.Tape.create (); service = -1; l3_at = -1; proto = other; id = Bytes.empty; id_len = 0 }
+
+  (* The frame part of fields that never dissected, as [make] and
+     [of_frame] build them: their first [dissect] gives fields a frame
+     part of their own, so the typed path allocates no tape and no
+     identity buffer. *)
+  let typed = new_frame ()
+
   type t = {
+    mutable frame : frame;
+    (* Typed headers, or [make]'s fields: the tokens, the innermost
+       IPv4/IPv6 header (a [Pseudowire] for none), or the rendered
+       endpoints in [text]. *)
     tokens : string vec;
+    mutable l3 : H.header;
+    mutable text : (string * string) option;
+    (* Both: what the key is rendered from. *)
     vlans : int vec;
     labels : int vec;
-    mutable l3 : H.header;  (* the innermost IPv4/IPv6 header, if [has_l3] *)
-    mutable has_l3 : bool;
-    mutable text : (string * string) option;
-        (* rendered endpoints given to {!make}, in place of [l3] *)
     mutable src_port : int;
     mutable dst_port : int;
     mutable has_l4 : bool;
@@ -62,12 +99,12 @@ module Fields = struct
 
   let create () =
     {
+      frame = typed;
       tokens = vec 16 "";
+      l3 = H.Pseudowire;
+      text = None;
       vlans = vec 4 0;
       labels = vec 4 0;
-      l3 = H.Pseudowire;
-      has_l3 = false;
-      text = None;
       src_port = 0;
       dst_port = 0;
       has_l4 = false;
@@ -80,12 +117,11 @@ module Fields = struct
       dst_end = 0;
     }
 
+  let dissected f = f.frame != typed
+
   let reset f ~cap_len ~truncated =
-    f.tokens.len <- 0;
     f.vlans.len <- 0;
     f.labels.len <- 0;
-    f.has_l3 <- false;
-    f.text <- None;
     f.has_l4 <- false;
     f.rst <- false;
     f.truncated <- truncated;
@@ -96,15 +132,40 @@ module Fields = struct
     f.src_port <- src_port;
     f.dst_port <- dst_port
 
-  let depth f = f.tokens.len
-  let token f i = f.tokens.items.(i)
-  let stack f = to_list f.tokens
-  let tcp_rst f = f.rst
-  let has_key f = f.has_l3 || Option.is_some f.text
+  let depth f =
+    if dissected f then f.frame.tape.D.Tape.length + if f.frame.service >= 0 then 1 else 0
+    else f.tokens.len
 
-  (* Top-level, not a local closure: it runs four times a frame. *)
+  let token f i =
+    let t = f.frame.tape in
+    if not (dissected f) then f.tokens.items.(i)
+    else if i < t.D.Tape.length then D.kind_names.(D.kind_index t.D.Tape.kinds.(i))
+    else Services.catalog.(f.frame.service).Services.service_name
+
+  let code f i =
+    let t = f.frame.tape in
+    if not (dissected f) then Hashtbl.hash f.tokens.items.(i)
+    else if i < t.D.Tape.length then kind_codes.(D.kind_index t.D.Tape.kinds.(i))
+    else service_codes.(f.frame.service)
+
+  let rec stack_from f i acc = if i < 0 then acc else stack_from f (i - 1) (token f i :: acc)
+  let stack f = stack_from f (depth f - 1) []
+  let tcp_rst f = f.rst
+  let identity f = f.frame.id
+  let identity_length f = f.frame.id_len
+
+  let has_key f =
+    if dissected f then f.frame.l3_at >= 0
+    else match f.l3 with H.Ipv4 _ | H.Ipv6 _ -> true | _ -> Option.is_some f.text
+
+  (* The protocol of typed tokens: the first of [protos] among them. *)
   let rec has_token f tok i =
-    i < depth f && (String.equal (token f i) tok || has_token f tok (i + 1))
+    i < f.tokens.len && (String.equal f.tokens.items.(i) tok || has_token f tok (i + 1))
+
+  let rec proto_of_tokens f p =
+    if p = other || has_token f protos.(p) 0 then p else proto_of_tokens f (p + 1)
+
+  (* --- the key --- *)
 
   (* Decimal digits straight into the buffer, as [string_of_int] prints
      them, without building the string. *)
@@ -122,16 +183,33 @@ module Fields = struct
         add_int b v.items.(i)
       done
 
-  let add_endpoint b ~src = function
-    | H.Ipv4 { src = s; dst = d; _ } ->
-      Netcore.Ipv4_addr.add_to_buffer b (if src then s else d)
-    | H.Ipv6 { src = s; dst = d; _ } ->
-      Netcore.Ipv6_addr.add_to_buffer b (if src then s else d)
-    | _ -> ()
+  let add_endpoint f ~src =
+    let b = f.key in
+    match f.text with
+    | Some (s, d) -> Buffer.add_string b (if src then s else d)
+    | None when dissected f -> (
+      let t = f.frame.tape and l3 = f.frame.l3_at in
+      let at = t.D.Tape.offs.(l3) and bytes = t.D.Tape.bytes in
+      match t.D.Tape.kinds.(l3) with
+      | D.Ipv4 ->
+        Netcore.Ipv4_addr.add_to_buffer b
+          (Netcore.Ipv4_addr.of_int32 (Bytes.get_int32_be bytes (at + if src then 12 else 16)))
+      | _ ->
+        let at = at + if src then 8 else 24 in
+        Netcore.Ipv6_addr.add_to_buffer b
+          (Netcore.Ipv6_addr.make (Bytes.get_int64_be bytes at) (Bytes.get_int64_be bytes (at + 8))))
+    | None -> (
+      match f.l3 with
+      | H.Ipv4 { src = s; dst = d; _ } ->
+        Netcore.Ipv4_addr.add_to_buffer b (if src then s else d)
+      | H.Ipv6 { src = s; dst = d; _ } ->
+        Netcore.Ipv6_addr.add_to_buffer b (if src then s else d)
+      | _ -> ())
 
-  (* The flow key: a function of the tags, endpoints, stack and ports
-     alone, rendered once per frame into [key], so no Printf and no
-     intermediate list of strings. *)
+  (* The flow key: a function of the tags, endpoints, protocol and
+     ports alone, rendered into [key], so no Printf and no intermediate
+     list of strings.  Only a frame with an IP header (or [make]'s
+     endpoints) has one. *)
   let render_key f =
     let b = f.key in
     Buffer.clear b;
@@ -141,25 +219,14 @@ module Fields = struct
       add_ints b f.labels;
       Buffer.add_char b '|';
       f.src_at <- Buffer.length b;
-      (match f.text with
-      | Some (src, dst) ->
-        Buffer.add_string b src;
-        Buffer.add_char b '|';
-        f.dst_at <- Buffer.length b;
-        Buffer.add_string b dst
-      | None ->
-        add_endpoint b ~src:true f.l3;
-        Buffer.add_char b '|';
-        f.dst_at <- Buffer.length b;
-        add_endpoint b ~src:false f.l3);
+      add_endpoint f ~src:true;
+      Buffer.add_char b '|';
+      f.dst_at <- Buffer.length b;
+      add_endpoint f ~src:false;
       f.dst_end <- Buffer.length b;
       Buffer.add_char b '|';
       Buffer.add_string b
-        (if has_token f "tcp" 0 then "tcp"
-         else if has_token f "udp" 0 then "udp"
-         else if has_token f "icmp" 0 then "icmp"
-         else if has_token f "icmpv6" 0 then "icmpv6"
-         else "other");
+        protos.(if dissected f then f.frame.proto else proto_of_tokens f 0);
       Buffer.add_char b '|';
       if f.has_l4 then begin
         add_int b f.src_port;
@@ -169,13 +236,20 @@ module Fields = struct
       else Buffer.add_char b '-'
     end
 
-  let key f = if has_key f then Some (Buffer.contents f.key) else None
+  (* The key as [render_key] left it. *)
+  let rendered f = if has_key f then Some (Buffer.contents f.key) else None
+
+  let key f =
+    render_key f;
+    rendered f
 
   let endpoints f =
     if has_key f then
       ( Some (Buffer.sub f.key f.src_at (f.dst_at - 1 - f.src_at)),
         Some (Buffer.sub f.key f.dst_at (f.dst_end - f.dst_at)) )
     else (None, None)
+
+  (* --- typed headers --- *)
 
   (* When dissection stopped at a bare TCP/UDP header, classify the
      payload above it by well-known port, as tshark does; the service
@@ -190,9 +264,7 @@ module Fields = struct
     match h with
     | H.Vlan { vid; _ } -> push f.vlans vid
     | H.Mpls { label; _ } -> push f.labels label
-    | H.Ipv4 _ | H.Ipv6 _ ->
-      f.l3 <- h;
-      f.has_l3 <- true
+    | H.Ipv4 _ | H.Ipv6 _ -> f.l3 <- h
     | H.Tcp { src_port; dst_port; flags; _ } ->
       set_ports f ~src_port ~dst_port;
       if flags.H.rst then f.rst <- true
@@ -216,16 +288,100 @@ module Fields = struct
 
   let abstract f ~cap_len ~truncated headers =
     reset f ~cap_len ~truncated;
-    walk f headers;
-    render_key f
+    f.tokens.len <- 0;
+    f.l3 <- H.Pseudowire;
+    f.text <- None;
+    walk f headers
 
-  let dissect f ~orig_len slice =
-    let d = Dissector.dissect_slice ~orig_len slice in
-    abstract f ~cap_len:(Packet.Slice.length slice) ~truncated:d.Dissector.truncated
-      d.Dissector.headers
+  (* --- a dissected frame --- *)
+
+  let min_proto fr p = if p < fr.proto then fr.proto <- p
+
+  (* The tags, the innermost IP header and ports, the RST flag and the
+     protocol, read off the tape in one pass. *)
+  let scan f fr (t : D.Tape.t) =
+    fr.l3_at <- -1;
+    fr.proto <- other;
+    for i = 0 to t.length - 1 do
+      match t.kinds.(i) with
+      | D.Vlan -> push f.vlans t.a.(i)
+      | D.Mpls -> push f.labels t.a.(i)
+      | D.Ipv4 | D.Ipv6 -> fr.l3_at <- i
+      | D.Tcp ->
+        set_ports f ~src_port:t.a.(i) ~dst_port:t.b.(i);
+        if Bytes.get_uint8 t.bytes (t.offs.(i) + 13) land 0x04 <> 0 then f.rst <- true;
+        min_proto fr 0
+      | D.Udp ->
+        set_ports f ~src_port:t.a.(i) ~dst_port:t.b.(i);
+        min_proto fr 1
+      | D.Icmpv4 -> min_proto fr 2
+      | D.Icmpv6 -> min_proto fr 3
+      | _ -> ()
+    done;
+    fr.service <-
+      (if t.length = 0 then -1
+       else
+         match t.kinds.(t.length - 1) with
+         | D.Tcp -> Services.lookup_index Services.Tcp ~src_port:f.src_port ~dst_port:f.dst_port
+         | D.Udp -> Services.lookup_index Services.Udp ~src_port:f.src_port ~dst_port:f.dst_port
+         | _ -> -1)
+
+  (* The flow identity: the bytes of what the key renders, in its
+     order.  Each vid in two bytes and each label in three, each list
+     ended by a value no tag holds; the innermost IP header's addresses
+     as they sit on the wire, after its version; the protocol; and the
+     ports, if any.  Equal identities render equal keys. *)
+  let write_identity f fr (t : D.Tape.t) =
+    let need = (2 * f.vlans.len) + (3 * f.labels.len) + 44 in
+    if Bytes.length fr.id < need then fr.id <- Bytes.create (2 * need);
+    let id = fr.id in
+    let p = ref 0 in
+    for i = 0 to f.vlans.len - 1 do
+      Bytes.set_uint16_be id !p f.vlans.items.(i);
+      p := !p + 2
+    done;
+    Bytes.set_uint16_be id !p 0xFFFF;
+    p := !p + 2;
+    for i = 0 to f.labels.len - 1 do
+      let label = f.labels.items.(i) in
+      Bytes.set_uint8 id !p (label lsr 16);
+      Bytes.set_uint16_be id (!p + 1) (label land 0xFFFF);
+      p := !p + 3
+    done;
+    Bytes.set_uint8 id !p 0xFF;
+    Bytes.set_uint16_be id (!p + 1) 0xFFFF;
+    p := !p + 3;
+    let at = t.offs.(fr.l3_at) in
+    (match t.kinds.(fr.l3_at) with
+    | D.Ipv4 ->
+      Bytes.set_uint8 id !p 4;
+      Bytes.blit t.bytes (at + 12) id (!p + 1) 8;
+      p := !p + 9
+    | _ ->
+      Bytes.set_uint8 id !p 6;
+      Bytes.blit t.bytes (at + 8) id (!p + 1) 32;
+      p := !p + 33);
+    Bytes.set_uint8 id !p fr.proto;
+    if f.has_l4 then begin
+      Bytes.set_uint16_be id (!p + 1) f.src_port;
+      Bytes.set_uint16_be id (!p + 3) f.dst_port;
+      p := !p + 5
+    end
+    else p := !p + 1;
+    fr.id_len <- !p
+
+  let dissect f bytes ~off ~cap_len ~orig_len =
+    if not (dissected f) then f.frame <- new_frame ();
+    let fr = f.frame in
+    let t = fr.tape in
+    D.walk t bytes ~off ~cap_len ~orig_len;
+    reset f ~cap_len ~truncated:t.D.Tape.truncated;
+    scan f fr t;
+    if fr.l3_at >= 0 then write_identity f fr t else fr.id_len <- 0
 end
 
 let of_fields (f : Fields.t) ~ts ~orig_len =
+  Fields.render_key f;
   let src, dst = Fields.endpoints f in
   {
     ts;
@@ -239,7 +395,7 @@ let of_fields (f : Fields.t) ~ts ~orig_len =
     l4 = (if f.Fields.has_l4 then Some (f.Fields.src_port, f.Fields.dst_port) else None);
     tcp_rst = f.Fields.rst;
     truncated = f.Fields.truncated;
-    key = Fields.key f;
+    key = Fields.rendered f;
   }
 
 let make ~ts ~orig_len ~cap_len ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4
@@ -252,7 +408,6 @@ let make ~ts ~orig_len ~cap_len ~stack ~vlan_ids ~mpls_labels ~src ~dst ~l4
   | Some s, Some d -> f.Fields.text <- Some (s, d)
   | _ -> ());
   Option.iter (fun (src_port, dst_port) -> Fields.set_ports f ~src_port ~dst_port) l4;
-  Fields.render_key f;
   {
     ts; orig_len; cap_len; stack; vlan_ids; mpls_labels; src; dst; l4; tcp_rst;
     truncated; key = Fields.key f;
@@ -265,7 +420,8 @@ let flow_key r = r.key
 
 let of_slice ~ts ~orig_len slice =
   let f = Fields.create () in
-  Fields.dissect f ~orig_len slice;
+  Fields.dissect f (Packet.Slice.buffer slice) ~off:(Packet.Slice.offset slice)
+    ~cap_len:(Packet.Slice.length slice) ~orig_len;
   of_fields f ~ts ~orig_len
 
 let of_entry buf (e : Packet.Pcap.index_entry) =

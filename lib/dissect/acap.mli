@@ -32,19 +32,24 @@ type record = private {
     consumer, which reads what it counts and builds no record;
     {!of_fields} builds the record where one is wanted.  Every record
     constructor goes through it, so the stack and the flow key are
-    rendered in one place.  A [t] belongs to one fold: it is
-    overwritten by the next frame, so parallel folds each need their
-    own. *)
+    rendered in one place.  A dissected frame is read where the
+    dissector's {!Dissector.Tape} left it: nothing is allocated per
+    frame, and the key is rendered only when asked.  A [t] belongs to
+    one fold: it is overwritten by the next frame, so parallel folds
+    each need their own. *)
 module Fields : sig
   type t
 
   val create : unit -> t
+  (** Fields with no frame; the tape and the identity buffer are
+      allocated by the first {!dissect}. *)
 
-  val dissect : t -> orig_len:int -> Packet.Slice.t -> unit
-  (** Run {!Dissector.dissect_slice} over a captured record and
-      abstract its headers into [t], overwriting the previous frame:
-      the stack tokens (the port-classified service token last), the
-      flow key rendered into [t]'s buffer, and the RST flag. *)
+  val dissect : t -> bytes -> off:int -> cap_len:int -> orig_len:int -> unit
+  (** Run {!Dissector.walk} over the [cap_len] captured bytes at [off]
+      of a capture buffer and abstract the frame into [t], overwriting
+      the previous one: its stack (the port-classified service token
+      last), tags, innermost endpoints and ports, RST flag and flow
+      identity. *)
 
   val depth : t -> int
   (** Tokens in the stack. *)
@@ -52,12 +57,27 @@ module Fields : sig
   val token : t -> int -> string
   (** [token t i] is the stack's [i]th token, outermost first. *)
 
+  val code : t -> int -> int
+  (** [Hashtbl.hash (token t i)], computed once per kind of header and
+      per service rather than per frame: the profile finds a stack by
+      these codes. *)
+
   val stack : t -> string list
   (** The stack as a record holds it. *)
 
+  val identity : t -> bytes
+  (** The buffer holding the frame's flow identity in its first
+      {!identity_length} bytes: the bytes of exactly what {!key}
+      renders (the tags, the innermost IP header's addresses as they
+      sit on the wire, the protocol and the ports), so two frames with
+      equal identities have equal keys.  Overwritten by the next
+      frame. *)
+
+  val identity_length : t -> int
+  (** 0 when the frame has no flow key. *)
+
   val key : t -> string option
-  (** The frame's {!flow_key}, copied out of the buffer: the one string
-      a fold's consumer needs per frame. *)
+  (** The frame's {!flow_key}, rendered on this call. *)
 
   val tcp_rst : t -> bool
 end

@@ -79,13 +79,13 @@ let tcp_ports = port_index Tcp
 let udp_ports = port_index Udp
 
 let find l4 port =
-  if port < 0 || port > 0xFFFF then None
-  else
-    match Bytes.get_uint8 (match l4 with Tcp -> tcp_ports | Udp -> udp_ports) port with
-    | 0 -> None
-    | i -> hits.(i - 1)
+  if port < 0 || port > 0xFFFF then -1
+  else Bytes.get_uint8 (match l4 with Tcp -> tcp_ports | Udp -> udp_ports) port - 1
+
+let lookup_index l4 ~src_port ~dst_port =
+  match find l4 dst_port with -1 -> find l4 src_port | i -> i
 
 let lookup l4 ~src_port ~dst_port =
-  match find l4 dst_port with None -> find l4 src_port | hit -> hit
+  match lookup_index l4 ~src_port ~dst_port with -1 -> None | i -> hits.(i)
 
 let by_name name = Array.find_opt (fun s -> s.service_name = name) catalog

@@ -20,4 +20,7 @@ val lookup : l4 -> src_port:int -> dst_port:int -> service option
     nothing).  It allocates nothing: the digest calls it once per
     frame. *)
 
+val lookup_index : l4 -> src_port:int -> dst_port:int -> int
+(** The {!catalog} index of {!lookup}'s service, or -1 for none. *)
+
 val by_name : string -> service option

@@ -62,67 +62,3 @@ module Writer = struct
     if pos < 0 || pos + 2 > t.len then invalid_arg "Writer.patch_u16: out of range";
     Bytes.set_uint16_be t.buf pos (v land 0xFFFF)
 end
-
-module Reader = struct
-  type t = { buf : bytes; limit : int; mutable cursor : int }
-
-  exception Truncated
-
-  let of_bytes ?(pos = 0) ?len buf =
-    let len = match len with Some l -> l | None -> Bytes.length buf - pos in
-    if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-      invalid_arg "Reader.of_bytes: bad bounds";
-    { buf; limit = pos + len; cursor = pos }
-
-  let remaining t = t.limit - t.cursor
-
-  let need t n = if t.cursor + n > t.limit then raise Truncated
-
-  let u8 t =
-    need t 1;
-    let v = Char.code (Bytes.unsafe_get t.buf t.cursor) in
-    t.cursor <- t.cursor + 1;
-    v
-
-  let u16 t =
-    need t 2;
-    let v = Bytes.get_uint16_be t.buf t.cursor in
-    t.cursor <- t.cursor + 2;
-    v
-
-  let u32 t =
-    need t 4;
-    let v = Bytes.get_int32_be t.buf t.cursor in
-    t.cursor <- t.cursor + 4;
-    v
-
-  let u64 t =
-    need t 8;
-    let v = Bytes.get_int64_be t.buf t.cursor in
-    t.cursor <- t.cursor + 8;
-    v
-
-  let skip t n =
-    need t n;
-    t.cursor <- t.cursor + n
-
-  let peek_u8 t =
-    need t 1;
-    Char.code (Bytes.unsafe_get t.buf t.cursor)
-
-  let starts_with t prefix =
-    let n = String.length prefix in
-    t.cursor + n <= t.limit
-    &&
-    let i = ref 0 in
-    while !i < n && Bytes.unsafe_get t.buf (t.cursor + !i) = String.unsafe_get prefix !i do
-      incr i
-    done;
-    !i = n
-
-  let sub t n =
-    need t n;
-    let r = { buf = t.buf; limit = t.cursor + n; cursor = t.cursor } in
-    t.cursor <- t.cursor + n;
-    r
-end

@@ -1,8 +1,6 @@
-(** Big-endian (network byte order) binary readers and writers.
+(** Big-endian (network byte order) binary writers.
 
-    {!Writer} is a growable buffer used when encoding frames; {!Reader}
-    is a bounds-checked cursor over immutable bytes used by the
-    dissectors. *)
+    {!Writer} is a growable buffer used when encoding frames. *)
 
 module Writer : sig
   type t
@@ -33,30 +31,4 @@ module Writer : sig
   val patch_u16 : t -> pos:int -> int -> unit
   (** Overwrite a previously written 16-bit field (e.g. a length that is
       only known once the rest of the packet has been encoded). *)
-end
-
-module Reader : sig
-  type t
-
-  exception Truncated
-  (** Raised on any read past the end of the buffer.  Dissectors catch
-      this to mark a frame as truncated, which is normal for snapped
-      captures. *)
-
-  val of_bytes : ?pos:int -> ?len:int -> bytes -> t
-  val remaining : t -> int
-  val u8 : t -> int
-  val u16 : t -> int
-  val u32 : t -> int32
-  val u64 : t -> int64
-  val skip : t -> int -> unit
-  val peek_u8 : t -> int
-
-  val starts_with : t -> string -> bool
-  (** Whether the next bytes are the string's, compared in place without
-      consuming them. *)
-
-  val sub : t -> int -> t
-  (** [sub t n] is a reader over the next [n] bytes, consuming them from
-      [t]. *)
 end

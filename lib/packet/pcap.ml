@@ -106,12 +106,17 @@ module Reader = struct
   (* Record-header fields are unsigned 32-bit quantities that must fit
      a sane range; a top bit set means a corrupt (or hostile) capture,
      and silently masking it would wrap a huge length into a bogus
-     small one that desynchronizes the rest of the record walk. *)
+     small one that desynchronizes the rest of the record walk.  Read
+     as two 16-bit halves, so no [int32] is boxed. *)
   let u32_int endian buf pos =
-    let v = u32 endian buf pos in
-    if Int32.compare v 0l < 0 then
-      raise (Malformed (Printf.sprintf "field out of range: 0x%08lx" v));
-    Int32.to_int v
+    let v =
+      match endian with
+      | Big -> (Bytes.get_uint16_be buf pos lsl 16) lor Bytes.get_uint16_be buf (pos + 2)
+      | Little -> (Bytes.get_uint16_le buf (pos + 2) lsl 16) lor Bytes.get_uint16_le buf pos
+    in
+    if v land 0x8000_0000 <> 0 then
+      raise (Malformed (Printf.sprintf "field out of range: 0x%08x" v));
+    v
 
   let header buf =
     if Bytes.length buf < 24 then raise (Malformed "file shorter than global header");
@@ -120,33 +125,38 @@ module Reader = struct
     else if Int32.equal raw_magic magic_le then Little
     else raise (Malformed (Printf.sprintf "bad magic 0x%08lx" raw_magic))
 
-  (* First pass of the indexed decode: walk record headers only (never
-     payload bytes) and emit one offset/length/timestamp entry per
-     record.  Everything downstream — slicing, parallel dissection —
-     derives from this single walk. *)
-  let index buf =
+  (* The record walk: record headers only, never payload bytes.  The
+     digest's fold reads each record's frame where it lies; [index]
+     collects the same walk's entries. *)
+  let fold buf ~init ~f =
     let endian = header buf in
     let snaplen = u32_int endian buf 16 in
     let len = Bytes.length buf in
-    let entries = ref [] in
-    let pos = ref 24 in
-    while !pos <> len do
-      if !pos + 16 > len then raise (Malformed "truncated record header");
-      let sec = u32_int endian buf !pos in
-      let usec = u32_int endian buf (!pos + 4) in
-      let incl_len = u32_int endian buf (!pos + 8) in
-      let orig_len = u32_int endian buf (!pos + 12) in
-      if incl_len > snaplen then
-        raise
-          (Malformed
-             (Printf.sprintf "incl_len %d exceeds snaplen %d" incl_len snaplen));
-      if !pos + 16 + incl_len > len then raise (Malformed "truncated packet data");
-      let ts = float_of_int sec +. (float_of_int usec /. 1e6) in
-      entries :=
-        { ts; orig_len; data_off = !pos + 16; cap_len = incl_len } :: !entries;
-      pos := !pos + 16 + incl_len
-    done;
-    Array.of_list (List.rev !entries)
+    let rec go acc pos =
+      if pos = len then acc
+      else begin
+        if pos + 16 > len then raise (Malformed "truncated record header");
+        let sec = u32_int endian buf pos in
+        let usec = u32_int endian buf (pos + 4) in
+        let incl_len = u32_int endian buf (pos + 8) in
+        let orig_len = u32_int endian buf (pos + 12) in
+        if incl_len > snaplen then
+          raise
+            (Malformed
+               (Printf.sprintf "incl_len %d exceeds snaplen %d" incl_len snaplen));
+        if pos + 16 + incl_len > len then raise (Malformed "truncated packet data");
+        let ts = float_of_int sec +. (float_of_int usec /. 1e6) in
+        go (f acc ~ts ~orig_len ~off:(pos + 16) ~cap_len:incl_len) (pos + 16 + incl_len)
+      end
+    in
+    go init 24
+
+  let index buf =
+    let entries =
+      fold buf ~init:[] ~f:(fun acc ~ts ~orig_len ~off ~cap_len ->
+          { ts; orig_len; data_off = off; cap_len } :: acc)
+    in
+    Array.of_list (List.rev entries)
 
   let slice buf (e : index_entry) = Slice.make buf ~off:e.data_off ~len:e.cap_len
 

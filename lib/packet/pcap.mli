@@ -65,13 +65,22 @@ end
 module Reader : sig
   exception Malformed of string
 
-  val index : bytes -> index_entry array
-  (** First pass of the indexed decode: walk record headers sequentially
-      (payload bytes are never touched) and return one entry per record.
+  val fold :
+    bytes ->
+    init:'a ->
+    f:('a -> ts:float -> orig_len:int -> off:int -> cap_len:int -> 'a) ->
+    'a
+  (** Walk the record headers in file order (payload bytes are never
+      touched), handing each record's timestamp, original length and
+      captured bytes ([cap_len] of them at [off] in the buffer) to [f].
       Raises {!Malformed} on a bad magic number, a truncated record, a
       record-header field with the top bit set (a corrupt length or
-      timestamp ≥ 2{^31}), or an [incl_len] exceeding the file's declared
-      snaplen. *)
+      timestamp ≥ 2{^31}), or an [incl_len] exceeding the file's
+      declared snaplen, once the records before the bad one are
+      folded. *)
+
+  val index : bytes -> index_entry array
+  (** {!fold}'s records, one entry each, under the same checks. *)
 
   val slice : bytes -> index_entry -> Slice.t
   (** The captured bytes of an indexed record, as a zero-copy view. *)

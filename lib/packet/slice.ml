@@ -1,5 +1,3 @@
-open Netcore
-
 type t = { buf : bytes; off : int; len : int }
 
 let make buf ~off ~len =
@@ -7,6 +5,6 @@ let make buf ~off ~len =
     invalid_arg "Slice.make: window outside buffer";
   { buf; off; len }
 
+let buffer t = t.buf
+let offset t = t.off
 let length t = t.len
-
-let reader t = Wire.Reader.of_bytes ~pos:t.off ~len:t.len t.buf

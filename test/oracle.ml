@@ -334,6 +334,464 @@ let ipv6_to_string a =
   if !best_len < 2 then fmt 0 8
   else fmt 0 !best_start ^ "::" ^ fmt (!best_start + !best_len) 8
 
+(* A bounds-checked cursor over immutable bytes, raising [Truncated] on
+   any read past its window: what the typed walk reads a frame through,
+   one field at a time. *)
+module Wire_reader = struct
+  type t = { buf : bytes; limit : int; mutable cursor : int }
+
+  exception Truncated
+
+  let of_bytes ?(pos = 0) ?len buf =
+    let len = match len with Some l -> l | None -> Bytes.length buf - pos in
+    if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+      invalid_arg "Wire_reader.of_bytes: bad bounds";
+    { buf; limit = pos + len; cursor = pos }
+
+  let remaining t = t.limit - t.cursor
+
+  let need t n = if t.cursor + n > t.limit then raise Truncated
+
+  let u8 t =
+    need t 1;
+    let v = Char.code (Bytes.unsafe_get t.buf t.cursor) in
+    t.cursor <- t.cursor + 1;
+    v
+
+  let u16 t =
+    need t 2;
+    let v = Bytes.get_uint16_be t.buf t.cursor in
+    t.cursor <- t.cursor + 2;
+    v
+
+  let u32 t =
+    need t 4;
+    let v = Bytes.get_int32_be t.buf t.cursor in
+    t.cursor <- t.cursor + 4;
+    v
+
+  let u64 t =
+    need t 8;
+    let v = Bytes.get_int64_be t.buf t.cursor in
+    t.cursor <- t.cursor + 8;
+    v
+
+  let skip t n =
+    need t n;
+    t.cursor <- t.cursor + n
+
+  let peek_u8 t =
+    need t 1;
+    Char.code (Bytes.unsafe_get t.buf t.cursor)
+
+  let starts_with t prefix =
+    let n = String.length prefix in
+    t.cursor + n <= t.limit
+    &&
+    let i = ref 0 in
+    while !i < n && Bytes.unsafe_get t.buf (t.cursor + !i) = String.unsafe_get prefix !i do
+      incr i
+    done;
+    !i = n
+
+  let sub t n =
+    need t n;
+    let r = { buf = t.buf; limit = t.cursor + n; cursor = t.cursor } in
+    t.cursor <- t.cursor + n;
+    r
+end
+
+(* The typed walk: each header is read through [Wire_reader]'s
+   bounds-checked cursor into its typed [Headers.header], and the list
+   is the result.  [Dissector.walk] reads the same frames in place onto
+   a tape instead, and [Dissector.dissect_slice] must read the tape back
+   into this walk's result, header for header. *)
+module Typed_dissector = struct
+  open Netcore
+  module H = Packet.Headers
+
+  type result = Dissect.Dissector.result = {
+    headers : H.header list;
+    payload_len : int;
+    truncated : bool;
+  }
+
+  (* A MAC is 48 bits: the top 16, then the low 32. *)
+  let read_mac r =
+    let hi = Wire_reader.u16 r in
+    let lo = Wire_reader.u32 r in
+    Mac.of_int64
+      (Int64.logor
+         (Int64.shift_left (Int64.of_int hi) 32)
+         (Int64.logand (Int64.of_int32 lo) 0xFFFF_FFFFL))
+
+  let read_ipv6 r =
+    let hi = Wire_reader.u64 r in
+    let lo = Wire_reader.u64 r in
+    Ipv6_addr.make hi lo
+
+  let tcp_flags_of_byte b : H.tcp_flags =
+    {
+      fin = b land 0x01 <> 0;
+      syn = b land 0x02 <> 0;
+      rst = b land 0x04 <> 0;
+      psh = b land 0x08 <> 0;
+      ack = b land 0x10 <> 0;
+      urg = b land 0x20 <> 0;
+      ece = b land 0x40 <> 0;
+      cwr = b land 0x80 <> 0;
+    }
+
+  (* Application-layer classification by well-known port, verified against
+     wire syntax, mirroring how tshark assigns a payload dissector. *)
+
+  let looks_like_tls r =
+    Wire_reader.remaining r >= 3
+    &&
+    let ct = Wire_reader.peek_u8 r in
+    ct >= 20 && ct <= 23
+
+  let dissect_tls r =
+    let content_type = Wire_reader.u8 r in
+    let _version = Wire_reader.u16 r in
+    let _len = Wire_reader.u16 r in
+    H.Tls { content_type }
+
+  let dissect_ssh r =
+    Wire_reader.skip r (String.length H.ssh_banner);
+    H.Ssh
+
+  let dissect_http r kind =
+    let line =
+      match kind with
+      | `Request -> H.http_request_line
+      | `Response -> H.http_response_line
+    in
+    Wire_reader.skip r (String.length line);
+    H.Http kind
+
+  (* A header with neither a question nor an answer is not DNS (the
+     codec writes a question in every header): zero bytes on port 53,
+     such as a reverse stream's payload, stay payload. *)
+  let dissect_dns r =
+    let id = Wire_reader.u16 r in
+    let flags = Wire_reader.u16 r in
+    let questions = Wire_reader.u16 r in
+    let answers = Wire_reader.u16 r in
+    Wire_reader.skip r 4;
+    if questions = 0 && answers = 0 then None
+    else Some (H.Dns { query = flags land 0x8000 = 0; id })
+
+  let dissect_ntp r =
+    Wire_reader.skip r 48;
+    H.Ntp
+
+  let dissect_quic r =
+    Wire_reader.skip r H.quic_header_len;
+    H.Quic
+
+  (* Dissection proceeds down the stack; each step returns the parsed
+     header and a continuation describing what follows. *)
+  type next =
+    | Next_eth
+    | Next_vlan
+    | Next_mpls
+    | Next_ethertype of int
+    | Next_ip_proto of int * [ `V4 | `V6 ]
+    | Next_tcp_payload of int * int  (* src, dst ports *)
+    | Next_udp_payload of int * int
+    | Next_payload
+
+  let after_ethertype = function
+    | 0x8100 -> Next_vlan
+    | 0x8847 -> Next_mpls
+    | 0x0800 -> Next_ethertype 0x0800
+    | 0x86DD -> Next_ethertype 0x86DD
+    | 0x0806 -> Next_ethertype 0x0806
+    | _ -> Next_payload
+
+  let dissect_reader ~orig_len ~cap_len r0 =
+    let snapped = orig_len > cap_len in
+    let headers = ref [] in
+    let push h = headers := h :: !headers in
+    let truncated = ref snapped in
+    (* [extent] is narrowed at each IP header so that Ethernet padding is
+       excluded from the payload count. *)
+    let rec go r state =
+      match state with
+      | Next_eth ->
+        let dst = read_mac r in
+        let src = read_mac r in
+        let ethertype = Wire_reader.u16 r in
+        push (H.Ethernet { src; dst });
+        go r (after_ethertype ethertype)
+      | Next_vlan ->
+        let tci = Wire_reader.u16 r in
+        let ethertype = Wire_reader.u16 r in
+        push
+          (H.Vlan
+             {
+               pcp = (tci lsr 13) land 0x7;
+               dei = (tci lsr 12) land 1 = 1;
+               vid = tci land 0xFFF;
+             });
+        go r (after_ethertype ethertype)
+      | Next_mpls ->
+        let word = Wire_reader.u32 r in
+        let wi = Int32.to_int (Int32.logand word 0xFFFl) in
+        let label = Int32.to_int (Int32.shift_right_logical word 12) in
+        let tc = (wi lsr 9) land 0x7 in
+        let bos = (wi lsr 8) land 1 = 1 in
+        let ttl = wi land 0xFF in
+        push (H.Mpls { label; tc; ttl });
+        if not bos then go r Next_mpls
+        else begin
+          (* Bottom of stack: sniff the first nibble to tell IPv4/IPv6
+             from a PseudoWire control word (first nibble 0). *)
+          if Wire_reader.remaining r = 0 then raise Wire_reader.Truncated;
+          match Wire_reader.peek_u8 r lsr 4 with
+          | 4 -> go r (Next_ethertype 0x0800)
+          | 6 -> go r (Next_ethertype 0x86DD)
+          | 0 ->
+            let _control_word = Wire_reader.u32 r in
+            push H.Pseudowire;
+            go r Next_eth
+          | _ -> go r Next_payload
+        end
+      | Next_ethertype 0x0800 ->
+        let vihl = Wire_reader.u8 r in
+        if vihl <> 0x45 then go r Next_payload
+        else begin
+          let dscp_ecn = Wire_reader.u8 r in
+          let total_len = Wire_reader.u16 r in
+          let ident = Wire_reader.u16 r in
+          let frag = Wire_reader.u16 r in
+          let ttl = Wire_reader.u8 r in
+          let protocol = Wire_reader.u8 r in
+          let _cksum = Wire_reader.u16 r in
+          let src = Ipv4_addr.of_int32 (Wire_reader.u32 r) in
+          let dst = Ipv4_addr.of_int32 (Wire_reader.u32 r) in
+          push
+            (H.Ipv4
+               {
+                 src;
+                 dst;
+                 dscp = dscp_ecn lsr 2;
+                 ttl;
+                 ident;
+                 dont_fragment = frag land 0x4000 <> 0;
+               });
+          (* Narrow to the IP datagram extent to drop Ethernet padding. *)
+          let body_len = total_len - 20 in
+          let r =
+            if body_len >= 0 && body_len <= Wire_reader.remaining r then
+              Wire_reader.sub r body_len
+            else begin
+              (* A total_len below the header size leaves the reader
+                 against the unnarrowed capture extent. *)
+              if body_len > Wire_reader.remaining r then truncated := true;
+              r
+            end
+          in
+          go r (Next_ip_proto (protocol, `V4))
+        end
+      | Next_ethertype 0x86DD ->
+        let word = Wire_reader.u32 r in
+        let traffic_class =
+          Int32.to_int (Int32.logand (Int32.shift_right_logical word 20) 0xFFl)
+        in
+        let flow_label = Int32.to_int (Int32.logand word 0xFFFFFl) in
+        let payload_len = Wire_reader.u16 r in
+        let next_header = Wire_reader.u8 r in
+        let hop_limit = Wire_reader.u8 r in
+        let src = read_ipv6 r in
+        let dst = read_ipv6 r in
+        push (H.Ipv6 { src; dst; traffic_class; flow_label; hop_limit });
+        let r =
+          if payload_len <= Wire_reader.remaining r then
+            Wire_reader.sub r payload_len
+          else begin
+            truncated := true;
+            r
+          end
+        in
+        go r (Next_ip_proto (next_header, `V6))
+      | Next_ethertype 0x0806 ->
+        let _htype = Wire_reader.u16 r in
+        let _ptype = Wire_reader.u16 r in
+        let _hlen = Wire_reader.u8 r in
+        let _plen = Wire_reader.u8 r in
+        let op = Wire_reader.u16 r in
+        let sender_mac = read_mac r in
+        let sender_ip = Ipv4_addr.of_int32 (Wire_reader.u32 r) in
+        let target_mac = read_mac r in
+        let target_ip = Ipv4_addr.of_int32 (Wire_reader.u32 r) in
+        push
+          (H.Arp
+             {
+               operation = (if op = 2 then `Reply else `Request);
+               sender_mac;
+               sender_ip;
+               target_mac;
+               target_ip;
+             });
+        (* ARP is terminal; anything left is Ethernet padding. *)
+        0
+      | Next_ethertype _ -> go r Next_payload
+      | Next_ip_proto (6, _) ->
+        let src_port = Wire_reader.u16 r in
+        let dst_port = Wire_reader.u16 r in
+        let seq = Wire_reader.u32 r in
+        let ack_seq = Wire_reader.u32 r in
+        let offset_byte = Wire_reader.u8 r in
+        let flags = tcp_flags_of_byte (Wire_reader.u8 r) in
+        let window = Wire_reader.u16 r in
+        let _cksum = Wire_reader.u16 r in
+        let _urg = Wire_reader.u16 r in
+        let data_offset = (offset_byte lsr 4) * 4 in
+        if data_offset > 20 then Wire_reader.skip r (data_offset - 20);
+        push (H.Tcp { src_port; dst_port; seq; ack_seq; flags; window });
+        go r (Next_tcp_payload (src_port, dst_port))
+      | Next_ip_proto (17, _) ->
+        let src_port = Wire_reader.u16 r in
+        let dst_port = Wire_reader.u16 r in
+        let _len = Wire_reader.u16 r in
+        let _cksum = Wire_reader.u16 r in
+        push (H.Udp { src_port; dst_port });
+        go r (Next_udp_payload (src_port, dst_port))
+      | Next_ip_proto (1, `V4) ->
+        let icmp_type = Wire_reader.u8 r in
+        let icmp_code = Wire_reader.u8 r in
+        Wire_reader.skip r 6;
+        push (H.Icmpv4 { icmp_type; icmp_code });
+        Wire_reader.remaining r
+      | Next_ip_proto (58, `V6) ->
+        let icmp_type = Wire_reader.u8 r in
+        let icmp_code = Wire_reader.u8 r in
+        Wire_reader.skip r 6;
+        push (H.Icmpv6 { icmp_type; icmp_code });
+        Wire_reader.remaining r
+      | Next_ip_proto (_, _) -> go r Next_payload
+      | Next_tcp_payload (src_port, dst_port) ->
+        (* A classifier that declines may have read ahead: what it
+           declined is payload. *)
+        let payload = Wire_reader.remaining r in
+        if payload = 0 then 0
+        else begin
+          let port = if dst_port < src_port then dst_port else src_port in
+          (* HTTP on 8080 too, as Wireshark's HTTP dissector claims it. *)
+          let classify () =
+            match port with
+            | 443 when looks_like_tls r -> Some (dissect_tls r)
+            | 22 when Wire_reader.starts_with r "SSH-" -> Some (dissect_ssh r)
+            | (80 | 8080) when Wire_reader.starts_with r "GET " ->
+              Some (dissect_http r `Request)
+            | (80 | 8080) when Wire_reader.starts_with r "HTTP/" ->
+              Some (dissect_http r `Response)
+            | 53 when payload >= 12 -> dissect_dns r
+            | _ -> None
+          in
+          match classify () with
+          | Some h ->
+            push h;
+            Wire_reader.remaining r
+          | None -> payload
+        end
+      | Next_udp_payload (src_port, dst_port) ->
+        let payload = Wire_reader.remaining r in
+        if payload = 0 then 0
+        else begin
+          let port = if dst_port < src_port then dst_port else src_port in
+          let classify () =
+            match (port, dst_port) with
+            | _, 4789 | 4789, _ ->
+              if Wire_reader.remaining r >= 8 then begin
+                let flags = Wire_reader.u8 r in
+                Wire_reader.skip r 3;
+                let vni_word = Wire_reader.u32 r in
+                let vni = Int32.to_int (Int32.shift_right_logical vni_word 8) in
+                if flags land 0x08 <> 0 then Some (`Vxlan vni) else None
+              end
+              else None
+            | 53, _ when payload >= 12 ->
+              Option.map (fun h -> `Plain h) (dissect_dns r)
+            | 123, _ when Wire_reader.remaining r >= 48 -> Some (`Plain (dissect_ntp r))
+            | 443, _ when Wire_reader.remaining r >= H.quic_header_len
+                          && Wire_reader.peek_u8 r land 0x80 <> 0 ->
+              Some (`Plain (dissect_quic r))
+            | _ -> None
+          in
+          match classify () with
+          | Some (`Vxlan vni) ->
+            push (H.Vxlan { vni });
+            go r Next_eth
+          | Some (`Plain h) ->
+            push h;
+            Wire_reader.remaining r
+          | None -> payload
+        end
+      | Next_payload -> Wire_reader.remaining r
+    in
+    let payload_len =
+      try go r0 Next_eth with
+      | Wire_reader.Truncated ->
+        truncated := true;
+        0
+    in
+    { headers = List.rev !headers; payload_len; truncated = !truncated }
+
+  let dissect_slice ~orig_len slice =
+    let len = Packet.Slice.length slice in
+    dissect_reader ~orig_len ~cap_len:len
+      (Wire_reader.of_bytes ~pos:(Packet.Slice.offset slice) ~len (Packet.Slice.buffer slice))
+end
+
+(* The record abstracted from a typed walk's headers, field by field:
+   the header tokens, then the service the port of a last TCP or UDP
+   header names; the tags; the innermost IP header's endpoints and the
+   innermost ports; a RST on any TCP header.  [Acap.make] renders its
+   key.  [Acap.of_slice] abstracts the tape instead and must build the
+   same record. *)
+let acap_of_dissection ~ts ~orig_len ~cap_len (d : Dissect.Dissector.result) =
+  let module H = Packet.Headers in
+  let headers = d.Dissect.Dissector.headers in
+  let service =
+    match List.rev headers with
+    | H.Tcp { src_port; dst_port; _ } :: _ -> service_lookup Dissect.Services.Tcp ~src_port ~dst_port
+    | H.Udp { src_port; dst_port } :: _ -> service_lookup Dissect.Services.Udp ~src_port ~dst_port
+    | _ -> None
+  in
+  let stack =
+    List.map H.name headers
+    @ Option.to_list (Option.map (fun s -> s.Dissect.Services.service_name) service)
+  in
+  let endpoints =
+    List.fold_left
+      (fun acc h ->
+        match h with
+        | H.Ipv4 { src; dst; _ } ->
+          Some (Netcore.Ipv4_addr.to_string src, Netcore.Ipv4_addr.to_string dst)
+        | H.Ipv6 { src; dst; _ } -> Some (ipv6_to_string src, ipv6_to_string dst)
+        | _ -> acc)
+      None headers
+  in
+  let l4 =
+    List.fold_left
+      (fun acc h ->
+        match h with
+        | H.Tcp { src_port; dst_port; _ } | H.Udp { src_port; dst_port } ->
+          Some (src_port, dst_port)
+        | _ -> acc)
+      None headers
+  in
+  Dissect.Acap.make ~ts ~orig_len ~cap_len ~stack
+    ~vlan_ids:(List.filter_map (function H.Vlan { vid; _ } -> Some vid | _ -> None) headers)
+    ~mpls_labels:
+      (List.filter_map (function H.Mpls { label; _ } -> Some label | _ -> None) headers)
+    ~src:(Option.map fst endpoints) ~dst:(Option.map snd endpoints) ~l4
+    ~tcp_rst:(List.exists (function H.Tcp { flags; _ } -> flags.H.rst | _ -> false) headers)
+    ~truncated:d.Dissect.Dissector.truncated
+
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized and abstracted
    on its own; the kept frames are sorted by time, stably, from newest

@@ -1,10 +1,11 @@
 (* A pcapng encoder for the reader's fixtures: one big-endian section
    (Section Header, one Ethernet Interface Description at microsecond
-   resolution, then one Enhanced Packet Block per packet). *)
+   resolution, then one Enhanced Packet Block per packet, or with
+   [simple] one Simple Packet Block, which has no timestamp). *)
 
 let pad32 n = (4 - (n land 3)) land 3
 
-let write ?(snaplen = 65535) packets =
+let write ?(snaplen = 65535) ?(simple = false) packets =
   let buf = Buffer.create 4096 in
   let u32 = Buffer.add_int32_be buf in
   let u32i v = u32 (Int32.of_int v) in
@@ -31,19 +32,24 @@ let write ?(snaplen = 65535) packets =
       u16 1 (* LINKTYPE_ETHERNET *);
       u16 0 (* reserved *);
       u32i snaplen);
-  (* Enhanced Packet Blocks. *)
+  (* Packet blocks. *)
   List.iter
     (fun (p : Oracle.packet) ->
       let data = p.Oracle.data in
       let incl = min (Bytes.length data) snaplen in
       let usec = Int64.of_float (p.Oracle.ts *. 1e6) in
-      block 0x00000006l (20 + incl) (fun () ->
-          u32 0l (* interface id *);
-          u32 (Int64.to_int32 (Int64.shift_right_logical usec 32));
-          u32 (Int64.to_int32 usec);
-          u32i incl;
-          u32i p.Oracle.orig_len;
-          Buffer.add_subbytes buf data 0 incl))
+      if simple then
+        block 0x00000003l (4 + incl) (fun () ->
+            u32i p.Oracle.orig_len;
+            Buffer.add_subbytes buf data 0 incl)
+      else
+        block 0x00000006l (20 + incl) (fun () ->
+            u32 0l (* interface id *);
+            u32 (Int64.to_int32 (Int64.shift_right_logical usec 32));
+            u32 (Int64.to_int32 usec);
+            u32i incl;
+            u32i p.Oracle.orig_len;
+            Buffer.add_subbytes buf data 0 incl))
     packets;
   Buffer.to_bytes buf
 

@@ -26,27 +26,27 @@ let test_writer_patch () =
       Wire.Writer.patch_u16 w ~pos:5 1)
 
 let test_reader_sub_and_truncation () =
-  let r = Wire.Reader.of_bytes (Bytes.of_string "abcdefgh") in
-  let sub = Wire.Reader.sub r 4 in
-  Alcotest.(check int) "sub remaining" 4 (Wire.Reader.remaining sub);
-  Alcotest.(check int) "parent advanced" 4 (Wire.Reader.remaining r);
-  Wire.Reader.skip sub 4;
-  Alcotest.check_raises "sub bounded" Wire.Reader.Truncated (fun () ->
-      ignore (Wire.Reader.u8 sub))
+  let r = Oracle.Wire_reader.of_bytes (Bytes.of_string "abcdefgh") in
+  let sub = Oracle.Wire_reader.sub r 4 in
+  Alcotest.(check int) "sub remaining" 4 (Oracle.Wire_reader.remaining sub);
+  Alcotest.(check int) "parent advanced" 4 (Oracle.Wire_reader.remaining r);
+  Oracle.Wire_reader.skip sub 4;
+  Alcotest.check_raises "sub bounded" Oracle.Wire_reader.Truncated (fun () ->
+      ignore (Oracle.Wire_reader.u8 sub))
 
 let test_reader_bounds () =
-  let r = Wire.Reader.of_bytes (Bytes.of_string "ab") in
-  Alcotest.(check int) "u16 works" 0x6162 (Wire.Reader.u16 r);
-  Alcotest.check_raises "past end" Wire.Reader.Truncated (fun () ->
-      ignore (Wire.Reader.u8 r))
+  let r = Oracle.Wire_reader.of_bytes (Bytes.of_string "ab") in
+  Alcotest.(check int) "u16 works" 0x6162 (Oracle.Wire_reader.u16 r);
+  Alcotest.check_raises "past end" Oracle.Wire_reader.Truncated (fun () ->
+      ignore (Oracle.Wire_reader.u8 r))
 
 let test_reader_window () =
-  let r = Wire.Reader.of_bytes ~pos:2 ~len:3 (Bytes.of_string "abcdefgh") in
-  Alcotest.(check int) "remaining" 3 (Wire.Reader.remaining r);
+  let r = Oracle.Wire_reader.of_bytes ~pos:2 ~len:3 (Bytes.of_string "abcdefgh") in
+  Alcotest.(check int) "remaining" 3 (Oracle.Wire_reader.remaining r);
   Alcotest.(check string) "window" "cde"
-    (String.init 3 (fun _ -> Char.chr (Wire.Reader.u8 r)));
-  Alcotest.check_raises "window bounded" Wire.Reader.Truncated (fun () ->
-      ignore (Wire.Reader.u8 r))
+    (String.init 3 (fun _ -> Char.chr (Oracle.Wire_reader.u8 r)));
+  Alcotest.check_raises "window bounded" Oracle.Wire_reader.Truncated (fun () ->
+      ignore (Oracle.Wire_reader.u8 r))
 
 (* --- pcap little-endian interop --- *)
 

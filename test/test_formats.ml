@@ -4,10 +4,8 @@ module H = Packet.Headers
 
 (* Whether a slice views exactly these bytes. *)
 let slice_equal s b =
-  let r = Packet.Slice.reader s in
   Packet.Slice.length s = Bytes.length b
-  && String.init (Bytes.length b) (fun _ -> Char.chr (Netcore.Wire.Reader.u8 r))
-     = Bytes.to_string b
+  && Bytes.sub (Packet.Slice.buffer s) (Packet.Slice.offset s) (Bytes.length b) = b
 
 let sample_frames n =
   let rng = Netcore.Rng.create 33 in
@@ -608,6 +606,34 @@ let test_pcapng_rejects_truncated_epb () =
        false
      with Packet.Pcapng.Malformed _ -> true)
 
+(* A Simple Packet Block of total length 12 has no room for its
+   original-length field; read as one, the trailing length gave a record
+   of -4 captured bytes, which the slice then refused with an error no
+   decoder declares.  The digest and the profile of such a capture must
+   raise [Malformed] instead. *)
+let test_pcapng_rejects_short_spb () =
+  let b = Buffer.create 256 in
+  Buffer.add_bytes b (Pcapng_writer.of_frames (sample_frames 1));
+  List.iter (Buffer.add_int32_be b) [ 3l; 12l; 12l ];
+  let buf = Buffer.to_bytes b in
+  let short = Packet.Pcapng.Malformed "simple packet block shorter than 16 bytes" in
+  Alcotest.check_raises "index" short (fun () -> ignore (Packet.Pcapng.index buf));
+  Alcotest.check_raises "profile" short (fun () -> ignore (Analysis.Profile.of_pcap buf));
+  Alcotest.check_raises "records" short (fun () ->
+      ignore (Analysis.Digest.pcap_to_acaps buf))
+
+(* A captured length with its top bit set is a corrupt capture, as the
+   classic reader says; masking the bit read 0x80000000 as an empty
+   packet. *)
+let test_pcapng_rejects_top_bit_length () =
+  let buf = Pcapng_writer.of_frames (sample_frames 1) in
+  (* The EPB is the third block (SHB 28 bytes, IDB 20 bytes). *)
+  Bytes.set_int32_be buf (48 + 8 + 12) 0x80000000l;
+  let out_of_range = Packet.Pcapng.Malformed "field out of range: 0x80000000" in
+  Alcotest.check_raises "index" out_of_range (fun () -> ignore (Packet.Pcapng.index buf));
+  Alcotest.check_raises "profile" out_of_range (fun () ->
+      ignore (Analysis.Profile.of_pcap buf))
+
 let suites =
   suites
   @ [
@@ -629,5 +655,9 @@ let suites =
             test_pcapng_snaplen_slice_path;
           Alcotest.test_case "pcapng rejects truncated EPB" `Quick
             test_pcapng_rejects_truncated_epb;
+          Alcotest.test_case "pcapng rejects short SPB" `Quick
+            test_pcapng_rejects_short_spb;
+          Alcotest.test_case "pcapng rejects top-bit lengths" `Quick
+            test_pcapng_rejects_top_bit_length;
         ] );
     ]

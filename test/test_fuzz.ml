@@ -29,6 +29,9 @@ let captures =
   [
     Bytes.to_string (Packet.Pcap.Writer.contents w);
     Bytes.to_string (Pcapng_writer.of_frames frames);
+    Bytes.to_string
+      (Pcapng_writer.write ~simple:true
+         (List.map (fun (ts, f) -> Pcapng_writer.packet_of_frame ~ts f) frames));
   ]
 
 let test_index_any () =

@@ -50,10 +50,11 @@
      in the major heap, because each record is stamped from its flow
      class's template into one buffer reserved at the pcap's size;
    - digest fold: [add_report] over pcap-carrying samples allocates at
-     most 240 minor words per record, because each frame is dissected
-     into one reused accumulator and counted from it, with the flow key
-     as its one string, instead of into a record list counted
-     afterwards;
+     most 12 minor words per record, because the records are walked
+     without an index, each frame is read in place onto one reused
+     tape and counted from it, and its flow is found by its identity
+     bytes, so a key is rendered once per flow and sample, not per
+     frame;
    - rng: a [Rng.int] draw allocates nothing and a [Dist.sample_int]
      draw on an [Empirical] at most 2 words (its boxed uniform);
    - telemetry: a poll allocates at most 16 minor words per switch port
@@ -541,7 +542,7 @@ let test_digest_fold_words () =
   let words = minor_words (fun () -> Analysis.Profile.Builder.add_report b report) in
   check_at_most
     (Printf.sprintf "digest fold: add_report minor words per record (%d records)" records)
-    ~bound:240.0
+    ~bound:12.0
     (words /. float_of_int records)
 
 (* --- capture: words per materialized record ------------------------ *)

@@ -3,7 +3,10 @@
    captures and over seeded mutations of well-formed frames (where the
    record decode must never raise), and a capture's profile is its
    records' profile.  The suites keep the [overlay.*] names they had
-   when the overlay cursor, since removed, was checked here too. *)
+   when the overlay cursor, since removed, was checked here too.  Over
+   the same captures, [dissect.tape] checks the dissector's tape walk
+   against the typed walk it replaced ([Oracle.Typed_dissector]), and
+   that frames with equal flow identities render equal keys. *)
 
 module S = Packet.Slice
 module H = Packet.Headers
@@ -308,6 +311,162 @@ let prop_profile_mutated =
       profiles_agree buf
       && profiles_agree (mutate (Frame_gen.rng_of_seed (seed + 1)) buf))
 
+(* --- the tape walk ≡ the typed walk --- *)
+
+(* A capture's records, each with its timestamp and wire length. *)
+let records buf =
+  Array.to_list
+    (Array.map
+       (fun (e : Packet.Pcap.index_entry) ->
+         (e.Packet.Pcap.ts, e.Packet.Pcap.orig_len, Packet.Pcap.Reader.slice buf e))
+       (Packet.Pcapng.index_any buf))
+
+(* Every cut of a mutated frame, from no bytes to all of them, each
+   claiming the frame's wire length. *)
+let cuts rng =
+  let data, orig_len = mutated_frame rng in
+  List.init (Bytes.length data + 1) (fun k -> (0.0, orig_len, S.make data ~off:0 ~len:k))
+
+let mutated_cuts seed =
+  let rng = Frame_gen.rng_of_seed seed in
+  List.concat (List.init 20 (fun _ -> cuts rng))
+
+(* The tape read back into typed headers is the typed walk's result,
+   and the record abstracted from the tape is the one abstracted from
+   the typed walk's headers. *)
+let tape_agrees (ts, orig_len, slice) =
+  let typed = Oracle.Typed_dissector.dissect_slice ~orig_len slice in
+  Dissect.Dissector.dissect_slice ~orig_len slice = typed
+  && Dissect.Acap.of_slice ~ts ~orig_len slice
+     = Oracle.acap_of_dissection ~ts ~orig_len ~cap_len:(S.length slice) typed
+
+let prop_tape_adversarial =
+  QCheck.Test.make ~count:20 ~name:"tape walk ≡ typed walk over adversarial captures"
+    QCheck.small_int
+    (fun seed -> List.for_all tape_agrees (records (adversarial_pcap seed)))
+
+let prop_tape_templates =
+  QCheck.Test.make ~count:10 ~name:"tape walk ≡ typed walk over every template"
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 1400))
+    (fun case -> List.for_all tape_agrees (records (templates_pcap case)))
+
+let prop_tape_mutated =
+  QCheck.Test.make ~count:30 ~name:"tape walk ≡ typed walk over every cut of mutated frames"
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> List.for_all tape_agrees (mutated_cuts seed))
+
+(* --- equal flow identities render equal keys --- *)
+
+(* Each frame of random stacks, then the frames that differ from it in
+   one field: in VLAN PCP, in MPLS TC or in MPLS TTL, which the key
+   does not read, or in one the key does read (a vid, a label, a bit of
+   the source or destination address, a port, TCP for UDP), so that an
+   identity blind to such a field shares one identity between two
+   keys.  A third of the records are snapped anywhere. *)
+let variants_pcap seed =
+  let rng = Frame_gen.rng_of_seed seed in
+  let w = Packet.Pcap.Writer.create () in
+  let flip_v4 a =
+    Netcore.Ipv4_addr.of_int32
+      (Int32.logxor (Netcore.Ipv4_addr.to_int32 a) (Int32.shift_left 1l (Rng.int rng 32)))
+  and flip_v6 a =
+    let hi, lo = Netcore.Ipv6_addr.halves a and bit = Int64.shift_left 1L (Rng.int rng 64) in
+    if Rng.bool rng then Netcore.Ipv6_addr.make (Int64.logxor hi bit) lo
+    else Netcore.Ipv6_addr.make hi (Int64.logxor lo bit)
+  in
+  let port p = (p + 1) land 0xFFFF in
+  let variants =
+    [
+      (function H.Vlan v -> H.Vlan { v with H.pcp = (v.H.pcp + 1) land 7 } | h -> h);
+      (function H.Mpls m -> H.Mpls { m with H.tc = (m.H.tc + 1) land 7 } | h -> h);
+      (function H.Mpls m -> H.Mpls { m with H.ttl = (m.H.ttl + 1) land 0xFF } | h -> h);
+      (function H.Vlan v -> H.Vlan { v with H.vid = 1 + (v.H.vid mod 4094) } | h -> h);
+      (function H.Mpls m -> H.Mpls { m with H.label = (m.H.label + 1) land 0xFFFFF } | h -> h);
+      (function
+      | H.Ipv4 a -> H.Ipv4 { a with H.src = flip_v4 a.H.src }
+      | H.Ipv6 a -> H.Ipv6 { a with H.src = flip_v6 a.H.src }
+      | h -> h);
+      (function
+      | H.Ipv4 a -> H.Ipv4 { a with H.dst = flip_v4 a.H.dst }
+      | H.Ipv6 a -> H.Ipv6 { a with H.dst = flip_v6 a.H.dst }
+      | h -> h);
+      (function
+      | H.Tcp t -> H.Tcp { t with H.src_port = port t.H.src_port }
+      | H.Udp u -> H.Udp { u with H.src_port = port u.H.src_port }
+      | h -> h);
+      (function
+      | H.Tcp t -> H.Tcp { t with H.dst_port = port t.H.dst_port }
+      | H.Udp u -> H.Udp { u with H.dst_port = port u.H.dst_port }
+      | h -> h);
+    ]
+  in
+  (* TCP for UDP, and no application header above it. *)
+  let rec as_udp = function
+    | H.Tcp { src_port; dst_port; _ } :: _ -> [ H.Udp { src_port; dst_port } ]
+    | h :: rest -> h :: as_udp rest
+    | [] -> []
+  in
+  for i = 0 to 29 do
+    let frame = Frame_gen.random_frame ~max_payload:200 rng in
+    List.iter
+      (fun headers ->
+        let b =
+          Packet.Codec.encode
+            (Packet.Frame.make headers ~payload_len:frame.Packet.Frame.payload_len)
+        in
+        let keep =
+          if Rng.bernoulli rng 0.3 then 1 + Rng.int rng (Bytes.length b) else Bytes.length b
+        in
+        Packet.Pcap.Writer.add w ~ts:(float_of_int i *. 1e-3) ~orig_len:(Bytes.length b)
+          (Bytes.sub b 0 keep))
+      (frame.Packet.Frame.headers
+       :: as_udp frame.Packet.Frame.headers
+       :: List.map (fun f -> List.map f frame.Packet.Frame.headers) variants)
+  done;
+  Packet.Pcap.Writer.contents w
+
+(* Dissected one after another into one [Fields], as the fold does: a
+   frame has an identity exactly when it has a key, and every frame
+   with a given identity renders the same key. *)
+let identities_agree records =
+  let module F = Dissect.Acap.Fields in
+  let fields = F.create () and seen = Hashtbl.create 64 in
+  List.for_all
+    (fun (_, orig_len, slice) ->
+      F.dissect fields (S.buffer slice) ~off:(S.offset slice) ~cap_len:(S.length slice)
+        ~orig_len;
+      let len = F.identity_length fields in
+      match F.key fields with
+      | None -> len = 0
+      | Some key -> (
+        len > 0
+        &&
+        let id = Bytes.sub_string (F.identity fields) 0 len in
+        match Hashtbl.find_opt seen id with
+        | Some k -> String.equal k key
+        | None ->
+          Hashtbl.add seen id key;
+          true))
+    records
+
+let prop_identity_adversarial =
+  QCheck.Test.make ~count:20
+    ~name:"equal identities, equal keys over adversarial captures and one-field variants"
+    QCheck.small_int
+    (fun seed ->
+      identities_agree (records (adversarial_pcap seed) @ records (variants_pcap seed)))
+
+let prop_identity_templates =
+  QCheck.Test.make ~count:10 ~name:"equal identities, equal keys over every template"
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 1400))
+    (fun case -> identities_agree (records (templates_pcap case)))
+
+let prop_identity_mutated =
+  QCheck.Test.make ~count:30
+    ~name:"equal identities, equal keys over every cut of mutated frames"
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> identities_agree (mutated_cuts seed))
+
 let suites =
   [
     ( "overlay.properties",
@@ -322,4 +481,14 @@ let suites =
     ( "overlay.fuzz",
       List.map QCheck_alcotest.to_alcotest
         [ prop_fuzz_per_frame; prop_fuzz_digest; prop_fold_mutated; prop_profile_mutated ] );
+    ( "dissect.tape",
+      List.map QCheck_alcotest.to_alcotest
+        [
+          prop_tape_adversarial;
+          prop_tape_templates;
+          prop_tape_mutated;
+          prop_identity_adversarial;
+          prop_identity_templates;
+          prop_identity_mutated;
+        ] );
   ]
