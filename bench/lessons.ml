@@ -17,7 +17,11 @@ let run () =
   let n_iters = 2_000 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to n_iters do
-    List.iter (fun b -> ignore (Dissect.Dissector.dissect b)) frames
+    List.iter
+      (fun b ->
+        let len = Bytes.length b in
+        ignore (Dissect.Dissector.dissect b ~off:0 ~cap_len:len ~orig_len:len))
+      frames
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   let per_frame = elapsed /. float_of_int (n_iters * List.length frames) in

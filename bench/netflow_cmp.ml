@@ -62,11 +62,19 @@ let run () =
   (match Switch.add_mirror sw ~src_port:0 ~dirs:Switch.Both ~dst_port:3 with
   | Error m -> Paper.row "mirror failed: %s" m
   | Ok _mirror ->
+    (* Each frame abstracted from its stored bytes, as the digest reads
+       a capture snapped at 200 bytes. *)
+    let fields = Dissect.Acap.Fields.create () in
     let acaps = ref [] in
     List.iter
       (fun spec ->
         List.iter
-          (fun (ts, frame) -> acaps := Dissect.Acap.of_frame ~ts frame :: !acaps)
+          (fun (ts, frame) ->
+            let bytes = Packet.Codec.encode ~limit:200 frame
+            and orig_len = Packet.Frame.wire_length frame in
+            Dissect.Acap.Fields.dissect fields bytes ~off:0 ~cap_len:(Bytes.length bytes)
+              ~orig_len;
+            acaps := Dissect.Acap.of_fields fields ~ts ~orig_len :: !acaps)
           (Flow_model.frames_in_window spec (Netcore.Rng.create 6) ~start_time:0.0
              ~end_time:2.0))
       [ flow_a; flow_b ];

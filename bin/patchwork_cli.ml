@@ -166,9 +166,8 @@ let dissect_cmd =
   let limit =
     Arg.(value & opt int 20 & info [ "n" ] ~docv:"N" ~doc:"Records to print.")
   in
-  let run file limit domains =
-    with_domains domains @@ fun pool ->
-    let acaps = Analysis.Digest.pcap_to_acaps ~pool (Analysis.Digest.read_file file) in
+  let run file limit =
+    let acaps = Analysis.Digest.pcap_to_acaps (Analysis.Digest.read_file file) in
     Printf.printf "%d packets\n" (List.length acaps);
     List.iteri
       (fun i r ->
@@ -181,7 +180,7 @@ let dissect_cmd =
       profile.Analysis.Profile.occurrence
   in
   let info = Cmd.info "dissect" ~doc:"Dissect a pcap file into abstract captures" in
-  Cmd.v info Term.(const run $ file $ limit $ domains_arg)
+  Cmd.v info Term.(const run $ file $ limit)
 
 (* --- generate --- *)
 
@@ -694,27 +693,13 @@ let release_cmd =
     (* Prepare a capture for public release: prefix-preserving address
        anonymization plus payload truncation, as the paper proposes for
        periodically publishing testbed traces. *)
-    let ic = open_in_bin input in
-    let buf =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          let b = Bytes.create len in
-          really_input ic b 0 len;
-          b)
-    in
-    (* The digest's decode: index the records, dissect each in place. *)
-    let entries = Packet.Pcapng.index_any buf in
+    let buf = Analysis.Digest.read_file input in
     let anon = Hostmodel.Anonymize.create ~key in
     let w = Packet.Pcap.Writer.create ~snaplen () in
     let rewritten = ref 0 and passed = ref 0 in
-    Array.iter
-      (fun (e : Packet.Pcap.index_entry) ->
-        let d =
-          Dissect.Dissector.dissect_slice ~orig_len:e.orig_len
-            (Packet.Pcap.Reader.slice buf e)
-        in
+    (* The digest's walk: each record dissected where it lies. *)
+    Packet.Pcapng.fold_any buf ~init:() ~f:(fun () ~ts ~orig_len ~off ~cap_len ->
+        let d = Dissect.Dissector.dissect buf ~off ~cap_len ~orig_len in
         match Packet.Frame.validate d.Dissect.Dissector.headers with
         | Ok () when d.Dissect.Dissector.headers <> [] ->
           (* Re-encode the anonymized headers, only as far as the
@@ -725,17 +710,14 @@ let release_cmd =
           in
           let frame = Hostmodel.Anonymize.frame anon frame in
           incr rewritten;
-          Packet.Pcap.Writer.add w ~ts:e.ts ~orig_len:e.orig_len
-            (Packet.Codec.encode ~limit:snaplen frame)
+          Packet.Pcap.Writer.add w ~ts ~orig_len (Packet.Codec.encode ~limit:snaplen frame)
         | Ok () | Error _ ->
           (* Frames we cannot re-encode are blanked rather than leaked. *)
           incr passed;
-          Packet.Pcap.Writer.add w ~ts:e.ts ~orig_len:e.orig_len
-            (Bytes.make (min snaplen e.cap_len) '\x00'))
-      entries;
+          Packet.Pcap.Writer.add w ~ts ~orig_len (Bytes.make (min snaplen cap_len) '\x00'));
     Packet.Pcap.Writer.to_file w output;
     Printf.printf "released %d packets to %s (%d anonymized, %d blanked)\n"
-      (Array.length entries) output !rewritten !passed
+      (!rewritten + !passed) output !rewritten !passed
   in
   let info =
     Cmd.info "release"

@@ -46,14 +46,14 @@ type materialized = {
    varies only the IPv4 ident and TCP seq between its frames, which no
    filter primitive and no acap field reads, so one frame, drawn at
    index 0, decides the filter (with each draw's own wire length), one
-   abstract record, stamped per draw, stands for every frame, and one
-   template, stamped per draw, writes every frame's pcap bytes. *)
+   template, stamped per draw, writes every frame's pcap bytes, and one
+   abstract record, the digest of the template's header bytes, stamped
+   per draw, stands for every frame. *)
 type flow_class = {
   frame : Packet.Frame.t;
       (** before anonymization, for filter checks and the offload *)
-  record : Dissect.Acap.record;  (** after anonymization *)
-  template : Packet.Codec.template option;
-      (** after anonymization, with [emit_pcap] *)
+  template : Packet.Codec.template;  (** after anonymization *)
+  record : Dissect.Acap.record;
 }
 
 (* Split the draws at time [at] off the head of a run: they come back
@@ -122,6 +122,16 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
     else Fun.id
   in
   let emit_pcap = config.Config.emit_pcap in
+  (* Each class record is read off the dissector's tape, as the digest
+     reads a stored frame: the walk over the class template's header
+     bytes, whole, so the record is not truncated. *)
+  let fields = Dissect.Acap.Fields.create () in
+  let record_of template =
+    let len = Packet.Codec.header_length template in
+    Dissect.Acap.Fields.dissect fields (Packet.Codec.headers template) ~off:0 ~cap_len:len
+      ~orig_len:len;
+    Dissect.Acap.of_fields fields ~ts:0.0 ~orig_len:len
+  in
   (* One run per spec, newest first, in reverse spec order: of records,
      or of pcap draws with [emit_pcap]. *)
   let runs = ref [] and pcap_runs = ref [] and classes = ref 0 in
@@ -139,15 +149,8 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
         | c -> c
         | exception Not_found ->
           let frame = Flow_model.draw_frame spec ~index:0 ~wire_len ~subflow in
-          let anonymized = anonymize frame in
-          let c =
-            {
-              frame;
-              record = Dissect.Acap.of_frame ~ts:0.0 anonymized;
-              template =
-                (if emit_pcap then Some (Packet.Codec.template anonymized) else None);
-            }
-          in
+          let template = Packet.Codec.template (anonymize frame) in
+          let c = { frame; template; record = record_of template } in
           Hashtbl.add table subflow c;
           incr classes;
           c
@@ -160,9 +163,8 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
             let record =
               Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len ~cap_len:wire_len
             in
-            match c.template with
-            | Some template -> draws := { record; template; index } :: !draws
-            | None -> acaps := record :: !acaps
+            if emit_pcap then draws := { record; template = c.template; index } :: !draws
+            else acaps := record :: !acaps
           end);
       if emit_pcap then pcap_runs := !draws :: !pcap_runs
       else runs := !acaps :: !runs)

@@ -48,8 +48,8 @@ type sample = {
   acaps : Dissect.Acap.record list;
       (** materialized records in timestamp order, possibly a uniform
           thinning.  The records of one flow class (spec, subflow) are
-          stamps of one abstracted frame and share its lists, strings
-          and flow key ({!materialize}). *)
+          stamps of the record of its template's header bytes and share
+          its lists, strings and flow key ({!materialize}). *)
   materialized_fraction : float;
       (** fraction of captured frames materialized into [acaps] *)
   pcap : bytes option;
@@ -98,18 +98,21 @@ val materialize :
 
     A record is a pure function of its draw's (spec, subflow) plus
     timestamp and wire length, so each class builds one frame, at
-    index 0 when its first draw comes, and every draw's record is a
-    stamp of the record abstracted from it.  The filter and the FPGA
-    offload's sampler decide each draw on that class frame.  With
-    [emit_pcap] the anonymized class frame is also compiled to a
-    {!Packet.Codec.template}, and once the draws are merged into the
-    records' order each kept draw's pcap record is stamped from it
+    index 0 when its first draw comes.  The filter and the FPGA
+    offload's sampler decide each draw on that class frame.  Its
+    anonymized copy is compiled to a {!Packet.Codec.template}, and the
+    class record is what {!Dissect.Acap.Fields.dissect} reads off the
+    template's header bytes ({!Packet.Codec.headers}), walked whole;
+    every draw's record is a stamp of it.  With [emit_pcap], once the
+    draws are merged into the records' order, each kept draw's pcap
+    record is stamped from the template
     ({!Traffic.Flow_model.stamp_draw}) into one buffer, reserved at the
     file's exact size: 24 bytes plus, per record, 16 and
     [min truncation wire_len].  No frame is built per draw.  Records
-    and pcap bytes are bit-identical to abstracting and encoding every
-    frame of {!Traffic.Flow_model.frames_in_window}, and the RNG is
-    left in the same state. *)
+    and pcap bytes are bit-identical to abstracting the typed headers
+    of, and encoding, every frame of
+    {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
+    same state. *)
 
 val run :
   fabric:Testbed.Fablib.t ->

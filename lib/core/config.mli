@@ -38,9 +38,12 @@ type t = {
   filter : Packet.Filter.t;
   anonymize : bool;  (** prefix-preserving address anonymization *)
   emit_pcap : bool;
-      (** build real pcap bytes (off for long profiles).  Profiles then
-          digest those bytes, folded frame by frame, instead of the
-          in-line acaps: the same records but for their stamps
+      (** build real pcap bytes (off for long profiles), each record a
+          stamp of its flow class's template.  Profiles then digest
+          those bytes, folded frame by frame, instead of the in-line
+          acaps.  Either way each record comes off the dissector's tape
+          (the in-line ones from the class template's header bytes), so
+          the two are the same records but for their stamps
           (microsecond times, captured lengths, truncation), see
           [Analysis.Digest.sample_acaps]. *)
   max_frames_per_sample : int;

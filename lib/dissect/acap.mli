@@ -23,16 +23,16 @@ type record = private {
           record is built *)
 }
 (** Private so that [key] always agrees with the fields it is rendered
-    from: {!make}, {!stamp} and the dissecting constructors below are
-    the only ways to build one.  The key reads neither the timestamp nor
-    the lengths, which is what lets {!stamp} share it. *)
+    from: {!of_fields}, {!make} and {!stamp} are the only ways to build
+    one.  The key reads neither the timestamp nor the lengths, which is
+    what lets {!stamp} share it. *)
 
-(** One frame's abstract fields, in a value reused frame after frame.
-    A digest fold dissects each frame into one [t] and hands it to its
-    consumer, which reads what it counts and builds no record;
-    {!of_fields} builds the record where one is wanted.  Every record
-    constructor goes through it, so the stack and the flow key are
-    rendered in one place.  A dissected frame is read where the
+(** One frame's abstract fields, in a value reused frame after frame:
+    the one route from a frame's bytes to its abstraction.  A digest
+    fold dissects each frame into one [t] and hands it to its consumer,
+    which reads what it counts and builds no record; {!of_fields} builds
+    the record where one is wanted, as the capture does for each flow
+    class from its template's bytes.  A frame is read where the
     dissector's {!Dissector.Tape} left it: nothing is allocated per
     frame, and the key is rendered only when asked.  A [t] belongs to
     one fold: it is overwritten by the next frame, so parallel folds
@@ -41,8 +41,8 @@ module Fields : sig
   type t
 
   val create : unit -> t
-  (** Fields with no frame; the tape and the identity buffer are
-      allocated by the first {!dissect}. *)
+  (** Fields with no frame, and the tape they are read from; the
+      identity buffer is allocated by the first {!dissect}. *)
 
   val dissect : t -> bytes -> off:int -> cap_len:int -> orig_len:int -> unit
   (** Run {!Dissector.walk} over the [cap_len] captured bytes at [off]
@@ -84,7 +84,7 @@ end
 
 val of_fields : Fields.t -> ts:float -> orig_len:int -> record
 (** The record of the frame [Fields] holds; [cap_len] and [truncated]
-    are the dissected record's. *)
+    are the dissected frame's. *)
 
 val make :
   ts:float ->
@@ -99,25 +99,16 @@ val make :
   tcp_rst:bool ->
   truncated:bool ->
   record
-(** Build a record from its fields, rendering its key. *)
+(** Build a record from its fields, rendering its key as {!of_fields}
+    renders a dissected frame's: the key's protocol is the first of
+    ["tcp"], ["udp"], ["icmp"] and ["icmpv6"] in the stack, and a record
+    without both endpoints has no key. *)
 
 val stamp : record -> ts:float -> orig_len:int -> cap_len:int -> record
 (** The same record with a new timestamp and lengths.  The copy shares
     the original's lists, strings and key: the capture path abstracts
     one frame per flow class and stamps every frame of the class from
     it. *)
-
-val of_slice : ts:float -> orig_len:int -> Packet.Slice.t -> record
-(** Dissect a view into the shared capture buffer in place, without
-    copying the packet out of it. *)
-
-val of_entry : bytes -> Packet.Pcap.index_entry -> record
-(** Resolve an index entry against its capture buffer and abstract it
-    through the slice path. *)
-
-val of_frame : ts:float -> Packet.Frame.t -> record
-(** Abstract a frame's typed headers directly (no wire round-trip), as
-    the capture abstracts one frame per flow class. *)
 
 val to_line : record -> string
 (** Serialize as one tab-separated line. *)

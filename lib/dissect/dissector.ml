@@ -64,22 +64,26 @@ module Tape = struct
     mutable b : int array;
     mutable payload_len : int;
     mutable truncated : bool;
+    mutable service : int;
   }
 
+  (* No room until the first header: a fold over a capture with no
+     frames allocates no columns. *)
   let create () =
     {
       bytes = Bytes.empty;
       length = 0;
-      kinds = Array.make 16 Eth;
-      offs = Array.make 16 0;
-      a = Array.make 16 0;
-      b = Array.make 16 0;
+      kinds = [||];
+      offs = [||];
+      a = [||];
+      b = [||];
       payload_len = 0;
       truncated = false;
+      service = -1;
     }
 
   let grow t =
-    let n = 2 * Array.length t.kinds in
+    let n = max 16 (2 * Array.length t.kinds) in
     let extend v fill =
       let w = Array.make n fill in
       Array.blit v 0 w 0 t.length;
@@ -280,6 +284,18 @@ and dns t pos lim =
   if u16 t (pos + 4) = 0 && u16 t (pos + 6) = 0 then lim - pos
   else fixed t Dns ~a:0 pos lim 12
 
+(* When the walk stopped at a bare TCP or UDP header, the payload above
+   it is classified by well-known port, as tshark does: the service the
+   header's ports name. *)
+let service (t : Tape.t) =
+  let i = t.length - 1 in
+  if i < 0 then -1
+  else
+    match t.kinds.(i) with
+    | Tcp -> Services.lookup_index Services.Tcp ~src_port:t.a.(i) ~dst_port:t.b.(i)
+    | Udp -> Services.lookup_index Services.Udp ~src_port:t.a.(i) ~dst_port:t.b.(i)
+    | _ -> -1
+
 let walk t bytes ~off ~cap_len ~orig_len =
   if off < 0 || cap_len < 0 || off + cap_len > Bytes.length bytes then
     invalid_arg "Dissector.walk: record outside buffer";
@@ -290,7 +306,8 @@ let walk t bytes ~off ~cap_len ~orig_len =
     (try eth t off (off + cap_len)
      with Cut ->
        t.Tape.truncated <- true;
-       0)
+       0);
+  t.Tape.service <- service t
 
 (* --- typed headers, read back from the tape ------------------------ *)
 
@@ -378,20 +395,11 @@ let header (t : Tape.t) i : H.header =
   | Ntp -> H.Ntp
   | Quic -> H.Quic
 
-let result (t : Tape.t) =
+let dissect bytes ~off ~cap_len ~orig_len =
+  let t = Tape.create () in
+  walk t bytes ~off ~cap_len ~orig_len;
   {
     headers = List.init t.length (header t);
     payload_len = t.payload_len;
     truncated = t.truncated;
   }
-
-let dissect data =
-  let t = Tape.create () in
-  walk t data ~off:0 ~cap_len:(Bytes.length data) ~orig_len:(Bytes.length data);
-  result t
-
-let dissect_slice ~orig_len slice =
-  let t = Tape.create () in
-  walk t (Packet.Slice.buffer slice) ~off:(Packet.Slice.offset slice)
-    ~cap_len:(Packet.Slice.length slice) ~orig_len;
-  result t

@@ -14,8 +14,8 @@
     frame where it sits in the capture buffer and reports each header
     it accepts onto a reusable {!Tape}: the header's kind, its byte
     offset and the few fields the digest abstracts, so a digest fold
-    dissects frame after frame without allocating.  {!dissect} and
-    {!dissect_slice} read a tape back into typed headers.
+    dissects frame after frame without allocating.  {!dissect} reads a
+    tape back into typed headers.
 
     Dissection is tolerant of snap-length truncation: a header that runs
     past the end of the captured bytes terminates dissection and marks
@@ -81,6 +81,11 @@ module Tape : sig
     mutable b : int array;
     mutable payload_len : int;  (** as {!result}'s *)
     mutable truncated : bool;  (** as {!result}'s *)
+    mutable service : int;
+        (** when the last header is a TCP or UDP header, the
+            {!Services.catalog} index of the service its ports name (the
+            payload above it classified by well-known port, as tshark
+            does), else -1 *)
   }
 
   val create : unit -> t
@@ -92,12 +97,8 @@ val walk : Tape.t -> bytes -> off:int -> cap_len:int -> orig_len:int -> unit
     read is bounded by those bytes; a frame outside the buffer raises
     [Invalid_argument]. *)
 
-val dissect : bytes -> result
-(** Dissect a whole frame: its wire length is the buffer's. *)
-
-val dissect_slice : orig_len:int -> Packet.Slice.t -> result
-(** Dissect a captured record in place, never copying the underlying
-    capture buffer.  [orig_len] is the original wire length, as
-    recorded in pcap; the slice holds its first bytes when the capture
-    was snapped.  On a whole frame it produces what {!dissect} does on
-    a copy of the viewed bytes. *)
+val dissect : bytes -> off:int -> cap_len:int -> orig_len:int -> result
+(** {!walk} a frame on a tape of its own and read the tape back into
+    typed headers, for [release], which re-encodes them.  Never copies
+    the buffer: on a snapped record it reads the [cap_len] captured
+    bytes where they lie. *)

@@ -62,10 +62,7 @@ let catalog =
 
 (* The lookup runs once per dissected frame, so it indexes instead of
    scanning: per L4 kind, one byte per port holds the catalog index + 1
-   of the first entry on that port (0 for none), and each entry's
-   [Some] is built once, here. *)
-let hits = Array.map Option.some catalog
-
+   of the first entry on that port (0 for none). *)
 let port_index l4 =
   assert (Array.length catalog < 0x100);
   let t = Bytes.make 0x10000 '\000' in
@@ -84,8 +81,5 @@ let find l4 port =
 
 let lookup_index l4 ~src_port ~dst_port =
   match find l4 dst_port with -1 -> find l4 src_port | i -> i
-
-let lookup l4 ~src_port ~dst_port =
-  match lookup_index l4 ~src_port ~dst_port with -1 -> None | i -> hits.(i)
 
 let by_name name = Array.find_opt (fun s -> s.service_name = name) catalog

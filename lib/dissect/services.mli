@@ -14,13 +14,10 @@ type service = { service_name : string; port : int; l4 : l4 }
 val catalog : service array
 (** All known services, unique per (port, l4). *)
 
-val lookup : l4 -> src_port:int -> dst_port:int -> service option
-(** Service matching either port (destination takes precedence; on one
-    port the first catalog entry wins; a port outside 0-65535 matches
-    nothing).  It allocates nothing: the digest calls it once per
-    frame. *)
-
 val lookup_index : l4 -> src_port:int -> dst_port:int -> int
-(** The {!catalog} index of {!lookup}'s service, or -1 for none. *)
+(** The {!catalog} index of the service matching either port, or -1 for
+    none: the destination takes precedence, on one port the first
+    catalog entry wins, and a port outside 0-65535 matches nothing.  It
+    allocates nothing: the digest calls it once per frame. *)
 
 val by_name : string -> service option

@@ -200,10 +200,9 @@ let header_length t = Wire.Writer.length t.hdr
 
 let wire_length t ~payload_len = max Frame.min_wire_size (header_length t + payload_len)
 
-(* The fields are set in the template's own bytes, which every stamp
-   overwrites whole, then the bytes are copied. *)
-let stamp_into w t ~ident ~seq ~payload_len ~limit =
-  if limit < 0 then invalid_arg "Codec.stamp_into: negative limit";
+(* Set one frame's fields in the template's own bytes, which every
+   stamp overwrites whole. *)
+let patch t ~ident ~seq ~payload_len =
   let hdr = t.hdr in
   let buf = Wire.Writer.buffer hdr and headers_end = header_length t in
   let total = headers_end + payload_len in
@@ -232,11 +231,19 @@ let stamp_into w t ~ident ~seq ~payload_len ~limit =
         Wire.Writer.patch_u16 hdr ~pos:(pos + 16)
           (l4_checksum buf ~ip ~v6 ~protocol:6 ~pos ~headers_end ~total)
       end
-  done;
-  let stop = min limit (max Frame.min_wire_size total) in
-  let copied = min stop headers_end in
-  Wire.Writer.subbytes w buf ~pos:0 ~len:copied;
+  done
+
+let stamp_into w t ~ident ~seq ~payload_len ~limit =
+  if limit < 0 then invalid_arg "Codec.stamp_into: negative limit";
+  patch t ~ident ~seq ~payload_len;
+  let stop = min limit (wire_length t ~payload_len) in
+  let copied = min stop (header_length t) in
+  Wire.Writer.subbytes w (Wire.Writer.buffer t.hdr) ~pos:0 ~len:copied;
   Wire.Writer.zeros w (stop - copied)
+
+let headers t =
+  patch t ~ident:0 ~seq:0 ~payload_len:0;
+  Wire.Writer.buffer t.hdr
 
 let encode_into w ~limit (frame : Frame.t) =
   stamp_into w (template frame) ~ident:0 ~seq:0 ~payload_len:frame.payload_len ~limit

@@ -56,6 +56,12 @@ val stamp_into :
     [seq] (modulo 2{^32}): the bytes {!encode} returns for that frame.
     Raises [Invalid_argument] on a negative [limit]. *)
 
+val headers : template -> bytes
+(** The template's own bytes, stamped for its frame with no payload and
+    nothing advanced: their first {!header_length} bytes are that
+    frame's headers as {!stamp_into} writes them, every length and
+    checksum set.  Not a copy: the next stamp overwrites them. *)
+
 val encode : ?limit:int -> Frame.t -> bytes
 (** The first [min limit (Frame.wire_length frame)] bytes of the frame's
     encoding.  [limit] defaults to the wire length, so [encode frame] is

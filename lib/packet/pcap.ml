@@ -1,7 +1,5 @@
 open Netcore
 
-type index_entry = { ts : float; orig_len : int; data_off : int; cap_len : int }
-
 let magic_be = 0xA1B2C3D4l
 let magic_le = 0xD4C3B2A1l
 let linktype_ethernet = 1l
@@ -126,8 +124,7 @@ module Reader = struct
     else raise (Malformed (Printf.sprintf "bad magic 0x%08lx" raw_magic))
 
   (* The record walk: record headers only, never payload bytes.  The
-     digest's fold reads each record's frame where it lies; [index]
-     collects the same walk's entries. *)
+     digest reads each record's frame where it lies. *)
   let fold buf ~init ~f =
     let endian = header buf in
     let snaplen = u32_int endian buf 16 in
@@ -150,14 +147,4 @@ module Reader = struct
       end
     in
     go init 24
-
-  let index buf =
-    let entries =
-      fold buf ~init:[] ~f:(fun acc ~ts ~orig_len ~off ~cap_len ->
-          { ts; orig_len; data_off = off; cap_len } :: acc)
-    in
-    Array.of_list (List.rev entries)
-
-  let slice buf (e : index_entry) = Slice.make buf ~off:e.data_off ~len:e.cap_len
-
 end

@@ -6,16 +6,6 @@
     readable by tcpdump/Wireshark (big-endian byte order, which readers
     detect from the magic number). *)
 
-type index_entry = {
-  ts : float;
-  orig_len : int;
-  data_off : int;  (** byte offset of the captured data in the buffer *)
-  cap_len : int;  (** captured length *)
-}
-(** One record of a capture index: where a packet's bytes live inside
-    the shared capture buffer.  Produced by {!Reader.index} (and
-    {!Pcapng.index}); resolves to a {!Slice.t} without copying. *)
-
 module Writer : sig
   type t
   (** An in-memory pcap file: one growable byte buffer, which every
@@ -78,11 +68,4 @@ module Reader : sig
       timestamp ≥ 2{^31}), or an [incl_len] exceeding the file's
       declared snaplen, once the records before the bad one are
       folded. *)
-
-  val index : bytes -> index_entry array
-  (** {!fold}'s records, one entry each, under the same checks. *)
-
-  val slice : bytes -> index_entry -> Slice.t
-  (** The captured bytes of an indexed record, as a zero-copy view. *)
-
 end

@@ -28,16 +28,18 @@ let ru32i endian buf pos =
 let is_pcapng buf = Bytes.length buf >= 4 && ru32 Big buf 0 = shb_type
 
 (* The block walk: block headers only, never payload bytes, one record
-   per Enhanced or Simple Packet Block.  The digest's fold reads each
-   record's frame where it lies; [index] collects the same walk's
-   entries, sharing the entry type (and hence the whole slice
-   machinery) with classic pcap. *)
+   per Enhanced or Simple Packet Block, handed over as classic pcap's
+   walk hands its records.  The digest reads each record's frame where
+   it lies. *)
 let fold buf ~init ~f =
   if not (is_pcapng buf) then raise (Malformed "not a pcapng stream");
   let len = Bytes.length buf in
   let rec go acc endian pos =
-    if pos + 12 > len then acc
+    if pos = len then acc
     else begin
+      (* A block header is 12 bytes: type, length and, at the block's
+         end, the length again. *)
+      if pos + 12 > len then raise (Malformed "truncated block header");
       (* Section headers carry the byte-order magic; detect per
          section. *)
       let endian =
@@ -79,14 +81,5 @@ let fold buf ~init ~f =
   in
   go init Big 0
 
-let index buf =
-  let entries =
-    fold buf ~init:[] ~f:(fun acc ~ts ~orig_len ~off ~cap_len ->
-        { Pcap.ts; orig_len; data_off = off; cap_len } :: acc)
-  in
-  Array.of_list (List.rev entries)
-
 let fold_any buf ~init ~f =
   if is_pcapng buf then fold buf ~init ~f else Pcap.Reader.fold buf ~init ~f
-
-let index_any buf = if is_pcapng buf then index buf else Pcap.Reader.index buf

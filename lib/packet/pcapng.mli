@@ -8,16 +8,6 @@
 
 exception Malformed of string
 
-val index : bytes -> Pcap.index_entry array
-(** Walk block headers sequentially and return one entry per
-    Enhanced/Simple Packet block of every section, each resolving to a
-    zero-copy {!Slice.t} via {!Pcap.Reader.slice}.  Raises {!Malformed}
-    on bad block structure: a block length that is not a multiple of 4
-    or overruns the buffer, a packet overrunning its block, a Simple
-    Packet Block shorter than its 16 bytes of header and trailer, or a
-    length or timestamp field with its top bit set (["field out of
-    range"], as {!Pcap.Reader.index} says). *)
-
 val is_pcapng : bytes -> bool
 (** Checks the magic block type (and so distinguishes pcapng from
     classic pcap). *)
@@ -28,9 +18,13 @@ val fold_any :
   f:('a -> ts:float -> orig_len:int -> off:int -> cap_len:int -> 'a) ->
   'a
 (** Dispatch on magic: walk a classic pcap's records
-    ({!Pcap.Reader.fold}) or a pcapng's packet blocks, under
-    {!index}'s checks, handing each record to [f] as
-    {!Pcap.Reader.fold} does, without building an index. *)
-
-val index_any : bytes -> Pcap.index_entry array
-(** Dispatch on magic: classic pcap or pcapng index. *)
+    ({!Pcap.Reader.fold}) or, block header by block header, a pcapng's
+    Enhanced and Simple Packet Blocks of every section, handing each
+    record to [f] as {!Pcap.Reader.fold} does.  On a pcapng it raises
+    {!Malformed} on bad block structure, once the records before the bad
+    block are folded: a stream cut inside a block header (["truncated
+    block header"]), a block length that is not a multiple of 4 or
+    overruns the buffer, a packet overrunning its block, a Simple Packet
+    Block shorter than its 16 bytes of header and trailer, or a length
+    or timestamp field with its top bit set (["field out of range"], as
+    {!Pcap.Reader.fold} says). *)

@@ -213,40 +213,3 @@ let map t f l =
   match t.workers with
   | [] -> credit ~tasks:1 (fun () -> List.map f l)
   | _ -> Array.to_list (map_array t f (Array.of_list l))
-
-(* Fan an index range [0, n) out as contiguous sub-ranges — the indexed
-   pcap decode partitions its record index this way, handing each worker
-   a byte range of the shared capture buffer instead of materialized
-   items.  Results come back in range order. *)
-let map_ranges t ?range_count ~n f =
-  if n < 0 then invalid_arg "Pool.map_ranges: n must be >= 0";
-  let count =
-    match range_count with
-    | Some c when c < 1 -> invalid_arg "Pool.map_ranges: range_count must be >= 1"
-    | Some c -> c
-    | None -> size t * 4
-  in
-  let count = max 1 (min count n) in
-  if n = 0 then []
-  else begin
-    let per = (n + count - 1) / count in
-    let bounds = ref [] in
-    let lo = ref 0 in
-    while !lo < n do
-      bounds := (!lo, min n (!lo + per)) :: !bounds;
-      lo := !lo + per
-    done;
-    let bounds = Array.of_list (List.rev !bounds) in
-    let k = Array.length bounds in
-    let results = Array.make k None in
-    let tasks =
-      Array.mapi
-        (fun i (lo, hi) ->
-          fun () -> results.(i) <- Some (try Ok (f ~lo ~hi) with e -> Error e))
-        bounds
-    in
-    run_all t tasks;
-    reraise_first results k;
-    Array.to_list
-      (Array.map (function Some (Ok v) -> v | _ -> assert false) results)
-  end

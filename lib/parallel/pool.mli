@@ -1,11 +1,10 @@
 (** A small fixed-size domain work pool for the offline pipeline.
 
     The paper's Digest/Analyze stages are embarrassingly parallel
-    over samples and packets; this pool runs them across OCaml 5 domains
+    over samples; this pool runs them across OCaml 5 domains
     while keeping every result deterministic: [map] preserves input
-    order, and [map_ranges] returns its range results in range order.
-    Running with a pool of size 1 therefore produces bit-identical
-    output to running with any larger pool.
+    order.  Running with a pool of size 1 therefore produces
+    bit-identical output to running with any larger pool.
 
     The pool is built on stdlib [Domain]/[Mutex]/[Condition] (plus the
     in-tree [Obs] metrics) and degrades gracefully: a requested size of
@@ -45,19 +44,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array flavour of {!map}. *)
-
-val map_ranges : t -> ?range_count:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** [map_ranges t ~n f] splits the index range [\[0, n)] into at most
-    [range_count] (default 4× the pool size) near-equal contiguous
-    sub-ranges, evaluates [f ~lo ~hi] for each across the pool, and
-    returns the results in range order.  This is how the indexed pcap
-    decode hands each worker a byte range of a shared capture buffer.
-
-    Range boundaries depend on [range_count]; a caller that needs output
-    independent of the pool size must either fix [range_count] or (as
-    the decode paths do) combine range results in a boundary-insensitive
-    way — concatenation in range order, or an exact merge.  [f] must be
-    pure; exceptions are re-raised in the caller, earliest range first. *)
 
 val with_pool : ?size:int -> (t -> 'a) -> 'a
 (** A pool with [size] total degrees of parallelism (the calling domain

@@ -262,42 +262,63 @@ let ones_complement_sum ~initial buf ~pos ~len =
   done;
   !sum
 
+(* The capture index: the record walk ([Pcapng.fold_any]) collecting
+   where each record's captured bytes lie in the buffer, with its
+   timestamp and wire length.  The library reads captures only through
+   the walk; the index is what the copying readers and the reader tests
+   read. *)
+type entry = { ts : float; orig_len : int; off : int; cap_len : int }
+
+let entries fold buf =
+  List.rev
+    (fold buf ~init:[] ~f:(fun acc ~ts ~orig_len ~off ~cap_len ->
+         { ts; orig_len; off; cap_len } :: acc))
+
+let index = entries Packet.Pcapng.fold_any
+
 (* The copying readers: each record is copied out of the capture buffer
-   into a packet of its own.  The library reads captures only through
-   the index and zero-copy slices ([Pcapng.index_any],
-   [Pcap.Reader.slice]); these are the reference the slices are checked
-   against, and the record the pcapng fixture writer takes. *)
+   into a packet of its own.  These are the reference the records read
+   in place are checked against, and the record the pcapng fixture
+   writer takes. *)
 type packet = {
   ts : float;  (* capture timestamp, seconds (microsecond precision) *)
   orig_len : int;  (* original frame length on the wire *)
   data : bytes;  (* captured bytes, possibly truncated to the snaplen *)
 }
 
-let packets_of index buf =
-  Array.to_list
-    (Array.map
-       (fun (e : Packet.Pcap.index_entry) ->
-         { ts = e.ts; orig_len = e.orig_len; data = Bytes.sub buf e.data_off e.cap_len })
-       (index buf))
+let copied buf =
+  List.map (fun (e : entry) ->
+      { ts = e.ts; orig_len = e.orig_len; data = Bytes.sub buf e.off e.cap_len })
 
-let pcap_packets = packets_of Packet.Pcap.Reader.index
-let pcapng_packets = packets_of Packet.Pcapng.index
-let read_any = packets_of Packet.Pcapng.index_any
+let read_any buf = copied buf (index buf)
+let pcap_packets buf = copied buf (entries Packet.Pcap.Reader.fold buf)
+
+let pcapng_packets buf =
+  if not (Packet.Pcapng.is_pcapng buf) then
+    raise (Packet.Pcapng.Malformed "not a pcapng stream");
+  read_any buf
+
+(* The record of a frame's bytes, as the digest builds it: the [cap_len]
+   captured bytes at [off] dissected through [Acap.Fields]. *)
+let acap_of_bytes ~ts ~orig_len bytes ~off ~cap_len =
+  let fields = Dissect.Acap.Fields.create () in
+  Dissect.Acap.Fields.dissect fields bytes ~off ~cap_len ~orig_len;
+  Dissect.Acap.of_fields fields ~ts ~orig_len
 
 (* The copying decode: every packet is copied out of the capture buffer
-   and dissected from the copy.  The sliced digest must reproduce it
-   record for record. *)
+   and dissected from the copy.  The digest, which reads each frame in
+   place, must reproduce it record for record. *)
 let acaps_copying buf =
   List.map
     (fun p ->
-      Dissect.Acap.of_slice ~ts:p.ts ~orig_len:p.orig_len
-        (Packet.Slice.make p.data ~off:0 ~len:(Bytes.length p.data)))
+      acap_of_bytes ~ts:p.ts ~orig_len:p.orig_len p.data ~off:0
+        ~cap_len:(Bytes.length p.data))
     (read_any buf)
 
 (* The service lookup as a catalog scan: the first entry on a port
    wins, and the destination port is tried before the source port.
-   [Services.lookup] indexes the catalog by port instead and must agree
-   with this scan on every port. *)
+   [Services.lookup_index] indexes the catalog by port instead and must
+   agree with this scan on every port. *)
 let service_lookup l4 ~src_port ~dst_port =
   let module S = Dissect.Services in
   let find p = Array.find_opt (fun s -> s.S.port = p && s.S.l4 = l4) S.catalog in
@@ -404,8 +425,8 @@ end
 (* The typed walk: each header is read through [Wire_reader]'s
    bounds-checked cursor into its typed [Headers.header], and the list
    is the result.  [Dissector.walk] reads the same frames in place onto
-   a tape instead, and [Dissector.dissect_slice] must read the tape back
-   into this walk's result, header for header. *)
+   a tape instead, and [Dissector.dissect] must read the tape back into
+   this walk's result, header for header. *)
 module Typed_dissector = struct
   open Netcore
   module H = Packet.Headers
@@ -740,21 +761,18 @@ module Typed_dissector = struct
     in
     { headers = List.rev !headers; payload_len; truncated = !truncated }
 
-  let dissect_slice ~orig_len slice =
-    let len = Packet.Slice.length slice in
-    dissect_reader ~orig_len ~cap_len:len
-      (Wire_reader.of_bytes ~pos:(Packet.Slice.offset slice) ~len (Packet.Slice.buffer slice))
+  let dissect bytes ~off ~cap_len ~orig_len =
+    dissect_reader ~orig_len ~cap_len (Wire_reader.of_bytes ~pos:off ~len:cap_len bytes)
 end
 
-(* The record abstracted from a typed walk's headers, field by field:
-   the header tokens, then the service the port of a last TCP or UDP
+(* The typed abstraction: the record of a header list, field by field.
+   The header tokens, then the service the port of a last TCP or UDP
    header names; the tags; the innermost IP header's endpoints and the
    innermost ports; a RST on any TCP header.  [Acap.make] renders its
-   key.  [Acap.of_slice] abstracts the tape instead and must build the
-   same record. *)
-let acap_of_dissection ~ts ~orig_len ~cap_len (d : Dissect.Dissector.result) =
+   key.  [Acap.Fields] abstracts the dissector's tape instead and must
+   build the same record. *)
+let acap_of_headers ~ts ~orig_len ~cap_len ~truncated headers =
   let module H = Packet.Headers in
-  let headers = d.Dissect.Dissector.headers in
   let service =
     match List.rev headers with
     | H.Tcp { src_port; dst_port; _ } :: _ -> service_lookup Dissect.Services.Tcp ~src_port ~dst_port
@@ -790,15 +808,27 @@ let acap_of_dissection ~ts ~orig_len ~cap_len (d : Dissect.Dissector.result) =
       (List.filter_map (function H.Mpls { label; _ } -> Some label | _ -> None) headers)
     ~src:(Option.map fst endpoints) ~dst:(Option.map snd endpoints) ~l4
     ~tcp_rst:(List.exists (function H.Tcp { flags; _ } -> flags.H.rst | _ -> false) headers)
-    ~truncated:d.Dissect.Dissector.truncated
+    ~truncated
+
+(* The record of a typed walk's result. *)
+let acap_of_dissection ~ts ~orig_len ~cap_len (d : Dissect.Dissector.result) =
+  acap_of_headers ~ts ~orig_len ~cap_len ~truncated:d.Dissect.Dissector.truncated
+    d.Dissect.Dissector.headers
+
+(* The record of a whole frame, from its typed headers with no wire
+   round trip. *)
+let acap_of_frame ~ts (frame : Packet.Frame.t) =
+  let len = Packet.Frame.wire_length frame in
+  acap_of_headers ~ts ~orig_len:len ~cap_len:len ~truncated:false frame.Packet.Frame.headers
 
 (* The per-frame capture: every draw of [Flow_model.frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized and abstracted
    on its own; the kept frames are sorted by time, stably, from newest
    generated first, and written in that order, each pcap record from
-   the full-payload encoder.  [Capture.materialize] abstracts one frame
-   per flow class instead and must reproduce its records, pcap bytes and
-   RNG state. *)
+   the full-payload encoder.  Each record is the typed abstraction of
+   its frame's headers.  [Capture.materialize] abstracts the bytes of
+   one frame per flow class instead and must reproduce its records,
+   pcap bytes and RNG state. *)
 let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
     ~start_time ~end_time specs =
   let module Flow_model = Traffic.Flow_model in
@@ -841,7 +871,7 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
               | Some anon -> Hostmodel.Anonymize.frame anon frame
               | None -> frame
             in
-            kept := (Dissect.Acap.of_frame ~ts frame, frame) :: !kept
+            kept := (acap_of_frame ~ts frame, frame) :: !kept
           end)
         frames)
     specs;

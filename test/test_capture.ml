@@ -486,11 +486,10 @@ let pcap_case (seed, filter_pick, (anonymize, fpga)) =
   in
   let pcap = Option.get m.Capture.pcap in
   let rec ordered = function
-    | (a : Packet.Pcap.index_entry) :: (b :: _ as rest) ->
-      a.Packet.Pcap.ts <= b.Packet.Pcap.ts && ordered rest
+    | (a : Oracle.entry) :: (b :: _ as rest) -> a.Oracle.ts <= b.Oracle.ts && ordered rest
     | _ -> true
   in
-  ordered (Array.to_list (Packet.Pcapng.index_any pcap))
+  ordered (Oracle.index pcap)
   && List.map Test_dissect.unstamped (Analysis.Digest.pcap_to_acaps pcap)
      = List.map Test_dissect.unstamped m.Capture.records
 

@@ -25,9 +25,16 @@ let headers_testable =
          Format.pp_print_string ppf (H.name h)))
     (fun a b -> a = b)
 
-let roundtrip frame =
+(* A whole frame's bytes, dissected; and their first [snap]. *)
+let dissect_bytes b = Dissector.dissect b ~off:0 ~cap_len:(Bytes.length b) ~orig_len:(Bytes.length b)
+let dissect_snapped b snap = Dissector.dissect b ~off:0 ~cap_len:snap ~orig_len:(Bytes.length b)
+let roundtrip frame = dissect_bytes (Codec.encode frame)
+
+(* The record of a frame's encoding, read off the tape as the digest
+   reads a stored frame. *)
+let acap_of_encoded ~ts frame =
   let b = Codec.encode frame in
-  Dissector.dissect b
+  Oracle.acap_of_bytes ~ts ~orig_len:(Bytes.length b) b ~off:0 ~cap_len:(Bytes.length b)
 
 let test_simple_tcp_roundtrip () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:100 in
@@ -134,8 +141,7 @@ let test_zero_dns_stays_payload () =
 let test_truncated_capture () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:1000 in
   let b = Codec.encode f in
-  let snapped = Slice.make b ~off:0 ~len:200 in
-  let d = Dissector.dissect_slice ~orig_len:(Bytes.length b) snapped in
+  let d = dissect_snapped b 200 in
   Alcotest.(check bool) "truncated" true d.Dissector.truncated;
   Alcotest.check headers_testable "headers survive" f.Frame.headers d.Dissector.headers
 
@@ -143,24 +149,23 @@ let test_truncated_mid_header () =
   let f = Frame.make [ eth; ipv4 (); tcp ~dst_port:5201 ] ~payload_len:1000 in
   let b = Codec.encode f in
   (* Cut inside the TCP header (starts at 34). *)
-  let snapped = Slice.make b ~off:0 ~len:40 in
-  let d = Dissector.dissect_slice ~orig_len:(Bytes.length b) snapped in
+  let d = dissect_snapped b 40 in
   Alcotest.(check bool) "truncated" true d.Dissector.truncated;
   Alcotest.(check int) "eth+ip survive" 2 (List.length d.Dissector.headers)
 
 let test_garbage_input () =
-  let d = Dissector.dissect (Bytes.make 60 '\xAA') in
+  let d = dissect_bytes (Bytes.make 60 '\xAA') in
   (* 0xAAAA is an unknown EtherType: Ethernet parses, rest is payload. *)
   Alcotest.(check int) "one header" 1 (List.length d.Dissector.headers)
 
 let test_empty_input () =
-  let d = Dissector.dissect Bytes.empty in
+  let d = dissect_bytes Bytes.empty in
   Alcotest.(check bool) "truncated" true d.Dissector.truncated;
   Alcotest.(check int) "no headers" 0 (List.length d.Dissector.headers)
 
 (* --- Acap --- *)
 
-let test_acap_of_frame () =
+let test_acap_fields () =
   let f =
     Frame.make
       [ eth; H.Vlan { pcp = 0; dei = false; vid = 11 };
@@ -168,7 +173,7 @@ let test_acap_of_frame () =
         H.Tls { content_type = 23 } ]
       ~payload_len:100
   in
-  let r = Acap.of_frame ~ts:42.0 f in
+  let r = acap_of_encoded ~ts:42.0 f in
   Alcotest.(check (list string)) "stack"
     [ "eth"; "vlan"; "mpls"; "ipv4"; "tcp"; "tls" ]
     r.Acap.stack;
@@ -181,7 +186,7 @@ let test_acap_line_fields () =
   let f =
     Frame.make [ eth; ipv4 (); tcp ~dst_port:22; H.Ssh ] ~payload_len:10
   in
-  let r = Acap.of_frame ~ts:1.5 f in
+  let r = acap_of_encoded ~ts:1.5 f in
   match String.split_on_char '\t' (Acap.to_line r) with
   | [ ts; orig_len; _; stack; vlans; mplss; src; _; _; rst; _ ] ->
     Alcotest.(check (float 0.0)) "ts" 1.5 (float_of_string ts);
@@ -199,7 +204,7 @@ let test_acap_flow_key_distinguishes_tags () =
         [ eth; H.Vlan { pcp = 0; dei = false; vid }; ipv4 (); tcp ~dst_port:5201 ]
         ~payload_len:0
     in
-    Acap.of_frame ~ts:0.0 f
+    acap_of_encoded ~ts:0.0 f
   in
   let k1 = Acap.flow_key (make_with_vlan 10) in
   let k2 = Acap.flow_key (make_with_vlan 20) in
@@ -217,7 +222,7 @@ let test_acap_rst_flag () =
             flags = { H.flags_none with rst = true }; window = 0 } ]
       ~payload_len:0
   in
-  let r = Acap.of_frame ~ts:0.0 f in
+  let r = acap_of_encoded ~ts:0.0 f in
   Alcotest.(check bool) "rst seen" true r.Acap.tcp_rst
 
 let test_acap_no_l3 () =
@@ -230,8 +235,25 @@ let test_acap_no_l3 () =
             target_mac = Netcore.Mac.of_int64 0L; target_ip = Netcore.Ipv4_addr.of_string "0.0.0.0" } ]
       ~payload_len:0
   in
-  let r = Acap.of_frame ~ts:0.0 f in
+  let r = acap_of_encoded ~ts:0.0 f in
   Alcotest.(check (option string)) "no flow key" None (Acap.flow_key r)
+
+(* Past 2^52 us a timestamp no longer survives [v *. 1e6] to the
+   microsecond: the line prints it as printf does.  A pcapng timestamp
+   in nanoseconds read as microseconds lands near 1.7e12 s, and one
+   with its high word at 0x7FFFFFFF near 9.2e12 s. *)
+let test_acap_line_large_timestamps () =
+  List.iter
+    (fun ts ->
+      let r =
+        Acap.make ~ts ~orig_len:60 ~cap_len:60 ~stack:[ "eth" ] ~vlan_ids:[] ~mpls_labels:[]
+          ~src:None ~dst:None ~l4:None ~tcp_rst:false ~truncated:false
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%h" ts) (Printf.sprintf "%.6f" ts)
+        (List.hd (String.split_on_char '\t' (Acap.to_line r))))
+    [ 123456789012.345678; 9.223372036854775e12; 1.7e12 +. 0.123457; 4503599627.370495;
+      4503.599627 ]
 
 (* --- the digest names what the generator emits --- *)
 
@@ -252,10 +274,10 @@ let encapsulations =
   ]
 
 (* Every [Stack_builder] template, one per catalog service, encapsulation
-   and direction, at one payload length: the record the capture
-   abstracts from the template and the digest of its bytes snapped to
-   [snap] agree at every snap that keeps the header stack whole (a
-   shorter one cuts the stack by design).  Each case checks the 14 snaps
+   and direction, at one payload length: the typed abstraction of the
+   template's headers and the digest of its bytes snapped to [snap]
+   agree at every snap that keeps the header stack whole (a shorter one
+   cuts the stack by design).  Each case checks the 14 snaps
    from the header length up (a DNS header is 12 bytes), one [extra]
    bytes past it and the whole frame. *)
 let templates_case (seed, payload_len, extra) =
@@ -271,11 +293,11 @@ let templates_case (seed, payload_len, extra) =
         (if reverse then Traffic.Stack_builder.reverse forward else forward)
     in
     let wire = Frame.wire_length frame and header = Frame.header_size_total frame in
-    let inline = unstamped (Acap.of_frame ~ts:0.0 frame) in
+    let inline = unstamped (Oracle.acap_of_frame ~ts:0.0 frame) in
     (* [Codec.encode ~limit] writes a prefix of the whole encoding. *)
     let bytes = Codec.encode frame in
     let digest snap =
-      unstamped (Acap.of_slice ~ts:0.0 ~orig_len:wire (Slice.make bytes ~off:0 ~len:snap))
+      unstamped (Oracle.acap_of_bytes ~ts:0.0 ~orig_len:wire bytes ~off:0 ~cap_len:snap)
     in
     List.for_all
       (fun snap -> digest (min wire snap) = inline)
@@ -359,12 +381,12 @@ let qcheck_tests =
     Test.make ~name:"dissect inverts encode (headers)" ~count:500
       (Frame_gen.frame_arb ())
       (fun f ->
-        let d = Dissector.dissect (Codec.encode f) in
+        let d = dissect_bytes (Codec.encode f) in
         d.Dissector.headers = f.Frame.headers);
     Test.make ~name:"dissect inverts encode (payload, unpadded frames)" ~count:500
       (Frame_gen.frame_arb ())
       (fun f ->
-        let d = Dissector.dissect (Codec.encode f) in
+        let d = dissect_bytes (Codec.encode f) in
         (* Padded frames without an IP extent can over-count payload; IP
            is always present in generated stacks, so equality holds. *)
         d.Dissector.payload_len = f.Frame.payload_len);
@@ -373,14 +395,12 @@ let qcheck_tests =
       (fun (f, snap) ->
         let b = Codec.encode f in
         let snap = min snap (Bytes.length b) in
-        let d =
-          Dissector.dissect_slice ~orig_len:(Bytes.length b) (Slice.make b ~off:0 ~len:snap)
-        in
+        let d = dissect_snapped b snap in
         List.length d.Dissector.headers <= List.length f.Frame.headers);
     Test.make ~name:"acap line columns" ~count:300
       (Frame_gen.frame_arb ())
       (fun f ->
-        let r = Acap.of_frame ~ts:123.456 f in
+        let r = acap_of_encoded ~ts:123.456 f in
         match String.split_on_char '\t' (Acap.to_line r) with
         | [ ts; _; _; stack; _; _; _; _; _; _; _ ] ->
           float_of_string ts = r.Acap.ts
@@ -415,11 +435,13 @@ let suites =
       ] );
     ( "dissect.acap",
       [
-        Alcotest.test_case "abstraction fields" `Quick test_acap_of_frame;
+        Alcotest.test_case "abstraction fields" `Quick test_acap_fields;
         Alcotest.test_case "line fields" `Quick test_acap_line_fields;
         Alcotest.test_case "flow key uses tags" `Quick test_acap_flow_key_distinguishes_tags;
         Alcotest.test_case "rst flag" `Quick test_acap_rst_flag;
         Alcotest.test_case "no l3 no flow" `Quick test_acap_no_l3;
+        Alcotest.test_case "line timestamps past 2^52 us" `Quick
+          test_acap_line_large_timestamps;
       ] );
     ("dissect.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -2,10 +2,10 @@
 
 module H = Packet.Headers
 
-(* Whether a slice views exactly these bytes. *)
-let slice_equal s b =
-  Packet.Slice.length s = Bytes.length b
-  && Bytes.sub (Packet.Slice.buffer s) (Packet.Slice.offset s) (Bytes.length b) = b
+(* Whether an index entry's captured bytes in the buffer are exactly
+   these. *)
+let views buf (e : Oracle.entry) b =
+  e.Oracle.cap_len = Bytes.length b && Bytes.sub buf e.Oracle.off e.Oracle.cap_len = b
 
 let sample_frames n =
   let rng = Netcore.Rng.create 33 in
@@ -313,7 +313,7 @@ let qcheck_anonymize_roundtrip =
     ~count:200 (Frame_gen.frame_arb ()) (fun f ->
       let anon = Hostmodel.Anonymize.create ~key:77 in
       let f' = Hostmodel.Anonymize.frame anon f in
-      let d = Dissect.Dissector.dissect (Packet.Codec.encode f') in
+      let d = Test_dissect.dissect_bytes (Packet.Codec.encode f') in
       List.map Packet.Headers.name d.Dissect.Dissector.headers
       = List.map Packet.Headers.name f.Packet.Frame.headers)
 
@@ -400,19 +400,15 @@ let test_pcap_index_matches_packets () =
   let w = Packet.Pcap.Writer.create () in
   List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
   let buf = Packet.Pcap.Writer.contents w in
-  let idx = Packet.Pcap.Reader.index buf in
+  let idx = Oracle.index buf in
   let packets = Oracle.pcap_packets buf in
-  Alcotest.(check int) "entry per record" (List.length packets) (Array.length idx);
-  List.iteri
-    (fun i (p : Oracle.packet) ->
-      let e = idx.(i) in
-      Alcotest.(check (float 0.0)) "ts" p.Oracle.ts e.Packet.Pcap.ts;
-      Alcotest.(check int) "orig_len" p.Oracle.orig_len e.Packet.Pcap.orig_len;
-      Alcotest.(check bool) "slice views the record bytes" true
-        (slice_equal
-           (Packet.Pcap.Reader.slice buf e)
-           p.Oracle.data))
-    packets
+  Alcotest.(check int) "entry per record" (List.length packets) (List.length idx);
+  List.iter2
+    (fun (p : Oracle.packet) (e : Oracle.entry) ->
+      Alcotest.(check (float 0.0)) "ts" p.Oracle.ts e.Oracle.ts;
+      Alcotest.(check int) "orig_len" p.Oracle.orig_len e.Oracle.orig_len;
+      Alcotest.(check bool) "entry views the record bytes" true (views buf e p.Oracle.data))
+    packets idx
 
 (* A hand-built record appended after the 24-byte global header; fields
    are big-endian, matching Writer's byte order. *)
@@ -430,10 +426,10 @@ let test_pcap_rejects_top_bit_fields () =
      desynchronize the walk. *)
   let data = Bytes.make 8 '\x00' in
   expect_pcap_malformed "incl_len top bit" (fun () ->
-      Packet.Pcap.Reader.index
+      Oracle.index
         (pcap_with_raw_record ~sec:1l ~usec:0l ~incl:0x80000008l ~orig:8l data));
   expect_pcap_malformed "timestamp top bit" (fun () ->
-      Packet.Pcap.Reader.index
+      Oracle.index
         (pcap_with_raw_record ~sec:0xFFFFFFFFl ~usec:0l ~incl:8l ~orig:8l data))
 
 let test_pcap_rejects_incl_over_snaplen () =
@@ -441,14 +437,14 @@ let test_pcap_rejects_incl_over_snaplen () =
      produced by the capture that wrote the header. *)
   let data = Bytes.make 200 '\x2a' in
   expect_pcap_malformed "incl_len > snaplen" (fun () ->
-      Packet.Pcap.Reader.index
+      Oracle.index
         (pcap_with_raw_record ~snaplen:100 ~sec:1l ~usec:0l ~incl:200l ~orig:200l
            data))
 
 let test_pcap_rejects_truncated_data () =
   let data = Bytes.make 10 '\x2a' in
   expect_pcap_malformed "record data cut short" (fun () ->
-      Packet.Pcap.Reader.index
+      Oracle.index
         (pcap_with_raw_record ~sec:1l ~usec:0l ~incl:50l ~orig:50l data))
 
 (* A little-endian classic pcap, byte-for-byte what a LE host's libpcap
@@ -535,13 +531,12 @@ let test_le_pcap_slice_path () =
       frames
   in
   let buf = le_pcap records in
-  let idx = Packet.Pcapng.index_any buf in
-  Alcotest.(check int) "LE pcap indexed" 6 (Array.length idx);
-  List.iteri
-    (fun i (_, _, data) ->
-      Alcotest.(check bool) "LE slice bytes" true
-        (slice_equal (Packet.Pcap.Reader.slice buf idx.(i)) data))
-    records;
+  let idx = Oracle.index buf in
+  Alcotest.(check int) "LE pcap indexed" 6 (List.length idx);
+  List.iter2
+    (fun (_, _, data) e ->
+      Alcotest.(check bool) "LE record bytes" true (views buf e data))
+    records idx;
   (* The digest path must read LE captures identically to BE ones. *)
   let be =
     let w = Packet.Pcap.Writer.create () in
@@ -563,33 +558,29 @@ let test_le_pcapng_slice_path () =
   let le = le_pcapng packets in
   let be = Pcapng_writer.write packets in
   Alcotest.(check bool) "detected as pcapng" true (Packet.Pcapng.is_pcapng le);
-  let idx = Packet.Pcapng.index le in
-  Alcotest.(check int) "LE pcapng indexed" 6 (Array.length idx);
-  List.iteri
-    (fun i (p : Oracle.packet) ->
-      Alcotest.(check bool) "LE slice bytes" true
-        (slice_equal
-           (Packet.Pcap.Reader.slice le idx.(i))
-           p.Oracle.data))
-    packets;
+  let idx = Oracle.index le in
+  Alcotest.(check int) "LE pcapng indexed" 6 (List.length idx);
+  List.iter2
+    (fun (p : Oracle.packet) e ->
+      Alcotest.(check bool) "LE record bytes" true (views le e p.Oracle.data))
+    packets idx;
   Alcotest.(check int) "LE digest equals BE digest" 0
     (compare (Analysis.Digest.pcap_to_acaps le) (Analysis.Digest.pcap_to_acaps be))
 
 let test_pcapng_snaplen_slice_path () =
   let frames = sample_frames 5 in
   let buf = Pcapng_writer.of_frames ~snaplen:60 frames in
-  let idx = Packet.Pcapng.index buf in
-  Array.iter
-    (fun (e : Packet.Pcap.index_entry) ->
-      Alcotest.(check bool) "capped at snaplen" true (e.Packet.Pcap.cap_len <= 60))
-    idx;
+  List.iter
+    (fun (e : Oracle.entry) ->
+      Alcotest.(check bool) "capped at snaplen" true (e.Oracle.cap_len <= 60))
+    (Oracle.index buf);
   List.iter
     (fun (r : Dissect.Acap.record) ->
       Alcotest.(check bool) "snap marked truncated" true
         (r.Dissect.Acap.cap_len >= r.Dissect.Acap.orig_len || r.Dissect.Acap.truncated))
     (Analysis.Digest.pcap_to_acaps buf);
-  (* The slice path must agree with the copying path on capped records. *)
-  Alcotest.(check int) "sliced equals copied on capped capture" 0
+  (* The digest must agree with the copying path on capped records. *)
+  Alcotest.(check int) "digest equals copied on capped capture" 0
     (compare (Analysis.Digest.pcap_to_acaps buf)
        (Oracle.acaps_copying buf))
 
@@ -602,13 +593,13 @@ let test_pcapng_rejects_truncated_epb () =
   Bytes.set_int32_be buf (epb + 8 + 12) 0x7FFF0000l;
   Alcotest.(check bool) "truncated EPB rejected" true
     (try
-       ignore (Packet.Pcapng.index buf);
+       ignore (Oracle.index buf);
        false
      with Packet.Pcapng.Malformed _ -> true)
 
 (* A Simple Packet Block of total length 12 has no room for its
    original-length field; read as one, the trailing length gave a record
-   of -4 captured bytes, which the slice then refused with an error no
+   of -4 captured bytes, which the decode then refused with an error no
    decoder declares.  The digest and the profile of such a capture must
    raise [Malformed] instead. *)
 let test_pcapng_rejects_short_spb () =
@@ -617,7 +608,7 @@ let test_pcapng_rejects_short_spb () =
   List.iter (Buffer.add_int32_be b) [ 3l; 12l; 12l ];
   let buf = Buffer.to_bytes b in
   let short = Packet.Pcapng.Malformed "simple packet block shorter than 16 bytes" in
-  Alcotest.check_raises "index" short (fun () -> ignore (Packet.Pcapng.index buf));
+  Alcotest.check_raises "index" short (fun () -> ignore (Oracle.index buf));
   Alcotest.check_raises "profile" short (fun () -> ignore (Analysis.Profile.of_pcap buf));
   Alcotest.check_raises "records" short (fun () ->
       ignore (Analysis.Digest.pcap_to_acaps buf))
@@ -630,9 +621,28 @@ let test_pcapng_rejects_top_bit_length () =
   (* The EPB is the third block (SHB 28 bytes, IDB 20 bytes). *)
   Bytes.set_int32_be buf (48 + 8 + 12) 0x80000000l;
   let out_of_range = Packet.Pcapng.Malformed "field out of range: 0x80000000" in
-  Alcotest.check_raises "index" out_of_range (fun () -> ignore (Packet.Pcapng.index buf));
+  Alcotest.check_raises "index" out_of_range (fun () -> ignore (Oracle.index buf));
   Alcotest.check_raises "profile" out_of_range (fun () ->
       ignore (Analysis.Profile.of_pcap buf))
+
+(* A stream cut inside a block header: 1 to 11 bytes after the last
+   block cannot hold one, as 1 to 15 after a classic pcap's last record
+   cannot hold its header.  The walk used to stop there and fold the
+   packets before it as if the stream had ended. *)
+let test_pcapng_rejects_cut_block_header () =
+  let whole = Pcapng_writer.of_frames (sample_frames 1) in
+  List.iter
+    (fun n ->
+      (* The first [n] bytes of the EPB's header (SHB 28 bytes, IDB 20). *)
+      let buf = Bytes.cat whole (Bytes.sub whole 48 n) in
+      let cut = Packet.Pcapng.Malformed "truncated block header" in
+      Alcotest.check_raises (Printf.sprintf "index, %d bytes" n) cut (fun () ->
+          ignore (Oracle.index buf));
+      Alcotest.check_raises (Printf.sprintf "records, %d bytes" n) cut (fun () ->
+          ignore (Analysis.Digest.pcap_to_acaps buf));
+      Alcotest.check_raises (Printf.sprintf "profile, %d bytes" n) cut (fun () ->
+          ignore (Analysis.Profile.of_pcap buf)))
+    [ 4; 8; 11 ]
 
 let suites =
   suites
@@ -659,5 +669,7 @@ let suites =
             test_pcapng_rejects_short_spb;
           Alcotest.test_case "pcapng rejects top-bit lengths" `Quick
             test_pcapng_rejects_top_bit_length;
+          Alcotest.test_case "pcapng rejects a cut block header" `Quick
+            test_pcapng_rejects_cut_block_header;
         ] );
     ]

@@ -1,9 +1,9 @@
 (* Decoders of untrusted bytes fail only with their declared error.
    Each test applies 2,000 seeded mutations (bit flips, truncation,
    u16/u32 overwrites, splices) to valid inputs and fails on the first
-   exception a decoder lets escape: pcap and pcapng indexing (then the
-   dissection of every indexed entry, the decode [release] runs too)
-   raises only their [Malformed]; HTTP request heads, their numeric
+   exception a decoder lets escape: the pcap and pcapng record walk,
+   dissecting every record where it lies (the decode [release] runs
+   too), raises only their [Malformed]; HTTP request heads, their numeric
    query parameters, and JSON text return [Error]. *)
 
 (* Run [decode] on every mutation of the valid inputs [bases].
@@ -34,13 +34,11 @@ let captures =
          (List.map (fun (ts, f) -> Pcapng_writer.packet_of_frame ~ts f) frames));
   ]
 
-let test_index_any () =
+let test_fold_any () =
   fuzz ~seed:31 captures (fun s ->
-      let buf = Bytes.of_string s in
-      match Packet.Pcapng.index_any buf with
-      | idx -> Array.iter (fun e -> ignore (Dissect.Acap.of_entry buf e)) idx
-      | exception (Packet.Pcap.Reader.Malformed _ | Packet.Pcapng.Malformed _) ->
-        ())
+      match Analysis.Digest.pcap_to_acaps (Bytes.of_string s) with
+      | _ -> ()
+      | exception (Packet.Pcap.Reader.Malformed _ | Packet.Pcapng.Malformed _) -> ())
 
 (* --- text formats -------------------------------------------------- *)
 
@@ -95,7 +93,7 @@ let suites =
   [
     ( "decoders.fuzz",
       [
-        Alcotest.test_case "pcap/pcapng index_any + dissect" `Quick test_index_any;
+        Alcotest.test_case "pcap/pcapng fold_any + dissect" `Quick test_fold_any;
         Alcotest.test_case "http request + params" `Quick test_http_request;
         Alcotest.test_case "json text" `Quick test_json;
       ] );

@@ -1,16 +1,15 @@
-(* Whole-capture decode identities: the sliced digest reproduces the
-   copying decode record for record at any pool size, over adversarial
-   captures and over seeded mutations of well-formed frames (where the
-   record decode must never raise), and a capture's profile is its
-   records' profile.  The suites keep the [overlay.*] names they had
-   when the overlay cursor, since removed, was checked here too.  Over
-   the same captures, [dissect.tape] checks the dissector's tape walk
-   against the typed walk it replaced ([Oracle.Typed_dissector]), and
-   that frames with equal flow identities render equal keys. *)
+(* Whole-capture decode identities: the digest, which reads each frame
+   where it lies in the capture buffer, reproduces the copying decode
+   record for record, over adversarial captures and over seeded
+   mutations of well-formed frames (where the record decode must never
+   raise), and a capture's profile is its records' profile.  The suites
+   keep the [overlay.*] names they had when the overlay cursor, since
+   removed, was checked here too.  Over the same captures,
+   [dissect.tape] checks the dissector's tape walk against the typed
+   walk it replaced ([Oracle.Typed_dissector]), and that frames with
+   equal flow identities render equal keys. *)
 
-module S = Packet.Slice
 module H = Packet.Headers
-module Pool = Parallel.Pool
 module Rng = Netcore.Rng
 
 (* --- adversarial captures --- *)
@@ -83,18 +82,32 @@ let adversarial_pcap seed =
 
 (* --- whole-digest: sliced acaps ≡ the copying decode --- *)
 
+(* Contiguous groups of [size] elements (the last may be shorter). *)
+let rec chunks size l =
+  if l = [] then []
+  else
+    let rec split k acc = function
+      | x :: rest when k > 0 -> split (k - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let c, rest = split size [] l in
+    c :: chunks size rest
+
+(* The digest's records are the copying decode's, and their flows,
+   weighted at 1 in chunks of any size, are the flows of the whole
+   list: the grouping never shows. *)
 let prop_sliced_acaps_identical =
   QCheck.Test.make ~count:20
-    ~name:"sliced acaps ≡ copying decode over adversarial captures (pools 1/2/4)"
-    QCheck.small_int
-    (fun seed ->
+    ~name:"sliced acaps ≡ copying decode over adversarial captures"
+    QCheck.(pair small_int (int_range 1 40))
+    (fun (seed, chunk) ->
       let buf = adversarial_pcap seed in
-      let reference = Oracle.acaps_copying buf in
-      List.for_all
-        (fun size ->
-          Pool.with_pool ~size (fun pool ->
-              Analysis.Digest.pcap_to_acaps ~pool buf = reference))
-        [ 1; 2; 4 ])
+      let digest = Analysis.Digest.pcap_to_acaps buf in
+      digest = Oracle.acaps_copying buf
+      && Analysis.Flows.aggregate
+           ~weights:(List.map (fun c -> (c, 1.0)) (chunks chunk digest))
+           []
+         = Analysis.Flows.aggregate digest)
 
 (* --- the digest fold ≡ the record path, frame by frame --- *)
 
@@ -265,8 +278,7 @@ let prop_fuzz_per_frame =
       for _ = 1 to 100 do
         let data, orig_len = mutated_frame rng in
         ignore
-          (Dissect.Acap.of_slice ~ts:0.0 ~orig_len
-             (S.make data ~off:0 ~len:(Bytes.length data)))
+          (Oracle.acap_of_bytes ~ts:0.0 ~orig_len data ~off:0 ~cap_len:(Bytes.length data))
       done;
       true)
 
@@ -282,16 +294,11 @@ let mutated_pcap seed =
 
 let prop_fuzz_digest =
   QCheck.Test.make ~count:15
-    ~name:"mutated captures: sliced acaps ≡ copying decode (pools 1/2/4)"
+    ~name:"mutated captures: sliced acaps ≡ copying decode"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let buf = mutated_pcap seed in
-      let reference = Oracle.acaps_copying buf in
-      List.for_all
-        (fun size ->
-          Pool.with_pool ~size (fun pool ->
-              Analysis.Digest.pcap_to_acaps ~pool buf = reference))
-        [ 1; 2; 4 ])
+      Analysis.Digest.pcap_to_acaps buf = Oracle.acaps_copying buf)
 
 let prop_fold_mutated =
   QCheck.Test.make ~count:15
@@ -313,19 +320,15 @@ let prop_profile_mutated =
 
 (* --- the tape walk ≡ the typed walk --- *)
 
-(* A capture's records, each with its timestamp and wire length. *)
-let records buf =
-  Array.to_list
-    (Array.map
-       (fun (e : Packet.Pcap.index_entry) ->
-         (e.Packet.Pcap.ts, e.Packet.Pcap.orig_len, Packet.Pcap.Reader.slice buf e))
-       (Packet.Pcapng.index_any buf))
+(* A capture's records, each with the buffer it lies in. *)
+let records buf = List.map (fun e -> (buf, e)) (Oracle.index buf)
 
 (* Every cut of a mutated frame, from no bytes to all of them, each
    claiming the frame's wire length. *)
 let cuts rng =
   let data, orig_len = mutated_frame rng in
-  List.init (Bytes.length data + 1) (fun k -> (0.0, orig_len, S.make data ~off:0 ~len:k))
+  List.init (Bytes.length data + 1) (fun k ->
+      (data, { Oracle.ts = 0.0; orig_len; off = 0; cap_len = k }))
 
 let mutated_cuts seed =
   let rng = Frame_gen.rng_of_seed seed in
@@ -334,11 +337,11 @@ let mutated_cuts seed =
 (* The tape read back into typed headers is the typed walk's result,
    and the record abstracted from the tape is the one abstracted from
    the typed walk's headers. *)
-let tape_agrees (ts, orig_len, slice) =
-  let typed = Oracle.Typed_dissector.dissect_slice ~orig_len slice in
-  Dissect.Dissector.dissect_slice ~orig_len slice = typed
-  && Dissect.Acap.of_slice ~ts ~orig_len slice
-     = Oracle.acap_of_dissection ~ts ~orig_len ~cap_len:(S.length slice) typed
+let tape_agrees (bytes, { Oracle.ts; orig_len; off; cap_len }) =
+  let typed = Oracle.Typed_dissector.dissect bytes ~off ~cap_len ~orig_len in
+  Dissect.Dissector.dissect bytes ~off ~cap_len ~orig_len = typed
+  && Oracle.acap_of_bytes ~ts ~orig_len bytes ~off ~cap_len
+     = Oracle.acap_of_dissection ~ts ~orig_len ~cap_len typed
 
 let prop_tape_adversarial =
   QCheck.Test.make ~count:20 ~name:"tape walk ≡ typed walk over adversarial captures"
@@ -432,9 +435,8 @@ let identities_agree records =
   let module F = Dissect.Acap.Fields in
   let fields = F.create () and seen = Hashtbl.create 64 in
   List.for_all
-    (fun (_, orig_len, slice) ->
-      F.dissect fields (S.buffer slice) ~off:(S.offset slice) ~cap_len:(S.length slice)
-        ~orig_len;
+    (fun (bytes, { Oracle.orig_len; off; cap_len; _ }) ->
+      F.dissect fields bytes ~off ~cap_len ~orig_len;
       let len = F.identity_length fields in
       match F.key fields with
       | None -> len = 0

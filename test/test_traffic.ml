@@ -79,7 +79,7 @@ let test_subflows_vary_tuples () =
   let keys = Hashtbl.create 64 in
   List.iter
     (fun (_, f) ->
-      let acap = Dissect.Acap.of_frame ~ts:0.0 f in
+      let acap = Test_dissect.acap_of_encoded ~ts:0.0 f in
       match Dissect.Acap.flow_key acap with
       | Some k -> Hashtbl.replace keys k ()
       | None -> ())
@@ -93,7 +93,7 @@ let test_single_subflow_single_tuple () =
   let keys = Hashtbl.create 4 in
   List.iter
     (fun (_, f) ->
-      match Dissect.Acap.flow_key (Dissect.Acap.of_frame ~ts:0.0 f) with
+      match Dissect.Acap.flow_key (Test_dissect.acap_of_encoded ~ts:0.0 f) with
       | Some k -> Hashtbl.replace keys k ()
       | None -> ())
     frames;
