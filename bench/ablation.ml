@@ -84,16 +84,8 @@ let capture_methods () =
   List.iter
     (fun (name, m) ->
       let capacity =
-        match m with
-        | Config.Tcpdump ->
-          Hostmodel.Host_profile.kernel_capacity_pps Hostmodel.Host_profile.default
-        | Config.Dpdk { cores } ->
-          Hostmodel.Host_profile.dpdk_capacity_pps Hostmodel.Host_profile.default
-            ~cores ~truncation:200
-        | Config.Fpga_dpdk { cores; fpga } ->
-          Hostmodel.Host_profile.dpdk_capacity_pps Hostmodel.Host_profile.default
-            ~cores ~truncation:200
-          *. float_of_int fpga.Hostmodel.Fpga_path.sample_1_in
+        Patchwork.Capture.method_capacity_pps
+          { Config.default with Config.capture_method = m }
       in
       let captured = Float.min offered_pps capacity in
       Paper.row "%-22s %14.2e %11.1f%%" name captured

@@ -50,8 +50,7 @@ type materialized = {
    abstract record, the digest of the template's header bytes, stamped
    per draw, stands for every frame. *)
 type flow_class = {
-  frame : Packet.Frame.t;
-      (** before anonymization, for filter checks and the offload *)
+  frame : Packet.Frame.t;  (** before anonymization, for the filter *)
   template : Packet.Codec.template;  (** after anonymization *)
   record : Dissect.Acap.record;
 }
@@ -109,12 +108,12 @@ type pcap_draw = {
 
 let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs =
   let filter = config.Config.filter in
-  (* The offload's verdict depends only on how many frames its sampler
-     has seen, so the class frame answers for each draw. *)
+  (* The offload's verdict depends only on how many frames the filter
+     has passed it, so it reads no frame. *)
   let offload =
     match config.Config.capture_method with
-    | Config.Fpga_dpdk { fpga; _ } -> fst (Hostmodel.Fpga_path.create fpga ())
-    | Config.Tcpdump | Config.Dpdk _ -> fun _ -> true
+    | Config.Fpga_dpdk { fpga; _ } -> Hostmodel.Fpga_path.create fpga
+    | Config.Tcpdump | Config.Dpdk _ -> fun () -> true
   in
   let anonymize =
     if config.Config.anonymize then
@@ -158,7 +157,7 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
       Flow_model.iter_draws spec rng ~start_time ~end_time
         (fun ~index ~ts ~wire_len ~subflow ->
           let c = class_of ~wire_len ~subflow in
-          if Packet.Filter.matches ~wire_len filter c.frame && offload c.frame
+          if Packet.Filter.matches ~wire_len filter c.frame && offload ()
           then begin
             let record =
               Dissect.Acap.stamp c.record ~ts ~orig_len:wire_len ~cap_len:wire_len

@@ -98,8 +98,10 @@ val materialize :
 
     A record is a pure function of its draw's (spec, subflow) plus
     timestamp and wire length, so each class builds one frame, at
-    index 0 when its first draw comes.  The filter and the FPGA
-    offload's sampler decide each draw on that class frame.  Its
+    index 0 when its first draw comes.  The filter decides each draw on
+    that class frame, with the draw's own wire length.  The FPGA
+    offload's verdict ({!Hostmodel.Fpga_path.create}) reads no frame:
+    it counts the draws the filter has passed it.  The class frame's
     anonymized copy is compiled to a {!Packet.Codec.template}, and the
     class record is what {!Dissect.Acap.Fields.dissect} reads off the
     template's header bytes ({!Packet.Codec.headers}), walked whole;
@@ -113,6 +115,13 @@ val materialize :
     of, and encoding, every frame of
     {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
     same state. *)
+
+val method_capacity_pps : Config.t -> float
+(** Frames per second the configured capture method stores before the
+    host drops: the kernel path's, or the DPDK path's at [cores] and the
+    snap length.  Behind the FPGA offload the DPDK path sees one frame
+    in [sample_1_in], each truncated to the smaller of the two snap
+    lengths, so its capacity scales up by [sample_1_in]. *)
 
 val run :
   fabric:Testbed.Fablib.t ->

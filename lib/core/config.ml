@@ -66,7 +66,11 @@ let validate t =
     | Fixed_ports [] -> fail "fixed port list is empty"
     | Busiest_bias _ | Fixed_ports _ | Uplinks_only | All_ports_round_robin -> (
       match t.capture_method with
-      | Dpdk { cores } | Fpga_dpdk { cores; _ } ->
-        if cores < 1 then fail "capture needs at least one core" else Ok ()
-      | Tcpdump -> Ok ())
+      | (Dpdk { cores } | Fpga_dpdk { cores; _ }) when cores < 1 ->
+        fail "capture needs at least one core"
+      | Fpga_dpdk { fpga; _ } when fpga.Hostmodel.Fpga_path.sample_1_in < 1 ->
+        fail "FPGA sample_1_in must be at least 1"
+      | Fpga_dpdk { fpga; _ } when fpga.Hostmodel.Fpga_path.truncation < 1 ->
+        fail "FPGA truncation must be positive"
+      | Dpdk _ | Fpga_dpdk _ | Tcpdump -> Ok ())
   end

@@ -11,9 +11,10 @@
     path).
 
     The verdict is a stride counter, not a run of the compiled program:
-    the program {!P4_pipeline.Compile.of_filter} builds for this config
-    (filter [True]) forwards every Nth frame, and the capture tests
-    check the counter against it. *)
+    the program Patchwork compiles for this config (filter [True], a
+    1-in-N sampler, a truncating editor) forwards every Nth frame it is
+    shown, whatever the frame holds.  The tests keep that match-action
+    program as the counter's oracle. *)
 
 type config = {
   sample_1_in : int;  (** keep one frame in N (1 = keep all) *)
@@ -23,18 +24,11 @@ type config = {
 val default_config : config
 (** Keep everything, truncate to 200 bytes. *)
 
-type stats = {
-  seen : int;
-  sampled : int;  (** frames surviving sampling *)
-  bytes_in : int;  (** wire bytes presented to the FPGA *)
-  bytes_out : int;  (** bytes actually delivered to the host *)
-}
-
-val create : config -> unit -> (Packet.Frame.t -> bool) * (unit -> stats)
-(** [create config ()] returns the offload's verdict, [true] when it
-    forwards a frame to the host, and a stats accessor.  Sampling is
-    systematic: it forwards the 0th, Nth, 2Nth, ... frame it sees, and
-    [bytes_out] sums [min wire truncation] over them. *)
+val create : config -> unit -> bool
+(** [create config] is the offload's verdict on the next frame it is
+    shown, [true] when it forwards that frame to the host: it forwards
+    the 0th, Nth, 2Nth, ... frame, [min wire truncation] bytes of each.
+    Raises [Invalid_argument] if [sample_1_in < 1]. *)
 
 val host_relief : config -> offered_pps:float -> avg_frame_size:float -> float * float
 (** [(pps, bytes_per_sec)] that reach the host after offload, given the

@@ -2,8 +2,8 @@
 
     Patchwork lets users restrict what is captured ("filtering to
     exclude unwanted traffic", requirement R5); this module provides the
-    filter expressions that the capture paths (including the FPGA
-    offload pipeline) evaluate per frame.
+    filter expressions that the capture evaluates per frame, for every
+    capture method alike, before the FPGA offload samples.
 
     Grammar (a practical subset of BPF syntax):
     {v

@@ -838,13 +838,10 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
       (* The compiled P4 program the offload's stride counter stands
          for: it sees the frames the filter passed, in draw order. *)
       let program =
-        Hostmodel.P4_pipeline.Compile.of_filter
-          ~truncation:fpga.Hostmodel.Fpga_path.truncation
+        P4_pipeline.Compile.of_filter ~truncation:fpga.Hostmodel.Fpga_path.truncation
           ~sample_1_in:fpga.Hostmodel.Fpga_path.sample_1_in Packet.Filter.True
       in
-      fun frame ->
-        (Hostmodel.P4_pipeline.process program frame).Hostmodel.P4_pipeline.frame
-        <> None
+      fun frame -> (P4_pipeline.process program frame).P4_pipeline.frame <> None
     | Patchwork.Config.Tcpdump | Patchwork.Config.Dpdk _ -> fun _ -> true
   in
   let anonymizer =

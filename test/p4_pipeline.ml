@@ -1,11 +1,34 @@
+(* A P4-style match-action pipeline: the FPGA offload's oracle.
+
+   Patchwork's FPGA offload is a P4 program compiled onto the Alveo
+   NIC.  This module is the abstraction that program is written in: a
+   straight-line pipeline of match-action tables.  Each table matches on
+   header fields and executes the first matching entry's action list.
+   The actions cover what Patchwork offloads: dropping, truncation,
+   systematic sampling, address rewriting and counting.
+
+   An entry matches with the user-facing [Packet.Filter] language and
+   its one evaluator, [Packet.Filter.matches], so [Compile.of_filter]
+   puts the user's capture filter into a table unchanged, as Patchwork
+   generates its P4 tables from the user's capture configuration.
+
+   The capture does not run this program.  It applies the user's filter
+   to every capture method alike, so the program it would compile for
+   the offload has filter [True]: it forwards the 0th, Nth, 2Nth, ...
+   frame it is shown, [min wire truncation] bytes of each.  One counter
+   gives that verdict ([Hostmodel.Fpga_path.create]), and
+   [Oracle.materialize_per_frame] runs this program on every frame so
+   that the property "class route matches the per-frame oracle" holds
+   the counter to it. *)
+
 type action =
-  | A_pass
-  | A_drop
-  | A_accept
-  | A_truncate of int
-  | A_sample of int
-  | A_anonymize of Anonymize.t
-  | A_count of string
+  | A_pass  (* continue to the next table *)
+  | A_drop  (* stop; the frame is discarded *)
+  | A_accept  (* stop; the frame bypasses the remaining tables *)
+  | A_truncate of int  (* cap the bytes forwarded to the host *)
+  | A_sample of int  (* keep every Nth frame reaching this action *)
+  | A_anonymize of Hostmodel.Anonymize.t  (* rewrite IP addresses *)
+  | A_count of string  (* bump a named counter *)
 
 type entry = { matches : Packet.Filter.t; actions : action list }
 
@@ -23,7 +46,10 @@ type t = {
 let create tables =
   { tables; counters = Hashtbl.create 16; samplers = Hashtbl.create 16 }
 
-type verdict = { frame : Packet.Frame.t option; forwarded_bytes : int }
+type verdict = {
+  frame : Packet.Frame.t option;  (* [None] when dropped or unsampled *)
+  forwarded_bytes : int;  (* bytes handed to the host (post-truncation) *)
+}
 
 let bump t name =
   Hashtbl.replace t.counters name
@@ -36,6 +62,7 @@ let sampler_hit t key n =
 
 type outcome = Continue | Stop_drop | Stop_accept
 
+(* Run a frame through every table in order. *)
 let process t frame0 =
   let frame = ref frame0 in
   (* No action changes a frame's length: anonymizing rewrites addresses
@@ -59,7 +86,7 @@ let process t frame0 =
           let key = Printf.sprintf "s%d.%d.%d" table_idx entry_idx i in
           if sampler_hit t key n then go (i + 1) rest else Stop_drop
         | A_anonymize anon ->
-          frame := Anonymize.frame anon !frame;
+          frame := Hostmodel.Anonymize.frame anon !frame;
           go (i + 1) rest
         | A_count name ->
           bump t name;
@@ -86,15 +113,16 @@ let process t frame0 =
   | Continue | Stop_accept ->
     { frame = Some !frame; forwarded_bytes = min wire_len !truncation }
 
+(* A named counter's value (0 if never bumped). *)
 let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.counters name)
-
-let counters t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let stage_count t = List.length t.tables
 
 module Compile = struct
+  (* Patchwork's offload generator: a filter table (drop frames the
+     filter does not match, with counters for both outcomes), then a
+     sampling table, then an editing table (truncate and optionally
+     anonymize). *)
   let of_filter ?(truncation = 200) ?(sample_1_in = 1) ?anonymizer filter =
     let filter_table =
       {

@@ -62,6 +62,77 @@ let test_pcapng_digest_interop () =
   let acaps = Analysis.Digest.pcap_to_acaps buf in
   Alcotest.(check int) "digested" 10 (List.length acaps)
 
+(* A packet of [frame]'s bytes at [ts]. *)
+let packet_at ts frame =
+  let data = Packet.Codec.encode frame in
+  { Oracle.ts; orig_len = Bytes.length data; data }
+
+(* An Enhanced Packet Block counts ticks of its interface's
+   [if_tsresol]: 10^-9 s here.  Read as microseconds, 1.7e9 s came back
+   near 1.7e12 s.  Each section declares its own interfaces, so a
+   microsecond section after it reads in microseconds (the writer keeps
+   the whole 123,456 us). *)
+let test_pcapng_nanosecond_timestamps () =
+  let ts = 1_700_000_000.123456789 in
+  let p = packet_at ts (snd (List.hd (sample_frames 1))) in
+  let buf = Bytes.cat (Pcapng_writer.write ~tsresol:9 [ p ]) (Pcapng_writer.write [ p ]) in
+  Alcotest.(check (list (float 1e-6))) "index" [ ts; ts ]
+    (List.map (fun (e : Oracle.entry) -> e.Oracle.ts) (Oracle.index buf));
+  Alcotest.(check (list string)) "dissect lines' times" [ "1700000000.123457"; "1700000000.123456" ]
+    (List.map
+       (fun r -> List.hd (String.split_on_char '\t' (Dissect.Acap.to_line r)))
+       (Analysis.Digest.pcap_to_acaps buf))
+
+(* With its high bit set, [if_tsresol] is a power of two: 2^-10 s
+   here, so these times survive exactly. *)
+let test_pcapng_binary_timestamps () =
+  let times = [ 0.0; 1.5; 2.25; 1000.0 +. (1.0 /. 1024.0) ] in
+  let buf =
+    Pcapng_writer.write ~tsresol:(0x80 lor 10)
+      (List.map2 (fun ts (_, f) -> packet_at ts f) times (sample_frames 4))
+  in
+  Alcotest.(check (list (float 0.0))) "index" times
+    (List.map (fun (e : Oracle.entry) -> e.Oracle.ts) (Oracle.index buf))
+
+(* A timestamp on an interface its section never declared has no unit:
+   the reader refuses it rather than guess the microsecond.  So does an
+   interface whose [if_tsresol] is not one byte or whose option runs
+   past its block. *)
+let test_pcapng_rejects_undeclared_interface () =
+  let whole = Pcapng_writer.of_frames (sample_frames 1) in
+  (* The EPB (SHB 28 bytes, IDB 20) names interface 1 of one. *)
+  let second = Bytes.copy whole in
+  Bytes.set_int32_be second (48 + 8) 1l;
+  Alcotest.check_raises "interface 1 of 1"
+    (Packet.Pcapng.Malformed "packet on undeclared interface 1") (fun () ->
+      ignore (Oracle.index second));
+  (* A second section that declares no interface: its SHB, then the
+     first section's EPB. *)
+  let next_section =
+    Bytes.concat Bytes.empty
+      [ whole; Bytes.sub whole 0 28; Bytes.sub whole 48 (Bytes.length whole - 48) ]
+  in
+  Alcotest.check_raises "interface 0 of a new section"
+    (Packet.Pcapng.Malformed "packet on undeclared interface 0") (fun () ->
+      ignore (Analysis.Digest.pcap_to_acaps next_section));
+  (* With [tsresol] the IDB's options start at 44: if_name's code and
+     length, its 5 bytes padded to 8, then if_tsresol's code at 56 and
+     its length at 58. *)
+  let with_option len =
+    let buf =
+      Pcapng_writer.write ~tsresol:9
+        (List.map (fun (ts, f) -> packet_at ts f) (sample_frames 1))
+    in
+    Bytes.set_uint16_be buf 58 len;
+    buf
+  in
+  Alcotest.check_raises "two-byte if_tsresol"
+    (Packet.Pcapng.Malformed "if_tsresol is not one byte") (fun () ->
+      ignore (Oracle.index (with_option 2)));
+  Alcotest.check_raises "option past its block"
+    (Packet.Pcapng.Malformed "option overruns its block") (fun () ->
+      ignore (Analysis.Profile.of_pcap (with_option 100)))
+
 let qcheck_pcapng_roundtrip =
   QCheck.Test.make ~name:"pcapng roundtrip preserves frames" ~count:100
     (Frame_gen.frame_arb ()) (fun f ->
@@ -278,6 +349,10 @@ let suites =
         Alcotest.test_case "format dispatch" `Quick test_pcapng_vs_pcap_dispatch;
         Alcotest.test_case "rejects garbage" `Quick test_pcapng_rejects_garbage;
         Alcotest.test_case "digest interop" `Quick test_pcapng_digest_interop;
+        Alcotest.test_case "nanosecond timestamps" `Quick test_pcapng_nanosecond_timestamps;
+        Alcotest.test_case "binary-fraction timestamps" `Quick test_pcapng_binary_timestamps;
+        Alcotest.test_case "rejects an undeclared interface" `Quick
+          test_pcapng_rejects_undeclared_interface;
         QCheck_alcotest.to_alcotest qcheck_pcapng_roundtrip;
       ] );
     ( "formats.pcap",
@@ -514,12 +589,7 @@ let le_pcapng ?(snaplen = 65535) packets =
     packets;
   Buffer.to_bytes b
 
-let be_packets frames =
-  List.map
-    (fun (ts, f) ->
-      let data = Packet.Codec.encode f in
-      { Oracle.ts; orig_len = Bytes.length data; data })
-    frames
+let be_packets frames = List.map (fun (ts, f) -> packet_at ts f) frames
 
 let test_le_pcap_slice_path () =
   let frames = sample_frames 6 in

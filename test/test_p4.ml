@@ -1,4 +1,4 @@
-module P4 = Hostmodel.P4_pipeline
+module P4 = P4_pipeline
 module H = Packet.Headers
 
 let frame ?(vlan = Some 100) ?(dst_port = 443) ?(payload = 100) () =
