@@ -74,11 +74,7 @@ let capture_methods () =
       ("DPDK 3 cores", Config.Dpdk { cores = 3 });
       ("DPDK 5 cores", Config.Dpdk { cores = 5 });
       ( "FPGA 1-in-8 + 3 cores",
-        Config.Fpga_dpdk
-          {
-            cores = 3;
-            fpga = { Hostmodel.Fpga_path.default_config with sample_1_in = 8 };
-          } );
+        Config.Fpga_dpdk { cores = 3; sample_1_in = 8 } );
     ]
   in
   List.iter

@@ -62,23 +62,22 @@ let run () =
   (match Switch.add_mirror sw ~src_port:0 ~dirs:Switch.Both ~dst_port:3 with
   | Error m -> Paper.row "mirror failed: %s" m
   | Ok _mirror ->
-    (* Each frame abstracted from its stored bytes, as the digest reads
-       a capture snapped at 200 bytes. *)
-    let fields = Dissect.Acap.Fields.create () in
-    let acaps = ref [] in
-    List.iter
-      (fun spec ->
-        List.iter
-          (fun (ts, frame) ->
-            let bytes = Packet.Codec.encode ~limit:200 frame
-            and orig_len = Packet.Frame.wire_length frame in
-            Dissect.Acap.Fields.dissect fields bytes ~off:0 ~cap_len:(Bytes.length bytes)
-              ~orig_len;
-            acaps := Dissect.Acap.of_fields fields ~ts ~orig_len :: !acaps)
-          (Flow_model.frames_in_window spec (Netcore.Rng.create 6) ~start_time:0.0
-             ~end_time:2.0))
-      [ flow_a; flow_b ];
-    let profile = Analysis.Profile.of_records !acaps in
+    (* Each slice's traffic captured as a weekly sample captures it, at
+       the default 200 B snap, and its records read back from the pcap
+       as the digest reads a stored capture. *)
+    let acaps =
+      List.concat_map
+        (fun spec ->
+          let m =
+            Patchwork.Capture.materialize
+              ~config:{ Patchwork.Config.default with emit_pcap = true }
+              ~rng:(Netcore.Rng.create 6) ~fraction:1.0 ~start_time:0.0 ~end_time:2.0
+              [ spec ]
+          in
+          Analysis.Digest.pcap_to_acaps (Option.get m.Patchwork.Capture.pcap))
+        [ flow_a; flow_b ]
+    in
+    let profile = Analysis.Profile.of_records acaps in
     Paper.row "Patchwork distinct flows (tag-aware keys): %d"
       (List.length profile.Analysis.Profile.flow_summaries);
     let fr = Netcore.Histogram.fractions profile.Analysis.Profile.size_histogram in
@@ -86,7 +85,7 @@ let run () =
       (List.fold_left
          (fun acc (r : Dissect.Acap.record) ->
            max acc (List.length r.Dissect.Acap.stack))
-         0 !acaps)
+         0 acaps)
       (100.0 *. (fr.(6) +. fr.(7) +. fr.(8))));
   Paper.row
     "paper: switch-side standards 'do not distinguish between testbed users and provide coarse statistics'.";

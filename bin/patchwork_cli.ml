@@ -26,10 +26,9 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Domains for the pipeline: $(b,dissect)'s digest, and \
-     $(b,profile)'s synthesis, gathering and per-sample counting.  \
-     Results are identical at any value; only wall-clock changes.  \
-     Defaults to the machine's core count minus one."
+    "Domains for $(b,profile)'s synthesis, gathering and per-sample \
+     counting.  Results are identical at any value; only wall-clock \
+     changes.  Defaults to the machine's core count minus one."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -222,13 +221,16 @@ let generate_cmd =
         ~byte_rate:(float_of_int count *. 1572.0)
         ~start_time:0.0 ~duration:1.0 ~subflows:8 ()
     in
-    let frames =
-      Traffic.Flow_model.frames_in_window spec rng ~start_time:0.0 ~end_time:1.0
+    (* A capture of the one spec, every frame whole: the class route
+       every sample takes, at snap length 65535. *)
+    let m =
+      Patchwork.Capture.materialize
+        ~config:{ Patchwork.Config.default with truncation = 65535; emit_pcap = true }
+        ~rng ~fraction:1.0 ~start_time:0.0 ~end_time:1.0 [ spec ]
     in
-    let w = Packet.Pcap.Writer.create () in
-    List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
-    Packet.Pcap.Writer.to_file w out;
-    Printf.printf "wrote %d frames to %s\n" (Packet.Pcap.Writer.packet_count w) out
+    Out_channel.with_open_bin out (fun oc ->
+        Out_channel.output_bytes oc (Option.get m.Patchwork.Capture.pcap));
+    Printf.printf "wrote %d frames to %s\n" (List.length m.Patchwork.Capture.records) out
   in
   let info = Cmd.info "generate" ~doc:"Synthesize a pcap of FABRIC-style traffic" in
   Cmd.v info Term.(const run $ seed_arg $ out $ count $ service)

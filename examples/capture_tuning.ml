@@ -40,9 +40,8 @@ let () =
   Printf.printf "%-10s %-14s %-14s\n" "sample" "host pps" "host bytes/s";
   List.iter
     (fun n ->
-      let config = { Hostmodel.Fpga_path.default_config with sample_1_in = n } in
       let pps, bps =
-        Hostmodel.Fpga_path.host_relief config ~offered_pps:8.13e6
+        Hostmodel.Fpga_path.host_relief ~sample_1_in:n ~truncation:200 ~offered_pps:8.13e6
           ~avg_frame_size:1514.0
       in
       Printf.printf "1-in-%-5d %12.2e %12.2e\n" n pps bps)

@@ -6,7 +6,8 @@
    filter and anonymization to every capture method alike, so the
    program sees only the frames the filter passed and keeps the 0th,
    Nth, 2Nth, ... of them: its verdict is a stride counter
-   (Hostmodel.Fpga_path).  This example captures a mixed TLS / SSH /
+   (Hostmodel.Fpga_path).  It cuts each frame at the capture's one snap
+   length, Config.truncation.  This example captures a mixed TLS / SSH /
    DNS / iperf3 stream through that offload, as a weekly sample does
    (Capture.materialize), and counts what each stage keeps.
 
@@ -21,9 +22,9 @@ let () =
     | Ok f -> f
     | Error m -> failwith m
   in
-  let fpga = { Hostmodel.Fpga_path.sample_1_in = 4; truncation = 128 } in
+  let sample_1_in = 4 and truncation = 128 in
   Printf.printf "capturing %S through the FPGA offload (1 in %d, %d B)...\n"
-    filter_expr fpga.Hostmodel.Fpga_path.sample_1_in fpga.Hostmodel.Fpga_path.truncation;
+    filter_expr sample_1_in truncation;
   (* A mixed stream: TLS flows we want, other traffic we don't, one flow
      per (service, VLAN) at about 800 frames per second. *)
   let rng = Netcore.Rng.create 9 in
@@ -63,7 +64,8 @@ let () =
         Config.default with
         Config.filter;
         anonymize = true;
-        capture_method = Config.Fpga_dpdk { cores = 2; fpga };
+        truncation;
+        capture_method = Config.Fpga_dpdk { cores = 2; sample_1_in };
       }
   in
   Printf.printf "offered %d frames; the filter passes %d\n" (List.length offered)
@@ -71,7 +73,7 @@ let () =
   let bytes =
     List.fold_left
       (fun n (r : Dissect.Acap.record) ->
-        n + min r.Dissect.Acap.orig_len fpga.Hostmodel.Fpga_path.truncation)
+        n + min r.Dissect.Acap.orig_len truncation)
       0 forwarded
   in
   Printf.printf "forwarded %d frames (%d bytes) to the host DPDK writer\n"
@@ -80,4 +82,4 @@ let () =
      with anonymized addresses: *)
   Printf.printf "\nhost-side relief vs raw mirror: %.1f%% of frames, <=%d B each\n"
     (100.0 *. float_of_int (List.length forwarded) /. float_of_int (List.length offered))
-    fpga.Hostmodel.Fpga_path.truncation
+    truncation

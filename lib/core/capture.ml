@@ -112,7 +112,7 @@ let materialize ~(config : Config.t) ~rng ~fraction ~start_time ~end_time specs 
      has passed it, so it reads no frame. *)
   let offload =
     match config.Config.capture_method with
-    | Config.Fpga_dpdk { fpga; _ } -> Hostmodel.Fpga_path.create fpga
+    | Config.Fpga_dpdk { sample_1_in; _ } -> Hostmodel.Fpga_path.create ~sample_1_in
     | Config.Tcpdump | Config.Dpdk _ -> fun () -> true
   in
   let anonymize =
@@ -231,20 +231,19 @@ let method_capacity_pps (config : Config.t) =
   | Config.Dpdk { cores } ->
     Hostmodel.Host_profile.dpdk_capacity_pps p ~cores
       ~truncation:config.Config.truncation
-  | Config.Fpga_dpdk { cores; fpga } ->
+  | Config.Fpga_dpdk { cores; sample_1_in } ->
     (* The FPGA samples at line rate; the host only sees the
        survivors, so its effective capacity scales up by the sampling
        factor. *)
-    let host =
-      Hostmodel.Host_profile.dpdk_capacity_pps p ~cores
-        ~truncation:(min config.Config.truncation fpga.Hostmodel.Fpga_path.truncation)
-    in
-    host *. float_of_int fpga.Hostmodel.Fpga_path.sample_1_in
+    Hostmodel.Host_profile.dpdk_capacity_pps p ~cores ~truncation:config.Config.truncation
+    *. float_of_int sample_1_in
 
 (* Pure, so the conservation property is qcheck-able over adversarial
-   parameters without a fabric. *)
+   parameters without a fabric.  The host's capacity is stated in the
+   frames the offload is shown, so [keep] is the same share of the
+   frames it forwards. *)
 let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
-    ~congested ~capacity_pps ~truncation ~host_path =
+    ~congested ~capacity_pps ~truncation ~sample_1_in ~host_path =
   let offered_frames = offered_pps *. duration in
   let offered_bytes = offered_frames *. avg_frame_size in
   let switch_dropped = offered_frames *. switch_drop_frac in
@@ -252,8 +251,10 @@ let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
   let keep =
     if after_pps <= 0.0 then 1.0 else Float.min 1.0 (capacity_pps /. after_pps)
   in
-  let host_dropped = after_pps *. (1.0 -. keep) *. duration in
-  let captured = after_pps *. keep *. duration in
+  let forwarded_pps = after_pps /. float_of_int sample_1_in in
+  let sampled = (after_pps -. forwarded_pps) *. duration in
+  let host_dropped = forwarded_pps *. (1.0 -. keep) *. duration in
+  let captured = forwarded_pps *. keep *. duration in
   let wire = Float.min avg_frame_size (float_of_int truncation) in
   (* Truncation loses bytes, never frames; stored wire bytes are the
      exact complement so the byte identity closes. *)
@@ -277,6 +278,7 @@ let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
           host_dropped,
           host_dropped *. avg_frame_size );
         (Obs.Ledger.Truncated, 0.0, truncated_bytes);
+        (Obs.Ledger.Sampled, sampled, sampled *. avg_frame_size);
       ];
   }
 
@@ -341,25 +343,27 @@ let run ~fabric ~resolver ~(config : Config.t) ~rng ~site ~mirror
   in
   (* Loss at the host: whatever exceeds the capture method's capacity. *)
   let capacity = method_capacity_pps config in
-  let host_path =
+  let host_path, sample_1_in =
     match config.Config.capture_method with
-    | Config.Tcpdump -> Hostmodel.Kernel_path.host_path
-    | Config.Dpdk _ -> Hostmodel.Dpdk_path.host_path
-    | Config.Fpga_dpdk _ -> Hostmodel.Fpga_path.host_path
+    | Config.Tcpdump -> (Hostmodel.Kernel_path.host_path, 1)
+    | Config.Dpdk _ -> (Hostmodel.Dpdk_path.host_path, 1)
+    | Config.Fpga_dpdk { sample_1_in; _ } -> (Hostmodel.Fpga_path.host_path, sample_1_in)
   in
   let b =
     loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
       ~congested:congestion_detected ~capacity_pps:capacity
-      ~truncation:config.Config.truncation ~host_path
+      ~truncation:config.Config.truncation ~sample_1_in ~host_path
   in
   let stored_per_frame =
     Float.min avg_frame_size (float_of_int config.Config.truncation) +. 16.0
   in
   let stored_bytes = b.b_captured_frames *. stored_per_frame in
-  (* Materialization budget: thin uniformly if the sample is heavy. *)
+  (* Materialization budget: thin uniformly if the sample is heavy.  It
+     weighs the frames the offload is shown, as the offload's stride
+     thins the draws on its own. *)
   let budget = float_of_int config.Config.max_frames_per_sample in
   let materialized_fraction =
-    if b.b_captured_frames <= budget then
+    if b.b_captured_frames *. float_of_int sample_1_in <= budget then
       b.b_host_keep *. (1.0 -. switch_drop_frac)
     else budget /. b.b_offered_frames
   in

@@ -6,22 +6,25 @@
     loses more if the offered rate exceeds its capture method's
     capacity.  What survives is materialized into abstract capture
     records (and optionally real pcap bytes), after the configured
-    filter, FPGA pre-processing and anonymization. *)
+    filter, FPGA pre-processing and anonymization, every frame cut at
+    the one snap length [Config.truncation]. *)
 
 (** The whole-sample loss split recorded into the attribution ledger:
     every offered frame/byte lands in exactly one bucket — stored, or
     one of the loss causes — so [offered = stored + Σ attributed] holds
     by construction (within the ledger's relative tolerance).  Offered
     and stored bytes are {e wire} bytes: truncation appears as a
-    bytes-only cause and pcap record headers are excluded. *)
+    bytes-only cause and pcap record headers are excluded.  The frames
+    the FPGA offload's stride skips are the [Sampled] cause. *)
 type breakdown = {
   b_offered_frames : float;
   b_offered_bytes : float;
   b_switch_dropped : float;
   b_host_dropped : float;
-  b_captured_frames : float;
+  b_captured_frames : float;  (** stored frames *)
   b_host_keep : float;
-      (** fraction of the frames past the switch that the host keeps *)
+      (** fraction of the frames forwarded past the switch (and the
+          offload's stride) that the host keeps *)
   b_stored_wire_bytes : float;
   b_causes : (Obs.Ledger.cause * float * float) list;
       (** (cause, frames, bytes); zero-amount entries included *)
@@ -68,12 +71,17 @@ val loss_breakdown :
   congested:bool ->
   capacity_pps:float ->
   truncation:int ->
+  sample_1_in:int ->
   host_path:Obs.Ledger.host_path ->
   breakdown
 (** Pure, so the conservation property is testable over adversarial
     parameters without a fabric.  Switch loss is attributed to
-    [Mirror_congestion] when [congested], else [Switch_drop]; host loss,
-    the frames past the switch beyond [capacity_pps], to [Host_drop]. *)
+    [Mirror_congestion] when [congested], else [Switch_drop].  Of the
+    frames past the switch the FPGA offload forwards one in
+    [sample_1_in] (1 for tcpdump and DPDK); the rest, and their wire
+    bytes, are [Sampled].  The host keeps the share of the forwarded
+    frames that [capacity_pps] (stated in frames the offload is shown)
+    allows, and the rest are [Host_drop]. *)
 
 type materialized = {
   records : Dissect.Acap.record list;
@@ -111,17 +119,17 @@ val materialize :
     ({!Traffic.Flow_model.stamp_draw}) into one buffer, reserved at the
     file's exact size: 24 bytes plus, per record, 16 and
     [min truncation wire_len].  No frame is built per draw.  Records
-    and pcap bytes are bit-identical to abstracting the typed headers
-    of, and encoding, every frame of
-    {!Traffic.Flow_model.frames_in_window}, and the RNG is left in the
-    same state. *)
+    and pcap bytes are bit-identical to the tests' per-frame reference
+    ([Oracle.materialize_per_frame], which builds, abstracts and
+    encodes every draw's frame), and the RNG is left in the same
+    state. *)
 
 val method_capacity_pps : Config.t -> float
-(** Frames per second the configured capture method stores before the
-    host drops: the kernel path's, or the DPDK path's at [cores] and the
-    snap length.  Behind the FPGA offload the DPDK path sees one frame
-    in [sample_1_in], each truncated to the smaller of the two snap
-    lengths, so its capacity scales up by [sample_1_in]. *)
+(** Frames per second the configured capture method is shown before
+    the host drops: the kernel path's, or the DPDK path's at [cores]
+    and the snap length.  Behind the FPGA offload the DPDK path sees
+    one frame in [sample_1_in], so its capacity scales up by
+    [sample_1_in]. *)
 
 val run :
   fabric:Testbed.Fablib.t ->
@@ -139,6 +147,7 @@ val run :
     [Obs.Ledger.default] while the ledger is enabled; the ledger is the
     one account of loss, per site and cause.  The registry's aggregate
     [capture_frames_total], [capture_stored_bytes_total] and
-    [capture_congestion_samples_total] count what was kept, and
+    [capture_congestion_samples_total] count what was kept (after the
+    offload's stride), and
     [capture_records_total] and [capture_classes_total] count its
     {!materialize} work. *)

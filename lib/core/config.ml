@@ -1,7 +1,7 @@
 type capture_method =
   | Tcpdump
   | Dpdk of { cores : int }
-  | Fpga_dpdk of { cores : int; fpga : Hostmodel.Fpga_path.config }
+  | Fpga_dpdk of { cores : int; sample_1_in : int }
 
 type port_selection =
   | Busiest_bias of int
@@ -16,7 +16,6 @@ type t = {
   sample_duration : float;
   sample_interval : float;
   samples_per_run : int;
-  runs_per_cycle : int;
   truncation : int;
   capture_method : capture_method;
   port_selection : port_selection;
@@ -35,7 +34,6 @@ let default =
     sample_duration = 20.0;
     sample_interval = 300.0;
     samples_per_run = 12;
-    runs_per_cycle = 1;
     truncation = 200;
     capture_method = Tcpdump;
     port_selection = Busiest_bias 4;
@@ -54,7 +52,6 @@ let validate t =
   else if t.sample_interval < t.sample_duration then
     fail "sample_interval must be at least sample_duration"
   else if t.samples_per_run <= 0 then fail "samples_per_run must be positive"
-  else if t.runs_per_cycle <= 0 then fail "runs_per_cycle must be positive"
   else if t.truncation <= 0 then fail "truncation must be positive"
   else if t.max_frames_per_sample <= 0 then fail "max_frames_per_sample must be positive"
   else if t.instance_crash_prob < 0.0 || t.instance_crash_prob > 1.0 then
@@ -68,9 +65,7 @@ let validate t =
       match t.capture_method with
       | (Dpdk { cores } | Fpga_dpdk { cores; _ }) when cores < 1 ->
         fail "capture needs at least one core"
-      | Fpga_dpdk { fpga; _ } when fpga.Hostmodel.Fpga_path.sample_1_in < 1 ->
+      | Fpga_dpdk { sample_1_in; _ } when sample_1_in < 1 ->
         fail "FPGA sample_1_in must be at least 1"
-      | Fpga_dpdk { fpga; _ } when fpga.Hostmodel.Fpga_path.truncation < 1 ->
-        fail "FPGA truncation must be positive"
       | Dpdk _ | Fpga_dpdk _ | Tcpdump -> Ok ())
   end

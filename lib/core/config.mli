@@ -1,16 +1,18 @@
 (** Patchwork configuration (requirement R5: tunable fidelity).
 
     A profile's raw data consists of captures from a series of {e runs},
-    each run being a series of {e samples}; between runs the instance
+    each run being a series of {e samples}; after a run the instance
     may {e cycle} the mirrored port.  The user sets each knob: sample
-    duration and spacing, samples per run, runs per cycle, packet
-    truncation, capture method, filtering and pre-processing. *)
+    duration and spacing, samples per run, packet truncation, capture
+    method, filtering and pre-processing. *)
 
 type capture_method =
   | Tcpdump  (** default: mature, modest requirements (§8.1.2) *)
   | Dpdk of { cores : int }  (** kernel-bypass custom application *)
-  | Fpga_dpdk of { cores : int; fpga : Hostmodel.Fpga_path.config }
-      (** FPGA pre-processing, then DPDK serialization *)
+  | Fpga_dpdk of { cores : int; sample_1_in : int }
+      (** FPGA pre-processing, then DPDK serialization: the offload
+          forwards one frame in [sample_1_in] (1 = every frame), cut at
+          [truncation] like every capture's *)
 
 type port_selection =
   | Busiest_bias of int
@@ -31,8 +33,11 @@ type t = {
   sample_duration : float;  (** seconds of traffic per sample *)
   sample_interval : float;  (** spacing between sample starts *)
   samples_per_run : int;
-  runs_per_cycle : int;  (** runs before the port is cycled *)
-  truncation : int;  (** bytes kept per frame *)
+      (** samples an instance takes on one mirrored port before it
+          cycles *)
+  truncation : int;
+      (** bytes kept per frame: the one snap length, whichever of
+          tcpdump, the DPDK writer or the FPGA offload cuts *)
   capture_method : capture_method;
   port_selection : port_selection;
   filter : Packet.Filter.t;

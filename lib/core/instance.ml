@@ -103,10 +103,7 @@ let rec schedule_cycle t =
           (fun _ -> schedule_cycle t)
       | Ok mirror ->
         log_event t ~level:Logging.Debug (Printf.sprintf "cycling to port %d" port);
-        let total_samples =
-          t.config.Config.samples_per_run * t.config.Config.runs_per_cycle
-        in
-        run_samples t ~mirror ~port ~remaining:total_samples
+        run_samples t ~mirror ~port ~remaining:t.config.Config.samples_per_run
     end
   end
 

@@ -30,6 +30,7 @@ type cause =
   | Switch_drop
   | Host_drop of host_path
   | Truncated
+  | Sampled
 
 let all_causes =
   [
@@ -39,6 +40,7 @@ let all_causes =
     Host_drop Dpdk;
     Host_drop Fpga;
     Truncated;
+    Sampled;
   ]
 
 let cause_label = function
@@ -48,6 +50,7 @@ let cause_label = function
   | Host_drop Dpdk -> "host_drop_dpdk"
   | Host_drop Fpga -> "host_drop_fpga"
   | Truncated -> "truncated"
+  | Sampled -> "sampled"
 
 let tolerance = 1e-6
 

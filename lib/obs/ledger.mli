@@ -27,6 +27,9 @@ type cause =
   | Switch_drop  (** uncongested mirror-port loss *)
   | Host_drop of host_path  (** capture host could not keep up *)
   | Truncated  (** bytes beyond the snap length (bytes-only cause) *)
+  | Sampled
+      (** frames the FPGA offload's 1-in-N stride skips.  Like
+          [Truncated], a cause by design, not loss *)
 
 val all_causes : cause list
 (** Every cause, host paths expanded; fixed order used by reports. *)

@@ -232,13 +232,18 @@ module Collector = struct
          ledger_offered_frames = ledger_stored_frames +
          Σ loss_attributed_frames{cause} (untouched cells pushed no
          point and contribute zero).
-         The per-site drop rate is the ledger's too, and 0 when nothing
-         was offered, so a [for N] alert clears. *)
+         The per-site drop rate is the ledger's too: the frames
+         neither stored nor skipped by the offload's stride (cause
+         [sampled]) over those offered, and 0 when nothing was offered,
+         so a [for N] alert clears. *)
       List.iter
         (fun site ->
           let l = [ ("site", site) ] in
           let offered = delta "ledger_offered_frames_total" l in
           let stored = delta "ledger_stored_frames_total" l in
+          let sampled =
+            delta "ledger_attributed_frames_total" [ ("cause", "sampled"); ("site", site) ]
+          in
           if offered > 0.0 then begin
             record "ledger_offered_frames" l offered;
             record "ledger_offered_bytes" l
@@ -248,7 +253,7 @@ module Collector = struct
               (delta "ledger_stored_bytes_total" l)
           end;
           record "site_drop_rate" l
-            (if offered > 0.0 then (offered -. stored) /. offered else 0.0))
+            (if offered > 0.0 then (offered -. stored -. sampled) /. offered else 0.0))
         (label_values "ledger_offered_frames_total" "site");
       List.iter
         (fun (s : Registry.sample) ->

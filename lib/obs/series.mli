@@ -44,9 +44,11 @@ val sparkline : ?width:int -> t -> string
     appends one point per derived series:
 
     - [site_drop_rate{site}] — [(Δledger_offered_frames_total -
-      Δledger_stored_frames_total) / Δoffered] from the loss ledger's
-      per-site counters (0 when nothing was offered, so a [for N] alert
-      clears);
+      Δledger_stored_frames_total - Δsampled) / Δoffered] from the loss
+      ledger's per-site counters, where [sampled] is
+      [ledger_attributed_frames_total{cause="sampled"}]: loss only, so a
+      loss-free 1-in-N offload reads 0 (0 when nothing was offered, so a
+      [for N] alert clears);
     - [captured_bytes_per_s] — [Δcapture_stored_bytes_total / Δat]
       (the caller's time axis, e.g. simulated seconds);
     - [pool_busy_fraction] — [Δpool_domain_busy_seconds_total] summed

@@ -16,9 +16,9 @@
     then sets those fields for one frame, refills the checksums
     innermost first, so that an outer checksum (VXLAN's UDP) covers the
     final bytes of the headers inside it, and copies the bytes.
-    {!encode_into} is a template stamped with no offsets, so a capture
-    that stamps one template per flow writes the bytes this module
-    encodes for every frame of the flow.
+    {!encode} is a template stamped with no offsets, so a capture that
+    stamps one template per flow writes the bytes this module encodes
+    for every frame of the flow.
 
     The encoder stops at a byte limit, as a capture stops at its snap
     length: it writes the header stack and then zeros only up to the
@@ -65,9 +65,5 @@ val headers : template -> bytes
 val encode : ?limit:int -> Frame.t -> bytes
 (** The first [min limit (Frame.wire_length frame)] bytes of the frame's
     encoding.  [limit] defaults to the wire length, so [encode frame] is
-    the whole frame. *)
-
-val encode_into : Netcore.Wire.Writer.t -> limit:int -> Frame.t -> unit
-(** Append what [encode ~limit frame] returns to the writer: the
-    frame's template stamped with no offsets.  Raises [Invalid_argument]
-    on a negative [limit]. *)
+    the whole frame: the frame's template stamped with no offsets.
+    Raises [Invalid_argument] on a negative [limit]. *)

@@ -11,7 +11,7 @@ let global_header_length = 24
 module Writer = struct
   (* The file's bytes so far, in one growable buffer that every record
      is encoded straight into. *)
-  type t = { snaplen : int; w : Wire.Writer.t; mutable count : int }
+  type t = { snaplen : int; w : Wire.Writer.t }
 
   let create ?(snaplen = default_snaplen) () =
     if snaplen <= 0 then invalid_arg "Pcap.Writer.create: snaplen must be positive";
@@ -23,7 +23,7 @@ module Writer = struct
     Wire.Writer.u32 w 0l (* sigfigs *);
     Wire.Writer.u32 w (Int32.of_int snaplen);
     Wire.Writer.u32 w linktype_ethernet;
-    { snaplen; w; count = 0 }
+    { snaplen; w }
 
   (* A 32-bit field as two 16-bit halves, so no [int32] is boxed. *)
   let u32 w v =
@@ -46,8 +46,7 @@ module Writer = struct
     u32 t.w sec;
     u32 t.w usec;
     u32 t.w incl_len;
-    u32 t.w orig_len;
-    t.count <- t.count + 1
+    u32 t.w orig_len
 
   let add t ~ts ?orig_len data =
     let orig_len = match orig_len with Some l -> l | None -> Bytes.length data in
@@ -58,11 +57,6 @@ module Writer = struct
     add_header t ~ts ~orig_len ~incl_len;
     Wire.Writer.subbytes t.w data ~pos:0 ~len:incl_len
 
-  let add_frame t ~ts frame =
-    let orig_len = Frame.wire_length frame in
-    add_header t ~ts ~orig_len ~incl_len:(min t.snaplen orig_len);
-    Codec.encode_into t.w ~limit:t.snaplen frame
-
   let add_stamp t ~ts template ~ident ~seq ~payload_len =
     let orig_len = Codec.wire_length template ~payload_len in
     add_header t ~ts ~orig_len ~incl_len:(min t.snaplen orig_len);
@@ -70,7 +64,6 @@ module Writer = struct
 
   let record_length t ~wire_len = 16 + min t.snaplen wire_len
   let reserve t n = Wire.Writer.reserve t.w n
-  let packet_count t = t.count
 
   (* A buffer written to its last byte is handed over as it is: a later
      record would move the writer to new storage, never write into it. *)

@@ -20,18 +20,14 @@ module Writer : sig
   val add : t -> ts:float -> ?orig_len:int -> bytes -> unit
   (** Append a raw packet.  [orig_len] defaults to the byte length. *)
 
-  val add_frame : t -> ts:float -> Frame.t -> unit
-  (** Append the record a capture with the writer's snap length stores
-      for a frame: its wire length, and the bytes
-      [Codec.encode ~limit:snaplen frame] returns, encoded into the
-      file's buffer only up to the snap length, so a record costs its
-      stored bytes whatever the frame's wire length. *)
-
   val add_stamp :
     t -> ts:float -> Codec.template -> ident:int -> seq:int -> payload_len:int -> unit
-  (** Append the record of a stamp of a template ({!Codec.stamp_into}):
-      the same record {!add_frame} writes for the frame the stamp
-      stands for, stamped straight into the file's buffer. *)
+  (** Append the record a capture with the writer's snap length stores
+      for the frame a stamp of a template stands for
+      ({!Codec.stamp_into}): its wire length, and the bytes
+      [Codec.encode ~limit:snaplen] returns for that frame, stamped
+      straight into the file's buffer only up to the snap length, so a
+      record costs its stored bytes whatever the frame's wire length. *)
 
   val record_length : t -> wire_len:int -> int
   (** The bytes the record of a frame of [wire_len] wire bytes takes:
@@ -41,8 +37,6 @@ module Writer : sig
   (** Make room for that many more bytes at once, so that a writer
       reserved the sum of its records' {!record_length}s before it
       writes them allocates its buffer once, at the file's exact size. *)
-
-  val packet_count : t -> int
 
   val contents : t -> bytes
   (** The file's bytes.  A buffer written to its last byte (as after

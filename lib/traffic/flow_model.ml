@@ -174,9 +174,3 @@ let stamp_draw w ~ts template ~index ~wire_len =
   let payload_len = wire_len - Packet.Codec.header_length template in
   Packet.Pcap.Writer.add_stamp w ~ts template ~ident:index
     ~seq:(seq_advance ~index ~payload_len) ~payload_len
-
-let frames_in_window spec rng ~start_time ~end_time =
-  let frames = ref [] in
-  iter_draws spec rng ~start_time ~end_time (fun ~index ~ts ~wire_len ~subflow ->
-      frames := (ts, draw_frame spec ~index ~wire_len ~subflow) :: !frames);
-  List.rev !frames

@@ -7,7 +7,9 @@
     is what makes year-scale simulations affordable.  The capture goes
     one step further and builds no frame per draw ({!iter_draws}): one
     frame per flow class, and pcap records stamped from its encoded
-    headers ({!stamp_draw}). *)
+    headers ({!stamp_draw}).  No library path builds a frame per draw;
+    the tests keep that per-frame materialization as the capture's
+    oracle. *)
 
 type spec = {
   flow_id : int;
@@ -83,14 +85,5 @@ val stamp_draw :
     holds the bytes of the draw's own frame, anonymized alike, and no
     frame is built. *)
 
-val frames_in_window :
-  spec ->
-  Netcore.Rng.t ->
-  start_time:float ->
-  end_time:float ->
-  (float * Packet.Frame.t) list
-(** Materialize every draw of {!iter_draws} with {!draw_frame}, in
-    order, consuming the same random numbers. *)
-
 val expected_frames : spec -> start_time:float -> end_time:float -> float
-(** Mean of the count {!frames_in_window} would draw. *)
+(** Mean of the count of draws {!iter_draws} makes. *)

@@ -243,6 +243,24 @@ let encode ?(snaplen = max_int) frame =
   let b = Full_encoder.encode frame in
   if Bytes.length b <= snaplen then b else Bytes.sub b 0 snaplen
 
+(* The per-frame pcap record: the frame encoded whole, at its wire
+   length, and cut at the writer's snap length.  Every capture writes
+   the same record bytes by stamping the frame's flow template
+   ([Pcap.Writer.add_stamp]). *)
+let add_frame w ~ts frame = Packet.Pcap.Writer.add w ~ts (Packet.Codec.encode frame)
+
+(* The per-frame materialization: every draw of [Flow_model.iter_draws]
+   built as its own frame ([Flow_model.draw_frame]), in order,
+   consuming the same random numbers.  The capture builds one frame per
+   flow class instead. *)
+let frames_in_window spec rng ~start_time ~end_time =
+  let frames = ref [] in
+  Traffic.Flow_model.iter_draws spec rng ~start_time ~end_time
+    (fun ~index ~ts ~wire_len ~subflow ->
+      frames :=
+        (ts, Traffic.Flow_model.draw_frame spec ~index ~wire_len ~subflow) :: !frames);
+  List.rev !frames
+
 (* The one's-complement sum of a byte range started from [initial]: a
    pseudo-header sum folded in with the segment's words.
    [Checksum.ones_complement_sum] starts from 0, and a TCP or UDP
@@ -821,7 +839,7 @@ let acap_of_frame ~ts (frame : Packet.Frame.t) =
   let len = Packet.Frame.wire_length frame in
   acap_of_headers ~ts ~orig_len:len ~cap_len:len ~truncated:false frame.Packet.Frame.headers
 
-(* The per-frame capture: every draw of [Flow_model.frames_in_window] is
+(* The per-frame capture: every draw of [frames_in_window] is
    built as a frame, then filtered, offloaded, anonymized and abstracted
    on its own; the kept frames are sorted by time, stably, from newest
    generated first, and written in that order, each pcap record from
@@ -834,12 +852,13 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
   let module Flow_model = Traffic.Flow_model in
   let offload =
     match config.Patchwork.Config.capture_method with
-    | Patchwork.Config.Fpga_dpdk { fpga; _ } ->
+    | Patchwork.Config.Fpga_dpdk { sample_1_in; _ } ->
       (* The compiled P4 program the offload's stride counter stands
-         for: it sees the frames the filter passed, in draw order. *)
+         for, cutting at the capture's snap length: it sees the frames
+         the filter passed, in draw order. *)
       let program =
-        P4_pipeline.Compile.of_filter ~truncation:fpga.Hostmodel.Fpga_path.truncation
-          ~sample_1_in:fpga.Hostmodel.Fpga_path.sample_1_in Packet.Filter.True
+        P4_pipeline.Compile.of_filter ~truncation:config.Patchwork.Config.truncation
+          ~sample_1_in Packet.Filter.True
       in
       fun frame -> (P4_pipeline.process program frame).P4_pipeline.frame <> None
     | Patchwork.Config.Tcpdump | Patchwork.Config.Dpdk _ -> fun _ -> true
@@ -855,7 +874,7 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
       let scaled =
         { spec with Flow_model.byte_rate = spec.Flow_model.byte_rate *. fraction }
       in
-      let frames = Flow_model.frames_in_window scaled rng ~start_time ~end_time in
+      let frames = frames_in_window scaled rng ~start_time ~end_time in
       List.iter
         (fun (ts, frame) ->
           let wire_len = Packet.Frame.wire_length frame in
@@ -890,6 +909,46 @@ let materialize_per_frame ~(config : Patchwork.Config.t) ~rng ~fraction
     end
   in
   (List.map fst kept, pcap)
+
+(* The ledger's loss split as it was before the FPGA offload's stride
+   was counted: every frame past the switch is shown to the host, which
+   keeps what its capacity allows.  [Capture.loss_breakdown] at a
+   stride of 1 must reproduce it bit for bit, with its [Sampled] cause
+   at zero. *)
+let loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
+    ~congested ~capacity_pps ~truncation ~host_path : Patchwork.Capture.breakdown =
+  let offered_frames = offered_pps *. duration in
+  let offered_bytes = offered_frames *. avg_frame_size in
+  let switch_dropped = offered_frames *. switch_drop_frac in
+  let after_pps = offered_pps *. (1.0 -. switch_drop_frac) in
+  let keep =
+    if after_pps <= 0.0 then 1.0 else Float.min 1.0 (capacity_pps /. after_pps)
+  in
+  let host_dropped = after_pps *. (1.0 -. keep) *. duration in
+  let captured = after_pps *. keep *. duration in
+  let wire = Float.min avg_frame_size (float_of_int truncation) in
+  let truncated_bytes = captured *. Float.max 0.0 (avg_frame_size -. wire) in
+  let stored_wire = (captured *. avg_frame_size) -. truncated_bytes in
+  {
+    b_offered_frames = offered_frames;
+    b_offered_bytes = offered_bytes;
+    b_switch_dropped = switch_dropped;
+    b_host_dropped = host_dropped;
+    b_captured_frames = captured;
+    b_host_keep = keep;
+    b_stored_wire_bytes = stored_wire;
+    b_causes =
+      [
+        ( (if congested then Obs.Ledger.Mirror_congestion
+           else Obs.Ledger.Switch_drop),
+          switch_dropped,
+          switch_dropped *. avg_frame_size );
+        ( Obs.Ledger.Host_drop host_path,
+          host_dropped,
+          host_dropped *. avg_frame_size );
+        (Obs.Ledger.Truncated, 0.0, truncated_bytes);
+      ];
+  }
 
 (* Prometheus text exposition back into data lines: the inverse of
    [Obs.Export.to_prometheus] up to float formatting (17 significant

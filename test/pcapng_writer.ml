@@ -79,9 +79,11 @@ let write ?(snaplen = 65535) ?(simple = false) ?tsresol packets =
 (* The record a capture with snap length [snaplen] stores for a frame:
    its wire length, and its bytes encoded only that far. *)
 let packet_of_frame ?(snaplen = 65535) ~ts frame : Oracle.packet =
-  let w = Netcore.Wire.Writer.create () in
-  Packet.Codec.encode_into w ~limit:snaplen frame;
-  { ts; orig_len = Packet.Frame.wire_length frame; data = Netcore.Wire.Writer.contents w }
+  {
+    ts;
+    orig_len = Packet.Frame.wire_length frame;
+    data = Packet.Codec.encode ~limit:snaplen frame;
+  }
 
 let of_frames ?snaplen frames =
   write ?snaplen

@@ -192,8 +192,8 @@ let sample_with_pcap () =
         flags = H.flags_psh_ack; window = 10 }
   in
   let frame = Packet.Frame.make [ eth; ip; tcp ] ~payload_len:64 in
-  Packet.Pcap.Writer.add_frame w ~ts:1.0 frame;
-  Packet.Pcap.Writer.add_frame w ~ts:2.0 frame;
+  Oracle.add_frame w ~ts:1.0 frame;
+  Oracle.add_frame w ~ts:2.0 frame;
   {
     Patchwork.Capture.sample_site = "STAR";
     sample_port = 3;

@@ -42,14 +42,7 @@ let golden_configs =
     ( "fpga",
       {
         base with
-        Config.capture_method =
-          Config.Fpga_dpdk
-            {
-              cores = 2;
-              fpga =
-                { Hostmodel.Fpga_path.default_config with
-                  Hostmodel.Fpga_path.sample_1_in = 2 };
-            };
+        Config.capture_method = Config.Fpga_dpdk { cores = 2; sample_1_in = 2 };
       } );
   ]
 
@@ -430,16 +423,10 @@ let case_setup (seed, filter_pick, (anonymize, emit_pcap, fpga)) =
   in
   let filters = static_filters @ spec_filters (List.hd specs) in
   let filter = parse_filter (List.nth filters (filter_pick mod List.length filters)) in
-  let truncation = Netcore.Rng.choice rng [| 96; 200; 1500 |] in
+  let truncation = Netcore.Rng.choice rng [| 96; 200; 1500; 65535 |] in
   let capture_method =
     if not fpga then Config.Tcpdump
-    else
-      Config.Fpga_dpdk
-        {
-          cores = 2;
-          fpga =
-            { Hostmodel.Fpga_path.sample_1_in = 1 + Netcore.Rng.int rng 3; truncation };
-        }
+    else Config.Fpga_dpdk { cores = 2; sample_1_in = 1 + Netcore.Rng.int rng 3 }
   in
   let config =
     { Config.default with Config.filter; anonymize; emit_pcap; truncation; capture_method }
@@ -604,13 +591,7 @@ let test_records_and_classes_counters () =
   Alcotest.(check bool) "fewer classes than records" true (c > 0 && c < records);
   let records, r, _ = run { base with Config.emit_pcap = true } in
   Alcotest.(check int) "records counted (pcap)" records r;
-  let fpga =
-    Config.Fpga_dpdk
-      {
-        cores = 2;
-        fpga = { Hostmodel.Fpga_path.default_config with sample_1_in = 2 };
-      }
-  in
+  let fpga = Config.Fpga_dpdk { cores = 2; sample_1_in = 2 } in
   let records, r, _ = run { base with Config.capture_method = fpga } in
   Alcotest.(check bool) "FPGA sample has records" true (records > 0);
   Alcotest.(check int) "records counted (FPGA)" records r

@@ -40,7 +40,7 @@ let test_pcapng_vs_pcap_dispatch () =
   let ng = Pcapng_writer.of_frames frames in
   let classic =
     let w = Packet.Pcap.Writer.create () in
-    List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
+    List.iter (fun (ts, f) -> Oracle.add_frame w ~ts f) frames;
     Packet.Pcap.Writer.contents w
   in
   Alcotest.(check bool) "classic not pcapng" false (Packet.Pcapng.is_pcapng classic);
@@ -473,7 +473,7 @@ let expect_pcap_malformed name f =
 let test_pcap_index_matches_packets () =
   let frames = sample_frames 12 in
   let w = Packet.Pcap.Writer.create () in
-  List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
+  List.iter (fun (ts, f) -> Oracle.add_frame w ~ts f) frames;
   let buf = Packet.Pcap.Writer.contents w in
   let idx = Oracle.index buf in
   let packets = Oracle.pcap_packets buf in
@@ -610,7 +610,7 @@ let test_le_pcap_slice_path () =
   (* The digest path must read LE captures identically to BE ones. *)
   let be =
     let w = Packet.Pcap.Writer.create () in
-    List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
+    List.iter (fun (ts, f) -> Oracle.add_frame w ~ts f) frames;
     Packet.Pcap.Writer.contents w
   in
   let strip_ts (r : Dissect.Acap.record) =

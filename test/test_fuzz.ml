@@ -25,7 +25,7 @@ let frames =
 
 let captures =
   let w = Packet.Pcap.Writer.create () in
-  List.iter (fun (ts, f) -> Packet.Pcap.Writer.add_frame w ~ts f) frames;
+  List.iter (fun (ts, f) -> Oracle.add_frame w ~ts f) frames;
   [
     Bytes.to_string (Packet.Pcap.Writer.contents w);
     Bytes.to_string (Pcapng_writer.of_frames frames);

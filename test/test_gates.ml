@@ -120,7 +120,7 @@ let decode_capture ~frames =
   let templates = Array.init 256 template in
   let w = Packet.Pcap.Writer.create () in
   for i = 0 to frames - 1 do
-    Packet.Pcap.Writer.add_frame w ~ts:(float_of_int i *. 1e-5)
+    Oracle.add_frame w ~ts:(float_of_int i *. 1e-5)
       (Rng.choice rng templates)
   done;
   Packet.Pcap.Writer.contents w
@@ -458,8 +458,10 @@ let allocated_words f =
   let minor, major = heap_words f in
   minor +. major
 
-(* The median words of one [add_frame] of a frame with [payload_len]
-   payload bytes, over 64 records written to one writer after a
+(* The median words of one pcap record of a frame with [payload_len]
+   payload bytes, as every capture writes it: stamped from the flow
+   class's prebuilt template ([Flow_model.stamp_draw]), each draw
+   advancing the index.  Over 64 records written to one writer after a
    warm-up record, so the median excludes the few records at which the
    writer's buffer grows. *)
 let record_words ~snaplen payload_len =
@@ -480,12 +482,15 @@ let record_words ~snaplen payload_len =
       ]
       ~payload_len
   in
+  let template = Packet.Codec.template frame
+  and wire_len = Packet.Frame.wire_length frame in
   let w = Packet.Pcap.Writer.create ~snaplen () in
-  Packet.Pcap.Writer.add_frame w ~ts:0.0 frame;
+  Traffic.Flow_model.stamp_draw w ~ts:0.0 template ~index:0 ~wire_len;
   let words =
     Array.init 64 (fun i ->
-        let ts = float_of_int (i + 1) in
-        allocated_words (fun () -> Packet.Pcap.Writer.add_frame w ~ts frame))
+        let ts = float_of_int (i + 1) and index = i + 1 in
+        allocated_words (fun () ->
+            Traffic.Flow_model.stamp_draw w ~ts template ~index ~wire_len))
   in
   Array.sort compare words;
   words.(32)

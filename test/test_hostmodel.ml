@@ -180,7 +180,7 @@ let test_kernel_buffer_absorbs () =
 (* The verdict reads no frame: it forwards the 0th, 4th, 8th, ... frame
    it is shown. *)
 let test_fpga_systematic_sampling () =
-  let forwards = Fpga_path.create { Fpga_path.default_config with sample_1_in = 4 } in
+  let forwards = Fpga_path.create ~sample_1_in:4 in
   Alcotest.(check (list bool)) "every 4th, from the first"
     (List.init 100 (fun i -> i mod 4 = 0))
     (List.init 100 (fun _ -> forwards ()))

@@ -148,6 +148,7 @@ let breakdown_gen =
     let* congested = bool in
     let* capacity = map float_of_int (int_bound 2_000_000) in
     let* trunc = oneofl [ 64; 200; 1514; 9000 ] in
+    let* stride = int_range 1 8 in
     let* path = oneofl [ L.Kernel; L.Dpdk; L.Fpga ] in
     return
       ( offered,
@@ -157,6 +158,7 @@ let breakdown_gen =
         congested,
         capacity,
         trunc,
+        stride,
         path ))
 
 let arb_stream =
@@ -164,10 +166,11 @@ let arb_stream =
     ~print:(fun samples ->
       String.concat ";\n"
         (List.map
-           (fun (o, d, a, f, c, cap, tr, _) ->
+           (fun (o, d, a, f, c, cap, tr, st, _) ->
              Printf.sprintf
-               "offered=%g dur=%g avg=%g drop=%g congested=%b cap=%g trunc=%d"
-               o d a f c cap tr)
+               "offered=%g dur=%g avg=%g drop=%g congested=%b cap=%g trunc=%d \
+                stride=%d"
+               o d a f c cap tr st)
            samples))
     QCheck.Gen.(list_size (int_range 1 20) breakdown_gen)
 
@@ -188,11 +191,12 @@ let qcheck_conservation_adversarial =
                congested,
                capacity_pps,
                truncation,
+               sample_1_in,
                host_path ) ->
           let b =
             Patchwork.Capture.loss_breakdown ~offered_pps ~duration
               ~avg_frame_size ~switch_drop_frac ~congested ~capacity_pps
-              ~truncation ~host_path
+              ~truncation ~sample_1_in ~host_path
           in
           let site = sites.(i mod Array.length sites) in
           L.record_sample l ~site
@@ -207,6 +211,127 @@ let qcheck_conservation_adversarial =
          raise rather than return. *)
       let e = L.close_occasion l in
       List.for_all (fun (s : L.site_entry) -> s.L.e_conserved) e.L.o_sites)
+
+(* Every float of a breakdown, as its bits, so -0.0 and 0.0 differ. *)
+let breakdown_bits (b : Patchwork.Capture.breakdown) =
+  List.map Int64.bits_of_float
+    ([
+       b.Patchwork.Capture.b_offered_frames;
+       b.Patchwork.Capture.b_offered_bytes;
+       b.Patchwork.Capture.b_switch_dropped;
+       b.Patchwork.Capture.b_host_dropped;
+       b.Patchwork.Capture.b_captured_frames;
+       b.Patchwork.Capture.b_host_keep;
+       b.Patchwork.Capture.b_stored_wire_bytes;
+     ]
+    @ List.concat_map (fun (_, f, by) -> [ f; by ]) b.Patchwork.Capture.b_causes)
+
+(* At a stride of 1 the split is the one from before the stride was
+   counted, bit for bit: the same causes in the same order, and a
+   [Sampled] cause of zero frames and bytes after them. *)
+let qcheck_stride_one_unchanged =
+  QCheck.Test.make ~count:500 ~name:"a stride of 1 leaves the split unchanged"
+    (QCheck.make breakdown_gen)
+    (fun (offered_pps, duration, avg_frame_size, switch_drop_frac, congested,
+          capacity_pps, truncation, _, host_path) ->
+      let b =
+        Patchwork.Capture.loss_breakdown ~offered_pps ~duration ~avg_frame_size
+          ~switch_drop_frac ~congested ~capacity_pps ~truncation ~sample_1_in:1
+          ~host_path
+      in
+      let reference =
+        Oracle.loss_breakdown ~offered_pps ~duration ~avg_frame_size ~switch_drop_frac
+          ~congested ~capacity_pps ~truncation ~host_path
+      in
+      let sampled, rest =
+        List.partition (fun (c, _, _) -> c = L.Sampled) b.Patchwork.Capture.b_causes
+      in
+      sampled = [ (L.Sampled, 0.0, 0.0) ]
+      && List.map (fun (c, _, _) -> c) rest
+         = List.map (fun (c, _, _) -> c) reference.Patchwork.Capture.b_causes
+      && breakdown_bits { b with Patchwork.Capture.b_causes = rest }
+         = breakdown_bits reference)
+
+(* --- the FPGA offload's stride --- *)
+
+(* One second of 3,200 frames/s of 200 B frames on a clean mirror, as
+   the capture hands it to the ledger under [config]. *)
+let probe (config : Patchwork.Config.t) =
+  let sample_1_in, host_path =
+    match config.Patchwork.Config.capture_method with
+    | Patchwork.Config.Fpga_dpdk { sample_1_in; _ } -> (sample_1_in, L.Fpga)
+    | Patchwork.Config.Dpdk _ -> (1, L.Dpdk)
+    | Patchwork.Config.Tcpdump -> (1, L.Kernel)
+  in
+  Patchwork.Capture.loss_breakdown ~offered_pps:3200.0 ~duration:1.0
+    ~avg_frame_size:200.0 ~switch_drop_frac:0.0 ~congested:false
+    ~capacity_pps:(Patchwork.Capture.method_capacity_pps config)
+    ~truncation:config.Patchwork.Config.truncation ~sample_1_in ~host_path
+
+let offload_probe_config =
+  {
+    Patchwork.Config.default with
+    Patchwork.Config.truncation = 128;
+    capture_method = Patchwork.Config.Fpga_dpdk { cores = 2; sample_1_in = 4 };
+  }
+
+let cause_amounts (b : Patchwork.Capture.breakdown) cause =
+  List.find_map
+    (fun (c, frames, bytes) -> if c = cause then Some (frames, bytes) else None)
+    b.Patchwork.Capture.b_causes
+
+(* The offload forwards 1 in 4 of the frames: the host stores 800 frames
+   cut at 128 B, and the 2,400 the stride skips are [Sampled], not
+   stored and not lost.  The DPDK writer alone stores every frame. *)
+let test_offload_stride_counted () =
+  let b = probe offload_probe_config in
+  let amount = Alcotest.(pair (float 0.0) (float 0.0)) in
+  check amount "stored" (800.0, 102_400.0)
+    (b.Patchwork.Capture.b_captured_frames, b.Patchwork.Capture.b_stored_wire_bytes);
+  check Alcotest.(option amount) "sampled" (Some (2400.0, 480_000.0))
+    (cause_amounts b L.Sampled);
+  check Alcotest.(option amount) "truncated" (Some (0.0, 57_600.0))
+    (cause_amounts b L.Truncated);
+  check Alcotest.(option amount) "host drops" (Some (0.0, 0.0))
+    (cause_amounts b (L.Host_drop L.Fpga));
+  let d =
+    probe
+      {
+        Patchwork.Config.default with
+        Patchwork.Config.capture_method = Patchwork.Config.Dpdk { cores = 2 };
+      }
+  in
+  check amount "DPDK stores every frame" (3200.0, 640_000.0)
+    (d.Patchwork.Capture.b_captured_frames, d.Patchwork.Capture.b_stored_wire_bytes);
+  check Alcotest.(option amount) "DPDK samples nothing" (Some (0.0, 0.0))
+    (cause_amounts d L.Sampled)
+
+(* A loss-free 1-in-4 capture loses nothing: its drop rate reads 0, so
+   the default rule [site_drop_rate > 0.05 for 3] does not fire on
+   sampling. *)
+let test_offload_drop_rate_zero () =
+  let site = "OFFLOAD-PROBE" in
+  let col = Obs.Series.Collector.create () in
+  Obs.Series.Collector.collect col ~at:0.0 Obs.Registry.default;
+  let l = L.create () in
+  L.begin_occasion l ~at:0.0;
+  let b = probe offload_probe_config in
+  L.record_sample l ~site ~offered_frames:b.Patchwork.Capture.b_offered_frames
+    ~offered_bytes:b.Patchwork.Capture.b_offered_bytes
+    ~stored_frames:b.Patchwork.Capture.b_captured_frames
+    ~stored_bytes:b.Patchwork.Capture.b_stored_wire_bytes b.Patchwork.Capture.b_causes;
+  let e = L.close_occasion l in
+  checkb "conserved" true (List.for_all (fun s -> s.L.e_conserved) e.L.o_sites);
+  let points = Obs.Series.Collector.collect_points col ~at:1.0 Obs.Registry.default in
+  check
+    Alcotest.(option (float 0.0))
+    "drop rate" (Some 0.0)
+    (List.find_map
+       (fun (name, labels, (p : Obs.Series.point)) ->
+         if name = "site_drop_rate" && labels = [ ("site", site) ] then
+           Some p.Obs.Series.value
+         else None)
+       points)
 
 (* --- real occasions: determinism across pool sizes --- *)
 
@@ -376,6 +501,10 @@ let suites =
           test_violation_detected;
         QCheck_alcotest.to_alcotest qcheck_exemplars_deterministic;
         QCheck_alcotest.to_alcotest qcheck_conservation_adversarial;
+        QCheck_alcotest.to_alcotest qcheck_stride_one_unchanged;
+        Alcotest.test_case "the offload's stride is counted" `Quick
+          test_offload_stride_counted;
+        Alcotest.test_case "sampling is not loss" `Quick test_offload_drop_rate_zero;
         Alcotest.test_case "occasion ledger identical at pools 1/2/4" `Slow
           test_occasion_pool_determinism;
         Alcotest.test_case "site drop rate is the ledger's" `Slow

@@ -27,15 +27,9 @@ let test_config_rejections () =
       { Config.default with Config.port_selection = Config.Busiest_bias 1 };
       { Config.default with Config.port_selection = Config.Fixed_ports [] };
       { Config.default with Config.capture_method = Config.Dpdk { cores = 0 } };
-      (* An offload that samples 1 in 0 or forwards no byte. *)
+      (* An offload that samples 1 in 0. *)
       { Config.default with
-        Config.capture_method =
-          Config.Fpga_dpdk
-            { cores = 2; fpga = { Hostmodel.Fpga_path.sample_1_in = 0; truncation = 200 } } };
-      { Config.default with
-        Config.capture_method =
-          Config.Fpga_dpdk
-            { cores = 2; fpga = { Hostmodel.Fpga_path.sample_1_in = 1; truncation = 0 } } };
+        Config.capture_method = Config.Fpga_dpdk { cores = 2; sample_1_in = 0 } };
     ]
   in
   List.iter

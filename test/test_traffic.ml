@@ -44,7 +44,7 @@ let test_spec_rejects_bad_template () =
 let test_frames_in_window_count () =
   let spec = make_spec () in
   (* Window covering 20s of the flow at 1000 fps -> ~20000 frames. *)
-  let frames = Flow_model.frames_in_window spec (rng ()) ~start_time:110.0 ~end_time:130.0 in
+  let frames = Oracle.frames_in_window spec (rng ()) ~start_time:110.0 ~end_time:130.0 in
   let n = List.length frames in
   Alcotest.(check bool) "poisson count near mean" true (n > 19_000 && n < 21_000);
   Alcotest.(check (float 1e-9)) "expectation" 20_000.0
@@ -52,7 +52,7 @@ let test_frames_in_window_count () =
 
 let test_frames_ordered_and_in_window () =
   let spec = make_spec ~byte_rate:1e5 () in
-  let frames = Flow_model.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:1000.0 in
+  let frames = Oracle.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:1000.0 in
   let rec check_sorted = function
     | (t1, _) :: ((t2, _) :: _ as rest) ->
       Alcotest.(check bool) "sorted" true (t1 <= t2);
@@ -68,14 +68,14 @@ let test_frames_ordered_and_in_window () =
 let test_no_frames_outside_window () =
   let spec = make_spec () in
   Alcotest.(check int) "before" 0
-    (List.length (Flow_model.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:99.0));
+    (List.length (Oracle.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:99.0));
   Alcotest.(check int) "after" 0
     (List.length
-       (Flow_model.frames_in_window spec (rng ()) ~start_time:161.0 ~end_time:200.0))
+       (Oracle.frames_in_window spec (rng ()) ~start_time:161.0 ~end_time:200.0))
 
 let test_subflows_vary_tuples () =
   let spec = make_spec ~subflows:50 ~byte_rate:1e6 () in
-  let frames = Flow_model.frames_in_window spec (rng ()) ~start_time:100.0 ~end_time:110.0 in
+  let frames = Oracle.frames_in_window spec (rng ()) ~start_time:100.0 ~end_time:110.0 in
   let keys = Hashtbl.create 64 in
   List.iter
     (fun (_, f) ->
@@ -89,7 +89,7 @@ let test_subflows_vary_tuples () =
 
 let test_single_subflow_single_tuple () =
   let spec = make_spec ~subflows:1 () in
-  let frames = Flow_model.frames_in_window spec (rng ()) ~start_time:100.0 ~end_time:101.0 in
+  let frames = Oracle.frames_in_window spec (rng ()) ~start_time:100.0 ~end_time:101.0 in
   let keys = Hashtbl.create 4 in
   List.iter
     (fun (_, f) ->
@@ -105,7 +105,7 @@ let test_frames_respect_size_bounds () =
       ~frame_size:(Netcore.Dist.Constant 50_000.0) ~avg_frame_size:9000.0
       ~byte_rate:1e6 ~start_time:0.0 ~duration:10.0 ()
   in
-  let frames = Flow_model.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:1.0 in
+  let frames = Oracle.frames_in_window spec (rng ()) ~start_time:0.0 ~end_time:1.0 in
   List.iter
     (fun (_, f) ->
       Alcotest.(check bool) "clamped to jumbo MTU" true
